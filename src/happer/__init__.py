@@ -19,13 +19,13 @@ from .geometry import (ChernResult, CurvatureField, FrameField, chern_number,
                        chern_spectrum_link_variable, connection_discrete,
                        curvature_discrete, curvature_field, loop_phase,
                        smooth_gauge_states)
-from .mesh import Plaquette, SphereMesh
+from .mesh import SphereMesh
 from .model import (FieldDirection, ModelParams, build_hamiltonian, conserved_j,
                     hamiltonian_batch, momentum_hamiltonian, projected_hamiltonian,
                     semimetal_hamiltonian, spin_axis_commutator, spin_axis_operator,
                     zeeman_params)
-from .operators import (SpinQuantumNumber, SpinTriple, commutator, kron,
-                        require_hermitian, spin_operators)
+from .operators import (SpinQuantumNumber, SpinTriple, commutator, require_hermitian,
+                        spin_operators)
 from .spectrum import (DegeneracyPoint, EigenSystem, LevelTrack, eigensystem,
                        eigensystem_with_j, find_degeneracies, level_positions,
                        track_levels)

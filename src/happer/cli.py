@@ -24,7 +24,7 @@ from .dynamics import (DriveProtocol, adiabatic_omega, cone_fit,
 from .geometry import (ChernResult, chern_number_curvature, chern_number_link_variable,
                        chern_spectrum_link_variable, loop_phase)
 from .mesh import SphereMesh
-from .model import FieldDirection, ModelParams, build_hamiltonian
+from .model import FieldDirection, ModelParams, build_hamiltonian, semimetal_batch
 from .operators import SpinQuantumNumber
 from .spectrum import (eigensystem_with_j, find_degeneracies, level_positions,
                        track_levels)
@@ -128,14 +128,20 @@ def _chern_columns(res: ChernResult) -> list:
 
 
 def _cluster_labels(cfg: ScanConfig, x_star: float) -> tuple[int, ...]:
-    p = cfg.params(x_star)
     window = 0.2 * x_star
-    degs = find_degeneracies(p.with_x(x_star), (x_star - window, x_star + window),
+    degs = find_degeneracies(cfg.params(x_star), (x_star - window, x_star + window),
                              scan_points=81)
     exact = [d for d in degs if d.exact and abs(d.x - x_star) < 1e-6]
     if not exact:
         raise ValueError(f"no exact crossing found near x = {x_star}")
     return exact[0].labels
+
+
+def _cluster(cfg: ScanConfig) -> tuple[ModelParams, tuple[int, ...], str]:
+    """Params at --x (default: the crossing), the cluster there, and its deg(a+b+c) tag."""
+    p = cfg.params(cfg.x if cfg.x is not None else cfg.params(1.0).crossing_x())
+    labels = _cluster_labels(cfg, p.x)
+    return p, labels, "deg(" + "+".join(map(str, labels)) + ")"
 
 
 def cmd_spectrum(cfg: ScanConfig) -> Table:
@@ -179,15 +185,12 @@ def cmd_chern(cfg: ScanConfig) -> Table:
     annotations: list[str] = []
     ok = True
     if cfg.cluster:
-        x_star = cfg.x if cfg.x is not None else cfg.params(1.0).crossing_x()
-        labels = _cluster_labels(cfg, x_star)
-        p = cfg.params(x_star)
+        p, labels, tag = _cluster(cfg)
         res = chern_number_link_variable(p, labels, mesh) if cfg.scheme == "link" \
             else chern_number_curvature(p, labels, mesh)
         flagged = res.deviation > TOL.chern_integer
-        ok = ok and not flagged
-        rows.append([x_star, "deg(" + "+".join(map(str, labels)) + ")",
-                     *_chern_columns(res), float("nan"), int(flagged)])
+        ok = not flagged
+        rows.append([p.x, tag, *_chern_columns(res), float("nan"), int(flagged)])
         annotations.append(f"cluster labels: {','.join(map(str, labels))}")
         return Table(cols, rows, annotations, ok,
                      {"command": "chern", "scheme": cfg.scheme, "mesh": cfg.mesh})
@@ -222,11 +225,8 @@ def cmd_phase(cfg: ScanConfig) -> Table:
     rows: list[list] = []
     annotations = [f"loop: theta={cfg.theta0:.10g}, phi 0..2pi"]
     if cfg.cluster:
-        x_star = cfg.x if cfg.x is not None else cfg.params(1.0).crossing_x()
-        labels = _cluster_labels(cfg, x_star)
-        p = cfg.params(x_star)
-        gamma = loop_phase(p, labels, loop, mesh)
-        rows.append([x_star, "deg(" + "+".join(map(str, labels)) + ")", gamma])
+        p, labels, tag = _cluster(cfg)
+        rows.append([p.x, tag, loop_phase(p, labels, loop, mesh)])
         return Table(cols, rows, annotations, True,
                      {"command": "phase", "mesh": cfg.mesh})
     for x in cfg.x_values():
@@ -294,12 +294,11 @@ def cmd_weyl_compare(cfg: ScanConfig) -> Table:
     annotations = [f"band-touching sphere at |k| = {k_weyl:.10g}"]
     ok = True
 
+    spin = SpinQuantumNumber(two_l)
     sm = chern_spectrum_link_variable(
-        cfg.params(1.0), mesh,
-        h_builder=lambda th, ph: _semimetal_builder(th, ph), check=False)
-    sm_vals = [r.fourpi for r in sm]
-    sm_lowest = sm[0].rounded
-    sm_sum = int(np.rint(sum(sm_vals)))
+        cfg.params(1.0), mesh, check=False,
+        h_builder=lambda th, ph: semimetal_batch(spin, 1.0, th, ph))
+    sm_sum = int(np.rint(sum(r.fourpi for r in sm)))
     if sm_sum != 0:
         ok = False
         annotations.append("check-failed: semimetal band sum is not 0")
@@ -314,24 +313,17 @@ def cmd_weyl_compare(cfg: ScanConfig) -> Table:
             continue
         positions = sorted(level_positions(p)[lab - 1] for lab in labels)
         per_position = chern_spectrum_link_variable(p, mesh, check=False)
-        band_vals = [per_position[pos].fourpi for pos in positions]
         band_res = [per_position[pos] for pos in positions]
-        for r in band_res:
-            if r.deviation > TOL.chern_integer:
-                ok = False
-        band_sum = int(np.rint(sum(band_vals)))
+        if any(r.deviation > TOL.chern_integer for r in band_res):
+            ok = False
+        band_sum = int(np.rint(sum(r.fourpi for r in band_res)))
         if band_sum != 1:
             ok = False
             annotations.append(f"check-failed: projected band sum != 1 at |k|={k_mag}")
         rows.append([float(k_mag), band_res[0].rounded, band_sum,
-                     ";".join(str(r.rounded) for r in band_res), sm_lowest, sm_sum])
+                     ";".join(str(r.rounded) for r in band_res), sm[0].rounded, sm_sum])
     return Table(cols, rows, annotations, ok,
                  {"command": "weyl-compare", "l": two_l / 2, "mesh": cfg.mesh})
-
-
-def _semimetal_builder(theta, phi):
-    from .model import semimetal_batch
-    return semimetal_batch(SpinQuantumNumber(2), 1.0, theta, phi)
 
 
 COMMANDS = {
@@ -374,26 +366,40 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
-_FILE_PARSERS = {
-    "l": ("two_l", _parse_l),
-    "x": ("x", float),
-    "x-range": ("x_grid", _parse_range),
-    "y": ("y", float),
-    "axis": ("axis", _parse_vector),
-    "theta0": ("theta0", float),
-    "phi0": ("phi0", float),
-    "mesh": ("mesh", int),
-    "mesh-scheme": ("mesh_scheme", str),
-    "scheme": ("scheme", str),
-    "convention": ("convention", str),
-    "format": ("fmt", str),
-    "out": ("out", str),
-    "seed": ("seed", int),
-    "level": ("level", int),
-    "k-grid": ("k_grid", _parse_vector),
-    "omega-factor": ("omega_factor", float),
-    "steps-per-period": ("steps_per_period", int),
-    "periods": ("periods", int),
+def _parse_bool(text: str) -> bool:
+    value = text.lower()
+    if value in ("1", "true", "yes"):
+        return True
+    if value in ("0", "false", "no"):
+        return False
+    raise ValueError(f"expected a boolean, got {text!r}")
+
+
+# Every scan option, declared once: flag (also its config-file key), ScanConfig
+# field, value parser, extra argparse settings.  Boolean options are switches.
+_OPTIONS = {
+    "l": ("two_l", _parse_l, {"help": "nuclear spin L (e.g. 1, 2, 1/2, 3/2)"}),
+    "x": ("x", float, {}),
+    "x-range": ("x_grid", _parse_range, {"help": "start:stop:count"}),
+    "y": ("y", float, {}),
+    "axis": ("axis", _parse_vector, {"help": "internuclear axis, e.g. 0,0,1"}),
+    "theta0": ("theta0", float, {"help": "field polar angle / loop latitude"}),
+    "phi0": ("phi0", float, {}),
+    "mesh": ("mesh", int, {"help": "sphere rings (>= 50)"}),
+    "mesh-scheme": ("mesh_scheme", str, {"choices": ["uniform", "equal-area"]}),
+    "scheme": ("scheme", str, {"choices": ["link", "curvature"]}),
+    "convention": ("convention", str, {"choices": ["fourpi", "twopi"]}),
+    "format": ("fmt", str, {"choices": ["csv", "json"]}),
+    "out": ("out", str, {}),
+    "seed": ("seed", int, {}),
+    "cluster": ("cluster", _parse_bool,
+                {"help": "treat the degenerate multiplet as one subspace"}),
+    "level": ("level", int, {}),
+    "k-grid": ("k_grid", _parse_vector, {}),
+    "omega-factor": ("omega_factor", float, {}),
+    "steps-per-period": ("steps_per_period", int, {}),
+    "periods": ("periods", int, {}),
+    "with-state": ("with_state", _parse_bool, {}),
 }
 
 
@@ -404,34 +410,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("--l", type=_parse_l, default=None, dest="two_l",
-                       help="nuclear spin L (e.g. 1, 2, 1/2, 3/2)")
-        p.add_argument("--x", type=float, default=None)
-        p.add_argument("--x-range", type=_parse_range, default=None, dest="x_grid",
-                       help="start:stop:count")
-        p.add_argument("--y", type=float, default=None)
-        p.add_argument("--axis", type=_parse_vector, default=None,
-                       help="internuclear axis, e.g. 0,0,1")
-        p.add_argument("--theta0", type=float, default=None,
-                       help="field polar angle / loop latitude")
-        p.add_argument("--phi0", type=float, default=None)
-        p.add_argument("--mesh", type=int, default=None, help="sphere rings (>= 50)")
-        p.add_argument("--mesh-scheme", choices=["uniform", "equal-area"], default=None,
-                       dest="mesh_scheme")
-        p.add_argument("--scheme", choices=["link", "curvature"], default=None)
-        p.add_argument("--convention", choices=["fourpi", "twopi"], default=None)
-        p.add_argument("--format", choices=["csv", "json"], default=None, dest="fmt")
-        p.add_argument("--out", default=None)
-        p.add_argument("--seed", type=int, default=None)
+        for key, (attr, parse, extra) in _OPTIONS.items():
+            kind = {"action": "store_true"} if parse is _parse_bool else {"type": parse}
+            p.add_argument(f"--{key}", dest=attr, default=None, **kind, **extra)
         p.add_argument("--config", default=None, help="flat key=value config file")
-        p.add_argument("--cluster", action="store_true", default=None,
-                       help="treat the degenerate multiplet as one subspace")
-        p.add_argument("--level", type=int, default=None)
-        p.add_argument("--k-grid", type=_parse_vector, default=None, dest="k_grid")
-        p.add_argument("--omega-factor", type=float, default=None, dest="omega_factor")
-        p.add_argument("--steps-per-period", type=int, default=None, dest="steps_per_period")
-        p.add_argument("--periods", type=int, default=None)
-        p.add_argument("--with-state", action="store_true", default=None, dest="with_state")
     return parser
 
 
@@ -439,9 +421,9 @@ def config_from_args(args: argparse.Namespace) -> ScanConfig:
     cfg = ScanConfig()
     if args.config:
         for key, raw in _read_config_file(args.config).items():
-            if key not in _FILE_PARSERS:
+            if key not in _OPTIONS:
                 raise ValueError(f"unknown config key {key!r}")
-            attr, parse = _FILE_PARSERS[key]
+            attr, parse, _ = _OPTIONS[key]
             cfg = replace(cfg, **{attr: parse(raw)})
     overrides = {}
     for f in fields(ScanConfig):

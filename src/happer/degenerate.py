@@ -44,14 +44,6 @@ class AnalyticFrame:
     raw: np.ndarray
     orthonormal: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.raw.shape[0]
-
-    @property
-    def count(self) -> int:
-        return self.raw.shape[1]
-
 
 def _raw_vectors_l1(theta, phi) -> np.ndarray:
     """Three null-space vectors for L = 1 at x* = 2/3, shape (..., 9, 3)."""
@@ -203,18 +195,21 @@ def raw_degenerate_vectors(l: int, theta, phi) -> np.ndarray:
 def gram_schmidt(vectors: np.ndarray) -> np.ndarray:
     """Classical Gram-Schmidt on the columns, in order; spans preserved.
 
-    Raises on (near-)linear dependence, reporting the offending column.
+    Batched over any leading axes.  Raises on (near-)linear dependence,
+    reporting the offending column.
     """
     v = np.asarray(vectors, dtype=complex)
     out = np.zeros_like(v)
-    for k in range(v.shape[1]):
-        w = v[:, k].copy()
+    for k in range(v.shape[-1]):
+        w = v[..., k].copy()
         for i in range(k):
-            w -= out[:, i] * (out[:, i].conj() @ v[:, k])
-        norm = np.linalg.norm(w)
-        if norm < 1e-12 * max(1.0, np.linalg.norm(v[:, k])):
+            proj = np.einsum("...d,...d->...", out[..., i].conj(), v[..., k])
+            w -= out[..., i] * proj[..., None]
+        norm = np.linalg.norm(w, axis=-1, keepdims=True)
+        scale = np.maximum(1.0, np.linalg.norm(v[..., k], axis=-1, keepdims=True))
+        if np.any(norm < 1e-12 * scale):
             raise ValueError(f"column {k} is linearly dependent on its predecessors")
-        out[:, k] = w / norm
+        out[..., k] = w / norm
     return out
 
 

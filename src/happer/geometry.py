@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .degenerate import raw_degenerate_vectors
+from .degenerate import gram_schmidt, raw_degenerate_vectors
 from .errors import MeshResolutionError, SubspaceIsolationError
 from .mesh import SphereMesh
 from .model import ModelParams, hamiltonian_batch
@@ -46,13 +46,6 @@ class ChernResult:
         rounded = int(np.rint(value))
         return cls(float(value), float(2 * value), rounded, abs(value - rounded))
 
-    def value(self, convention: str) -> float:
-        if convention == "fourpi":
-            return self.fourpi
-        if convention == "twopi":
-            return self.twopi
-        raise ValueError(f"unknown convention {convention!r}")
-
 
 def _check_quantized(value_fourpi: float, context: str) -> None:
     """Quantization gate: the twopi value must sit on the integer grid.
@@ -70,8 +63,10 @@ def _happer_builder(p: ModelParams) -> HBuilder:
     return lambda th, ph: hamiltonian_batch(p, th, ph)
 
 
-def _eigen_grid(h_builder: HBuilder, n_theta: int, n_phi: int,
-                row_block: int = 64) -> tuple[np.ndarray, np.ndarray]:
+_ROW_BLOCK = 64  # theta rows per batched eigh call
+
+
+def _eigen_grid(h_builder: HBuilder, n_theta: int, n_phi: int) -> tuple[np.ndarray, np.ndarray]:
     """Batched eigendecomposition on the uniform (n_theta+1) x n_phi grid."""
     thetas = np.linspace(0.0, np.pi, n_theta + 1)
     phis = np.arange(n_phi) * (2 * np.pi / n_phi)
@@ -79,8 +74,8 @@ def _eigen_grid(h_builder: HBuilder, n_theta: int, n_phi: int,
     dim = probe.shape[-1]
     w = np.empty((n_theta + 1, n_phi, dim))
     v = np.empty((n_theta + 1, n_phi, dim, dim), dtype=complex)
-    for start in range(0, n_theta + 1, row_block):
-        stop = min(start + row_block, n_theta + 1)
+    for start in range(0, n_theta + 1, _ROW_BLOCK):
+        stop = min(start + _ROW_BLOCK, n_theta + 1)
         th, ph = np.meshgrid(thetas[start:stop], phis, indexing="ij")
         w[start:stop], v[start:stop] = np.linalg.eigh(h_builder(th, ph))
     return w, v
@@ -153,10 +148,7 @@ def chern_number_link_variable(p: ModelParams, labels: Sequence[int] | int,
     positions = _positions_for(p, labels)
     w, v = _eigen_grid(_happer_builder(p), mesh.n_theta, mesh.phi_max)
     _check_isolated(w, positions, "link-variable Chern")
-    if len(positions) == 1:
-        value = float(_link_chern_per_position(v[..., [positions[0]]])[0])
-    else:
-        value = _link_chern_subspace(v[..., list(positions)])
+    value = _link_chern_subspace(v[..., list(positions)])
     _check_quantized(value, "link-variable Chern")
     return ChernResult.from_fourpi(value)
 
@@ -250,20 +242,6 @@ def _raw_frames_row(h_builder: HBuilder, theta: float, phis: np.ndarray,
     return v[..., list(positions)]
 
 
-def _batched_gram_schmidt(v: np.ndarray) -> np.ndarray:
-    """Classical Gram-Schmidt over the last axis, batched over leading axes."""
-    out = np.zeros_like(v)
-    d = v.shape[-1]
-    for k in range(d):
-        w = v[..., k].copy()
-        for i in range(k):
-            proj = np.einsum("nd,nd->n", out[..., i].conj(), v[..., k])
-            w -= out[..., i] * proj[:, None]
-        norm = np.linalg.norm(w, axis=-1, keepdims=True)
-        out[..., k] = w / norm
-    return out
-
-
 _ANALYTIC_POLE_MARGIN = 0.1
 
 
@@ -309,38 +287,29 @@ def smooth_gauge_states(p: ModelParams, labels: Sequence[int], mesh: SphereMesh 
             plan.append((float(edges[r + 1]), phis))
 
     if source == "analytic":
-        rows = _analytic_rows(p, labels, plan)
+        lo, seeds = _analytic_seed(p, labels, plan)
     elif source == "numerical":
-        rows = _transported_rows(builder, positions, plan)
+        lo, seeds = _south_pole_seed(builder, positions, plan)
     else:
         raise ValueError(f"unknown frame source {source!r}")
-
+    rows = _transport(builder, positions, plan, lo, seeds)
     return FrameField(mesh, labels, positions, ring_start, rows, top_index, bottom_index)
 
 
-def _transported_rows(builder: HBuilder, positions: Sequence[int],
-                      plan: list[tuple[float, np.ndarray]]) -> list[_Row]:
-    rows: list[_Row | None] = [None] * len(plan)
+def _south_pole_seed(builder: HBuilder, positions: Sequence[int],
+                     plan: list[tuple[float, np.ndarray]]) -> tuple[int, list[np.ndarray]]:
+    """Numerical frames of the southernmost row; one shared frame on the exact pole."""
     south = len(plan) - 1
     theta, phis = plan[south]
     raw = _raw_frames_row(builder, theta, phis, positions)
     if abs(theta - np.pi) < 1e-12:
-        raw = np.broadcast_to(raw[0], raw.shape).copy()  # exact pole: one seed frame
-    rows[south] = _Row(theta, phis, raw)
-    for i in range(south - 1, -1, -1):
-        theta, phis = plan[i]
-        below = rows[i + 1]
-        if theta == below.theta and len(phis) == len(below.phis):
-            rows[i] = _Row(theta, phis, below.frames.copy())
-            continue
-        raw = _raw_frames_row(builder, theta, phis, positions)
-        ref = below.frames[_nearest_phi_map(phis, len(below.phis))]
-        rows[i] = _Row(theta, phis, _align_rows(raw, ref))
-    return rows  # type: ignore[return-value]
+        raw = np.broadcast_to(raw[0], raw.shape).copy()
+    return south, [raw]
 
 
-def _analytic_rows(p: ModelParams, labels: Sequence[int],
-                   plan: list[tuple[float, np.ndarray]]) -> list[_Row]:
+def _analytic_seed(p: ModelParams, labels: Sequence[int],
+                   plan: list[tuple[float, np.ndarray]]) -> tuple[int, list[np.ndarray]]:
+    """Closed-form frames of the rows at least _ANALYTIC_POLE_MARGIN from the poles."""
     l = {2: 1, 4: 2}.get(p.nuclear_two_l)
     if l is None:
         raise ValueError("analytic frames exist for L in {1, 2} only")
@@ -350,35 +319,37 @@ def _analytic_rows(p: ModelParams, labels: Sequence[int],
     positions = _positions_for(p, labels)
     if len(positions) != p.nuclear_two_l + 1:
         raise ValueError("analytic frames cover the full degenerate cluster")
-    builder = _happer_builder(p)
-    rows: list[_Row | None] = [None] * len(plan)
-    analytic_idx = [i for i, (theta, _) in enumerate(plan)
-                    if _ANALYTIC_POLE_MARGIN < theta < np.pi - _ANALYTIC_POLE_MARGIN]
-    if not analytic_idx:
+    idx = [i for i, (theta, _) in enumerate(plan)
+           if _ANALYTIC_POLE_MARGIN < theta < np.pi - _ANALYTIC_POLE_MARGIN]
+    if not idx:
         raise ValueError("mesh too coarse for analytic frames: no rows away from the poles")
-    for i in analytic_idx:
+    return idx[0], [gram_schmidt(raw_degenerate_vectors(l, np.full_like(phis, theta), phis))
+                    for theta, phis in (plan[i] for i in idx)]
+
+
+def _transport(builder: HBuilder, positions: Sequence[int],
+               plan: list[tuple[float, np.ndarray]], lo: int,
+               seeds: list[np.ndarray]) -> list[_Row]:
+    """Rows lo.. hold the seeds; every other row is aligned to its neighbour, outward.
+
+    A row that coincides with its neighbour (same theta and phi count)
+    copies the neighbour's frames instead of being re-solved.
+    """
+    rows: list[_Row | None] = [None] * len(plan)
+    for i, frames in enumerate(seeds, lo):
+        rows[i] = _Row(*plan[i], frames)
+    hi = lo + len(seeds) - 1
+    outward = [(i, i - 1) for i in range(hi + 1, len(plan))]
+    outward += [(i, i + 1) for i in range(lo - 1, -1, -1)]
+    for i, n in outward:
         theta, phis = plan[i]
-        raw = raw_degenerate_vectors(l, np.full_like(phis, theta), phis)
-        rows[i] = _Row(theta, phis, _batched_gram_schmidt(raw))
-    # extend outward by numeric transport
-    for i in range(analytic_idx[-1] + 1, len(plan)):
-        theta, phis = plan[i]
-        prev = rows[i - 1]
-        if theta == prev.theta and len(phis) == len(prev.phis):
-            rows[i] = _Row(theta, phis, prev.frames.copy())
-            continue
-        raw = _raw_frames_row(builder, theta, phis, positions)
-        ref = prev.frames[_nearest_phi_map(phis, len(prev.phis))]
-        rows[i] = _Row(theta, phis, _align_rows(raw, ref))
-    for i in range(analytic_idx[0] - 1, -1, -1):
-        theta, phis = plan[i]
-        below = rows[i + 1]
-        if theta == below.theta and len(phis) == len(below.phis):
-            rows[i] = _Row(theta, phis, below.frames.copy())
-            continue
-        raw = _raw_frames_row(builder, theta, phis, positions)
-        ref = below.frames[_nearest_phi_map(phis, len(below.phis))]
-        rows[i] = _Row(theta, phis, _align_rows(raw, ref))
+        ref = rows[n]
+        if theta == ref.theta and len(phis) == len(ref.phis):
+            frames = ref.frames.copy()
+        else:
+            raw = _raw_frames_row(builder, theta, phis, positions)
+            frames = _align_rows(raw, ref.frames[_nearest_phi_map(phis, len(ref.phis))])
+        rows[i] = _Row(theta, phis, frames)
     return rows  # type: ignore[return-value]
 
 
@@ -392,15 +363,14 @@ class ConnectionField:
     a_phi_bottom: dict[int, np.ndarray]  # (n_r, d, d) phi-edges along the bottom row
 
 
-def connection_discrete(frames: FrameField, mesh: SphereMesh | None = None) -> ConnectionField:
+def connection_discrete(frames: FrameField) -> ConnectionField:
     """Discrete connection one-form A = i(<frame|neighbour frame> - 1) per edge."""
-    mesh = mesh or frames.mesh
     d = frames.d_sub
     eye = np.eye(d)
     a_theta: dict[int, np.ndarray] = {}
     a_phi_top: dict[int, np.ndarray] = {}
     a_phi_bottom: dict[int, np.ndarray] = {}
-    for r in range(frames.ring_start, mesh.n_theta):
+    for r in range(frames.ring_start, frames.mesh.n_theta):
         top = frames.ring_top(r).frames
         bottom = frames.ring_bottom(r).frames
         a_theta[r] = 1j * (np.einsum("nda,ndb->nab", top.conj(), bottom) - eye)
@@ -443,10 +413,10 @@ class CurvatureField:
                     fh.write(f"{self.ring_theta[r]:.12g},{phi:.12g},{t:.12g},{om:.12g}\n")
 
 
-def curvature_discrete(connections: ConnectionField, mesh: SphereMesh | None = None) -> CurvatureField:
-    """Plaquette curvature F = dA + i[A_theta, A_phi] from the edge connections."""
+def curvature_discrete(connections: ConnectionField) -> CurvatureField:
+    """Per-plaquette curvature F = dA + i[A_theta, A_phi] from the edge connections."""
     frames = connections.field
-    mesh = mesh or frames.mesh
+    mesh = frames.mesh
     ring_theta: dict[int, float] = {}
     ring_phis: dict[int, np.ndarray] = {}
     curvature: dict[int, np.ndarray] = {}

@@ -1,21 +1,10 @@
-"""Discretization of the (theta, phi) parameter sphere into plaquettes."""
+"""Discretization of the (theta, phi) parameter sphere into rings of cells."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
 
 import numpy as np
-
-
-class Plaquette(NamedTuple):
-    """One mesh cell: four corners, a representative corner, its solid angle."""
-
-    corners: tuple[tuple[float, float], ...]  # (t,p) NW, SW, SE, NE
-    representative: tuple[float, float]       # north-west corner
-    solid_angle: float
-    ring: int
-    index: int
 
 
 @dataclass(frozen=True)
@@ -66,23 +55,6 @@ class SphereMesh:
         band = np.cos(edges[ring]) - np.cos(edges[ring + 1])
         n = self.ring_phi_count(ring)
         return np.full(n, band * 2 * np.pi / n)
-
-    def cells(self, ring_start: int = 0) -> Iterator[Plaquette]:
-        edges = self.theta_edges()
-        for r in range(ring_start, self.n_theta):
-            t0, t1 = edges[r], edges[r + 1]
-            phis = self.ring_phis(r)
-            dphi = 2 * np.pi / len(phis)
-            omega = self.ring_solid_angle(r)
-            for j, p0 in enumerate(phis):
-                p1 = (p0 + dphi) % (2 * np.pi)
-                yield Plaquette(
-                    corners=((t0, p0), (t1, p0), (t1, p1), (t0, p1)),
-                    representative=(t0, p0),
-                    solid_angle=float(omega[j]),
-                    ring=r,
-                    index=j,
-                )
 
     def cap_solid_angle(self, ring: int) -> float:
         """Solid angle of the polar cap north of ring's top edge."""

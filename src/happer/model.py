@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .operators import SpinQuantumNumber, commutator, kron, spin_operators
+from .operators import SpinQuantumNumber, spin_operators
 from .tolerances import TOL
 
 ELECTRON_TWO_J = 2  # triplet dimer, S = 1
@@ -57,10 +57,6 @@ class ModelParams:
             raise ValueError(f"axis must be a unit vector, |a| = {norm}")
 
     @property
-    def nuclear_l(self) -> float:
-        return self.nuclear_two_l / 2
-
-    @property
     def dim(self) -> int:
         """Hilbert-space dimension 3 (2L + 1)."""
         return 3 * (self.nuclear_two_l + 1)
@@ -83,9 +79,9 @@ def _product_operators(nuclear_two_l: int):
     l = spin_operators(SpinQuantumNumber(nuclear_two_l))
     eye_l = np.eye(l.dim)
     eye_s = np.eye(s.dim)
-    big_s = tuple(kron(c, eye_l) for c in (s.sx, s.sy, s.sz))
-    big_l = tuple(kron(eye_s, c) for c in (l.sx, l.sy, l.sz))
-    exchange = sum(kron(a, b) for a, b in zip((s.sx, s.sy, s.sz), (l.sx, l.sy, l.sz)))
+    big_s = tuple(np.kron(c, eye_l) for c in (s.sx, s.sy, s.sz))
+    big_l = tuple(np.kron(eye_s, c) for c in (l.sx, l.sy, l.sz))
+    exchange = sum(np.kron(a, b) for a, b in zip((s.sx, s.sy, s.sz), (l.sx, l.sy, l.sz)))
     return s, l, big_s, big_l, exchange
 
 
@@ -94,7 +90,7 @@ def spin_axis_operator(axis: tuple[float, float, float], nuclear_two_l: int) -> 
     s, _, _, _, _ = _product_operators(nuclear_two_l)
     a_s = s.along(np.asarray(axis))
     small = 3 * (a_s @ a_s) - s.casimir()
-    return kron(small, np.eye(nuclear_two_l + 1))
+    return np.kron(small, np.eye(nuclear_two_l + 1))
 
 
 def build_hamiltonian(p: ModelParams) -> np.ndarray:
@@ -147,7 +143,7 @@ def spin_axis_commutator(p: ModelParams) -> np.ndarray:
     s_u = s.along(u)
     s_a = s.along(a)
     small = 3j * p.y * (s_u @ s_a + s_a @ s_u)
-    return kron(small, np.eye(p.nuclear_two_l + 1))
+    return np.kron(small, np.eye(p.nuclear_two_l + 1))
 
 
 def momentum_hamiltonian(k: np.ndarray, nuclear_two_l: int) -> np.ndarray:
@@ -217,8 +213,3 @@ def zeeman_params(theta: float = 0.0, phi: float = 0.0) -> ModelParams:
     """Pure precession baseline H = n_B.S (no nuclear spin, x = y = 0)."""
     return ModelParams(0, 0.0, 0.0, FieldDirection(theta, phi))
 
-
-def commutes_with_conserved_j(p: ModelParams) -> float:
-    """Max entrywise magnitude of [n_B.J, H]; zero (to tolerance) iff conserved."""
-    c = commutator(conserved_j(p), build_hamiltonian(p))
-    return float(np.max(np.abs(c)))

@@ -1,4 +1,4 @@
-"""Angular-momentum operator matrices and tensor-product helpers.
+"""Angular-momentum operator matrices and commutators.
 
 Conventions used throughout the package:
 
@@ -27,13 +27,6 @@ class SpinQuantumNumber:
     def __post_init__(self) -> None:
         if self.two_j < 0:
             raise ValueError(f"two_j must be non-negative, got {self.two_j}")
-
-    @classmethod
-    def from_spin(cls, j: float) -> "SpinQuantumNumber":
-        two_j = round(2 * j)
-        if abs(2 * j - two_j) > 1e-12:
-            raise ValueError(f"spin must be integer or half-integer, got {j}")
-        return cls(two_j)
 
     @property
     def j(self) -> float:
@@ -88,11 +81,6 @@ def spin_operators(j: SpinQuantumNumber) -> SpinTriple:
     sx = (s_plus + s_minus) / 2
     sy = (s_plus - s_minus) / 2j
     return SpinTriple(j.two_j, sx, sy, sz)
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; dimensions multiply."""
-    return np.kron(a, b)
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -99,48 +99,43 @@ def eigensystem_with_j(p: ModelParams) -> tuple[EigenSystem, np.ndarray]:
     return es, jexp
 
 
-def _rank_key(jexp: np.ndarray) -> np.ndarray:
-    """Map J expectations to half-integer grid indices 2m (exact integers)."""
+def _slots(jexp: np.ndarray) -> list[tuple[int, int]]:
+    """(2m, energy rank within m) of each ascending-energy position.
+
+    2m comes from the J expectation on the half-integer grid (an exact
+    integer); positions of equal m are ranked in ascending energy.
+    """
     doubled = np.round(2 * jexp).astype(int)
     if np.max(np.abs(2 * jexp - doubled)) > 1e-6:
         raise TrackingError("J expectations are not on the half-integer grid; is y = 0?")
-    return doubled
-
-
-def _labels_from_reference(p: ModelParams, x_ref: float) -> dict[tuple[int, int], int]:
-    """(2m, energy-rank-within-m) -> label map, built at the reference coupling."""
-    _, jexp = eigensystem_with_j(p.with_x(x_ref))
-    key = _rank_key(jexp)
     ranks: dict[int, int] = {}
-    mapping: dict[tuple[int, int], int] = {}
-    for position, m2 in enumerate(key):
+    slots = []
+    for m2 in doubled.tolist():
         r = ranks.get(m2, 0)
-        mapping[(int(m2), r)] = position + 1  # labels are 1-based
         ranks[m2] = r + 1
-    return mapping
+        slots.append((m2, r))
+    return slots
 
 
-def level_positions(p: ModelParams, x_ref: float | None = None) -> np.ndarray:
+def _labels_from_reference(p_ref: ModelParams) -> dict[tuple[int, int], int]:
+    """(2m, energy-rank-within-m) -> label map, built at the reference coupling p_ref.x."""
+    _, jexp = eigensystem_with_j(p_ref)
+    return {slot: position + 1 for position, slot in enumerate(_slots(jexp))}  # 1-based
+
+
+def level_positions(p: ModelParams) -> np.ndarray:
     """Ascending-energy position (0-based) of each label 1..dim at coupling p.x.
 
-    For y != 0 labels are the positions themselves.  x_ref defaults to a
-    coupling beyond the last crossing.
+    For y != 0 labels are the positions themselves.  At y = 0 labels are
+    read at a reference coupling beyond the last crossing.
     """
-    dim = p.dim
     if p.y != 0.0:
-        return np.arange(dim)
-    if x_ref is None:
-        x_ref = max(2.5, abs(p.x) + 1.0)
-    mapping = _labels_from_reference(p, x_ref)
+        return np.arange(p.dim)
+    mapping = _labels_from_reference(p.with_x(max(2.5, abs(p.x) + 1.0)))
     _, jexp = eigensystem_with_j(p)
-    key = _rank_key(jexp)
-    positions = np.empty(dim, dtype=int)
-    ranks: dict[int, int] = {}
-    for position, m2 in enumerate(key):
-        r = ranks.get(int(m2), 0)
-        label = mapping[(int(m2), r)]
-        positions[label - 1] = position
-        ranks[int(m2)] = r + 1
+    positions = np.empty(p.dim, dtype=int)
+    for position, slot in enumerate(_slots(jexp)):
+        positions[mapping[slot] - 1] = position
     return positions
 
 
@@ -158,9 +153,6 @@ class LevelTrack:
     j_values: np.ndarray
     params: ModelParams
 
-    def position_of(self, label: int, i: int) -> int:
-        return int(np.nonzero(self.labels[i] == label)[0][0])
-
 
 def track_levels(p0: ModelParams, x_grid) -> LevelTrack:
     """Follow levels across an ascending x grid, labelled from the top end."""
@@ -173,15 +165,11 @@ def track_levels(p0: ModelParams, x_grid) -> LevelTrack:
     energies = np.empty((n, dim))
     j_values = np.empty((n, dim))
     if p0.y == 0.0:
-        mapping = _labels_from_reference(p0, float(x_grid[-1]))
+        mapping = _labels_from_reference(p0.with_x(float(x_grid[-1])))
         for i, x in enumerate(x_grid):
             es, jexp = eigensystem_with_j(p0.with_x(float(x)))
-            key = _rank_key(jexp)
-            ranks: dict[int, int] = {}
-            for position, m2 in enumerate(key):
-                r = ranks.get(int(m2), 0)
-                lab = mapping[(int(m2), r)]
-                ranks[int(m2)] = r + 1
+            for position, slot in enumerate(_slots(jexp)):
+                lab = mapping[slot]
                 labels[i, position] = lab
                 energies[i, lab - 1] = es.eigenvalues[position]
                 j_values[i, lab - 1] = jexp[position]
@@ -214,7 +202,6 @@ def _sorted_energies(p: ModelParams, x: float) -> np.ndarray:
 
 
 def find_degeneracies(p: ModelParams, x_range: tuple[float, float],
-                      gap_tol: float = TOL.degeneracy_gap,
                       scan_points: int = 201,
                       max_gap: float = 0.05) -> list[DegeneracyPoint]:
     """Locate level crossings (y = 0) or minimum-gap anti-crossings (y != 0).
@@ -270,7 +257,7 @@ def find_degeneracies(p: ModelParams, x_range: tuple[float, float],
             t0 = track_levels(p, np.array([x0, max(grid[-1], x0 + 1.0)]))
             cluster_e = [t0.energies[0, lab - 1] for lab in sorted(members)]
             spread = max(cluster_e) - min(cluster_e)
-            if spread < max(gap_tol, 1e-8):
+            if spread < max(TOL.degeneracy_gap, 1e-8):
                 results.append(DegeneracyPoint(
                     x=x0, labels=tuple(sorted(members)),
                     energy=float(np.mean(cluster_e)),

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from happer.cli import ScanConfig, main
+from happer.cli import ScanConfig, build_parser, config_from_args, main
 
 
 def run(tmp_path, name, args):
@@ -124,6 +124,16 @@ def test_weyl_compare_table(tmp_path):
     assert int(rows[2.0][5]) == 0
 
 
+def test_weyl_compare_reference_is_spin_l(tmp_path):
+    code, text = run(tmp_path, "weyl2.csv",
+                     ["weyl-compare", "--l", "2", "--k-grid", "3.0", "--mesh", "50",
+                      "--mesh-scheme", "uniform"])
+    assert code == 0
+    row = next(ln.split(",") for ln in text.splitlines() if ln.startswith("3,"))
+    assert int(row[2]) == 1
+    assert int(row[4]) == 2 and int(row[5]) == 0  # spin-2 k.F: charges 2, 1, 0, -1, -2
+
+
 def test_json_format(tmp_path):
     code, text = run(tmp_path, "spec.json",
                      ["spectrum", "--l", "1", "--x-range", "0.4:1.0:7", "--format", "json"])
@@ -145,6 +155,11 @@ def test_config_file_and_precedence(tmp_path):
     assert text.startswith("# schema=1")  # CLI --format csv overrode the file
     rows = [ln for ln in text.splitlines() if ln and not ln.startswith(("#", "x,"))]
     assert len(rows) == 5 * 9  # grid came from the file
+    cfg.write_text("cluster = true\nwith-state = 1\n")  # switches are config keys too
+    parsed = config_from_args(build_parser().parse_args(["dynamics", "--config", str(cfg)]))
+    assert parsed.cluster and parsed.with_state
+    cfg.write_text("cluster = maybe\n")
+    assert main(["chern", "--config", str(cfg)]) == 2
 
 
 def test_l_accepts_fractions(tmp_path):

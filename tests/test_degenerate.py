@@ -53,6 +53,14 @@ def test_gram_schmidt_simple_pair():
     assert np.allclose(out, np.eye(2))
 
 
+def test_gram_schmidt_batched_equals_per_matrix():
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(4, 3, 7, 3)) + 1j * rng.normal(size=(4, 3, 7, 3))
+    out = gram_schmidt(a)
+    for idx in np.ndindex(a.shape[:2]):
+        assert np.max(np.abs(out[idx] - gram_schmidt(a[idx]))) < 1e-14
+
+
 def test_gram_schmidt_rejects_dependence():
     v = np.array([[1.0, 2.0], [1.0, 2.0]], dtype=complex)
     with pytest.raises(ValueError, match="column 1"):

@@ -9,7 +9,7 @@ from happer.geometry import loop_phase
 from happer.mesh import SphereMesh
 from happer.model import (FieldDirection, ModelParams, build_hamiltonian, conserved_j,
                           zeeman_params)
-from happer.operators import SpinQuantumNumber, kron, spin_operators
+from happer.operators import SpinQuantumNumber, spin_operators
 
 OMEGA_CAP = 2 * np.pi * (1 - np.cos(np.pi / 6))
 
@@ -23,7 +23,7 @@ def rotating_frame_solution(p, protocol, psi0, t):
     """
     s = spin_operators(SpinQuantumNumber(2))
     l = spin_operators(SpinQuantumNumber(p.nuclear_two_l))
-    jz = kron(s.sz, np.eye(l.dim)) + kron(np.eye(3), l.sz)
+    jz = np.kron(s.sz, np.eye(l.dim)) + np.kron(np.eye(3), l.sz)
     p0 = ModelParams(p.nuclear_two_l, p.x, p.y, FieldDirection(protocol.theta0, 0.0), p.axis)
     h0 = build_hamiltonian(p0)
     gen = h0 - protocol.omega * jz

@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from happer.errors import HermiticityError
-from happer.operators import (SpinQuantumNumber, commutator, kron, require_hermitian,
-                              spin_operators)
+from happer.operators import SpinQuantumNumber, commutator, require_hermitian, spin_operators
 
 
 def test_sz_is_diagonal_descending_spin1():
@@ -46,26 +45,6 @@ def test_ladder_norms(two_j):
         basis[i] = 1.0
         expected = np.sqrt(max(j * (j + 1) - m * (m + 1), 0.0))
         assert abs(np.linalg.norm(raising @ basis) - expected) < 1e-12
-
-
-def test_kron_identities():
-    assert np.allclose(kron(np.eye(2), np.eye(3)), np.eye(6))
-    assert np.allclose(kron(np.diag([1.0, -1.0]), np.eye(2)),
-                       np.diag([1.0, 1.0, -1.0, -1.0]))
-    sz = spin_operators(SpinQuantumNumber(2)).sz
-    vals = np.sort(np.linalg.eigvalsh(kron(sz, np.eye(3))))
-    assert np.allclose(vals, np.repeat([-1.0, 0.0, 1.0], 3))
-
-
-@settings(max_examples=20, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1))
-def test_kron_mixed_product(seed):
-    rng = np.random.default_rng(seed)
-    a, c = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(2))
-    b, d = (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) for _ in range(2))
-    lhs = kron(a, b) @ kron(c, d)
-    rhs = kron(a @ c, b @ d)
-    assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
 def test_commutator_basics():
