@@ -13,7 +13,7 @@ from .dynamics import (DriveProtocol, RampResult, Trajectory, adiabatic_omega, c
                        extract_geometric_phase, geometric_phase_diagnostics,
                        initial_eigenstate, landau_zener_scan, propagate)
 from .errors import (AdiabaticityError, HermiticityError, MeshResolutionError,
-                     SubspaceIsolationError, TrackingError)
+                     NormDriftError, SubspaceIsolationError, TrackingError)
 from .geometry import (ChernResult, CurvatureField, FrameField, chern_number,
                        chern_number_curvature, chern_number_link_variable,
                        chern_spectrum_link_variable, connection_discrete,

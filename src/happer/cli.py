@@ -21,6 +21,7 @@ import numpy as np
 
 from .dynamics import (DriveProtocol, adiabatic_omega, cone_fit,
                        geometric_phase_diagnostics, initial_eigenstate, propagate)
+from .errors import NormDriftError
 from .geometry import (ChernResult, chern_number_curvature, chern_number_link_variable,
                        chern_spectrum_link_variable, loop_phase)
 from .mesh import SphereMesh
@@ -209,7 +210,7 @@ def cmd_chern(cfg: ScanConfig) -> Table:
             flagged = res.deviation > TOL.chern_integer
             if flagged:
                 ok = False
-            if cfg.y == 0.0 and res.rounded != -int(np.rint(j)):
+            if cfg.y == 0.0 and 2 * res.rounded != -np.rint(2 * j):
                 ok = False
                 annotations.append(f"check-failed: Ch != -J for x={x} label={lab}")
             rows.append([float(x), lab, *_chern_columns(res), j, int(flagged)])
@@ -424,7 +425,11 @@ def config_from_args(args: argparse.Namespace) -> ScanConfig:
             if key not in _OPTIONS:
                 raise ValueError(f"unknown config key {key!r}")
             attr, parse, _ = _OPTIONS[key]
-            cfg = replace(cfg, **{attr: parse(raw)})
+            try:
+                value = parse(raw)
+            except argparse.ArgumentTypeError as exc:
+                raise ValueError(f"config key {key!r}: {exc}") from exc
+            cfg = replace(cfg, **{attr: value})
     overrides = {}
     for f in fields(ScanConfig):
         value = getattr(args, f.name, None)
@@ -441,7 +446,7 @@ def main(argv=None) -> int:
     try:
         cfg = config_from_args(args)
         table = COMMANDS[args.command](cfg)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, NormDriftError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     if cfg.convention == "twopi" and "ch_fourpi" in table.columns:

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AdiabaticityError
-from .model import ModelParams, _product_operators, build_hamiltonian
+from .errors import AdiabaticityError, NormDriftError
+from .model import (ModelParams, _jz_diagonal, _product_operators, _z_covariant,
+                    build_hamiltonian)
 from .spectrum import eigensystem
 from .tolerances import TOL
 
@@ -85,13 +86,6 @@ class Trajectory:
                 fh.write(",".join(f"{v:.12g}" for v in row) + "\n")
 
 
-def _jz_diagonal(nuclear_two_l: int) -> np.ndarray:
-    s, l, _, _, _ = _product_operators(nuclear_two_l)
-    ms = np.diag(s.sz).real
-    ml = np.diag(l.sz).real
-    return np.add.outer(ms, ml).ravel()
-
-
 def _expectations(states: np.ndarray, nuclear_two_l: int) -> tuple[np.ndarray, np.ndarray]:
     _, _, big_s, big_l, _ = _product_operators(nuclear_two_l)
     s_avg = np.stack([np.einsum("ni,ij,nj->n", states.conj(), op, states).real
@@ -114,8 +108,7 @@ def propagate(p0: ModelParams, protocol: DriveProtocol, initial: np.ndarray,
     jz = _jz_diagonal(p0.nuclear_two_l)
 
     fast = (protocol.is_static_couplings(p0)
-            and (protocol.coupling_at(0.0, p0)[1] == 0.0
-                 or abs(p0.axis[0]) + abs(p0.axis[1]) < 1e-15))
+            and _z_covariant(protocol.coupling_at(0.0, p0)[1], p0.axis))
 
     rec_idx = list(range(0, n_steps + 1, record_every))
     if rec_idx[-1] != n_steps:
@@ -159,7 +152,7 @@ def propagate(p0: ModelParams, protocol: DriveProtocol, initial: np.ndarray,
     norms = np.linalg.norm(recorded, axis=1)
     drift = float(np.max(np.abs(norms - 1.0)))
     if drift > TOL.norm_drift:
-        raise RuntimeError(f"norm drift {drift:.2e} exceeded tolerance during propagation")
+        raise NormDriftError(f"norm drift {drift:.2e} exceeded tolerance during propagation")
     s_avg, l_avg = _expectations(recorded, p0.nuclear_two_l)
     return Trajectory(rec_times, recorded, s_avg, l_avg, s_avg + l_avg, drift, p0, protocol)
 

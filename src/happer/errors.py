@@ -19,3 +19,7 @@ class TrackingError(ValueError):
 
 class AdiabaticityError(RuntimeError):
     """Propagation leaked out of the followed instantaneous eigenstate."""
+
+
+class NormDriftError(RuntimeError):
+    """The propagated state lost its norm beyond tolerance."""

@@ -25,7 +25,7 @@ import numpy as np
 from .degenerate import gram_schmidt, raw_degenerate_vectors
 from .errors import MeshResolutionError, SubspaceIsolationError
 from .mesh import SphereMesh
-from .model import ModelParams, hamiltonian_batch
+from .model import ModelParams, _jz_diagonal, _z_covariant, hamiltonian_batch
 from .spectrum import level_positions
 from .tolerances import TOL
 
@@ -38,13 +38,23 @@ class ChernResult:
 
     fourpi: float
     twopi: float
-    rounded: int
+    rounded: int | float
     deviation: float
 
     @classmethod
-    def from_fourpi(cls, value: float) -> "ChernResult":
-        rounded = int(np.rint(value))
+    def from_fourpi(cls, value: float, half: bool = False) -> "ChernResult":
+        """Round onto the integers, or onto Z + 1/2 when ``half`` (see _half_grid)."""
+        rounded = float(np.floor(value) + 0.5) if half else int(np.rint(value))
         return cls(float(value), float(2 * value), rounded, abs(value - rounded))
+
+
+def _half_grid(nuclear_two_l: int, n_levels: int) -> bool:
+    """Whether the fourpi Chern of n_levels levels sits on Z + 1/2.
+
+    Each level carries -<J>, a half-integer exactly when 2L is odd, so a
+    set of k levels lands on Z + 1/2 when 2L k is odd and on Z otherwise.
+    """
+    return nuclear_two_l * n_levels % 2 == 1
 
 
 def _check_quantized(value_fourpi: float, context: str) -> None:
@@ -66,19 +76,40 @@ def _happer_builder(p: ModelParams) -> HBuilder:
 _ROW_BLOCK = 64  # theta rows per batched eigh call
 
 
-def _eigen_grid(h_builder: HBuilder, n_theta: int, n_phi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Batched eigendecomposition on the uniform (n_theta+1) x n_phi grid."""
-    thetas = np.linspace(0.0, np.pi, n_theta + 1)
-    phis = np.arange(n_phi) * (2 * np.pi / n_phi)
-    probe = h_builder(np.array([0.0]), np.array([0.0]))
-    dim = probe.shape[-1]
-    w = np.empty((n_theta + 1, n_phi, dim))
-    v = np.empty((n_theta + 1, n_phi, dim, dim), dtype=complex)
-    for start in range(0, n_theta + 1, _ROW_BLOCK):
-        stop = min(start + _ROW_BLOCK, n_theta + 1)
+def _eigen_grid(p: ModelParams, thetas: np.ndarray, phis: np.ndarray,
+                h_builder: HBuilder | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs on the thetas x phis grid, shapes (n_t, n_p, d) and (n_t, n_p, d, d).
+
+    Every eigensolve on the field-direction sphere goes through here.
+    When H is covariant under rotations about z, each latitude is solved
+    once at phi = 0 and its vectors are rotated, v(theta, phi) =
+    e^{-i phi J_z} v(theta, 0); the eigenvalues do not depend on phi and
+    come back as a read-only broadcast.  The gauge differs from a
+    per-point solve, which the link and transported-frame schemes do not
+    see.  A caller-supplied h_builder always takes the batched per-point
+    path.
+    """
+    if h_builder is None and _z_covariant(p.y, p.axis):
+        w0, v0 = np.linalg.eigh(hamiltonian_batch(p, thetas, np.zeros_like(thetas)))
+        rot = np.exp(-1j * np.multiply.outer(phis, _jz_diagonal(p.nuclear_two_l)))
+        w = np.broadcast_to(w0[:, None], (len(thetas), len(phis), w0.shape[-1]))
+        return w, v0[:, None] * rot[None, :, :, None]
+    builder = h_builder or _happer_builder(p)
+    dim = builder(np.array([0.0]), np.array([0.0])).shape[-1]
+    w = np.empty((len(thetas), len(phis), dim))
+    v = np.empty((len(thetas), len(phis), dim, dim), dtype=complex)
+    for start in range(0, len(thetas), _ROW_BLOCK):
+        stop = min(start + _ROW_BLOCK, len(thetas))
         th, ph = np.meshgrid(thetas[start:stop], phis, indexing="ij")
-        w[start:stop], v[start:stop] = np.linalg.eigh(h_builder(th, ph))
+        w[start:stop], v[start:stop] = np.linalg.eigh(builder(th, ph))
     return w, v
+
+
+def _link_grid(p: ModelParams, mesh: SphereMesh,
+               h_builder: HBuilder | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs on the uniform (n_theta+1) x phi_max grid of the link scheme."""
+    phis = np.arange(mesh.phi_max) * (2 * np.pi / mesh.phi_max)
+    return _eigen_grid(p, mesh.theta_edges(), phis, h_builder)
 
 
 def _check_isolated(w: np.ndarray, positions: Sequence[int], context: str) -> float:
@@ -100,10 +131,20 @@ def _check_isolated(w: np.ndarray, positions: Sequence[int], context: str) -> fl
 
 
 def _plaquette_sum_scalar(link_theta: np.ndarray, link_phi: np.ndarray) -> np.ndarray:
-    """Sum of plaquette phases from unit-modulus U(1) links; last axes broadcast."""
+    """Sum of plaquette phases from unit-modulus U(1) links; last axes broadcast.
+
+    The sum is an integer multiple of 2 pi on any mesh, so it cannot show
+    a mesh too coarse for the band's winding; a plaquette phase beyond
+    TOL.plaquette_angle does, and raises.
+    """
     plaq = (link_theta * link_phi[1:]
             * np.conj(np.roll(link_theta, -1, axis=1)) * np.conj(link_phi[:-1]))
-    return np.angle(plaq).sum(axis=(0, 1))
+    angles = np.angle(plaq)
+    largest = float(np.max(np.abs(angles)))
+    if largest > TOL.plaquette_angle:
+        raise MeshResolutionError(
+            f"plaquette phase {largest:.3f} exceeds {TOL.plaquette_angle:.3f}; refine the mesh")
+    return angles.sum(axis=(0, 1))
 
 
 def _link_chern_per_position(v: np.ndarray) -> np.ndarray:
@@ -146,22 +187,25 @@ def chern_number_link_variable(p: ModelParams, labels: Sequence[int] | int,
     mesh = mesh or SphereMesh()
     labels = (labels,) if isinstance(labels, int) else tuple(labels)
     positions = _positions_for(p, labels)
-    w, v = _eigen_grid(_happer_builder(p), mesh.n_theta, mesh.phi_max)
+    w, v = _link_grid(p, mesh)
     _check_isolated(w, positions, "link-variable Chern")
     value = _link_chern_subspace(v[..., list(positions)])
     _check_quantized(value, "link-variable Chern")
-    return ChernResult.from_fourpi(value)
+    return ChernResult.from_fourpi(value, _half_grid(p.nuclear_two_l, len(positions)))
 
 
 def chern_spectrum_link_variable(p: ModelParams, mesh: SphereMesh | None = None,
                                  h_builder: HBuilder | None = None,
                                  check: bool = True) -> list[ChernResult]:
-    """Per-band Chern numbers (ascending energy order) in one grid pass."""
+    """Per-band Chern numbers (ascending energy order) in one grid pass.
+
+    Rounded on the grid of p's nuclear spin, also when h_builder is given.
+    """
     mesh = mesh or SphereMesh()
-    builder = h_builder or _happer_builder(p)
-    w, v = _eigen_grid(builder, mesh.n_theta, mesh.phi_max)
+    _, v = _link_grid(p, mesh, h_builder)
     values = _link_chern_per_position(v)
-    results = [ChernResult.from_fourpi(float(c)) for c in values]
+    half = _half_grid(p.nuclear_two_l, 1)
+    results = [ChernResult.from_fourpi(float(c), half) for c in values]
     if check:
         for i, r in enumerate(results):
             _check_quantized(r.fourpi, f"band {i}")
@@ -194,6 +238,7 @@ class FrameField:
 
     mesh: SphereMesh
     labels: tuple[int, ...]
+    nuclear_two_l: int
     positions: tuple[int, ...]
     ring_start: int
     rows: list[_Row]
@@ -224,10 +269,10 @@ def _nearest_phi_map(phis: np.ndarray, target_count: int) -> np.ndarray:
     return np.rint(phis * target_count / (2 * np.pi)).astype(int) % target_count
 
 
-def _raw_frames_row(h_builder: HBuilder, theta: float, phis: np.ndarray,
+def _raw_frames_row(p: ModelParams, theta: float, phis: np.ndarray,
                     positions: Sequence[int]) -> np.ndarray:
-    th = np.full_like(phis, theta)
-    w, v = np.linalg.eigh(h_builder(th, phis))
+    w, v = _eigen_grid(p, np.array([theta]), phis)
+    w, v = w[0], v[0]
     lo, hi = min(positions), max(positions)
     gaps = np.full(len(phis), np.inf)
     if lo > 0:
@@ -263,7 +308,6 @@ def smooth_gauge_states(p: ModelParams, labels: Sequence[int], mesh: SphereMesh 
     mesh = mesh or SphereMesh()
     labels = tuple(sorted(labels))
     positions = _positions_for(p, labels)
-    builder = _happer_builder(p)
     edges = mesh.theta_edges()
     ring_start = 1
 
@@ -287,27 +331,28 @@ def smooth_gauge_states(p: ModelParams, labels: Sequence[int], mesh: SphereMesh 
             plan.append((float(edges[r + 1]), phis))
 
     if source == "analytic":
-        lo, seeds = _analytic_seed(p, labels, plan)
+        lo, seeds = _analytic_seed(p, positions, plan)
     elif source == "numerical":
-        lo, seeds = _south_pole_seed(builder, positions, plan)
+        lo, seeds = _south_pole_seed(p, positions, plan)
     else:
         raise ValueError(f"unknown frame source {source!r}")
-    rows = _transport(builder, positions, plan, lo, seeds)
-    return FrameField(mesh, labels, positions, ring_start, rows, top_index, bottom_index)
+    rows = _transport(p, positions, plan, lo, seeds)
+    return FrameField(mesh, labels, p.nuclear_two_l, positions, ring_start, rows,
+                      top_index, bottom_index)
 
 
-def _south_pole_seed(builder: HBuilder, positions: Sequence[int],
+def _south_pole_seed(p: ModelParams, positions: Sequence[int],
                      plan: list[tuple[float, np.ndarray]]) -> tuple[int, list[np.ndarray]]:
     """Numerical frames of the southernmost row; one shared frame on the exact pole."""
     south = len(plan) - 1
     theta, phis = plan[south]
-    raw = _raw_frames_row(builder, theta, phis, positions)
+    raw = _raw_frames_row(p, theta, phis, positions)
     if abs(theta - np.pi) < 1e-12:
         raw = np.broadcast_to(raw[0], raw.shape).copy()
     return south, [raw]
 
 
-def _analytic_seed(p: ModelParams, labels: Sequence[int],
+def _analytic_seed(p: ModelParams, positions: Sequence[int],
                    plan: list[tuple[float, np.ndarray]]) -> tuple[int, list[np.ndarray]]:
     """Closed-form frames of the rows at least _ANALYTIC_POLE_MARGIN from the poles."""
     l = {2: 1, 4: 2}.get(p.nuclear_two_l)
@@ -316,7 +361,6 @@ def _analytic_seed(p: ModelParams, labels: Sequence[int],
     x_star = p.crossing_x()
     if abs(p.x - x_star) > 1e-9:
         raise ValueError(f"analytic frames are defined at the crossing x = {x_star}")
-    positions = _positions_for(p, labels)
     if len(positions) != p.nuclear_two_l + 1:
         raise ValueError("analytic frames cover the full degenerate cluster")
     idx = [i for i, (theta, _) in enumerate(plan)
@@ -327,7 +371,7 @@ def _analytic_seed(p: ModelParams, labels: Sequence[int],
                     for theta, phis in (plan[i] for i in idx)]
 
 
-def _transport(builder: HBuilder, positions: Sequence[int],
+def _transport(p: ModelParams, positions: Sequence[int],
                plan: list[tuple[float, np.ndarray]], lo: int,
                seeds: list[np.ndarray]) -> list[_Row]:
     """Rows lo.. hold the seeds; every other row is aligned to its neighbour, outward.
@@ -347,7 +391,7 @@ def _transport(builder: HBuilder, positions: Sequence[int],
         if theta == ref.theta and len(phis) == len(ref.phis):
             frames = ref.frames.copy()
         else:
-            raw = _raw_frames_row(builder, theta, phis, positions)
+            raw = _raw_frames_row(p, theta, phis, positions)
             frames = _align_rows(raw, ref.frames[_nearest_phi_map(phis, len(ref.phis))])
         rows[i] = _Row(theta, phis, frames)
     return rows  # type: ignore[return-value]
@@ -385,6 +429,7 @@ class CurvatureField:
 
     mesh: SphereMesh
     labels: tuple[int, ...]
+    nuclear_two_l: int
     ring_start: int
     ring_theta: dict[int, float]
     ring_phis: dict[int, np.ndarray]
@@ -430,7 +475,7 @@ def curvature_discrete(connections: ConnectionField) -> CurvatureField:
         ring_theta[r] = frames.ring_top(r).theta
         ring_phis[r] = frames.ring_top(r).phis
         solid[r] = mesh.ring_solid_angle(r)
-    return CurvatureField(mesh, frames.labels, frames.ring_start,
+    return CurvatureField(mesh, frames.labels, frames.nuclear_two_l, frames.ring_start,
                           ring_theta, ring_phis, curvature, solid)
 
 
@@ -443,7 +488,7 @@ def chern_number(field: CurvatureField) -> ChernResult:
     total = field.trace_sum() + field.cap_compensation()
     value = total / (4 * np.pi)
     _check_quantized(value, "curvature-integral Chern")
-    return ChernResult.from_fourpi(value)
+    return ChernResult.from_fourpi(value, _half_grid(field.nuclear_two_l, len(field.labels)))
 
 
 def curvature_field(p: ModelParams, labels: Sequence[int], mesh: SphereMesh | None = None,

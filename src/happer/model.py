@@ -85,6 +85,21 @@ def _product_operators(nuclear_two_l: int):
     return s, l, big_s, big_l, exchange
 
 
+def _jz_diagonal(nuclear_two_l: int) -> np.ndarray:
+    """Diagonal of J_z = S_z + L_z in the product basis."""
+    s, l, _, _, _ = _product_operators(nuclear_two_l)
+    return np.add.outer(np.diag(s.sz).real, np.diag(l.sz).real).ravel()
+
+
+def _z_covariant(y: float, axis: tuple[float, float, float]) -> bool:
+    """Whether H(theta, phi) = e^{-i phi J_z} H(theta, 0) e^{i phi J_z} holds.
+
+    True when the axis term vanishes (y = 0) or is itself invariant under
+    rotations about z (axis along z).
+    """
+    return y == 0.0 or abs(axis[0]) + abs(axis[1]) < 1e-15
+
+
 def spin_axis_operator(axis: tuple[float, float, float], nuclear_two_l: int) -> np.ndarray:
     """The axis interaction 3 (a.S)^2 - S^2 on the product space (S = 1)."""
     s, _, _, _, _ = _product_operators(nuclear_two_l)

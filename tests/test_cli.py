@@ -180,3 +180,35 @@ def test_scanconfig_validation():
         ScanConfig(scheme="magic")
     with pytest.raises(ValueError):
         ScanConfig(x_grid=(1.0, 0.5))
+
+
+@pytest.mark.parametrize("l_text", ["1/2", "3/2"])
+def test_half_integer_l_passes_its_own_check(tmp_path, l_text):
+    code, text = run(tmp_path, "half_chern.csv",
+                     ["chern", "--l", l_text, "--x", "0.7", "--mesh", "50",
+                      "--mesh-scheme", "uniform"])
+    assert code == 0
+    rows = [ln.split(",") for ln in text.splitlines() if ln and not ln.startswith(("#", "x,"))]
+    assert len(rows) == 3 * (int(l_text[0]) + 1)
+    for row in rows:
+        ch4, rounded, dev, j = float(row[2]), float(row[4]), float(row[5]), float(row[6])
+        assert dev < 1e-6 and row[7] == "0"
+        assert rounded == -j and rounded % 1 == 0.5
+        assert abs(ch4 - rounded) < 1e-6
+
+
+def test_bad_config_value_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("l = 1/3\nx = 1.0\n")
+    assert main(["chern", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'l'" in err
+
+
+def test_norm_drift_exits_2(monkeypatch, capsys):
+    import happer.dynamics
+    from happer.tolerances import Tolerances
+    monkeypatch.setattr(happer.dynamics, "TOL", Tolerances(norm_drift=-1.0))
+    assert main(["dynamics", "--l", "0", "--x", "0.0", "--level", "1",
+                 "--steps-per-period", "100"]) == 2
+    assert capsys.readouterr().err.startswith("error: norm drift")

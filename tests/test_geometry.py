@@ -1,16 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from happer.errors import SubspaceIsolationError
+import happer.geometry as geometry
+from happer.errors import MeshResolutionError, SubspaceIsolationError
 from happer.geometry import (ChernResult, chern_number, chern_number_curvature,
                              chern_number_link_variable, chern_spectrum_link_variable,
                              connection_discrete, curvature_discrete, curvature_field,
                              loop_phase, smooth_gauge_states)
 from happer.mesh import SphereMesh
-from happer.model import (FieldDirection, ModelParams, hamiltonian_batch, semimetal_batch,
-                          zeeman_params)
+from happer.model import (FieldDirection, ModelParams, _jz_diagonal, build_hamiltonian,
+                          hamiltonian_batch, semimetal_batch, zeeman_params)
 from happer.operators import SpinQuantumNumber
 from happer.spectrum import level_positions
+from happer.tolerances import TOL
 
 RING_LOOP = [(np.pi / 6, ph) for ph in np.linspace(0.0, 2 * np.pi, 73)]
 CAP_SOLID_ANGLE = 2 * np.pi * (1 - np.cos(np.pi / 6))  # 0.841787...
@@ -43,6 +47,14 @@ def test_chern_result_conventions():
     assert r.twopi == 2 * r.fourpi
     assert r.rounded == -2
     assert abs(r.deviation - 0.02) < 1e-12
+
+
+def test_chern_result_rounds_on_the_model_grid():
+    assert ChernResult.from_fourpi(0.5).deviation == 0.5  # integer L: still flagged
+    assert ChernResult.from_fourpi(0.5).deviation > TOL.chern_integer
+    half = ChernResult.from_fourpi(-0.49, half=True)
+    assert half.rounded == -0.5 and abs(half.deviation - 0.01) < 1e-12
+    assert ChernResult.from_fourpi(0.98, half=True).rounded == 0.5
 
 
 def test_zeeman_bands_link_variable():
@@ -260,3 +272,94 @@ def test_curvature_csv_export(tmp_path):
     assert len(lines) > 100
     row = lines[2].split(",")
     assert len(row) == 4
+
+
+def test_link_gate_refuses_a_mesh_too_coarse_for_the_winding():
+    # At 4 rings the L = 2 table has plaquette phases of pi and a wrong band list.
+    coarse = SphereMesh(4, 8, "uniform")
+    with pytest.raises(MeshResolutionError, match="plaquette"):
+        chern_spectrum_link_variable(ModelParams(4, 1.0), coarse, check=False)
+    with pytest.raises(MeshResolutionError, match="plaquette"):
+        chern_number_link_variable(ModelParams(4, 1.0), 12, coarse)
+    res = chern_spectrum_link_variable(ModelParams(2, 1.0), coarse)  # L = 1 resolves
+    assert sorted(r.rounded for r in res) == [-2, -1, -1, 0, 0, 0, 1, 1, 2]
+
+
+# ---------------------------------------------------------------------------
+# z-rotation factorisation against the per-point (general) path
+
+COVARIANT_CASES = [(1, 0.0), (2, 0.0), (3, 0.0), (4, 0.0), (2, 0.001)]
+
+
+def _general(monkeypatch):
+    monkeypatch.setattr(geometry, "_z_covariant", lambda y, axis: False)
+
+
+@pytest.mark.parametrize("two_l,y", COVARIANT_CASES)
+def test_factorised_grid_matches_per_point_solve(two_l, y):
+    p = ModelParams(two_l, 0.9, y)
+    mesh = SphereMesh(10, 20, "uniform")
+    w_f, v_f = geometry._link_grid(p, mesh)
+    w_g, v_g = geometry._link_grid(p, mesh, geometry._happer_builder(p))
+    assert np.max(np.abs(w_f - w_g)) < 1e-12
+    proj_f = np.einsum("tpdk,tpek->tpkde", v_f, v_f.conj())
+    proj_g = np.einsum("tpdk,tpek->tpkde", v_g, v_g.conj())
+    assert np.max(np.abs(proj_f - proj_g)) < 1e-10
+
+
+@pytest.mark.parametrize("two_l,y", COVARIANT_CASES)
+def test_factorised_link_chern_matches_per_point_solve(two_l, y):
+    p = ModelParams(two_l, 0.9, y)
+    mesh = SphereMesh(50, 100, "uniform")
+    fact = chern_spectrum_link_variable(p, mesh)
+    general = chern_spectrum_link_variable(p, mesh, h_builder=geometry._happer_builder(p))
+    assert [r.rounded for r in fact] == [r.rounded for r in general]
+
+
+@pytest.mark.parametrize("two_l,labels", [(2, (3, 4, 5)), (1, (1,))])
+def test_factorised_curvature_chern_matches_per_point_solve(monkeypatch, two_l, labels):
+    p = ModelParams(two_l, 2 / (two_l + 1) if len(labels) > 1 else 0.7)
+    mesh = SphereMesh(100, 200, "equal-area")
+    fact = chern_number_curvature(p, labels, mesh)
+    _general(monkeypatch)
+    general = chern_number_curvature(p, labels, mesh)
+    assert abs(fact.fourpi - general.fourpi) < 1e-9
+    assert fact.rounded == general.rounded
+
+
+def _count_matrices(monkeypatch) -> list[int]:
+    counts: list[int] = []
+    real = geometry.hamiltonian_batch
+
+    def spy(p, theta, phi):
+        h = real(p, theta, phi)
+        counts.append(int(np.prod(h.shape[:-2])))
+        return h
+    monkeypatch.setattr(geometry, "hamiltonian_batch", spy)
+    return counts
+
+
+@pytest.mark.parametrize("y,axis,factorised", [(0.0, (1.0, 0.0, 0.0), True),
+                                               (0.001, (0.0, 0.0, 1.0), True),
+                                               (0.1, (1.0, 0.0, 0.0), False)])
+def test_tilted_axis_takes_the_per_point_path(monkeypatch, y, axis, factorised):
+    counts = _count_matrices(monkeypatch)
+    p = ModelParams(2, 1.3, y, axis=axis)
+    geometry._link_grid(p, SphereMesh(8, 16, "uniform"))
+    assert sum(counts) == (9 if factorised else 9 * 16 + 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(two_l=st.integers(0, 5), x=st.floats(-2, 2), y=st.floats(-0.5, 0.5),
+       theta=st.floats(0, np.pi), phi=st.floats(0, 2 * np.pi), on_axis=st.booleans())
+def test_spectrum_and_eigenvectors_rotate_about_z(two_l, x, y, theta, phi, on_axis):
+    # Either the axis lies along z, or y = 0 with an arbitrary axis.
+    axis = (0.0, 0.0, 1.0) if on_axis else (0.6, 0.0, 0.8)
+    p = ModelParams(two_l, x, y if on_axis else 0.0, axis=axis)
+    h_phi = build_hamiltonian(p.with_field(theta, phi))
+    w0, v0 = np.linalg.eigh(build_hamiltonian(p.with_field(theta, 0.0)))
+    assert np.max(np.abs(np.linalg.eigvalsh(h_phi) - w0)) < 1e-10
+    rotated = np.exp(-1j * phi * _jz_diagonal(two_l))[:, None] * v0
+    assert np.max(np.abs(h_phi @ rotated - rotated * w0)) < 1e-10
+    w, v = geometry._eigen_grid(p, np.array([theta]), np.array([phi]))
+    assert np.max(np.abs(h_phi @ v[0, 0] - v[0, 0] * w[0, 0])) < 1e-10
