@@ -7,6 +7,11 @@ exactly unitary, so norm drift is a pure floating-point diagnostic.  For
 a rotating field at constant couplings the step reduces to a fixed
 exponential conjugated by diagonal J_z phases, which is used as a fast
 path (it is the same operator, not an approximation).
+
+Both the drive and the ramp build their midpoint Hamiltonians, eigensolves
+and step unitaries _CHUNK steps at a time and then apply the unitaries in
+order.  On the fast path every step is the same matrix in the rotating
+frame, so the state advances between records by powers of that matrix.
 """
 
 from __future__ import annotations
@@ -16,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AdiabaticityError, NormDriftError
-from .model import (ModelParams, _jz_diagonal, _product_operators, _z_covariant,
-                    build_hamiltonian)
+from .model import (FieldDirection, ModelParams, _hamiltonians, _jz_diagonal,
+                    _product_operators, _z_covariant, build_hamiltonian)
 from .spectrum import eigensystem
 from .tolerances import TOL
 
@@ -36,6 +41,9 @@ class DriveProtocol:
     x: float | tuple[float, float] | None = None
     y: float | tuple[float, float] | None = None
 
+    def __post_init__(self) -> None:
+        FieldDirection(self.theta0, 0.0)  # validates the cone angle
+
     @property
     def period(self) -> float:
         return 2 * np.pi / self.omega
@@ -44,7 +52,8 @@ class DriveProtocol:
     def total_time(self) -> float:
         return self.n_periods * self.period
 
-    def coupling_at(self, t: float, p0: ModelParams) -> tuple[float, float]:
+    def coupling_at(self, t, p0: ModelParams) -> tuple:
+        """(x, y) at time t; t may be an array, and a ramped coupling follows its shape."""
         def value(spec, default):
             if spec is None:
                 return default
@@ -54,7 +63,7 @@ class DriveProtocol:
             return spec
         return value(self.x, p0.x), value(self.y, p0.y)
 
-    def is_static_couplings(self, p0: ModelParams) -> bool:
+    def is_static_couplings(self) -> bool:
         return not isinstance(self.x, tuple) and not isinstance(self.y, tuple)
 
 
@@ -95,73 +104,82 @@ def _expectations(states: np.ndarray, nuclear_two_l: int) -> tuple[np.ndarray, n
     return s_avg, l_avg
 
 
+_CHUNK = 1024  # midpoint steps per batched eigensolve; bounds the memory of a long ramp
+
+
+def _midpoint_evolve(psi: np.ndarray, hamiltonians, n_steps: int, dt: float,
+                     rec_idx: list[int]) -> np.ndarray:
+    """States after each step count in rec_idx (all >= 1) of psi_{k+1} = exp(-i H_k dt) psi_k.
+
+    hamiltonians(mid) returns the H_k at an array of midpoints mid = k + 1/2
+    (in steps).  They are diagonalised and exponentiated _CHUNK steps at a
+    time; the unitaries are applied one by one, in order.
+    """
+    slot = {s: i for i, s in enumerate(rec_idx)}
+    out = np.empty((len(rec_idx), len(psi)), dtype=complex)
+    for start in range(0, n_steps, _CHUNK):
+        w, v = np.linalg.eigh(hamiltonians(np.arange(start, min(start + _CHUNK, n_steps)) + 0.5))
+        for k, u in enumerate((v * np.exp(-1j * w * dt)[:, None, :]) @ v.conj().swapaxes(1, 2),
+                              start + 1):
+            psi = u @ psi
+            if k in slot:
+                out[slot[k]] = psi
+    return out
+
+
 def propagate(p0: ModelParams, protocol: DriveProtocol, initial: np.ndarray,
               steps_per_period: int = 2000, record_every: int = 1) -> Trajectory:
     """Step the state through n_periods of the rotating drive."""
     if steps_per_period < 100:
         raise ValueError("steps_per_period must be at least 100")
+    if record_every < 1:
+        raise ValueError("record_every must be at least 1")
     psi = np.asarray(initial, dtype=complex).copy()
     if abs(np.linalg.norm(psi) - 1.0) > TOL.unit_vector * 100:
         raise ValueError("initial state must be normalized")
     n_steps = steps_per_period * protocol.n_periods
     dt = protocol.period / steps_per_period
-    jz = _jz_diagonal(p0.nuclear_two_l)
-
-    fast = (protocol.is_static_couplings(p0)
-            and _z_covariant(protocol.coupling_at(0.0, p0)[1], p0.axis))
 
     rec_idx = list(range(0, n_steps + 1, record_every))
     if rec_idx[-1] != n_steps:
         rec_idx.append(n_steps)
-    recorded = np.empty((len(rec_idx), p0.dim), dtype=complex)
-    rec_times = np.empty(len(rec_idx))
-    pos = 0
-    if rec_idx[0] == 0:
-        recorded[0] = psi
-        rec_times[0] = 0.0
-        pos = 1
 
-    if fast:
-        x0, y0 = protocol.coupling_at(0.0, p0)
-        p_frame = ModelParams(p0.nuclear_two_l, x0, y0,
-                              p0.field.__class__(protocol.theta0, 0.0), p0.axis)
-        w0, v0 = np.linalg.eigh(build_hamiltonian(p_frame))
+    recorded = np.empty((len(rec_idx), p0.dim), dtype=complex)
+    recorded[0] = psi
+    if protocol.is_static_couplings() and _z_covariant(protocol.coupling_at(0.0, p0)[1], p0.axis):
+        # With R(phi) = e^{-i phi J_z} and the midpoint angle phi_k = omega (k + 1/2) dt,
+        # step k is R(phi_k) S R(phi_k)^dag for S = exp(-i H(theta0, 0) dt), so
+        # psi_n = R(phi_n) M^n R(phi_0)^dag psi_0 with the one matrix M = R(omega dt)^dag S.
+        w0, v0 = np.linalg.eigh(instantaneous_hamiltonian(p0, protocol, 0.0))
+        jz = _jz_diagonal(p0.nuclear_two_l)
         step_op = (v0 * np.exp(-1j * w0 * dt)) @ v0.conj().T
-        for step in range(n_steps):
-            phi_mid = protocol.omega * (step + 0.5) * dt
-            rot = np.exp(-1j * phi_mid * jz)
-            psi = rot * (step_op @ (rot.conj() * psi))
-            if pos < len(rec_idx) and step + 1 == rec_idx[pos]:
-                recorded[pos] = psi
-                rec_times[pos] = (step + 1) * dt
-                pos += 1
+        m = np.exp(1j * protocol.omega * dt * jz)[:, None] * step_op
+        powers: dict[int, np.ndarray] = {}
+        chi = np.exp(0.5j * protocol.omega * dt * jz) * psi
+        for i in range(1, len(rec_idx)):
+            stride = rec_idx[i] - rec_idx[i - 1]
+            if stride not in powers:
+                powers[stride] = np.linalg.matrix_power(m, stride)
+            chi = powers[stride] @ chi
+            recorded[i] = np.exp(-1j * protocol.omega * (rec_idx[i] + 0.5) * dt * jz) * chi
     else:
-        for step in range(n_steps):
-            t_mid = (step + 0.5) * dt
-            x_t, y_t = protocol.coupling_at(t_mid, p0)
-            p_t = ModelParams(p0.nuclear_two_l, x_t, y_t,
-                              p0.field.__class__(protocol.theta0, protocol.omega * t_mid),
-                              p0.axis)
-            w, v = np.linalg.eigh(build_hamiltonian(p_t))
-            psi = (v * np.exp(-1j * w * dt)) @ (v.conj().T @ psi)
-            if pos < len(rec_idx) and step + 1 == rec_idx[pos]:
-                recorded[pos] = psi
-                rec_times[pos] = (step + 1) * dt
-                pos += 1
+        recorded[1:] = _midpoint_evolve(
+            psi, lambda mid: instantaneous_hamiltonian(p0, protocol, mid * dt), n_steps, dt,
+            rec_idx[1:])
 
     norms = np.linalg.norm(recorded, axis=1)
     drift = float(np.max(np.abs(norms - 1.0)))
     if drift > TOL.norm_drift:
         raise NormDriftError(f"norm drift {drift:.2e} exceeded tolerance during propagation")
     s_avg, l_avg = _expectations(recorded, p0.nuclear_two_l)
+    rec_times = np.asarray(rec_idx) * dt
     return Trajectory(rec_times, recorded, s_avg, l_avg, s_avg + l_avg, drift, p0, protocol)
 
 
-def instantaneous_hamiltonian(p0: ModelParams, protocol: DriveProtocol, t: float) -> np.ndarray:
+def instantaneous_hamiltonian(p0: ModelParams, protocol: DriveProtocol, t) -> np.ndarray:
+    """H(t) along the drive; an array of times gives shape t.shape + (dim, dim)."""
     x_t, y_t = protocol.coupling_at(t, p0)
-    p_t = ModelParams(p0.nuclear_two_l, x_t, y_t,
-                      p0.field.__class__(protocol.theta0, protocol.omega * t), p0.axis)
-    return build_hamiltonian(p_t)
+    return _hamiltonians(p0, protocol.theta0, protocol.omega * np.asarray(t), x_t, y_t)
 
 
 def initial_eigenstate(p0: ModelParams, protocol: DriveProtocol, position: int) -> np.ndarray:
@@ -177,15 +195,12 @@ def geometric_phase_diagnostics(traj: Trajectory, p0: ModelParams, protocol: Dri
     No fidelity floor is enforced here; see extract_geometric_phase.
     """
     idx = np.unique(np.linspace(0, len(traj.times) - 1, n_samples).astype(int))
-    energies = np.empty(len(idx))
-    min_fidelity = 1.0
-    for out, i in enumerate(idx):
-        h = instantaneous_hamiltonian(p0, protocol, float(traj.times[i]))
-        w, v = np.linalg.eigh(h)
-        overlaps = np.abs(v.conj().T @ traj.states[i]) ** 2
-        branch = int(np.argmax(overlaps))
-        min_fidelity = min(min_fidelity, float(overlaps[branch]))
-        energies[out] = w[branch]
+    w, v = np.linalg.eigh(instantaneous_hamiltonian(p0, protocol, traj.times[idx]))
+    overlaps = np.abs(np.einsum("nda,nd->na", v.conj(), traj.states[idx])) ** 2
+    branch = np.argmax(overlaps, axis=1)
+    rows = np.arange(len(idx))
+    min_fidelity = min(1.0, float(np.min(overlaps[rows, branch])))
+    energies = w[rows, branch]
     if np.ptp(energies) < 1e-10:
         dynamical = float(np.mean(energies)) * float(traj.times[-1])
     else:
@@ -214,12 +229,10 @@ def extract_geometric_phase(traj: Trajectory, p0: ModelParams, protocol: DrivePr
 def adiabatic_omega(p0: ModelParams, protocol_theta: float, factor: float = 1e-3,
                     n_phi_probe: int = 16) -> float:
     """Drive frequency factor x (minimum spectral gap along the field cone)."""
-    gaps = []
-    for phi in np.linspace(0, 2 * np.pi, n_phi_probe, endpoint=False):
-        p = p0.with_field(protocol_theta, float(phi))
-        w = np.linalg.eigvalsh(build_hamiltonian(p))
-        gaps.append(float(np.min(np.diff(w))))
-    return factor * min(gaps)
+    FieldDirection(protocol_theta, 0.0)  # validates the cone angle
+    phis = np.linspace(0, 2 * np.pi, n_phi_probe, endpoint=False)
+    w = np.linalg.eigvalsh(_hamiltonians(p0, protocol_theta, phis, p0.x, p0.y))
+    return factor * float(np.min(np.diff(w, axis=-1)))
 
 
 def cone_fit(vectors: np.ndarray) -> tuple[np.ndarray, float, float, float]:
@@ -282,11 +295,9 @@ def landau_zener_scan(p_base: ModelParams, x_start: float, x_end: float,
         duration = abs(span) / rate
         n_steps = max(min_steps, int(np.ceil(duration / dt_max)))
         dt = duration / n_steps
-        psi = psi0.copy()
-        for step in range(n_steps):
-            x_mid = x_start + span * (step + 0.5) / n_steps
-            w, v = np.linalg.eigh(build_hamiltonian(p_base.with_x(float(x_mid))))
-            psi = (v * np.exp(-1j * w * dt)) @ (v.conj().T @ psi)
+        [psi] = _midpoint_evolve(psi0, lambda mid: _hamiltonians(
+            p_base, p_base.field.theta, p_base.field.phi, x_start + span * mid / n_steps,
+            p_base.y), n_steps, dt, [n_steps])
         populations = np.abs(es1.eigenvectors.conj().T @ psi) ** 2
         stay = float(populations[level - 1])
         results.append(RampResult(float(rate), populations, stay, 1.0 - stay))

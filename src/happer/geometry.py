@@ -199,12 +199,15 @@ def chern_spectrum_link_variable(p: ModelParams, mesh: SphereMesh | None = None,
                                  check: bool = True) -> list[ChernResult]:
     """Per-band Chern numbers (ascending energy order) in one grid pass.
 
-    Rounded on the grid of p's nuclear spin, also when h_builder is given.
+    Rounded on the grid of the solved Hamiltonian's own dimension d, also
+    when h_builder is given: a single level sits on Z + 1/2 exactly when d
+    is even (d = 3(2L + 1) for the model, as in _half_grid, and 2j + 1 for
+    a spin-j k.F builder).
     """
     mesh = mesh or SphereMesh()
     _, v = _link_grid(p, mesh, h_builder)
     values = _link_chern_per_position(v)
-    half = _half_grid(p.nuclear_two_l, 1)
+    half = v.shape[-1] % 2 == 0
     results = [ChernResult.from_fourpi(float(c), half) for c in values]
     if check:
         for i, r in enumerate(results):

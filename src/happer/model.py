@@ -124,16 +124,24 @@ def hamiltonian_batch(p: ModelParams, theta: np.ndarray, phi: np.ndarray) -> np.
     The couplings x, y and the axis are held fixed; only the field
     direction varies.  Used by the sphere-mesh machinery.
     """
+    return _hamiltonians(p, theta, phi, p.x, p.y)
+
+
+def _hamiltonians(p: ModelParams, theta, phi, x, y) -> np.ndarray:
+    """H at broadcastable arrays of field angles and couplings; p supplies L and the axis.
+
+    Each term is formed at the shape of its own arguments and the sum
+    broadcasts, so a ramp of x at a fixed field builds the field term
+    once.  At scalar arguments the result equals build_hamiltonian's
+    entry for entry.
+    """
     _, _, big_s, _, exchange = _product_operators(p.nuclear_two_l)
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
+    theta, phi, x, y = (np.asarray(a, dtype=float)[..., None, None] for a in (theta, phi, x, y))
     st = np.sin(theta)
-    nx = (st * np.cos(phi))[..., None, None]
-    ny = (st * np.sin(phi))[..., None, None]
-    nz = np.cos(theta)[..., None, None]
-    h = nx * big_s[0] + ny * big_s[1] + nz * big_s[2] + p.x * exchange
-    if p.y != 0.0:
-        h = h + p.y * spin_axis_operator(p.axis, p.nuclear_two_l)
+    h = (st * np.cos(phi)) * big_s[0] + (st * np.sin(phi)) * big_s[1] \
+        + np.cos(theta) * big_s[2] + x * exchange
+    if np.any(y != 0.0):
+        h = h + y * spin_axis_operator(p.axis, p.nuclear_two_l)
     return h
 
 

@@ -3,7 +3,8 @@ import pytest
 
 from happer.dynamics import (DriveProtocol, adiabatic_omega, cone_fit,
                              extract_geometric_phase, geometric_phase_diagnostics,
-                             initial_eigenstate, landau_zener_scan, propagate)
+                             initial_eigenstate, instantaneous_hamiltonian,
+                             landau_zener_scan, propagate)
 from happer.errors import AdiabaticityError
 from happer.geometry import loop_phase
 from happer.mesh import SphereMesh
@@ -32,6 +33,87 @@ def rotating_frame_solution(p, protocol, psi0, t):
     wz, vz = np.linalg.eigh(jz)
     rot = (vz * np.exp(-1j * protocol.omega * t * wz)) @ vz.conj().T
     return rot @ inner
+
+
+def per_step_drive(p, protocol, psi0, steps_per_period, record_every):
+    """Reference loop: build H at each step midpoint, diagonalise it, apply exp(-i H dt)."""
+    n_steps = steps_per_period * protocol.n_periods
+    dt = protocol.period / steps_per_period
+    psi, states = psi0.copy(), [psi0]
+    for step in range(n_steps):
+        t_mid = (step + 0.5) * dt
+        x_t, y_t = protocol.coupling_at(t_mid, p)
+        p_t = ModelParams(p.nuclear_two_l, x_t, y_t,
+                          FieldDirection(protocol.theta0, protocol.omega * t_mid), p.axis)
+        w, v = np.linalg.eigh(build_hamiltonian(p_t))
+        psi = (v * np.exp(-1j * w * dt)) @ (v.conj().T @ psi)
+        if (step + 1) % record_every == 0 or step + 1 == n_steps:
+            states.append(psi)
+    return np.array(states)
+
+
+def per_step_ramp(p, x_start, x_end, rate, level, dt_max=0.25, min_steps=400):
+    """Reference loop for one landau_zener_scan rate: final populations."""
+    duration = abs(x_end - x_start) / rate
+    n_steps = max(min_steps, int(np.ceil(duration / dt_max)))
+    dt = duration / n_steps
+    psi = np.linalg.eigh(build_hamiltonian(p.with_x(x_start)))[1][:, level - 1]
+    for step in range(n_steps):
+        x_mid = x_start + (x_end - x_start) * (step + 0.5) / n_steps
+        w, v = np.linalg.eigh(build_hamiltonian(p.with_x(x_mid)))
+        psi = (v * np.exp(-1j * w * dt)) @ (v.conj().T @ psi)
+    return n_steps, np.abs(np.linalg.eigh(build_hamiltonian(p.with_x(x_end)))[1].conj().T @ psi) ** 2
+
+
+@pytest.mark.parametrize("p,proto,steps,every", [
+    # fast path: a stride that does not divide the step count, then every step
+    (ModelParams(2, 1.0, 0.0), DriveProtocol(0.5, 0.01, 2), 1000, 300),
+    (ModelParams(1, 0.7, 0.05), DriveProtocol(0.9, 0.03, 1), 400, 1),
+    # generic path: tilted axis, then ramped x and y
+    (ModelParams(2, 0.8, 0.1, axis=(1.0, 0.0, 0.0)), DriveProtocol(1.0, 0.01, 1), 1500, 7),
+    (ModelParams(2, 0.6, 0.0, axis=(0.6, 0.0, 0.8)),
+     DriveProtocol(0.7, 0.02, 2, x=(0.6, 0.9), y=(0.0, 0.05)), 800, 13),
+])
+def test_propagate_matches_per_step_loop(p, proto, steps, every):
+    psi0 = initial_eigenstate(p, proto, 2)
+    traj = propagate(p, proto, psi0, steps_per_period=steps, record_every=every)
+    ref = per_step_drive(p, proto, psi0, steps, every)
+    assert traj.states.shape == ref.shape
+    assert np.max(np.abs(traj.states - ref)) < 1e-10
+
+
+def test_landau_zener_scan_matches_per_step_loop():
+    p = ModelParams(2, 0.5, 1e-3, FieldDirection(1.0, 0.3))
+    rates = [2e-5, 2.5e-4]
+    res = landau_zener_scan(p, 0.61, 0.72, rates, level=3, dt_max=2.0)
+    n_long, _ = per_step_ramp(p, 0.61, 0.72, rates[0], 3, dt_max=2.0)
+    assert n_long > 2 * 1024  # spans more than two chunks
+    for r, rate in zip(res, rates):
+        _, ref = per_step_ramp(p, 0.61, 0.72, rate, 3, dt_max=2.0)
+        assert np.max(np.abs(r.populations - ref)) < 1e-10
+
+
+def test_instantaneous_hamiltonian_equals_build_hamiltonian():
+    p = ModelParams(2, 0.6, 0.0, FieldDirection(0.3, 0.0), (0.6, 0.0, 0.8))
+    proto = DriveProtocol(0.7, 0.02, 2, x=(0.6, 0.9), y=(0.0, 0.05))
+    for t in (0.0, 123.4, proto.total_time):
+        x_t, y_t = proto.coupling_at(t, p)
+        p_t = ModelParams(2, x_t, y_t, FieldDirection(0.7, 0.02 * t), p.axis)
+        assert np.max(np.abs(instantaneous_hamiltonian(p, proto, t)
+                             - build_hamiltonian(p_t))) < 1e-15
+
+
+@pytest.mark.parametrize("every", [0, -1])
+def test_propagate_rejects_record_every_below_one(every):
+    p = ModelParams(2, 1.0, 0.0)
+    proto = DriveProtocol(0.5, 0.01, 1)
+    with pytest.raises(ValueError, match="record_every must be at least 1"):
+        propagate(p, proto, initial_eigenstate(p, proto, 0), 400, record_every=every)
+
+
+def test_drive_protocol_rejects_cone_angle_outside_zero_pi():
+    with pytest.raises(ValueError, match="theta"):
+        DriveProtocol(3.5, 0.01, 1)
 
 
 @pytest.mark.parametrize("two_l,x", [(0, 0.0), (2, 1.0)])

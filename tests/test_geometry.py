@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import happer.geometry as geometry
@@ -13,7 +13,7 @@ from happer.mesh import SphereMesh
 from happer.model import (FieldDirection, ModelParams, _jz_diagonal, build_hamiltonian,
                           hamiltonian_batch, semimetal_batch, zeeman_params)
 from happer.operators import SpinQuantumNumber
-from happer.spectrum import level_positions
+from happer.spectrum import eigensystem_with_j, level_positions
 from happer.tolerances import TOL
 
 RING_LOOP = [(np.pi / 6, ph) for ph in np.linspace(0.0, 2 * np.pi, 73)]
@@ -96,7 +96,6 @@ def test_schemes_agree_on_every_level(x):
 
 
 def test_chern_equals_minus_conserved_j():
-    from happer.spectrum import eigensystem_with_j
     for x in (0.5, 1.0):
         p = ModelParams(2, x, 0.0, FieldDirection(0.4, 0.9))
         link = chern_spectrum_link_variable(p, SphereMesh(60, 120))
@@ -119,6 +118,17 @@ def test_semimetal_band_charges(two_j, expected):
     res = chern_spectrum_link_variable(zeeman_params(), mesh, h_builder=builder, check=False)
     assert [r.twopi for r in res] == pytest.approx(expected, abs=1e-9)
     assert sum(r.fourpi for r in res) == pytest.approx(0.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("two_j", [1, 3])
+def test_builder_spectrum_rounds_on_the_builder_grid(two_j):
+    # p has L = 0, but a spin-j k.F builder with half-integer j puts every
+    # band on Z + 1/2; the rounding follows the solved matrices.
+    mesh = SphereMesh(60, 120, "uniform")
+    builder = lambda th, ph: semimetal_batch(SpinQuantumNumber(two_j), 1.0, th, ph)
+    res = chern_spectrum_link_variable(zeeman_params(), mesh, h_builder=builder, check=True)
+    assert [r.rounded for r in res] == [two_j / 2 - k for k in range(two_j + 1)]
+    assert max(r.deviation for r in res) < 1e-9
 
 
 def test_refinement_reduces_curvature_deviation():
@@ -363,3 +373,18 @@ def test_spectrum_and_eigenvectors_rotate_about_z(two_l, x, y, theta, phi, on_ax
     assert np.max(np.abs(h_phi @ rotated - rotated * w0)) < 1e-10
     w, v = geometry._eigen_grid(p, np.array([theta]), np.array([phi]))
     assert np.max(np.abs(h_phi @ v[0, 0] - v[0, 0] * w[0, 0])) < 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(two_l=st.sampled_from([1, 2, 3]), x=st.floats(0.2, 2.0),
+       theta=st.floats(0, np.pi), phi=st.floats(0, 2 * np.pi))
+def test_level_chern_is_minus_j_and_bands_sum_to_zero(two_l, x, theta, phi):
+    # Below x = 0.2 the levels bunch towards the x = 0 degeneracy.
+    assume(abs(x - 2 / (two_l + 1)) >= 0.05)
+    p = ModelParams(two_l, x, 0.0, FieldDirection(theta, phi))
+    link = chern_spectrum_link_variable(p, SphereMesh(50, 100, "uniform"))
+    _, jexp = eigensystem_with_j(p)
+    for r, j in zip(link, jexp):
+        assert abs(r.rounded + j) < 1e-9
+        assert r.deviation < 1e-9
+    assert abs(sum(r.fourpi for r in link)) < 1e-9
