@@ -2,12 +2,14 @@
 
 Levels are labelled 1..dim by ascending energy at the large-x end of a
 sweep and followed continuously as x decreases.  At y = 0 this is done
-through the conserved quantity n_B.J: states are grouped by its (exact)
-eigenvalue m and ranked by energy inside each m group; ranks never
-change because levels of equal m repel, so the label of a state is the
-label of the same (m, rank) slot at large x.  This reproduces
-maximal-overlap continuation everywhere and stays well defined inside
-degenerate clusters, where bare eigenvector overlaps are ambiguous.
+through the conserved quantity n_B.J: H(x) = F + x X is block diagonal
+in the n_B.J eigenbasis, so every state is an (m, rank) slot, the
+rank-th lowest level of the m-sector.  Ranks never change because
+levels of equal m repel, so the label of a state is the label of the
+same slot at large x.  This reproduces maximal-overlap continuation
+everywhere and stays well defined inside degenerate clusters, where
+bare eigenvector overlaps are ambiguous.  Sweeps and crossing
+refinement solve the sectors (blocks of size 1, 2 or 3) directly.
 
 For y != 0 there are no exact crossings and labels simply follow the
 energy order (adiabatic labelling), matching how per-level quantities
@@ -22,7 +24,7 @@ import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
 from .errors import HermiticityError, TrackingError
-from .model import ModelParams, build_hamiltonian, conserved_j
+from .model import ModelParams, _hamiltonians, build_hamiltonian, conserved_j
 from .tolerances import TOL
 
 
@@ -43,12 +45,17 @@ def fix_phases(vectors: np.ndarray) -> np.ndarray:
     return vectors * phase.conj()
 
 
+def _check_hermitian(h: np.ndarray) -> None:
+    """Raise HermiticityError unless every matrix in the stack h is Hermitian to 1e-10."""
+    asym = np.max(np.abs(h - np.swapaxes(h, -1, -2).conj()))
+    if asym > 1e-10:
+        raise HermiticityError(f"eigensystem needs a Hermitian matrix, asymmetry {asym:.3e}")
+
+
 def eigensystem(h: np.ndarray, params: ModelParams | None = None) -> EigenSystem:
     """Full Hermitian eigendecomposition with deterministic phases."""
     h = np.asarray(h)
-    asym = np.max(np.abs(h - h.conj().T))
-    if asym > 1e-10:
-        raise HermiticityError(f"eigensystem needs a Hermitian matrix, asymmetry {asym:.3e}")
+    _check_hermitian(h)
     w, v = np.linalg.eigh(h)
     return EigenSystem(w, fix_phases(v), params)
 
@@ -117,12 +124,6 @@ def _slots(jexp: np.ndarray) -> list[tuple[int, int]]:
     return slots
 
 
-def _labels_from_reference(p_ref: ModelParams) -> dict[tuple[int, int], int]:
-    """(2m, energy-rank-within-m) -> label map, built at the reference coupling p_ref.x."""
-    _, jexp = eigensystem_with_j(p_ref)
-    return {slot: position + 1 for position, slot in enumerate(_slots(jexp))}  # 1-based
-
-
 def level_positions(p: ModelParams) -> np.ndarray:
     """Ascending-energy position (0-based) of each label 1..dim at coupling p.x.
 
@@ -131,12 +132,55 @@ def level_positions(p: ModelParams) -> np.ndarray:
     """
     if p.y != 0.0:
         return np.arange(p.dim)
-    mapping = _labels_from_reference(p.with_x(max(2.5, abs(p.x) + 1.0)))
+    _, j_ref = eigensystem_with_j(p.with_x(max(2.5, abs(p.x) + 1.0)))
+    mapping = {slot: position + 1 for position, slot in enumerate(_slots(j_ref))}
     _, jexp = eigensystem_with_j(p)
     positions = np.empty(p.dim, dtype=int)
     for position, slot in enumerate(_slots(jexp)):
         positions[mapping[slot] - 1] = position
     return positions
+
+
+class _Sectors:
+    """H(x) = F + x X at y = 0, block diagonal in the n_B.J eigenbasis.
+
+    Slot s is the column s of that basis, with the m-sectors in ascending
+    order; inside a sector the k-th slot carries the k-th lowest energy.
+    Sectors of equal size (1, 2 or 3 for S = 1) are stacked, so energies
+    over a whole x grid cost one batched eigvalsh per block size above 1.
+    """
+
+    def __init__(self, p: ModelParams) -> None:
+        jw, u = np.linalg.eigh(conserved_j(p))
+        self.two_m = np.rint(2 * jw).astype(int)
+        h0, h1 = _hamiltonians(p, p.field.theta, p.field.phi, np.array([0.0, 1.0]), p.y)
+        f = u.conj().T @ h0 @ u
+        x_op = u.conj().T @ (h1 - h0) @ u
+        off = self.two_m[:, None] != self.two_m[None, :]
+        leak = max(np.max(np.abs(f[off]), initial=0.0), np.max(np.abs(x_op[off]), initial=0.0))
+        if leak > 1e-9:
+            raise TrackingError(f"H is not block diagonal in n_B.J (off-block {leak:.3e}); is y = 0?")
+        starts = np.flatnonzero(np.diff(self.two_m, prepend=self.two_m[0] - 1))
+        sizes = np.diff(starts, append=len(self.two_m))
+        self.blocks = []
+        for k in np.unique(sizes):
+            idx = starts[sizes == k][:, None] + np.arange(k)
+            rows, cols = idx[:, :, None], idx[:, None, :]
+            self.blocks.append((idx, f[rows, cols], x_op[rows, cols]))
+
+    def energies(self, x_grid) -> np.ndarray:
+        """Energy of every slot at each coupling of x_grid, shape (len(x_grid), dim)."""
+        x = np.asarray(x_grid, dtype=float)[:, None, None, None]
+        e = np.empty((x.shape[0], len(self.two_m)))
+        for idx, f, x_op in self.blocks:
+            h = f + x * x_op
+            e[:, idx] = np.linalg.eigvalsh(h) if idx.shape[1] > 1 else h[..., 0].real
+        return e
+
+    def labelled_energies(self, x_grid) -> tuple[np.ndarray, np.ndarray]:
+        """Slot energies over x_grid and the slot of each label, numbered at x_grid[-1]."""
+        e = self.energies(x_grid)
+        return e, np.argsort(e[-1], kind="stable")
 
 
 @dataclass
@@ -159,29 +203,20 @@ def track_levels(p0: ModelParams, x_grid) -> LevelTrack:
     x_grid = np.asarray(x_grid, dtype=float)
     if x_grid.ndim != 1 or len(x_grid) < 2 or np.any(np.diff(x_grid) <= 0):
         raise ValueError("x_grid must be ascending with at least two points")
-    dim = p0.dim
-    n = len(x_grid)
-    labels = np.empty((n, dim), dtype=int)
-    energies = np.empty((n, dim))
-    j_values = np.empty((n, dim))
+    n, dim = len(x_grid), p0.dim
     if p0.y == 0.0:
-        mapping = _labels_from_reference(p0.with_x(float(x_grid[-1])))
-        for i, x in enumerate(x_grid):
-            es, jexp = eigensystem_with_j(p0.with_x(float(x)))
-            for position, slot in enumerate(_slots(jexp)):
-                lab = mapping[slot]
-                labels[i, position] = lab
-                energies[i, lab - 1] = es.eigenvalues[position]
-                j_values[i, lab - 1] = jexp[position]
-    else:
-        for i, x in enumerate(x_grid):
-            p = p0.with_x(float(x))
-            es = eigensystem(build_hamiltonian(p), p)
-            jm = conserved_j(p)
-            jexp = np.real(np.einsum("in,ij,jn->n", es.eigenvectors.conj(), jm, es.eigenvectors))
-            labels[i] = np.arange(1, dim + 1)
-            energies[i] = es.eigenvalues
-            j_values[i] = jexp
+        sectors = _Sectors(p0)
+        e, slot_of_label = sectors.labelled_energies(x_grid)
+        label_of_slot = np.empty(dim, dtype=int)
+        label_of_slot[slot_of_label] = np.arange(1, dim + 1)
+        labels = label_of_slot[np.argsort(e, axis=1, kind="stable")]
+        j_values = np.tile(sectors.two_m[slot_of_label] / 2, (n, 1))
+        return LevelTrack(x_grid, labels, e[:, slot_of_label], j_values, p0)
+    h = _hamiltonians(p0, p0.field.theta, p0.field.phi, x_grid, p0.y)
+    _check_hermitian(h)
+    energies, v = np.linalg.eigh(h)
+    j_values = np.real(np.einsum("xin,ij,xjn->xn", v.conj(), conserved_j(p0), v))
+    labels = np.tile(np.arange(1, dim + 1), (n, 1))
     return LevelTrack(x_grid, labels, energies, j_values, p0)
 
 
@@ -211,62 +246,71 @@ def find_degeneracies(p: ModelParams, x_range: tuple[float, float],
     scalar minimization of the local gap, reported when the minimum is
     below max_gap (raise it to explore strongly split spectra, where one
     crossing separates into several distinct minimum-gap points).
+    Crossing labels are numbered at the top of the range, for the scan,
+    the refinement and the cluster energies alike.
     """
     lo, hi = float(x_range[0]), float(x_range[1])
     if not hi > lo:
         raise ValueError("x_range must be increasing")
     grid = np.linspace(lo, hi, scan_points)
-    track = track_levels(p, grid)
-    dim = p.dim
-
     if p.y == 0.0:
-        # pairs of labels whose energies swap order somewhere in the grid
-        results: list[DegeneracyPoint] = []
-        diffs = track.energies[:, :, None] - track.energies[:, None, :]
-        crossing_pairs = []
-        for a in range(dim):
-            for b in range(a + 1, dim):
-                d = diffs[:, a, b]
-                sign = np.sign(d)
-                flips = np.nonzero((sign[:-1] * sign[1:] < 0) | (sign[:-1] == 0))[0]
-                for i in flips:
-                    crossing_pairs.append((a, b, grid[i], grid[i + 1]))
-        # refine each pair and cluster the roots
-        roots: list[tuple[float, int, int]] = []
-        for a, b, xl, xr in crossing_pairs:
-            def split(x: float, a=a, b=b) -> float:
-                t = track_levels(p, np.array([x, max(grid[-1], x + 1.0)]))
-                return float(t.energies[0, a] - t.energies[0, b])
-            if split(xl) * split(xr) > 0:
-                continue
-            x_root = brentq(split, xl, xr, xtol=TOL.crossing_refine)
-            roots.append((float(x_root), a, b))
-        # group roots that coincide (a multi-level crossing refines to one x*)
-        roots.sort()
-        used = np.zeros(len(roots), dtype=bool)
-        for i, (x0, a0, b0) in enumerate(roots):
-            if used[i]:
-                continue
-            members = {a0 + 1, b0 + 1}
-            for k in range(i + 1, len(roots)):
-                xk, ak, bk = roots[k]
-                if abs(xk - x0) < 1e-7:
-                    used[k] = True
-                    members.update((ak + 1, bk + 1))
-            used[i] = True
-            t0 = track_levels(p, np.array([x0, max(grid[-1], x0 + 1.0)]))
-            cluster_e = [t0.energies[0, lab - 1] for lab in sorted(members)]
-            spread = max(cluster_e) - min(cluster_e)
-            if spread < max(TOL.degeneracy_gap, 1e-8):
-                results.append(DegeneracyPoint(
-                    x=x0, labels=tuple(sorted(members)),
-                    energy=float(np.mean(cluster_e)),
-                    multiplicity=len(members), exact=True, gap=float(spread)))
-        results.sort(key=lambda r: r.x)
-        return results
+        return _exact_crossings(p, grid)
+    return _anti_crossings(p, grid, max_gap)
 
-    # y != 0: adjacent-gap minima
-    sorted_e = np.sort(track.energies, axis=1)
+
+def _exact_crossings(p: ModelParams, grid: np.ndarray) -> list[DegeneracyPoint]:
+    """Crossings of labelled y = 0 levels on the scan grid, refined by brentq."""
+    sectors = _Sectors(p)
+    e, slot_of_label = sectors.labelled_energies(grid)
+
+    def level_energies(x: float) -> np.ndarray:
+        return sectors.energies([x])[0, slot_of_label]
+
+    # pairs of labels whose energies swap order somewhere in the grid
+    a_idx, b_idx = np.triu_indices(p.dim, 1)
+    sign = np.sign(e[:, slot_of_label[a_idx]] - e[:, slot_of_label[b_idx]])
+    flips = (sign[:-1] * sign[1:] < 0) | (sign[:-1] == 0)
+    # refine each pair (split repeats the scan's values at the grid points
+    # bit for bit, so the bracket holds) and cluster the roots
+    roots: list[tuple[float, int, int]] = []
+    for pair, i in zip(*np.nonzero(flips.T)):
+        a, b = int(a_idx[pair]), int(b_idx[pair])
+
+        def split(x: float, a=a, b=b) -> float:
+            w = level_energies(x)
+            return float(w[a] - w[b])
+        x_root = brentq(split, grid[i], grid[i + 1], xtol=TOL.crossing_refine)
+        roots.append((float(x_root), a, b))
+    # group roots that coincide (a multi-level crossing refines to one x*)
+    roots.sort()
+    results: list[DegeneracyPoint] = []
+    used = np.zeros(len(roots), dtype=bool)
+    for i, (x0, a0, b0) in enumerate(roots):
+        if used[i]:
+            continue
+        members = {a0 + 1, b0 + 1}
+        for k in range(i + 1, len(roots)):
+            xk, ak, bk = roots[k]
+            if abs(xk - x0) < 1e-7:
+                used[k] = True
+                members.update((ak + 1, bk + 1))
+        used[i] = True
+        w0 = level_energies(x0)
+        cluster_e = [w0[lab - 1] for lab in sorted(members)]
+        spread = max(cluster_e) - min(cluster_e)
+        if spread < max(TOL.degeneracy_gap, 1e-8):
+            results.append(DegeneracyPoint(
+                x=x0, labels=tuple(sorted(members)),
+                energy=float(np.mean(cluster_e)),
+                multiplicity=len(members), exact=True, gap=float(spread)))
+    results.sort(key=lambda r: r.x)
+    return results
+
+
+def _anti_crossings(p: ModelParams, grid: np.ndarray, max_gap: float) -> list[DegeneracyPoint]:
+    """Adjacent-gap minima of the y != 0 spectrum, refined by bounded minimization."""
+    dim = p.dim
+    sorted_e = np.sort(track_levels(p, grid).energies, axis=1)
     gaps = np.diff(sorted_e, axis=1)
     results = []
     for pair in range(dim - 1):

@@ -1,11 +1,31 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import happer.spectrum as spectrum
 from happer.degenerate import degenerate_energy
-from happer.errors import HermiticityError
+from happer.errors import HermiticityError, TrackingError
 from happer.model import FieldDirection, ModelParams, build_hamiltonian, conserved_j
-from happer.spectrum import (eigensystem, eigensystem_with_j, find_degeneracies,
+from happer.spectrum import (_slots, eigensystem, eigensystem_with_j, find_degeneracies,
                              level_positions, track_levels)
+
+
+def per_point_track(p0, x_grid):
+    """Reference labelling, one eigensolve per x: (2m, rank) slots mapped at x_grid[-1]."""
+    _, j_ref = eigensystem_with_j(p0.with_x(float(x_grid[-1])))
+    mapping = {slot: position + 1 for position, slot in enumerate(_slots(j_ref))}
+    labels = np.empty((len(x_grid), p0.dim), dtype=int)
+    energies = np.empty((len(x_grid), p0.dim))
+    j_values = np.empty((len(x_grid), p0.dim))
+    for i, x in enumerate(x_grid):
+        es, jexp = eigensystem_with_j(p0.with_x(float(x)))
+        for position, slot in enumerate(_slots(jexp)):
+            lab = mapping[slot]
+            labels[i, position] = lab
+            energies[i, lab - 1] = es.eigenvalues[position]
+            j_values[i, lab - 1] = jexp[position]
+    return labels, energies, j_values
 
 
 def test_eigensystem_sorts_ascending():
@@ -128,3 +148,99 @@ def test_level_positions_identity_at_large_x():
 def test_positions_trivial_when_axis_coupling_present():
     p = ModelParams(2, 0.5, 0.01, FieldDirection(0.4, 0.2))
     assert list(level_positions(p)) == list(range(9))
+
+
+def _equivalence_grids(two_l):
+    x_star = 2 / (two_l + 1)
+    return {
+        "positive": np.linspace(0.1, 1.5, 29),
+        "through_zero": np.linspace(-1.2, 0.9, 31),
+        "on_both_crossings": np.sort(np.r_[np.linspace(-1.5, 1.6, 24), -x_star, 0.0, x_star]),
+        "negative": np.sort(np.r_[np.linspace(-2.0, -0.1, 15), -x_star]),
+    }
+
+
+@pytest.mark.parametrize("two_l", [1, 2, 3, 4, 5, 6])
+def test_track_levels_matches_per_point_labelling(two_l):
+    p = ModelParams(two_l, 0.5, 0.0, FieldDirection(1.1, 2.3))
+    for name, grid in _equivalence_grids(two_l).items():
+        track = track_levels(p, grid)
+        labels, energies, j_values = per_point_track(p, grid)
+        assert np.max(np.abs(track.energies - energies)) < 1e-10, name
+        assert np.max(np.abs(track.j_values - j_values)) < 1e-9, name
+        # away from crossings the ascending order is unambiguous and must agree
+        gaps = np.diff(np.sort(energies, axis=1), axis=1).min(axis=1)
+        off = gaps > 1e-6
+        assert np.any(off) and np.array_equal(track.labels[off], labels[off]), name
+
+
+def test_track_levels_matches_per_point_eigensystem_at_tilted_axis():
+    p = ModelParams(2, 0.5, 0.05, FieldDirection(0.9, 0.4), (0.6, 0.0, 0.8))
+    grid = np.linspace(0.3, 1.2, 17)
+    track = track_levels(p, grid)
+    for i, x in enumerate(grid):
+        q = p.with_x(float(x))
+        es = eigensystem(build_hamiltonian(q), q)
+        v = es.eigenvectors
+        jexp = np.real(np.einsum("in,ij,jn->n", v.conj(), conserved_j(q), v))
+        assert np.max(np.abs(track.energies[i] - es.eigenvalues)) < 1e-10
+        assert np.max(np.abs(track.j_values[i] - jexp)) < 1e-9
+        assert list(track.labels[i]) == list(range(1, p.dim + 1))
+
+
+def test_track_levels_rejects_non_hermitian_hamiltonians(monkeypatch):
+    hamiltonians = spectrum._hamiltonians
+
+    def skewed(*args):
+        h = hamiltonians(*args)
+        return h + np.triu(np.ones(h.shape[-2:]), 1)
+
+    monkeypatch.setattr(spectrum, "_hamiltonians", skewed)
+    p = ModelParams(2, 0.5, 0.1, FieldDirection(0.4, 0.2), (1.0, 0.0, 0.0))
+    with pytest.raises(HermiticityError):
+        track_levels(p, np.linspace(0.4, 0.8, 5))
+
+
+def test_sectors_refuse_an_axis_term_that_breaks_the_symmetry():
+    p = ModelParams(2, 0.5, 0.1, FieldDirection(0.4, 0.2), (1.0, 0.0, 0.0))
+    with pytest.raises(TrackingError):
+        spectrum._Sectors(p)
+
+
+@pytest.mark.parametrize("two_l", [1, 2, 3, 4])
+def test_negative_range_reports_the_whole_crossing(two_l):
+    # Refinement and cluster energies use the scan's own labels, numbered at
+    # x = -0.05; a reference across the x = 0 degeneracy mislabels the pairs.
+    p = ModelParams(two_l, 0.5, 0.0, FieldDirection(0.7, 0.3))
+    x_star = 2 / (two_l + 1)
+    degs = [d for d in find_degeneracies(p, (-3, -0.05)) if abs(d.x + x_star) < 1e-8]
+    assert len(degs) == 1
+    d = degs[0]
+    assert d.exact
+    assert d.multiplicity == two_l + 1
+    assert abs(d.energy - 1 / (two_l + 1)) < 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(two_l=st.sampled_from([1, 2, 3]), lo=st.floats(-2.0, -0.05), hi=st.floats(0.05, 2.0),
+       n=st.integers(3, 30), theta=st.floats(0, np.pi), phi=st.floats(0, 2 * np.pi))
+def test_labels_are_stable_through_x_zero(two_l, lo, hi, n, theta, phi):
+    p = ModelParams(two_l, hi, 0.0, FieldDirection(theta, phi))
+    grid = np.linspace(lo, hi, n)
+    track = track_levels(p, grid)
+    assert list(track.labels[-1]) == list(range(1, p.dim + 1))
+    # each label keeps one m, on the half-integer grid
+    m = np.rint(2 * track.j_values[-1]) / 2
+    assert np.max(np.abs(track.j_values - m)) < 1e-9
+    jm = conserved_j(p)
+    for i, x in enumerate(grid):
+        h = build_hamiltonian(p.with_x(float(x)))
+        assert np.max(np.abs(np.sort(track.energies[i]) - np.linalg.eigvalsh(h))) < 1e-10
+        # H + s n_B.J shifts each level by s m: the (energy, m) pairing is right
+        shifted = np.sort(track.energies[i] + 0.37 * m)
+        assert np.max(np.abs(shifted - np.linalg.eigvalsh(h + 0.37 * jm))) < 1e-10
+    # inside each m-sector the energy order of the labels never changes
+    for m_value in np.unique(m):
+        sector = np.flatnonzero(m == m_value)
+        order = np.argsort(track.energies[:, sector], axis=1)
+        assert np.all(order == order[-1])
