@@ -27,8 +27,7 @@ from .geometry import (ChernResult, chern_number_curvature, chern_number_link_va
 from .mesh import SphereMesh
 from .model import FieldDirection, ModelParams, build_hamiltonian, semimetal_batch
 from .operators import SpinQuantumNumber
-from .spectrum import (eigensystem_with_j, find_degeneracies, level_positions,
-                       track_levels)
+from .spectrum import _levels, find_degeneracies, level_positions, track_levels
 from .tolerances import TOL
 
 
@@ -197,8 +196,7 @@ def cmd_chern(cfg: ScanConfig) -> Table:
                      {"command": "chern", "scheme": cfg.scheme, "mesh": cfg.mesh})
     for x in cfg.x_values():
         p = cfg.params(x)
-        positions = level_positions(p)
-        es, jexp = eigensystem_with_j(p)
+        _, jexp, positions = _levels(p)
         if cfg.scheme == "link":
             per_position = chern_spectrum_link_variable(p, mesh, check=False)
             results = [per_position[positions[lab - 1]] for lab in range(1, p.dim + 1)]

@@ -8,8 +8,10 @@ rank-th lowest level of the m-sector.  Ranks never change because
 levels of equal m repel, so the label of a state is the label of the
 same slot at large x.  This reproduces maximal-overlap continuation
 everywhere and stays well defined inside degenerate clusters, where
-bare eigenvector overlaps are ambiguous.  Sweeps and crossing
-refinement solve the sectors (blocks of size 1, 2 or 3) directly.
+bare eigenvector overlaps are ambiguous.  Sweeps, crossing refinement
+and the per-point eigensystem and label positions all solve the sectors
+(blocks of size 1, 2 or 3) directly; there is no full-matrix solve at
+y = 0.
 
 For y != 0 there are no exact crossings and labels simply follow the
 energy order (adiabatic labelling), matching how per-level quantities
@@ -60,87 +62,6 @@ def eigensystem(h: np.ndarray, params: ModelParams | None = None) -> EigenSystem
     return EigenSystem(w, fix_phases(v), params)
 
 
-def _resolve_clusters_by_j(w: np.ndarray, v: np.ndarray, jmat: np.ndarray,
-                           hmat: np.ndarray,
-                           cluster_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Diagonalize n_B.J inside each numerically degenerate eigenvalue cluster.
-
-    Valid when [J, H] = 0, where the rotated vectors are again exact H
-    eigenvectors; their energies are therefore recomputed as Rayleigh
-    quotients (the eigensolver cannot attribute energies inside a
-    near-degenerate cluster) and the cluster re-sorted by them.  Returns
-    (energies, vectors, J expectations).
-    """
-    w = w.copy()
-    v = v.copy()
-    n = len(w)
-    start = 0
-    while start < n:
-        stop = start + 1
-        while stop < n and w[stop] - w[stop - 1] < cluster_tol:
-            stop += 1
-        if stop - start > 1:
-            block = v[:, start:stop]
-            jb = block.conj().T @ jmat @ block
-            jb = (jb + jb.conj().T) / 2
-            _, u = np.linalg.eigh(jb)
-            block = block @ u
-            energies = np.real(np.einsum("in,ij,jn->n", block.conj(), hmat, block))
-            order = np.argsort(energies, kind="stable")
-            v[:, start:stop] = block[:, order]
-            w[start:stop] = energies[order]
-        start = stop
-    v = fix_phases(v)
-    jexp = np.real(np.einsum("in,ij,jn->n", v.conj(), jmat, v))
-    return w, v, jexp
-
-
-def eigensystem_with_j(p: ModelParams) -> tuple[EigenSystem, np.ndarray]:
-    """Eigensystem of H(p) with degenerate clusters split along n_B.J."""
-    h = build_hamiltonian(p)
-    es = eigensystem(h, p)
-    w, v, jexp = _resolve_clusters_by_j(es.eigenvalues, es.eigenvectors,
-                                        conserved_j(p), h, TOL.cluster_resolve)
-    es.eigenvalues = w
-    es.eigenvectors = v
-    return es, jexp
-
-
-def _slots(jexp: np.ndarray) -> list[tuple[int, int]]:
-    """(2m, energy rank within m) of each ascending-energy position.
-
-    2m comes from the J expectation on the half-integer grid (an exact
-    integer); positions of equal m are ranked in ascending energy.
-    """
-    doubled = np.round(2 * jexp).astype(int)
-    if np.max(np.abs(2 * jexp - doubled)) > 1e-6:
-        raise TrackingError("J expectations are not on the half-integer grid; is y = 0?")
-    ranks: dict[int, int] = {}
-    slots = []
-    for m2 in doubled.tolist():
-        r = ranks.get(m2, 0)
-        ranks[m2] = r + 1
-        slots.append((m2, r))
-    return slots
-
-
-def level_positions(p: ModelParams) -> np.ndarray:
-    """Ascending-energy position (0-based) of each label 1..dim at coupling p.x.
-
-    For y != 0 labels are the positions themselves.  At y = 0 labels are
-    read at a reference coupling beyond the last crossing.
-    """
-    if p.y != 0.0:
-        return np.arange(p.dim)
-    _, j_ref = eigensystem_with_j(p.with_x(max(2.5, abs(p.x) + 1.0)))
-    mapping = {slot: position + 1 for position, slot in enumerate(_slots(j_ref))}
-    _, jexp = eigensystem_with_j(p)
-    positions = np.empty(p.dim, dtype=int)
-    for position, slot in enumerate(_slots(jexp)):
-        positions[mapping[slot] - 1] = position
-    return positions
-
-
 class _Sectors:
     """H(x) = F + x X at y = 0, block diagonal in the n_B.J eigenbasis.
 
@@ -151,11 +72,11 @@ class _Sectors:
     """
 
     def __init__(self, p: ModelParams) -> None:
-        jw, u = np.linalg.eigh(conserved_j(p))
+        jw, self.u = np.linalg.eigh(conserved_j(p))
         self.two_m = np.rint(2 * jw).astype(int)
         h0, h1 = _hamiltonians(p, p.field.theta, p.field.phi, np.array([0.0, 1.0]), p.y)
-        f = u.conj().T @ h0 @ u
-        x_op = u.conj().T @ (h1 - h0) @ u
+        f = self.u.conj().T @ h0 @ self.u
+        x_op = self.u.conj().T @ (h1 - h0) @ self.u
         off = self.two_m[:, None] != self.two_m[None, :]
         leak = max(np.max(np.abs(f[off]), initial=0.0), np.max(np.abs(x_op[off]), initial=0.0))
         if leak > 1e-9:
@@ -181,6 +102,68 @@ class _Sectors:
         """Slot energies over x_grid and the slot of each label, numbered at x_grid[-1]."""
         e = self.energies(x_grid)
         return e, np.argsort(e[-1], kind="stable")
+
+    def eigh(self, x: float) -> tuple[np.ndarray, np.ndarray]:
+        """Slot energies and slot eigenvectors (columns, in the original basis) at coupling x."""
+        dim = len(self.two_m)
+        e = np.empty(dim)
+        w = np.zeros((dim, dim), dtype=complex)
+        for idx, f, x_op in self.blocks:
+            e[idx], w[idx[:, :, None], idx[:, None, :]] = np.linalg.eigh(f + x * x_op)
+        return e, self.u @ w
+
+
+def _j_values(p: ModelParams, v: np.ndarray) -> np.ndarray:
+    """<n_B.J> in each eigenvector column of v, or of each basis in a stack of them."""
+    return np.real(np.einsum("...in,ij,...jn->...n", v.conj(), conserved_j(p), v))
+
+
+def _levels(p: ModelParams) -> tuple[EigenSystem, np.ndarray, np.ndarray]:
+    """Ascending eigensystem of H(p), <n_B.J> by position, and the position of each label.
+
+    At y = 0 the sector blocks are solved at p.x and at a reference
+    coupling beyond the last crossing.  Labels 1..dim are the slots in
+    stable ascending energy order at the reference, positions the slots
+    in stable ascending order at p.x, and j is the slot's m exactly, so
+    the eigensystem and the label positions agree inside exact clusters
+    too.  At y != 0 there are no exact crossings; labels are positions.
+    """
+    if p.y != 0.0:
+        es = eigensystem(build_hamiltonian(p), p)
+        return es, _j_values(p, es.eigenvectors), np.arange(p.dim)
+    sectors = _Sectors(p)
+    _, slot_of_label = sectors.labelled_energies([max(2.5, abs(p.x) + 1.0)])
+    e, v = sectors.eigh(p.x)
+    order = np.argsort(e, kind="stable")
+    position_of_slot = np.empty(p.dim, dtype=int)
+    position_of_slot[order] = np.arange(p.dim)
+    es = EigenSystem(e[order], fix_phases(v[:, order]), p)
+    return es, sectors.two_m[order] / 2, position_of_slot[slot_of_label]
+
+
+def eigensystem_with_j(p: ModelParams) -> tuple[EigenSystem, np.ndarray]:
+    """Ascending eigensystem of H(p) and <n_B.J> of each position.
+
+    At y = 0 the eigenvectors are n_B.J eigenstates, also inside exact
+    clusters, and j is each level's m exactly; positions agree with
+    level_positions(p).  At y != 0 there are no exact crossings and j is
+    the expectation value in the eigenvectors of H.
+    """
+    es, jexp, _ = _levels(p)
+    return es, jexp
+
+
+def level_positions(p: ModelParams) -> np.ndarray:
+    """Ascending-energy position (0-based) of each label 1..dim at coupling p.x.
+
+    At y = 0 labels are numbered by energy at a reference coupling beyond
+    the last crossing and keep their n_B.J slot; positions agree with
+    eigensystem_with_j(p).  At y != 0 there are no exact crossings and
+    labels are the positions themselves.
+    """
+    if p.y != 0.0:
+        return np.arange(p.dim)
+    return _levels(p)[2]
 
 
 @dataclass
@@ -215,7 +198,7 @@ def track_levels(p0: ModelParams, x_grid) -> LevelTrack:
     h = _hamiltonians(p0, p0.field.theta, p0.field.phi, x_grid, p0.y)
     _check_hermitian(h)
     energies, v = np.linalg.eigh(h)
-    j_values = np.real(np.einsum("xin,ij,xjn->xn", v.conj(), conserved_j(p0), v))
+    j_values = _j_values(p0, v)
     labels = np.tile(np.arange(1, dim + 1), (n, 1))
     return LevelTrack(x_grid, labels, energies, j_values, p0)
 
@@ -281,28 +264,32 @@ def _exact_crossings(p: ModelParams, grid: np.ndarray) -> list[DegeneracyPoint]:
             return float(w[a] - w[b])
         x_root = brentq(split, grid[i], grid[i + 1], xtol=TOL.crossing_refine)
         roots.append((float(x_root), a, b))
-    # group roots that coincide (a multi-level crossing refines to one x*)
+    # group roots by (x, E): a multi-level crossing refines to one x*, and
+    # several clusters can meet at one x (three at x = 0, at E = -1, 0, 1);
+    # each cluster is read at its own first root
     roots.sort()
     results: list[DegeneracyPoint] = []
-    used = np.zeros(len(roots), dtype=bool)
-    for i, (x0, a0, b0) in enumerate(roots):
-        if used[i]:
-            continue
-        members = {a0 + 1, b0 + 1}
-        for k in range(i + 1, len(roots)):
-            xk, ak, bk = roots[k]
-            if abs(xk - x0) < 1e-7:
-                used[k] = True
-                members.update((ak + 1, bk + 1))
-        used[i] = True
+    start = 0
+    while start < len(roots):
+        x0 = roots[start][0]
+        stop = start
+        while stop < len(roots) and roots[stop][0] - x0 < 1e-7:
+            stop += 1
+        group, start = roots[start:stop], stop
         w0 = level_energies(x0)
-        cluster_e = [w0[lab - 1] for lab in sorted(members)]
-        spread = max(cluster_e) - min(cluster_e)
-        if spread < max(TOL.degeneracy_gap, 1e-8):
-            results.append(DegeneracyPoint(
-                x=x0, labels=tuple(sorted(members)),
-                energy=float(np.mean(cluster_e)),
-                multiplicity=len(members), exact=True, gap=float(spread)))
+        members = np.array(sorted({lab for _, a, b in group for lab in (a, b)}))
+        members = members[np.argsort(w0[members], kind="stable")]
+        breaks = np.flatnonzero(np.diff(w0[members]) > TOL.subspace_isolation) + 1
+        for cluster in np.split(members, breaks):
+            x_c = next(x for x, a, _ in group if a in cluster)
+            w = w0 if x_c == x0 else level_energies(x_c)
+            cluster = np.sort(cluster)
+            spread = float(np.ptp(w[cluster]))
+            if len(cluster) > 1 and spread < max(TOL.degeneracy_gap, 1e-8):
+                results.append(DegeneracyPoint(
+                    x=x_c, labels=tuple(int(lab) + 1 for lab in cluster),
+                    energy=float(np.mean(w[cluster])),
+                    multiplicity=len(cluster), exact=True, gap=spread))
     results.sort(key=lambda r: r.x)
     return results
 

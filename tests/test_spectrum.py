@@ -7,24 +7,77 @@ import happer.spectrum as spectrum
 from happer.degenerate import degenerate_energy
 from happer.errors import HermiticityError, TrackingError
 from happer.model import FieldDirection, ModelParams, build_hamiltonian, conserved_j
-from happer.spectrum import (_slots, eigensystem, eigensystem_with_j, find_degeneracies,
+from happer.spectrum import (eigensystem, eigensystem_with_j, find_degeneracies,
                              level_positions, track_levels)
+from happer.tolerances import TOL
+
+# Reference y = 0 labelling from the full matrix: one eigh of H, n_B.J
+# diagonalized inside each numerically degenerate cluster, then each
+# ascending-energy position mapped to its (2m, rank) slot.  The library
+# reads the same slots from the n_B.J sectors directly.
+
+
+def oracle_eigensystem_with_j(p):
+    """Energies, eigenvectors and <n_B.J> by position, clusters split along n_B.J."""
+    cluster_tol = 1e-7  # levels this close count as one cluster
+    h = build_hamiltonian(p)
+    es = eigensystem(h, p)
+    w, v, jmat = es.eigenvalues.copy(), es.eigenvectors.copy(), conserved_j(p)
+    start = 0
+    while start < len(w):
+        stop = start + 1
+        while stop < len(w) and w[stop] - w[stop - 1] < cluster_tol:
+            stop += 1
+        if stop - start > 1:
+            block = v[:, start:stop]
+            jb = block.conj().T @ jmat @ block
+            _, u = np.linalg.eigh((jb + jb.conj().T) / 2)
+            block = block @ u
+            # rotated vectors are exact H eigenvectors; re-sort by Rayleigh quotient
+            energies = np.real(np.einsum("in,ij,jn->n", block.conj(), h, block))
+            order = np.argsort(energies, kind="stable")
+            v[:, start:stop] = block[:, order]
+            w[start:stop] = energies[order]
+        start = stop
+    v = spectrum.fix_phases(v)
+    return w, v, np.real(np.einsum("in,ij,jn->n", v.conj(), jmat, v))
+
+
+def oracle_slots(jexp):
+    """(2m, energy rank within m) of each ascending-energy position."""
+    doubled = np.round(2 * jexp).astype(int)
+    assert np.max(np.abs(2 * jexp - doubled)) < 1e-6
+    ranks: dict[int, int] = {}
+    slots = []
+    for m2 in doubled.tolist():
+        r = ranks.get(m2, 0)
+        ranks[m2] = r + 1
+        slots.append((m2, r))
+    return slots
+
+
+def oracle_level_positions(p, x_ref):
+    """Position of each label 1..dim at p.x, labels numbered at coupling x_ref."""
+    mapping = {slot: position for position, slot in
+               enumerate(oracle_slots(oracle_eigensystem_with_j(p.with_x(x_ref))[2]))}
+    positions = np.empty(p.dim, dtype=int)
+    for position, slot in enumerate(oracle_slots(oracle_eigensystem_with_j(p)[2])):
+        positions[mapping[slot]] = position
+    return positions
 
 
 def per_point_track(p0, x_grid):
     """Reference labelling, one eigensolve per x: (2m, rank) slots mapped at x_grid[-1]."""
-    _, j_ref = eigensystem_with_j(p0.with_x(float(x_grid[-1])))
-    mapping = {slot: position + 1 for position, slot in enumerate(_slots(j_ref))}
     labels = np.empty((len(x_grid), p0.dim), dtype=int)
     energies = np.empty((len(x_grid), p0.dim))
     j_values = np.empty((len(x_grid), p0.dim))
     for i, x in enumerate(x_grid):
-        es, jexp = eigensystem_with_j(p0.with_x(float(x)))
-        for position, slot in enumerate(_slots(jexp)):
-            lab = mapping[slot]
-            labels[i, position] = lab
-            energies[i, lab - 1] = es.eigenvalues[position]
-            j_values[i, lab - 1] = jexp[position]
+        p = p0.with_x(float(x))
+        w, _, jexp = oracle_eigensystem_with_j(p)
+        positions = oracle_level_positions(p, float(x_grid[-1]))
+        labels[i, positions] = np.arange(1, p0.dim + 1)
+        energies[i] = w[positions]
+        j_values[i] = jexp[positions]
     return labels, energies, j_values
 
 
@@ -150,6 +203,29 @@ def test_positions_trivial_when_axis_coupling_present():
     assert list(level_positions(p)) == list(range(9))
 
 
+@pytest.mark.parametrize("two_l", [0, 1, 2, 3, 4, 5, 6])
+def test_per_point_levels_match_the_full_matrix_oracle(two_l):
+    p0 = ModelParams(two_l, 0.5, 0.0, FieldDirection(1.1, 2.3))
+    x_star = p0.crossing_x()
+    xs = np.r_[np.random.default_rng(two_l).uniform(-2.5, 2.5, 25), 0.0, x_star, -x_star]
+    for x in xs:
+        p = p0.with_x(float(x))
+        es, jexp = eigensystem_with_j(p)
+        positions = level_positions(p)
+        w, _, j_oracle = oracle_eigensystem_with_j(p)
+        oracle = oracle_level_positions(p, max(2.5, abs(p.x) + 1.0))
+        assert np.max(np.abs(es.eigenvalues[positions] - w[oracle])) < 1e-10, x
+        assert np.max(np.abs(jexp[positions] - j_oracle[oracle])) < 1e-9, x
+        # each label's j is its m exactly, also inside the clusters at 0 and +-x*
+        assert np.array_equal(jexp[positions], np.rint(2 * j_oracle[oracle]) / 2), x
+        if np.min(np.diff(w)) > 1e-6:
+            assert np.array_equal(positions, oracle), x
+        v = es.eigenvectors
+        h = build_hamiltonian(p)
+        assert np.max(np.abs(h @ v - v * es.eigenvalues)) < TOL.eigen_residual, x
+        assert np.max(np.abs(v.conj().T @ v - np.eye(p.dim))) < TOL.orthonormality, x
+
+
 def _equivalence_grids(two_l):
     x_star = 2 / (two_l + 1)
     return {
@@ -186,6 +262,11 @@ def test_track_levels_matches_per_point_eigensystem_at_tilted_axis():
         assert np.max(np.abs(track.energies[i] - es.eigenvalues)) < 1e-10
         assert np.max(np.abs(track.j_values[i] - jexp)) < 1e-9
         assert list(track.labels[i]) == list(range(1, p.dim + 1))
+        # the per-point functions follow the same y != 0 convention
+        es_j, j_point = eigensystem_with_j(q)
+        assert np.max(np.abs(es_j.eigenvalues - es.eigenvalues)) < 1e-10
+        assert np.max(np.abs(j_point - jexp)) < 1e-9
+        assert list(level_positions(q)) == list(range(p.dim))
 
 
 def test_track_levels_rejects_non_hermitian_hamiltonians(monkeypatch):
@@ -219,6 +300,25 @@ def test_negative_range_reports_the_whole_crossing(two_l):
     assert d.exact
     assert d.multiplicity == two_l + 1
     assert abs(d.energy - 1 / (two_l + 1)) < 1e-9
+
+
+@pytest.mark.parametrize("field", [(0.7, 0.3), (np.pi / 6, 0.0)])
+@pytest.mark.parametrize("scan_points", [200, 201])
+@pytest.mark.parametrize("two_l", [1, 2, 3, 4])
+def test_clusters_meeting_at_x_zero_are_all_reported(two_l, scan_points, field):
+    # The E = -1 and E = +1 clusters cross transversally at x = 0, so they
+    # are found with or without a grid point there.  The tangential E = 0
+    # cluster is not asserted on; at the CLI's default field direction its
+    # roots land ~1e-8 from 0, so each cluster must be read at its own root.
+    p = ModelParams(two_l, 0.5, 0.0, FieldDirection(*field))
+    degs = find_degeneracies(p, (-0.3, 0.3), scan_points=scan_points)
+    for energy in (-1.0, 1.0):
+        hits = [d for d in degs if abs(d.x) < 1e-8 and abs(d.energy - energy) < 1e-9]
+        assert len(hits) == 1, energy
+        assert hits[0].exact and hits[0].multiplicity == two_l + 1
+    for d in degs:
+        energies = track_levels(p, [d.x, 0.3]).energies[0, np.array(d.labels) - 1]
+        assert np.ptp(energies) < 1e-9
 
 
 @settings(max_examples=40, deadline=None)
