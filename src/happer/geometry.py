@@ -272,21 +272,21 @@ def _nearest_phi_map(phis: np.ndarray, target_count: int) -> np.ndarray:
     return np.rint(phis * target_count / (2 * np.pi)).astype(int) % target_count
 
 
-def _raw_frames_row(p: ModelParams, theta: float, phis: np.ndarray,
-                    positions: Sequence[int]) -> np.ndarray:
-    w, v = _eigen_grid(p, np.array([theta]), phis)
-    w, v = w[0], v[0]
+def _raw_frames(p: ModelParams, thetas: np.ndarray, phis: np.ndarray,
+                positions: Sequence[int]) -> np.ndarray:
+    """Grid frames (n_t, n_p, dim, d_sub); raises where they touch the rest of the spectrum."""
+    w, v = _eigen_grid(p, thetas, phis)
     lo, hi = min(positions), max(positions)
-    gaps = np.full(len(phis), np.inf)
+    gaps = np.full(w.shape[:2], np.inf)
     if lo > 0:
-        gaps = np.minimum(gaps, w[:, lo] - w[:, lo - 1])
+        gaps = np.minimum(gaps, w[..., lo] - w[..., lo - 1])
     if hi < w.shape[-1] - 1:
-        gaps = np.minimum(gaps, w[:, hi + 1] - w[:, hi])
-    worst = int(np.argmin(gaps))
-    if gaps[worst] < TOL.subspace_isolation:
+        gaps = np.minimum(gaps, w[..., hi + 1] - w[..., hi])
+    t, f = np.unravel_index(np.argmin(gaps), gaps.shape)
+    if gaps[t, f] < TOL.subspace_isolation:
         raise SubspaceIsolationError(
-            f"subspace dimension is ambiguous at cell (theta={theta:.6f}, "
-            f"phi={phis[worst]:.6f}): gap {gaps[worst]:.2e}")
+            f"subspace dimension is ambiguous at cell (theta={thetas[t]:.6f}, "
+            f"phi={phis[f]:.6f}): gap {gaps[t, f]:.2e}")
     return v[..., list(positions)]
 
 
@@ -298,10 +298,12 @@ def smooth_gauge_states(p: ModelParams, labels: Sequence[int], mesh: SphereMesh 
     """Orthonormal frames of the labelled subspace in a smooth gauge.
 
     Numerical frames are parallel-transported from a seed at the south
-    pole: every corner row is aligned to the row below it by the polar
-    unitary of the overlap matrix, which makes neighbouring frames agree
-    to O(mesh spacing) everywhere (the transported gauge is single
-    valued on the sphere minus the dropped north cap).
+    pole: each frame is aligned to the one south of it by the polar
+    unitary of their overlap matrix, which makes neighbouring frames
+    agree to O(mesh spacing) everywhere (the transported gauge is single
+    valued on the sphere minus the dropped north cap).  For z-covariant H
+    only the phi = 0 meridian is transported and rotated out to every phi
+    (_meridian_rows); otherwise every mesh point is aligned (_transport).
 
     With ``source="analytic"`` the closed-form degenerate bases are used
     directly wherever they are well conditioned (away from the poles),
@@ -334,12 +336,13 @@ def smooth_gauge_states(p: ModelParams, labels: Sequence[int], mesh: SphereMesh 
             plan.append((float(edges[r + 1]), phis))
 
     if source == "analytic":
-        lo, seeds = _analytic_seed(p, positions, plan)
-    elif source == "numerical":
-        lo, seeds = _south_pole_seed(p, positions, plan)
-    else:
+        rows = _transport(p, positions, plan, *_analytic_seed(p, positions, plan))
+    elif source != "numerical":
         raise ValueError(f"unknown frame source {source!r}")
-    rows = _transport(p, positions, plan, lo, seeds)
+    elif _z_covariant(p.y, p.axis):
+        rows = _meridian_rows(p, positions, plan)
+    else:
+        rows = _transport(p, positions, plan, *_south_pole_seed(p, positions, plan))
     return FrameField(mesh, labels, p.nuclear_two_l, positions, ring_start, rows,
                       top_index, bottom_index)
 
@@ -349,10 +352,38 @@ def _south_pole_seed(p: ModelParams, positions: Sequence[int],
     """Numerical frames of the southernmost row; one shared frame on the exact pole."""
     south = len(plan) - 1
     theta, phis = plan[south]
-    raw = _raw_frames_row(p, theta, phis, positions)
+    raw = _raw_frames(p, np.array([theta]), phis, positions)[0]
     if abs(theta - np.pi) < 1e-12:
         raw = np.broadcast_to(raw[0], raw.shape).copy()
     return south, [raw]
+
+
+def _meridian_rows(p: ModelParams, positions: Sequence[int],
+                   plan: list[tuple[float, np.ndarray]]) -> list[_Row]:
+    """Frames transported down the phi = 0 meridian, rotated out to every phi.
+
+    For z-covariant H the pole frame F0 spans a J_z-invariant subspace, so
+    D(phi) = F0^dag R(phi)^dag F0 is unitary, R(phi) = e^{-i phi J_z}.  An
+    overlap with a reference R F(theta', 0) D is M(theta, 0) D, and polar(M D)
+    = polar(M) D, so F(theta, phi) = R F(theta, 0) D is the per-point polar
+    transport at any phi, with phi-independent singular values.
+    """
+    thetas = np.unique([theta for theta, _ in plan])[::-1]  # south pole first
+    raw = _raw_frames(p, thetas, np.zeros(1), positions)[:, 0]
+    meridian = [raw[0]]
+    for v in raw[1:]:
+        meridian.append(_align_rows(v[None], meridian[-1][None])[0])
+    at = dict(zip(thetas, meridian))
+    f0 = meridian[0]
+    per_count: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    rows = []
+    for theta, phis in plan:
+        if len(phis) not in per_count:
+            rot = np.exp(-1j * np.multiply.outer(phis, _jz_diagonal(p.nuclear_two_l)))[:, :, None]
+            per_count[len(phis)] = rot, f0.conj().T @ (rot.conj() * f0)
+        rot, d = per_count[len(phis)]
+        rows.append(_Row(theta, phis, rot * (at[theta] @ d)))
+    return rows
 
 
 def _analytic_seed(p: ModelParams, positions: Sequence[int],
@@ -379,8 +410,9 @@ def _transport(p: ModelParams, positions: Sequence[int],
                seeds: list[np.ndarray]) -> list[_Row]:
     """Rows lo.. hold the seeds; every other row is aligned to its neighbour, outward.
 
-    A row that coincides with its neighbour (same theta and phi count)
-    copies the neighbour's frames instead of being re-solved.
+    One SVD per mesh point against the neighbour's nearest-phi frame (analytic
+    seeds, H not z-covariant); a row that coincides with its neighbour (same
+    theta and phi count) copies the neighbour's frames instead of being re-solved.
     """
     rows: list[_Row | None] = [None] * len(plan)
     for i, frames in enumerate(seeds, lo):
@@ -394,7 +426,7 @@ def _transport(p: ModelParams, positions: Sequence[int],
         if theta == ref.theta and len(phis) == len(ref.phis):
             frames = ref.frames.copy()
         else:
-            raw = _raw_frames_row(p, theta, phis, positions)
+            raw = _raw_frames(p, np.array([theta]), phis, positions)[0]
             frames = _align_rows(raw, ref.frames[_nearest_phi_map(phis, len(ref.phis))])
         rows[i] = _Row(theta, phis, frames)
     return rows  # type: ignore[return-value]

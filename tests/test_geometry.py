@@ -263,6 +263,12 @@ def test_isolated_band_refused_at_crossing():
     p = ModelParams(2, 2 / 3, 0.0, FieldDirection(0.5, 0.3))
     with pytest.raises(SubspaceIsolationError):
         chern_number_link_variable(p, 4, SphereMesh(16, 32, "uniform"))
+    for scheme in ("uniform", "equal-area"):
+        mesh = SphereMesh(16, 32, scheme)
+        with pytest.raises(SubspaceIsolationError, match="ambiguous"):
+            chern_number_curvature(p, 4, mesh)
+        with pytest.raises(SubspaceIsolationError, match="ambiguous"):
+            loop_phase(p, 4, RING_LOOP, mesh)
 
 
 def test_noncontiguous_cluster_rejected():
@@ -329,12 +335,72 @@ def test_factorised_link_chern_matches_per_point_solve(two_l, y):
 @pytest.mark.parametrize("two_l,labels", [(2, (3, 4, 5)), (1, (1,))])
 def test_factorised_curvature_chern_matches_per_point_solve(monkeypatch, two_l, labels):
     p = ModelParams(two_l, 2 / (two_l + 1) if len(labels) > 1 else 0.7)
-    mesh = SphereMesh(100, 200, "equal-area")
+    mesh = SphereMesh(100, 200, "uniform")
     fact = chern_number_curvature(p, labels, mesh)
     _general(monkeypatch)
     general = chern_number_curvature(p, labels, mesh)
     assert abs(fact.fourpi - general.fourpi) < 1e-9
     assert fact.rounded == general.rounded
+
+
+@pytest.mark.parametrize("two_l,labels", [(2, (3, 4, 5)), (1, (1,))])
+def test_factorised_curvature_chern_on_equal_area_is_no_further_off(monkeypatch, two_l, labels):
+    # Rotated meridian frames replace the per-point path's nearest-phi
+    # alignment between rings of different phi counts: the gauge moves at
+    # mesh-error level and the deviation may only shrink.
+    p = ModelParams(two_l, 2 / (two_l + 1) if len(labels) > 1 else 0.7)
+    mesh = SphereMesh(100, 200, "equal-area")
+    fact = chern_number_curvature(p, labels, mesh)
+    _general(monkeypatch)
+    general = chern_number_curvature(p, labels, mesh)
+    assert fact.rounded == general.rounded
+    assert fact.deviation <= general.deviation
+
+
+@pytest.mark.parametrize("n", [20, 60])
+@pytest.mark.parametrize("two_l", [1, 2, 3, 4])
+def test_meridian_frames_match_per_point_transport(monkeypatch, two_l, n):
+    mesh = SphereMesh(n, 2 * n, "uniform")
+    step = 1 if n < 60 else 4  # the per-point reference takes one SVD per mesh point
+    cases = [(ModelParams(two_l, 0.8), (label,))
+             for label in range(1, 3 * (two_l + 1) + 1, step)]
+    if two_l == 2:
+        cases.append((ModelParams(2, 2 / 3), (3, 4, 5)))
+    for p, labels in cases:
+        fact = smooth_gauge_states(p, labels, mesh)
+        with monkeypatch.context() as m:
+            _general(m)
+            general = smooth_gauge_states(p, labels, mesh)
+        assert [r.theta for r in fact.rows] == [r.theta for r in general.rows]
+        worst = max(np.max(np.abs(a.frames - b.frames)) for a, b in zip(fact.rows, general.rows))
+        assert worst < 1e-12, (labels, worst)
+
+
+@pytest.mark.parametrize("two_l,labels", [(1, (2,)), (2, (3, 4, 5)), (4, (7,))])
+def test_meridian_frames_are_orthonormal_on_equal_area(two_l, labels):
+    p = ModelParams(two_l, 2 / (two_l + 1) if len(labels) > 1 else 0.8)
+    frames = smooth_gauge_states(p, labels, SphereMesh(40, 80, "equal-area"))
+    eye = np.eye(len(labels))
+    for row in frames.rows:
+        assert row.frames.flags.owndata and row.frames.flags.writeable  # tests write in place
+        gram = np.einsum("nda,ndb->nab", row.frames.conj(), row.frames)
+        assert np.max(np.abs(gram - eye)) < TOL.orthonormality
+
+
+@pytest.mark.parametrize("scheme", ["uniform", "equal-area"])
+def test_covariant_frames_align_once_per_latitude(monkeypatch, scheme):
+    sizes: list[int] = []
+    real = geometry._align_rows
+
+    def spy(frames, ref):
+        sizes.append(len(frames))
+        return real(frames, ref)
+    monkeypatch.setattr(geometry, "_align_rows", spy)
+    mesh = SphereMesh(8, 16, scheme)  # 16 phis on every ring of either scheme
+    for y, per_latitude in ((0.0, 1), (0.1, 16)):
+        sizes.clear()
+        smooth_gauge_states(ModelParams(2, 1.3, y, axis=(1.0, 0.0, 0.0)), (1,), mesh)
+        assert sizes == [per_latitude] * (mesh.n_theta - 1)
 
 
 def _count_matrices(monkeypatch) -> list[int]:
