@@ -4,7 +4,8 @@
 Prints the deviation from the quantized value for the pure-precession
 bands and for the three-fold degenerate cluster, at a sequence of ring
 counts, for the link-variable scheme and for the smoothed-gauge
-curvature scheme on both mesh layouts.
+curvature scheme on both mesh layouts; the cluster is also run on the
+closed-form (analytic) frames.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ def main() -> None:
 
     zeeman = zeeman_params()
     cluster = ModelParams(2, 2 / 3, 0.0, FieldDirection(0.5, 0.3))
-    print(f"{'rings':>6} {'case':<22} {'scheme':<22} {'value':>12} {'deviation':>11}")
+    print(f"{'rings':>6} {'case':<22} {'scheme':<29} {'value':>12} {'deviation':>11}")
     for n in rings:
         cases = [
             ("precession k=+1", zeeman, 3,
@@ -42,17 +43,21 @@ def main() -> None:
               ("curvature uniform", lambda p, l: chern_number_curvature(
                   p, l, SphereMesh(n, 2 * n, "uniform"))),
               ("curvature equal-area", lambda p, l: chern_number_curvature(
-                  p, l, SphereMesh(n, 2 * n, "equal-area")))]),
+                  p, l, SphereMesh(n, 2 * n, "equal-area"))),
+              ("curvature analytic uniform", lambda p, l: chern_number_curvature(
+                  p, l, SphereMesh(n, 2 * n, "uniform"), source="analytic")),
+              ("curvature analytic equal-area", lambda p, l: chern_number_curvature(
+                  p, l, SphereMesh(n, 2 * n, "equal-area"), source="analytic"))]),
         ]
         for case_name, params, labels, schemes in cases:
             for scheme_name, fn in schemes:
                 try:
                     res = fn(params, labels)
                 except MeshResolutionError:
-                    print(f"{n:>6} {case_name:<22} {scheme_name:<22} "
+                    print(f"{n:>6} {case_name:<22} {scheme_name:<29} "
                           f"{'(fails the quantization gate)':>24}")
                     continue
-                print(f"{n:>6} {case_name:<22} {scheme_name:<22} "
+                print(f"{n:>6} {case_name:<22} {scheme_name:<29} "
                       f"{res.fourpi:>12.6f} {res.deviation:>11.2e}")
 
 

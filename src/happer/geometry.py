@@ -22,14 +22,16 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .degenerate import gram_schmidt, raw_degenerate_vectors
+from .degenerate import degenerate_energy, gram_schmidt, raw_degenerate_vectors
 from .errors import MeshResolutionError, SubspaceIsolationError
 from .mesh import SphereMesh
-from .model import ModelParams, _jz_diagonal, _z_covariant, hamiltonian_batch
+from .model import (ModelParams, _jz_diagonal, _z_covariant, build_hamiltonian,
+                    hamiltonian_batch)
 from .spectrum import level_positions
 from .tolerances import TOL
 
 HBuilder = Callable[[np.ndarray, np.ndarray], np.ndarray]
+FrameBuilder = Callable[[np.ndarray, np.ndarray], np.ndarray]  # (thetas, phis) -> frames
 
 
 @dataclass(frozen=True)
@@ -57,16 +59,12 @@ def _half_grid(nuclear_two_l: int, n_levels: int) -> bool:
     return nuclear_two_l * n_levels % 2 == 1
 
 
-def _check_quantized(value_fourpi: float, context: str) -> None:
-    """Quantization gate: the twopi value must sit on the integer grid.
-
-    Half-integer spins carry half-integer fourpi values, so the check is
-    applied to twice the fourpi value and scaled back.
-    """
-    dev = abs(2 * value_fourpi - np.rint(2 * value_fourpi)) / 2
-    if dev > TOL.chern_integer:
+def _check_quantized(result: ChernResult, context: str) -> ChernResult:
+    """Quantization gate on the result's own grid (Z or Z + 1/2, see _half_grid)."""
+    if result.deviation > TOL.chern_integer:
         raise MeshResolutionError(
-            f"{context}: deviation {dev:.3f} from the quantized grid; refine the mesh")
+            f"{context}: deviation {result.deviation:.3f} from the quantized grid; refine the mesh")
+    return result
 
 
 def _happer_builder(p: ModelParams) -> HBuilder:
@@ -112,22 +110,25 @@ def _link_grid(p: ModelParams, mesh: SphereMesh,
     return _eigen_grid(p, mesh.theta_edges(), phis, h_builder)
 
 
-def _check_isolated(w: np.ndarray, positions: Sequence[int], context: str) -> float:
+def _band_gaps(w: np.ndarray, positions: Sequence[int], context: str) -> np.ndarray:
+    """Per-point gap between a contiguous band set and the rest of the spectrum."""
     lo, hi = min(positions), max(positions)
     if sorted(positions) != list(range(lo, hi + 1)):
         raise ValueError(f"{context}: band positions must be contiguous, got {positions}")
-    dim = w.shape[-1]
-    gaps = []
+    gaps = np.full(w.shape[:-1], np.inf)
     if lo > 0:
-        gaps.append(float(np.min(w[..., lo] - w[..., lo - 1])))
-    if hi < dim - 1:
-        gaps.append(float(np.min(w[..., hi + 1] - w[..., hi])))
-    gap = min(gaps, default=np.inf)
+        gaps = np.minimum(gaps, w[..., lo] - w[..., lo - 1])
+    if hi < w.shape[-1] - 1:
+        gaps = np.minimum(gaps, w[..., hi + 1] - w[..., hi])
+    return gaps
+
+
+def _check_isolated(w: np.ndarray, positions: Sequence[int], context: str) -> None:
+    gap = float(np.min(_band_gaps(w, positions, context)))
     if gap < TOL.subspace_isolation:
         raise SubspaceIsolationError(
             f"{context}: bands {positions} touch the rest of the spectrum (gap {gap:.2e}); "
             "perturb x away from the crossing or treat the whole cluster")
-    return gap
 
 
 def _plaquette_sum_scalar(link_theta: np.ndarray, link_phi: np.ndarray) -> np.ndarray:
@@ -190,8 +191,8 @@ def chern_number_link_variable(p: ModelParams, labels: Sequence[int] | int,
     w, v = _link_grid(p, mesh)
     _check_isolated(w, positions, "link-variable Chern")
     value = _link_chern_subspace(v[..., list(positions)])
-    _check_quantized(value, "link-variable Chern")
-    return ChernResult.from_fourpi(value, _half_grid(p.nuclear_two_l, len(positions)))
+    result = ChernResult.from_fourpi(value, _half_grid(p.nuclear_two_l, len(positions)))
+    return _check_quantized(result, "link-variable Chern")
 
 
 def chern_spectrum_link_variable(p: ModelParams, mesh: SphereMesh | None = None,
@@ -211,7 +212,7 @@ def chern_spectrum_link_variable(p: ModelParams, mesh: SphereMesh | None = None,
     results = [ChernResult.from_fourpi(float(c), half) for c in values]
     if check:
         for i, r in enumerate(results):
-            _check_quantized(r.fourpi, f"band {i}")
+            _check_quantized(r, f"band {i}")
     return results
 
 
@@ -276,12 +277,7 @@ def _raw_frames(p: ModelParams, thetas: np.ndarray, phis: np.ndarray,
                 positions: Sequence[int]) -> np.ndarray:
     """Grid frames (n_t, n_p, dim, d_sub); raises where they touch the rest of the spectrum."""
     w, v = _eigen_grid(p, thetas, phis)
-    lo, hi = min(positions), max(positions)
-    gaps = np.full(w.shape[:2], np.inf)
-    if lo > 0:
-        gaps = np.minimum(gaps, w[..., lo] - w[..., lo - 1])
-    if hi < w.shape[-1] - 1:
-        gaps = np.minimum(gaps, w[..., hi + 1] - w[..., hi])
+    gaps = _band_gaps(w, positions, "smoothed-gauge frames")
     t, f = np.unravel_index(np.argmin(gaps), gaps.shape)
     if gaps[t, f] < TOL.subspace_isolation:
         raise SubspaceIsolationError(
@@ -297,18 +293,19 @@ def smooth_gauge_states(p: ModelParams, labels: Sequence[int], mesh: SphereMesh 
                         source: str = "numerical") -> FrameField:
     """Orthonormal frames of the labelled subspace in a smooth gauge.
 
-    Numerical frames are parallel-transported from a seed at the south
-    pole: each frame is aligned to the one south of it by the polar
-    unitary of their overlap matrix, which makes neighbouring frames
-    agree to O(mesh spacing) everywhere (the transported gauge is single
-    valued on the sphere minus the dropped north cap).  For z-covariant H
-    only the phi = 0 meridian is transported and rotated out to every phi
+    Frames are parallel-transported: each is aligned to its neighbour
+    toward a seed by the polar unitary of their overlap matrix, which makes
+    neighbouring frames agree to O(mesh spacing) everywhere (the gauge is
+    single valued on the sphere minus the dropped north cap).  Numerical
+    frames are seeded at the south pole.  For z-covariant H only the
+    phi = 0 meridian is transported and rotated out to every phi
     (_meridian_rows); otherwise every mesh point is aligned (_transport).
 
-    With ``source="analytic"`` the closed-form degenerate bases are used
-    directly wherever they are well conditioned (away from the poles),
-    with numerically transported rows filling the polar margins; valid
-    only for the full cluster at the crossing coupling, L in {1, 2}.
+    With ``source="analytic"`` the closed-form degenerate bases seed every
+    latitude where they are well conditioned (away from the poles), with
+    numerically transported latitudes filling the polar margins, on the
+    same meridian; valid only for the full cluster at the crossing
+    coupling with y = 0, L in {1, 2}.
     """
     mesh = mesh or SphereMesh()
     labels = tuple(sorted(labels))
@@ -336,100 +333,100 @@ def smooth_gauge_states(p: ModelParams, labels: Sequence[int], mesh: SphereMesh 
             plan.append((float(edges[r + 1]), phis))
 
     if source == "analytic":
-        rows = _transport(p, positions, plan, *_analytic_seed(p, positions, plan))
+        rows = _meridian_rows(p, positions, plan, _analytic_frames(p, positions))
     elif source != "numerical":
         raise ValueError(f"unknown frame source {source!r}")
     elif _z_covariant(p.y, p.axis):
         rows = _meridian_rows(p, positions, plan)
     else:
-        rows = _transport(p, positions, plan, *_south_pole_seed(p, positions, plan))
+        rows = _transport(p, positions, plan)
     return FrameField(mesh, labels, p.nuclear_two_l, positions, ring_start, rows,
                       top_index, bottom_index)
 
 
-def _south_pole_seed(p: ModelParams, positions: Sequence[int],
-                     plan: list[tuple[float, np.ndarray]]) -> tuple[int, list[np.ndarray]]:
-    """Numerical frames of the southernmost row; one shared frame on the exact pole."""
-    south = len(plan) - 1
-    theta, phis = plan[south]
-    raw = _raw_frames(p, np.array([theta]), phis, positions)[0]
-    if abs(theta - np.pi) < 1e-12:
-        raw = np.broadcast_to(raw[0], raw.shape).copy()
-    return south, [raw]
+def _analytic_frames(p: ModelParams, positions: Sequence[int]) -> FrameBuilder:
+    """Closed-form orthonormal frames of the crossing multiplet, batched over (thetas, phis)."""
+    l = {2: 1, 4: 2}.get(p.nuclear_two_l)
+    if l is None:
+        raise ValueError("analytic frames exist for L in {1, 2} only")
+    if abs(p.x - p.crossing_x()) > 1e-9 or p.y != 0.0:
+        raise ValueError(f"analytic frames are defined at the crossing x = {p.crossing_x()}, y = 0")
+    energies = np.linalg.eigvalsh(build_hamiltonian(p))[list(positions)]
+    if (len(positions) != p.nuclear_two_l + 1 or np.max(np.abs(
+            energies - degenerate_energy(p.nuclear_two_l))) > TOL.subspace_isolation):
+        raise ValueError("analytic frames cover exactly the crossing multiplet")
+    return lambda thetas, phis: gram_schmidt(raw_degenerate_vectors(l, thetas, phis))
 
 
-def _meridian_rows(p: ModelParams, positions: Sequence[int],
-                   plan: list[tuple[float, np.ndarray]]) -> list[_Row]:
-    """Frames transported down the phi = 0 meridian, rotated out to every phi.
+def _meridian_rows(p: ModelParams, positions: Sequence[int], plan: list[tuple[float, np.ndarray]],
+                   closed_form: FrameBuilder | None = None) -> list[_Row]:
+    """Frames transported along the phi = 0 meridian, rotated out to every phi.
 
-    For z-covariant H the pole frame F0 spans a J_z-invariant subspace, so
-    D(phi) = F0^dag R(phi)^dag F0 is unitary, R(phi) = e^{-i phi J_z}.  An
-    overlap with a reference R F(theta', 0) D is M(theta, 0) D, and polar(M D)
-    = polar(M) D, so F(theta, phi) = R F(theta, 0) D is the per-point polar
-    transport at any phi, with phi-independent singular values.
+    The seed latitudes are the south pole for numerical frames, or every
+    latitude at least _ANALYTIC_POLE_MARGIN from the poles for a closed
+    form (one batched call); every other latitude is aligned outward from
+    the nearest seed latitude, one SVD each.  For z-covariant H a frame
+    field on a seed latitude theta_s has unitary D(phi) = F(theta_s, 0)^dag
+    R(phi)^dag F(theta_s, phi), R(phi) = e^{-i phi J_z} (F0^dag R^dag F0 at
+    the pole, whose frame spans a J_z-invariant subspace; the same D on
+    every latitude for the covariant closed forms).  An overlap with a
+    reference R F(theta', 0) D is M(theta, 0) D, and polar(M D) = polar(M) D,
+    so F(theta, phi) = R F(theta, 0) D is the per-point polar transport at
+    any phi, with phi-independent singular values.
     """
     thetas = np.unique([theta for theta, _ in plan])[::-1]  # south pole first
-    raw = _raw_frames(p, thetas, np.zeros(1), positions)[:, 0]
-    meridian = [raw[0]]
-    for v in raw[1:]:
-        meridian.append(_align_rows(v[None], meridian[-1][None])[0])
-    at = dict(zip(thetas, meridian))
-    f0 = meridian[0]
+    zeros = np.zeros(1)
+    if closed_form is None:
+        frames = _raw_frames(p, thetas, zeros, positions)[:, 0]
+        lo = hi = s = 0  # s: the seed latitude D is read on
+    else:
+        seeded = (thetas > _ANALYTIC_POLE_MARGIN) & (thetas < np.pi - _ANALYTIC_POLE_MARGIN)
+        if not seeded.any():
+            raise ValueError("mesh too coarse for analytic frames: no rows away from the poles")
+        frames = np.empty((len(thetas), p.dim, len(positions)), dtype=complex)
+        frames[~seeded] = _raw_frames(p, thetas[~seeded], zeros, positions)[:, 0]
+        frames[seeded] = closed_form(thetas[seeded], zeros)
+        lo, hi = np.flatnonzero(seeded)[[0, -1]]
+        s = lo + int(np.argmin(np.abs(thetas[lo:hi + 1] - np.pi / 2)))  # best conditioned
+    outward = [(i, i - 1) for i in range(hi + 1, len(thetas))]  # northward
+    outward += [(i, i + 1) for i in range(lo - 1, -1, -1)]  # southward
+    for i, ref in outward:
+        frames[i] = _align_rows(frames[i][None], frames[ref][None])[0]
+    at = dict(zip(thetas, frames))
     per_count: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     rows = []
     for theta, phis in plan:
         if len(phis) not in per_count:
             rot = np.exp(-1j * np.multiply.outer(phis, _jz_diagonal(p.nuclear_two_l)))[:, :, None]
-            per_count[len(phis)] = rot, f0.conj().T @ (rot.conj() * f0)
+            on_s = frames[s] if closed_form is None else closed_form(
+                np.full_like(phis, thetas[s]), phis)
+            per_count[len(phis)] = rot, frames[s].conj().T @ (rot.conj() * on_s)
         rot, d = per_count[len(phis)]
         rows.append(_Row(theta, phis, rot * (at[theta] @ d)))
     return rows
 
 
-def _analytic_seed(p: ModelParams, positions: Sequence[int],
-                   plan: list[tuple[float, np.ndarray]]) -> tuple[int, list[np.ndarray]]:
-    """Closed-form frames of the rows at least _ANALYTIC_POLE_MARGIN from the poles."""
-    l = {2: 1, 4: 2}.get(p.nuclear_two_l)
-    if l is None:
-        raise ValueError("analytic frames exist for L in {1, 2} only")
-    x_star = p.crossing_x()
-    if abs(p.x - x_star) > 1e-9:
-        raise ValueError(f"analytic frames are defined at the crossing x = {x_star}")
-    if len(positions) != p.nuclear_two_l + 1:
-        raise ValueError("analytic frames cover the full degenerate cluster")
-    idx = [i for i, (theta, _) in enumerate(plan)
-           if _ANALYTIC_POLE_MARGIN < theta < np.pi - _ANALYTIC_POLE_MARGIN]
-    if not idx:
-        raise ValueError("mesh too coarse for analytic frames: no rows away from the poles")
-    return idx[0], [gram_schmidt(raw_degenerate_vectors(l, np.full_like(phis, theta), phis))
-                    for theta, phis in (plan[i] for i in idx)]
-
-
 def _transport(p: ModelParams, positions: Sequence[int],
-               plan: list[tuple[float, np.ndarray]], lo: int,
-               seeds: list[np.ndarray]) -> list[_Row]:
-    """Rows lo.. hold the seeds; every other row is aligned to its neighbour, outward.
+               plan: list[tuple[float, np.ndarray]]) -> list[_Row]:
+    """Per-point transport for H that is not z-covariant, northward from the south pole.
 
-    One SVD per mesh point against the neighbour's nearest-phi frame (analytic
-    seeds, H not z-covariant); a row that coincides with its neighbour (same
-    theta and phi count) copies the neighbour's frames instead of being re-solved.
+    The pole row shares one frame; every other row is aligned to the row
+    south of it, one SVD per mesh point against that row's nearest-phi
+    frame, or copies its frames when it coincides with it (same theta and
+    phi count) instead of being re-solved.
     """
-    rows: list[_Row | None] = [None] * len(plan)
-    for i, frames in enumerate(seeds, lo):
-        rows[i] = _Row(*plan[i], frames)
-    hi = lo + len(seeds) - 1
-    outward = [(i, i - 1) for i in range(hi + 1, len(plan))]
-    outward += [(i, i + 1) for i in range(lo - 1, -1, -1)]
-    for i, n in outward:
-        theta, phis = plan[i]
-        ref = rows[n]
+    theta, phis = plan[-1]
+    raw = _raw_frames(p, np.array([theta]), phis, positions)[0]
+    rows = [_Row(theta, phis, np.broadcast_to(raw[0], raw.shape).copy())]
+    for theta, phis in plan[-2::-1]:
+        ref = rows[-1]
         if theta == ref.theta and len(phis) == len(ref.phis):
             frames = ref.frames.copy()
         else:
             raw = _raw_frames(p, np.array([theta]), phis, positions)[0]
             frames = _align_rows(raw, ref.frames[_nearest_phi_map(phis, len(ref.phis))])
-        rows[i] = _Row(theta, phis, frames)
-    return rows  # type: ignore[return-value]
+        rows.append(_Row(theta, phis, frames))
+    return rows[::-1]
 
 
 @dataclass
@@ -521,9 +518,9 @@ def chern_number(field: CurvatureField) -> ChernResult:
     curvature density of the nearest ring.
     """
     total = field.trace_sum() + field.cap_compensation()
-    value = total / (4 * np.pi)
-    _check_quantized(value, "curvature-integral Chern")
-    return ChernResult.from_fourpi(value, _half_grid(field.nuclear_two_l, len(field.labels)))
+    result = ChernResult.from_fourpi(total / (4 * np.pi),
+                                     _half_grid(field.nuclear_two_l, len(field.labels)))
+    return _check_quantized(result, "curvature-integral Chern")
 
 
 def curvature_field(p: ModelParams, labels: Sequence[int], mesh: SphereMesh | None = None,

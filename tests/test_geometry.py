@@ -4,6 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import happer.geometry as geometry
+from happer.degenerate import gram_schmidt, raw_degenerate_vectors
 from happer.errors import MeshResolutionError, SubspaceIsolationError
 from happer.geometry import (ChernResult, chern_number, chern_number_curvature,
                              chern_number_link_variable, chern_spectrum_link_variable,
@@ -275,6 +276,40 @@ def test_noncontiguous_cluster_rejected():
     p = ModelParams(2, 1.0, 0.0, FieldDirection(0.5, 0.3))
     with pytest.raises(ValueError, match="contiguous"):
         chern_number_link_variable(p, (1, 9), SphereMesh(16, 32, "uniform"))
+    # Label 4 sits inside the three-fold cluster at x = 2/3: gapped at its
+    # outer ends, the set still splits the cluster, on either scheme.
+    p_star = ModelParams(2, 2 / 3, 0.0, FieldDirection(0.5, 0.3))
+    mesh = SphereMesh(60, 120, "equal-area")
+    for call in (lambda: chern_number_link_variable(p_star, (4, 9), mesh),
+                 lambda: chern_number_curvature(p_star, (4, 9), mesh),
+                 lambda: loop_phase(p_star, (4, 9), RING_LOOP, mesh)):
+        with pytest.raises(ValueError, match="contiguous"):
+            call()
+
+
+@pytest.mark.parametrize("n,scheme", [(11, "equal-area"), (10, "uniform")])
+def test_quantization_gate_uses_each_results_own_grid(n, scheme):
+    # The L = 1 cluster has three levels, so it sits on Z: a value near a
+    # half-integer is half a unit off, whatever it rounds to.
+    p = ModelParams(2, 2 / 3, 0.0, FieldDirection(0.5, 0.3))
+    with pytest.raises(MeshResolutionError, match="quantized grid"):
+        chern_number_curvature(p, (3, 4, 5), SphereMesh(n, 2 * n, scheme))
+    half = ChernResult.from_fourpi(0.46, half=True)
+    assert geometry._check_quantized(half, "half").rounded == 0.5
+    with pytest.raises(MeshResolutionError, match="quantized grid"):
+        geometry._check_quantized(ChernResult.from_fourpi(0.46), "integer")
+
+
+@pytest.mark.parametrize("y,axis,labels", [(0.1, (0.0, 0.0, 1.0), (3, 4, 5)),
+                                           (0.01, (1.0, 0.0, 0.0), (3, 4, 5)),
+                                           (0.0, (0.0, 0.0, 1.0), (6, 7, 8))],
+                         ids=["y", "tilted-axis", "gapped-triple"])
+def test_analytic_source_needs_the_crossing_multiplet_at_y_zero(y, axis, labels):
+    # The closed forms are the y = 0 crossing multiplet; (6, 7, 8) is a
+    # gapped triple above it.
+    p = ModelParams(2, 2 / 3, y, FieldDirection(1.1, 2.0), axis)
+    with pytest.raises(ValueError, match="y = 0|crossing multiplet"):
+        chern_number_curvature(p, labels, SphereMesh(60, 120, "uniform"), source="analytic")
 
 
 def test_curvature_csv_export(tmp_path):
@@ -401,6 +436,53 @@ def test_covariant_frames_align_once_per_latitude(monkeypatch, scheme):
         sizes.clear()
         smooth_gauge_states(ModelParams(2, 1.3, y, axis=(1.0, 0.0, 0.0)), (1,), mesh)
         assert sizes == [per_latitude] * (mesh.n_theta - 1)
+
+
+ANALYTIC_CASES = [(2, (3, 4, 5), 1e-10), (4, (5, 6, 7, 8, 9), 1e-6)]
+
+
+@pytest.mark.parametrize("scheme", ["uniform", "equal-area"])
+@pytest.mark.parametrize("n", [20, 100])
+@pytest.mark.parametrize("two_l,labels,tol", ANALYTIC_CASES)
+def test_analytic_interior_rows_are_the_closed_forms(two_l, labels, tol, n, scheme):
+    # Rotated out from phi = 0, the rows away from the poles stay the closed
+    # forms at their own phi; the L = 2 forms carry csc^6 factors and lose
+    # digits near the pole margin.
+    p = ModelParams(two_l, 2 / (two_l + 1))
+    frames = smooth_gauge_states(p, labels, SphereMesh(n, 2 * n, scheme), source="analytic")
+    margin = geometry._ANALYTIC_POLE_MARGIN
+    interior = [row for row in frames.rows if margin < row.theta < np.pi - margin]
+    assert interior
+    for row in interior:
+        closed = gram_schmidt(raw_degenerate_vectors(two_l // 2, np.full_like(row.phis, row.theta),
+                                                     row.phis))
+        assert np.max(np.abs(row.frames - closed)) < tol
+
+
+@pytest.mark.parametrize("scheme", ["uniform", "equal-area"])
+def test_analytic_frames_take_the_meridian(monkeypatch, scheme):
+    # One closed-form call for the seed latitudes at phi = 0, one per phi
+    # count for the rotation, and one aligned frame per polar-margin latitude.
+    calls: list[int] = []
+    sizes: list[int] = []
+    real_raw, real_align = geometry.raw_degenerate_vectors, geometry._align_rows
+
+    def raw_spy(l, theta, phi):
+        calls.append(1)
+        return real_raw(l, theta, phi)
+
+    def align_spy(frames, ref):
+        sizes.append(len(frames))
+        return real_align(frames, ref)
+    monkeypatch.setattr(geometry, "raw_degenerate_vectors", raw_spy)
+    monkeypatch.setattr(geometry, "_align_rows", align_spy)
+    mesh = SphereMesh(100, 200, scheme)
+    smooth_gauge_states(ModelParams(4, 0.4), (5, 6, 7, 8, 9), mesh, source="analytic")
+    counts = {mesh.ring_phi_count(r) for r in range(1, mesh.n_theta)}
+    margin = geometry._ANALYTIC_POLE_MARGIN
+    polar = [t for t in mesh.theta_edges()[1:] if not margin < t < np.pi - margin]
+    assert len(calls) == 1 + len(counts)
+    assert sizes == [1] * len(polar)
 
 
 def _count_matrices(monkeypatch) -> list[int]:
