@@ -1,17 +1,16 @@
 """Time evolution under the rotating field: trajectories, geometric-phase
 extraction, and ramp-rate scans through the anti-crossing.
 
-The propagator is the exact exponential of the midpoint Hamiltonian,
-exp(-i H(t_mid) dt), evaluated by eigendecomposition; every step is
-exactly unitary, so norm drift is a pure floating-point diagnostic.  For
-a rotating field at constant couplings the step reduces to a fixed
-exponential conjugated by diagonal J_z phases, which is used as a fast
-path (it is the same operator, not an approximation).
-
-Both the drive and the ramp build their midpoint Hamiltonians, eigensolves
-and step unitaries _CHUNK steps at a time and then apply the unitaries in
-order.  On the fast path every step is the same matrix in the rotating
-frame, so the state advances between records by powers of that matrix.
+Drives are solved in the frame that turns with the field: with
+R(phi) = e^{-i phi J_z}, chi = R(omega t)^dag psi evolves under
+H_rot(t) = R(omega t)^dag H(t) R(omega t) - omega J_z (Rabi, Ramsey &
+Schwinger, Rev. Mod. Phys. 26, 167 (1954)).  For a z-covariant H at static
+couplings H_rot is constant, and one eigendecomposition gives the exact
+state at every record time.  Otherwise H_rot, where only the tilted-axis
+term and ramped couplings still turn, is stepped like a ramp: by the
+exact exponential of the midpoint Hamiltonian, _CHUNK steps per batched
+eigensolve.  Every step is exactly unitary, so norm drift is a pure
+floating-point diagnostic.
 """
 
 from __future__ import annotations
@@ -129,7 +128,12 @@ def _midpoint_evolve(psi: np.ndarray, hamiltonians, n_steps: int, dt: float,
 
 def propagate(p0: ModelParams, protocol: DriveProtocol, initial: np.ndarray,
               steps_per_period: int = 2000, record_every: int = 1) -> Trajectory:
-    """Step the state through n_periods of the rotating drive."""
+    """Evolve the state through n_periods of the rotating drive.
+
+    States are recorded at t = 0, every record_every steps of
+    dt = period / steps_per_period, and at the end.  When H_rot is constant
+    the states are exact and steps_per_period only sets their spacing.
+    """
     if steps_per_period < 100:
         raise ValueError("steps_per_period must be at least 100")
     if record_every < 1:
@@ -144,35 +148,29 @@ def propagate(p0: ModelParams, protocol: DriveProtocol, initial: np.ndarray,
     if rec_idx[-1] != n_steps:
         rec_idx.append(n_steps)
 
-    recorded = np.empty((len(rec_idx), p0.dim), dtype=complex)
-    recorded[0] = psi
+    jz = _jz_diagonal(p0.nuclear_two_l)
+    omega = protocol.omega
+
+    def rotating(t):
+        """R(omega t)^dag H(t) R(omega t) - omega J_z; an array of times gives a stack."""
+        r_dag = np.exp(1j * omega * np.multiply.outer(t, jz))  # diagonal of R(omega t)^dag
+        phase = r_dag[..., :, None] * r_dag.conj()[..., None, :]
+        return phase * instantaneous_hamiltonian(p0, protocol, t) - omega * np.diag(jz)
+
+    rec_times = np.asarray(rec_idx) * dt
     if protocol.is_static_couplings() and _z_covariant(protocol.coupling_at(0.0, p0)[1], p0.axis):
-        # With R(phi) = e^{-i phi J_z} and the midpoint angle phi_k = omega (k + 1/2) dt,
-        # step k is R(phi_k) S R(phi_k)^dag for S = exp(-i H(theta0, 0) dt), so
-        # psi_n = R(phi_n) M^n R(phi_0)^dag psi_0 with the one matrix M = R(omega dt)^dag S.
-        w0, v0 = np.linalg.eigh(instantaneous_hamiltonian(p0, protocol, 0.0))
-        jz = _jz_diagonal(p0.nuclear_two_l)
-        step_op = (v0 * np.exp(-1j * w0 * dt)) @ v0.conj().T
-        m = np.exp(1j * protocol.omega * dt * jz)[:, None] * step_op
-        powers: dict[int, np.ndarray] = {}
-        chi = np.exp(0.5j * protocol.omega * dt * jz) * psi
-        for i in range(1, len(rec_idx)):
-            stride = rec_idx[i] - rec_idx[i - 1]
-            if stride not in powers:
-                powers[stride] = np.linalg.matrix_power(m, stride)
-            chi = powers[stride] @ chi
-            recorded[i] = np.exp(-1j * protocol.omega * (rec_idx[i] + 0.5) * dt * jz) * chi
+        w, v = np.linalg.eigh(rotating(0.0))  # H_rot is constant: chi(t) = e^{-i H_rot t} psi0
+        chi = (np.exp(-1j * np.multiply.outer(rec_times, w)) * (v.conj().T @ psi)) @ v.T
     else:
-        recorded[1:] = _midpoint_evolve(
-            psi, lambda mid: instantaneous_hamiltonian(p0, protocol, mid * dt), n_steps, dt,
-            rec_idx[1:])
+        chi = np.vstack([psi, _midpoint_evolve(psi, lambda mid: rotating(mid * dt), n_steps, dt,
+                                               rec_idx[1:])])
+    recorded = np.exp(-1j * omega * np.multiply.outer(rec_times, jz)) * chi
 
     norms = np.linalg.norm(recorded, axis=1)
     drift = float(np.max(np.abs(norms - 1.0)))
     if drift > TOL.norm_drift:
         raise NormDriftError(f"norm drift {drift:.2e} exceeded tolerance during propagation")
     s_avg, l_avg = _expectations(recorded, p0.nuclear_two_l)
-    rec_times = np.asarray(rec_idx) * dt
     return Trajectory(rec_times, recorded, s_avg, l_avg, s_avg + l_avg, drift, p0, protocol)
 
 
@@ -238,12 +236,12 @@ def adiabatic_omega(p0: ModelParams, protocol_theta: float, factor: float = 1e-3
 def cone_fit(vectors: np.ndarray) -> tuple[np.ndarray, float, float, float]:
     """Fit a cone to a closed trajectory of 3-vectors.
 
-    Returns (axis, opening angle, solid angle about the axis, max angular
-    deviation from the mean opening angle).
+    The last row is taken to close the curve, as propagate's record at
+    t = n_periods * period does, and is dropped so that it does not bias
+    the axis.  Returns (axis, opening angle, solid angle about the axis,
+    max angular deviation from the mean opening angle).
     """
-    v = np.asarray(vectors, dtype=float)
-    if len(v) > 2 and np.allclose(v[0], v[-1], atol=1e-6):
-        v = v[:-1]  # closed curve: the duplicated endpoint would bias the axis
+    v = np.asarray(vectors, dtype=float)[:-1]
     norms = np.linalg.norm(v, axis=1)
     if np.min(norms) < 1e-12:
         raise ValueError("trajectory passes through the origin; no cone is defined")

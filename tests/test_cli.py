@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from happer.cli import ScanConfig, build_parser, config_from_args, main
+from happer.model import ModelParams
+from happer.spectrum import eigensystem_with_j, level_positions
+from happer.tolerances import TOL
 
 
 def run(tmp_path, name, args):
@@ -111,6 +114,33 @@ def test_dynamics_flags_distorted_trajectories(tmp_path):
     header = next(ln for ln in lines if not ln.startswith("#"))
     row = lines[lines.index(header) + 1].split(",")
     assert float(row[-1]) > 0.05  # distortion column
+
+
+def test_dynamics_generic_path_passes_where_lab_frame_steps_alias(tmp_path):
+    # A lab-frame midpoint step of H(t) aliases here and leaks 1.2e-2 out of level 1.
+    code, text = run(tmp_path, "alias.csv",
+                     ["dynamics", "--l", "1", "--x", "1.028", "--y", "0.1", "--axis", "1,0,0",
+                      "--theta0", "1.123", "--level", "1", "--steps-per-period", "4000"])
+    assert code == 0
+    assert "check-failed" not in text
+
+
+def test_dynamics_fast_path_phases_where_lab_frame_steps_alias(tmp_path):
+    # Every level's phase is -m times the cap solid angle; a lab-frame split
+    # step misses it here by 10% of the cap at 8000 steps per period.
+    code, text = run(tmp_path, "alias_fast.csv",
+                     ["dynamics", "--l", "1", "--x", "0.9924", "--steps-per-period", "8000"])
+    assert code == 0
+    p = ModelParams(2, 0.9924, 0.0)
+    m = eigensystem_with_j(p)[1][level_positions(p)]
+    cap = 2 * np.pi * (1 - np.cos(np.pi / 6))
+    lines = text.splitlines()
+    header = next(ln for ln in lines if not ln.startswith("#"))
+    rows = [ln.split(",") for ln in lines[lines.index(header) + 1:]]
+    assert [int(r[0]) for r in rows] == list(range(1, 10))
+    for r in rows:
+        miss = np.angle(np.exp(1j * (float(r[2]) + m[int(r[0]) - 1] * cap)))
+        assert abs(miss) / cap < TOL.chern_integer
 
 
 def test_weyl_compare_table(tmp_path):

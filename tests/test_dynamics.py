@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from happer.dynamics import (DriveProtocol, adiabatic_omega, cone_fit,
                              extract_geometric_phase, geometric_phase_diagnostics,
@@ -15,6 +17,19 @@ from happer.operators import SpinQuantumNumber, spin_operators
 OMEGA_CAP = 2 * np.pi * (1 - np.cos(np.pi / 6))
 
 
+def total_jz(two_l):
+    """J_z = S_z + L_z on the product space, from the spin matrices."""
+    s = spin_operators(SpinQuantumNumber(2))
+    l = spin_operators(SpinQuantumNumber(two_l))
+    return np.kron(s.sz, np.eye(l.dim)) + np.kron(np.eye(s.dim), l.sz)
+
+
+def rotation(jz, phi):
+    """R(phi) = exp(-i phi J_z)."""
+    w, v = np.linalg.eigh(jz)
+    return (v * np.exp(-1j * phi * w)) @ v.conj().T
+
+
 def rotating_frame_solution(p, protocol, psi0, t):
     """Closed-form evolution for a rotating field at constant couplings.
 
@@ -22,33 +37,36 @@ def rotating_frame_solution(p, protocol, psi0, t):
     R(t) = exp(-i omega t J_z), so psi(t) = R(t) exp(-i (H0 - omega Jz) t) psi0.
     Valid whenever the axis term is z-symmetric (y = 0 or axis = z).
     """
-    s = spin_operators(SpinQuantumNumber(2))
-    l = spin_operators(SpinQuantumNumber(p.nuclear_two_l))
-    jz = np.kron(s.sz, np.eye(l.dim)) + np.kron(np.eye(3), l.sz)
+    jz = total_jz(p.nuclear_two_l)
     p0 = ModelParams(p.nuclear_two_l, p.x, p.y, FieldDirection(protocol.theta0, 0.0), p.axis)
     h0 = build_hamiltonian(p0)
     gen = h0 - protocol.omega * jz
     w, v = np.linalg.eigh(gen)
     inner = (v * np.exp(-1j * w * t)) @ (v.conj().T @ psi0)
-    wz, vz = np.linalg.eigh(jz)
-    rot = (vz * np.exp(-1j * protocol.omega * t * wz)) @ vz.conj().T
-    return rot @ inner
+    return rotation(jz, protocol.omega * t) @ inner
 
 
 def per_step_drive(p, protocol, psi0, steps_per_period, record_every):
-    """Reference loop: build H at each step midpoint, diagonalise it, apply exp(-i H dt)."""
+    """Reference loop in the rotating frame chi = R(omega t)^dag psi.
+
+    At each step midpoint build H_rot = R^dag H R - omega J_z, diagonalise
+    it and apply exp(-i H_rot dt); rotate back at the recorded steps.
+    """
     n_steps = steps_per_period * protocol.n_periods
     dt = protocol.period / steps_per_period
-    psi, states = psi0.copy(), [psi0]
+    jz = total_jz(p.nuclear_two_l)
+    chi, states = psi0.copy(), [psi0]
     for step in range(n_steps):
         t_mid = (step + 0.5) * dt
         x_t, y_t = protocol.coupling_at(t_mid, p)
         p_t = ModelParams(p.nuclear_two_l, x_t, y_t,
                           FieldDirection(protocol.theta0, protocol.omega * t_mid), p.axis)
-        w, v = np.linalg.eigh(build_hamiltonian(p_t))
-        psi = (v * np.exp(-1j * w * dt)) @ (v.conj().T @ psi)
+        r = rotation(jz, protocol.omega * t_mid)
+        h_rot = r.conj().T @ build_hamiltonian(p_t) @ r - protocol.omega * jz
+        w, v = np.linalg.eigh(h_rot)
+        chi = (v * np.exp(-1j * w * dt)) @ (v.conj().T @ chi)
         if (step + 1) % record_every == 0 or step + 1 == n_steps:
-            states.append(psi)
+            states.append(rotation(jz, protocol.omega * (step + 1) * dt) @ chi)
     return np.array(states)
 
 
@@ -80,6 +98,9 @@ def test_propagate_matches_per_step_loop(p, proto, steps, every):
     ref = per_step_drive(p, proto, psi0, steps, every)
     assert traj.states.shape == ref.shape
     assert np.max(np.abs(traj.states - ref)) < 1e-10
+    if proto.is_static_couplings() and (p.y == 0.0 or p.axis[:2] == (0.0, 0.0)):
+        exact = [rotating_frame_solution(p, proto, psi0, t) for t in traj.times]
+        assert np.max(np.abs(traj.states - exact)) < 1e-10
 
 
 def test_landau_zener_scan_matches_per_step_loop():
@@ -125,6 +146,19 @@ def test_propagator_matches_rotating_frame_solution(two_l, x):
     for i, t in enumerate(traj.times):
         exact = rotating_frame_solution(p, proto, psi0, float(t))
         assert np.max(np.abs(traj.states[i] - exact)) < 1e-6
+
+
+@settings(max_examples=30, deadline=None)
+@given(two_l=st.integers(0, 4), x=st.floats(-2.0, 2.0), theta0=st.floats(0.05, 3.0),
+       omega=st.floats(0.01, 0.5), position=st.integers(0, 14))
+def test_fast_path_state_does_not_depend_on_step_count(two_l, x, theta0, omega, position):
+    # On the fast path steps_per_period only spaces the records.
+    p = ModelParams(two_l, x, 0.0)
+    proto = DriveProtocol(theta0, omega, 1)
+    psi0 = initial_eigenstate(p, proto, position % p.dim)
+    coarse = propagate(p, proto, psi0, steps_per_period=400, record_every=400)
+    fine = propagate(p, proto, psi0, steps_per_period=16000, record_every=16000)
+    assert np.max(np.abs(coarse.states[-1] - fine.states[-1])) < 1e-12
 
 
 def test_fast_and_generic_paths_agree():
