@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import AdiabaticityError, NormDriftError
 from .model import (FieldDirection, ModelParams, _hamiltonians, _jz_diagonal,
-                    _product_operators, _z_covariant, build_hamiltonian)
+                    _product_operators, _z_covariant, build_hamiltonian, spin_axis_operator)
 from .spectrum import eigensystem
 from .tolerances import TOL
 
@@ -87,11 +87,11 @@ class Trajectory:
                 dim = self.states.shape[1]
                 cols += [f"re_c{i}" for i in range(dim)] + [f"im_c{i}" for i in range(dim)]
             fh.write(",".join(cols) + "\n")
-            for i, t in enumerate(self.times):
-                row = [t, *self.s_avg[i], *self.l_avg[i], *self.j_avg[i]]
-                if with_state:
-                    row += list(self.states[i].real) + list(self.states[i].imag)
-                fh.write(",".join(f"{v:.12g}" for v in row) + "\n")
+            blocks = [self.times, self.s_avg, self.l_avg, self.j_avg]
+            if with_state:
+                blocks += [self.states.real, self.states.imag]
+            line = ",".join(["%.12g"] * len(cols)) + "\n"
+            fh.writelines(line % tuple(row) for row in np.column_stack(blocks).tolist())
 
 
 def _expectations(states: np.ndarray, nuclear_two_l: int) -> tuple[np.ndarray, np.ndarray]:
@@ -112,12 +112,14 @@ def _midpoint_evolve(psi: np.ndarray, hamiltonians, n_steps: int, dt: float,
 
     hamiltonians(mid) returns the H_k at an array of midpoints mid = k + 1/2
     (in steps).  They are diagonalised and exponentiated _CHUNK steps at a
-    time; the unitaries are applied one by one, in order.
+    time, by a real eigh when their imaginary parts are exactly zero; the
+    unitaries are applied one by one, in order.
     """
     slot = {s: i for i, s in enumerate(rec_idx)}
     out = np.empty((len(rec_idx), len(psi)), dtype=complex)
     for start in range(0, n_steps, _CHUNK):
-        w, v = np.linalg.eigh(hamiltonians(np.arange(start, min(start + _CHUNK, n_steps)) + 0.5))
+        h = hamiltonians(np.arange(start, min(start + _CHUNK, n_steps)) + 0.5)
+        w, v = np.linalg.eigh(h if h.imag.any() else h.real)
         for k, u in enumerate((v * np.exp(-1j * w * dt)[:, None, :]) @ v.conj().swapaxes(1, 2),
                               start + 1):
             psi = u @ psi
@@ -150,12 +152,19 @@ def propagate(p0: ModelParams, protocol: DriveProtocol, initial: np.ndarray,
 
     jz = _jz_diagonal(p0.nuclear_two_l)
     omega = protocol.omega
+    axis_term = spin_axis_operator(p0.axis, p0.nuclear_two_l)
 
     def rotating(t):
-        """R(omega t)^dag H(t) R(omega t) - omega J_z; an array of times gives a stack."""
+        """R(omega t)^dag H(t) R(omega t) - omega J_z; an array of times gives a stack.
+
+        The field and exchange terms are H at phi = 0; only the axis term
+        turns, entry (i, j) by e^{i omega t (m_i - m_j)}.
+        """
+        x_t, y_t = protocol.coupling_at(t, p0)
         r_dag = np.exp(1j * omega * np.multiply.outer(t, jz))  # diagonal of R(omega t)^dag
-        phase = r_dag[..., :, None] * r_dag.conj()[..., None, :]
-        return phase * instantaneous_hamiltonian(p0, protocol, t) - omega * np.diag(jz)
+        turned = r_dag[..., :, None] * axis_term * r_dag.conj()[..., None, :]
+        return (_hamiltonians(p0, protocol.theta0, 0.0, x_t, 0.0)
+                + np.asarray(y_t)[..., None, None] * turned - omega * np.diag(jz))
 
     rec_times = np.asarray(rec_idx) * dt
     if protocol.is_static_couplings() and _z_covariant(protocol.coupling_at(0.0, p0)[1], p0.axis):
@@ -276,6 +285,12 @@ def landau_zener_scan(p_base: ModelParams, x_start: float, x_end: float,
     (1-based, ascending energy) at x_start; populations are measured in
     the x_end eigenbasis.  Requires y != 0 and a ramp interval that
     actually contains the anti-crossing.
+
+    For z-covariant H (axis along z) the ramp runs at field azimuth 0,
+    where every H is real symmetric and takes a real eigh: R(phi) =
+    e^{-i phi J_z} maps the initial state and the final eigenbasis alike,
+    so the populations do not depend on phi.  A tilted axis ramps at the
+    given field, in complex arithmetic.
     """
     if p_base.y == 0.0:
         raise ValueError("the ramp scan probes an anti-crossing and needs y != 0")
@@ -284,6 +299,8 @@ def landau_zener_scan(p_base: ModelParams, x_start: float, x_end: float,
     if not lo < x_anti < hi:
         raise ValueError(f"ramp [{x_start}, {x_end}] does not cross the anti-crossing "
                          f"near x = {x_anti:.4f}")
+    if _z_covariant(p_base.y, p_base.axis):
+        p_base = p_base.with_field(p_base.field.theta, 0.0)
     es0 = eigensystem(build_hamiltonian(p_base.with_x(x_start)))
     psi0 = es0.eigenvectors[:, level - 1]
     es1 = eigensystem(build_hamiltonian(p_base.with_x(x_end)))

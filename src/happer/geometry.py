@@ -13,11 +13,18 @@ Chern numbers are reported in two normalizations: ``fourpi`` uses the
 prefactor 1/(4 pi) on the traced curvature integral (the monopole-charge
 count, so a pure-precession band with field-projection k carries -k) and
 ``twopi`` is the standard 1/(2 pi) value, exactly twice the former.
+
+Every model eigensolve on the sphere goes through _eigen_grid, which
+solves one phi = 0 matrix per latitude when H is covariant under
+rotations about z.  Link grids always are: a tilted axis is rotated onto
+z together with the mesh (_link_grid).  Only a caller's h_builder and the
+frames of a tilted axis, which expose fields in mesh coordinates, are
+solved point by point.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -84,8 +91,8 @@ def _eigen_grid(p: ModelParams, thetas: np.ndarray, phis: np.ndarray,
     e^{-i phi J_z} v(theta, 0); the eigenvalues do not depend on phi and
     come back as a read-only broadcast.  The gauge differs from a
     per-point solve, which the link and transported-frame schemes do not
-    see.  A caller-supplied h_builder always takes the batched per-point
-    path.
+    see.  A caller-supplied h_builder, and frames for a tilted axis
+    (_raw_frames), take the batched per-point path.
     """
     if h_builder is None and _z_covariant(p.y, p.axis):
         w0, v0 = np.linalg.eigh(hamiltonian_batch(p, thetas, np.zeros_like(thetas)))
@@ -105,7 +112,17 @@ def _eigen_grid(p: ModelParams, thetas: np.ndarray, phis: np.ndarray,
 
 def _link_grid(p: ModelParams, mesh: SphereMesh,
                h_builder: HBuilder | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs on the uniform (n_theta+1) x phi_max grid of the link scheme."""
+    """Eigenpairs on the uniform (n_theta+1) x phi_max grid of the link scheme.
+
+    The model is solved with its axis along z.  With Q a rotation taking
+    z to the axis a and D(Q) its spin representation,
+    H(Q n; a) = D H(n; z) D^dag, so the z-axis grid is the tilted problem
+    on a mesh whose poles lie along a: link overlaps do not see D, and
+    n -> Q n keeps orientation, so every link Chern number is unchanged
+    and the grid takes the z-covariant path of _eigen_grid.
+    """
+    if h_builder is None:
+        p = replace(p, axis=(0.0, 0.0, 1.0))
     phis = np.arange(mesh.phi_max) * (2 * np.pi / mesh.phi_max)
     return _eigen_grid(p, mesh.theta_edges(), phis, h_builder)
 
@@ -183,7 +200,10 @@ def chern_number_link_variable(p: ModelParams, labels: Sequence[int] | int,
 
     Always evaluated on a uniform n_theta x phi_max grid (plaquette
     phases only telescope exactly on aligned rings); the mesh argument
-    supplies the resolution.
+    supplies the resolution.  For a tilted axis the grid's rings are
+    circles about the axis (_link_grid), on each of which the spectrum is
+    constant, so the isolation check refuses a band set that touches the
+    rest along a mesh ring's circle.
     """
     mesh = mesh or SphereMesh()
     labels = (labels,) if isinstance(labels, int) else tuple(labels)

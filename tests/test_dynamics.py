@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from happer.dynamics import (DriveProtocol, adiabatic_omega, cone_fit,
+import happer.dynamics as dynamics
+from happer.dynamics import (DriveProtocol, Trajectory, adiabatic_omega, cone_fit,
                              extract_geometric_phase, geometric_phase_diagnostics,
                              initial_eigenstate, instantaneous_hamiltonian,
                              landau_zener_scan, propagate)
@@ -13,6 +14,7 @@ from happer.mesh import SphereMesh
 from happer.model import (FieldDirection, ModelParams, build_hamiltonian, conserved_j,
                           zeeman_params)
 from happer.operators import SpinQuantumNumber, spin_operators
+from happer.tolerances import TOL
 
 OMEGA_CAP = 2 * np.pi * (1 - np.cos(np.pi / 6))
 
@@ -112,6 +114,68 @@ def test_landau_zener_scan_matches_per_step_loop():
     for r, rate in zip(res, rates):
         _, ref = per_step_ramp(p, 0.61, 0.72, rate, 3, dt_max=2.0)
         assert np.max(np.abs(r.populations - ref)) < 1e-10
+
+
+def _spy_hamiltonians(monkeypatch) -> list[bool]:
+    """Record, per batch of ramp Hamiltonians, whether any entry has an imaginary part."""
+    complex_batches: list[bool] = []
+    real = dynamics._hamiltonians
+
+    def spy(*args):
+        h = real(*args)
+        complex_batches.append(bool(h.imag.any()))
+        return h
+    monkeypatch.setattr(dynamics, "_hamiltonians", spy)
+    return complex_batches
+
+
+@pytest.mark.parametrize("phi", [0.3, 2.0, 4.5])
+def test_z_axis_ramp_runs_real_and_matches_the_lab_frame(monkeypatch, phi):
+    p = ModelParams(2, 0.5, 1e-3, FieldDirection(1.0, phi))
+    rates = [2e-4, 2e-3]
+    refs = [per_step_ramp(p, 0.61, 0.72, rate, 3, dt_max=2.0)[1] for rate in rates]
+    complex_batches = _spy_hamiltonians(monkeypatch)
+    res = landau_zener_scan(p, 0.61, 0.72, rates, level=3, dt_max=2.0)
+    assert complex_batches and not any(complex_batches)
+    for r, ref in zip(res, refs):
+        assert np.max(np.abs(r.populations - ref)) < 1e-10
+
+
+def test_tilted_axis_ramp_stays_complex(monkeypatch):
+    p = ModelParams(2, 0.5, 0.05, FieldDirection(1.0, 0.3), axis=(0.6, 0.0, 0.8))
+    complex_batches = _spy_hamiltonians(monkeypatch)
+    [r] = landau_zener_scan(p, 0.5, 0.8, [1e-3], level=3)
+    assert complex_batches and all(complex_batches)
+    assert abs(r.populations.sum() - 1.0) < TOL.norm_drift
+
+
+def _csv_rows_per_value(traj, with_state):
+    """Trajectory rows formatted one value at a time, the reference for Trajectory.to_csv."""
+    rows = []
+    for i, t in enumerate(traj.times):
+        row = [t, *traj.s_avg[i], *traj.l_avg[i], *traj.j_avg[i]]
+        if with_state:
+            row += list(traj.states[i].real) + list(traj.states[i].imag)
+        rows.append(",".join(f"{v:.12g}" for v in row) + "\n")
+    return "".join(rows)
+
+
+@pytest.mark.parametrize("with_state", [False, True])
+def test_trajectory_csv_matches_per_value_formatting(tmp_path, with_state):
+    special = [-0.0, np.nan, np.inf, -np.inf, 1e-300, 1e17, 0.1 + 0.2, -1 / 3]
+    rng = np.random.default_rng(7)
+
+    def values(cols):  # every column a permutation of the special values
+        return np.stack([rng.permutation(special) for _ in range(cols)], axis=1)
+    states = values(3).astype(complex)
+    states.imag = values(3)
+    traj = Trajectory(np.array(special), states, values(3), values(3), values(3), 0.0,
+                      zeeman_params(), DriveProtocol(0.5, 0.1))
+    path = tmp_path / "traj.csv"
+    traj.to_csv(path, with_state=with_state)
+    schema, _, body = path.read_text().split("\n", 2)
+    assert schema == "# schema=1"
+    assert body == _csv_rows_per_value(traj, with_state)
 
 
 def test_instantaneous_hamiltonian_equals_build_hamiltonian():

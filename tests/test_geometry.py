@@ -501,10 +501,79 @@ def _count_matrices(monkeypatch) -> list[int]:
                                                (0.001, (0.0, 0.0, 1.0), True),
                                                (0.1, (1.0, 0.0, 0.0), False)])
 def test_tilted_axis_takes_the_per_point_path(monkeypatch, y, axis, factorised):
+    # The link grid is solved with the axis along z for every axis, one
+    # matrix per latitude; only a tilted axis's frames are solved and
+    # transported point by point, since they expose fields in mesh coordinates.
     counts = _count_matrices(monkeypatch)
     p = ModelParams(2, 1.3, y, axis=axis)
-    geometry._link_grid(p, SphereMesh(8, 16, "uniform"))
-    assert sum(counts) == (9 if factorised else 9 * 16 + 1)
+    mesh = SphereMesh(8, 16, "uniform")
+    geometry._link_grid(p, mesh)
+    assert counts == [mesh.n_theta + 1]
+    counts.clear()
+    smooth_gauge_states(p, (1,), mesh)
+    assert sum(counts) == (8 if factorised else 8 * (16 + 1))  # + a dimension probe per row
+
+
+@st.composite
+def _tilted_params(draw) -> ModelParams:
+    two_l = draw(st.integers(0, 4))
+    x = draw(st.floats(0.2, 2.0))
+    assume(abs(x - 2 / (two_l + 1)) >= 0.05)
+    theta, phi = draw(st.floats(0, np.pi)), draw(st.floats(0, 2 * np.pi))
+    axis = (np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta))
+    return ModelParams(two_l, x, draw(st.floats(-0.5, 0.5)), axis=axis)
+
+
+TILTED_MESH = SphereMesh(40, 80, "uniform")
+
+
+@settings(max_examples=25, deadline=None)
+@given(p=_tilted_params())
+def test_tilted_link_spectrum_matches_per_point_solve(p):
+    try:
+        oracle = chern_spectrum_link_variable(
+            p, TILTED_MESH, h_builder=lambda th, ph: hamiltonian_batch(p, th, ph))
+    except MeshResolutionError:
+        assume(False)
+    for a, b in zip(chern_spectrum_link_variable(p, TILTED_MESH), oracle, strict=True):
+        assert abs(a.fourpi - b.fourpi) < 1e-9
+        assert a.rounded == b.rounded
+
+
+def test_link_isolation_sees_a_touching_circle_about_the_axis():
+    # At 2L = 3, x = y = 0.25 levels 4 and 5 touch the rest wherever n . a = 0.
+    p = ModelParams(3, 0.25, 0.25, axis=(0.6, 0.0, 0.8))
+    with pytest.raises(SubspaceIsolationError):
+        chern_number_link_variable(p, (4, 5), SphereMesh(40, 80, "uniform"))
+
+
+@settings(max_examples=25, deadline=None)
+@given(p=_tilted_params(), first=st.integers(0, 13))
+def test_tilted_link_band_pair_matches_per_point_solve(p, first):
+    first %= p.dim - 1
+    pos = level_positions(p)
+    labels = [int(np.flatnonzero(pos == k)[0]) + 1 for k in (first, first + 1)]
+    w, v = geometry._link_grid(p, TILTED_MESH, lambda th, ph: hamiltonian_batch(p, th, ph))
+    # The spectrum at n depends only on the angle between n and a, so the
+    # pair is isolated on the sphere iff it is along a half great circle
+    # from a to -a.  A per-point grid can miss a touching on a whole circle
+    # about a (2L = 3, x = y = 0.25: the circle n . a = 0), and the
+    # axis-frame grid, whose rings are such circles, may hit it exactly.
+    a = np.asarray(p.axis)
+    u = np.cross(a, np.eye(3)[np.argmin(np.abs(a))])
+    s = np.linspace(0, np.pi, 2001)[:, None]
+    n = np.cos(s) * a + np.sin(s) * u / np.linalg.norm(u)
+    w_line = np.linalg.eigvalsh(hamiltonian_batch(
+        p, np.arccos(np.clip(n[:, 2], -1, 1)), np.arctan2(n[:, 1], n[:, 0])))
+    try:
+        geometry._check_isolated(w, (first, first + 1), "oracle")
+        geometry._check_isolated(w_line, (first, first + 1), "oracle, a to -a")
+        oracle = ChernResult.from_fourpi(geometry._link_chern_subspace(v[..., first:first + 2]))
+    except (MeshResolutionError, SubspaceIsolationError):
+        assume(False)
+    result = chern_number_link_variable(p, labels, TILTED_MESH)
+    assert abs(result.fourpi - oracle.fourpi) < 1e-9
+    assert result.rounded == oracle.rounded
 
 
 @settings(max_examples=40, deadline=None)
