@@ -296,7 +296,7 @@ def cmd_weyl_compare(cfg: ScanConfig) -> Table:
     spin = SpinQuantumNumber(two_l)
     sm = chern_spectrum_link_variable(
         cfg.params(1.0), mesh, check=False,
-        h_builder=lambda th, ph: semimetal_batch(spin, 1.0, th, ph))
+        h_builder=(lambda th: semimetal_batch(spin, 1.0, th, np.zeros_like(th)), spin.m_values()))
     sm_sum = int(np.rint(sum(r.fourpi for r in sm)))
     if sm_sum != 0:
         ok = False

@@ -14,12 +14,14 @@ prefactor 1/(4 pi) on the traced curvature integral (the monopole-charge
 count, so a pure-precession band with field-projection k carries -k) and
 ``twopi`` is the standard 1/(2 pi) value, exactly twice the former.
 
-Every model eigensolve on the sphere goes through _eigen_grid, which
-solves one phi = 0 matrix per latitude when H is covariant under
-rotations about z.  Link grids always are: a tilted axis is rotated onto
-z together with the mesh (_link_grid).  Only a caller's h_builder and the
-frames of a tilted axis, which expose fields in mesh coordinates, are
-solved point by point.
+Every model eigensolve on the sphere goes through _eigen_grid.  When H
+is covariant under rotations about z, v(theta, phi) = e^{-i phi J_z}
+v(theta, 0), and only the phi = 0 meridian is solved.  Every link Chern
+number is read from that meridian: a tilted axis is rotated onto z
+together with the mesh (_link_meridian), a caller's h_builder supplies
+H(theta, 0) and its J_z diagonal, and every plaquette of a ring carries
+the same phase (_link_chern).  Only the frames of a tilted axis, which
+expose fields in mesh coordinates, are solved point by point.
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ from .model import (ModelParams, _jz_diagonal, _z_covariant, build_hamiltonian,
 from .spectrum import level_positions
 from .tolerances import TOL
 
-HBuilder = Callable[[np.ndarray, np.ndarray], np.ndarray]
 FrameBuilder = Callable[[np.ndarray, np.ndarray], np.ndarray]  # (thetas, phis) -> frames
+_Covariant = tuple[Callable[[np.ndarray], np.ndarray], np.ndarray]  # (thetas -> H(theta, 0), m)
 
 
 @dataclass(frozen=True)
@@ -74,57 +76,64 @@ def _check_quantized(result: ChernResult, context: str) -> ChernResult:
     return result
 
 
-def _happer_builder(p: ModelParams) -> HBuilder:
-    return lambda th, ph: hamiltonian_batch(p, th, ph)
-
-
-_ROW_BLOCK = 64  # theta rows per batched eigh call
-
-
-def _eigen_grid(p: ModelParams, thetas: np.ndarray, phis: np.ndarray,
-                h_builder: HBuilder | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _eigen_grid(p: ModelParams, thetas: np.ndarray,
+                phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs on the thetas x phis grid, shapes (n_t, n_p, d) and (n_t, n_p, d, d).
 
-    Every eigensolve on the field-direction sphere goes through here.
-    When H is covariant under rotations about z, each latitude is solved
-    once at phi = 0 and its vectors are rotated, v(theta, phi) =
-    e^{-i phi J_z} v(theta, 0); the eigenvalues do not depend on phi and
-    come back as a read-only broadcast.  The gauge differs from a
-    per-point solve, which the link and transported-frame schemes do not
-    see.  A caller-supplied h_builder, and frames for a tilted axis
-    (_raw_frames), take the batched per-point path.
+    One batched eigh, point by point: _meridian_rows and the link scheme
+    call it at phi = 0 only, and _transport one ring at a time.
     """
-    if h_builder is None and _z_covariant(p.y, p.axis):
-        w0, v0 = np.linalg.eigh(hamiltonian_batch(p, thetas, np.zeros_like(thetas)))
-        rot = np.exp(-1j * np.multiply.outer(phis, _jz_diagonal(p.nuclear_two_l)))
-        w = np.broadcast_to(w0[:, None], (len(thetas), len(phis), w0.shape[-1]))
-        return w, v0[:, None] * rot[None, :, :, None]
-    builder = h_builder or _happer_builder(p)
-    dim = builder(np.array([0.0]), np.array([0.0])).shape[-1]
-    w = np.empty((len(thetas), len(phis), dim))
-    v = np.empty((len(thetas), len(phis), dim, dim), dtype=complex)
-    for start in range(0, len(thetas), _ROW_BLOCK):
-        stop = min(start + _ROW_BLOCK, len(thetas))
-        th, ph = np.meshgrid(thetas[start:stop], phis, indexing="ij")
-        w[start:stop], v[start:stop] = np.linalg.eigh(builder(th, ph))
-    return w, v
+    th, ph = np.meshgrid(thetas, phis, indexing="ij")
+    return np.linalg.eigh(hamiltonian_batch(p, th, ph))
 
 
-def _link_grid(p: ModelParams, mesh: SphereMesh,
-               h_builder: HBuilder | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs on the uniform (n_theta+1) x phi_max grid of the link scheme.
+def _link_meridian(p: ModelParams, mesh: SphereMesh, h_builder: _Covariant | None = None
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenpairs (w0, F0) at phi = 0 on the mesh's theta edges, and the J_z diagonal m.
 
     The model is solved with its axis along z.  With Q a rotation taking
     z to the axis a and D(Q) its spin representation,
-    H(Q n; a) = D H(n; z) D^dag, so the z-axis grid is the tilted problem
-    on a mesh whose poles lie along a: link overlaps do not see D, and
-    n -> Q n keeps orientation, so every link Chern number is unchanged
-    and the grid takes the z-covariant path of _eigen_grid.
+    H(Q n; a) = D H(n; z) D^dag, so the z-axis meridian is the tilted
+    problem on a mesh whose poles lie along a: link overlaps do not see
+    D, and n -> Q n keeps orientation, so every link Chern number is
+    unchanged and H is covariant under rotations about z.  A caller's
+    h_builder supplies H(theta, 0) and m instead.
     """
-    if h_builder is None:
-        p = replace(p, axis=(0.0, 0.0, 1.0))
-    phis = np.arange(mesh.phi_max) * (2 * np.pi / mesh.phi_max)
-    return _eigen_grid(p, mesh.theta_edges(), phis, h_builder)
+    edges = mesh.theta_edges()
+    if h_builder is not None:
+        h0, m = h_builder
+        w0, f0 = np.linalg.eigh(h0(edges))
+        return w0, f0, np.asarray(m, dtype=float)
+    w0, f0 = _eigen_grid(replace(p, axis=(0.0, 0.0, 1.0)), edges, np.zeros(1))
+    return w0[:, 0], f0[:, 0], _jz_diagonal(p.nuclear_two_l)
+
+
+def _link_chern(frames: np.ndarray, m: np.ndarray, phi_max: int) -> np.ndarray:
+    """fourpi-convention Chern of band sets from their phi = 0 frames.
+
+    frames has shape (n_theta + 1, n_sets, d, k): each set's k
+    eigenvectors on the ring edges.  With v(theta, phi) =
+    e^{-i phi J_z} v(theta, 0), every theta-link of ring edge i is
+    lt_i = det F_i^dag F_i+1 and every phi-link lp_i = det F_i^dag R F_i,
+    R = e^{-i dphi m}, so each of the phi_max plaquettes of ring i has
+    the phase arg(lp_i+1 conj(lp_i)) (Fukui, Hatsugai & Suzuki, J. Phys.
+    Soc. Jpn. 74, 1674 (2005)).  For half-integer m the wrap link picks
+    up det e^{2 pi i m} = (-1)^k on both edges of a plaquette, which
+    cancels.  The phase sum is an integer multiple of 2 pi on any mesh,
+    so it cannot show a mesh too coarse for the band's winding; a
+    plaquette phase beyond TOL.plaquette_angle does, and raises.
+    """
+    rot = np.exp(-2j * np.pi / phi_max * m)
+    lt = np.linalg.det(np.einsum("tsda,tsdb->tsab", frames[:-1].conj(), frames[1:]))
+    lp = np.linalg.det(np.einsum("tsda,d,tsdb->tsab", frames.conj(), rot, frames))
+    if min(np.min(np.abs(lt)), np.min(np.abs(lp))) < 1e-8:
+        raise MeshResolutionError("singular band overlap on a mesh edge; refine the mesh")
+    angles = np.angle(lp[1:] * lp[:-1].conj())
+    largest = float(np.max(np.abs(angles)))
+    if largest > TOL.plaquette_angle:
+        raise MeshResolutionError(
+            f"plaquette phase {largest:.3f} exceeds {TOL.plaquette_angle:.3f}; refine the mesh")
+    return -phi_max * angles.sum(axis=0) / (4 * np.pi)
 
 
 def _band_gaps(w: np.ndarray, positions: Sequence[int], context: str) -> np.ndarray:
@@ -148,87 +157,58 @@ def _check_isolated(w: np.ndarray, positions: Sequence[int], context: str) -> No
             "perturb x away from the crossing or treat the whole cluster")
 
 
-def _plaquette_sum_scalar(link_theta: np.ndarray, link_phi: np.ndarray) -> np.ndarray:
-    """Sum of plaquette phases from unit-modulus U(1) links; last axes broadcast.
-
-    The sum is an integer multiple of 2 pi on any mesh, so it cannot show
-    a mesh too coarse for the band's winding; a plaquette phase beyond
-    TOL.plaquette_angle does, and raises.
-    """
-    plaq = (link_theta * link_phi[1:]
-            * np.conj(np.roll(link_theta, -1, axis=1)) * np.conj(link_phi[:-1]))
-    angles = np.angle(plaq)
-    largest = float(np.max(np.abs(angles)))
-    if largest > TOL.plaquette_angle:
-        raise MeshResolutionError(
-            f"plaquette phase {largest:.3f} exceeds {TOL.plaquette_angle:.3f}; refine the mesh")
-    return angles.sum(axis=(0, 1))
-
-
-def _link_chern_per_position(v: np.ndarray) -> np.ndarray:
-    """fourpi-convention Chern of every band from plaquette overlap phases."""
-    lt = np.einsum("ijdk,ijdk->ijk", v[:-1].conj(), v[1:])
-    lp = np.einsum("ijdk,ijdk->ijk", v.conj(), np.roll(v, -1, axis=1))
-    if min(np.min(np.abs(lt)), np.min(np.abs(lp))) < 1e-8:
-        raise MeshResolutionError("singular band overlap on a mesh edge; refine the mesh")
-    lt = lt / np.abs(lt)
-    lp = lp / np.abs(lp)
-    c_raw = _plaquette_sum_scalar(lt, lp) / (2 * np.pi)
-    return -c_raw / 2
-
-
-def _link_chern_subspace(frames: np.ndarray) -> float:
-    """fourpi-convention Chern of one multiband subspace via overlap determinants."""
-
-    def link(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        m = np.einsum("ijda,ijdb->ijab", a.conj(), b)
-        det = np.linalg.det(m)
-        mag = np.abs(det)
-        if np.min(mag) < 1e-8:
-            raise MeshResolutionError("singular subspace overlap on a mesh edge; refine the mesh")
-        return det / mag
-
-    lt = link(frames[:-1], frames[1:])
-    lp = link(frames, np.roll(frames, -1, axis=1))
-    c_raw = float(_plaquette_sum_scalar(lt, lp)) / (2 * np.pi)
-    return -c_raw / 2
-
-
 def chern_number_link_variable(p: ModelParams, labels: Sequence[int] | int,
                                mesh: SphereMesh | None = None) -> ChernResult:
     """Gauge-invariant Chern number of a level or degenerate cluster.
 
     Always evaluated on a uniform n_theta x phi_max grid (plaquette
-    phases only telescope exactly on aligned rings); the mesh argument
-    supplies the resolution.  For a tilted axis the grid's rings are
-    circles about the axis (_link_grid), on each of which the spectrum is
+    phases only telescope exactly on aligned rings), read from its
+    phi = 0 meridian (_link_chern); the mesh argument supplies the
+    resolution.  For a tilted axis the grid's rings are circles about
+    the axis (_link_meridian), on each of which the spectrum is
     constant, so the isolation check refuses a band set that touches the
     rest along a mesh ring's circle.
     """
     mesh = mesh or SphereMesh()
     labels = (labels,) if isinstance(labels, int) else tuple(labels)
     positions = _positions_for(p, labels)
-    w, v = _link_grid(p, mesh)
-    _check_isolated(w, positions, "link-variable Chern")
-    value = _link_chern_subspace(v[..., list(positions)])
+    w0, f0, m = _link_meridian(p, mesh)
+    _check_isolated(w0, positions, "link-variable Chern")
+    value = _link_chern(f0[..., list(positions)][:, None], m, mesh.phi_max)[0]
     result = ChernResult.from_fourpi(value, _half_grid(p.nuclear_two_l, len(positions)))
     return _check_quantized(result, "link-variable Chern")
 
 
 def chern_spectrum_link_variable(p: ModelParams, mesh: SphereMesh | None = None,
-                                 h_builder: HBuilder | None = None,
+                                 h_builder: _Covariant | None = None,
                                  check: bool = True) -> list[ChernResult]:
-    """Per-band Chern numbers (ascending energy order) in one grid pass.
+    """Per-band Chern numbers (ascending energy order) from one meridian solve.
+
+    h_builder replaces the model by any H covariant under rotations
+    about z, H(theta, phi) = e^{-i phi J_z} H(theta, 0) e^{i phi J_z}.  It
+    is a pair: a function taking an array of thetas to the batch of
+    H(theta, 0), and the diagonal of J_z in the basis of those matrices
+    (for a spin-j k.F, semimetal_batch at phi = 0 and the m values of F_z).
 
     Rounded on the grid of the solved Hamiltonian's own dimension d, also
     when h_builder is given: a single level sits on Z + 1/2 exactly when d
     is even (d = 3(2L + 1) for the model, as in _half_grid, and 2j + 1 for
-    a spin-j k.F builder).
+    a spin-j k.F builder).  Bands that touch a neighbour on a mesh ring
+    have no Chern number of their own and are refused, whatever ``check``
+    says; ``check`` gates only the quantization.
     """
     mesh = mesh or SphereMesh()
-    _, v = _link_grid(p, mesh, h_builder)
-    values = _link_chern_per_position(v)
-    half = v.shape[-1] % 2 == 0
+    w0, f0, m = _link_meridian(p, mesh, h_builder)
+    gaps = np.min(np.diff(w0, axis=-1), axis=0)
+    touching = np.flatnonzero(gaps < TOL.subspace_isolation)
+    if len(touching):
+        positions = sorted({*touching.tolist(), *(touching + 1).tolist()})
+        raise SubspaceIsolationError(
+            f"per-band link Chern: bands at positions {positions} touch on a mesh ring "
+            f"(gap {np.min(gaps):.2e}); only the cluster they form has a Chern number: "
+            "perturb x or y away from the touching or treat the whole cluster")
+    values = _link_chern(f0.swapaxes(-1, -2)[..., None], m, mesh.phi_max)
+    half = f0.shape[-1] % 2 == 0
     results = [ChernResult.from_fourpi(float(c), half) for c in values]
     if check:
         for i, r in enumerate(results):

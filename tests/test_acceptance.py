@@ -155,9 +155,11 @@ def test_criterion_7_weyl_sphere_transition():
             assert all(r.deviation < 0.02 for r in bands)
             assert bands[0].rounded == want_lowest
             assert sum(r.rounded for r in bands) == 1
+        spin = SpinQuantumNumber(2)
         sm = chern_spectrum_link_variable(
             p_ref, mesh,
-            h_builder=lambda th, ph: semimetal_batch(SpinQuantumNumber(2), 1.0, th, ph),
+            h_builder=(lambda th: semimetal_batch(spin, 1.0, th, np.zeros_like(th)),
+                       spin.m_values()),
             check=False)
         assert sum(r.rounded for r in sm) == 0
 

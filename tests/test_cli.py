@@ -242,3 +242,18 @@ def test_norm_drift_exits_2(monkeypatch, capsys):
     assert main(["dynamics", "--l", "0", "--x", "0.0", "--level", "1",
                  "--steps-per-period", "100"]) == 2
     assert capsys.readouterr().err.startswith("error: norm drift")
+
+
+@pytest.mark.parametrize("args", [
+    ["--l", "1.5", "--x", "0.25", "--y", "0.25", "--axis", "0.6,0,0.8"],
+    ["--l", "1", "--x", "0.6666666666666666"],
+], ids=["touching-circle", "crossing-L1"])
+def test_chern_table_refuses_touching_bands(args, capsys):
+    # 2L = 3: bands 4 and 5 touch on the circle n . a = 0; L = 1: three
+    # levels touch at the crossing.  No band of a touching pair has a Chern
+    # number of its own, and no mesh refinement gives it one.
+    assert main(["chern", *args, "--mesh", "50", "--mesh-scheme", "uniform"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: per-band link Chern: bands at positions")
+    assert "touch" in captured.err and "cluster" in captured.err

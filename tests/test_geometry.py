@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -112,11 +114,19 @@ def test_band_sum_is_zero_over_the_full_model():
     assert abs(sum(r.fourpi for r in link)) < 1e-9
 
 
+def _semimetal(two_j: int):
+    """A spin-j k.F as the covariant builder pair and as a per-point oracle builder."""
+    spin = SpinQuantumNumber(two_j)
+    meridian = (lambda th: semimetal_batch(spin, 1.0, th, np.zeros_like(th)), spin.m_values())
+    return meridian, lambda th, ph: semimetal_batch(spin, 1.0, th, ph)
+
+
 @pytest.mark.parametrize("two_j,expected", [(1, [1, -1]), (2, [2, 0, -2]), (3, [3, 1, -1, -3])])
 def test_semimetal_band_charges(two_j, expected):
     mesh = SphereMesh(60, 120, "uniform")
-    builder = lambda th, ph: semimetal_batch(SpinQuantumNumber(two_j), 1.0, th, ph)
-    res = chern_spectrum_link_variable(zeeman_params(), mesh, h_builder=builder, check=False)
+    meridian, per_point = _semimetal(two_j)
+    res = chern_spectrum_link_variable(zeeman_params(), mesh, h_builder=meridian, check=False)
+    _assert_matches_oracle(res, _oracle_spectrum(per_point, mesh))
     assert [r.twopi for r in res] == pytest.approx(expected, abs=1e-9)
     assert sum(r.fourpi for r in res) == pytest.approx(0.0, abs=1e-9)
 
@@ -126,8 +136,9 @@ def test_builder_spectrum_rounds_on_the_builder_grid(two_j):
     # p has L = 0, but a spin-j k.F builder with half-integer j puts every
     # band on Z + 1/2; the rounding follows the solved matrices.
     mesh = SphereMesh(60, 120, "uniform")
-    builder = lambda th, ph: semimetal_batch(SpinQuantumNumber(two_j), 1.0, th, ph)
-    res = chern_spectrum_link_variable(zeeman_params(), mesh, h_builder=builder, check=True)
+    meridian, per_point = _semimetal(two_j)
+    res = chern_spectrum_link_variable(zeeman_params(), mesh, h_builder=meridian, check=True)
+    _assert_matches_oracle(res, _oracle_spectrum(per_point, mesh))
     assert [r.rounded for r in res] == [two_j / 2 - k for k in range(two_j + 1)]
     assert max(r.deviation for r in res) < 1e-9
 
@@ -337,7 +348,54 @@ def test_link_gate_refuses_a_mesh_too_coarse_for_the_winding():
 
 
 # ---------------------------------------------------------------------------
-# z-rotation factorisation against the per-point (general) path
+# per-point link oracle: every point of the (n_theta+1) x phi_max link grid
+# solved on its own and its links formed around each ring (Fukui, Hatsugai
+# & Suzuki, J. Phys. Soc. Jpn. 74, 1674 (2005)); the library reads the same
+# Chern numbers from the phi = 0 meridian alone
+
+
+def _oracle_grid(builder, mesh: SphereMesh) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of builder(theta, phi) at every point of the uniform link grid."""
+    phis = np.arange(mesh.phi_max) * (2 * np.pi / mesh.phi_max)
+    th, ph = np.meshgrid(mesh.theta_edges(), phis, indexing="ij")
+    return np.linalg.eigh(builder(th, ph))
+
+
+def _oracle_link_chern(frames: np.ndarray) -> float:
+    """fourpi Chern of one band set, frames (n_theta+1, phi_max, d, k), by overlap determinants."""
+
+    def link(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        det = np.linalg.det(np.einsum("ijda,ijdb->ijab", a.conj(), b))
+        mag = np.abs(det)
+        if np.min(mag) < 1e-8:
+            raise MeshResolutionError("oracle: singular overlap on a mesh edge")
+        return det / mag
+
+    lt = link(frames[:-1], frames[1:])
+    lp = link(frames, np.roll(frames, -1, axis=1))
+    angles = np.angle(lt * lp[1:] * np.conj(np.roll(lt, -1, axis=1)) * np.conj(lp[:-1]))
+    if np.max(np.abs(angles)) > TOL.plaquette_angle:
+        raise MeshResolutionError("oracle: plaquette phase beyond pi/2")
+    return float(-angles.sum() / (4 * np.pi))
+
+
+def _oracle_spectrum(builder, mesh: SphereMesh) -> list[ChernResult]:
+    """Per-band link Chern numbers on the per-point grid, rounded on the grid of d."""
+    _, v = _oracle_grid(builder, mesh)
+    half = v.shape[-1] % 2 == 0
+    return [ChernResult.from_fourpi(_oracle_link_chern(v[..., [k]]), half)
+            for k in range(v.shape[-1])]
+
+
+def _model(p: ModelParams):
+    return lambda th, ph: hamiltonian_batch(p, th, ph)
+
+
+def _assert_matches_oracle(results: list[ChernResult], oracle: list[ChernResult]) -> None:
+    for a, b in zip(results, oracle, strict=True):
+        assert abs(a.fourpi - b.fourpi) < 1e-9
+        assert a.rounded == b.rounded
+
 
 COVARIANT_CASES = [(1, 0.0), (2, 0.0), (3, 0.0), (4, 0.0), (2, 0.001)]
 
@@ -348,11 +406,15 @@ def _general(monkeypatch):
 
 @pytest.mark.parametrize("two_l,y", COVARIANT_CASES)
 def test_factorised_grid_matches_per_point_solve(two_l, y):
+    # The link scheme's premise: the phi = 0 meridian rotated out by
+    # e^{-i phi J_z} is the per-point grid, band projector by projector.
     p = ModelParams(two_l, 0.9, y)
     mesh = SphereMesh(10, 20, "uniform")
-    w_f, v_f = geometry._link_grid(p, mesh)
-    w_g, v_g = geometry._link_grid(p, mesh, geometry._happer_builder(p))
-    assert np.max(np.abs(w_f - w_g)) < 1e-12
+    w0, f0, m = geometry._link_meridian(p, mesh)
+    w_g, v_g = _oracle_grid(_model(p), mesh)
+    phis = np.arange(mesh.phi_max) * (2 * np.pi / mesh.phi_max)
+    v_f = np.exp(-1j * np.multiply.outer(phis, m))[None, :, :, None] * f0[:, None]
+    assert np.max(np.abs(w0[:, None] - w_g)) < 1e-12
     proj_f = np.einsum("tpdk,tpek->tpkde", v_f, v_f.conj())
     proj_g = np.einsum("tpdk,tpek->tpkde", v_g, v_g.conj())
     assert np.max(np.abs(proj_f - proj_g)) < 1e-10
@@ -362,9 +424,19 @@ def test_factorised_grid_matches_per_point_solve(two_l, y):
 def test_factorised_link_chern_matches_per_point_solve(two_l, y):
     p = ModelParams(two_l, 0.9, y)
     mesh = SphereMesh(50, 100, "uniform")
-    fact = chern_spectrum_link_variable(p, mesh)
-    general = chern_spectrum_link_variable(p, mesh, h_builder=geometry._happer_builder(p))
-    assert [r.rounded for r in fact] == [r.rounded for r in general]
+    _assert_matches_oracle(chern_spectrum_link_variable(p, mesh), _oracle_spectrum(_model(p), mesh))
+
+
+def test_link_spectrum_memory_does_not_grow_with_the_phi_count():
+    # The per-point v grid of 2L = 4 on 200 rings would be
+    # 201 * 400 * 15 * 15 complex128 = 289 MB; the meridian is 0.7 MB.
+    tracemalloc.start()
+    try:
+        chern_spectrum_link_variable(ModelParams(4, 0.9), SphereMesh(200, 400, "uniform"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
 
 
 @pytest.mark.parametrize("two_l,labels", [(2, (3, 4, 5)), (1, (1,))])
@@ -501,17 +573,18 @@ def _count_matrices(monkeypatch) -> list[int]:
                                                (0.001, (0.0, 0.0, 1.0), True),
                                                (0.1, (1.0, 0.0, 0.0), False)])
 def test_tilted_axis_takes_the_per_point_path(monkeypatch, y, axis, factorised):
-    # The link grid is solved with the axis along z for every axis, one
-    # matrix per latitude; only a tilted axis's frames are solved and
-    # transported point by point, since they expose fields in mesh coordinates.
+    # Link Chern numbers are read from the phi = 0 meridian with the axis
+    # along z for every axis, one matrix per ring edge; only a tilted axis's
+    # frames are solved and transported point by point, since they expose
+    # fields in mesh coordinates.
     counts = _count_matrices(monkeypatch)
     p = ModelParams(2, 1.3, y, axis=axis)
     mesh = SphereMesh(8, 16, "uniform")
-    geometry._link_grid(p, mesh)
+    chern_spectrum_link_variable(p, mesh, check=False)
     assert counts == [mesh.n_theta + 1]
     counts.clear()
     smooth_gauge_states(p, (1,), mesh)
-    assert sum(counts) == (8 if factorised else 8 * (16 + 1))  # + a dimension probe per row
+    assert sum(counts) == (8 if factorised else 8 * 16)
 
 
 @st.composite
@@ -527,24 +600,49 @@ def _tilted_params(draw) -> ModelParams:
 TILTED_MESH = SphereMesh(40, 80, "uniform")
 
 
+def _axis_line_spectrum(p: ModelParams) -> np.ndarray:
+    """Eigenvalues along a half great circle from the axis a to -a.
+
+    The spectrum at n depends only on the angle between n and a, so a band
+    set is isolated on the sphere iff it is along this line.  Its 2001
+    points include every ring latitude of TILTED_MESH.
+    """
+    a = np.asarray(p.axis)
+    u = np.cross(a, np.eye(3)[np.argmin(np.abs(a))])
+    s = np.linspace(0, np.pi, 2001)[:, None]
+    n = np.cos(s) * a + np.sin(s) * u / np.linalg.norm(u)
+    return np.linalg.eigvalsh(hamiltonian_batch(
+        p, np.arccos(np.clip(n[:, 2], -1, 1)), np.arctan2(n[:, 1], n[:, 0])))
+
+
 @settings(max_examples=25, deadline=None)
 @given(p=_tilted_params())
 def test_tilted_link_spectrum_matches_per_point_solve(p):
     try:
-        oracle = chern_spectrum_link_variable(
-            p, TILTED_MESH, h_builder=lambda th, ph: hamiltonian_batch(p, th, ph))
+        results = chern_spectrum_link_variable(p, TILTED_MESH)
+    except SubspaceIsolationError:
+        # Refused only where neighbouring bands touch on a mesh ring.
+        assert np.min(np.diff(_axis_line_spectrum(p), axis=-1)) < TOL.subspace_isolation
+        return
+    try:
+        oracle = _oracle_spectrum(_model(p), TILTED_MESH)
     except MeshResolutionError:
         assume(False)
-    for a, b in zip(chern_spectrum_link_variable(p, TILTED_MESH), oracle, strict=True):
-        assert abs(a.fourpi - b.fourpi) < 1e-9
-        assert a.rounded == b.rounded
+    _assert_matches_oracle(results, oracle)
 
 
 def test_link_isolation_sees_a_touching_circle_about_the_axis():
-    # At 2L = 3, x = y = 0.25 levels 4 and 5 touch the rest wherever n . a = 0.
+    # At 2L = 3, x = y = 0.25 levels 4 and 5 touch the rest wherever n . a = 0;
+    # at the L = 1 crossing three levels touch everywhere.  Refining the mesh
+    # cannot separate them, so the refusal names the touching, not the mesh.
     p = ModelParams(3, 0.25, 0.25, axis=(0.6, 0.0, 0.8))
-    with pytest.raises(SubspaceIsolationError):
-        chern_number_link_variable(p, (4, 5), SphereMesh(40, 80, "uniform"))
+    mesh = SphereMesh(40, 80, "uniform")
+    for call in (lambda: chern_number_link_variable(p, (4, 5), mesh),
+                 lambda: chern_spectrum_link_variable(p, mesh),
+                 lambda: chern_spectrum_link_variable(p, mesh, check=False),
+                 lambda: chern_spectrum_link_variable(ModelParams(2, 2 / 3), mesh, check=False)):
+        with pytest.raises(SubspaceIsolationError, match="touch"):
+            call()
 
 
 @settings(max_examples=25, deadline=None)
@@ -553,22 +651,15 @@ def test_tilted_link_band_pair_matches_per_point_solve(p, first):
     first %= p.dim - 1
     pos = level_positions(p)
     labels = [int(np.flatnonzero(pos == k)[0]) + 1 for k in (first, first + 1)]
-    w, v = geometry._link_grid(p, TILTED_MESH, lambda th, ph: hamiltonian_batch(p, th, ph))
-    # The spectrum at n depends only on the angle between n and a, so the
-    # pair is isolated on the sphere iff it is along a half great circle
-    # from a to -a.  A per-point grid can miss a touching on a whole circle
-    # about a (2L = 3, x = y = 0.25: the circle n . a = 0), and the
-    # axis-frame grid, whose rings are such circles, may hit it exactly.
-    a = np.asarray(p.axis)
-    u = np.cross(a, np.eye(3)[np.argmin(np.abs(a))])
-    s = np.linspace(0, np.pi, 2001)[:, None]
-    n = np.cos(s) * a + np.sin(s) * u / np.linalg.norm(u)
-    w_line = np.linalg.eigvalsh(hamiltonian_batch(
-        p, np.arccos(np.clip(n[:, 2], -1, 1)), np.arctan2(n[:, 1], n[:, 0])))
+    w, v = _oracle_grid(_model(p), TILTED_MESH)
+    # A per-point grid can miss a touching on a whole circle about a
+    # (2L = 3, x = y = 0.25: the circle n . a = 0), and the axis-frame
+    # meridian, whose ring edges lie on such circles, may hit it exactly;
+    # the a to -a line sees both.
     try:
         geometry._check_isolated(w, (first, first + 1), "oracle")
-        geometry._check_isolated(w_line, (first, first + 1), "oracle, a to -a")
-        oracle = ChernResult.from_fourpi(geometry._link_chern_subspace(v[..., first:first + 2]))
+        geometry._check_isolated(_axis_line_spectrum(p), (first, first + 1), "oracle, a to -a")
+        oracle = ChernResult.from_fourpi(_oracle_link_chern(v[..., first:first + 2]))
     except (MeshResolutionError, SubspaceIsolationError):
         assume(False)
     result = chern_number_link_variable(p, labels, TILTED_MESH)
