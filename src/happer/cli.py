@@ -128,9 +128,10 @@ def _chern_columns(res: ChernResult) -> list:
 
 
 def _cluster_labels(cfg: ScanConfig, x_star: float) -> tuple[int, ...]:
+    if cfg.y != 0.0:
+        raise ValueError(f"exact clusters exist only at y = 0, got y = {cfg.y}")
     window = 0.2 * x_star
-    degs = find_degeneracies(cfg.params(x_star), (x_star - window, x_star + window),
-                             scan_points=81)
+    degs = find_degeneracies(cfg.params(x_star), (x_star - window, x_star + window))
     exact = [d for d in degs if d.exact and abs(d.x - x_star) < 1e-6]
     if not exact:
         raise ValueError(f"no exact crossing found near x = {x_star}")

@@ -8,10 +8,10 @@ rank-th lowest level of the m-sector.  Ranks never change because
 levels of equal m repel, so the label of a state is the label of the
 same slot at large x.  This reproduces maximal-overlap continuation
 everywhere and stays well defined inside degenerate clusters, where
-bare eigenvector overlaps are ambiguous.  Sweeps, crossing refinement
-and the per-point eigensystem and label positions all solve the sectors
-(blocks of size 1, 2 or 3) directly; there is no full-matrix solve at
-y = 0.
+bare eigenvector overlaps are ambiguous.  Sweeps, the per-point
+eigensystem and label positions all solve the sectors (blocks of size
+1, 2 or 3) directly, and crossings are the roots of one pencil per pair
+of sectors; there is no full-matrix solve at y = 0.
 
 For y != 0 there are no exact crossings and labels simply follow the
 energy order (adiabatic labelling), matching how per-level quantities
@@ -21,9 +21,11 @@ are indexed in anti-crossing scans.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.linalg import eigvals
+from scipy.optimize import minimize_scalar
 
 from .errors import HermiticityError, TrackingError
 from .model import ModelParams, _hamiltonians, build_hamiltonian, conserved_j
@@ -224,73 +226,69 @@ def find_degeneracies(p: ModelParams, x_range: tuple[float, float],
                       max_gap: float = 0.05) -> list[DegeneracyPoint]:
     """Locate level crossings (y = 0) or minimum-gap anti-crossings (y != 0).
 
-    Exact crossings are refined by root finding on tracked energy
-    differences to |x* - root| < 1e-10; anti-crossings by a bounded
-    scalar minimization of the local gap, reported when the minimum is
-    below max_gap (raise it to explore strongly split spectra, where one
-    crossing separates into several distinct minimum-gap points).
-    Crossing labels are numbered at the top of the range, for the scan,
-    the refinement and the cluster energies alike.
+    Exact crossings are the real roots of one pencil per pair of n_B.J
+    sectors, tangencies (the E = 0 cluster at x = 0) included; labels are
+    numbered at the top of the range.  Anti-crossings are the gap minima
+    on a scan_points grid, which only they use, refined by a bounded
+    minimization and reported below max_gap (raise it to explore strongly
+    split spectra, where one crossing splits into several minimum-gap points).
     """
     lo, hi = float(x_range[0]), float(x_range[1])
     if not hi > lo:
         raise ValueError("x_range must be increasing")
-    grid = np.linspace(lo, hi, scan_points)
     if p.y == 0.0:
-        return _exact_crossings(p, grid)
-    return _anti_crossings(p, grid, max_gap)
+        return _exact_crossings(p, lo, hi)
+    return _anti_crossings(p, np.linspace(lo, hi, scan_points), max_gap)
 
 
-def _exact_crossings(p: ModelParams, grid: np.ndarray) -> list[DegeneracyPoint]:
-    """Crossings of labelled y = 0 levels on the scan grid, refined by brentq."""
+def _kron_difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a (x) I - I (x) b^T, singular exactly where a and b share an eigenvalue."""
+    n = len(a) * len(b)
+    eye_a, eye_b = np.eye(len(a))[:, None, :, None], np.eye(len(b))[None, :, None, :]
+    return (a[:, None, :, None] * eye_b - eye_a * b.T[None, :, None, :]).reshape(n, n)
+
+
+def _exact_crossings(p: ModelParams, lo: float, hi: float) -> list[DegeneracyPoint]:
+    """Crossings of labelled y = 0 levels on [lo, hi], as roots of sector-pair pencils.
+
+    Slots of sectors s and t meet where (F_s + x X_s) (x) I - I (x) (F_t + x X_t)^T
+    is singular, at a finite real eigenvalue x of a pencil of size at most
+    9x9 (a two-parameter eigenvalue problem).  A tangency is a double root
+    and comes out as a complex pair with |Im x| ~ 1e-8.  A root counts where
+    a slot of s and a slot of t agree to 1e-9; roots are grouped by (x, E),
+    and each group is read at its own root, every slot at E a member.
+    """
     sectors = _Sectors(p)
-    e, slot_of_label = sectors.labelled_energies(grid)
-
-    def level_energies(x: float) -> np.ndarray:
-        return sectors.energies([x])[0, slot_of_label]
-
-    # pairs of labels whose energies swap order somewhere in the grid
-    a_idx, b_idx = np.triu_indices(p.dim, 1)
-    sign = np.sign(e[:, slot_of_label[a_idx]] - e[:, slot_of_label[b_idx]])
-    flips = (sign[:-1] * sign[1:] < 0) | (sign[:-1] == 0)
-    # refine each pair (split repeats the scan's values at the grid points
-    # bit for bit, so the bracket holds) and cluster the roots
-    roots: list[tuple[float, int, int]] = []
-    for pair, i in zip(*np.nonzero(flips.T)):
-        a, b = int(a_idx[pair]), int(b_idx[pair])
-
-        def split(x: float, a=a, b=b) -> float:
-            w = level_energies(x)
-            return float(w[a] - w[b])
-        x_root = brentq(split, grid[i], grid[i + 1], xtol=TOL.crossing_refine)
-        roots.append((float(x_root), a, b))
-    # group roots by (x, E): a multi-level crossing refines to one x*, and
-    # several clusters can meet at one x (three at x = 0, at E = -1, 0, 1);
-    # each cluster is read at its own first root
-    roots.sort()
-    results: list[DegeneracyPoint] = []
-    start = 0
-    while start < len(roots):
-        x0 = roots[start][0]
-        stop = start
-        while stop < len(roots) and roots[stop][0] - x0 < 1e-7:
-            stop += 1
-        group, start = roots[start:stop], stop
-        w0 = level_energies(x0)
-        members = np.array(sorted({lab for _, a, b in group for lab in (a, b)}))
-        members = members[np.argsort(w0[members], kind="stable")]
-        breaks = np.flatnonzero(np.diff(w0[members]) > TOL.subspace_isolation) + 1
-        for cluster in np.split(members, breaks):
-            x_c = next(x for x, a, _ in group if a in cluster)
-            w = w0 if x_c == x0 else level_energies(x_c)
-            cluster = np.sort(cluster)
-            spread = float(np.ptp(w[cluster]))
-            if len(cluster) > 1 and spread < max(TOL.degeneracy_gap, 1e-8):
-                results.append(DegeneracyPoint(
-                    x=x_c, labels=tuple(int(lab) + 1 for lab in cluster),
-                    energy=float(np.mean(w[cluster])),
-                    multiplicity=len(cluster), exact=True, gap=spread))
-    results.sort(key=lambda r: r.x)
+    blocks = [(i, f, x_op) for idx, fs, xs in sectors.blocks for i, f, x_op in zip(idx, fs, xs)]
+    roots, pairs = [], []
+    for (s, f_s, x_s), (t, f_t, x_t) in combinations(blocks, 2):
+        x = eigvals(_kron_difference(f_s, f_t), -_kron_difference(x_s, x_t), check_finite=False)
+        x = x[np.isfinite(x) & (np.abs(x.imag) <= 1e-6)].real
+        # a root within its accuracy (1e-8 at a tangency) of the window belongs to it
+        x = np.clip(x[(lo - 1e-7 <= x) & (x <= hi + 1e-7)], lo, hi)
+        roots += x.tolist()
+        pairs += [(s, t)] * len(x)
+    e, slot_of_label = sectors.labelled_energies([*roots, hi])
+    hits = []  # (root, energy) of each pair of slots that meet at a root
+    for r, (s, t) in enumerate(pairs):
+        for i, j in zip(*np.nonzero(np.abs(e[r, s][:, None] - e[r, t]) < 1e-9)):
+            hits.append((r, (e[r, s[i]] + e[r, t[j]]) / 2))
+    if not hits:
+        return []
+    r, e_hit = (np.array(column) for column in zip(*hits))
+    x_hit = np.asarray(roots)[r]
+    # clusters lie far apart in (x, E), so the first hit near a hit names its group
+    near = np.abs(x_hit[:, None] - x_hit) < 1e-7
+    near &= np.abs(e_hit[:, None] - e_hit) < TOL.subspace_isolation
+    results = []
+    for k in np.unique(np.argmax(near, axis=1)):
+        w = e[r[k], slot_of_label]
+        members = np.flatnonzero(np.abs(w - e_hit[k]) < TOL.degeneracy_gap)
+        results.append(DegeneracyPoint(
+            x=float(x_hit[k]), labels=tuple(int(lab) + 1 for lab in members),
+            energy=float(np.mean(w[members])), multiplicity=len(members), exact=True,
+            gap=float(np.ptp(w[members]))))
+    results.sort(key=lambda d: d.x)
     return results
 
 

@@ -14,7 +14,6 @@ class Tolerances:
     eigen_residual: float = 1e-10     # |H v - E v| per eigenpair
     orthonormality: float = 1e-10     # |<v_m|v_n> - delta_mn|
     degeneracy_gap: float = 1e-9      # cluster spread at an exact crossing
-    crossing_refine: float = 1e-10    # |x* - root| after bisection
     subspace_isolation: float = 1e-6  # minimum gap to the complement of a band set
     chern_integer: float = 0.05       # allowed deviation from the quantized value
     plaquette_angle: float = 1.5707963267948966  # pi/2: largest |plaquette phase|, link scheme

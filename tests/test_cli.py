@@ -257,3 +257,12 @@ def test_chern_table_refuses_touching_bands(args, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: per-band link Chern: bands at positions")
     assert "touch" in captured.err and "cluster" in captured.err
+
+
+@pytest.mark.parametrize("command", ["chern", "phase"])
+def test_cluster_is_refused_off_y_zero(command, capsys):
+    # At y != 0 every crossing is avoided, so there is no exact cluster to name.
+    assert main([command, "--l", "1", "--y", "0.1", "--cluster", "--mesh", "50"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: exact clusters exist only at y = 0, got y = 0.1\n"

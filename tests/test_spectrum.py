@@ -302,23 +302,62 @@ def test_negative_range_reports_the_whole_crossing(two_l):
     assert abs(d.energy - 1 / (two_l + 1)) < 1e-9
 
 
-@pytest.mark.parametrize("field", [(0.7, 0.3), (np.pi / 6, 0.0)])
+@pytest.mark.parametrize("field", [(0.7, 0.3), (np.pi / 6, 0.0), (0.5, 0.3), (1.0, 0.3), (2.2, 0.3)])
 @pytest.mark.parametrize("scan_points", [200, 201])
 @pytest.mark.parametrize("two_l", [1, 2, 3, 4])
 def test_clusters_meeting_at_x_zero_are_all_reported(two_l, scan_points, field):
-    # The E = -1 and E = +1 clusters cross transversally at x = 0, so they
-    # are found with or without a grid point there.  The tangential E = 0
-    # cluster is not asserted on; at the CLI's default field direction its
-    # roots land ~1e-8 from 0, so each cluster must be read at its own root.
+    # H(0) = n_B.S, so three (2L+1)-fold clusters meet at x = 0.  The E = -1
+    # and E = +1 clusters cross transversally; the E = 0 cluster is a
+    # tangency, whose roots land ~1e-8 from 0, so each cluster is read at
+    # its own root.  None of this may depend on scan_points.
     p = ModelParams(two_l, 0.5, 0.0, FieldDirection(*field))
     degs = find_degeneracies(p, (-0.3, 0.3), scan_points=scan_points)
-    for energy in (-1.0, 1.0):
-        hits = [d for d in degs if abs(d.x) < 1e-8 and abs(d.energy - energy) < 1e-9]
+    assert len(degs) == 3
+    for energy, x_tol in ((-1.0, 1e-8), (0.0, 1e-7), (1.0, 1e-8)):
+        hits = [d for d in degs if abs(d.x) < x_tol and abs(d.energy - energy) < 1e-9]
         assert len(hits) == 1, energy
         assert hits[0].exact and hits[0].multiplicity == two_l + 1
     for d in degs:
         energies = track_levels(p, [d.x, 0.3]).energies[0, np.array(d.labels) - 1]
         assert np.ptp(energies) < 1e-9
+
+
+@pytest.mark.parametrize("below", [True, False], ids=["window-below", "window-above"])
+@pytest.mark.parametrize("end", [-1, 0, 1], ids=["-x*", "0", "x*"])
+@pytest.mark.parametrize("two_l", [1, 2, 3, 4])
+def test_a_crossing_at_the_window_end_is_reported(two_l, end, below):
+    # Its root lands within rounding (1e-8 at the E = 0 tangency) of the
+    # end, on either side; it belongs to the window all the same.
+    x_end = end * 2 / (two_l + 1)
+    window = (x_end - 0.3, x_end) if below else (x_end, x_end + 0.3)
+    for theta in (0.5, 1.0, 2.2):
+        degs = find_degeneracies(ModelParams(two_l, 0.5, 0.0, FieldDirection(theta, 0.3)), window)
+        assert len(degs) == (3 if end == 0 else 1), theta
+        for d in degs:
+            assert window[0] <= d.x <= window[1] and d.multiplicity == two_l + 1, theta
+
+
+@settings(max_examples=100, deadline=None)
+@given(two_l=st.integers(1, 4), theta=st.floats(0, np.pi), phi=st.floats(0, 2 * np.pi),
+       lo=st.floats(-2.0, 1.9), width=st.floats(0.05, 4.0))
+def test_crossings_match_a_dense_sign_change_scan(two_l, theta, phi, lo, width):
+    p = ModelParams(two_l, 0.5, 0.0, FieldDirection(theta, phi))
+    hi = min(lo + width, 2.0)
+    degs = find_degeneracies(p, (lo, hi))
+    for d in degs:
+        assert d.exact and lo <= d.x <= hi
+        xs = np.union1d([lo, hi], [d.x])
+        energies = track_levels(p, xs).energies[np.searchsorted(xs, d.x)]
+        assert np.ptp(energies[np.array(d.labels) - 1]) < 1e-9
+    # every sign change of a labelled energy difference lies in a reported crossing
+    grid = np.linspace(lo, hi, 4001)
+    e = track_levels(p, grid).energies
+    a, b = np.triu_indices(p.dim, 1)
+    sign = np.sign(e[:, a] - e[:, b])
+    for i, pair in zip(*np.nonzero(sign[:-1] * sign[1:] < 0)):
+        labels = {a[pair] + 1, b[pair] + 1}
+        assert any(labels <= set(d.labels) and grid[i] - 1e-6 <= d.x <= grid[i + 1] + 1e-6
+                   for d in degs), (grid[i], labels)
 
 
 @settings(max_examples=40, deadline=None)
