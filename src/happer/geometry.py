@@ -22,11 +22,20 @@ together with the mesh (_link_meridian), a caller's h_builder supplies
 H(theta, 0) and its J_z diagonal, and every plaquette of a ring carries
 the same phase (_link_chern).  Only the frames of a tilted axis, which
 expose fields in mesh coordinates, are solved point by point.
+
+The curvature scheme is factored the same way.  z-covariant frames are
+F(theta, phi) = R(phi) F(theta, 0) D(phi), with R(phi) = e^{-i phi J_z} and
+D a unitary representation of the phi rotations (_meridian_rows), so every
+edge connection and every plaquette curvature of a ring is
+D(phi_n)^dag X D(phi_n) for one d x d matrix X per ring.  Chern numbers,
+loop phases and the curvature CSV read n_phi tr X per ring; the per-point
+frames, connections and curvatures are built only when read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -227,9 +236,32 @@ def _positions_for(p: ModelParams, labels: Sequence[int]) -> tuple[int, ...]:
 
 @dataclass
 class _Row:
+    """Frames F(theta, phi_n) of one mesh row, (n, dim, d_sub) point by point.
+
+    A z-covariant row is stored factored, F(theta, phi) = R(phi) F(theta, 0)
+    D(phi) (_meridian_rows): ``factors`` holds F(theta, 0) (dim, d_sub), the
+    diagonal of R(phi_n) (n, dim) and D(phi_n) (n, d_sub, d_sub), the last
+    two shared by every row of the same phi count, and ``frames`` builds
+    the per-point array on first read.  Rows that are not z-covariant
+    (_transport) hold per-point frames only.
+    """
+
     theta: float
     phis: np.ndarray
-    frames: np.ndarray  # (n, dim, d_sub)
+    points: np.ndarray | None = None
+    factors: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+
+    @property
+    def frames(self) -> np.ndarray:
+        if self.points is None:
+            f0, rot, rep = self.factors
+            self.points = rot[:, :, None] * (f0 @ rep)
+        return self.points
+
+    @property
+    def rep(self) -> np.ndarray | None:
+        """D(phi_n) of a factored row; None for a per-point one."""
+        return None if self.factors is None else self.factors[2]
 
 
 @dataclass
@@ -238,6 +270,8 @@ class FrameField:
 
     Rows run north to south; the first mesh ring (touching theta = 0) is
     dropped, per-cell rows are exposed through ring_top / ring_bottom.
+    z-covariant rows are factored (see _Row); their per-point frames are
+    built only when read.
     """
 
     mesh: SphereMesh
@@ -251,7 +285,7 @@ class FrameField:
 
     @property
     def d_sub(self) -> int:
-        return self.rows[0].frames.shape[-1]
+        return len(self.positions)
 
     def ring_top(self, ring: int) -> _Row:
         return self.rows[self.top_index[ring]]
@@ -369,10 +403,12 @@ def _meridian_rows(p: ModelParams, positions: Sequence[int], plan: list[tuple[fl
     field on a seed latitude theta_s has unitary D(phi) = F(theta_s, 0)^dag
     R(phi)^dag F(theta_s, phi), R(phi) = e^{-i phi J_z} (F0^dag R^dag F0 at
     the pole, whose frame spans a J_z-invariant subspace; the same D on
-    every latitude for the covariant closed forms).  An overlap with a
-    reference R F(theta', 0) D is M(theta, 0) D, and polar(M D) = polar(M) D,
-    so F(theta, phi) = R F(theta, 0) D is the per-point polar transport at
-    any phi, with phi-independent singular values.
+    every latitude for the covariant closed forms, read from one call at
+    theta_s over every phi count's grid).  An overlap with a reference
+    R F(theta', 0) D is M(theta, 0) D, and polar(M D) = polar(M) D, so
+    F(theta, phi) = R F(theta, 0) D is the per-point polar transport at
+    any phi, with phi-independent singular values.  Rows are returned
+    factored, (F(theta, 0), R, D) with R and D shared per phi count (_Row).
     """
     thetas = np.unique([theta for theta, _ in plan])[::-1]  # south pole first
     zeros = np.zeros(1)
@@ -393,17 +429,18 @@ def _meridian_rows(p: ModelParams, positions: Sequence[int], plan: list[tuple[fl
     for i, ref in outward:
         frames[i] = _align_rows(frames[i][None], frames[ref][None])[0]
     at = dict(zip(thetas, frames))
-    per_count: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    rows = []
-    for theta, phis in plan:
-        if len(phis) not in per_count:
-            rot = np.exp(-1j * np.multiply.outer(phis, _jz_diagonal(p.nuclear_two_l)))[:, :, None]
-            on_s = frames[s] if closed_form is None else closed_form(
-                np.full_like(phis, thetas[s]), phis)
-            per_count[len(phis)] = rot, frames[s].conj().T @ (rot.conj() * on_s)
-        rot, d = per_count[len(phis)]
-        rows.append(_Row(theta, phis, rot * (at[theta] @ d)))
-    return rows
+    grids = {len(phis): phis for _, phis in plan}  # one phi grid per count
+    if closed_form is None:
+        on_s = [frames[s]] * len(grids)
+    else:  # one closed-form call at theta_s for every count's phis
+        every = np.concatenate(list(grids.values()))
+        on_s = np.split(closed_form(np.full_like(every, thetas[s]), every),
+                        np.cumsum(list(grids))[:-1])
+    per_count = {}
+    for (n, phis), on in zip(grids.items(), on_s):
+        rot = np.exp(-1j * np.multiply.outer(phis, _jz_diagonal(p.nuclear_two_l)))
+        per_count[n] = rot, frames[s].conj().T @ (rot.conj()[:, :, None] * on)
+    return [_Row(theta, phis, factors=(at[theta], *per_count[len(phis)])) for theta, phis in plan]
 
 
 def _transport(p: ModelParams, positions: Sequence[int],
@@ -429,35 +466,97 @@ def _transport(p: ModelParams, positions: Sequence[int],
     return rows[::-1]
 
 
+def _per_point(x: np.ndarray, rep: np.ndarray | None) -> np.ndarray:
+    """(n, d, d) per-point matrices of a ring: x itself, or D(phi_n)^dag x D(phi_n) when factored."""
+    return x if rep is None else rep.conj().swapaxes(-1, -2) @ x @ rep
+
+
 @dataclass
 class ConnectionField:
-    """Edge-integrated connection matrices per ring (finite-difference form)."""
+    """Edge-integrated connection matrices per ring (finite-difference form).
+
+    Each ring holds one (m, d, d) array per edge type: per point (m = n_r),
+    or, on factored frames, the phi = 0 matrix X alone (m = 1), every edge
+    of the ring being D(phi_n)^dag X D(phi_n).  a_theta / a_phi_top /
+    a_phi_bottom give (n_r, d, d) per point, built on first access.
+    """
 
     field: FrameField
-    a_theta: dict[int, np.ndarray]       # (n_r, d, d) left theta-edges, top corners
-    a_phi_top: dict[int, np.ndarray]     # (n_r, d, d) phi-edges along the top row
-    a_phi_bottom: dict[int, np.ndarray]  # (n_r, d, d) phi-edges along the bottom row
+    x_theta: dict[int, np.ndarray]       # left theta-edges, top corners
+    x_phi_top: dict[int, np.ndarray]     # phi-edges along the top row
+    x_phi_bottom: dict[int, np.ndarray]  # phi-edges along the bottom row
+
+    def _expand(self, x: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
+        return {r: _per_point(a, self.field.ring_top(r).rep) for r, a in x.items()}
+
+    @cached_property
+    def a_theta(self) -> dict[int, np.ndarray]:
+        return self._expand(self.x_theta)
+
+    @cached_property
+    def a_phi_top(self) -> dict[int, np.ndarray]:
+        return self._expand(self.x_phi_top)
+
+    @cached_property
+    def a_phi_bottom(self) -> dict[int, np.ndarray]:
+        return self._expand(self.x_phi_bottom)
+
+
+def _links(top: np.ndarray, top_east: np.ndarray, bottom: np.ndarray,
+           bottom_east: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A = i(<frame|neighbour frame> - 1) on theta-edges and top and bottom phi-edges.
+
+    Batched over the leading axis: the points of one ring, or the rings of
+    a factored field.
+    """
+    eye = np.eye(top.shape[-1])
+
+    def link(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return 1j * (a.conj().swapaxes(-1, -2) @ b - eye)
+
+    return link(top, bottom), link(top, top_east), link(bottom, bottom_east)
+
+
+def _factored_east(rows: list[_Row]) -> tuple[np.ndarray, np.ndarray]:
+    """phi = 0 frames F of factored rows and their neighbours R(dphi) F D(dphi), stacked."""
+    f0 = np.stack([row.factors[0] for row in rows])
+    rot = np.stack([row.factors[1][1] for row in rows])
+    rep = np.stack([row.rep[1] for row in rows])
+    return f0, rot[:, :, None] * (f0 @ rep)
 
 
 def connection_discrete(frames: FrameField) -> ConnectionField:
-    """Discrete connection one-form A = i(<frame|neighbour frame> - 1) per edge."""
-    d = frames.d_sub
-    eye = np.eye(d)
-    a_theta: dict[int, np.ndarray] = {}
-    a_phi_top: dict[int, np.ndarray] = {}
-    a_phi_bottom: dict[int, np.ndarray] = {}
-    for r in range(frames.ring_start, frames.mesh.n_theta):
-        top = frames.ring_top(r).frames
-        bottom = frames.ring_bottom(r).frames
-        a_theta[r] = 1j * (np.einsum("nda,ndb->nab", top.conj(), bottom) - eye)
-        a_phi_top[r] = 1j * (np.einsum("nda,ndb->nab", top.conj(), np.roll(top, -1, axis=0)) - eye)
-        a_phi_bottom[r] = 1j * (np.einsum("nda,ndb->nab", bottom.conj(), np.roll(bottom, -1, axis=0)) - eye)
-    return ConnectionField(frames, a_theta, a_phi_top, a_phi_bottom)
+    """Discrete connection one-form A = i(<frame|neighbour frame> - 1) per edge.
+
+    On factored rows (see _Row) three d x d matrices per ring stand for all
+    its edges, formed for every ring in one batch: A_theta = i(F_t^dag F_b
+    - 1) and A_phi = i(F^dag R(dphi) F D(dphi) - 1) on the top and bottom
+    rows, F = F(theta, 0), the edge at phi_n being D(phi_n)^dag A
+    D(phi_n).  Other rows are formed point by point, one ring at a time.
+    """
+    rings = range(frames.ring_start, frames.mesh.n_theta)
+    tops = [frames.ring_top(r) for r in rings]
+    bottoms = [frames.ring_bottom(r) for r in rings]
+    if frames.rows[0].factors is None:
+        per_ring = [_links(t.frames, np.roll(t.frames, -1, axis=0),
+                           b.frames, np.roll(b.frames, -1, axis=0)) for t, b in zip(tops, bottoms)]
+        x_theta, x_phi_top, x_phi_bottom = zip(*per_ring)
+    else:  # (1, d, d) per ring
+        x_theta, x_phi_top, x_phi_bottom = (
+            x[:, None] for x in _links(*_factored_east(tops), *_factored_east(bottoms)))
+    return ConnectionField(frames, dict(zip(rings, x_theta)), dict(zip(rings, x_phi_top)),
+                           dict(zip(rings, x_phi_bottom)))
 
 
 @dataclass
 class CurvatureField:
-    """Per-plaquette curvature matrices over the meshed sphere."""
+    """Per-plaquette curvature matrices over the meshed sphere.
+
+    Each ring holds an (m, d, d) array: per point (m = n_r), or one matrix C
+    for a factored ring (m = 1, rep holding its D(phi_n)), every cell being
+    D(phi_n)^dag C D(phi_n) with the trace tr C.  Traces are read from those
+    arrays; ``curvature`` gives (n_r, d, d) per point, built on first access.
+    """
 
     mesh: SphereMesh
     labels: tuple[int, ...]
@@ -465,50 +564,74 @@ class CurvatureField:
     ring_start: int
     ring_theta: dict[int, float]
     ring_phis: dict[int, np.ndarray]
-    curvature: dict[int, np.ndarray]     # (n_r, d, d) per ring
+    x_curvature: dict[int, np.ndarray]
+    rep: dict[int, np.ndarray | None]
     solid_angle: dict[int, np.ndarray]
 
+    @cached_property
+    def curvature(self) -> dict[int, np.ndarray]:
+        return {r: _per_point(c, self.rep[r]) for r, c in self.x_curvature.items()}
+
+    def _cell_traces(self, r: int) -> np.ndarray:
+        """Re tr F on each cell of ring r."""
+        tr = np.trace(self.x_curvature[r], axis1=-2, axis2=-1).real
+        return np.broadcast_to(tr, self.ring_phis[r].shape)
+
+    def _ring_trace(self, r: int) -> float:
+        """Re tr F summed over ring r: n_r tr C on a factored ring."""
+        tr = np.trace(self.x_curvature[r], axis1=-2, axis2=-1).real
+        return float(tr.sum() if self.rep[r] is None else len(self.ring_phis[r]) * tr[0])
+
     def trace_sum(self) -> float:
-        return float(sum(np.trace(f, axis1=-2, axis2=-1).real.sum()
-                         for f in self.curvature.values()))
+        return sum(self._ring_trace(r) for r in self.x_curvature)
 
     def cap_compensation(self) -> float:
         """Estimated curvature content of the dropped north cap."""
         r0 = self.ring_start
-        tr = np.trace(self.curvature[r0], axis1=-2, axis2=-1).real.sum()
         omega = self.solid_angle[r0].sum()
-        return float(tr / omega * self.mesh.cap_solid_angle(r0))
+        return float(self._ring_trace(r0) / omega * self.mesh.cap_solid_angle(r0))
 
     def to_csv(self, path) -> None:
         """Columns: theta, phi, Re tr F, cell solid angle."""
         with open(path, "w") as fh:
             fh.write("# schema=1\n")
             fh.write("theta,phi,re_tr_curvature,solid_angle\n")
-            for r in sorted(self.curvature):
-                tr = np.trace(self.curvature[r], axis1=-2, axis2=-1).real
-                for phi, t, om in zip(self.ring_phis[r], tr, self.solid_angle[r]):
+            for r in sorted(self.x_curvature):
+                for phi, t, om in zip(self.ring_phis[r], self._cell_traces(r), self.solid_angle[r]):
                     fh.write(f"{self.ring_theta[r]:.12g},{phi:.12g},{t:.12g},{om:.12g}\n")
 
 
+def _plaquettes(a1: np.ndarray, a2t: np.ndarray, a2b: np.ndarray,
+                a1_east: np.ndarray) -> np.ndarray:
+    """F = dA + i[A_theta, A_phi,t], batched over the leading axis (see _links)."""
+    comm = a1 @ a2t - a2t @ a1
+    return a2b - a2t - a1_east + a1 + 1j * comm
+
+
 def curvature_discrete(connections: ConnectionField) -> CurvatureField:
-    """Per-plaquette curvature F = dA + i[A_theta, A_phi] from the edge connections."""
+    """Per-plaquette curvature F = dA + i[A_theta, A_phi] from the edge connections.
+
+    On factored rings one matrix serves every cell, formed for every ring in
+    one batch: C = A_phi,b - A_phi,t - D(dphi)^dag A_theta D(dphi) + A_theta
+    + i[A_theta, A_phi,t], the cell at phi_n being D(phi_n)^dag C D(phi_n).
+    """
     frames = connections.field
     mesh = frames.mesh
-    ring_theta: dict[int, float] = {}
-    ring_phis: dict[int, np.ndarray] = {}
-    curvature: dict[int, np.ndarray] = {}
-    solid: dict[int, np.ndarray] = {}
-    for r, a1 in connections.a_theta.items():
-        a2t = connections.a_phi_top[r]
-        a2b = connections.a_phi_bottom[r]
-        a1_right = np.roll(a1, -1, axis=0)
-        comm = np.einsum("nab,nbc->nac", a1, a2t) - np.einsum("nab,nbc->nac", a2t, a1)
-        curvature[r] = a2b - a2t - a1_right + a1 + 1j * comm
-        ring_theta[r] = frames.ring_top(r).theta
-        ring_phis[r] = frames.ring_top(r).phis
-        solid[r] = mesh.ring_solid_angle(r)
+    tops = {r: frames.ring_top(r) for r in connections.x_theta}
+    a1, a2t, a2b = (list(x.values()) for x in (
+        connections.x_theta, connections.x_phi_top, connections.x_phi_bottom))
+    if frames.rows[0].factors is None:
+        curvature = [_plaquettes(t, pt, pb, np.roll(t, -1, axis=0))
+                     for t, pt, pb in zip(a1, a2t, a2b)]
+    else:  # (1, d, d) per ring
+        a1, a2t, a2b = (np.concatenate(a) for a in (a1, a2t, a2b))
+        rep = np.stack([top.rep[1] for top in tops.values()])
+        curvature = _plaquettes(a1, a2t, a2b, rep.conj().swapaxes(-1, -2) @ a1 @ rep)[:, None]
     return CurvatureField(mesh, frames.labels, frames.nuclear_two_l, frames.ring_start,
-                          ring_theta, ring_phis, curvature, solid)
+                          {r: top.theta for r, top in tops.items()},
+                          {r: top.phis for r, top in tops.items()},
+                          dict(zip(tops, curvature)), {r: top.rep for r, top in tops.items()},
+                          {r: mesh.ring_solid_angle(r) for r in tops})
 
 
 def chern_number(field: CurvatureField) -> ChernResult:
@@ -583,7 +706,7 @@ def loop_phase(p: ModelParams, labels: Sequence[int] | int, loop,
         return float(orientation * cap * weight)
     total = field.cap_compensation()
     for r in range(field.ring_start, r_loop):
-        total += float(np.trace(field.curvature[r], axis1=-2, axis2=-1).real.sum())
+        total += field._ring_trace(r)
     if frac > 1e-9 and r_loop < mesh.n_theta:
-        total += frac * float(np.trace(field.curvature[r_loop], axis1=-2, axis2=-1).real.sum())
+        total += frac * field._ring_trace(r_loop)
     return float(orientation * total)

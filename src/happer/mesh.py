@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,16 +35,25 @@ class SphereMesh:
     def theta_edges(self) -> np.ndarray:
         return np.linspace(0.0, np.pi, self.n_theta + 1)
 
-    def ring_phi_count(self, ring: int) -> int:
-        # Polar floor: a smooth gauge accumulates its full winding near the
-        # poles, so per-edge connection phases stay small only if polar
-        # rings keep a reasonable phi count.
-        if self.scheme == "uniform":
-            return self.phi_max
+    @cached_property
+    def _rings(self) -> tuple[np.ndarray, np.ndarray]:
+        """Theta edges and per-ring phi counts, computed once per mesh (read-only)."""
         edges = self.theta_edges()
-        mid = 0.5 * (edges[ring] + edges[ring + 1])
-        floor = max(16, self.phi_max // 8)
-        return int(np.clip(round(self.phi_max * np.sin(mid)), floor, self.phi_max))
+        if self.scheme == "uniform":
+            counts = np.full(self.n_theta, self.phi_max)
+        else:
+            # Polar floor: a smooth gauge accumulates its full winding near
+            # the poles, so per-edge connection phases stay small only if
+            # polar rings keep a reasonable phi count.  np.rint rounds half
+            # to even, as round does.
+            mid = 0.5 * (edges[:-1] + edges[1:])
+            floor = max(16, self.phi_max // 8)
+            counts = np.clip(np.rint(self.phi_max * np.sin(mid)), floor, self.phi_max).astype(int)
+        edges.flags.writeable = counts.flags.writeable = False
+        return edges, counts
+
+    def ring_phi_count(self, ring: int) -> int:
+        return int(self._rings[1][ring])
 
     def ring_phis(self, ring: int) -> np.ndarray:
         n = self.ring_phi_count(ring)
@@ -51,7 +61,7 @@ class SphereMesh:
 
     def ring_solid_angle(self, ring: int) -> np.ndarray:
         """Per-cell solid angles of one ring."""
-        edges = self.theta_edges()
+        edges = self._rings[0]
         band = np.cos(edges[ring]) - np.cos(edges[ring + 1])
         n = self.ring_phi_count(ring)
         return np.full(n, band * 2 * np.pi / n)

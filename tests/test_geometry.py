@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -36,6 +37,29 @@ def test_equal_area_cells_are_comparable_where_unclamped():
     omegas = [mesh.ring_solid_angle(r)[0] for r in range(mesh.n_theta)
               if mesh.ring_phi_count(r) > floor]
     assert max(omegas) / min(omegas) < 2.0
+
+
+@pytest.mark.parametrize("scheme", ["uniform", "equal-area"])
+@pytest.mark.parametrize("n_theta,n_phi_max", [(4, None), (50, None), (100, None), (201, None),
+                                               (21, 37)])
+def test_ring_phi_counts_match_the_scalar_formula(n_theta, n_phi_max, scheme):
+    # The per-mesh table must round as Python's round does, half to even:
+    # on SphereMesh(21, 37) ring 3 wants 37 sin(theta) = 18.5 exactly.
+    mesh = SphereMesh(n_theta, n_phi_max, scheme)
+    edges = np.linspace(0.0, np.pi, n_theta + 1)
+    if n_phi_max == 37:
+        assert 37 * np.sin(0.5 * (edges[3] + edges[4])) == 18.5
+    for ring in range(n_theta):
+        if scheme == "uniform":
+            expected = mesh.phi_max
+        else:
+            mid = 0.5 * (edges[ring] + edges[ring + 1])
+            floor = max(16, mesh.phi_max // 8)
+            expected = int(np.clip(round(mesh.phi_max * np.sin(mid)), floor, mesh.phi_max))
+        assert mesh.ring_phi_count(ring) == expected
+        assert np.array_equal(mesh.ring_phis(ring), np.arange(expected) * (2 * np.pi / expected))
+        band = np.cos(edges[ring]) - np.cos(edges[ring + 1])
+        assert np.array_equal(mesh.ring_solid_angle(ring), np.full(expected, band * 2 * np.pi / expected))
 
 
 def test_mesh_validation():
@@ -162,7 +186,10 @@ def test_cluster_lowest_band_jumps_across_crossing():
         assert per_position[positions[0]].rounded == expected
 
 
-def test_constant_frames_give_zero_connection_and_curvature():
+def test_constant_frames_give_zero_connection_and_curvature(monkeypatch):
+    # Written in place, so on per-point rows: a factored row's frames are
+    # only a view of its factors, which the connection reads.
+    _general(monkeypatch)
     p = ModelParams(0, 0.0, 0.0, FieldDirection(0.0, 0.0))
     mesh = SphereMesh(12, 24, "uniform")
     frames = smooth_gauge_states(p, (1,), mesh)
@@ -196,7 +223,8 @@ def test_pole_states_are_phi_independent():
     assert np.max(np.abs(v - v[0])) < 1e-12
 
 
-def test_gauge_invariance_under_smooth_rotation():
+def test_gauge_invariance_under_smooth_rotation(monkeypatch):
+    _general(monkeypatch)  # the twist is written in place, see above
     rng = np.random.default_rng(31)
     p = ModelParams(2, 2 / 3, 0.0, FieldDirection(0.5, 0.3))
     mesh = SphereMesh(60, 120, "uniform")
@@ -510,6 +538,89 @@ def test_covariant_frames_align_once_per_latitude(monkeypatch, scheme):
         assert sizes == [per_latitude] * (mesh.n_theta - 1)
 
 
+def _fields(frames) -> list[dict[int, np.ndarray]]:
+    conn = connection_discrete(frames)
+    return [conn.a_theta, conn.a_phi_top, conn.a_phi_bottom, curvature_discrete(conn).curvature]
+
+
+def _worst(a: list[dict[int, np.ndarray]], b: list[dict[int, np.ndarray]]) -> float:
+    assert all(x.keys() == y.keys() for x, y in zip(a, b, strict=True))
+    return max(np.max(np.abs(x[r] - y[r])) for x, y in zip(a, b) for r in x)
+
+
+@pytest.mark.parametrize("source", ["numerical", "analytic"])
+@pytest.mark.parametrize("scheme", ["uniform", "equal-area"])
+@pytest.mark.parametrize("two_l,labels", [(2, (3, 4, 5)), (4, (5, 6, 7, 8, 9))])
+def test_factored_fields_match_the_per_point_computation(monkeypatch, two_l, labels, scheme,
+                                                         source):
+    # Factored rows give one matrix per ring and edge type; expanded by
+    # D(phi_n), they are the per-point connection and curvature of the same
+    # frames, and on a uniform mesh those of per-point transport too.
+    p = ModelParams(two_l, 2 / (two_l + 1))
+    mesh = SphereMesh(30, 60, scheme)
+    fact = smooth_gauge_states(p, labels, mesh, source=source)
+    assert all(row.factors is not None for row in fact.rows)
+    fields = _fields(fact)
+    assert all(row.points is None for row in fact.rows)  # expanded without per-point frames
+    per_point = replace(fact, rows=[geometry._Row(row.theta, row.phis, row.frames.copy())
+                                    for row in fact.rows])
+    assert _worst(fields, _fields(per_point)) < 1e-12
+    if source == "numerical" and scheme == "uniform":
+        _general(monkeypatch)
+        assert _worst(fields, _fields(smooth_gauge_states(p, labels, mesh))) < 1e-12
+
+
+def test_uniform_trace_sum_is_minus_the_first_ring_phi_connection():
+    # On a uniform mesh the theta-edge and commutator terms cancel around
+    # each ring and the rows are shared, so the phi-edge traces telescope to
+    # the first ring's (the south pole's vanish).
+    frames = smooth_gauge_states(ModelParams(2, 2 / 3), (3, 4, 5), SphereMesh(40, 80, "uniform"))
+    conn = connection_discrete(frames)
+    first = -np.trace(conn.a_phi_top[frames.ring_start], axis1=-2, axis2=-1).real.sum()
+    assert abs(first - 12.156343803323004) < 1e-12
+    assert abs(curvature_discrete(conn).trace_sum() - first) < 1e-12
+
+
+@pytest.mark.parametrize("scheme", ["uniform", "equal-area"])
+def test_covariant_traces_build_no_per_point_array(monkeypatch, tmp_path, scheme):
+    # Chern numbers, loop phases and the CSV read one d x d matrix per ring.
+    built: list[str] = []
+    real_per_point = geometry._per_point
+
+    def per_point_spy(x, rep):
+        built.append("per-point matrices")
+        return real_per_point(x, rep)
+
+    def frames_spy(row):
+        built.append("per-point frames")
+        return row.points
+
+    monkeypatch.setattr(geometry, "_per_point", per_point_spy)
+    monkeypatch.setattr(geometry._Row, "frames", property(frames_spy))
+    p = ModelParams(2, 2 / 3)
+    mesh = SphereMesh(100, 200, scheme)
+    for source in ("numerical", "analytic"):
+        assert chern_number_curvature(p, (3, 4, 5), mesh, source=source).rounded == 1
+        loop_phase(p, (3, 4, 5), RING_LOOP, mesh, source=source)
+        curvature_field(p, (3, 4, 5), mesh, source=source).to_csv(tmp_path / "curv.csv")
+    assert built == []
+    curvature_field(p, (3, 4, 5), mesh).curvature  # the spies do see an expansion
+    assert built == ["per-point matrices"] * (mesh.n_theta - 1)
+
+
+def test_factored_csv_matches_the_per_point_one(tmp_path):
+    p = ModelParams(2, 2 / 3)
+    frames = smooth_gauge_states(p, (3, 4, 5), SphereMesh(16, 32, "equal-area"))
+    per_point = replace(frames, rows=[geometry._Row(row.theta, row.phis, row.frames.copy())
+                                      for row in frames.rows])
+    tables = []
+    for field in (frames, per_point):
+        curvature_discrete(connection_discrete(field)).to_csv(tmp_path / "curv.csv")
+        tables.append(np.loadtxt(tmp_path / "curv.csv", delimiter=",", skiprows=2))
+    assert tables[0].shape == tables[1].shape
+    assert np.max(np.abs(tables[0] - tables[1])) < 1e-9
+
+
 ANALYTIC_CASES = [(2, (3, 4, 5), 1e-10), (4, (5, 6, 7, 8, 9), 1e-6)]
 
 
@@ -533,8 +644,9 @@ def test_analytic_interior_rows_are_the_closed_forms(two_l, labels, tol, n, sche
 
 @pytest.mark.parametrize("scheme", ["uniform", "equal-area"])
 def test_analytic_frames_take_the_meridian(monkeypatch, scheme):
-    # One closed-form call for the seed latitudes at phi = 0, one per phi
-    # count for the rotation, and one aligned frame per polar-margin latitude.
+    # One closed-form call for the seed latitudes at phi = 0, one for the
+    # rotation at every phi count, and one aligned frame per polar-margin
+    # latitude.
     calls: list[int] = []
     sizes: list[int] = []
     real_raw, real_align = geometry.raw_degenerate_vectors, geometry._align_rows
@@ -553,7 +665,8 @@ def test_analytic_frames_take_the_meridian(monkeypatch, scheme):
     counts = {mesh.ring_phi_count(r) for r in range(1, mesh.n_theta)}
     margin = geometry._ANALYTIC_POLE_MARGIN
     polar = [t for t in mesh.theta_edges()[1:] if not margin < t < np.pi - margin]
-    assert len(calls) == 1 + len(counts)
+    assert len(counts) == (1 if scheme == "uniform" else 45)
+    assert len(calls) == 2
     assert sizes == [1] * len(polar)
 
 
