@@ -286,11 +286,12 @@ def landau_zener_scan(p_base: ModelParams, x_start: float, x_end: float,
     the x_end eigenbasis.  Requires y != 0 and a ramp interval that
     actually contains the anti-crossing.
 
-    For z-covariant H (axis along z) the ramp runs at field azimuth 0,
-    where every H is real symmetric and takes a real eigh: R(phi) =
-    e^{-i phi J_z} maps the initial state and the final eigenbasis alike,
-    so the populations do not depend on phi.  A tilted axis ramps at the
-    given field, in complex arithmetic.
+    The ramp runs in the frame that turns the axis a onto z and the field
+    n into the x-z plane, at polar angle angle(n, a) and azimuth 0, where
+    every H is real symmetric and takes a real eigh.  A ramp changes only
+    x, S.L is rotation invariant, and the rotation maps the initial state
+    and the final eigenbasis alike, so the populations are those of the
+    given field and axis.
     """
     if p_base.y == 0.0:
         raise ValueError("the ramp scan probes an anti-crossing and needs y != 0")
@@ -299,8 +300,9 @@ def landau_zener_scan(p_base: ModelParams, x_start: float, x_end: float,
     if not lo < x_anti < hi:
         raise ValueError(f"ramp [{x_start}, {x_end}] does not cross the anti-crossing "
                          f"near x = {x_anti:.4f}")
-    if _z_covariant(p_base.y, p_base.axis):
-        p_base = p_base.with_field(p_base.field.theta, 0.0)
+    n, a = p_base.field.unit_vector(), np.asarray(p_base.axis)
+    angle = float(np.arctan2(np.linalg.norm(np.cross(n, a)), n @ a))  # accurate near the poles
+    p_base = ModelParams(p_base.nuclear_two_l, p_base.x, p_base.y, FieldDirection(angle, 0.0))
     es0 = eigensystem(build_hamiltonian(p_base.with_x(x_start)))
     psi0 = es0.eigenvectors[:, level - 1]
     es1 = eigensystem(build_hamiltonian(p_base.with_x(x_end)))

@@ -29,7 +29,8 @@ D a unitary representation of the phi rotations (_meridian_rows), so every
 edge connection and every plaquette curvature of a ring is
 D(phi_n)^dag X D(phi_n) for one d x d matrix X per ring.  Chern numbers,
 loop phases and the curvature CSV read n_phi tr X per ring; the per-point
-frames, connections and curvatures are built only when read.
+frames, connections and curvatures are built only when read.  Rings that
+meet at the same (theta, phi count) share one frame row.
 """
 
 from __future__ import annotations
@@ -145,8 +146,13 @@ def _link_chern(frames: np.ndarray, m: np.ndarray, phi_max: int) -> np.ndarray:
     return -phi_max * angles.sum(axis=0) / (4 * np.pi)
 
 
-def _band_gaps(w: np.ndarray, positions: Sequence[int], context: str) -> np.ndarray:
-    """Per-point gap between a contiguous band set and the rest of the spectrum."""
+def _check_isolated(w: np.ndarray, positions: Sequence[int], context: str,
+                    thetas: Sequence[float] = (), phis: Sequence[float] = (0.0,)) -> None:
+    """Refuse a contiguous band set that comes within TOL.subspace_isolation of the rest.
+
+    w is (n_theta, n_phi, d), or (n_theta, d) on a meridian; given the
+    grid's thetas (and phis), the message names the point of smallest gap.
+    """
     lo, hi = min(positions), max(positions)
     if sorted(positions) != list(range(lo, hi + 1)):
         raise ValueError(f"{context}: band positions must be contiguous, got {positions}")
@@ -155,14 +161,13 @@ def _band_gaps(w: np.ndarray, positions: Sequence[int], context: str) -> np.ndar
         gaps = np.minimum(gaps, w[..., lo] - w[..., lo - 1])
     if hi < w.shape[-1] - 1:
         gaps = np.minimum(gaps, w[..., hi + 1] - w[..., hi])
-    return gaps
-
-
-def _check_isolated(w: np.ndarray, positions: Sequence[int], context: str) -> None:
-    gap = float(np.min(_band_gaps(w, positions, context)))
-    if gap < TOL.subspace_isolation:
+    gaps = gaps.reshape(len(w), -1)
+    t, f = np.unravel_index(np.argmin(gaps), gaps.shape)
+    if gaps[t, f] < TOL.subspace_isolation:
+        where = f" at (theta={thetas[t]:.6f}, phi={phis[f]:.6f})" if len(thetas) else ""
         raise SubspaceIsolationError(
-            f"{context}: bands {positions} touch the rest of the spectrum (gap {gap:.2e}); "
+            f"{context}: bands {positions} touch the rest of the spectrum{where} "
+            f"(gap {gaps[t, f]:.2e}), so the subspace dimension is ambiguous; "
             "perturb x away from the crossing or treat the whole cluster")
 
 
@@ -182,7 +187,7 @@ def chern_number_link_variable(p: ModelParams, labels: Sequence[int] | int,
     labels = (labels,) if isinstance(labels, int) else tuple(labels)
     positions = _positions_for(p, labels)
     w0, f0, m = _link_meridian(p, mesh)
-    _check_isolated(w0, positions, "link-variable Chern")
+    _check_isolated(w0, positions, "link-variable Chern", mesh.theta_edges())
     value = _link_chern(f0[..., list(positions)][:, None], m, mesh.phi_max)[0]
     result = ChernResult.from_fourpi(value, _half_grid(p.nuclear_two_l, len(positions)))
     return _check_quantized(result, "link-variable Chern")
@@ -268,24 +273,20 @@ class _Row:
 class FrameField:
     """Smoothly gauged orthonormal frames on the mesh corner rows.
 
-    Rows run north to south; the first mesh ring (touching theta = 0) is
-    dropped, per-cell rows are exposed through ring_top / ring_bottom.
-    z-covariant rows are factored (see _Row); their per-point frames are
-    built only when read.
+    Rows run north to south, one per distinct (theta, phi count), so a
+    ring's bottom row is the next ring's top row when their phi counts
+    match; the first mesh ring (touching theta = 0) is dropped, per-cell
+    rows are exposed through ring_top / ring_bottom.  z-covariant rows are
+    factored (see _Row); their per-point frames are built only when read.
     """
 
     mesh: SphereMesh
     labels: tuple[int, ...]
     nuclear_two_l: int
-    positions: tuple[int, ...]
     ring_start: int
     rows: list[_Row]
     top_index: dict[int, int]
     bottom_index: dict[int, int]
-
-    @property
-    def d_sub(self) -> int:
-        return len(self.positions)
 
     def ring_top(self, ring: int) -> _Row:
         return self.rows[self.top_index[ring]]
@@ -303,20 +304,11 @@ def _align_rows(frames: np.ndarray, ref: np.ndarray) -> np.ndarray:
     return np.einsum("nda,nab->ndb", frames, u @ vh)
 
 
-def _nearest_phi_map(phis: np.ndarray, target_count: int) -> np.ndarray:
-    return np.rint(phis * target_count / (2 * np.pi)).astype(int) % target_count
-
-
 def _raw_frames(p: ModelParams, thetas: np.ndarray, phis: np.ndarray,
                 positions: Sequence[int]) -> np.ndarray:
     """Grid frames (n_t, n_p, dim, d_sub); raises where they touch the rest of the spectrum."""
     w, v = _eigen_grid(p, thetas, phis)
-    gaps = _band_gaps(w, positions, "smoothed-gauge frames")
-    t, f = np.unravel_index(np.argmin(gaps), gaps.shape)
-    if gaps[t, f] < TOL.subspace_isolation:
-        raise SubspaceIsolationError(
-            f"subspace dimension is ambiguous at cell (theta={thetas[t]:.6f}, "
-            f"phi={phis[f]:.6f}): gap {gaps[t, f]:.2e}")
+    _check_isolated(w, positions, "smoothed-gauge frames", thetas, phis)
     return v[..., list(positions)]
 
 
@@ -331,9 +323,10 @@ def smooth_gauge_states(p: ModelParams, labels: Sequence[int], mesh: SphereMesh 
     toward a seed by the polar unitary of their overlap matrix, which makes
     neighbouring frames agree to O(mesh spacing) everywhere (the gauge is
     single valued on the sphere minus the dropped north cap).  Numerical
-    frames are seeded at the south pole.  For z-covariant H only the
-    phi = 0 meridian is transported and rotated out to every phi
-    (_meridian_rows); otherwise every mesh point is aligned (_transport).
+    frames are seeded at the south pole, on one row per distinct (theta,
+    phi count) of either mesh scheme.  For z-covariant H only the phi = 0
+    meridian is transported and rotated out to every phi (_meridian_rows);
+    otherwise every mesh point is aligned (_transport).
 
     With ``source="analytic"`` the closed-form degenerate bases seed every
     latitude where they are well conditioned (away from the poles), with
@@ -347,24 +340,18 @@ def smooth_gauge_states(p: ModelParams, labels: Sequence[int], mesh: SphereMesh 
     edges = mesh.theta_edges()
     ring_start = 1
 
-    # row coordinate plan, north to south; uniform meshes share rows
+    # row coordinate plan, north to south, one row per (theta, phi count)
     plan: list[tuple[float, np.ndarray]] = []
+    row_of: dict[tuple[float, int], int] = {}
     top_index: dict[int, int] = {}
     bottom_index: dict[int, int] = {}
-    if mesh.scheme == "uniform":
-        phis = mesh.ring_phis(ring_start)
-        for r in range(ring_start, mesh.n_theta + 1):
-            plan.append((float(edges[r]), phis))
-        for r in range(ring_start, mesh.n_theta):
-            top_index[r] = r - ring_start
-            bottom_index[r] = r - ring_start + 1
-    else:
-        for r in range(ring_start, mesh.n_theta):
-            phis = mesh.ring_phis(r)
-            top_index[r] = len(plan)
-            plan.append((float(edges[r]), phis))
-            bottom_index[r] = len(plan)
-            plan.append((float(edges[r + 1]), phis))
+    for r in range(ring_start, mesh.n_theta):
+        phis = mesh.ring_phis(r)
+        for index, theta in ((top_index, float(edges[r])), (bottom_index, float(edges[r + 1]))):
+            if (theta, len(phis)) not in row_of:
+                row_of[theta, len(phis)] = len(plan)
+                plan.append((theta, phis))
+            index[r] = row_of[theta, len(phis)]
 
     if source == "analytic":
         rows = _meridian_rows(p, positions, plan, _analytic_frames(p, positions))
@@ -374,8 +361,7 @@ def smooth_gauge_states(p: ModelParams, labels: Sequence[int], mesh: SphereMesh 
         rows = _meridian_rows(p, positions, plan)
     else:
         rows = _transport(p, positions, plan)
-    return FrameField(mesh, labels, p.nuclear_two_l, positions, ring_start, rows,
-                      top_index, bottom_index)
+    return FrameField(mesh, labels, p.nuclear_two_l, ring_start, rows, top_index, bottom_index)
 
 
 def _analytic_frames(p: ModelParams, positions: Sequence[int]) -> FrameBuilder:
@@ -449,20 +435,16 @@ def _transport(p: ModelParams, positions: Sequence[int],
 
     The pole row shares one frame; every other row is aligned to the row
     south of it, one SVD per mesh point against that row's nearest-phi
-    frame, or copies its frames when it coincides with it (same theta and
-    phi count) instead of being re-solved.
+    frame.
     """
     theta, phis = plan[-1]
     raw = _raw_frames(p, np.array([theta]), phis, positions)[0]
     rows = [_Row(theta, phis, np.broadcast_to(raw[0], raw.shape).copy())]
     for theta, phis in plan[-2::-1]:
         ref = rows[-1]
-        if theta == ref.theta and len(phis) == len(ref.phis):
-            frames = ref.frames.copy()
-        else:
-            raw = _raw_frames(p, np.array([theta]), phis, positions)[0]
-            frames = _align_rows(raw, ref.frames[_nearest_phi_map(phis, len(ref.phis))])
-        rows.append(_Row(theta, phis, frames))
+        raw = _raw_frames(p, np.array([theta]), phis, positions)[0]
+        nearest = np.rint(phis * len(ref.phis) / (2 * np.pi)).astype(int) % len(ref.phis)
+        rows.append(_Row(theta, phis, _align_rows(raw, ref.frames[nearest])))
     return rows[::-1]
 
 
@@ -553,43 +535,33 @@ class CurvatureField:
     """Per-plaquette curvature matrices over the meshed sphere.
 
     Each ring holds an (m, d, d) array: per point (m = n_r), or one matrix C
-    for a factored ring (m = 1, rep holding its D(phi_n)), every cell being
-    D(phi_n)^dag C D(phi_n) with the trace tr C.  Traces are read from those
-    arrays; ``curvature`` gives (n_r, d, d) per point, built on first access.
+    for a factored ring (m = 1), every cell being D(phi_n)^dag C D(phi_n)
+    with the trace tr C.  A ring's theta, phis and D are those of its top
+    row in ``field``.  Traces are read from those arrays; ``curvature``
+    gives (n_r, d, d) per point, built on first access.
     """
 
-    mesh: SphereMesh
-    labels: tuple[int, ...]
-    nuclear_two_l: int
-    ring_start: int
-    ring_theta: dict[int, float]
-    ring_phis: dict[int, np.ndarray]
+    field: FrameField
     x_curvature: dict[int, np.ndarray]
-    rep: dict[int, np.ndarray | None]
-    solid_angle: dict[int, np.ndarray]
 
     @cached_property
     def curvature(self) -> dict[int, np.ndarray]:
-        return {r: _per_point(c, self.rep[r]) for r, c in self.x_curvature.items()}
-
-    def _cell_traces(self, r: int) -> np.ndarray:
-        """Re tr F on each cell of ring r."""
-        tr = np.trace(self.x_curvature[r], axis1=-2, axis2=-1).real
-        return np.broadcast_to(tr, self.ring_phis[r].shape)
+        return {r: _per_point(c, self.field.ring_top(r).rep) for r, c in self.x_curvature.items()}
 
     def _ring_trace(self, r: int) -> float:
-        """Re tr F summed over ring r: n_r tr C on a factored ring."""
-        tr = np.trace(self.x_curvature[r], axis1=-2, axis2=-1).real
-        return float(tr.sum() if self.rep[r] is None else len(self.ring_phis[r]) * tr[0])
+        """Re tr F summed over ring r: n_r / m times the traces of its m matrices."""
+        x = self.x_curvature[r]
+        return float(len(self.field.ring_top(r).phis) / len(x)
+                     * np.trace(x, axis1=-2, axis2=-1).real.sum())
 
     def trace_sum(self) -> float:
         return sum(self._ring_trace(r) for r in self.x_curvature)
 
     def cap_compensation(self) -> float:
         """Estimated curvature content of the dropped north cap."""
-        r0 = self.ring_start
-        omega = self.solid_angle[r0].sum()
-        return float(self._ring_trace(r0) / omega * self.mesh.cap_solid_angle(r0))
+        r0, mesh = self.field.ring_start, self.field.mesh
+        omega = mesh.ring_solid_angle(r0).sum()
+        return float(self._ring_trace(r0) / omega * mesh.cap_solid_angle(r0))
 
     def to_csv(self, path) -> None:
         """Columns: theta, phi, Re tr F, cell solid angle."""
@@ -597,8 +569,11 @@ class CurvatureField:
             fh.write("# schema=1\n")
             fh.write("theta,phi,re_tr_curvature,solid_angle\n")
             for r in sorted(self.x_curvature):
-                for phi, t, om in zip(self.ring_phis[r], self._cell_traces(r), self.solid_angle[r]):
-                    fh.write(f"{self.ring_theta[r]:.12g},{phi:.12g},{t:.12g},{om:.12g}\n")
+                top = self.field.ring_top(r)
+                tr = np.trace(self.x_curvature[r], axis1=-2, axis2=-1).real
+                for phi, t, om in zip(top.phis, np.broadcast_to(tr, top.phis.shape),
+                                      self.field.mesh.ring_solid_angle(r)):
+                    fh.write(f"{top.theta:.12g},{phi:.12g},{t:.12g},{om:.12g}\n")
 
 
 def _plaquettes(a1: np.ndarray, a2t: np.ndarray, a2b: np.ndarray,
@@ -616,8 +591,6 @@ def curvature_discrete(connections: ConnectionField) -> CurvatureField:
     + i[A_theta, A_phi,t], the cell at phi_n being D(phi_n)^dag C D(phi_n).
     """
     frames = connections.field
-    mesh = frames.mesh
-    tops = {r: frames.ring_top(r) for r in connections.x_theta}
     a1, a2t, a2b = (list(x.values()) for x in (
         connections.x_theta, connections.x_phi_top, connections.x_phi_bottom))
     if frames.rows[0].factors is None:
@@ -625,13 +598,9 @@ def curvature_discrete(connections: ConnectionField) -> CurvatureField:
                      for t, pt, pb in zip(a1, a2t, a2b)]
     else:  # (1, d, d) per ring
         a1, a2t, a2b = (np.concatenate(a) for a in (a1, a2t, a2b))
-        rep = np.stack([top.rep[1] for top in tops.values()])
+        rep = np.stack([frames.ring_top(r).rep[1] for r in connections.x_theta])
         curvature = _plaquettes(a1, a2t, a2b, rep.conj().swapaxes(-1, -2) @ a1 @ rep)[:, None]
-    return CurvatureField(mesh, frames.labels, frames.nuclear_two_l, frames.ring_start,
-                          {r: top.theta for r, top in tops.items()},
-                          {r: top.phis for r, top in tops.items()},
-                          dict(zip(tops, curvature)), {r: top.rep for r, top in tops.items()},
-                          {r: mesh.ring_solid_angle(r) for r in tops})
+    return CurvatureField(frames, dict(zip(connections.x_theta, curvature)))
 
 
 def chern_number(field: CurvatureField) -> ChernResult:
@@ -642,7 +611,7 @@ def chern_number(field: CurvatureField) -> ChernResult:
     """
     total = field.trace_sum() + field.cap_compensation()
     result = ChernResult.from_fourpi(total / (4 * np.pi),
-                                     _half_grid(field.nuclear_two_l, len(field.labels)))
+                                     _half_grid(field.field.nuclear_two_l, len(field.field.labels)))
     return _check_quantized(result, "curvature-integral Chern")
 
 
@@ -700,12 +669,13 @@ def loop_phase(p: ModelParams, labels: Sequence[int] | int, loop,
     pos = theta_loop / (np.pi / mesh.n_theta)
     r_loop = int(np.floor(pos + 1e-9))
     frac = pos - r_loop
-    if r_loop <= field.ring_start:
+    ring_start = field.field.ring_start
+    if r_loop <= ring_start:
         cap = field.cap_compensation()
-        weight = (1 - np.cos(theta_loop)) / (1 - np.cos(mesh.theta_edges()[field.ring_start]))
+        weight = (1 - np.cos(theta_loop)) / (1 - np.cos(mesh.theta_edges()[ring_start]))
         return float(orientation * cap * weight)
     total = field.cap_compensation()
-    for r in range(field.ring_start, r_loop):
+    for r in range(ring_start, r_loop):
         total += field._ring_trace(r)
     if frac > 1e-9 and r_loop < mesh.n_theta:
         total += frac * field._ring_trace(r_loop)

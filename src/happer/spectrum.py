@@ -262,7 +262,8 @@ def _exact_crossings(p: ModelParams, lo: float, hi: float) -> list[DegeneracyPoi
     blocks = [(i, f, x_op) for idx, fs, xs in sectors.blocks for i, f, x_op in zip(idx, fs, xs)]
     roots, pairs = [], []
     for (s, f_s, x_s), (t, f_t, x_t) in combinations(blocks, 2):
-        x = eigvals(_kron_difference(f_s, f_t), -_kron_difference(x_s, x_t), check_finite=False)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # infinite roots
+            x = eigvals(_kron_difference(f_s, f_t), -_kron_difference(x_s, x_t), check_finite=False)
         x = x[np.isfinite(x) & (np.abs(x.imag) <= 1e-6)].real
         # a root within its accuracy (1e-8 at a tangency) of the window belongs to it
         x = np.clip(x[(lo - 1e-7 <= x) & (x <= hi + 1e-7)], lo, hi)

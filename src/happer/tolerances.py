@@ -17,7 +17,6 @@ class Tolerances:
     subspace_isolation: float = 1e-6  # minimum gap to the complement of a band set
     chern_integer: float = 0.05       # allowed deviation from the quantized value
     plaquette_angle: float = 1.5707963267948966  # pi/2: largest |plaquette phase|, link scheme
-    frame_overlap: float = 0.99       # neighbour |<v|v'>| in a smooth gauge
     norm_drift: float = 1e-8          # state norm drift during propagation
     adiabatic_fidelity: float = 0.99  # instantaneous-eigenstate fidelity floor
 

@@ -522,6 +522,29 @@ def test_meridian_frames_are_orthonormal_on_equal_area(two_l, labels):
         assert np.max(np.abs(gram - eye)) < TOL.orthonormality
 
 
+@pytest.mark.parametrize("n", [16, 100])
+def test_frame_rows_are_one_per_theta_and_phi_count(n):
+    # A ring's bottom row is the next ring's top row when their phi counts
+    # match, on an equal-area mesh as on a uniform one.
+    mesh = SphereMesh(n, 2 * n, "equal-area")
+    edges = mesh.theta_edges()
+    keys = {(edges[r + k], mesh.ring_phi_count(r)) for r in range(1, n) for k in (0, 1)}
+    frames = smooth_gauge_states(ModelParams(2, 0.8), (1,), mesh)
+    assert sorted((row.theta, len(row.phis)) for row in frames.rows) == sorted(keys)
+
+
+@pytest.mark.parametrize("scheme", ["uniform", "equal-area"])
+@pytest.mark.parametrize("p", [ModelParams(2, 0.8), ModelParams(2, 1.3, 0.1, axis=(1.0, 0.0, 0.0))],
+                         ids=["covariant", "tilted-axis"])
+def test_ring_rows_are_the_ring_edges_at_the_ring_phis(p, scheme):
+    mesh = SphereMesh(16, 32, scheme)
+    edges = mesh.theta_edges()
+    frames = smooth_gauge_states(p, (1,), mesh)
+    for r in range(frames.ring_start, mesh.n_theta):
+        for row, theta in ((frames.ring_top(r), edges[r]), (frames.ring_bottom(r), edges[r + 1])):
+            assert row.theta == theta and np.array_equal(row.phis, mesh.ring_phis(r))
+
+
 @pytest.mark.parametrize("scheme", ["uniform", "equal-area"])
 def test_covariant_frames_align_once_per_latitude(monkeypatch, scheme):
     sizes: list[int] = []

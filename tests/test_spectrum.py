@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -358,6 +360,15 @@ def test_crossings_match_a_dense_sign_change_scan(two_l, theta, phi, lo, width):
         labels = {a[pair] + 1, b[pair] + 1}
         assert any(labels <= set(d.labels) and grid[i] - 1e-6 <= d.x <= grid[i + 1] + 1e-6
                    for d in degs), (grid[i], labels)
+
+
+def test_infinite_pencil_roots_raise_no_warning():
+    # At phi = 5e-324 a sector pencil has roots at (near) infinity; scipy's
+    # alpha / beta overflows there, and the roots are dropped unseen.
+    p = ModelParams(1, 0.5, 0.0, FieldDirection(np.pi / 2, 5e-324))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert find_degeneracies(p, (-2.0, -1.95)) == []
 
 
 @settings(max_examples=40, deadline=None)
