@@ -19,8 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import (DriveProtocol, adiabatic_omega, cone_fit,
-                       geometric_phase_diagnostics, initial_eigenstate, propagate)
+from .dynamics import (DriveProtocol, _phase_diagnostics, _propagate_block, adiabatic_omega,
+                       cone_fit, initial_eigenstate)
 from .errors import NormDriftError
 from .geometry import (ChernResult, chern_number_curvature, chern_number_link_variable,
                        chern_spectrum_link_variable, loop_phase)
@@ -239,7 +239,11 @@ def cmd_phase(cfg: ScanConfig) -> Table:
 
 def cmd_dynamics(cfg: ScanConfig) -> Table:
     xs = cfg.x_values()
+    if len(xs) > 1:
+        raise ValueError(f"dynamics drives at one x; --x-range gave {len(xs)} points")
     p = cfg.params(xs[0])
+    if cfg.level is not None and not 1 <= cfg.level <= p.dim:
+        raise ValueError(f"--level must be a label in 1..{p.dim}, got {cfg.level}")
     omega = adiabatic_omega(p, cfg.theta0, cfg.omega_factor)
     proto = DriveProtocol(cfg.theta0, omega, cfg.periods)
     levels = [cfg.level] if cfg.level is not None else list(range(1, p.dim + 1))
@@ -249,12 +253,10 @@ def cmd_dynamics(cfg: ScanConfig) -> Table:
     rows: list[list] = []
     annotations: list[str] = []
     ok = True
-    for lab in levels:
-        pos = int(positions[lab - 1])
-        psi0 = initial_eigenstate(p, proto, pos)
-        traj = propagate(p, proto, psi0, cfg.steps_per_period,
-                         record_every=max(1, cfg.steps_per_period // 400))
-        gamma, fid = geometric_phase_diagnostics(traj, p, proto)
+    psi0 = initial_eigenstate(p, proto, [int(positions[lab - 1]) for lab in levels])
+    trajs = _propagate_block(p, proto, psi0, cfg.steps_per_period,
+                             record_every=max(1, cfg.steps_per_period // 400))
+    for lab, traj, (gamma, fid) in zip(levels, trajs, _phase_diagnostics(trajs, p, proto)):
         leakage = 1.0 - fid
         if leakage > 1.0 - TOL.adiabatic_fidelity:
             ok = False

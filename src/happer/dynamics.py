@@ -8,13 +8,21 @@ Schwinger, Rev. Mod. Phys. 26, 167 (1954)).  For a z-covariant H at static
 couplings H_rot is constant, and one eigendecomposition gives the exact
 state at every record time.  Otherwise H_rot, where only the tilted-axis
 term and ramped couplings still turn, is stepped like a ramp: by the
-exact exponential of the midpoint Hamiltonian, _CHUNK steps per batched
-eigensolve.  Every step is exactly unitary, so norm drift is a pure
-floating-point diagnostic.
+exponential of the midpoint Hamiltonian, formed _CHUNK steps at a time.
+A real symmetric batch (every ramp, and H_rot without the tilted-axis
+term) takes exp(-i A) = cos A - i sin A with A = H dt: A is halved s
+times until its infinity norm is at most 1, cos and sin are Taylor
+polynomials in A^2 whose first omitted terms are below 1/19! < 2^-53,
+evaluated Paterson-Stockmeyer style, and s doublings restore the step
+(Moler & Van Loan, SIAM Rev. 45, 3 (2003)).  A complex batch takes one
+batched eigh.  Either way every step is unitary to rounding, so norm drift
+is a pure floating-point diagnostic.  Any number of initial states share
+the steps as the columns of one block.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +50,10 @@ class DriveProtocol:
 
     def __post_init__(self) -> None:
         FieldDirection(self.theta0, 0.0)  # validates the cone angle
+        if not self.omega > 0:
+            raise ValueError(f"drive frequency omega must be positive, got {self.omega}")
+        if self.n_periods < 1:
+            raise ValueError(f"a drive needs at least one period, got {self.n_periods}")
 
     @property
     def period(self) -> float:
@@ -103,28 +115,77 @@ def _expectations(states: np.ndarray, nuclear_two_l: int) -> tuple[np.ndarray, n
     return s_avg, l_avg
 
 
-_CHUNK = 1024  # midpoint steps per batched eigensolve; bounds the memory of a long ramp
+_CHUNK = 1024  # midpoint steps per batch of step unitaries; bounds the memory of a long ramp
+
+# cos A = sum_k _COS[k] B^k and sin A = A sum_k _SIN[k] B^k with B = A^2.  For
+# ||A|| <= 1 the omitted tails are below 1.01/20! and 1.01/19!, both under 2^-53.
+_COS = tuple((-1) ** k / math.factorial(2 * k) for k in range(10))
+_SIN = tuple((-1) ** k / math.factorial(2 * k + 1) for k in range(9))
+
+
+def _polynomial(coeffs, powers: tuple) -> np.ndarray:
+    """sum_k coeffs[k] B^k from powers = (I, B, ..., B^q), by Horner's rule in B^q.
+
+    Each block of q coefficients is a combination of the stored powers, so
+    a degree-n polynomial costs about n / q products beyond the powers
+    (Paterson & Stockmeyer, SIAM J. Comput. 2, 60 (1973)).  The top block
+    also takes B^q itself.
+    """
+    q = len(powers) - 1
+    acc = None
+    for i in reversed(range(0, len(coeffs) - 1, q)):
+        block = coeffs[i:] if acc is None else coeffs[i:i + q]
+        term = sum(c * b for c, b in zip(block, powers))
+        acc = term if acc is None else acc @ powers[q] + term
+    return acc
+
+
+def _real_step_unitaries(a: np.ndarray) -> np.ndarray:
+    """exp(-i A) = cos A - i sin A for a stack of real symmetric A.
+
+    The infinity norm bounds the 2-norm; A is halved s times until the
+    largest one is at most 1, and s doublings cos 2A = (C - S)(C + S),
+    sin 2A = 2 S C undo the halving.
+    """
+    s = max(0, math.frexp(float(np.max(np.sum(np.abs(a), axis=-1))))[1])
+    a = a * 0.5 ** s
+    b = a @ a
+    b2 = b @ b
+    powers = (np.eye(a.shape[-1]), b, b2, b2 @ b)
+    c, sin = _polynomial(_COS, powers), a @ _polynomial(_SIN, powers)
+    for _ in range(s):
+        c, sin = (c - sin) @ (c + sin), 2 * sin @ c
+    u = np.empty(c.shape, dtype=complex)
+    u.real, u.imag = c, -sin
+    return u
 
 
 def _midpoint_evolve(psi: np.ndarray, hamiltonians, n_steps: int, dt: float,
                      rec_idx: list[int]) -> np.ndarray:
     """States after each step count in rec_idx (all >= 1) of psi_{k+1} = exp(-i H_k dt) psi_k.
 
-    hamiltonians(mid) returns the H_k at an array of midpoints mid = k + 1/2
-    (in steps).  They are diagonalised and exponentiated _CHUNK steps at a
-    time, by a real eigh when their imaginary parts are exactly zero; the
-    unitaries are applied one by one, in order.
+    psi is one state (dim,) or a stack of states (k, dim) that take the
+    same steps.  hamiltonians(mid) returns the H_k at an array of midpoints
+    mid = k + 1/2 (in steps).  They are exponentiated _CHUNK steps at a
+    time, by the cos/sin polynomial when their imaginary parts are exactly
+    zero and by a batched eigh otherwise; the unitaries are applied one by
+    one, in order.  Each state takes its own matrix-vector product, so a
+    state's arithmetic does not depend on the others in the stack.
     """
     slot = {s: i for i, s in enumerate(rec_idx)}
-    out = np.empty((len(rec_idx), len(psi)), dtype=complex)
+    out = np.empty((len(rec_idx),) + psi.shape, dtype=complex)
+    cols = psi[..., None]
     for start in range(0, n_steps, _CHUNK):
         h = hamiltonians(np.arange(start, min(start + _CHUNK, n_steps)) + 0.5)
-        w, v = np.linalg.eigh(h if h.imag.any() else h.real)
-        for k, u in enumerate((v * np.exp(-1j * w * dt)[:, None, :]) @ v.conj().swapaxes(1, 2),
-                              start + 1):
-            psi = u @ psi
+        if h.imag.any():
+            w, v = np.linalg.eigh(h)
+            steps = (v * np.exp(-1j * w * dt)[:, None, :]) @ v.conj().swapaxes(1, 2)
+        else:
+            steps = _real_step_unitaries(h.real * dt)
+        for k, u in enumerate(steps, start + 1):
+            cols = u @ cols
             if k in slot:
-                out[slot[k]] = psi
+                out[slot[k]] = cols[..., 0]
     return out
 
 
@@ -136,12 +197,24 @@ def propagate(p0: ModelParams, protocol: DriveProtocol, initial: np.ndarray,
     dt = period / steps_per_period, and at the end.  When H_rot is constant
     the states are exact and steps_per_period only sets their spacing.
     """
+    [traj] = _propagate_block(p0, protocol, np.asarray(initial)[:, None], steps_per_period,
+                              record_every)
+    return traj
+
+
+def _propagate_block(p0: ModelParams, protocol: DriveProtocol, initial: np.ndarray,
+                     steps_per_period: int, record_every: int) -> list[Trajectory]:
+    """propagate for each column of the (dim, k) block initial, one Trajectory each.
+
+    The columns share every step unitary, or the one eigendecomposition of
+    a constant H_rot.
+    """
     if steps_per_period < 100:
         raise ValueError("steps_per_period must be at least 100")
     if record_every < 1:
         raise ValueError("record_every must be at least 1")
-    psi = np.asarray(initial, dtype=complex).copy()
-    if abs(np.linalg.norm(psi) - 1.0) > TOL.unit_vector * 100:
+    psi = np.asarray(initial, dtype=complex).T  # one state per row
+    if np.max(np.abs(np.linalg.norm(psi, axis=1) - 1.0)) > TOL.unit_vector * 100:
         raise ValueError("initial state must be normalized")
     n_steps = steps_per_period * protocol.n_periods
     dt = protocol.period / steps_per_period
@@ -169,18 +242,23 @@ def propagate(p0: ModelParams, protocol: DriveProtocol, initial: np.ndarray,
     rec_times = np.asarray(rec_idx) * dt
     if protocol.is_static_couplings() and _z_covariant(protocol.coupling_at(0.0, p0)[1], p0.axis):
         w, v = np.linalg.eigh(rotating(0.0))  # H_rot is constant: chi(t) = e^{-i H_rot t} psi0
-        chi = (np.exp(-1j * np.multiply.outer(rec_times, w)) * (v.conj().T @ psi)) @ v.T
+        coeffs = v.conj().T @ psi[..., None]  # (k, dim, 1)
+        chi = (np.exp(-1j * np.multiply.outer(rec_times, w)) * coeffs.swapaxes(1, 2)) @ v.T
     else:
-        chi = np.vstack([psi, _midpoint_evolve(psi, lambda mid: rotating(mid * dt), n_steps, dt,
-                                               rec_idx[1:])])
-    recorded = np.exp(-1j * omega * np.multiply.outer(rec_times, jz)) * chi
+        chi = np.concatenate([psi[None], _midpoint_evolve(
+            psi, lambda mid: rotating(mid * dt), n_steps, dt, rec_idx[1:])]).swapaxes(0, 1)
+    recorded = np.exp(-1j * omega * np.multiply.outer(rec_times, jz)) * chi  # (k, n, dim)
 
-    norms = np.linalg.norm(recorded, axis=1)
-    drift = float(np.max(np.abs(norms - 1.0)))
+    drifts = np.max(np.abs(np.linalg.norm(recorded, axis=-1) - 1.0), axis=-1)
+    drift = float(np.max(drifts))
     if drift > TOL.norm_drift:
         raise NormDriftError(f"norm drift {drift:.2e} exceeded tolerance during propagation")
-    s_avg, l_avg = _expectations(recorded, p0.nuclear_two_l)
-    return Trajectory(rec_times, recorded, s_avg, l_avg, s_avg + l_avg, drift, p0, protocol)
+    trajs = []
+    for states, drift in zip(recorded, drifts):
+        s_avg, l_avg = _expectations(states, p0.nuclear_two_l)
+        trajs.append(Trajectory(rec_times, states, s_avg, l_avg, s_avg + l_avg, float(drift),
+                                p0, protocol))
+    return trajs
 
 
 def instantaneous_hamiltonian(p0: ModelParams, protocol: DriveProtocol, t) -> np.ndarray:
@@ -189,8 +267,12 @@ def instantaneous_hamiltonian(p0: ModelParams, protocol: DriveProtocol, t) -> np
     return _hamiltonians(p0, protocol.theta0, protocol.omega * np.asarray(t), x_t, y_t)
 
 
-def initial_eigenstate(p0: ModelParams, protocol: DriveProtocol, position: int) -> np.ndarray:
-    """Instantaneous eigenstate (ascending position, 0-based) at t = 0."""
+def initial_eigenstate(p0: ModelParams, protocol: DriveProtocol,
+                       position: int | list[int]) -> np.ndarray:
+    """Instantaneous eigenstate (ascending position, 0-based) at t = 0.
+
+    A sequence of positions gives those eigenstates as the columns of a block.
+    """
     es = eigensystem(instantaneous_hamiltonian(p0, protocol, 0.0))
     return es.eigenvectors[:, position].copy()
 
@@ -201,19 +283,31 @@ def geometric_phase_diagnostics(traj: Trajectory, p0: ModelParams, protocol: Dri
 
     No fidelity floor is enforced here; see extract_geometric_phase.
     """
-    idx = np.unique(np.linspace(0, len(traj.times) - 1, n_samples).astype(int))
-    w, v = np.linalg.eigh(instantaneous_hamiltonian(p0, protocol, traj.times[idx]))
-    overlaps = np.abs(np.einsum("nda,nd->na", v.conj(), traj.states[idx])) ** 2
-    branch = np.argmax(overlaps, axis=1)
+    [result] = _phase_diagnostics([traj], p0, protocol, n_samples)
+    return result
+
+
+def _phase_diagnostics(trajs: list[Trajectory], p0: ModelParams, protocol: DriveProtocol,
+                       n_samples: int = 65) -> list[tuple[float, float]]:
+    """geometric_phase_diagnostics of trajectories recorded at the same times, one eigensolve."""
+    times = trajs[0].times
+    idx = np.unique(np.linspace(0, len(times) - 1, n_samples).astype(int))
+    w, v = np.linalg.eigh(instantaneous_hamiltonian(p0, protocol, times[idx]))
+    v_dag = v.conj()
     rows = np.arange(len(idx))
-    min_fidelity = min(1.0, float(np.min(overlaps[rows, branch])))
-    energies = w[rows, branch]
-    if np.ptp(energies) < 1e-10:
-        dynamical = float(np.mean(energies)) * float(traj.times[-1])
-    else:
-        dynamical = float(np.trapezoid(energies, traj.times[idx]))
-    total = float(np.angle(np.vdot(traj.states[0], traj.states[-1])))
-    return float(np.angle(np.exp(1j * (total + dynamical)))), min_fidelity
+    results = []
+    for traj in trajs:
+        overlaps = np.abs(np.einsum("nda,nd->na", v_dag, traj.states[idx])) ** 2
+        branch = np.argmax(overlaps, axis=1)
+        min_fidelity = min(1.0, float(np.min(overlaps[rows, branch])))
+        energies = w[rows, branch]
+        if np.ptp(energies) < 1e-10:
+            dynamical = float(np.mean(energies)) * float(times[-1])
+        else:
+            dynamical = float(np.trapezoid(energies, times[idx]))
+        total = float(np.angle(np.vdot(traj.states[0], traj.states[-1])))
+        results.append((float(np.angle(np.exp(1j * (total + dynamical)))), min_fidelity))
+    return results
 
 
 def extract_geometric_phase(traj: Trajectory, p0: ModelParams, protocol: DriveProtocol,

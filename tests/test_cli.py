@@ -244,6 +244,23 @@ def test_norm_drift_exits_2(monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("error: norm drift")
 
 
+@pytest.mark.parametrize("args,message", [
+    (["--level", "10"], "--level must be a label in 1..9, got 10"),
+    (["--level", "0"], "--level must be a label in 1..9, got 0"),
+    (["--omega-factor", "0"], "omega must be positive"),
+    (["--periods", "0"], "at least one period"),
+    (["--x-range", "0.7:0.9:3"], "--x-range gave 3 points"),
+], ids=["level-above-dim", "level-zero", "omega-factor-zero", "zero-periods", "x-range"])
+def test_dynamics_refuses_bad_drive_input(args, message, capsys):
+    base = ["dynamics", "--l", "1", "--steps-per-period", "400"]
+    if "--x-range" not in args:
+        base += ["--x", "0.8"]
+    assert main(base + args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and message in captured.err
+
+
 @pytest.mark.parametrize("args", [
     ["--l", "1.5", "--x", "0.25", "--y", "0.25", "--axis", "0.6,0,0.8"],
     ["--l", "1", "--x", "0.6666666666666666"],

@@ -88,10 +88,11 @@ def per_step_ramp(p, x_start, x_end, rate, level, dt_max=0.25, min_steps=400):
     # fast path: a stride that does not divide the step count, then every step
     (ModelParams(2, 1.0, 0.0), DriveProtocol(0.5, 0.01, 2), 1000, 300),
     (ModelParams(1, 0.7, 0.05), DriveProtocol(0.9, 0.03, 1), 400, 1),
-    # generic path: tilted axis, then ramped x and y
+    # generic path: tilted axis, ramped x and y, then ramped x along the z axis (real steps)
     (ModelParams(2, 0.8, 0.1, axis=(1.0, 0.0, 0.0)), DriveProtocol(1.0, 0.01, 1), 1500, 7),
     (ModelParams(2, 0.6, 0.0, axis=(0.6, 0.0, 0.8)),
      DriveProtocol(0.7, 0.02, 2, x=(0.6, 0.9), y=(0.0, 0.05)), 800, 13),
+    (ModelParams(2, 0.6, 0.05), DriveProtocol(0.7, 0.02, 1, x=(0.6, 0.9)), 800, 13),
 ])
 def test_propagate_matches_per_step_loop(p, proto, steps, every):
     psi0 = initial_eigenstate(p, proto, 2)
@@ -202,6 +203,61 @@ def test_propagate_rejects_record_every_below_one(every):
 def test_drive_protocol_rejects_cone_angle_outside_zero_pi():
     with pytest.raises(ValueError, match="theta"):
         DriveProtocol(3.5, 0.01, 1)
+
+
+@pytest.mark.parametrize("omega,periods,match", [
+    (0.0, 1, "omega must be positive"), (-0.01, 1, "omega must be positive"),
+    (float("nan"), 1, "omega must be positive"), (0.01, 0, "at least one period"),
+    (0.01, -2, "at least one period"),
+])
+def test_drive_protocol_rejects_nonpositive_frequency_and_periods(omega, periods, match):
+    with pytest.raises(ValueError, match=match):
+        DriveProtocol(0.5, omega, periods)
+
+
+def eigh_step_unitaries(a):
+    """exp(-i A) from one batched eigh, the reference for the cos/sin kernel."""
+    w, v = np.linalg.eigh(a)
+    return (v * np.exp(-1j * w)[:, None, :]) @ v.conj().swapaxes(1, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(two_l=st.integers(1, 6), log_nu=st.floats(-6.0, np.log10(50.0)),
+       degenerate=st.booleans(), x=st.floats(-2.0, 2.0), y=st.floats(-0.5, 0.5),
+       theta=st.floats(0.0, np.pi), axis_angle=st.floats(0.0, np.pi))
+def test_real_step_kernel_matches_eigh_unitaries(two_l, log_nu, degenerate, x, y, theta,
+                                                  axis_angle):
+    # Field and axis in the x-z plane make H real symmetric.  At y = 0 and
+    # x* = 2/(2L+1) the spectrum holds an exactly (2L+1)-fold level.
+    if degenerate:
+        x, y = 2.0 / (two_l + 1), 0.0
+    p = ModelParams(two_l, x, y, FieldDirection(theta, 0.0),
+                    (np.sin(axis_angle), 0.0, np.cos(axis_angle)))
+    h = np.stack([build_hamiltonian(p), build_hamiltonian(p.with_x(x + 0.1))]).real
+    nu = 10.0 ** log_nu
+    a = h * (nu / np.max(np.sum(np.abs(h), axis=-1)))  # largest infinity norm is nu
+    u = dynamics._real_step_unitaries(a)
+    assert np.max(np.abs(u - eigh_step_unitaries(a))) < 1e-13
+    assert np.max(np.abs(u @ u.conj().swapaxes(1, 2) - np.eye(p.dim))) < 1e-13
+
+
+@pytest.mark.parametrize("p,proto", [
+    (ModelParams(2, 1.0, 0.0), DriveProtocol(0.5, 0.01, 2)),  # fast path
+    (ModelParams(2, 0.8, 0.1, axis=(1.0, 0.0, 0.0)), DriveProtocol(1.0, 0.01, 1)),  # complex steps
+    (ModelParams(2, 0.6, 0.0), DriveProtocol(0.7, 0.02, 1, x=(0.6, 0.9))),  # real steps
+], ids=["fast", "generic-complex", "generic-real"])
+def test_level_block_matches_each_level_propagated_alone(p, proto):
+    positions = list(range(p.dim))
+    block = dynamics._propagate_block(p, proto, initial_eigenstate(p, proto, positions), 1200, 7)
+    for pos, traj in zip(positions, block):
+        alone = propagate(p, proto, initial_eigenstate(p, proto, pos), 1200, 7)
+        assert np.max(np.abs(traj.states - alone.states)) < 1e-12
+        assert np.max(np.abs(traj.j_avg - alone.j_avg)) < 1e-12
+        assert abs(traj.norm_drift - alone.norm_drift) < 1e-12
+    together = dynamics._phase_diagnostics(block, p, proto)
+    for traj, (phase, fidelity) in zip(block, together):
+        alone_phase, alone_fidelity = geometric_phase_diagnostics(traj, p, proto)
+        assert abs(phase - alone_phase) < 1e-12 and abs(fidelity - alone_fidelity) < 1e-12
 
 
 @pytest.mark.parametrize("two_l,x", [(0, 0.0), (2, 1.0)])
