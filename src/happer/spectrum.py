@@ -24,11 +24,9 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.linalg import eigvals
-from scipy.optimize import minimize_scalar
 
 from .errors import HermiticityError, TrackingError
-from .model import ModelParams, _hamiltonians, build_hamiltonian, conserved_j
+from .model import ModelParams, _hamiltonians, _product_operators, build_hamiltonian, conserved_j
 from .tolerances import TOL
 
 
@@ -217,10 +215,6 @@ class DegeneracyPoint:
     gap: float
 
 
-def _sorted_energies(p: ModelParams, x: float) -> np.ndarray:
-    return np.linalg.eigvalsh(build_hamiltonian(p.with_x(x)))
-
-
 def find_degeneracies(p: ModelParams, x_range: tuple[float, float],
                       scan_points: int = 201,
                       max_gap: float = 0.05) -> list[DegeneracyPoint]:
@@ -229,9 +223,10 @@ def find_degeneracies(p: ModelParams, x_range: tuple[float, float],
     Exact crossings are the real roots of one pencil per pair of n_B.J
     sectors, tangencies (the E = 0 cluster at x = 0) included; labels are
     numbered at the top of the range.  Anti-crossings are the gap minima
-    on a scan_points grid, which only they use, refined by a bounded
-    minimization and reported below max_gap (raise it to explore strongly
-    split spectra, where one crossing splits into several minimum-gap points).
+    on a scan_points grid, which only they use, refined together by
+    safeguarded Newton steps on the squared gap and reported below max_gap
+    (raise it to explore strongly split spectra, where one crossing splits
+    into several minimum-gap points).
     """
     lo, hi = float(x_range[0]), float(x_range[1])
     if not hi > lo:
@@ -242,10 +237,53 @@ def find_degeneracies(p: ModelParams, x_range: tuple[float, float],
 
 
 def _kron_difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a (x) I - I (x) b^T, singular exactly where a and b share an eigenvalue."""
-    n = len(a) * len(b)
-    eye_a, eye_b = np.eye(len(a))[:, None, :, None], np.eye(len(b))[None, :, None, :]
-    return (a[:, None, :, None] * eye_b - eye_a * b.T[None, :, None, :]).reshape(n, n)
+    """a (x) I - I (x) b^T for stacks of a and b, singular where a and b share an eigenvalue."""
+    n, m = a.shape[-1], b.shape[-1]
+    eye_a, eye_b = np.eye(n)[:, None, :, None], np.eye(m)[None, :, None, :]
+    diff = a[..., :, None, :, None] * eye_b - eye_a * np.swapaxes(b, -1, -2)[..., None, :, None, :]
+    return diff.reshape(*diff.shape[:-4], n * m, n * m)
+
+
+# Pencil shifts, as points of the complex plane in units of the window
+# [lo, hi] -> [0, 1]; each lies off the real axis by 0.38 to 1 window widths.
+_SHIFTS = (0.5 + 0.5j, 0.381966 + 0.618034j, 0.618034 + 0.381966j, 0.5 + 1.0j)
+_SHIFT_COND = 1e6
+
+
+def _pencil_roots(a: np.ndarray, b: np.ndarray, lo: float, hi: float) -> list[np.ndarray]:
+    """Real roots in [lo, hi] of det(a_k - x b_k) = 0, for each pencil of an equal-size stack.
+
+    By shift and invert: x is a root where mu = 1 / (x - sigma) is an
+    eigenvalue of (a - sigma b)^-1 b, so an infinite root is mu = 0.
+    sigma is the first of the _SHIFTS at which a - sigma b is well
+    conditioned.  Off the real axis it keeps 0.38 window widths or more
+    from every real root, so a simple root in the window comes out to
+    ~1e-14 and a tangency, a double root, to ~1e-8.  A pencil that is
+    ill-conditioned at every shift is singular for every x and has no roots.
+    """
+    sigma = np.empty(len(a), dtype=complex)
+    todo = np.arange(len(a))
+    for shift in _SHIFTS:
+        sigma[todo] = lo + (hi - lo) * shift
+        todo = todo[np.linalg.cond(a[todo] - sigma[todo, None, None] * b[todo]) > _SHIFT_COND]
+        if not todo.size:
+            break
+    ok = np.ones(len(a), dtype=bool)
+    ok[todo] = False
+    roots = [np.empty(0)] * len(a)
+    sigma = sigma[ok]
+    mu = np.linalg.eigvals(np.linalg.solve(a[ok] - sigma[:, None, None] * b[ok], b[ok]))
+    # a root in the window is no farther from sigma than the window's ends,
+    # so its mu is far from 0
+    reach = np.maximum(np.abs(lo - sigma), np.abs(hi - sigma)) + 1e-6
+    near = np.abs(mu) * reach[:, None] >= 1
+    x = sigma[:, None] + 1 / np.where(near, mu, 1)
+    # a tangency is a pair of roots with |Im x| ~ 1e-8; a root within its
+    # accuracy of the window belongs to it
+    hit = near & (np.abs(x.imag) <= 1e-6) & (lo - 1e-7 <= x.real) & (x.real <= hi + 1e-7)
+    for k, row, keep in zip(np.flatnonzero(ok), np.clip(x.real, lo, hi), hit):
+        roots[k] = row[keep]
+    return roots
 
 
 def _exact_crossings(p: ModelParams, lo: float, hi: float) -> list[DegeneracyPoint]:
@@ -253,70 +291,128 @@ def _exact_crossings(p: ModelParams, lo: float, hi: float) -> list[DegeneracyPoi
 
     Slots of sectors s and t meet where (F_s + x X_s) (x) I - I (x) (F_t + x X_t)^T
     is singular, at a finite real eigenvalue x of a pencil of size at most
-    9x9 (a two-parameter eigenvalue problem).  A tangency is a double root
-    and comes out as a complex pair with |Im x| ~ 1e-8.  A root counts where
-    a slot of s and a slot of t agree to 1e-9; roots are grouped by (x, E),
-    and each group is read at its own root, every slot at E a member.
+    9x9 (a two-parameter eigenvalue problem); pencils of one size are solved
+    as one stack.  A root counts where a slot of s and a slot of t agree to
+    1e-9; roots are grouped by (x, E), and each group is read at its own
+    root, every slot at E a member.  Groups come in ascending order of their
+    root, and of energy among the groups that share one.
     """
     sectors = _Sectors(p)
-    blocks = [(i, f, x_op) for idx, fs, xs in sectors.blocks for i, f, x_op in zip(idx, fs, xs)]
-    roots, pairs = [], []
-    for (s, f_s, x_s), (t, f_t, x_t) in combinations(blocks, 2):
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # infinite roots
-            x = eigvals(_kron_difference(f_s, f_t), -_kron_difference(x_s, x_t), check_finite=False)
-        x = x[np.isfinite(x) & (np.abs(x.imag) <= 1e-6)].real
-        # a root within its accuracy (1e-8 at a tangency) of the window belongs to it
-        x = np.clip(x[(lo - 1e-7 <= x) & (x <= hi + 1e-7)], lo, hi)
-        roots += x.tolist()
-        pairs += [(s, t)] * len(x)
+    sector_list = [(g, j) for g, (idx, _, _) in enumerate(sectors.blocks) for j in range(len(idx))]
+    pairs = list(combinations(sector_list, 2))
+    by_sizes: dict[tuple[int, int], list[int]] = {}
+    for k, ((g_s, _), (g_t, _)) in enumerate(pairs):
+        by_sizes.setdefault((g_s, g_t), []).append(k)
+    roots_of = [np.empty(0)] * len(pairs)
+    for (g_s, g_t), ks in by_sizes.items():
+        j_s, j_t = [pairs[k][0][1] for k in ks], [pairs[k][1][1] for k in ks]
+        _, f_s, x_s = sectors.blocks[g_s]
+        _, f_t, x_t = sectors.blocks[g_t]
+        a = _kron_difference(f_s[j_s], f_t[j_t])
+        b = -_kron_difference(x_s[j_s], x_t[j_t])
+        for k, x in zip(ks, _pencil_roots(a, b, lo, hi)):
+            roots_of[k] = x
+    roots = np.concatenate(roots_of).tolist()
+    slot_pairs = [(sectors.blocks[g_s][0][j_s], sectors.blocks[g_t][0][j_t])
+                  for ((g_s, j_s), (g_t, j_t)), x in zip(pairs, roots_of) for _ in x]
     e, slot_of_label = sectors.labelled_energies([*roots, hi])
     hits = []  # (root, energy) of each pair of slots that meet at a root
-    for r, (s, t) in enumerate(pairs):
+    for r, (s, t) in enumerate(slot_pairs):
         for i, j in zip(*np.nonzero(np.abs(e[r, s][:, None] - e[r, t]) < 1e-9)):
             hits.append((r, (e[r, s[i]] + e[r, t[j]]) / 2))
     if not hits:
         return []
     r, e_hit = (np.array(column) for column in zip(*hits))
     x_hit = np.asarray(roots)[r]
-    # clusters lie far apart in (x, E), so the first hit near a hit names its group
-    near = np.abs(x_hit[:, None] - x_hit) < 1e-7
-    near &= np.abs(e_hit[:, None] - e_hit) < TOL.subspace_isolation
+    # clusters lie far apart in (x, E), so the first hit near a hit names its
+    # group, and the first hit at the same root names its root
+    same_root = np.abs(x_hit[:, None] - x_hit) < 1e-7
+    same_energy = np.abs(e_hit[:, None] - e_hit) < TOL.subspace_isolation
+    first = np.unique(np.argmax(same_root & same_energy, axis=1))
     results = []
-    for k in np.unique(np.argmax(near, axis=1)):
+    for k in first:
         w = e[r[k], slot_of_label]
         members = np.flatnonzero(np.abs(w - e_hit[k]) < TOL.degeneracy_gap)
         results.append(DegeneracyPoint(
             x=float(x_hit[k]), labels=tuple(int(lab) + 1 for lab in members),
             energy=float(np.mean(w[members])), multiplicity=len(members), exact=True,
             gap=float(np.ptp(w[members]))))
-    results.sort(key=lambda d: d.x)
-    return results
+    root = x_hit[np.argmax(same_root, axis=1)][first]
+    return [results[i] for i in np.lexsort(([d.energy for d in results], root))]
+
+
+_NEWTON_STEPS = 60  # enough to bisect a grid step down to the tolerance
+
+
+def _curvature(w: np.ndarray, xm: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Second derivative of level n[i] of each eigensystem i from perturbation theory.
+
+    E_n'' = 2 sum_{m != n} |X_mn|^2 / (E_n - E_m), with w the eigenvalues
+    and xm the dH/dx matrix in the eigenbasis.
+    """
+    rows = np.arange(len(n))
+    denom = w[rows, n][:, None] - w
+    denom[rows, n] = np.inf
+    return 2 * np.sum(np.abs(xm[rows, :, n]) ** 2 / denom, axis=1)
+
+
+def _gap_minima(p: ModelParams, x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                lower: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minima of the gaps g = E[lower + 1] - E[lower], one per seed x in (lo, hi).
+
+    Safeguarded Newton on g^2, with the step -g g' / (g'^2 + g g''), which
+    is exact where two levels anti-cross alone.  g' is the Hellmann-Feynman
+    slope and g'' comes from second-order perturbation theory, both from one
+    batched eigh of every unfinished seed.  The sign of g' shrinks each
+    seed's bracket, and a step that leaves it is a bisection step.  Returns
+    the minima and the ascending eigenvalues there.
+    """
+    exchange = _product_operators(p.nuclear_two_l)[4]  # dH/dx
+    x, lo, hi = x.copy(), lo.copy(), hi.copy()
+    e = np.empty((len(x), p.dim))
+    todo = np.arange(len(x))
+    for count in range(1, _NEWTON_STEPS + 1):
+        if not todo.size:
+            break
+        w, v = np.linalg.eigh(_hamiltonians(p, p.field.theta, p.field.phi, x[todo], p.y))
+        e[todo] = w
+        xm = np.swapaxes(v.conj(), -1, -2) @ exchange @ v
+        rows, k = np.arange(len(todo)), lower[todo]
+        g = w[rows, k + 1] - w[rows, k]
+        slope = xm[rows, k + 1, k + 1].real - xm[rows, k, k].real
+        with np.errstate(divide="ignore", invalid="ignore"):  # a level degenerate with k or k + 1
+            bend = _curvature(w, xm, k + 1) - _curvature(w, xm, k)
+            step = -g * slope / (slope ** 2 + g * bend)
+        xt = x[todo]
+        lo[todo] = np.where(slope < 0, xt, lo[todo])
+        hi[todo] = np.where(slope > 0, xt, hi[todo])
+        tol = 1e-14 * np.maximum(1.0, np.abs(xt))
+        # a seed still moving at the iteration limit is read where it stands
+        done = (np.abs(step) <= tol) | (hi[todo] - lo[todo] <= tol) | (slope == 0) \
+            | (count == _NEWTON_STEPS)
+        new = xt + step
+        inside = (lo[todo] < new) & (new < hi[todo])  # false for a step that is not finite
+        x[todo] = np.where(done, xt, np.where(inside, new, (lo[todo] + hi[todo]) / 2))
+        todo = todo[~done]
+    return x, e
 
 
 def _anti_crossings(p: ModelParams, grid: np.ndarray, max_gap: float) -> list[DegeneracyPoint]:
-    """Adjacent-gap minima of the y != 0 spectrum, refined by bounded minimization."""
-    dim = p.dim
-    sorted_e = np.sort(track_levels(p, grid).energies, axis=1)
-    gaps = np.diff(sorted_e, axis=1)
-    results = []
-    for pair in range(dim - 1):
-        g = gaps[:, pair]
-        interior = (g[1:-1] < g[:-2]) & (g[1:-1] <= g[2:])
-        for i in np.nonzero(interior)[0] + 1:
-            xl, xr = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
-
-            def gap_at(x: float, pair=pair) -> float:
-                w = _sorted_energies(p, x)
-                return float(w[pair + 1] - w[pair])
-
-            res = minimize_scalar(gap_at, bounds=(xl, xr), method="bounded",
-                                  options={"xatol": 1e-12})
-            x_min, g_min = float(res.x), float(res.fun)
-            if g_min < max_gap and not any(abs(r.x - x_min) < 1e-6 and pair + 1 in r.labels for r in results):
-                results.append(DegeneracyPoint(
-                    x=x_min, labels=(pair + 1, pair + 2),
-                    energy=float(np.mean(_sorted_energies(p, x_min)[pair:pair + 2])),
-                    multiplicity=2, exact=False, gap=g_min))
+    """Adjacent-gap minima of the y != 0 spectrum: grid minima refined by _gap_minima."""
+    energies = np.linalg.eigvalsh(_hamiltonians(p, p.field.theta, p.field.phi, grid, p.y))
+    gaps = np.diff(energies, axis=1)
+    interior = (gaps[1:-1] < gaps[:-2]) & (gaps[1:-1] <= gaps[2:])
+    lower, i = np.nonzero(interior.T)
+    i = i + 1
+    x, e = _gap_minima(p, grid[i], grid[i - 1], grid[i + 1], lower)
+    results: list[DegeneracyPoint] = []
+    for pair, x_min, w in zip(lower.tolist(), x.tolist(), e):
+        g_min = float(w[pair + 1] - w[pair])
+        seen = any(abs(r.x - x_min) < 1e-6 and pair + 1 in r.labels for r in results)
+        if g_min < max_gap and not seen:
+            results.append(DegeneracyPoint(
+                x=x_min, labels=(pair + 1, pair + 2), energy=float(np.mean(w[pair:pair + 2])),
+                multiplicity=2, exact=False, gap=g_min))
     # merge anti-crossings that share an x location
     merged: list[DegeneracyPoint] = []
     results.sort(key=lambda r: r.x)

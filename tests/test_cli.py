@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import happer
 from happer.cli import ScanConfig, build_parser, config_from_args, main
 from happer.model import ModelParams
 from happer.spectrum import eigensystem_with_j, level_positions
@@ -283,3 +288,34 @@ def test_cluster_is_refused_off_y_zero(command, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: exact clusters exist only at y = 0, got y = 0.1\n"
+
+
+def run_python(code):
+    """Run code in a fresh interpreter that imports happer from this source tree."""
+    env = {**os.environ, "PYTHONPATH": str(Path(happer.__file__).resolve().parent.parent)}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=300)
+
+
+def test_importing_happer_loads_no_scipy():
+    done = run_python("import sys, happer, happer.cli; "
+                      "print(sorted(name for name in sys.modules if name.startswith('scipy')))")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
+def test_commands_run_without_scipy():
+    # A None entry in sys.modules makes every import of scipy raise ImportError.
+    done = run_python("""
+import sys
+sys.modules["scipy"] = None
+from happer.cli import main
+codes = [main(["spectrum", "--l", "1", "--x-range=-0.3:0.3:21"]),
+         main(["spectrum", "--l", "2", "--y", "0.001", "--theta0", "1.0",
+               "--x-range", "0.3:0.5:101"]),
+         main(["chern", "--l", "1", "--x", "1.0", "--mesh", "50", "--mesh-scheme", "uniform"])]
+print("exit codes", codes)
+""")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "exit codes [0, 0, 0]"
+    assert "# crossing: x=" in done.stdout and "# anti-crossing: x=" in done.stdout

@@ -304,17 +304,20 @@ def test_negative_range_reports_the_whole_crossing(two_l):
     assert abs(d.energy - 1 / (two_l + 1)) < 1e-9
 
 
-@pytest.mark.parametrize("field", [(0.7, 0.3), (np.pi / 6, 0.0), (0.5, 0.3), (1.0, 0.3), (2.2, 0.3)])
+@pytest.mark.parametrize("field", [(0.7, 0.3), (np.pi / 6, 0.0), (0.5, 0.3), (1.0, 0.3), (2.2, 0.3),
+                                   (0.98, 0.0), (2.6, 0.0)])
 @pytest.mark.parametrize("scan_points", [200, 201])
 @pytest.mark.parametrize("two_l", [1, 2, 3, 4])
 def test_clusters_meeting_at_x_zero_are_all_reported(two_l, scan_points, field):
     # H(0) = n_B.S, so three (2L+1)-fold clusters meet at x = 0.  The E = -1
     # and E = +1 clusters cross transversally; the E = 0 cluster is a
     # tangency, whose roots land ~1e-8 from 0, so each cluster is read at
-    # its own root.  None of this may depend on scan_points.
+    # its own root.  None of this may depend on scan_points, and the
+    # spectrum is isotropic, so neither may their order: ascending energy.
     p = ModelParams(two_l, 0.5, 0.0, FieldDirection(*field))
     degs = find_degeneracies(p, (-0.3, 0.3), scan_points=scan_points)
     assert len(degs) == 3
+    assert [round(d.energy) for d in degs] == [-1, 0, 1]
     for energy, x_tol in ((-1.0, 1e-8), (0.0, 1e-7), (1.0, 1e-8)):
         hits = [d for d in degs if abs(d.x) < x_tol and abs(d.energy - energy) < 1e-9]
         assert len(hits) == 1, energy
@@ -362,13 +365,66 @@ def test_crossings_match_a_dense_sign_change_scan(two_l, theta, phi, lo, width):
                    for d in degs), (grid[i], labels)
 
 
+@pytest.mark.parametrize("theta0", [np.pi / 6, 0.98, 2.60])
+def test_clusters_sharing_a_root_come_in_energy_order(theta0):
+    # The three x = 0 clusters differ in x only by root noise; the order
+    # follows the root first and the energy second.
+    degs = find_degeneracies(ModelParams(2, 1.5, 0.0, FieldDirection(theta0, 0.0)), (-0.5, 1.5))
+    assert [d.labels for d in degs] == [(1, 2, 5), (3, 4, 6), (7, 8, 9), (3, 4, 5)]
+    assert [round(d.energy, 6) for d in degs] == [-1.0, 0.0, 1.0, round(-1 / 3, 6)]
+
+
 def test_infinite_pencil_roots_raise_no_warning():
-    # At phi = 5e-324 a sector pencil has roots at (near) infinity; scipy's
-    # alpha / beta overflows there, and the roots are dropped unseen.
+    # At phi = 5e-324 a sector pencil has roots at (near) infinity.  They
+    # come out of the shift and invert as eigenvalues mu ~ 0, which are
+    # dropped before x = sigma + 1 / mu is formed, so nothing divides by 0.
     p = ModelParams(1, 0.5, 0.0, FieldDirection(np.pi / 2, 5e-324))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert find_degeneracies(p, (-2.0, -1.95)) == []
+
+
+def test_a_shift_on_a_pencil_root_is_picked_again():
+    # Model pencils have real roots only (tangencies within 1e-8 of the real
+    # axis), which no shift comes near; a hand-built pencil puts its root on
+    # the first shift of the window (0, 1), where a - sigma b is singular.
+    # The second pencil is regular there and has an infinite root.
+    sigma = spectrum._SHIFTS[0]
+    a = np.array([np.diag([sigma, 0.3]), np.diag([0.7, 0.2])])
+    b = np.array([np.eye(2), np.diag([1.0, 0.0])], dtype=complex)
+    assert np.linalg.cond(a[0] - sigma * b[0]) == np.inf
+    roots = spectrum._pencil_roots(a, b, 0.0, 1.0)
+    assert len(roots) == 2
+    assert np.allclose(roots[0], [0.3], rtol=0, atol=1e-15)
+    assert np.allclose(roots[1], [0.7], rtol=0, atol=1e-15)
+
+
+def gap_slope(p, x, k):
+    """Hellmann-Feynman slope of the gap between ascending positions k and k + 1 at coupling x."""
+    _, v = np.linalg.eigh(build_hamiltonian(p.with_x(x)))
+    dh = build_hamiltonian(p.with_x(1.0)) - build_hamiltonian(p.with_x(0.0))
+    slopes = np.real(np.einsum("in,ij,jn->n", v.conj(), dh, v))
+    return slopes[k + 1] - slopes[k]
+
+
+@pytest.mark.parametrize("field", [(0.7, 0.3), (1.0, 0.0)])
+def test_anti_crossings_sit_on_the_zero_of_the_gap_slope(field):
+    # Each reported x is the gap minimum to 1e-12, the zero of its
+    # Hellmann-Feynman slope, found here by bisection to rounding.
+    p = ModelParams(2, 0.5, 1e-3, FieldDirection(*field))
+    degs = find_degeneracies(p, (0.55, 0.8))
+    assert len(degs) == 2
+    for d in degs:
+        assert d.multiplicity == 2 and not d.exact
+        k = d.labels[0] - 1
+        lo, hi = d.x - 1e-6, d.x + 1e-6
+        assert gap_slope(p, lo, k) < 0 < gap_slope(p, hi, k)
+        for _ in range(60):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if gap_slope(p, mid, k) < 0 else (lo, mid)
+        assert abs(d.x - lo) <= 1e-12
+        w = np.linalg.eigvalsh(build_hamiltonian(p.with_x(d.x)))
+        assert d.gap == pytest.approx(w[k + 1] - w[k], rel=0, abs=1e-15)
 
 
 @settings(max_examples=40, deadline=None)
