@@ -365,15 +365,6 @@ def test_crossings_match_a_dense_sign_change_scan(two_l, theta, phi, lo, width):
                    for d in degs), (grid[i], labels)
 
 
-@pytest.mark.parametrize("theta0", [np.pi / 6, 0.98, 2.60])
-def test_clusters_sharing_a_root_come_in_energy_order(theta0):
-    # The three x = 0 clusters differ in x only by root noise; the order
-    # follows the root first and the energy second.
-    degs = find_degeneracies(ModelParams(2, 1.5, 0.0, FieldDirection(theta0, 0.0)), (-0.5, 1.5))
-    assert [d.labels for d in degs] == [(1, 2, 5), (3, 4, 6), (7, 8, 9), (3, 4, 5)]
-    assert [round(d.energy, 6) for d in degs] == [-1.0, 0.0, 1.0, round(-1 / 3, 6)]
-
-
 def test_infinite_pencil_roots_raise_no_warning():
     # At phi = 5e-324 a sector pencil has roots at (near) infinity.  They
     # come out of the shift and invert as eigenvalues mu ~ 0, which are
