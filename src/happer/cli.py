@@ -27,7 +27,7 @@ from .geometry import (ChernResult, chern_number_curvature, chern_number_link_va
 from .mesh import SphereMesh
 from .model import FieldDirection, ModelParams, build_hamiltonian, semimetal_batch
 from .operators import SpinQuantumNumber
-from .spectrum import _levels, find_degeneracies, level_positions, track_levels
+from .spectrum import _levels, _resolve_labels, find_degeneracies, level_positions, track_levels
 from .tolerances import TOL
 
 
@@ -310,10 +310,10 @@ def cmd_weyl_compare(cfg: ScanConfig) -> Table:
         x_eff = 1.0 / k_mag
         p = cfg.params(x_eff)
         gap_probe = np.linalg.eigvalsh(build_hamiltonian(p))
-        if np.min(np.diff(gap_probe)) < 1e-6:
+        if np.min(np.diff(gap_probe)) < TOL.subspace_isolation:
             annotations.append(f"skipped |k|={k_mag:.10g}: on the degeneracy sphere")
             continue
-        positions = sorted(level_positions(p)[lab - 1] for lab in labels)
+        _, positions = _resolve_labels(p, labels)
         per_position = chern_spectrum_link_variable(p, mesh, check=False)
         band_res = [per_position[pos] for pos in positions]
         if any(r.deviation > TOL.chern_integer for r in band_res):

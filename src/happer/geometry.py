@@ -46,7 +46,7 @@ from .errors import MeshResolutionError, SubspaceIsolationError
 from .mesh import SphereMesh
 from .model import (ModelParams, _jz_diagonal, _z_covariant, build_hamiltonian,
                     hamiltonian_batch)
-from .spectrum import level_positions
+from .spectrum import _check_isolated, _half_grid, _resolve_labels
 from .tolerances import TOL
 
 FrameBuilder = Callable[[np.ndarray, np.ndarray], np.ndarray]  # (thetas, phis) -> frames
@@ -67,15 +67,6 @@ class ChernResult:
         """Round onto the integers, or onto Z + 1/2 when ``half`` (see _half_grid)."""
         rounded = float(np.floor(value) + 0.5) if half else int(np.rint(value))
         return cls(float(value), float(2 * value), rounded, abs(value - rounded))
-
-
-def _half_grid(nuclear_two_l: int, n_levels: int) -> bool:
-    """Whether the fourpi Chern of n_levels levels sits on Z + 1/2.
-
-    Each level carries -<J>, a half-integer exactly when 2L is odd, so a
-    set of k levels lands on Z + 1/2 when 2L k is odd and on Z otherwise.
-    """
-    return nuclear_two_l * n_levels % 2 == 1
 
 
 def _check_quantized(result: ChernResult, context: str) -> ChernResult:
@@ -146,29 +137,29 @@ def _link_chern(frames: np.ndarray, m: np.ndarray, phi_max: int) -> np.ndarray:
     return -phi_max * angles.sum(axis=0) / (4 * np.pi)
 
 
-def _check_isolated(w: np.ndarray, positions: Sequence[int], context: str,
-                    thetas: Sequence[float] = (), phis: Sequence[float] = (0.0,)) -> None:
-    """Refuse a contiguous band set that comes within TOL.subspace_isolation of the rest.
-
-    w is (n_theta, n_phi, d), or (n_theta, d) on a meridian; given the
-    grid's thetas (and phis), the message names the point of smallest gap.
-    """
-    lo, hi = min(positions), max(positions)
-    if sorted(positions) != list(range(lo, hi + 1)):
+def _check_contiguous(positions: tuple[int, ...], context: str) -> None:
+    """Refuse a Chern band set whose ascending positions leave a gap."""
+    if positions[-1] - positions[0] != len(positions) - 1:
         raise ValueError(f"{context}: band positions must be contiguous, got {positions}")
-    gaps = np.full(w.shape[:-1], np.inf)
-    if lo > 0:
-        gaps = np.minimum(gaps, w[..., lo] - w[..., lo - 1])
-    if hi < w.shape[-1] - 1:
-        gaps = np.minimum(gaps, w[..., hi + 1] - w[..., hi])
-    gaps = gaps.reshape(len(w), -1)
-    t, f = np.unravel_index(np.argmin(gaps), gaps.shape)
-    if gaps[t, f] < TOL.subspace_isolation:
-        where = f" at (theta={thetas[t]:.6f}, phi={phis[f]:.6f})" if len(thetas) else ""
-        raise SubspaceIsolationError(
-            f"{context}: bands {positions} touch the rest of the spectrum{where} "
-            f"(gap {gaps[t, f]:.2e}), so the subspace dimension is ambiguous; "
-            "perturb x away from the crossing or treat the whole cluster")
+
+
+def _link_sets(p: ModelParams, mesh: SphereMesh | None, h_builder: _Covariant | None,
+               sets: Sequence[Sequence[int]] | None, context: str) -> list[ChernResult]:
+    """Link Chern numbers of band sets (ascending positions), or of every band when sets is None.
+
+    One meridian solve (_link_meridian), one isolation gate per set on
+    the ring edges, one _link_chern call, and rounding on the grid of the
+    solved Hamiltonian's dimension (_half_grid).
+    """
+    mesh = mesh or SphereMesh()
+    w0, f0, m = _link_meridian(p, mesh, h_builder)
+    sets = [(k,) for k in range(w0.shape[-1])] if sets is None else sets
+    edges = mesh.theta_edges()
+    for positions in sets:
+        _check_isolated(w0, positions, context, edges)
+    values = _link_chern(np.moveaxis(f0[..., np.array(sets)], -2, 1), m, mesh.phi_max)
+    half = _half_grid(w0.shape[-1], len(sets[0]))
+    return [ChernResult.from_fourpi(float(c), half) for c in values]
 
 
 def chern_number_link_variable(p: ModelParams, labels: Sequence[int] | int,
@@ -183,13 +174,9 @@ def chern_number_link_variable(p: ModelParams, labels: Sequence[int] | int,
     constant, so the isolation check refuses a band set that touches the
     rest along a mesh ring's circle.
     """
-    mesh = mesh or SphereMesh()
-    labels = (labels,) if isinstance(labels, int) else tuple(labels)
-    positions = _positions_for(p, labels)
-    w0, f0, m = _link_meridian(p, mesh)
-    _check_isolated(w0, positions, "link-variable Chern", mesh.theta_edges())
-    value = _link_chern(f0[..., list(positions)][:, None], m, mesh.phi_max)[0]
-    result = ChernResult.from_fourpi(value, _half_grid(p.nuclear_two_l, len(positions)))
+    _, positions = _resolve_labels(p, labels)
+    _check_contiguous(positions, "link-variable Chern")
+    result = _link_sets(p, mesh, None, [positions], "link-variable Chern")[0]
     return _check_quantized(result, "link-variable Chern")
 
 
@@ -206,33 +193,16 @@ def chern_spectrum_link_variable(p: ModelParams, mesh: SphereMesh | None = None,
 
     Rounded on the grid of the solved Hamiltonian's own dimension d, also
     when h_builder is given: a single level sits on Z + 1/2 exactly when d
-    is even (d = 3(2L + 1) for the model, as in _half_grid, and 2j + 1 for
-    a spin-j k.F builder).  Bands that touch a neighbour on a mesh ring
+    is even (_half_grid; d = 3(2L + 1) for the model and 2j + 1 for a
+    spin-j k.F builder).  Bands that touch a neighbour on a mesh ring
     have no Chern number of their own and are refused, whatever ``check``
     says; ``check`` gates only the quantization.
     """
-    mesh = mesh or SphereMesh()
-    w0, f0, m = _link_meridian(p, mesh, h_builder)
-    gaps = np.min(np.diff(w0, axis=-1), axis=0)
-    touching = np.flatnonzero(gaps < TOL.subspace_isolation)
-    if len(touching):
-        positions = sorted({*touching.tolist(), *(touching + 1).tolist()})
-        raise SubspaceIsolationError(
-            f"per-band link Chern: bands at positions {positions} touch on a mesh ring "
-            f"(gap {np.min(gaps):.2e}); only the cluster they form has a Chern number: "
-            "perturb x or y away from the touching or treat the whole cluster")
-    values = _link_chern(f0.swapaxes(-1, -2)[..., None], m, mesh.phi_max)
-    half = f0.shape[-1] % 2 == 0
-    results = [ChernResult.from_fourpi(float(c), half) for c in values]
+    results = _link_sets(p, mesh, h_builder, None, "per-band link Chern")
     if check:
         for i, r in enumerate(results):
             _check_quantized(r, f"band {i}")
     return results
-
-
-def _positions_for(p: ModelParams, labels: Sequence[int]) -> tuple[int, ...]:
-    pos = level_positions(p)
-    return tuple(sorted(int(pos[lab - 1]) for lab in labels))
 
 
 # ---------------------------------------------------------------------------
@@ -315,8 +285,8 @@ def _raw_frames(p: ModelParams, thetas: np.ndarray, phis: np.ndarray,
 _ANALYTIC_POLE_MARGIN = 0.1
 
 
-def smooth_gauge_states(p: ModelParams, labels: Sequence[int], mesh: SphereMesh | None = None,
-                        source: str = "numerical") -> FrameField:
+def smooth_gauge_states(p: ModelParams, labels: Sequence[int] | int,
+                        mesh: SphereMesh | None = None, source: str = "numerical") -> FrameField:
     """Orthonormal frames of the labelled subspace in a smooth gauge.
 
     Frames are parallel-transported: each is aligned to its neighbour
@@ -335,8 +305,8 @@ def smooth_gauge_states(p: ModelParams, labels: Sequence[int], mesh: SphereMesh 
     coupling with y = 0, L in {1, 2}.
     """
     mesh = mesh or SphereMesh()
-    labels = tuple(sorted(labels))
-    positions = _positions_for(p, labels)
+    labels, positions = _resolve_labels(p, labels)
+    _check_contiguous(positions, "smoothed-gauge frames")
     edges = mesh.theta_edges()
     ring_start = 1
 
@@ -610,13 +580,14 @@ def chern_number(field: CurvatureField) -> ChernResult:
     curvature density of the nearest ring.
     """
     total = field.trace_sum() + field.cap_compensation()
-    result = ChernResult.from_fourpi(total / (4 * np.pi),
-                                     _half_grid(field.field.nuclear_two_l, len(field.field.labels)))
+    frames = field.field
+    half = _half_grid(ModelParams(frames.nuclear_two_l, 0.0).dim, len(frames.labels))
+    result = ChernResult.from_fourpi(total / (4 * np.pi), half)
     return _check_quantized(result, "curvature-integral Chern")
 
 
-def curvature_field(p: ModelParams, labels: Sequence[int], mesh: SphereMesh | None = None,
-                    source: str = "numerical") -> CurvatureField:
+def curvature_field(p: ModelParams, labels: Sequence[int] | int,
+                    mesh: SphereMesh | None = None, source: str = "numerical") -> CurvatureField:
     """Convenience: smoothed frames -> connection -> curvature in one call."""
     frames = smooth_gauge_states(p, labels, mesh, source=source)
     return curvature_discrete(connection_discrete(frames))
@@ -626,7 +597,6 @@ def chern_number_curvature(p: ModelParams, labels: Sequence[int] | int,
                            mesh: SphereMesh | None = None,
                            source: str = "numerical") -> ChernResult:
     """Chern number via the smoothed-gauge curvature scheme."""
-    labels = (labels,) if isinstance(labels, int) else tuple(labels)
     return chern_number(curvature_field(p, labels, mesh, source=source))
 
 
@@ -664,7 +634,6 @@ def loop_phase(p: ModelParams, labels: Sequence[int] | int, loop,
     orientation = np.sign(winding)
 
     mesh = mesh or SphereMesh(scheme="uniform")
-    labels = (labels,) if isinstance(labels, int) else tuple(labels)
     field = curvature_field(p, labels, mesh, source=source)
     pos = theta_loop / (np.pi / mesh.n_theta)
     r_loop = int(np.floor(pos + 1e-9))

@@ -110,12 +110,7 @@ def spin_axis_operator(axis: tuple[float, float, float], nuclear_two_l: int) -> 
 
 def build_hamiltonian(p: ModelParams) -> np.ndarray:
     """Assemble H = n_B.S + x S.L + y [3 (a.S)^2 - S^2]; Hermitian by construction."""
-    _, _, big_s, _, exchange = _product_operators(p.nuclear_two_l)
-    n = p.field.unit_vector()
-    h = n[0] * big_s[0] + n[1] * big_s[1] + n[2] * big_s[2] + p.x * exchange
-    if p.y != 0.0:
-        h = h + p.y * spin_axis_operator(p.axis, p.nuclear_two_l)
-    return h
+    return _hamiltonians(p, p.field.theta, p.field.phi, p.x, p.y)
 
 
 def hamiltonian_batch(p: ModelParams, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -132,8 +127,7 @@ def _hamiltonians(p: ModelParams, theta, phi, x, y) -> np.ndarray:
 
     Each term is formed at the shape of its own arguments and the sum
     broadcasts, so a ramp of x at a fixed field builds the field term
-    once.  At scalar arguments the result equals build_hamiltonian's
-    entry for entry.
+    once.  At scalar arguments it is build_hamiltonian.
     """
     _, _, big_s, _, exchange = _product_operators(p.nuclear_two_l)
     theta, phi, x, y = (np.asarray(a, dtype=float)[..., None, None] for a in (theta, phi, x, y))
@@ -205,31 +199,20 @@ def semimetal_batch(j: SpinQuantumNumber, k_mag: float, theta: np.ndarray, phi: 
 def projected_hamiltonian(p: ModelParams, band_labels, reference_eigensystem) -> np.ndarray:
     """P H P with P projecting onto the given levels of the reference eigensystem.
 
-    band_labels are level labels (1-based, numbered by energy at large x);
-    requires y = 0 so the labels are well defined, and refuses label sets
-    whose eigenspaces are not separated from the rest of the spectrum.
+    band_labels is one level label or a sequence of them (1-based,
+    numbered by energy at large x); requires y = 0 so the labels are well
+    defined, and refuses label sets whose eigenspaces are not separated
+    from the rest of the spectrum (SubspaceIsolationError).
     """
-    from .spectrum import level_positions  # local import to avoid a cycle
+    from .spectrum import _check_isolated, _resolve_labels  # local import to avoid a cycle
 
     if p.y != 0.0:
         raise ValueError("projection onto labelled levels is defined for y = 0")
-    labels = tuple(sorted(band_labels))
-    pos = level_positions(p)
-    cols = [pos[lab - 1] for lab in labels]
-    w = reference_eigensystem.eigenvalues
-    v = reference_eigensystem.eigenvectors
-    others = [i for i in range(len(w)) if i not in cols]
-    if others:
-        gap = min(abs(w[i] - w[c]) for i in others for c in cols)
-        if gap < TOL.subspace_isolation:
-            raise ValueError(
-                f"levels {labels} are degenerate with the complement (gap {gap:.2e}); "
-                "perturb x away from the crossing or project the whole cluster"
-            )
-    frame = v[:, cols]
+    _, positions = _resolve_labels(p, band_labels)
+    _check_isolated(reference_eigensystem.eigenvalues, positions, f"projection at x={p.x}")
+    frame = reference_eigensystem.eigenvectors[:, list(positions)]
     proj = frame @ frame.conj().T
-    h = build_hamiltonian(p)
-    return proj @ h @ proj
+    return proj @ build_hamiltonian(p) @ proj
 
 
 def zeeman_params(theta: float = 0.0, phi: float = 0.0) -> ModelParams:

@@ -93,8 +93,8 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def require_hermitian(m: np.ndarray, tol: float = TOL.hermiticity, what: str = "matrix") -> np.ndarray:
-    """Return m unchanged if it is Hermitian to tolerance, else raise."""
-    asym = np.max(np.abs(m - m.conj().T))
+    """Return m, a matrix or an (..., n, n) stack, if it is Hermitian to tolerance, else raise."""
+    asym = np.max(np.abs(m - np.swapaxes(m, -1, -2).conj()))
     if asym > tol:
         raise HermiticityError(f"{what} is not Hermitian: max |M - M^dag| = {asym:.3e}")
     return m

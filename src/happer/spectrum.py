@@ -22,11 +22,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from numbers import Integral
+from typing import Sequence
 
 import numpy as np
 
-from .errors import HermiticityError, TrackingError
+from .errors import SubspaceIsolationError, TrackingError
 from .model import ModelParams, _hamiltonians, _product_operators, build_hamiltonian, conserved_j
+from .operators import require_hermitian
 from .tolerances import TOL
 
 
@@ -47,18 +50,9 @@ def fix_phases(vectors: np.ndarray) -> np.ndarray:
     return vectors * phase.conj()
 
 
-def _check_hermitian(h: np.ndarray) -> None:
-    """Raise HermiticityError unless every matrix in the stack h is Hermitian to 1e-10."""
-    asym = np.max(np.abs(h - np.swapaxes(h, -1, -2).conj()))
-    if asym > 1e-10:
-        raise HermiticityError(f"eigensystem needs a Hermitian matrix, asymmetry {asym:.3e}")
-
-
 def eigensystem(h: np.ndarray, params: ModelParams | None = None) -> EigenSystem:
     """Full Hermitian eigendecomposition with deterministic phases."""
-    h = np.asarray(h)
-    _check_hermitian(h)
-    w, v = np.linalg.eigh(h)
+    w, v = np.linalg.eigh(require_hermitian(np.asarray(h), what="eigensystem input"))
     return EigenSystem(w, fix_phases(v), params)
 
 
@@ -166,6 +160,59 @@ def level_positions(p: ModelParams) -> np.ndarray:
     return _levels(p)[2]
 
 
+def _resolve_labels(p: ModelParams, labels) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Ascending labels and ascending positions (see level_positions) of a band set at p.
+
+    labels is one label or a sequence of them, each an int or a numpy
+    integer; labels outside 1..dim, repeated labels and non-integers are
+    refused with a ValueError.
+    """
+    items = [labels] if np.ndim(labels) == 0 else list(labels)
+    resolved = sorted(int(lab) for lab in items if isinstance(lab, Integral))
+    if not resolved or len(resolved) != len(items) or len(set(resolved)) != len(resolved) \
+            or resolved[0] < 1 or resolved[-1] > p.dim:
+        raise ValueError(f"labels must be distinct integers in 1..{p.dim}, got {labels!r}")
+    positions = level_positions(p)[np.array(resolved) - 1]
+    return tuple(resolved), tuple(sorted(positions.tolist()))
+
+
+def _check_isolated(w: np.ndarray, positions: Sequence[int], context: str,
+                    thetas: Sequence[float] = (), phis: Sequence[float] = (0.0,)) -> None:
+    """Refuse a band set that comes within TOL.subspace_isolation of the rest of the spectrum.
+
+    w holds ascending eigenvalues: (d,) at one point, (n_theta, d) on a
+    meridian or (n_theta, n_phi, d) on a grid.  Every boundary between a
+    member position and a non-member one is checked; given the grid's
+    thetas (and phis), the message names the point of smallest gap.
+    """
+    member = np.bincount(positions, minlength=w.shape[-1]) > 0
+    lower = np.flatnonzero(member[:-1] != member[1:])  # boundaries (b, b + 1)
+    if not lower.size:
+        return
+    gaps = w[..., lower + 1] - w[..., lower]
+    at = np.unravel_index(np.argmin(gaps), gaps.shape)
+    if gaps[at] < TOL.subspace_isolation:
+        b = lower[at[-1]]
+        where = ""
+        if len(thetas):
+            where = f" at (theta={thetas[at[0]]:.6f}, phi={phis[at[1] if w.ndim == 3 else 0]:.6f})"
+        raise SubspaceIsolationError(
+            f"{context}: bands at positions {b} and {b + 1} touch{where} (gap {gaps[at]:.2e}), "
+            "so the subspace dimension is ambiguous; perturb x or y away from the touching "
+            "or treat the whole cluster")
+
+
+def _half_grid(dim: int, n_levels: int) -> bool:
+    """Whether the fourpi Chern of n_levels levels of a dim-level spectrum sits on Z + 1/2.
+
+    Each level carries -<J>, a half-integer exactly when dim is even (2L
+    odd for the model's dim = 3(2L + 1), j half-integer for a spin-j k.F),
+    so a set of k levels lands on Z + 1/2 when dim is even and k is odd,
+    and on Z otherwise.
+    """
+    return dim % 2 == 0 and n_levels % 2 == 1
+
+
 @dataclass
 class LevelTrack:
     """Labelled energies along an x sweep.
@@ -196,8 +243,7 @@ def track_levels(p0: ModelParams, x_grid) -> LevelTrack:
         j_values = np.tile(sectors.two_m[slot_of_label] / 2, (n, 1))
         return LevelTrack(x_grid, labels, e[:, slot_of_label], j_values, p0)
     h = _hamiltonians(p0, p0.field.theta, p0.field.phi, x_grid, p0.y)
-    _check_hermitian(h)
-    energies, v = np.linalg.eigh(h)
+    energies, v = np.linalg.eigh(require_hermitian(h, what="swept Hamiltonian"))
     j_values = _j_values(p0, v)
     labels = np.tile(np.arange(1, dim + 1), (n, 1))
     return LevelTrack(x_grid, labels, energies, j_values, p0)

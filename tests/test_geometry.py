@@ -15,9 +15,10 @@ from happer.geometry import (ChernResult, chern_number, chern_number_curvature,
                              loop_phase, smooth_gauge_states)
 from happer.mesh import SphereMesh
 from happer.model import (FieldDirection, ModelParams, _jz_diagonal, build_hamiltonian,
-                          hamiltonian_batch, semimetal_batch, zeeman_params)
+                          hamiltonian_batch, projected_hamiltonian, semimetal_batch,
+                          zeeman_params)
 from happer.operators import SpinQuantumNumber
-from happer.spectrum import eigensystem_with_j, level_positions
+from happer.spectrum import eigensystem, eigensystem_with_j, level_positions
 from happer.tolerances import TOL
 
 RING_LOOP = [(np.pi / 6, ph) for ph in np.linspace(0.0, 2 * np.pi, 73)]
@@ -324,6 +325,36 @@ def test_noncontiguous_cluster_rejected():
                  lambda: loop_phase(p_star, (4, 9), RING_LOOP, mesh)):
         with pytest.raises(ValueError, match="contiguous"):
             call()
+
+
+# L = 1 at x = 1, away from the crossing: nine isolated levels.
+LABEL_P = ModelParams(2, 1.0, 0.0, FieldDirection(0.5, 0.3))
+LABEL_MESH = SphereMesh(60, 120, "uniform")
+LABEL_CALLS = {
+    "link": lambda labels: chern_number_link_variable(LABEL_P, labels, LABEL_MESH).fourpi,
+    "curvature": lambda labels: chern_number_curvature(LABEL_P, labels, LABEL_MESH).fourpi,
+    "loop-phase": lambda labels: loop_phase(LABEL_P, labels, RING_LOOP, LABEL_MESH),
+    "frames": lambda labels: smooth_gauge_states(LABEL_P, labels, LABEL_MESH).labels,
+    "projection": lambda labels: projected_hamiltonian(
+        LABEL_P, labels, eigensystem(build_hamiltonian(LABEL_P), LABEL_P)),
+}
+
+
+@pytest.mark.parametrize("call", LABEL_CALLS.values(), ids=LABEL_CALLS.keys())
+@pytest.mark.parametrize("labels", [0, -1, 10, (3, 3), 3.0],
+                         ids=["zero", "negative", "dim+1", "repeated", "float"])
+def test_labels_outside_1_to_dim_are_refused(call, labels):
+    # 0 and -1 must not wrap round to the top labels, 10 must not reach an
+    # IndexError, and (3, 3) is a repeat, not a gap in a contiguous set.
+    with pytest.raises(ValueError, match=r"in 1\.\.9"):
+        call(labels)
+
+
+@pytest.mark.parametrize("call", LABEL_CALLS.values(), ids=LABEL_CALLS.keys())
+def test_int_and_numpy_integer_labels_are_one_label_set(call):
+    expected = call((2,))
+    for labels in (2, np.int64(2), np.int32(2), [np.int64(2)]):
+        np.testing.assert_array_equal(call(labels), expected)
 
 
 @pytest.mark.parametrize("n,scheme", [(11, "equal-area"), (10, "uniform")])
@@ -779,6 +810,10 @@ def test_link_isolation_sees_a_touching_circle_about_the_axis():
                  lambda: chern_spectrum_link_variable(ModelParams(2, 2 / 3), mesh, check=False)):
         with pytest.raises(SubspaceIsolationError, match="touch"):
             call()
+    # The circle n . a = 0 is the axis frame's equator, ring edge 20 of 40.
+    with pytest.raises(SubspaceIsolationError,
+                       match=r"positions 4 and 5 touch at \(theta=1\.570796"):
+        chern_spectrum_link_variable(p, mesh, check=False)
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from happer.errors import SubspaceIsolationError
 from happer.model import (FieldDirection, ModelParams, build_hamiltonian, conserved_j,
                           momentum_hamiltonian, projected_hamiltonian,
                           semimetal_hamiltonian, spin_axis_commutator, zeeman_params)
@@ -152,8 +153,18 @@ def test_projected_hamiltonian_keeps_band_energies():
 def test_projected_hamiltonian_rejects_degenerate_cut():
     p = ModelParams(2, 2 / 3, 0.0, FieldDirection(0.4, 1.0))
     es = eigensystem(build_hamiltonian(p), p)
-    with pytest.raises(ValueError):
+    with pytest.raises(SubspaceIsolationError, match="touch"):
         projected_hamiltonian(p, (3, 4), es)
+
+
+def test_projected_hamiltonian_takes_an_isolated_noncontiguous_set():
+    # Contiguity is a Chern-scheme requirement; a projection needs isolation only.
+    p = ModelParams(2, 1.0, 0.0, FieldDirection(0.4, 1.0))
+    es = eigensystem(build_hamiltonian(p), p)
+    frame = es.eigenvectors[:, level_positions(p)[[0, 8]]]
+    proj = frame @ frame.conj().T
+    hp = projected_hamiltonian(p, (9, 1), es)
+    assert np.max(np.abs(hp - proj @ build_hamiltonian(p) @ proj)) < 1e-12
 
 
 def test_validation_errors():

@@ -69,3 +69,8 @@ def test_require_hermitian():
     require_hermitian(np.diag([1.0, 2.0]).astype(complex))
     with pytest.raises(HermiticityError):
         require_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+    stack = np.stack([np.diag([1.0, 2.0]), np.array([[0.0, 1.0], [1.0, 0.0]])]).astype(complex)
+    assert require_hermitian(stack) is stack
+    stack[1, 0, 1] += 1e-9
+    with pytest.raises(HermiticityError):
+        require_hermitian(stack)
