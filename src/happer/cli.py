@@ -21,13 +21,14 @@ import numpy as np
 
 from .dynamics import (DriveProtocol, _phase_diagnostics, _propagate_block, adiabatic_omega,
                        cone_fit, initial_eigenstate)
-from .errors import NormDriftError
+from .errors import NormDriftError, SubspaceIsolationError
 from .geometry import (ChernResult, chern_number_curvature, chern_number_link_variable,
                        chern_spectrum_link_variable, loop_phase)
 from .mesh import SphereMesh
 from .model import FieldDirection, ModelParams, build_hamiltonian, semimetal_batch
 from .operators import SpinQuantumNumber
 from .spectrum import _levels, _resolve_labels, find_degeneracies, level_positions, track_levels
+from .table import _csv_text
 from .tolerances import TOL
 
 
@@ -95,23 +96,10 @@ class Table:
     meta: dict = field(default_factory=dict)
 
 
-def _format_value(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.12g}"
-    return str(v)
-
-
 def write_table(table: Table, out: str | None, fmt: str) -> None:
     if fmt == "csv":
-        lines = ["# schema=1"]
-        for k in sorted(table.meta):
-            lines.append(f"# {k}={table.meta[k]}")
-        for a in table.annotations:
-            lines.append(f"# {a}")
-        lines.append(",".join(table.columns))
-        for row in table.rows:
-            lines.append(",".join(_format_value(v) for v in row))
-        text = "\n".join(lines) + "\n"
+        notes = [f"{k}={table.meta[k]}" for k in sorted(table.meta)] + table.annotations
+        text = _csv_text(table.columns, table.rows, notes)
     else:
         payload = {"schema": 1, "meta": table.meta, "columns": table.columns,
                    "rows": [[v for v in row] for row in table.rows],
@@ -309,12 +297,12 @@ def cmd_weyl_compare(cfg: ScanConfig) -> Table:
     for k_mag in cfg.k_grid:
         x_eff = 1.0 / k_mag
         p = cfg.params(x_eff)
-        gap_probe = np.linalg.eigvalsh(build_hamiltonian(p))
-        if np.min(np.diff(gap_probe)) < TOL.subspace_isolation:
+        try:  # y = 0 (_cluster_labels), so a touching anywhere is a touching everywhere
+            per_position = chern_spectrum_link_variable(p, mesh, check=False)
+        except SubspaceIsolationError:
             annotations.append(f"skipped |k|={k_mag:.10g}: on the degeneracy sphere")
             continue
         _, positions = _resolve_labels(p, labels)
-        per_position = chern_spectrum_link_variable(p, mesh, check=False)
         band_res = [per_position[pos] for pos in positions]
         if any(r.deviation > TOL.chern_integer for r in band_res):
             ok = False

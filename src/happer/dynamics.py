@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -31,6 +32,7 @@ from .errors import AdiabaticityError, NormDriftError
 from .model import (FieldDirection, ModelParams, _hamiltonians, _jz_diagonal,
                     _product_operators, _z_covariant, build_hamiltonian, spin_axis_operator)
 from .spectrum import eigensystem
+from .table import _csv_text
 from .tolerances import TOL
 
 
@@ -92,18 +94,12 @@ class Trajectory:
     protocol: DriveProtocol
 
     def to_csv(self, path, with_state: bool = False) -> None:
-        with open(path, "w") as fh:
-            fh.write("# schema=1\n")
-            cols = ["t", "sx", "sy", "sz", "lx", "ly", "lz", "jx", "jy", "jz"]
-            if with_state:
-                dim = self.states.shape[1]
-                cols += [f"re_c{i}" for i in range(dim)] + [f"im_c{i}" for i in range(dim)]
-            fh.write(",".join(cols) + "\n")
-            blocks = [self.times, self.s_avg, self.l_avg, self.j_avg]
-            if with_state:
-                blocks += [self.states.real, self.states.imag]
-            line = ",".join(["%.12g"] * len(cols)) + "\n"
-            fh.writelines(line % tuple(row) for row in np.column_stack(blocks).tolist())
+        cols = ["t", "sx", "sy", "sz", "lx", "ly", "lz", "jx", "jy", "jz"]
+        blocks = [self.times, self.s_avg, self.l_avg, self.j_avg]
+        if with_state:
+            cols += [f"{part}_c{i}" for part in ("re", "im") for i in range(self.states.shape[1])]
+            blocks += [self.states.real, self.states.imag]
+        Path(path).write_text(_csv_text(cols, np.column_stack(blocks).tolist()))
 
 
 def _expectations(states: np.ndarray, nuclear_two_l: int) -> tuple[np.ndarray, np.ndarray]:

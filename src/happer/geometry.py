@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
+from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -47,6 +48,7 @@ from .mesh import SphereMesh
 from .model import (ModelParams, _jz_diagonal, _z_covariant, build_hamiltonian,
                     hamiltonian_batch)
 from .spectrum import _check_isolated, _half_grid, _resolve_labels
+from .table import _csv_text
 from .tolerances import TOL
 
 FrameBuilder = Callable[[np.ndarray, np.ndarray], np.ndarray]  # (thetas, phis) -> frames
@@ -176,7 +178,7 @@ def chern_number_link_variable(p: ModelParams, labels: Sequence[int] | int,
     """
     _, positions = _resolve_labels(p, labels)
     _check_contiguous(positions, "link-variable Chern")
-    result = _link_sets(p, mesh, None, [positions], "link-variable Chern")[0]
+    result = _link_sets(p, mesh, None, [positions], "link-variable Chern, angles about the axis")[0]
     return _check_quantized(result, "link-variable Chern")
 
 
@@ -198,7 +200,7 @@ def chern_spectrum_link_variable(p: ModelParams, mesh: SphereMesh | None = None,
     have no Chern number of their own and are refused, whatever ``check``
     says; ``check`` gates only the quantization.
     """
-    results = _link_sets(p, mesh, h_builder, None, "per-band link Chern")
+    results = _link_sets(p, mesh, h_builder, None, "per-band link Chern, angles about the axis")
     if check:
         for i, r in enumerate(results):
             _check_quantized(r, f"band {i}")
@@ -252,7 +254,7 @@ class FrameField:
 
     mesh: SphereMesh
     labels: tuple[int, ...]
-    nuclear_two_l: int
+    dim: int
     ring_start: int
     rows: list[_Row]
     top_index: dict[int, int]
@@ -331,7 +333,7 @@ def smooth_gauge_states(p: ModelParams, labels: Sequence[int] | int,
         rows = _meridian_rows(p, positions, plan)
     else:
         rows = _transport(p, positions, plan)
-    return FrameField(mesh, labels, p.nuclear_two_l, ring_start, rows, top_index, bottom_index)
+    return FrameField(mesh, labels, p.dim, ring_start, rows, top_index, bottom_index)
 
 
 def _analytic_frames(p: ModelParams, positions: Sequence[int]) -> FrameBuilder:
@@ -535,15 +537,13 @@ class CurvatureField:
 
     def to_csv(self, path) -> None:
         """Columns: theta, phi, Re tr F, cell solid angle."""
-        with open(path, "w") as fh:
-            fh.write("# schema=1\n")
-            fh.write("theta,phi,re_tr_curvature,solid_angle\n")
-            for r in sorted(self.x_curvature):
-                top = self.field.ring_top(r)
-                tr = np.trace(self.x_curvature[r], axis1=-2, axis2=-1).real
-                for phi, t, om in zip(top.phis, np.broadcast_to(tr, top.phis.shape),
-                                      self.field.mesh.ring_solid_angle(r)):
-                    fh.write(f"{top.theta:.12g},{phi:.12g},{t:.12g},{om:.12g}\n")
+        rows = []
+        for r in sorted(self.x_curvature):
+            top = self.field.ring_top(r)
+            tr = np.trace(self.x_curvature[r], axis1=-2, axis2=-1).real
+            rows += np.column_stack(np.broadcast_arrays(
+                top.theta, top.phis, tr, self.field.mesh.ring_solid_angle(r))).tolist()
+        Path(path).write_text(_csv_text(["theta", "phi", "re_tr_curvature", "solid_angle"], rows))
 
 
 def _plaquettes(a1: np.ndarray, a2t: np.ndarray, a2b: np.ndarray,
@@ -580,8 +580,7 @@ def chern_number(field: CurvatureField) -> ChernResult:
     curvature density of the nearest ring.
     """
     total = field.trace_sum() + field.cap_compensation()
-    frames = field.field
-    half = _half_grid(ModelParams(frames.nuclear_two_l, 0.0).dim, len(frames.labels))
+    half = _half_grid(field.field.dim, len(field.field.labels))
     result = ChernResult.from_fourpi(total / (4 * np.pi), half)
     return _check_quantized(result, "curvature-integral Chern")
 

@@ -159,6 +159,17 @@ def test_weyl_compare_table(tmp_path):
     assert int(rows[2.0][5]) == 0
 
 
+def test_weyl_compare_skips_the_degeneracy_sphere(tmp_path):
+    # At |k| = (2L + 1) / 2 the per-band link table's isolation gate refuses
+    # the touching levels, and the point is skipped rather than failed.
+    code, text = run(tmp_path, "weyl_sphere.csv",
+                     ["weyl-compare", "--l", "1", "--k-grid", "1.5", "--mesh", "50"])
+    assert code == 0
+    lines = text.splitlines()
+    assert "# skipped |k|=1.5: on the degeneracy sphere" in lines
+    assert lines[-1].startswith("k_mag,")  # the header alone
+
+
 def test_weyl_compare_reference_is_spin_l(tmp_path):
     code, text = run(tmp_path, "weyl2.csv",
                      ["weyl-compare", "--l", "2", "--k-grid", "3.0", "--mesh", "50",
@@ -217,19 +228,24 @@ def test_scanconfig_validation():
         ScanConfig(x_grid=(1.0, 0.5))
 
 
-@pytest.mark.parametrize("l_text", ["1/2", "3/2"])
-def test_half_integer_l_passes_its_own_check(tmp_path, l_text):
+@pytest.mark.parametrize("l_text, scheme", [("1/2", "link"), ("3/2", "link"),
+                                            ("1/2", "curvature"), ("3/2", "curvature")],
+                         ids=["1/2", "3/2", "1/2-curvature", "3/2-curvature"])
+def test_half_integer_l_passes_its_own_check(tmp_path, l_text, scheme):
+    # The curvature scheme rounds through chern_number's half grid on a frame
+    # field; at 50 rings it deviates by about 0.009, the link scheme by < 1e-6.
     code, text = run(tmp_path, "half_chern.csv",
                      ["chern", "--l", l_text, "--x", "0.7", "--mesh", "50",
-                      "--mesh-scheme", "uniform"])
+                      "--mesh-scheme", "uniform", "--scheme", scheme])
     assert code == 0
     rows = [ln.split(",") for ln in text.splitlines() if ln and not ln.startswith(("#", "x,"))]
     assert len(rows) == 3 * (int(l_text[0]) + 1)
+    bound = 1e-6 if scheme == "link" else TOL.chern_integer
     for row in rows:
         ch4, rounded, dev, j = float(row[2]), float(row[4]), float(row[5]), float(row[6])
-        assert dev < 1e-6 and row[7] == "0"
+        assert dev < bound and row[7] == "0"
         assert rounded == -j and rounded % 1 == 0.5
-        assert abs(ch4 - rounded) < 1e-6
+        assert abs(ch4 - rounded) < bound
 
 
 def test_bad_config_value_exits_2(tmp_path, capsys):
@@ -277,7 +293,8 @@ def test_chern_table_refuses_touching_bands(args, capsys):
     assert main(["chern", *args, "--mesh", "50", "--mesh-scheme", "uniform"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: per-band link Chern: bands at positions")
+    assert captured.err.startswith(
+        "error: per-band link Chern, angles about the axis: bands at positions")
     assert "touch" in captured.err and "cluster" in captured.err
 
 

@@ -14,6 +14,7 @@ from happer.mesh import SphereMesh
 from happer.model import (FieldDirection, ModelParams, build_hamiltonian, conserved_j,
                           zeeman_params)
 from happer.operators import SpinQuantumNumber, spin_operators
+from happer.table import _csv_text
 
 OMEGA_CAP = 2 * np.pi * (1 - np.cos(np.pi / 6))
 
@@ -153,33 +154,52 @@ def test_tilted_axis_ramp_runs_real_and_matches_the_lab_frame(monkeypatch):
     assert complex_batches and not any(complex_batches)
 
 
-def _csv_rows_per_value(traj, with_state):
-    """Trajectory rows formatted one value at a time, the reference for Trajectory.to_csv."""
+SPECIAL_FLOATS = [-0.0, np.nan, np.inf, -np.inf, 1e-300, 1e17, 0.1 + 0.2, -1 / 3]
+
+
+def csv_rows_per_value(rows):
+    """Rows formatted one value at a time, the reference for every schema=1 CSV writer:
+    floats as f"{v:.12g}", anything else as str(v)."""
+    return "".join(",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in row) + "\n"
+                   for row in rows)
+
+
+def _trajectory_rows(traj, with_state):
     rows = []
     for i, t in enumerate(traj.times):
         row = [t, *traj.s_avg[i], *traj.l_avg[i], *traj.j_avg[i]]
         if with_state:
             row += list(traj.states[i].real) + list(traj.states[i].imag)
-        rows.append(",".join(f"{v:.12g}" for v in row) + "\n")
-    return "".join(rows)
+        rows.append(row)
+    return rows
+
+
+def test_csv_formatter_matches_per_value_formatting():
+    # a float, an int, a string and a numpy-float column; one template serves every row
+    rows = [[v, i - 3, f"deg({i}+{i + 1})", np.float64(v) * 3]
+            for i, v in enumerate(SPECIAL_FLOATS)]
+    text = _csv_text(["f", "n", "tag", "g"], rows, ["command=test", "note: x=1"])
+    head = "# schema=1\n# command=test\n# note: x=1\nf,n,tag,g\n"
+    assert text == head + csv_rows_per_value(rows)
+    assert _csv_text(["f", "n"], [], ["empty"]) == "# schema=1\n# empty\nf,n\n"
+    assert _csv_text(["f"], []) == "# schema=1\nf\n"
 
 
 @pytest.mark.parametrize("with_state", [False, True])
 def test_trajectory_csv_matches_per_value_formatting(tmp_path, with_state):
-    special = [-0.0, np.nan, np.inf, -np.inf, 1e-300, 1e17, 0.1 + 0.2, -1 / 3]
     rng = np.random.default_rng(7)
 
     def values(cols):  # every column a permutation of the special values
-        return np.stack([rng.permutation(special) for _ in range(cols)], axis=1)
+        return np.stack([rng.permutation(SPECIAL_FLOATS) for _ in range(cols)], axis=1)
     states = values(3).astype(complex)
     states.imag = values(3)
-    traj = Trajectory(np.array(special), states, values(3), values(3), values(3), 0.0,
+    traj = Trajectory(np.array(SPECIAL_FLOATS), states, values(3), values(3), values(3), 0.0,
                       zeeman_params(), DriveProtocol(0.5, 0.1))
     path = tmp_path / "traj.csv"
     traj.to_csv(path, with_state=with_state)
     schema, _, body = path.read_text().split("\n", 2)
     assert schema == "# schema=1"
-    assert body == _csv_rows_per_value(traj, with_state)
+    assert body == csv_rows_per_value(_trajectory_rows(traj, with_state))
 
 
 def test_instantaneous_hamiltonian_equals_build_hamiltonian():

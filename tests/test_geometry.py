@@ -20,6 +20,7 @@ from happer.model import (FieldDirection, ModelParams, _jz_diagonal, build_hamil
 from happer.operators import SpinQuantumNumber
 from happer.spectrum import eigensystem, eigensystem_with_j, level_positions
 from happer.tolerances import TOL
+from test_dynamics import csv_rows_per_value
 
 RING_LOOP = [(np.pi / 6, ph) for ph in np.linspace(0.0, 2 * np.pi, 73)]
 CAP_SOLID_ANGLE = 2 * np.pi * (1 - np.cos(np.pi / 6))  # 0.841787...
@@ -383,16 +384,24 @@ def test_analytic_source_needs_the_crossing_multiplet_at_y_zero(y, axis, labels)
 
 
 def test_curvature_csv_export(tmp_path):
-    p = zeeman_params()
-    field = curvature_field(p, (1,), SphereMesh(16, 32, "uniform"))
-    out = tmp_path / "curv.csv"
-    field.to_csv(out)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "# schema=1"
-    assert lines[1] == "theta,phi,re_tr_curvature,solid_angle"
-    assert len(lines) > 100
-    row = lines[2].split(",")
-    assert len(row) == 4
+    # byte for byte the per-value formatting, for a factored field and a
+    # tilted-axis per-point one
+    tilted = ModelParams(2, 0.8, 0.1, FieldDirection(0.4, 0.2), (0.6, 0.0, 0.8))
+    for p, factored in ((zeeman_params(), True), (tilted, False)):
+        field = curvature_field(p, (1,), SphereMesh(16, 32, "equal-area"))
+        assert (field.field.rows[0].factors is not None) == factored
+        rows = []
+        for r in sorted(field.x_curvature):
+            top = field.field.ring_top(r)
+            tr = np.trace(field.x_curvature[r], axis1=-2, axis2=-1).real
+            omegas = field.field.mesh.ring_solid_angle(r)
+            rows += [[top.theta, phi, t, om] for phi, t, om in
+                     zip(top.phis, np.broadcast_to(tr, top.phis.shape), omegas)]
+        assert len(rows) > 100
+        out = tmp_path / "curv.csv"
+        field.to_csv(out)
+        assert out.read_text() == ("# schema=1\ntheta,phi,re_tr_curvature,solid_angle\n"
+                                   + csv_rows_per_value(rows))
 
 
 def test_link_gate_refuses_a_mesh_too_coarse_for_the_winding():
@@ -808,11 +817,12 @@ def test_link_isolation_sees_a_touching_circle_about_the_axis():
                  lambda: chern_spectrum_link_variable(p, mesh),
                  lambda: chern_spectrum_link_variable(p, mesh, check=False),
                  lambda: chern_spectrum_link_variable(ModelParams(2, 2 / 3), mesh, check=False)):
-        with pytest.raises(SubspaceIsolationError, match="touch"):
+        with pytest.raises(SubspaceIsolationError,
+                           match=r"angles about the axis: bands at positions \d+ and \d+ touch"):
             call()
     # The circle n . a = 0 is the axis frame's equator, ring edge 20 of 40.
-    with pytest.raises(SubspaceIsolationError,
-                       match=r"positions 4 and 5 touch at \(theta=1\.570796"):
+    with pytest.raises(SubspaceIsolationError, match=r"per-band link Chern, angles about the "
+                       r"axis: bands at positions 4 and 5 touch at \(theta=1\.570796"):
         chern_spectrum_link_variable(p, mesh, check=False)
 
 
