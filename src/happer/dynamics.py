@@ -1,16 +1,16 @@
 """Time evolution under the rotating field: trajectories, geometric-phase
 extraction, and ramp-rate scans through the anti-crossing.
 
-Drives are solved in the frame that turns with the field: with
-R(phi) = e^{-i phi J_z}, chi = R(omega t)^dag psi evolves under
-H_rot(t) = R(omega t)^dag H(t) R(omega t) - omega J_z (Rabi, Ramsey &
-Schwinger, Rev. Mod. Phys. 26, 167 (1954)).  For a z-covariant H at static
-couplings H_rot is constant, and one eigendecomposition gives the exact
-state at every record time.  Otherwise H_rot, where only the tilted-axis
-term and ramped couplings still turn, is stepped like a ramp: by the
-exponential of the midpoint Hamiltonian, formed _CHUNK steps at a time.
-A real symmetric batch (every ramp, and H_rot without the tilted-axis
-term) takes exp(-i A) = cos A - i sin A with A = H dt: A is halved s
+A drive turns the field at the fixed couplings of its ModelParams; the one
+ramp of a coupling is landau_zener_scan's sweep of x.  Drives are solved in
+the frame that turns with the field: with R(phi) = e^{-i phi J_z},
+chi = R(omega t)^dag psi evolves under H_rot(t) = R(omega t)^dag H(t)
+R(omega t) - omega J_z (Rabi, Ramsey & Schwinger, Rev. Mod. Phys. 26, 167
+(1954)).  For a z-covariant H, H_rot is constant, and one eigendecomposition
+gives the exact state at every record time.  Otherwise H_rot, where only the
+tilted-axis term turns, is stepped like a ramp: by the exponential of the
+midpoint Hamiltonian, formed _CHUNK steps at a time.  A real symmetric batch
+(every ramp) takes exp(-i A) = cos A - i sin A with A = H dt: A is halved s
 times until its infinity norm is at most 1, cos and sin are Taylor
 polynomials in A^2 whose first omitted terms are below 1/19! < 2^-53,
 evaluated Paterson-Stockmeyer style, and s doublings restore the step
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -40,22 +41,20 @@ from .tolerances import TOL
 class DriveProtocol:
     """Field cone at polar angle theta0 rotating with angular frequency omega.
 
-    x and y override the static parameters when given; a (start, end)
-    pair means a linear ramp over the full protocol duration.
+    The couplings x and y are those of the ModelParams the drive runs at.
     """
 
     theta0: float
     omega: float
     n_periods: int = 1
-    x: float | tuple[float, float] | None = None
-    y: float | tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
         FieldDirection(self.theta0, 0.0)  # validates the cone angle
         if not self.omega > 0:
             raise ValueError(f"drive frequency omega must be positive, got {self.omega}")
-        if self.n_periods < 1:
-            raise ValueError(f"a drive needs at least one period, got {self.n_periods}")
+        if not isinstance(self.n_periods, Integral) or self.n_periods < 1:
+            raise ValueError(f"a drive needs a whole number of periods, at least one period; "
+                             f"got {self.n_periods!r}")
 
     @property
     def period(self) -> float:
@@ -64,20 +63,6 @@ class DriveProtocol:
     @property
     def total_time(self) -> float:
         return self.n_periods * self.period
-
-    def coupling_at(self, t, p0: ModelParams) -> tuple:
-        """(x, y) at time t; t may be an array, and a ramped coupling follows its shape."""
-        def value(spec, default):
-            if spec is None:
-                return default
-            if isinstance(spec, tuple):
-                frac = t / self.total_time
-                return spec[0] + (spec[1] - spec[0]) * frac
-            return spec
-        return value(self.x, p0.x), value(self.y, p0.y)
-
-    def is_static_couplings(self) -> bool:
-        return not isinstance(self.x, tuple) and not isinstance(self.y, tuple)
 
 
 @dataclass
@@ -222,21 +207,19 @@ def _propagate_block(p0: ModelParams, protocol: DriveProtocol, initial: np.ndarr
     jz = _jz_diagonal(p0.nuclear_two_l)
     omega = protocol.omega
     axis_term = spin_axis_operator(p0.axis, p0.nuclear_two_l)
+    h_phi0 = _hamiltonians(p0, protocol.theta0, 0.0, p0.x, 0.0)  # field and exchange at phi = 0
 
     def rotating(t):
         """R(omega t)^dag H(t) R(omega t) - omega J_z; an array of times gives a stack.
 
-        The field and exchange terms are H at phi = 0; only the axis term
-        turns, entry (i, j) by e^{i omega t (m_i - m_j)}.
+        Only the axis term turns, entry (i, j) by e^{i omega t (m_i - m_j)}.
         """
-        x_t, y_t = protocol.coupling_at(t, p0)
         r_dag = np.exp(1j * omega * np.multiply.outer(t, jz))  # diagonal of R(omega t)^dag
         turned = r_dag[..., :, None] * axis_term * r_dag.conj()[..., None, :]
-        return (_hamiltonians(p0, protocol.theta0, 0.0, x_t, 0.0)
-                + np.asarray(y_t)[..., None, None] * turned - omega * np.diag(jz))
+        return h_phi0 + p0.y * turned - omega * np.diag(jz)
 
     rec_times = np.asarray(rec_idx) * dt
-    if protocol.is_static_couplings() and _z_covariant(protocol.coupling_at(0.0, p0)[1], p0.axis):
+    if _z_covariant(p0.y, p0.axis):
         w, v = np.linalg.eigh(rotating(0.0))  # H_rot is constant: chi(t) = e^{-i H_rot t} psi0
         coeffs = v.conj().T @ psi[..., None]  # (k, dim, 1)
         chi = (np.exp(-1j * np.multiply.outer(rec_times, w)) * coeffs.swapaxes(1, 2)) @ v.T
@@ -259,8 +242,7 @@ def _propagate_block(p0: ModelParams, protocol: DriveProtocol, initial: np.ndarr
 
 def instantaneous_hamiltonian(p0: ModelParams, protocol: DriveProtocol, t) -> np.ndarray:
     """H(t) along the drive; an array of times gives shape t.shape + (dim, dim)."""
-    x_t, y_t = protocol.coupling_at(t, p0)
-    return _hamiltonians(p0, protocol.theta0, protocol.omega * np.asarray(t), x_t, y_t)
+    return _hamiltonians(p0, protocol.theta0, protocol.omega * np.asarray(t), p0.x, p0.y)
 
 
 def initial_eigenstate(p0: ModelParams, protocol: DriveProtocol,
@@ -273,21 +255,22 @@ def initial_eigenstate(p0: ModelParams, protocol: DriveProtocol,
     return es.eigenvectors[:, position].copy()
 
 
-def geometric_phase_diagnostics(traj: Trajectory, p0: ModelParams, protocol: DriveProtocol,
-                                n_samples: int = 65) -> tuple[float, float]:
+def geometric_phase_diagnostics(traj: Trajectory, p0: ModelParams,
+                                protocol: DriveProtocol) -> tuple[float, float]:
     """(geometric phase, minimum instantaneous-eigenstate fidelity).
 
     No fidelity floor is enforced here; see extract_geometric_phase.
     """
-    [result] = _phase_diagnostics([traj], p0, protocol, n_samples)
+    [result] = _phase_diagnostics([traj], p0, protocol)
     return result
 
 
-def _phase_diagnostics(trajs: list[Trajectory], p0: ModelParams, protocol: DriveProtocol,
-                       n_samples: int = 65) -> list[tuple[float, float]]:
-    """geometric_phase_diagnostics of trajectories recorded at the same times, one eigensolve."""
+def _phase_diagnostics(trajs: list[Trajectory], p0: ModelParams,
+                       protocol: DriveProtocol) -> list[tuple[float, float]]:
+    """geometric_phase_diagnostics of trajectories recorded at the same times, one eigensolve
+    at 65 evenly spread records."""
     times = trajs[0].times
-    idx = np.unique(np.linspace(0, len(times) - 1, n_samples).astype(int))
+    idx = np.unique(np.linspace(0, len(times) - 1, 65).astype(int))
     w, v = np.linalg.eigh(instantaneous_hamiltonian(p0, protocol, times[idx]))
     v_dag = v.conj()
     rows = np.arange(len(idx))
@@ -306,8 +289,7 @@ def _phase_diagnostics(trajs: list[Trajectory], p0: ModelParams, protocol: Drive
     return results
 
 
-def extract_geometric_phase(traj: Trajectory, p0: ModelParams, protocol: DriveProtocol,
-                            n_samples: int = 65) -> float:
+def extract_geometric_phase(traj: Trajectory, p0: ModelParams, protocol: DriveProtocol) -> float:
     """Geometric phase of a closed adiabatic drive, dynamical part removed.
 
     The dynamical phase is the time integral of the followed
@@ -316,18 +298,17 @@ def extract_geometric_phase(traj: Trajectory, p0: ModelParams, protocol: DrivePr
     the fidelity floor raises AdiabaticityError.  Returns the phase
     wrapped to (-pi, pi].
     """
-    phase, min_fidelity = geometric_phase_diagnostics(traj, p0, protocol, n_samples)
+    phase, min_fidelity = geometric_phase_diagnostics(traj, p0, protocol)
     if min_fidelity < TOL.adiabatic_fidelity:
         raise AdiabaticityError(
             f"state leaked from the followed level: minimum fidelity {min_fidelity:.4f}")
     return phase
 
 
-def adiabatic_omega(p0: ModelParams, protocol_theta: float, factor: float = 1e-3,
-                    n_phi_probe: int = 16) -> float:
-    """Drive frequency factor x (minimum spectral gap along the field cone)."""
+def adiabatic_omega(p0: ModelParams, protocol_theta: float, factor: float = 1e-3) -> float:
+    """Drive frequency factor x (minimum spectral gap over 16 azimuths of the field cone)."""
     FieldDirection(protocol_theta, 0.0)  # validates the cone angle
-    phis = np.linspace(0, 2 * np.pi, n_phi_probe, endpoint=False)
+    phis = np.linspace(0, 2 * np.pi, 16, endpoint=False)
     w = np.linalg.eigvalsh(_hamiltonians(p0, protocol_theta, phis, p0.x, p0.y))
     return factor * float(np.min(np.diff(w, axis=-1)))
 
@@ -385,6 +366,12 @@ def landau_zener_scan(p_base: ModelParams, x_start: float, x_end: float,
     """
     if p_base.y == 0.0:
         raise ValueError("the ramp scan probes an anti-crossing and needs y != 0")
+    if not (isinstance(level, Integral) and 1 <= level <= p_base.dim):
+        raise ValueError(f"level must be a label in 1..{p_base.dim}, got {level!r}")
+    rates = list(rates)  # an iterator is read once, for the checks and the steps
+    for rate in rates:
+        if not 0 < rate < math.inf:
+            raise ValueError(f"ramp rates must be positive and finite, got {rate!r}")
     lo, hi = min(x_start, x_end), max(x_start, x_end)
     x_anti = p_base.crossing_x()
     if not lo < x_anti < hi:

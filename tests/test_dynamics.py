@@ -60,9 +60,7 @@ def per_step_drive(p, protocol, psi0, steps_per_period, record_every):
     chi, states = psi0.copy(), [psi0]
     for step in range(n_steps):
         t_mid = (step + 0.5) * dt
-        x_t, y_t = protocol.coupling_at(t_mid, p)
-        p_t = ModelParams(p.nuclear_two_l, x_t, y_t,
-                          FieldDirection(protocol.theta0, protocol.omega * t_mid), p.axis)
+        p_t = p.with_field(protocol.theta0, protocol.omega * t_mid)
         r = rotation(jz, protocol.omega * t_mid)
         h_rot = r.conj().T @ build_hamiltonian(p_t) @ r - protocol.omega * jz
         w, v = np.linalg.eigh(h_rot)
@@ -89,11 +87,9 @@ def per_step_ramp(p, x_start, x_end, rate, level, dt_max=0.25, min_steps=400):
     # fast path: a stride that does not divide the step count, then every step
     (ModelParams(2, 1.0, 0.0), DriveProtocol(0.5, 0.01, 2), 1000, 300),
     (ModelParams(1, 0.7, 0.05), DriveProtocol(0.9, 0.03, 1), 400, 1),
-    # generic path: tilted axis, ramped x and y, then ramped x along the z axis (real steps)
+    # generic path: axis along x, then a tilted axis over two periods
     (ModelParams(2, 0.8, 0.1, axis=(1.0, 0.0, 0.0)), DriveProtocol(1.0, 0.01, 1), 1500, 7),
-    (ModelParams(2, 0.6, 0.0, axis=(0.6, 0.0, 0.8)),
-     DriveProtocol(0.7, 0.02, 2, x=(0.6, 0.9), y=(0.0, 0.05)), 800, 13),
-    (ModelParams(2, 0.6, 0.05), DriveProtocol(0.7, 0.02, 1, x=(0.6, 0.9)), 800, 13),
+    (ModelParams(2, 0.6, 0.05, axis=(0.6, 0.0, 0.8)), DriveProtocol(0.7, 0.02, 2), 800, 13),
 ])
 def test_propagate_matches_per_step_loop(p, proto, steps, every):
     psi0 = initial_eigenstate(p, proto, 2)
@@ -101,7 +97,7 @@ def test_propagate_matches_per_step_loop(p, proto, steps, every):
     ref = per_step_drive(p, proto, psi0, steps, every)
     assert traj.states.shape == ref.shape
     assert np.max(np.abs(traj.states - ref)) < 1e-10
-    if proto.is_static_couplings() and (p.y == 0.0 or p.axis[:2] == (0.0, 0.0)):
+    if p.y == 0.0 or p.axis[:2] == (0.0, 0.0):
         exact = [rotating_frame_solution(p, proto, psi0, t) for t in traj.times]
         assert np.max(np.abs(traj.states - exact)) < 1e-10
 
@@ -203,11 +199,10 @@ def test_trajectory_csv_matches_per_value_formatting(tmp_path, with_state):
 
 
 def test_instantaneous_hamiltonian_equals_build_hamiltonian():
-    p = ModelParams(2, 0.6, 0.0, FieldDirection(0.3, 0.0), (0.6, 0.0, 0.8))
-    proto = DriveProtocol(0.7, 0.02, 2, x=(0.6, 0.9), y=(0.0, 0.05))
+    p = ModelParams(2, 0.6, 0.05, FieldDirection(0.3, 0.0), (0.6, 0.0, 0.8))
+    proto = DriveProtocol(0.7, 0.02, 2)
     for t in (0.0, 123.4, proto.total_time):
-        x_t, y_t = proto.coupling_at(t, p)
-        p_t = ModelParams(2, x_t, y_t, FieldDirection(0.7, 0.02 * t), p.axis)
+        p_t = p.with_field(0.7, 0.02 * t)
         assert np.max(np.abs(instantaneous_hamiltonian(p, proto, t)
                              - build_hamiltonian(p_t))) < 1e-15
 
@@ -228,11 +223,16 @@ def test_drive_protocol_rejects_cone_angle_outside_zero_pi():
 @pytest.mark.parametrize("omega,periods,match", [
     (0.0, 1, "omega must be positive"), (-0.01, 1, "omega must be positive"),
     (float("nan"), 1, "omega must be positive"), (0.01, 0, "at least one period"),
-    (0.01, -2, "at least one period"),
+    (0.01, -2, "at least one period"), (0.01, 1.5, "whole number of periods"),
+    (0.01, 2.0, "whole number of periods"),
 ])
 def test_drive_protocol_rejects_nonpositive_frequency_and_periods(omega, periods, match):
     with pytest.raises(ValueError, match=match):
         DriveProtocol(0.5, omega, periods)
+
+
+def test_drive_protocol_takes_numpy_integer_periods():
+    assert DriveProtocol(0.5, 0.01, np.int64(2)).n_periods == 2
 
 
 def eigh_step_unitaries(a):
@@ -264,8 +264,7 @@ def test_real_step_kernel_matches_eigh_unitaries(two_l, log_nu, degenerate, x, y
 @pytest.mark.parametrize("p,proto", [
     (ModelParams(2, 1.0, 0.0), DriveProtocol(0.5, 0.01, 2)),  # fast path
     (ModelParams(2, 0.8, 0.1, axis=(1.0, 0.0, 0.0)), DriveProtocol(1.0, 0.01, 1)),  # complex steps
-    (ModelParams(2, 0.6, 0.0), DriveProtocol(0.7, 0.02, 1, x=(0.6, 0.9))),  # real steps
-], ids=["fast", "generic-complex", "generic-real"])
+], ids=["fast", "generic-complex"])
 def test_level_block_matches_each_level_propagated_alone(p, proto):
     positions = list(range(p.dim))
     block = dynamics._propagate_block(p, proto, initial_eigenstate(p, proto, positions), 1200, 7)
@@ -304,13 +303,22 @@ def test_fast_path_state_does_not_depend_on_step_count(two_l, x, theta0, omega, 
     assert np.max(np.abs(coarse.states[-1] - fine.states[-1])) < 1e-12
 
 
-def test_fast_and_generic_paths_agree():
+def test_fast_and_generic_paths_agree(monkeypatch):
+    # At y = 0 the stepped path takes the real cos/sin kernel.
     p = ModelParams(2, 0.8, 0.0, FieldDirection(0.4, 0.0))
-    proto_fast = DriveProtocol(0.7, 0.02, 1)
-    proto_slow = DriveProtocol(0.7, 0.02, 1, x=(0.8, 0.8))  # ramp spec forces generic path
-    psi0 = initial_eigenstate(p, proto_fast, 3)
-    t1 = propagate(p, proto_fast, psi0, steps_per_period=500, record_every=500)
-    t2 = propagate(p, proto_slow, psi0, steps_per_period=500, record_every=500)
+    proto = DriveProtocol(0.7, 0.02, 1)
+    psi0 = initial_eigenstate(p, proto, 3)
+    t1 = propagate(p, proto, psi0, steps_per_period=500, record_every=500)
+    real_steps: list[int] = []
+    real_kernel = dynamics._real_step_unitaries
+
+    def spy(a):
+        real_steps.append(len(a))
+        return real_kernel(a)
+    monkeypatch.setattr(dynamics, "_real_step_unitaries", spy)
+    monkeypatch.setattr(dynamics, "_z_covariant", lambda y, axis: False)
+    t2 = propagate(p, proto, psi0, steps_per_period=500, record_every=500)
+    assert sum(real_steps) == 500
     assert np.max(np.abs(t1.states[-1] - t2.states[-1])) < 1e-10
 
 
@@ -437,6 +445,20 @@ def test_landau_zener_guards():
     p = ModelParams(2, 0.5, 1e-3, FieldDirection(1.0, 0.3))
     with pytest.raises(ValueError, match="does not cross"):
         landau_zener_scan(p, 0.8, 1.2, [1e-4], 3)
+
+
+@pytest.mark.parametrize("level,rates,match", [
+    (0, [1e-3], "level must be a label in 1..9, got 0"),
+    (10, [1e-3], "level must be a label in 1..9, got 10"),
+    (3, [1e-3, -1e-3], "positive and finite, got -0.001"),
+    (3, [0.0], "positive and finite, got 0.0"),
+    (3, [np.inf], "positive and finite, got inf"),
+    (3, [np.nan], "positive and finite, got nan"),
+])
+def test_landau_zener_rejects_bad_level_and_rates(level, rates, match):
+    p = ModelParams(2, 0.5, 1e-3, FieldDirection(1.0, 0.3))
+    with pytest.raises(ValueError, match=match):
+        landau_zener_scan(p, 0.6, 0.75, rates, level)
 
 
 def test_landau_zener_rate_ordering():
