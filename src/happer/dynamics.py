@@ -50,8 +50,8 @@ class DriveProtocol:
 
     def __post_init__(self) -> None:
         FieldDirection(self.theta0, 0.0)  # validates the cone angle
-        if not self.omega > 0:
-            raise ValueError(f"drive frequency omega must be positive, got {self.omega}")
+        if not 0 < self.omega < np.inf:
+            raise ValueError(f"drive frequency omega must be positive and finite, got {self.omega}")
         if not isinstance(self.n_periods, Integral) or self.n_periods < 1:
             raise ValueError(f"a drive needs a whole number of periods, at least one period; "
                              f"got {self.n_periods!r}")
@@ -88,12 +88,11 @@ class Trajectory:
 
 
 def _expectations(states: np.ndarray, nuclear_two_l: int) -> tuple[np.ndarray, np.ndarray]:
+    """<S> and <L> per state, (n, 3) each, from one product with the six stacked operators."""
     _, _, big_s, big_l, _ = _product_operators(nuclear_two_l)
-    s_avg = np.stack([np.einsum("ni,ij,nj->n", states.conj(), op, states).real
-                      for op in big_s], axis=1)
-    l_avg = np.stack([np.einsum("ni,ij,nj->n", states.conj(), op, states).real
-                      for op in big_l], axis=1)
-    return s_avg, l_avg
+    bra_ops = states.conj() @ np.stack([*big_s, *big_l])  # (6, n, dim)
+    avg = np.einsum("onj,nj->no", bra_ops, states).real
+    return avg[:, :3], avg[:, 3:]
 
 
 _CHUNK = 1024  # midpoint steps per batch of step unitaries; bounds the memory of a long ramp

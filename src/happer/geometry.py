@@ -28,9 +28,10 @@ F(theta, phi) = R(phi) F(theta, 0) D(phi), with R(phi) = e^{-i phi J_z} and
 D a unitary representation of the phi rotations (_meridian_rows), so every
 edge connection and every plaquette curvature of a ring is
 D(phi_n)^dag X D(phi_n) for one d x d matrix X per ring.  Chern numbers,
-loop phases and the curvature CSV read n_phi tr X per ring; the per-point
-frames, connections and curvatures are built only when read.  Rings that
-meet at the same (theta, phi count) share one frame row.
+loop phases and the curvature CSV read n_phi tr X per ring and D at the
+ring's step dphi alone; the per-point frames, connections and curvatures,
+and D(phi_n) = D(dphi)^n, are built only when read.  Rings that meet at the
+same (theta, phi count) share one frame row.
 """
 
 from __future__ import annotations
@@ -216,9 +217,11 @@ class _Row:
     """Frames F(theta, phi_n) of one mesh row, (n, dim, d_sub) point by point.
 
     A z-covariant row is stored factored, F(theta, phi) = R(phi) F(theta, 0)
-    D(phi) (_meridian_rows): ``factors`` holds F(theta, 0) (dim, d_sub), the
-    diagonal of R(phi_n) (n, dim) and D(phi_n) (n, d_sub, d_sub), the last
-    two shared by every row of the same phi count, and ``frames`` builds
+    D(phi) (_meridian_rows): ``factors`` holds F(theta, 0) (dim, d_sub) and,
+    at the row's phi step dphi alone, the diagonal of R(dphi) (dim,) and
+    D(dphi) (d_sub, d_sub), the last two shared by every row of the same
+    phi count.  Both are representations, so R(phi_n) = R(dphi)^n and
+    D(phi_n) = D(dphi)^n; ``rep`` forms D(phi_n) when read, and ``frames``
     the per-point array on first read.  Rows that are not z-covariant
     (_transport) hold per-point frames only.
     """
@@ -231,14 +234,25 @@ class _Row:
     @property
     def frames(self) -> np.ndarray:
         if self.points is None:
-            f0, rot, rep = self.factors
-            self.points = rot[:, :, None] * (f0 @ rep)
+            f0, rot, _ = self.factors
+            rot_n = rot ** np.arange(len(self.phis))[:, None]
+            self.points = rot_n[:, :, None] * (f0 @ self.rep)
         return self.points
 
     @property
     def rep(self) -> np.ndarray | None:
-        """D(phi_n) of a factored row; None for a per-point one."""
-        return None if self.factors is None else self.factors[2]
+        """D(phi_n) = D(dphi)^n of a factored row, by repeated squaring; None for a per-point one."""
+        if self.factors is None:
+            return None
+        step = self.factors[2]
+        n = len(self.phis)
+        rep = np.empty((n, *step.shape), dtype=complex)
+        rep[0] = np.eye(len(step))
+        done, power = 1, step  # power = D(dphi)^done
+        while done < n:
+            rep[done:2 * done] = rep[:min(done, n - done)] @ power
+            done, power = 2 * done, power @ power
+        return rep
 
 
 @dataclass
@@ -267,13 +281,17 @@ class FrameField:
         return self.rows[self.bottom_index[ring]]
 
 
-def _align_rows(frames: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """Rotate each frame by the polar unitary of its overlap with a reference."""
-    m = np.einsum("nda,ndb->nab", frames.conj(), ref)
+def _polar(m: np.ndarray) -> np.ndarray:
+    """Polar unitaries u vh of a stack of frame overlaps m = u s vh, from one batched SVD."""
     u, s, vh = np.linalg.svd(m)
     if np.min(s) < 1e-6:
         raise SubspaceIsolationError("frame alignment is singular; subspace is not continuous")
-    return np.einsum("nda,nab->ndb", frames, u @ vh)
+    return u @ vh
+
+
+def _align_rows(frames: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """Rotate each frame by the polar unitary of its overlap with a reference."""
+    return np.einsum("nda,nab->ndb", frames, _polar(np.einsum("nda,ndb->nab", frames.conj(), ref)))
 
 
 def _raw_frames(p: ModelParams, thetas: np.ndarray, phis: np.ndarray,
@@ -357,16 +375,22 @@ def _meridian_rows(p: ModelParams, positions: Sequence[int], plan: list[tuple[fl
     The seed latitudes are the south pole for numerical frames, or every
     latitude at least _ANALYTIC_POLE_MARGIN from the poles for a closed
     form (one batched call); every other latitude is aligned outward from
-    the nearest seed latitude, one SVD each.  For z-covariant H a frame
-    field on a seed latitude theta_s has unitary D(phi) = F(theta_s, 0)^dag
+    the nearest seed latitude.  Aligning latitude i to its aligned
+    neighbour F_ref U_ref takes polar(F_i^dag F_ref U_ref) = polar(M_i)
+    U_ref for the raw overlap M_i = F_i^dag F_ref, so one SVD of every raw
+    overlap gives every polar factor W_i, with the singular values of the
+    latitude-by-latitude transport, and U_i = W_i U_ref is a chain of d x d
+    products back to the seed (U = 1).  For z-covariant H a frame field on
+    a seed latitude theta_s has unitary D(phi) = F(theta_s, 0)^dag
     R(phi)^dag F(theta_s, phi), R(phi) = e^{-i phi J_z} (F0^dag R^dag F0 at
     the pole, whose frame spans a J_z-invariant subspace; the same D on
     every latitude for the covariant closed forms, read from one call at
-    theta_s over every phi count's grid).  An overlap with a reference
-    R F(theta', 0) D is M(theta, 0) D, and polar(M D) = polar(M) D, so
-    F(theta, phi) = R F(theta, 0) D is the per-point polar transport at
-    any phi, with phi-independent singular values.  Rows are returned
-    factored, (F(theta, 0), R, D) with R and D shared per phi count (_Row).
+    theta_s with one point, dphi, per phi count).  An overlap with a
+    reference R F(theta', 0) D is M(theta, 0) D, and polar(M D) = polar(M)
+    D, so F(theta, phi) = R F(theta, 0) D is the per-point polar transport
+    at any phi, with phi-independent singular values.  Rows are returned
+    factored, (F(theta, 0), R(dphi), D(dphi)) with the last two shared per
+    phi count (_Row).
     """
     thetas = np.unique([theta for theta, _ in plan])[::-1]  # south pole first
     zeros = np.zeros(1)
@@ -384,20 +408,18 @@ def _meridian_rows(p: ModelParams, positions: Sequence[int], plan: list[tuple[fl
         s = lo + int(np.argmin(np.abs(thetas[lo:hi + 1] - np.pi / 2)))  # best conditioned
     outward = [(i, i - 1) for i in range(hi + 1, len(thetas))]  # northward
     outward += [(i, i + 1) for i in range(lo - 1, -1, -1)]  # southward
-    for i, ref in outward:
-        frames[i] = _align_rows(frames[i][None], frames[ref][None])[0]
-    at = dict(zip(thetas, frames))
-    grids = {len(phis): phis for _, phis in plan}  # one phi grid per count
-    if closed_form is None:
-        on_s = [frames[s]] * len(grids)
-    else:  # one closed-form call at theta_s for every count's phis
-        every = np.concatenate(list(grids.values()))
-        on_s = np.split(closed_form(np.full_like(every, thetas[s]), every),
-                        np.cumsum(list(grids))[:-1])
-    per_count = {}
-    for (n, phis), on in zip(grids.items(), on_s):
-        rot = np.exp(-1j * np.multiply.outer(phis, _jz_diagonal(p.nuclear_two_l)))
-        per_count[n] = rot, frames[s].conj().T @ (rot.conj()[:, :, None] * on)
+    index, ref = np.array(outward).T
+    polar = _polar(frames[index].conj().swapaxes(-1, -2) @ frames[ref])
+    turns = np.tile(np.eye(len(positions), dtype=complex), (len(thetas), 1, 1))  # seeds: U = 1
+    for i, r, w in zip(index, ref, polar):  # every ref is a seed or aligned before i
+        turns[i] = w @ turns[r]
+    at = dict(zip(thetas, frames @ turns))
+    counts = list(dict.fromkeys(len(phis) for _, phis in plan))
+    dphis = 2 * np.pi / np.array(counts)
+    on_s = frames[s] if closed_form is None else closed_form(np.full_like(dphis, thetas[s]), dphis)
+    rots = np.exp(-1j * np.multiply.outer(dphis, _jz_diagonal(p.nuclear_two_l)))
+    steps = frames[s].conj().T @ (rots.conj()[:, :, None] * on_s)
+    per_count = dict(zip(counts, zip(rots, steps)))
     return [_Row(theta, phis, factors=(at[theta], *per_count[len(phis)])) for theta, phis in plan]
 
 
@@ -473,10 +495,8 @@ def _links(top: np.ndarray, top_east: np.ndarray, bottom: np.ndarray,
 
 def _factored_east(rows: list[_Row]) -> tuple[np.ndarray, np.ndarray]:
     """phi = 0 frames F of factored rows and their neighbours R(dphi) F D(dphi), stacked."""
-    f0 = np.stack([row.factors[0] for row in rows])
-    rot = np.stack([row.factors[1][1] for row in rows])
-    rep = np.stack([row.rep[1] for row in rows])
-    return f0, rot[:, :, None] * (f0 @ rep)
+    f0, rot, step = (np.stack(factor) for factor in zip(*(row.factors for row in rows)))
+    return f0, rot[:, :, None] * (f0 @ step)
 
 
 def connection_discrete(frames: FrameField) -> ConnectionField:
@@ -568,8 +588,8 @@ def curvature_discrete(connections: ConnectionField) -> CurvatureField:
                      for t, pt, pb in zip(a1, a2t, a2b)]
     else:  # (1, d, d) per ring
         a1, a2t, a2b = (np.concatenate(a) for a in (a1, a2t, a2b))
-        rep = np.stack([frames.ring_top(r).rep[1] for r in connections.x_theta])
-        curvature = _plaquettes(a1, a2t, a2b, rep.conj().swapaxes(-1, -2) @ a1 @ rep)[:, None]
+        step = np.stack([frames.ring_top(r).factors[2] for r in connections.x_theta])
+        curvature = _plaquettes(a1, a2t, a2b, step.conj().swapaxes(-1, -2) @ a1 @ step)[:, None]
     return CurvatureField(frames, dict(zip(connections.x_theta, curvature)))
 
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -269,14 +270,18 @@ def test_norm_drift_exits_2(monkeypatch, capsys):
     (["--level", "10"], "--level must be a label in 1..9, got 10"),
     (["--level", "0"], "--level must be a label in 1..9, got 0"),
     (["--omega-factor", "0"], "omega must be positive"),
+    (["--omega-factor", "inf"], "omega must be positive and finite, got inf"),
     (["--periods", "0"], "at least one period"),
     (["--x-range", "0.7:0.9:3"], "--x-range gave 3 points"),
-], ids=["level-above-dim", "level-zero", "omega-factor-zero", "zero-periods", "x-range"])
+], ids=["level-above-dim", "level-zero", "omega-factor-zero", "omega-factor-inf", "zero-periods",
+        "x-range"])
 def test_dynamics_refuses_bad_drive_input(args, message, capsys):
     base = ["dynamics", "--l", "1", "--steps-per-period", "400"]
     if "--x-range" not in args:
         base += ["--x", "0.8"]
-    assert main(base + args) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before any arithmetic, so without a warning
+        assert main(base + args) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and message in captured.err
@@ -325,6 +330,7 @@ def test_commands_run_without_scipy():
     # A None entry in sys.modules makes every import of scipy raise ImportError.
     done = run_python("""
 import sys
+import warnings
 sys.modules["scipy"] = None
 from happer.cli import main
 codes = [main(["spectrum", "--l", "1", "--x-range=-0.3:0.3:21"]),

@@ -11,8 +11,8 @@ from happer.dynamics import (DriveProtocol, Trajectory, adiabatic_omega, cone_fi
 from happer.errors import AdiabaticityError
 from happer.geometry import loop_phase
 from happer.mesh import SphereMesh
-from happer.model import (FieldDirection, ModelParams, build_hamiltonian, conserved_j,
-                          zeeman_params)
+from happer.model import (FieldDirection, ModelParams, _product_operators, build_hamiltonian,
+                          conserved_j, zeeman_params)
 from happer.operators import SpinQuantumNumber, spin_operators
 from happer.table import _csv_text
 
@@ -222,7 +222,8 @@ def test_drive_protocol_rejects_cone_angle_outside_zero_pi():
 
 @pytest.mark.parametrize("omega,periods,match", [
     (0.0, 1, "omega must be positive"), (-0.01, 1, "omega must be positive"),
-    (float("nan"), 1, "omega must be positive"), (0.01, 0, "at least one period"),
+    (float("nan"), 1, "omega must be positive"), (float("inf"), 1, "positive and finite, got inf"),
+    (0.01, 0, "at least one period"),
     (0.01, -2, "at least one period"), (0.01, 1.5, "whole number of periods"),
     (0.01, 2.0, "whole number of periods"),
 ])
@@ -233,6 +234,22 @@ def test_drive_protocol_rejects_nonpositive_frequency_and_periods(omega, periods
 
 def test_drive_protocol_takes_numpy_integer_periods():
     assert DriveProtocol(0.5, 0.01, np.int64(2)).n_periods == 2
+
+
+@pytest.mark.parametrize("two_l", [0, 1, 2, 5])
+def test_expectations_match_per_operator_products(two_l):
+    # The stacked product against <psi|O|psi> formed operator by operator;
+    # its sums run in another order, so the two agree to a few ulps of |O| <= L.
+    rng = np.random.default_rng(two_l)
+    dim = 3 * (two_l + 1)  # spin-1 electron
+    states = rng.normal(size=(401, dim)) + 1j * rng.normal(size=(401, dim))
+    states /= np.linalg.norm(states, axis=1)[:, None]
+    _, _, big_s, big_l, _ = _product_operators(two_l)
+    for avg, ops in zip(dynamics._expectations(states, two_l), (big_s, big_l)):
+        reference = np.stack([np.einsum("ni,ij,nj->n", states.conj(), op, states).real
+                              for op in ops], axis=1)
+        assert avg.shape == reference.shape
+        assert np.max(np.abs(avg - reference)) < 1e-14
 
 
 def eigh_step_unitaries(a):

@@ -585,20 +585,28 @@ def test_ring_rows_are_the_ring_edges_at_the_ring_phis(p, scheme):
             assert row.theta == theta and np.array_equal(row.phis, mesh.ring_phis(r))
 
 
+def _spy_polar(monkeypatch) -> list[int]:
+    """Overlap counts of the batched SVDs that align frames, one entry per SVD."""
+    sizes: list[int] = []
+    real = geometry._polar
+
+    def spy(m):
+        sizes.append(len(m))
+        return real(m)
+    monkeypatch.setattr(geometry, "_polar", spy)
+    return sizes
+
+
 @pytest.mark.parametrize("scheme", ["uniform", "equal-area"])
 def test_covariant_frames_align_once_per_latitude(monkeypatch, scheme):
-    sizes: list[int] = []
-    real = geometry._align_rows
-
-    def spy(frames, ref):
-        sizes.append(len(frames))
-        return real(frames, ref)
-    monkeypatch.setattr(geometry, "_align_rows", spy)
+    # The covariant meridian takes one SVD of its n_theta - 1 raw overlaps;
+    # a tilted axis at y != 0 aligns every point, one SVD per latitude.
+    sizes = _spy_polar(monkeypatch)
     mesh = SphereMesh(8, 16, scheme)  # 16 phis on every ring of either scheme
-    for y, per_latitude in ((0.0, 1), (0.1, 16)):
+    for y, expected in ((0.0, [mesh.n_theta - 1]), (0.1, [16] * (mesh.n_theta - 1))):
         sizes.clear()
         smooth_gauge_states(ModelParams(2, 1.3, y, axis=(1.0, 0.0, 0.0)), (1,), mesh)
-        assert sizes == [per_latitude] * (mesh.n_theta - 1)
+        assert sizes == expected
 
 
 def _fields(frames) -> list[dict[int, np.ndarray]]:
@@ -708,29 +716,98 @@ def test_analytic_interior_rows_are_the_closed_forms(two_l, labels, tol, n, sche
 @pytest.mark.parametrize("scheme", ["uniform", "equal-area"])
 def test_analytic_frames_take_the_meridian(monkeypatch, scheme):
     # One closed-form call for the seed latitudes at phi = 0, one for the
-    # rotation at every phi count, and one aligned frame per polar-margin
-    # latitude.
-    calls: list[int] = []
-    sizes: list[int] = []
-    real_raw, real_align = geometry.raw_degenerate_vectors, geometry._align_rows
+    # rotation with one point, dphi, per phi count, and one SVD of the
+    # polar-margin latitudes' overlaps.
+    points: list[int] = []
+    real_raw = geometry.raw_degenerate_vectors
 
     def raw_spy(l, theta, phi):
-        calls.append(1)
+        points.append(np.size(phi))
         return real_raw(l, theta, phi)
-
-    def align_spy(frames, ref):
-        sizes.append(len(frames))
-        return real_align(frames, ref)
     monkeypatch.setattr(geometry, "raw_degenerate_vectors", raw_spy)
-    monkeypatch.setattr(geometry, "_align_rows", align_spy)
+    sizes = _spy_polar(monkeypatch)
     mesh = SphereMesh(100, 200, scheme)
     smooth_gauge_states(ModelParams(4, 0.4), (5, 6, 7, 8, 9), mesh, source="analytic")
     counts = {mesh.ring_phi_count(r) for r in range(1, mesh.n_theta)}
     margin = geometry._ANALYTIC_POLE_MARGIN
     polar = [t for t in mesh.theta_edges()[1:] if not margin < t < np.pi - margin]
     assert len(counts) == (1 if scheme == "uniform" else 45)
-    assert len(calls) == 2
-    assert sizes == [1] * len(polar)
+    assert len(points) == 2 and points[1] == len(counts)
+    assert sizes == [len(polar)]
+
+
+def _sequential_meridian(p: ModelParams, labels, mesh: SphereMesh, source: str) -> dict:
+    """F(theta, 0) per latitude, aligned latitude by latitude to the frame just aligned.
+
+    The reference for the batched meridian transport: the same seeds (the
+    south pole, or the closed forms away from the poles), then one SVD per
+    latitude outward from the seeds.
+    """
+    positions = geometry._resolve_labels(p, labels)[1]
+    thetas = mesh.theta_edges()[1:][::-1]  # south pole first
+    frames = geometry._raw_frames(p, thetas, np.zeros(1), positions)[:, 0]
+    seeded = np.arange(len(thetas)) == 0
+    if source == "analytic":
+        margin = geometry._ANALYTIC_POLE_MARGIN
+        seeded = (thetas > margin) & (thetas < np.pi - margin)
+        frames[seeded] = gram_schmidt(raw_degenerate_vectors(
+            p.nuclear_two_l // 2, thetas[seeded], np.zeros(1)))
+    lo, hi = np.flatnonzero(seeded)[[0, -1]]
+    for i, ref in [(i, i - 1) for i in range(hi + 1, len(thetas))] + [
+            (i, i + 1) for i in range(lo - 1, -1, -1)]:
+        u, _, vh = np.linalg.svd(frames[i].conj().T @ frames[ref])
+        frames[i] = frames[i] @ u @ vh
+    return dict(zip(thetas, frames))
+
+
+@pytest.mark.parametrize("n", [50, 400])
+@pytest.mark.parametrize("source", ["numerical", "analytic"])
+@pytest.mark.parametrize("scheme", ["uniform", "equal-area"])
+@pytest.mark.parametrize("two_l,labels", [(2, (3, 4, 5)), (4, (5, 6, 7, 8, 9))])
+def test_batched_meridian_matches_latitude_by_latitude_transport(two_l, labels, scheme, source,
+                                                                 n):
+    p = ModelParams(two_l, 2 / (two_l + 1))
+    mesh = SphereMesh(n, 2 * n, scheme)
+    reference = _sequential_meridian(p, labels, mesh, source)
+    rows = smooth_gauge_states(p, labels, mesh, source=source).rows
+    assert {row.theta for row in rows} == set(reference)
+    worst = max(np.max(np.abs(row.factors[0] - reference[row.theta])) for row in rows)
+    assert worst < 1e-12, worst
+
+
+@pytest.mark.parametrize("source", ["numerical", "analytic"])
+def test_singular_meridian_overlap_is_refused(monkeypatch, source):
+    # The raw frame next to the south pole made orthogonal to the pole's:
+    # their overlap has no polar factor, whichever of the two the chain
+    # aligns to the other (the numerical chain starts at the pole, the
+    # analytic one ends there).
+    real = geometry._raw_frames
+
+    def orthogonal_at(p, thetas, phis, positions):
+        frames = real(p, thetas, phis, positions)  # south pole first
+        f, pole = frames[1, 0], frames[0, 0]
+        f -= pole @ (pole.conj().T @ f)
+        frames[1, 0] = f / np.linalg.norm(f, axis=0)
+        return frames
+    monkeypatch.setattr(geometry, "_raw_frames", orthogonal_at)
+    p = ModelParams(2, 2 / 3)
+    with pytest.raises(SubspaceIsolationError, match="frame alignment is singular"):
+        smooth_gauge_states(p, (3, 4, 5), SphereMesh(40, 80, "uniform"), source=source)
+
+
+@pytest.mark.parametrize("n", [80, 100])
+@pytest.mark.parametrize("source", ["numerical", "analytic"])
+@pytest.mark.parametrize("scheme", ["uniform", "equal-area"])
+def test_row_rep_is_the_power_of_its_phi_step(source, scheme, n):
+    # Rows keep D(dphi) alone; D(phi_n) is its n-th power.
+    frames = smooth_gauge_states(ModelParams(2, 2 / 3), (3, 4, 5), SphereMesh(n, 2 * n, scheme),
+                                 source=source)
+    for row in frames.rows:
+        step = row.factors[2]
+        by_hand = [np.eye(3)]
+        for _ in row.phis[1:]:
+            by_hand.append(by_hand[-1] @ step)
+        assert np.max(np.abs(row.rep - np.array(by_hand))) < 1e-12
 
 
 def _count_matrices(monkeypatch) -> list[int]:
