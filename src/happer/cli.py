@@ -4,8 +4,10 @@ and the momentum-space band-touching comparison.
 Subcommands: spectrum | chern | phase | dynamics | weyl-compare.
 Outputs are deterministic CSV (default) or JSON tables with a schema=1
 header; the exit code is 0 only if every quantization and consistency
-check in the run passed.  Option precedence: command line > config file
-(flat key=value lines) > built-in defaults.
+check in the run passed.  Each command takes only the options it reads
+(``COMMANDS``), on the command line and in a config file alike.  Option
+precedence: command line > config file (flat key=value lines) > built-in
+defaults.
 """
 
 from __future__ import annotations
@@ -116,6 +118,9 @@ def _chern_columns(res: ChernResult) -> list:
 
 
 def _cluster_labels(cfg: ScanConfig, x_star: float) -> tuple[int, ...]:
+    if cfg.two_l == 0:
+        raise ValueError("L = 0 has no crossing cluster: its three levels (H = n.S at y = 0) "
+                         "never cross")
     if cfg.y != 0.0:
         raise ValueError(f"exact clusters exist only at y = 0, got y = {cfg.y}")
     window = 0.2 * x_star
@@ -134,8 +139,8 @@ def _cluster(cfg: ScanConfig) -> tuple[ModelParams, tuple[int, ...], str]:
 
 
 def cmd_spectrum(cfg: ScanConfig) -> Table:
-    xs = cfg.x_values()
-    if len(xs) < 2:
+    xs = cfg.x_grid
+    if xs is None or len(xs) < 2:
         raise ValueError("spectrum scan needs an x grid (--x-range)")
     p0 = cfg.params(xs[0])
     track = track_levels(p0, np.asarray(xs))
@@ -173,6 +178,9 @@ def cmd_chern(cfg: ScanConfig) -> Table:
     rows: list[list] = []
     annotations: list[str] = []
     ok = True
+    meta = {"command": "chern", "scheme": cfg.scheme, "mesh": cfg.mesh}
+    if cfg.convention == "twopi":
+        meta["convention"] = "twopi (ch_twopi column)"
     if cfg.cluster:
         p, labels, tag = _cluster(cfg)
         res = chern_number_link_variable(p, labels, mesh) if cfg.scheme == "link" \
@@ -181,8 +189,7 @@ def cmd_chern(cfg: ScanConfig) -> Table:
         ok = not flagged
         rows.append([p.x, tag, *_chern_columns(res), float("nan"), int(flagged)])
         annotations.append(f"cluster labels: {','.join(map(str, labels))}")
-        return Table(cols, rows, annotations, ok,
-                     {"command": "chern", "scheme": cfg.scheme, "mesh": cfg.mesh})
+        return Table(cols, rows, annotations, ok, meta)
     for x in cfg.x_values():
         p = cfg.params(x)
         _, jexp, positions = _levels(p)
@@ -202,8 +209,7 @@ def cmd_chern(cfg: ScanConfig) -> Table:
                 annotations.append(f"check-failed: Ch != -J for x={x} label={lab}")
             rows.append([float(x), lab, *_chern_columns(res), j, int(flagged)])
     return Table(cols, rows, annotations, ok,
-                 {"command": "chern", "scheme": cfg.scheme, "mesh": cfg.mesh,
-                  "convention_note": "ch_fourpi = ch_twopi / 2"})
+                 {**meta, "convention_note": "ch_fourpi = ch_twopi / 2"})
 
 
 def cmd_phase(cfg: ScanConfig) -> Table:
@@ -226,10 +232,9 @@ def cmd_phase(cfg: ScanConfig) -> Table:
 
 
 def cmd_dynamics(cfg: ScanConfig) -> Table:
-    xs = cfg.x_values()
-    if len(xs) > 1:
-        raise ValueError(f"dynamics drives at one x; --x-range gave {len(xs)} points")
-    p = cfg.params(xs[0])
+    if cfg.x is None:
+        raise ValueError("dynamics needs --x")
+    p = cfg.params(cfg.x)
     if cfg.level is not None and not 1 <= cfg.level <= p.dim:
         raise ValueError(f"--level must be a label in 1..{p.dim}, got {cfg.level}")
     omega = adiabatic_omega(p, cfg.theta0, cfg.omega_factor)
@@ -256,8 +261,11 @@ def cmd_dynamics(cfg: ScanConfig) -> Table:
             n_t = np.stack([np.sin(cfg.theta0) * np.cos(omega * traj.times),
                             np.sin(cfg.theta0) * np.sin(omega * traj.times),
                             np.full_like(traj.times, np.cos(cfg.theta0))], axis=1)
-            cosang = np.abs(np.einsum("ni,ni->n", unit, n_t))
-            align = float(np.degrees(np.max(np.arccos(np.clip(cosang, -1, 1)))))
+            # angle between the lines of unit and n_t, 2 atan2(|u - s n|, |u + s n|) with
+            # s = sign(u . n): unlike an arccos near 1, well conditioned at small angles
+            n_t *= np.sign(np.einsum("ni,ni->n", unit, n_t))[:, None]
+            align = float(np.degrees(np.max(2 * np.arctan2(
+                np.linalg.norm(unit - n_t, axis=1), np.linalg.norm(unit + n_t, axis=1)))))
         else:
             opening = solid = dev = float("nan")
             align = float("nan")
@@ -269,7 +277,7 @@ def cmd_dynamics(cfg: ScanConfig) -> Table:
             traj_path = stem.with_name(stem.stem + f"_level{lab}_traj.csv")
             traj.to_csv(traj_path, with_state=cfg.with_state)
     return Table(cols, rows, annotations, ok,
-                 {"command": "dynamics", "theta0": cfg.theta0, "x": xs[0], "y": cfg.y})
+                 {"command": "dynamics", "theta0": cfg.theta0, "x": cfg.x, "y": cfg.y})
 
 
 def cmd_weyl_compare(cfg: ScanConfig) -> Table:
@@ -316,13 +324,18 @@ def cmd_weyl_compare(cfg: ScanConfig) -> Table:
                  {"command": "weyl-compare", "l": two_l / 2, "mesh": cfg.mesh})
 
 
+# Each command and the keys of the options it reads (see _OPTIONS); every
+# command also takes --format, --out and --config.
 COMMANDS = {
-    "spectrum": cmd_spectrum,
-    "chern": cmd_chern,
-    "phase": cmd_phase,
-    "dynamics": cmd_dynamics,
-    "weyl-compare": cmd_weyl_compare,
+    "spectrum": (cmd_spectrum, ("l", "x-range", "y", "axis", "theta0", "phi0", "seed")),
+    "chern": (cmd_chern, ("l", "x", "x-range", "y", "axis", "theta0", "phi0", "mesh",
+                          "mesh-scheme", "scheme", "convention", "cluster")),
+    "phase": (cmd_phase, ("l", "x", "x-range", "y", "axis", "theta0", "mesh", "cluster")),
+    "dynamics": (cmd_dynamics, ("l", "x", "y", "axis", "theta0", "level", "omega-factor",
+                                "steps-per-period", "periods", "with-state")),
+    "weyl-compare": (cmd_weyl_compare, ("l", "mesh", "mesh-scheme", "k-grid")),
 }
+_COMMON_KEYS = ("format", "out")
 
 
 def _parse_l(text: str) -> int:
@@ -367,6 +380,7 @@ def _parse_bool(text: str) -> bool:
 
 # Every scan option, declared once: flag (also its config-file key), ScanConfig
 # field, value parser, extra argparse settings.  Boolean options are switches.
+# COMMANDS says which command takes which.
 _OPTIONS = {
     "l": ("two_l", _parse_l, {"help": "nuclear spin L (e.g. 1, 2, 1/2, 3/2)"}),
     "x": ("x", float, {}),
@@ -398,9 +412,11 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Spectra and topological numbers of the "
                                                  "driven electron-nuclear spin model")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        for key, (attr, parse, extra) in _OPTIONS.items():
+    for name, (_, keys) in COMMANDS.items():
+        # no abbreviations: `spectrum --x` must not be read as --x-range
+        p = sub.add_parser(name, allow_abbrev=False)
+        for key in (*keys, *_COMMON_KEYS):
+            attr, parse, extra = _OPTIONS[key]
             kind = {"action": "store_true"} if parse is _parse_bool else {"type": parse}
             p.add_argument(f"--{key}", dest=attr, default=None, **kind, **extra)
         p.add_argument("--config", default=None, help="flat key=value config file")
@@ -408,11 +424,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> ScanConfig:
+    keys = (*COMMANDS[args.command][1], *_COMMON_KEYS)
     cfg = ScanConfig()
     if args.config:
         for key, raw in _read_config_file(args.config).items():
-            if key not in _OPTIONS:
-                raise ValueError(f"unknown config key {key!r}")
+            if key not in keys:
+                raise ValueError(f"config key {key!r} is not an option of {args.command}")
             attr, parse, _ = _OPTIONS[key]
             try:
                 value = parse(raw)
@@ -434,12 +451,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = config_from_args(args)
-        table = COMMANDS[args.command](cfg)
+        table = COMMANDS[args.command][0](cfg)
     except (ValueError, OSError, NormDriftError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    if cfg.convention == "twopi" and "ch_fourpi" in table.columns:
-        table.meta["convention"] = "twopi (ch_twopi column)"
     write_table(table, cfg.out, cfg.fmt)
     if cfg.out:
         sys.stdout.write(f"wrote {cfg.out} ({len(table.rows)} rows, "

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -192,19 +193,26 @@ def test_json_format(tmp_path):
     assert len(payload["rows"]) == 7 * 9
 
 
-def test_config_file_and_precedence(tmp_path):
+def test_config_file_and_precedence(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("l = 1\nx-range = 0.4:1.0:5\nmesh = 77\nformat = json\n")
     out = tmp_path / "o.json"
+    # spectrum solves no mesh, so its config file may not set one
+    assert main(["spectrum", "--config", str(cfg), "--format", "csv", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: config key 'mesh' is not an option of spectrum\n"
+    cfg.write_text("l = 1\nx-range = 0.4:1.0:5\nformat = json\n")
     code = main(["spectrum", "--config", str(cfg), "--format", "csv", "--out", str(out)])
     assert code == 0
     text = out.read_text()
     assert text.startswith("# schema=1")  # CLI --format csv overrode the file
     rows = [ln for ln in text.splitlines() if ln and not ln.startswith(("#", "x,"))]
     assert len(rows) == 5 * 9  # grid came from the file
-    cfg.write_text("cluster = true\nwith-state = 1\n")  # switches are config keys too
+    # switches are config keys too, of the commands that take them
+    cfg.write_text("cluster = true\n")
+    assert config_from_args(build_parser().parse_args(["chern", "--config", str(cfg)])).cluster
+    cfg.write_text("with-state = 1\n")
     parsed = config_from_args(build_parser().parse_args(["dynamics", "--config", str(cfg)]))
-    assert parsed.cluster and parsed.with_state
+    assert parsed.with_state and not parsed.cluster
     cfg.write_text("cluster = maybe\n")
     assert main(["chern", "--config", str(cfg)]) == 2
 
@@ -272,7 +280,7 @@ def test_norm_drift_exits_2(monkeypatch, capsys):
     (["--omega-factor", "0"], "omega must be positive"),
     (["--omega-factor", "inf"], "omega must be positive and finite, got inf"),
     (["--periods", "0"], "at least one period"),
-    (["--x-range", "0.7:0.9:3"], "--x-range gave 3 points"),
+    (["--x-range", "0.7:0.9:3"], "unrecognized arguments: --x-range 0.7:0.9:3"),
 ], ids=["level-above-dim", "level-zero", "omega-factor-zero", "omega-factor-inf", "zero-periods",
         "x-range"])
 def test_dynamics_refuses_bad_drive_input(args, message, capsys):
@@ -281,10 +289,17 @@ def test_dynamics_refuses_bad_drive_input(args, message, capsys):
         base += ["--x", "0.8"]
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # refused before any arithmetic, so without a warning
-        assert main(base + args) == 2
+        if "--x-range" in args:  # dynamics drives at one x and takes no grid
+            with pytest.raises(SystemExit) as refused:
+                main(base + args)
+            assert refused.value.code == 2
+        else:
+            assert main(base + args) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error:") and message in captured.err
+    *usage, last = captured.err.splitlines()  # argparse prints a usage line first
+    assert len(usage) <= 1 and message in last
+    assert last.startswith("happer: error:" if usage else "error:")
 
 
 @pytest.mark.parametrize("args", [
@@ -310,6 +325,62 @@ def test_cluster_is_refused_off_y_zero(command, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: exact clusters exist only at y = 0, got y = 0.1\n"
+
+
+# The options each command takes besides --format, --out and --config.
+COMMAND_FLAGS = {
+    "spectrum": "l x-range y axis theta0 phi0 seed",
+    "chern": "l x x-range y axis theta0 phi0 mesh mesh-scheme scheme convention cluster",
+    "phase": "l x x-range y axis theta0 mesh cluster",
+    "dynamics": "l x y axis theta0 level omega-factor steps-per-period periods with-state",
+    "weyl-compare": "l mesh mesh-scheme k-grid",
+}
+
+
+def test_each_command_parser_holds_exactly_its_options():
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(commands.choices) == list(COMMAND_FLAGS)
+    settable = 0
+    for name, keys in COMMAND_FLAGS.items():
+        flags = {s for a in commands.choices[name]._actions for s in a.option_strings}
+        expected = {f"--{k}" for k in keys.split()} | {"--format", "--out", "--config"}
+        assert flags - {"-h", "--help"} == expected, name
+        settable += len(expected)
+    assert settable == 56
+
+
+@pytest.mark.parametrize("command,key,value", [
+    ("spectrum", "mesh", "60"),
+    ("spectrum", "x", "0.5"),  # not an abbreviation of --x-range either
+    ("phase", "phi0", "0.3"),
+    ("phase", "mesh-scheme", "uniform"),
+    ("dynamics", "phi0", "0.3"),
+    ("weyl-compare", "y", "0.1"),
+    ("chern", "seed", "3"),
+])
+def test_a_command_refuses_an_option_it_does_not_read(tmp_path, capsys, command, key, value):
+    with pytest.raises(SystemExit) as refused:
+        main([command, "--l", "1", f"--{key}", value])
+    assert refused.value.code == 2
+    assert f"unrecognized arguments: --{key} {value}" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    assert main([command, "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: config key {key!r} is not an option of {command}\n"
+
+
+@pytest.mark.parametrize("args", [["chern", "--cluster"], ["phase", "--cluster"],
+                                  ["weyl-compare", "--k-grid", "1.0"]],
+                         ids=["chern", "phase", "weyl-compare"])
+def test_cluster_is_refused_at_l_zero(args, capsys):
+    # L = 0 (H = n.S at y = 0) has three levels that never cross.
+    assert main([args[0], "--l", "0", *args[1:], "--mesh", "50"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: L = 0 has no crossing cluster")
 
 
 def run_python(code):

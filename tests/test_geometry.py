@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import happer.geometry as geometry
@@ -851,6 +851,7 @@ def _tilted_params(draw) -> ModelParams:
 
 
 TILTED_MESH = SphereMesh(40, 80, "uniform")
+FINE_TILTED_MESH = SphereMesh(80, 160, "uniform")
 
 
 def _axis_line_spectrum(p: ModelParams) -> np.ndarray:
@@ -870,6 +871,10 @@ def _axis_line_spectrum(p: ModelParams) -> np.ndarray:
 
 @settings(max_examples=25, deadline=None)
 @given(p=_tilted_params())
+# Bands 10 and 11 come within 7.3e-5 near 3.096 rad from the axis; the 40-ring
+# oracle aliases there and swaps their Chern numbers, the 80-ring one refuses.
+@example(p=ModelParams(4, 0.50390625, -0.5,
+                       axis=(0.8414709848078965, 0.0, 0.5403023058681398)))
 def test_tilted_link_spectrum_matches_per_point_solve(p):
     try:
         results = chern_spectrum_link_variable(p, TILTED_MESH)
@@ -879,6 +884,10 @@ def test_tilted_link_spectrum_matches_per_point_solve(p):
         return
     try:
         oracle = _oracle_spectrum(_model(p), TILTED_MESH)
+        if [r.rounded for r in results] != [r.rounded for r in oracle]:
+            # A per-point grid can alias a near-touching between its rings without
+            # tripping its gate; on twice the rings it resolves the pair or refuses.
+            oracle = _oracle_spectrum(_model(p), FINE_TILTED_MESH)
     except MeshResolutionError:
         assume(False)
     _assert_matches_oracle(results, oracle)
