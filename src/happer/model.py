@@ -21,6 +21,7 @@ from .operators import SpinQuantumNumber, spin_operators
 from .tolerances import TOL
 
 ELECTRON_TWO_J = 2  # triplet dimer, S = 1
+_NEGLIGIBLE = 1e-100  # |coefficient| below which a term of H is dropped
 
 
 @dataclass(frozen=True)
@@ -131,7 +132,11 @@ def _hamiltonians(p: ModelParams, theta, phi, x, y) -> np.ndarray:
     """
     _, _, big_s, _, exchange = _product_operators(p.nuclear_two_l)
     theta, phi, x, y = (np.asarray(a, dtype=float)[..., None, None] for a in (theta, phi, x, y))
-    st = np.sin(theta)
+    # A coefficient below _NEGLIGIBLE moves no eigenvalue of H in double
+    # precision, but LAPACK's eigenvalue-only solver squares it into the
+    # subnormal range and then misses a level by up to 1e-7 (2L = 3,
+    # x = 0, y = theta = 9.2e-160); it is taken as exactly zero.
+    st, x, y = (np.where(np.abs(a) < _NEGLIGIBLE, 0.0, a) for a in (np.sin(theta), x, y))
     h = (st * np.cos(phi)) * big_s[0] + (st * np.sin(phi)) * big_s[1] \
         + np.cos(theta) * big_s[2] + x * exchange
     if np.any(y != 0.0):

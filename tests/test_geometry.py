@@ -937,6 +937,8 @@ def test_tilted_link_band_pair_matches_per_point_solve(p, first):
 @settings(max_examples=40, deadline=None)
 @given(two_l=st.integers(0, 5), x=st.floats(-2, 2), y=st.floats(-0.5, 0.5),
        theta=st.floats(0, np.pi), phi=st.floats(0, 2 * np.pi), on_axis=st.booleans())
+@example(two_l=3, x=0.0, y=9.20104655745367e-160, theta=9.20104655745367e-160, phi=0.0,
+         on_axis=True)
 def test_spectrum_and_eigenvectors_rotate_about_z(two_l, x, y, theta, phi, on_axis):
     # Either the axis lies along z, or y = 0 with an arbitrary axis.
     axis = (0.0, 0.0, 1.0) if on_axis else (0.6, 0.0, 0.8)
