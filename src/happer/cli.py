@@ -214,19 +214,18 @@ def cmd_chern(cfg: ScanConfig) -> Table:
 
 def cmd_phase(cfg: ScanConfig) -> Table:
     mesh = SphereMesh(cfg.mesh, 2 * cfg.mesh, "uniform")
-    loop = [(cfg.theta0, ph) for ph in np.linspace(0.0, 2 * np.pi, 181)]
     cols = ["x", "label", "gamma"]
     rows: list[list] = []
     annotations = [f"loop: theta={cfg.theta0:.10g}, phi 0..2pi"]
     if cfg.cluster:
         p, labels, tag = _cluster(cfg)
-        rows.append([p.x, tag, loop_phase(p, labels, loop, mesh)])
+        rows.append([p.x, tag, loop_phase(p, labels, cfg.theta0, mesh)])
         return Table(cols, rows, annotations, True,
                      {"command": "phase", "mesh": cfg.mesh})
     for x in cfg.x_values():
         p = cfg.params(x)
         for lab in range(1, p.dim + 1):
-            gamma = loop_phase(p, lab, loop, mesh)
+            gamma = loop_phase(p, lab, cfg.theta0, mesh)
             rows.append([float(x), lab, gamma])
     return Table(cols, rows, annotations, True, {"command": "phase", "mesh": cfg.mesh})
 
@@ -420,6 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
             kind = {"action": "store_true"} if parse is _parse_bool else {"type": parse}
             p.add_argument(f"--{key}", dest=attr, default=None, **kind, **extra)
         p.add_argument("--config", default=None, help="flat key=value config file")
+        p.set_defaults(command_parser=p)
     return parser
 
 
@@ -448,7 +448,11 @@ def config_from_args(args: argparse.Namespace) -> ScanConfig:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unknown = parser.parse_known_args(argv)
+    if unknown:  # shown with the command's own usage, which lists the flags it takes
+        usage = " ".join(args.command_parser.format_usage().split())
+        parser.exit(2, f"{usage}\n{parser.prog}: error: unrecognized arguments: "
+                       f"{' '.join(unknown)}\n")
     try:
         cfg = config_from_args(args)
         table = COMMANDS[args.command][0](cfg)

@@ -32,6 +32,12 @@ loop phases and the curvature CSV read n_phi tr X per ring and D at the
 ring's step dphi alone; the per-point frames, connections and curvatures,
 and D(phi_n) = D(dphi)^n, are built only when read.  Rings that meet at the
 same (theta, phi count) share one frame row.
+
+Curvature Chern numbers and loop phases are one Stokes integral,
+CurvatureField.flux(theta), the traced curvature north of latitude theta:
+chern_number reads flux(pi), and loop_phase(p, labels, theta0) reads
+flux(theta0), the phase of the loop at polar angle theta0 traversed toward
+increasing phi.
 """
 
 from __future__ import annotations
@@ -540,20 +546,26 @@ class CurvatureField:
     def curvature(self) -> dict[int, np.ndarray]:
         return {r: _per_point(c, self.field.ring_top(r).rep) for r, c in self.x_curvature.items()}
 
-    def _ring_trace(self, r: int) -> float:
-        """Re tr F summed over ring r: n_r / m times the traces of its m matrices."""
-        x = self.x_curvature[r]
-        return float(len(self.field.ring_top(r).phis) / len(x)
-                     * np.trace(x, axis1=-2, axis2=-1).real.sum())
+    def flux(self, theta: float) -> float:
+        """Re tr F integrated over the cap north of latitude theta (Stokes sum).
 
-    def trace_sum(self) -> float:
-        return sum(self._ring_trace(r) for r in self.x_curvature)
-
-    def cap_compensation(self) -> float:
-        """Estimated curvature content of the dropped north cap."""
+        Down to the bottom edge of the first kept ring the flux is that
+        ring's curvature density times the solid angle north of theta,
+        2 pi (1 - cos theta), which also stands for the dropped north cap;
+        below it every ring adds its trace times the fraction of its theta
+        width that lies north of theta.  flux(pi) is the whole sphere.
+        """
         r0, mesh = self.field.ring_start, self.field.mesh
-        omega = mesh.ring_solid_angle(r0).sum()
-        return float(self._ring_trace(r0) / omega * mesh.cap_solid_angle(r0))
+        rings = range(r0, mesh.n_theta)
+        xs = [self.x_curvature[r] for r in rings]
+        m = np.array([len(x) for x in xs])
+        cells = np.array([mesh.ring_phi_count(r) for r in rings])
+        tr = np.concatenate([x.diagonal(0, -2, -1) for x in xs]).real.sum(axis=-1)
+        traces = cells / m * np.add.reduceat(tr, np.cumsum(m) - m)  # Re tr F summed per ring
+        density = traces[0] / mesh.ring_solid_angle(r0).sum()
+        first = density * 2 * np.pi * (1 - np.cos(min(theta, mesh.theta_edges()[r0 + 1])))
+        north = np.clip(theta / np.pi * mesh.n_theta - np.arange(r0 + 1, mesh.n_theta), 0, 1)
+        return float(first + north @ traces[1:])
 
     def to_csv(self, path) -> None:
         """Columns: theta, phi, Re tr F, cell solid angle."""
@@ -594,14 +606,13 @@ def curvature_discrete(connections: ConnectionField) -> CurvatureField:
 
 
 def chern_number(field: CurvatureField) -> ChernResult:
-    """Traced curvature integral over the sphere, 1/(4 pi) normalization.
+    """Traced curvature flux through the whole sphere, field.flux(pi), 1/(4 pi) normalization.
 
-    The dropped polar cap is compensated by its solid angle times the
-    curvature density of the nearest ring.
+    The dropped north cap enters as in CurvatureField.flux: its solid
+    angle times the curvature density of the nearest ring.
     """
-    total = field.trace_sum() + field.cap_compensation()
     half = _half_grid(field.field.dim, len(field.field.labels))
-    result = ChernResult.from_fourpi(total / (4 * np.pi), half)
+    result = ChernResult.from_fourpi(field.flux(np.pi) / (4 * np.pi), half)
     return _check_quantized(result, "curvature-integral Chern")
 
 
@@ -619,52 +630,18 @@ def chern_number_curvature(p: ModelParams, labels: Sequence[int] | int,
     return chern_number(curvature_field(p, labels, mesh, source=source))
 
 
-def loop_phase(p: ModelParams, labels: Sequence[int] | int, loop,
+def loop_phase(p: ModelParams, labels: Sequence[int] | int, theta0: float,
                mesh: SphereMesh | None = None, source: str = "numerical") -> float:
-    """Geometric phase of a closed constant-latitude loop, by curvature sum.
+    """Geometric phase of the loop at polar angle theta0, traversed toward increasing phi.
 
-    The loop must be given as a closed point sequence (first point
-    repeated last).  The traced curvature of the enclosed north-side
-    region is summed (Stokes form) and returned on the branch nearest
-    that sum; a zero-area loop gives exactly 0.  Traversal direction
-    follows the supplied phi ordering.  Defaults to a uniform mesh,
-    where the partial curvature sum is markedly more accurate than on
-    an equal-area one.
+    The traced curvature flux through the cap north of the loop (Stokes
+    form, CurvatureField.flux), on the branch nearest that sum: theta0 = 0
+    gives 0, theta0 = pi the whole sphere, 4 pi times the fourpi Chern
+    number.  The reverse loop's phase is the negative.  Defaults to a
+    uniform mesh, where the partial curvature sum is markedly more
+    accurate than on an equal-area one.
     """
-    loop = np.asarray(loop, dtype=float)
-    if loop.ndim != 2 or loop.shape[1] != 2:
-        raise ValueError("loop must be a sequence of (theta, phi) points")
-    dphi_close = np.angle(np.exp(1j * (loop[-1, 1] - loop[0, 1])))
-    if abs(loop[0, 0] - loop[-1, 0]) > 1e-9 or abs(dphi_close) > 1e-9:
-        raise ValueError("loop is not closed: first and last points differ")
-    body = loop[:-1]
-    if len(body) < 1:
-        raise ValueError("empty loop")
-    if np.allclose(body, body[0], atol=1e-12):
-        return 0.0
-    thetas = body[:, 0]
-    if np.max(thetas) - np.min(thetas) > 1e-9:
-        raise ValueError("only constant-latitude loops are supported")
-    theta_loop = float(thetas[0])
-    dphi = np.angle(np.exp(1j * np.diff(loop[:, 1])))
-    winding = dphi.sum() / (2 * np.pi)
-    if abs(abs(winding) - 1.0) > 1e-6:
-        raise ValueError("loop must wind the sphere exactly once in phi")
-    orientation = np.sign(winding)
-
+    if not 0.0 <= theta0 <= np.pi:
+        raise ValueError(f"loop latitude theta0 must lie in [0, pi], got {theta0}")
     mesh = mesh or SphereMesh(scheme="uniform")
-    field = curvature_field(p, labels, mesh, source=source)
-    pos = theta_loop / (np.pi / mesh.n_theta)
-    r_loop = int(np.floor(pos + 1e-9))
-    frac = pos - r_loop
-    ring_start = field.field.ring_start
-    if r_loop <= ring_start:
-        cap = field.cap_compensation()
-        weight = (1 - np.cos(theta_loop)) / (1 - np.cos(mesh.theta_edges()[ring_start]))
-        return float(orientation * cap * weight)
-    total = field.cap_compensation()
-    for r in range(ring_start, r_loop):
-        total += field._ring_trace(r)
-    if frac > 1e-9 and r_loop < mesh.n_theta:
-        total += frac * field._ring_trace(r_loop)
-    return float(orientation * total)
+    return curvature_field(p, labels, mesh, source=source).flux(theta0)

@@ -65,7 +65,3 @@ class SphereMesh:
         band = np.cos(edges[ring]) - np.cos(edges[ring + 1])
         n = self.ring_phi_count(ring)
         return np.full(n, band * 2 * np.pi / n)
-
-    def cap_solid_angle(self, ring: int) -> float:
-        """Solid angle of the polar cap north of ring's top edge."""
-        return float(2 * np.pi * (1 - np.cos(self.theta_edges()[ring])))

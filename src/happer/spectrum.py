@@ -229,7 +229,15 @@ class LevelTrack:
 
 
 def track_levels(p0: ModelParams, x_grid) -> LevelTrack:
-    """Follow levels across an ascending x grid, labelled from the top end."""
+    """Follow levels across an ascending x grid, labelled from the top end.
+
+    Labels are numbered at the top of the window, as in find_degeneracies,
+    whereas level_positions (and with it the chern, phase and dynamics
+    commands) numbers them beyond the last crossing: a window that ends
+    below a crossing names its levels differently.  At 2L = 1 the level at
+    E = -0.875, x = 0.25, is label 2 on the grid 0.05..0.5 but label 3 for
+    level_positions(ModelParams(1, 0.25)) = [0, 2, 1, 3, 4, 5].
+    """
     x_grid = np.asarray(x_grid, dtype=float)
     if x_grid.ndim != 1 or len(x_grid) < 2 or np.any(np.diff(x_grid) <= 0):
         raise ValueError("x_grid must be ascending with at least two points")
@@ -251,7 +259,7 @@ def track_levels(p0: ModelParams, x_grid) -> LevelTrack:
 
 @dataclass(frozen=True)
 class DegeneracyPoint:
-    """One detected crossing (exact) or anti-crossing (minimum gap)."""
+    """One detected crossing (exact, gap 0) or anti-crossing (minimum gap)."""
 
     x: float
     labels: tuple[int, ...]
@@ -268,7 +276,9 @@ def find_degeneracies(p: ModelParams, x_range: tuple[float, float],
 
     Exact crossings are the real roots of one pencil per pair of n_B.J
     sectors, tangencies (the E = 0 cluster at x = 0) included; labels are
-    numbered at the top of the range.  Anti-crossings are the gap minima
+    numbered at the top of the range, as in track_levels, not beyond the
+    last crossing as in level_positions (see track_levels for a window
+    where the two differ).  Anti-crossings are the gap minima
     on a scan_points grid, which only they use, refined together by
     safeguarded Newton steps on the squared gap and reported below max_gap
     (raise it to explore strongly split spectra, where one crossing splits
@@ -340,8 +350,9 @@ def _exact_crossings(p: ModelParams, lo: float, hi: float) -> list[DegeneracyPoi
     9x9 (a two-parameter eigenvalue problem); pencils of one size are solved
     as one stack.  A root counts where a slot of s and a slot of t agree to
     1e-9; roots are grouped by (x, E), and each group is read at its own
-    root, every slot at E a member.  Groups come in ascending order of their
-    root, and of energy among the groups that share one.
+    root, every slot within TOL.degeneracy_gap of E a member, with gap 0 (the
+    members' spread there is round-off).  Groups come in ascending order of
+    their root, and of energy among the groups that share one.
     """
     sectors = _Sectors(p)
     sector_list = [(g, j) for g, (idx, _, _) in enumerate(sectors.blocks) for j in range(len(idx))]
@@ -381,8 +392,7 @@ def _exact_crossings(p: ModelParams, lo: float, hi: float) -> list[DegeneracyPoi
         members = np.flatnonzero(np.abs(w - e_hit[k]) < TOL.degeneracy_gap)
         results.append(DegeneracyPoint(
             x=float(x_hit[k]), labels=tuple(int(lab) + 1 for lab in members),
-            energy=float(np.mean(w[members])), multiplicity=len(members), exact=True,
-            gap=float(np.ptp(w[members]))))
+            energy=float(np.mean(w[members])), multiplicity=len(members), exact=True, gap=0.0))
     root = x_hit[np.argmax(same_root, axis=1)][first]
     return [results[i] for i in np.lexsort(([d.energy for d in results], root))]
 

@@ -204,13 +204,12 @@ def test_criterion_9_dynamics_geometry_consistency():
         omega = adiabatic_omega(p, np.pi / 6)
         proto = DriveProtocol(np.pi / 6, omega, 1)
         mesh = SphereMesh(150, 300, "uniform")
-        loop = [(np.pi / 6, ph) for ph in np.linspace(0.0, 2 * np.pi, 73)]
         positions = level_positions(p)
         for label in (1, 2, 6, 7, 8, 9):
             psi0 = initial_eigenstate(p, proto, int(positions[label - 1]))
             traj = propagate(p, proto, psi0, steps_per_period=32000, record_every=160)
             g_dyn = extract_geometric_phase(traj, p, proto)
-            g_geo = loop_phase(p, label, loop, mesh)
+            g_geo = loop_phase(p, label, np.pi / 6, mesh)
             assert abs(np.angle(np.exp(1j * (g_dyn - g_geo)))) < 1e-2
 
 

@@ -372,6 +372,24 @@ def test_a_command_refuses_an_option_it_does_not_read(tmp_path, capsys, command,
     assert captured.err == f"error: config key {key!r} is not an option of {command}\n"
 
 
+@pytest.mark.parametrize("command", ["spectrum", "dynamics"])
+def test_an_unknown_flag_is_reported_with_the_command_usage(capsys, command):
+    with pytest.raises(SystemExit) as refused:
+        main([command, "--l", "1", "--mesh", "60"])
+    assert refused.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    usage, error = captured.err.splitlines()
+    assert usage.startswith(f"usage: happer {command} [-h] ")
+    assert all(f"[--{key} " in usage or f"[--{key}]" in usage
+               for key in COMMAND_FLAGS[command].split())
+    assert error == "happer: error: unrecognized arguments: --mesh 60"
+    with pytest.raises(SystemExit) as helped:  # the top-level help is unchanged
+        main(["--help"])
+    assert helped.value.code == 0
+    assert capsys.readouterr().out == build_parser().format_help()
+
+
 @pytest.mark.parametrize("args", [["chern", "--cluster"], ["phase", "--cluster"],
                                   ["weyl-compare", "--k-grid", "1.0"]],
                          ids=["chern", "phase", "weyl-compare"])

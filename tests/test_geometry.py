@@ -22,7 +22,7 @@ from happer.spectrum import eigensystem, eigensystem_with_j, level_positions
 from happer.tolerances import TOL
 from test_dynamics import csv_rows_per_value
 
-RING_LOOP = [(np.pi / 6, ph) for ph in np.linspace(0.0, 2 * np.pi, 73)]
+LOOP_THETA = np.pi / 6  # latitude of the test loops
 CAP_SOLID_ANGLE = 2 * np.pi * (1 - np.cos(np.pi / 6))  # 0.841787...
 
 
@@ -255,38 +255,60 @@ def test_gauge_invariance_under_smooth_rotation(monkeypatch):
 
 def test_loop_phase_zeeman_closed_form():
     p = zeeman_params()
-    g = loop_phase(p, 1, RING_LOOP, SphereMesh(120, 240, "uniform"))
+    g = loop_phase(p, 1, LOOP_THETA, SphereMesh(120, 240, "uniform"))
     assert abs(g - CAP_SOLID_ANGLE) < 2e-3
-    g3 = loop_phase(p, 3, RING_LOOP, SphereMesh(120, 240, "uniform"))
+    g3 = loop_phase(p, 3, LOOP_THETA, SphereMesh(120, 240, "uniform"))
     assert abs(g3 + CAP_SOLID_ANGLE) < 2e-3
 
 
 def test_loop_phase_interpolates_off_grid_latitudes():
     p = zeeman_params()
-    g = loop_phase(p, 1, RING_LOOP, SphereMesh(100, 200, "uniform"))  # pi/6 not on grid
+    g = loop_phase(p, 1, LOOP_THETA, SphereMesh(100, 200, "uniform"))  # pi/6 not on grid
     assert abs(g - CAP_SOLID_ANGLE) < 5e-3
 
 
 def test_loop_phase_edge_cases():
     p = zeeman_params()
-    assert loop_phase(p, 1, [(0.5, 0.3)] * 3) == 0.0
-    with pytest.raises(ValueError, match="closed"):
-        loop_phase(p, 1, [(0.5, 0.0), (0.5, 1.0), (0.5, 2.0)])
-    bad = [(0.4 + 0.01 * i, ph) for i, ph in enumerate(np.linspace(0, 2 * np.pi, 30))]
-    bad.append(bad[0])
-    with pytest.raises(ValueError, match="latitude"):
-        loop_phase(p, 1, bad)
+    assert loop_phase(p, 1, 0.0) == 0.0  # a zero-area loop
+    for theta0 in (-0.1, np.pi + 0.1, float("nan")):
+        with pytest.raises(ValueError, match=r"\[0, pi\]"):
+            loop_phase(p, 1, theta0)
+
+
+FLUX_CASES = {
+    "uniform": (ModelParams(2, 1.0, 0.0, FieldDirection(0.5, 0.3)), 1,
+                SphereMesh(60, 120, "uniform")),
+    "equal-area": (ModelParams(2, 1.0, 0.0, FieldDirection(0.5, 0.3)), 1,
+                   SphereMesh(60, 120, "equal-area")),
+    "cluster": (ModelParams(2, 2 / 3), (3, 4, 5), SphereMesh(60, 120, "uniform")),
+    "tilted": (ModelParams(2, 0.8, 0.1, axis=(0.6, 0.0, 0.8)), 1,
+               SphereMesh(60, 120, "uniform")),
+}
+
+
+@pytest.mark.parametrize("p,labels,mesh", FLUX_CASES.values(), ids=FLUX_CASES.keys())
+def test_loop_phase_and_chern_read_one_flux(p, labels, mesh):
+    # Both are CurvatureField.flux: the loop at pi encloses the sphere, the
+    # loop at 0 nothing, and inside the dropped cap the flux is the first
+    # kept ring's density times 2 pi (1 - cos theta0).
+    whole = loop_phase(p, labels, np.pi, mesh)
+    assert abs(whole - 4 * np.pi * chern_number_curvature(p, labels, mesh).fourpi) < 1e-12
+    assert loop_phase(p, labels, 0.0, mesh) == 0.0
+    cap = np.pi / mesh.n_theta  # the dropped ring's bottom edge
+    inside = [loop_phase(p, labels, t * cap, mesh) / (1 - np.cos(t * cap)) for t in (0.3, 0.9)]
+    assert inside[0] != 0.0
+    assert abs(inside[0] - inside[1]) < 1e-12 * abs(inside[0])
 
 
 def test_cluster_loop_phase_additivity():
     mesh = SphereMesh(100, 200, "uniform")
     p_star = ModelParams(2, 2 / 3, 0.0, FieldDirection(0.5, 0.3))
-    g_deg = loop_phase(p_star, (3, 4, 5), RING_LOOP, mesh)
+    g_deg = loop_phase(p_star, (3, 4, 5), LOOP_THETA, mesh)
     eps = 0.03
     total = 0.0
     for side in (2 / 3 - eps, 2 / 3 + eps):
         p_side = p_star.with_x(side)
-        side_sum = sum(loop_phase(p_side, lab, RING_LOOP, mesh) for lab in (3, 4, 5))
+        side_sum = sum(loop_phase(p_side, lab, LOOP_THETA, mesh) for lab in (3, 4, 5))
         total += 0.5 * side_sum
     assert abs(g_deg - total) < 1e-2
 
@@ -296,8 +318,8 @@ def test_analytic_frames_match_numerical_loop_phase():
     # O(1/n^2), reaching the 1e-3 level around 480 rings.
     mesh = SphereMesh(480, 960, "uniform")
     p_star = ModelParams(2, 2 / 3, 0.0, FieldDirection(0.5, 0.3))
-    g_num = loop_phase(p_star, (3, 4, 5), RING_LOOP, mesh)
-    g_ana = loop_phase(p_star, (3, 4, 5), RING_LOOP, mesh, source="analytic")
+    g_num = loop_phase(p_star, (3, 4, 5), LOOP_THETA, mesh)
+    g_ana = loop_phase(p_star, (3, 4, 5), LOOP_THETA, mesh, source="analytic")
     assert abs(g_num - g_ana) < 1e-3
 
 
@@ -310,7 +332,7 @@ def test_isolated_band_refused_at_crossing():
         with pytest.raises(SubspaceIsolationError, match="ambiguous"):
             chern_number_curvature(p, 4, mesh)
         with pytest.raises(SubspaceIsolationError, match="ambiguous"):
-            loop_phase(p, 4, RING_LOOP, mesh)
+            loop_phase(p, 4, LOOP_THETA, mesh)
 
 
 def test_noncontiguous_cluster_rejected():
@@ -323,7 +345,7 @@ def test_noncontiguous_cluster_rejected():
     mesh = SphereMesh(60, 120, "equal-area")
     for call in (lambda: chern_number_link_variable(p_star, (4, 9), mesh),
                  lambda: chern_number_curvature(p_star, (4, 9), mesh),
-                 lambda: loop_phase(p_star, (4, 9), RING_LOOP, mesh)):
+                 lambda: loop_phase(p_star, (4, 9), LOOP_THETA, mesh)):
         with pytest.raises(ValueError, match="contiguous"):
             call()
 
@@ -334,7 +356,7 @@ LABEL_MESH = SphereMesh(60, 120, "uniform")
 LABEL_CALLS = {
     "link": lambda labels: chern_number_link_variable(LABEL_P, labels, LABEL_MESH).fourpi,
     "curvature": lambda labels: chern_number_curvature(LABEL_P, labels, LABEL_MESH).fourpi,
-    "loop-phase": lambda labels: loop_phase(LABEL_P, labels, RING_LOOP, LABEL_MESH),
+    "loop-phase": lambda labels: loop_phase(LABEL_P, labels, LOOP_THETA, LABEL_MESH),
     "frames": lambda labels: smooth_gauge_states(LABEL_P, labels, LABEL_MESH).labels,
     "projection": lambda labels: projected_hamiltonian(
         LABEL_P, labels, eigensystem(build_hamiltonian(LABEL_P), LABEL_P)),
@@ -641,15 +663,18 @@ def test_factored_fields_match_the_per_point_computation(monkeypatch, two_l, lab
         assert _worst(fields, _fields(smooth_gauge_states(p, labels, mesh))) < 1e-12
 
 
-def test_uniform_trace_sum_is_minus_the_first_ring_phi_connection():
+def test_uniform_ring_flux_is_minus_the_first_ring_phi_connection():
     # On a uniform mesh the theta-edge and commutator terms cancel around
     # each ring and the rows are shared, so the phi-edge traces telescope to
-    # the first ring's (the south pole's vanish).
+    # the first ring's (the south pole's vanish).  The flux south of the
+    # dropped cap is the sum of the ring traces.
     frames = smooth_gauge_states(ModelParams(2, 2 / 3), (3, 4, 5), SphereMesh(40, 80, "uniform"))
     conn = connection_discrete(frames)
     first = -np.trace(conn.a_phi_top[frames.ring_start], axis1=-2, axis2=-1).real.sum()
     assert abs(first - 12.156343803323004) < 1e-12
-    assert abs(curvature_discrete(conn).trace_sum() - first) < 1e-12
+    field = curvature_discrete(conn)
+    rings = field.flux(np.pi) - field.flux(frames.mesh.theta_edges()[frames.ring_start])
+    assert abs(rings - first) < 1e-12
 
 
 @pytest.mark.parametrize("scheme", ["uniform", "equal-area"])
@@ -672,7 +697,7 @@ def test_covariant_traces_build_no_per_point_array(monkeypatch, tmp_path, scheme
     mesh = SphereMesh(100, 200, scheme)
     for source in ("numerical", "analytic"):
         assert chern_number_curvature(p, (3, 4, 5), mesh, source=source).rounded == 1
-        loop_phase(p, (3, 4, 5), RING_LOOP, mesh, source=source)
+        loop_phase(p, (3, 4, 5), LOOP_THETA, mesh, source=source)
         curvature_field(p, (3, 4, 5), mesh, source=source).to_csv(tmp_path / "curv.csv")
     assert built == []
     curvature_field(p, (3, 4, 5), mesh).curvature  # the spies do see an expansion
