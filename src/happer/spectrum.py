@@ -1,21 +1,21 @@
 """Eigendecomposition, persistent level labels, and crossing detection.
 
-Levels are labelled 1..dim by ascending energy at the large-x end of a
-sweep and followed continuously as x decreases.  At y = 0 this is done
-through the conserved quantity n_B.J: H(x) = F + x X is block diagonal
-in the n_B.J eigenbasis, so every state is an (m, rank) slot, the
-rank-th lowest level of the m-sector.  Ranks never change because
-levels of equal m repel, so the label of a state is the label of the
-same slot at large x.  This reproduces maximal-overlap continuation
-everywhere and stays well defined inside degenerate clusters, where
-bare eigenvector overlaps are ambiguous.  Sweeps, the per-point
-eigensystem and label positions all solve the sectors (blocks of size
-1, 2 or 3) directly, and crossings are the roots of one pencil per pair
-of sectors; there is no full-matrix solve at y = 0.
-
-For y != 0 there are no exact crossings and labels simply follow the
-energy order (adiabatic labelling), matching how per-level quantities
-are indexed in anti-crossing scans.
+Every labelled quantity reads one object, _Sectors.  It alone decides
+whether n_B.J is conserved: at y = 0, or with the field along +-a,
+H(x) = F + x X is block diagonal in the n_B.J eigenbasis, so every state
+is an (m, rank) slot, the rank-th lowest level of the m-sector.  Ranks
+never change because levels of equal m repel.  Otherwise the whole
+spectrum is one sector and its slots are the ascending positions.
+Labels 1..dim are the slots in stable ascending energy order at
+x = 2.5, beyond every crossing (the last y = 0 crossing sits at
+x* <= 2), for sweeps, crossing annotations and per-point quantities
+alike.  This reproduces maximal-overlap continuation everywhere and
+stays well defined inside degenerate clusters, where bare eigenvector
+overlaps are ambiguous.  With sectors, sweeps, the per-point
+eigensystem and label positions solve the blocks (of size 1, 2 or 3)
+directly, and crossings are the roots of one pencil per pair of
+sectors.  Without them labels are positions (adiabatic labelling) and
+crossings are minimum-gap anti-crossings.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import SubspaceIsolationError, TrackingError
-from .model import ModelParams, _hamiltonians, _product_operators, build_hamiltonian, conserved_j
+from .model import ModelParams, _hamiltonians, _product_operators, conserved_j
 from .operators import require_hermitian
 from .tolerances import TOL
 
@@ -56,55 +56,81 @@ def eigensystem(h: np.ndarray, params: ModelParams | None = None) -> EigenSystem
     return EigenSystem(w, fix_phases(v), params)
 
 
-class _Sectors:
-    """H(x) = F + x X at y = 0, block diagonal in the n_B.J eigenbasis.
+_X_LABELS = 2.5  # labels are numbered by energy here, beyond every crossing (x* <= 2)
+_ALONG_AXIS = 1e-14  # |n_B x a| below which the field lies along the axis
 
-    Slot s is the column s of that basis, with the m-sectors in ascending
-    order; inside a sector the k-th slot carries the k-th lowest energy.
-    Sectors of equal size (1, 2 or 3 for S = 1) are stacked, so energies
-    over a whole x grid cost one batched eigvalsh per block size above 1.
+
+class _Sectors:
+    """The labelled spectrum of H(x) = F + x X at the field, axis and y of p.
+
+    When n_B.J commutes with H (y = 0, or n_B along +-a to _ALONG_AXIS), H
+    is block diagonal in the n_B.J eigenbasis: slot s is the column s of
+    that basis, with the m-sectors in ascending order, and inside a sector
+    the k-th slot carries the k-th lowest energy.  Sectors of equal size
+    (1, 2 or 3 for S = 1) are stacked, so energies over a whole x grid
+    cost one batched eigvalsh per block size above 1.  Otherwise the whole
+    spectrum is one sector, solved from the full H, and slot s is the
+    ascending position s.  Label k + 1 is slot slot_of_label[k], the
+    stable energy order of the slots at _X_LABELS.
     """
 
     def __init__(self, p: ModelParams) -> None:
-        jw, self.u = np.linalg.eigh(conserved_j(p))
-        self.two_m = np.rint(2 * jw).astype(int)
-        h0, h1 = _hamiltonians(p, p.field.theta, p.field.phi, np.array([0.0, 1.0]), p.y)
-        f = self.u.conj().T @ h0 @ self.u
-        x_op = self.u.conj().T @ (h1 - h0) @ self.u
-        off = self.two_m[:, None] != self.two_m[None, :]
-        leak = max(np.max(np.abs(f[off]), initial=0.0), np.max(np.abs(x_op[off]), initial=0.0))
-        if leak > 1e-9:
-            raise TrackingError(f"H is not block diagonal in n_B.J (off-block {leak:.3e}); is y = 0?")
-        starts = np.flatnonzero(np.diff(self.two_m, prepend=self.two_m[0] - 1))
-        sizes = np.diff(starts, append=len(self.two_m))
-        self.blocks = []
-        for k in np.unique(sizes):
-            idx = starts[sizes == k][:, None] + np.arange(k)
-            rows, cols = idx[:, :, None], idx[:, None, :]
-            self.blocks.append((idx, f[rows, cols], x_op[rows, cols]))
+        self.p = p
+        h0, h1 = require_hermitian(self._full(np.array([0.0, 1.0])), what="swept Hamiltonian")
+        self.split = (p.y == 0.0
+                      or np.linalg.norm(np.cross(p.field.unit_vector(), p.axis)) < _ALONG_AXIS)
+        if self.split:
+            jw, self.u = np.linalg.eigh(conserved_j(p))
+            self.two_m = np.rint(2 * jw).astype(int)
+            f = self.u.conj().T @ h0 @ self.u
+            x_op = self.u.conj().T @ (h1 - h0) @ self.u
+            off = self.two_m[:, None] != self.two_m[None, :]
+            leak = max(np.max(np.abs(f[off]), initial=0.0), np.max(np.abs(x_op[off]), initial=0.0))
+            if leak > 1e-9:
+                raise TrackingError(f"H is not block diagonal in n_B.J (off-block {leak:.3e})")
+            starts = np.flatnonzero(np.diff(self.two_m, prepend=self.two_m[0] - 1))
+            sizes = np.diff(starts, append=len(self.two_m))
+            self.blocks = []
+            for k in np.unique(sizes):
+                idx = starts[sizes == k][:, None] + np.arange(k)
+                rows, cols = idx[:, :, None], idx[:, None, :]
+                self.blocks.append((idx, f[rows, cols], x_op[rows, cols]))
+            self.slot_of_label = np.argsort(self.levels([_X_LABELS])[0][0], kind="stable")
+        else:  # positions are in ascending energy order at every x
+            self.slot_of_label = np.arange(p.dim)
 
-    def energies(self, x_grid) -> np.ndarray:
-        """Energy of every slot at each coupling of x_grid, shape (len(x_grid), dim)."""
-        x = np.asarray(x_grid, dtype=float)[:, None, None, None]
-        e = np.empty((x.shape[0], len(self.two_m)))
+    def _full(self, x) -> np.ndarray:
+        """The full H at coupling x, or at each coupling of an array of them."""
+        return _hamiltonians(self.p, self.p.field.theta, self.p.field.phi, x, self.p.y)
+
+    def levels(self, x_grid) -> tuple[np.ndarray, np.ndarray]:
+        """Energy and <n_B.J> of every slot at each coupling of x_grid, each (len(x_grid), dim).
+
+        <n_B.J> is the slot's m exactly where H splits, and the expectation
+        value in the eigenvectors of H otherwise.
+        """
+        x = np.asarray(x_grid, dtype=float)
+        if not self.split:
+            e, v = np.linalg.eigh(self._full(x))
+            return e, _j_values(self.p, v)
+        e = np.empty((len(x), self.p.dim))
         for idx, f, x_op in self.blocks:
-            h = f + x * x_op
+            h = f + x[:, None, None, None] * x_op
             e[:, idx] = np.linalg.eigvalsh(h) if idx.shape[1] > 1 else h[..., 0].real
-        return e
+        return e, np.broadcast_to(self.two_m / 2, e.shape)
 
-    def labelled_energies(self, x_grid) -> tuple[np.ndarray, np.ndarray]:
-        """Slot energies over x_grid and the slot of each label, numbered at x_grid[-1]."""
-        e = self.energies(x_grid)
-        return e, np.argsort(e[-1], kind="stable")
-
-    def eigh(self, x: float) -> tuple[np.ndarray, np.ndarray]:
-        """Slot energies and slot eigenvectors (columns, in the original basis) at coupling x."""
-        dim = len(self.two_m)
+    def eigh(self, x: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Slot energies, phase-fixed slot eigenvectors (columns) and <n_B.J> of each slot at x."""
+        if not self.split:
+            e, v = np.linalg.eigh(self._full(x))
+            v = fix_phases(v)
+            return e, v, _j_values(self.p, v)
+        dim = self.p.dim
         e = np.empty(dim)
         w = np.zeros((dim, dim), dtype=complex)
         for idx, f, x_op in self.blocks:
             e[idx], w[idx[:, :, None], idx[:, None, :]] = np.linalg.eigh(f + x * x_op)
-        return e, self.u @ w
+        return e, fix_phases(self.u @ w), self.two_m / 2
 
 
 def _j_values(p: ModelParams, v: np.ndarray) -> np.ndarray:
@@ -115,33 +141,22 @@ def _j_values(p: ModelParams, v: np.ndarray) -> np.ndarray:
 def _levels(p: ModelParams) -> tuple[EigenSystem, np.ndarray, np.ndarray]:
     """Ascending eigensystem of H(p), <n_B.J> by position, and the position of each label.
 
-    At y = 0 the sector blocks are solved at p.x and at a reference
-    coupling beyond the last crossing.  Labels 1..dim are the slots in
-    stable ascending energy order at the reference, positions the slots
-    in stable ascending order at p.x, and j is the slot's m exactly, so
-    the eigensystem and the label positions agree inside exact clusters
-    too.  At y != 0 there are no exact crossings; labels are positions.
+    Positions are the slots of _Sectors(p) in stable ascending energy order
+    at p.x, so the eigensystem and the label positions agree inside exact
+    clusters too.
     """
-    if p.y != 0.0:
-        es = eigensystem(build_hamiltonian(p), p)
-        return es, _j_values(p, es.eigenvectors), np.arange(p.dim)
     sectors = _Sectors(p)
-    _, slot_of_label = sectors.labelled_energies([max(2.5, abs(p.x) + 1.0)])
-    e, v = sectors.eigh(p.x)
+    e, v, j = sectors.eigh(p.x)
     order = np.argsort(e, kind="stable")
-    position_of_slot = np.empty(p.dim, dtype=int)
-    position_of_slot[order] = np.arange(p.dim)
-    es = EigenSystem(e[order], fix_phases(v[:, order]), p)
-    return es, sectors.two_m[order] / 2, position_of_slot[slot_of_label]
+    position_of_slot = np.argsort(order)
+    return EigenSystem(e[order], v[:, order], p), j[order], position_of_slot[sectors.slot_of_label]
 
 
 def eigensystem_with_j(p: ModelParams) -> tuple[EigenSystem, np.ndarray]:
     """Ascending eigensystem of H(p) and <n_B.J> of each position.
 
-    At y = 0 the eigenvectors are n_B.J eigenstates, also inside exact
-    clusters, and j is each level's m exactly; positions agree with
-    level_positions(p).  At y != 0 there are no exact crossings and j is
-    the expectation value in the eigenvectors of H.
+    j is each level's m exactly where n_B.J is conserved, inside exact
+    clusters too; positions agree with level_positions(p).
     """
     es, jexp, _ = _levels(p)
     return es, jexp
@@ -150,13 +165,9 @@ def eigensystem_with_j(p: ModelParams) -> tuple[EigenSystem, np.ndarray]:
 def level_positions(p: ModelParams) -> np.ndarray:
     """Ascending-energy position (0-based) of each label 1..dim at coupling p.x.
 
-    At y = 0 labels are numbered by energy at a reference coupling beyond
-    the last crossing and keep their n_B.J slot; positions agree with
-    eigensystem_with_j(p).  At y != 0 there are no exact crossings and
-    labels are the positions themselves.
+    Labels are those of _Sectors, as in track_levels and find_degeneracies;
+    positions agree with eigensystem_with_j(p).
     """
-    if p.y != 0.0:
-        return np.arange(p.dim)
     return _levels(p)[2]
 
 
@@ -229,32 +240,20 @@ class LevelTrack:
 
 
 def track_levels(p0: ModelParams, x_grid) -> LevelTrack:
-    """Follow levels across an ascending x grid, labelled from the top end.
+    """Follow levels across an ascending x grid under the labels of _Sectors(p0).
 
-    Labels are numbered at the top of the window, as in find_degeneracies,
-    whereas level_positions (and with it the chern, phase and dynamics
-    commands) numbers them beyond the last crossing: a window that ends
-    below a crossing names its levels differently.  At 2L = 1 the level at
-    E = -0.875, x = 0.25, is label 2 on the grid 0.05..0.5 but label 3 for
-    level_positions(ModelParams(1, 0.25)) = [0, 2, 1, 3, 4, 5].
+    A label keeps its slot along the whole grid, so the same level carries
+    the same label in every sweep window, in find_degeneracies and in
+    level_positions (and with it the chern, phase and dynamics commands).
     """
     x_grid = np.asarray(x_grid, dtype=float)
     if x_grid.ndim != 1 or len(x_grid) < 2 or np.any(np.diff(x_grid) <= 0):
         raise ValueError("x_grid must be ascending with at least two points")
-    n, dim = len(x_grid), p0.dim
-    if p0.y == 0.0:
-        sectors = _Sectors(p0)
-        e, slot_of_label = sectors.labelled_energies(x_grid)
-        label_of_slot = np.empty(dim, dtype=int)
-        label_of_slot[slot_of_label] = np.arange(1, dim + 1)
-        labels = label_of_slot[np.argsort(e, axis=1, kind="stable")]
-        j_values = np.tile(sectors.two_m[slot_of_label] / 2, (n, 1))
-        return LevelTrack(x_grid, labels, e[:, slot_of_label], j_values, p0)
-    h = _hamiltonians(p0, p0.field.theta, p0.field.phi, x_grid, p0.y)
-    energies, v = np.linalg.eigh(require_hermitian(h, what="swept Hamiltonian"))
-    j_values = _j_values(p0, v)
-    labels = np.tile(np.arange(1, dim + 1), (n, 1))
-    return LevelTrack(x_grid, labels, energies, j_values, p0)
+    sectors = _Sectors(p0)
+    e, j = sectors.levels(x_grid)
+    slots = sectors.slot_of_label
+    labels = (np.argsort(slots) + 1)[np.argsort(e, axis=1, kind="stable")]
+    return LevelTrack(x_grid, labels, e[:, slots], j[:, slots], p0)
 
 
 @dataclass(frozen=True)
@@ -272,14 +271,13 @@ class DegeneracyPoint:
 def find_degeneracies(p: ModelParams, x_range: tuple[float, float],
                       scan_points: int = 201,
                       max_gap: float = 0.05) -> list[DegeneracyPoint]:
-    """Locate level crossings (y = 0) or minimum-gap anti-crossings (y != 0).
+    """Locate level crossings where n_B.J is conserved, minimum-gap anti-crossings elsewhere.
 
-    Exact crossings are the real roots of one pencil per pair of n_B.J
-    sectors, tangencies (the E = 0 cluster at x = 0) included; labels are
-    numbered at the top of the range, as in track_levels, not beyond the
-    last crossing as in level_positions (see track_levels for a window
-    where the two differ).  Anti-crossings are the gap minima
-    on a scan_points grid, which only they use, refined together by
+    _Sectors(p) makes that decision and numbers the labels, as in
+    track_levels and level_positions.  Exact crossings are the real roots
+    of one pencil per pair of n_B.J sectors, tangencies (the E = 0 cluster
+    at x = 0) included.  Anti-crossings are the gap minima on a
+    scan_points grid, which only they use, refined together by
     safeguarded Newton steps on the squared gap and reported below max_gap
     (raise it to explore strongly split spectra, where one crossing splits
     into several minimum-gap points).
@@ -287,8 +285,9 @@ def find_degeneracies(p: ModelParams, x_range: tuple[float, float],
     lo, hi = float(x_range[0]), float(x_range[1])
     if not hi > lo:
         raise ValueError("x_range must be increasing")
-    if p.y == 0.0:
-        return _exact_crossings(p, lo, hi)
+    sectors = _Sectors(p)
+    if sectors.split:
+        return _exact_crossings(sectors, lo, hi)
     return _anti_crossings(p, np.linspace(lo, hi, scan_points), max_gap)
 
 
@@ -342,8 +341,8 @@ def _pencil_roots(a: np.ndarray, b: np.ndarray, lo: float, hi: float) -> list[np
     return roots
 
 
-def _exact_crossings(p: ModelParams, lo: float, hi: float) -> list[DegeneracyPoint]:
-    """Crossings of labelled y = 0 levels on [lo, hi], as roots of sector-pair pencils.
+def _exact_crossings(sectors: _Sectors, lo: float, hi: float) -> list[DegeneracyPoint]:
+    """Crossings of labelled levels on [lo, hi], as roots of sector-pair pencils.
 
     Slots of sectors s and t meet where (F_s + x X_s) (x) I - I (x) (F_t + x X_t)^T
     is singular, at a finite real eigenvalue x of a pencil of size at most
@@ -354,7 +353,6 @@ def _exact_crossings(p: ModelParams, lo: float, hi: float) -> list[DegeneracyPoi
     members' spread there is round-off).  Groups come in ascending order of
     their root, and of energy among the groups that share one.
     """
-    sectors = _Sectors(p)
     sector_list = [(g, j) for g, (idx, _, _) in enumerate(sectors.blocks) for j in range(len(idx))]
     pairs = list(combinations(sector_list, 2))
     by_sizes: dict[tuple[int, int], list[int]] = {}
@@ -372,7 +370,7 @@ def _exact_crossings(p: ModelParams, lo: float, hi: float) -> list[DegeneracyPoi
     roots = np.concatenate(roots_of).tolist()
     slot_pairs = [(sectors.blocks[g_s][0][j_s], sectors.blocks[g_t][0][j_t])
                   for ((g_s, j_s), (g_t, j_t)), x in zip(pairs, roots_of) for _ in x]
-    e, slot_of_label = sectors.labelled_energies([*roots, hi])
+    e = sectors.levels(roots)[0]
     hits = []  # (root, energy) of each pair of slots that meet at a root
     for r, (s, t) in enumerate(slot_pairs):
         for i, j in zip(*np.nonzero(np.abs(e[r, s][:, None] - e[r, t]) < 1e-9)):
@@ -388,7 +386,7 @@ def _exact_crossings(p: ModelParams, lo: float, hi: float) -> list[DegeneracyPoi
     first = np.unique(np.argmax(same_root & same_energy, axis=1))
     results = []
     for k in first:
-        w = e[r[k], slot_of_label]
+        w = e[r[k], sectors.slot_of_label]
         members = np.flatnonzero(np.abs(w - e_hit[k]) < TOL.degeneracy_gap)
         results.append(DegeneracyPoint(
             x=float(x_hit[k]), labels=tuple(int(lab) + 1 for lab in members),

@@ -2,13 +2,14 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import happer.spectrum as spectrum
 from happer.degenerate import degenerate_energy
 from happer.errors import HermiticityError, TrackingError
-from happer.model import FieldDirection, ModelParams, build_hamiltonian, conserved_j
+from happer.model import (FieldDirection, ModelParams, build_hamiltonian, conserved_j,
+                          spin_axis_commutator)
 from happer.spectrum import (eigensystem, eigensystem_with_j, find_degeneracies,
                              level_positions, track_levels)
 from happer.tolerances import TOL
@@ -69,14 +70,14 @@ def oracle_level_positions(p, x_ref):
 
 
 def per_point_track(p0, x_grid):
-    """Reference labelling, one eigensolve per x: (2m, rank) slots mapped at x_grid[-1]."""
+    """Reference labelling, one eigensolve per x: (2m, rank) slots numbered at _X_LABELS."""
     labels = np.empty((len(x_grid), p0.dim), dtype=int)
     energies = np.empty((len(x_grid), p0.dim))
     j_values = np.empty((len(x_grid), p0.dim))
     for i, x in enumerate(x_grid):
         p = p0.with_x(float(x))
         w, _, jexp = oracle_eigensystem_with_j(p)
-        positions = oracle_level_positions(p, float(x_grid[-1]))
+        positions = oracle_level_positions(p, spectrum._X_LABELS)
         labels[i, positions] = np.arange(1, p0.dim + 1)
         energies[i] = w[positions]
         j_values[i] = jexp[positions]
@@ -271,7 +272,8 @@ def test_track_levels_matches_per_point_eigensystem_at_tilted_axis():
         assert list(level_positions(q)) == list(range(p.dim))
 
 
-def test_track_levels_rejects_non_hermitian_hamiltonians(monkeypatch):
+@pytest.mark.parametrize("y", [0.0, 0.1])
+def test_track_levels_rejects_non_hermitian_hamiltonians(monkeypatch, y):
     hamiltonians = spectrum._hamiltonians
 
     def skewed(*args):
@@ -279,21 +281,54 @@ def test_track_levels_rejects_non_hermitian_hamiltonians(monkeypatch):
         return h + np.triu(np.ones(h.shape[-2:]), 1)
 
     monkeypatch.setattr(spectrum, "_hamiltonians", skewed)
-    p = ModelParams(2, 0.5, 0.1, FieldDirection(0.4, 0.2), (1.0, 0.0, 0.0))
+    p = ModelParams(2, 0.5, y, FieldDirection(0.4, 0.2), (1.0, 0.0, 0.0))
     with pytest.raises(HermiticityError):
         track_levels(p, np.linspace(0.4, 0.8, 5))
 
 
-def test_sectors_refuse_an_axis_term_that_breaks_the_symmetry():
-    p = ModelParams(2, 0.5, 0.1, FieldDirection(0.4, 0.2), (1.0, 0.0, 0.0))
+def test_sectors_refuse_an_axis_term_that_breaks_the_symmetry(monkeypatch):
+    # Off the axis at y != 0 n_B.J is not conserved; told that the field
+    # lies along the axis, _Sectors finds the off-block terms and refuses.
+    monkeypatch.setattr(spectrum, "_ALONG_AXIS", np.inf)
+    p = ModelParams(2, 0.5, 0.1, FieldDirection(0.4, 0.2), (0.6, 0.0, 0.8))
     with pytest.raises(TrackingError):
         spectrum._Sectors(p)
 
 
+@pytest.mark.parametrize("axis,theta,phi", [
+    ((0.0, 0.0, 1.0), 0.0, 0.0), ((0.0, 0.0, 1.0), np.pi, 0.0),
+    ((0.6, 0.0, 0.8), np.arccos(0.8), 0.0), ((0.6, 0.0, 0.8), np.pi - np.arccos(0.8), np.pi)],
+    ids=["+z", "-z", "+tilted", "-tilted"])
+def test_a_field_along_the_axis_gives_exact_crossings(axis, theta, phi):
+    # With n_B along +-a, n_B.J commutes with H at any y, so levels of
+    # different m cross exactly, three times near x* = 2/3 at 2L = 2.
+    p = ModelParams(2, 0.5, 1e-3, FieldDirection(theta, phi), axis)
+    assert np.max(np.abs(spin_axis_commutator(p))) < 1e-15
+    degs = find_degeneracies(p, (0.1, 1.5))
+    assert len(degs) == 3
+    for d in degs:
+        assert d.exact and d.gap == 0 and d.multiplicity == 2
+        w = np.linalg.eigvalsh(build_hamiltonian(p.with_x(d.x)))
+        assert np.sum(np.abs(w - d.energy) < 1e-9) == 2, d
+        energies = track_levels(p, [d.x, 1.5]).energies[0, np.array(d.labels) - 1]
+        assert np.ptp(energies) < 1e-9, d
+
+
+def test_a_sweep_below_the_crossing_labels_levels_as_level_positions_does():
+    # The window 0.05..0.5 ends below x* = 1 at 2L = 1.  At x = 0.25 the
+    # level at E = -0.875 is the second lowest and carries label 3, in the
+    # sweep as in level_positions(ModelParams(1, 0.25)) = [0, 2, 1, 3, 4, 5].
+    p = ModelParams(1, 0.25)
+    track = track_levels(p, np.linspace(0.05, 0.5, 10))
+    assert np.flatnonzero(np.abs(track.energies[4] + 0.875) < 1e-12).tolist() == [2]
+    assert list(level_positions(p)) == [0, 2, 1, 3, 4, 5]
+    assert track.labels[4, 1] == 3
+
+
 @pytest.mark.parametrize("two_l", [1, 2, 3, 4])
 def test_negative_range_reports_the_whole_crossing(two_l):
-    # Refinement and cluster energies use the scan's own labels, numbered at
-    # x = -0.05; a reference across the x = 0 degeneracy mislabels the pairs.
+    # The window lies below the x = 0 degeneracy, across it from x = 2.5
+    # where labels are numbered; the members are read by energy at the root.
     p = ModelParams(two_l, 0.5, 0.0, FieldDirection(0.7, 0.3))
     x_star = 2 / (two_l + 1)
     degs = [d for d in find_degeneracies(p, (-3, -0.05)) if abs(d.x + x_star) < 1e-8]
@@ -421,11 +456,18 @@ def test_anti_crossings_sit_on_the_zero_of_the_gap_slope(field):
 @settings(max_examples=40, deadline=None)
 @given(two_l=st.sampled_from([1, 2, 3]), lo=st.floats(-2.0, -0.05), hi=st.floats(0.05, 2.0),
        n=st.integers(3, 30), theta=st.floats(0, np.pi), phi=st.floats(0, 2 * np.pi))
+@example(two_l=3, lo=-1.0, hi=0.5, n=3, theta=1.0, phi=0.0)  # the grid ends on x* = 0.5
 def test_labels_are_stable_through_x_zero(two_l, lo, hi, n, theta, phi):
     p = ModelParams(two_l, hi, 0.0, FieldDirection(theta, phi))
     grid = np.linspace(lo, hi, n)
     track = track_levels(p, grid)
-    assert list(track.labels[-1]) == list(range(1, p.dim + 1))
+    # the top row labels the levels as level_positions does there; inside an
+    # exact cluster the order of the positions is arbitrary, so each label's
+    # energy and m are compared
+    es, jexp = eigensystem_with_j(p)
+    positions = level_positions(p)
+    assert np.max(np.abs(track.energies[-1] - es.eigenvalues[positions])) < 1e-10
+    assert np.array_equal(track.j_values[-1], jexp[positions])
     # each label keeps one m, on the half-integer grid
     m = np.rint(2 * track.j_values[-1]) / 2
     assert np.max(np.abs(track.j_values - m)) < 1e-9
