@@ -33,11 +33,15 @@ ring's step dphi alone; the per-point frames, connections and curvatures,
 and D(phi_n) = D(dphi)^n, are built only when read.  Rings that meet at the
 same (theta, phi count) share one frame row.
 
-Curvature Chern numbers and loop phases are one Stokes integral,
-CurvatureField.flux(theta), the traced curvature north of latitude theta:
-chern_number reads flux(pi), and loop_phase(p, labels, theta0) reads
-flux(theta0), the phase of the loop at polar angle theta0 traversed toward
-increasing phi.
+Curvature Chern numbers read one Stokes integral, CurvatureField.flux(theta),
+the traced curvature north of latitude theta: chern_number reads flux(pi).
+loop_phase(p, labels, theta0), the phase of the loop at polar angle theta0
+traversed toward increasing phi, is that flux at theta0.  Wherever H is
+z-covariant the loop is an orbit of e^{-i phi J_z} and the flux has the
+closed form 2 pi [tr(P(theta0) J_z) - tr(P(0) J_z)] (_orbit_phases), read
+from one meridian solve with no curvature field; the mesh then sets only
+the latitudes of the isolation gate.  A tilted axis at y != 0 takes
+flux(theta0) on the mesh.
 """
 
 from __future__ import annotations
@@ -90,8 +94,8 @@ def _eigen_grid(p: ModelParams, thetas: np.ndarray,
                 phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs on the thetas x phis grid, shapes (n_t, n_p, d) and (n_t, n_p, d, d).
 
-    One batched eigh, point by point: _meridian_rows and the link scheme
-    call it at phi = 0 only, and _transport one ring at a time.
+    One batched eigh, point by point: _meridian_rows, _orbit_phases and the
+    link scheme call it at phi = 0 only, and _transport one ring at a time.
     """
     th, ph = np.meshgrid(thetas, phis, indexing="ij")
     return np.linalg.eigh(hamiltonian_batch(p, th, ph))
@@ -630,18 +634,47 @@ def chern_number_curvature(p: ModelParams, labels: Sequence[int] | int,
     return chern_number(curvature_field(p, labels, mesh, source=source))
 
 
+def _orbit_phases(p: ModelParams, theta0: float, mesh: SphereMesh,
+                  sets: Sequence[Sequence[int]]) -> np.ndarray:
+    """Per-position loop phases 2 pi (<J_z>_theta0 - <J_z>_0) of z-covariant H, shape (d,).
+
+    The loop at theta0 is the orbit of e^{-i phi J_z}, so the traced
+    curvature north of it is exactly 2 pi [tr(P(theta0) J_z) - tr(P(0)
+    J_z)] (Berry, Proc. R. Soc. A 392, 45 (1984)), P the band set's
+    projector at phi = 0: a set's phase is the sum of its positions', and
+    does not depend on the basis inside a degenerate set.  One batched
+    solve at theta0 and the mesh's ring edges, both poles included; every
+    set in ``sets`` (ascending positions) passes the isolation gate there.
+    """
+    thetas = np.concatenate(([theta0], mesh.theta_edges()))
+    w, v = (a[:, 0] for a in _eigen_grid(p, thetas, np.zeros(1)))
+    for positions in sets:
+        _check_isolated(w, positions, "loop phase", thetas)
+    ends = v[:2]  # theta0 and the north pole, at the same batch index for every mesh
+    jz = np.einsum("tda,d,tda->ta", ends.conj(), _jz_diagonal(p.nuclear_two_l), ends).real
+    return 2 * np.pi * (jz[0] - jz[1])
+
+
 def loop_phase(p: ModelParams, labels: Sequence[int] | int, theta0: float,
-               mesh: SphereMesh | None = None, source: str = "numerical") -> float:
+               mesh: SphereMesh | None = None) -> float:
     """Geometric phase of the loop at polar angle theta0, traversed toward increasing phi.
 
-    The traced curvature flux through the cap north of the loop (Stokes
-    form, CurvatureField.flux), on the branch nearest that sum: theta0 = 0
-    gives 0, theta0 = pi the whole sphere, 4 pi times the fourpi Chern
-    number.  The reverse loop's phase is the negative.  Defaults to a
-    uniform mesh, where the partial curvature sum is markedly more
-    accurate than on an equal-area one.
+    The traced curvature flux through the cap north of the loop, on the
+    branch nearest that sum: theta0 = 0 gives 0, theta0 = pi the whole
+    sphere, 4 pi times the fourpi Chern number.  The reverse loop's phase
+    is the negative.  Wherever H is z-covariant (y = 0, or the axis along
+    z) the loop is a symmetry orbit and the phase is the closed form of
+    _orbit_phases, -m 2 pi (1 - cos theta0) for a level of n.J = m at
+    y = 0; the mesh then only sets the latitudes of the isolation gate.
+    For a tilted axis at y != 0 it is the Stokes sum CurvatureField.flux
+    on the mesh, by default a uniform one, where the partial curvature sum
+    is markedly more accurate than on an equal-area one.
     """
     if not 0.0 <= theta0 <= np.pi:
         raise ValueError(f"loop latitude theta0 must lie in [0, pi], got {theta0}")
     mesh = mesh or SphereMesh(scheme="uniform")
-    return curvature_field(p, labels, mesh, source=source).flux(theta0)
+    if not _z_covariant(p.y, p.axis):
+        return curvature_field(p, labels, mesh).flux(theta0)
+    _, positions = _resolve_labels(p, labels)
+    _check_contiguous(positions, "loop phase")
+    return float(_orbit_phases(p, theta0, mesh, [positions])[list(positions)].sum())

@@ -102,11 +102,19 @@ def _z_covariant(y: float, axis: tuple[float, float, float]) -> bool:
 
 
 def spin_axis_operator(axis: tuple[float, float, float], nuclear_two_l: int) -> np.ndarray:
-    """The axis interaction 3 (a.S)^2 - S^2 on the product space (S = 1)."""
+    """The axis interaction 3 (a.S)^2 - S^2 on the product space (S = 1), read-only."""
+    return _axis_operator(tuple(float(a) for a in axis), nuclear_two_l)
+
+
+@lru_cache(maxsize=16)
+def _axis_operator(axis: tuple[float, float, float], nuclear_two_l: int) -> np.ndarray:
+    """spin_axis_operator, built once per (axis, 2L)."""
     s, _, _, _, _ = _product_operators(nuclear_two_l)
     a_s = s.along(np.asarray(axis))
     small = 3 * (a_s @ a_s) - s.casimir()
-    return np.kron(small, np.eye(nuclear_two_l + 1))
+    operator = np.kron(small, np.eye(nuclear_two_l + 1))
+    operator.flags.writeable = False
+    return operator
 
 
 def build_hamiltonian(p: ModelParams) -> np.ndarray:

@@ -91,6 +91,41 @@ def test_phase_zeeman_baseline(tmp_path):
     assert abs(gammas[3] + cap) < 5e-3
 
 
+@pytest.mark.parametrize("coupling", [[], ["--y", "0.1"]], ids=["y=0", "axis-z"])
+def test_covariant_phase_does_not_depend_on_the_mesh(tmp_path, coupling):
+    # z-covariant input takes the closed form; --mesh only sets the gate.
+    tables = []
+    for mesh in ("50", "150"):
+        code, text = run(tmp_path, "phase.csv",
+                         ["phase", "--l", "1", "--x", "1.0", *coupling, "--mesh", mesh])
+        assert code == 0
+        assert f"# mesh={mesh}" in text.splitlines()
+        tables.append([ln for ln in text.splitlines() if not ln.startswith("# mesh=")])
+    assert tables[0] == tables[1]
+
+
+def test_phase_refuses_a_touching_at_the_pole(capsys):
+    # Levels at positions 2 and 3 meet (gap 6e-11) where the field lies
+    # along the axis, where the closed form reads P(0).
+    assert main(["phase", "--l", "1", "--x", "0.6653319987", "--y", "0.001",
+                 "--mesh", "50"]) == 2
+    assert "touch at (theta=0.000000" in capsys.readouterr().err
+
+
+def test_tilted_axis_phase_table_is_the_stokes_sum(tmp_path):
+    # A tilted axis at y != 0 is not a symmetry orbit: the table stays the
+    # 50-ring Stokes sum, as recorded before the closed form was added.
+    code, text = run(tmp_path, "phase.csv",
+                     ["phase", "--l", "1/2", "--x", "0.8", "--y", "0.1", "--axis", "0.6,0,0.8",
+                      "--mesh", "50"])
+    assert code == 0
+    rows = [ln.split(",") for ln in text.splitlines() if ln and not ln.startswith(("#", "x,"))]
+    recorded = [0.47958293550553227, 1.6333284866041666, -0.6113266018101566,
+                -0.05416268038482083, -0.4747127808561624, -0.9797321596403016]
+    assert [int(r[1]) for r in rows] == list(range(1, 7))
+    assert np.max(np.abs(np.array([float(r[2]) for r in rows]) - recorded)) < 1e-9
+
+
 def test_dynamics_summary_and_trajectories(tmp_path):
     code, text = run(tmp_path, "dyn.csv",
                      ["dynamics", "--l", "0", "--x", "0.0", "--level", "3",

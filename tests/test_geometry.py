@@ -14,9 +14,9 @@ from happer.geometry import (ChernResult, chern_number, chern_number_curvature,
                              connection_discrete, curvature_discrete, curvature_field,
                              loop_phase, smooth_gauge_states)
 from happer.mesh import SphereMesh
-from happer.model import (FieldDirection, ModelParams, _jz_diagonal, build_hamiltonian,
-                          hamiltonian_batch, projected_hamiltonian, semimetal_batch,
-                          zeeman_params)
+from happer.model import (FieldDirection, ModelParams, _jz_diagonal, _z_covariant,
+                          build_hamiltonian, hamiltonian_batch, projected_hamiltonian,
+                          semimetal_batch, zeeman_params)
 from happer.operators import SpinQuantumNumber
 from happer.spectrum import eigensystem, eigensystem_with_j, level_positions
 from happer.tolerances import TOL
@@ -254,16 +254,18 @@ def test_gauge_invariance_under_smooth_rotation(monkeypatch):
 
 
 def test_loop_phase_zeeman_closed_form():
+    # The Stokes sum on the mesh; loop_phase itself is the closed form here.
     p = zeeman_params()
-    g = loop_phase(p, 1, LOOP_THETA, SphereMesh(120, 240, "uniform"))
+    mesh = SphereMesh(120, 240, "uniform")
+    g = curvature_field(p, 1, mesh).flux(LOOP_THETA)
     assert abs(g - CAP_SOLID_ANGLE) < 2e-3
-    g3 = loop_phase(p, 3, LOOP_THETA, SphereMesh(120, 240, "uniform"))
+    g3 = curvature_field(p, 3, mesh).flux(LOOP_THETA)
     assert abs(g3 + CAP_SOLID_ANGLE) < 2e-3
 
 
 def test_loop_phase_interpolates_off_grid_latitudes():
     p = zeeman_params()
-    g = loop_phase(p, 1, LOOP_THETA, SphereMesh(100, 200, "uniform"))  # pi/6 not on grid
+    g = curvature_field(p, 1, SphereMesh(100, 200, "uniform")).flux(LOOP_THETA)  # pi/6 off grid
     assert abs(g - CAP_SOLID_ANGLE) < 5e-3
 
 
@@ -288,16 +290,21 @@ FLUX_CASES = {
 
 @pytest.mark.parametrize("p,labels,mesh", FLUX_CASES.values(), ids=FLUX_CASES.keys())
 def test_loop_phase_and_chern_read_one_flux(p, labels, mesh):
-    # Both are CurvatureField.flux: the loop at pi encloses the sphere, the
+    # Both read CurvatureField.flux: the loop at pi encloses the sphere, the
     # loop at 0 nothing, and inside the dropped cap the flux is the first
-    # kept ring's density times 2 pi (1 - cos theta0).
-    whole = loop_phase(p, labels, np.pi, mesh)
+    # kept ring's density times 2 pi (1 - cos theta0).  loop_phase is the
+    # flux only for the tilted axis at y != 0; elsewhere it is the closed form.
+    field = curvature_field(p, labels, mesh)
+    whole = field.flux(np.pi)
     assert abs(whole - 4 * np.pi * chern_number_curvature(p, labels, mesh).fourpi) < 1e-12
-    assert loop_phase(p, labels, 0.0, mesh) == 0.0
+    assert field.flux(0.0) == 0.0
     cap = np.pi / mesh.n_theta  # the dropped ring's bottom edge
-    inside = [loop_phase(p, labels, t * cap, mesh) / (1 - np.cos(t * cap)) for t in (0.3, 0.9)]
+    inside = [field.flux(t * cap) / (1 - np.cos(t * cap)) for t in (0.3, 0.9)]
     assert inside[0] != 0.0
     assert abs(inside[0] - inside[1]) < 1e-12 * abs(inside[0])
+    if not _z_covariant(p.y, p.axis):
+        for theta0 in (0.0, 0.3 * cap, LOOP_THETA, np.pi):
+            assert loop_phase(p, labels, theta0, mesh) == field.flux(theta0)
 
 
 def test_cluster_loop_phase_additivity():
@@ -313,13 +320,46 @@ def test_cluster_loop_phase_additivity():
     assert abs(g_deg - total) < 1e-2
 
 
+@pytest.mark.parametrize("two_l,axis", [(2, (0.0, 0.0, 1.0)), (3, (0.6, 0.0, 0.8))])
+def test_loop_phase_is_minus_m_times_the_cap_at_y_zero(two_l, axis):
+    # At y = 0 the loop is an orbit of e^{-i phi J_z}, so a level of n.J = m
+    # has the phase -m 2 pi (1 - cos theta0) exactly, whatever the axis.
+    p = ModelParams(two_l, 1.0, 0.0, FieldDirection(0.5, 0.3), axis)
+    _, m = eigensystem_with_j(p)
+    positions = level_positions(p)
+    for theta0 in (0.0, LOOP_THETA, 2.0, np.pi):
+        cap = 2 * np.pi * (1 - np.cos(theta0))
+        for lab in range(1, p.dim + 1):
+            assert abs(loop_phase(p, lab, theta0) + m[positions[lab - 1]] * cap) < 1e-12
+
+
+@pytest.mark.parametrize("two_l,labels", [(2, (3, 4, 5)), (4, (5, 6, 7, 8, 9))])
+def test_crossing_cluster_loop_phase_is_the_cap(two_l, labels):
+    # tr(P J_z) does not depend on the basis inside the cluster, whose
+    # fourpi Chern number is +1.
+    p = ModelParams(two_l, 2 / (two_l + 1), 0.0, FieldDirection(0.5, 0.3))
+    for theta0 in (LOOP_THETA, 2.0, np.pi):
+        assert abs(loop_phase(p, labels, theta0) - 2 * np.pi * (1 - np.cos(theta0))) < 1e-12
+
+
+def test_axis_along_z_loop_phase_is_the_fine_mesh_limit():
+    # With y != 0 and the axis along z, the Stokes sum converges to the
+    # closed form like 1/n^2: 1.1e-2, 2.7e-3, 6.8e-4 at 120, 240, 480 rings
+    # (largest over the nine labels, label 5).
+    p = ModelParams(2, 1.0, 0.1, FieldDirection(0.5, 0.3))
+    mesh = SphereMesh(480, 960, "uniform")
+    for lab in range(1, p.dim + 1):
+        flux = curvature_field(p, lab, mesh).flux(LOOP_THETA)
+        assert abs(loop_phase(p, lab, LOOP_THETA) - flux) < 1e-3
+
+
 def test_analytic_frames_match_numerical_loop_phase():
     # The two frame sources differ by a gauge; the Stokes sums agree as
     # O(1/n^2), reaching the 1e-3 level around 480 rings.
     mesh = SphereMesh(480, 960, "uniform")
     p_star = ModelParams(2, 2 / 3, 0.0, FieldDirection(0.5, 0.3))
-    g_num = loop_phase(p_star, (3, 4, 5), LOOP_THETA, mesh)
-    g_ana = loop_phase(p_star, (3, 4, 5), LOOP_THETA, mesh, source="analytic")
+    g_num = curvature_field(p_star, (3, 4, 5), mesh).flux(LOOP_THETA)
+    g_ana = curvature_field(p_star, (3, 4, 5), mesh, source="analytic").flux(LOOP_THETA)
     assert abs(g_num - g_ana) < 1e-3
 
 
@@ -697,7 +737,7 @@ def test_covariant_traces_build_no_per_point_array(monkeypatch, tmp_path, scheme
     mesh = SphereMesh(100, 200, scheme)
     for source in ("numerical", "analytic"):
         assert chern_number_curvature(p, (3, 4, 5), mesh, source=source).rounded == 1
-        loop_phase(p, (3, 4, 5), LOOP_THETA, mesh, source=source)
+        curvature_field(p, (3, 4, 5), mesh, source=source).flux(LOOP_THETA)
         curvature_field(p, (3, 4, 5), mesh, source=source).to_csv(tmp_path / "curv.csv")
     assert built == []
     curvature_field(p, (3, 4, 5), mesh).curvature  # the spies do see an expansion

@@ -4,7 +4,8 @@ import pytest
 from happer.errors import SubspaceIsolationError
 from happer.model import (FieldDirection, ModelParams, build_hamiltonian, conserved_j,
                           momentum_hamiltonian, projected_hamiltonian,
-                          semimetal_hamiltonian, spin_axis_commutator, zeeman_params)
+                          semimetal_hamiltonian, spin_axis_commutator, spin_axis_operator,
+                          zeeman_params)
 from happer.operators import SpinQuantumNumber, commutator
 from happer.spectrum import eigensystem, level_positions, track_levels
 
@@ -104,6 +105,18 @@ def test_axis_commutator_vanishes_only_when_aligned():
 def test_zero_axis_coupling_gives_zero_commutator():
     p = ModelParams(2, 0.5, 0.0, FieldDirection(1.0, 0.3))
     assert np.max(np.abs(spin_axis_commutator(p))) == 0.0
+
+
+def test_axis_operator_is_built_once_and_read_only():
+    # H is linear in y, so H(y = 1) - H(y = 0) is the axis term itself.
+    axis = (0.6, 0.0, 0.8)
+    op = spin_axis_operator(axis, 2)
+    assert spin_axis_operator(np.array(axis), 2) is op
+    with pytest.raises(ValueError, match="read-only"):
+        op[0, 0] = 1.0
+    p = ModelParams(2, 0.5, 1.0, FieldDirection(1.0, 0.3), axis)
+    difference = build_hamiltonian(p) - build_hamiltonian(ModelParams(2, 0.5, 0.0, p.field, axis))
+    assert np.max(np.abs(difference - op)) < 1e-15
 
 
 def test_semimetal_spin_half():
