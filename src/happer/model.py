@@ -12,6 +12,7 @@ descending, electron factor first.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -34,6 +35,8 @@ class FieldDirection:
     def __post_init__(self) -> None:
         if not 0.0 <= self.theta <= np.pi:
             raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
+        if not math.isfinite(self.phi):
+            raise ValueError(f"phi must be finite, got {self.phi}")
 
     def unit_vector(self) -> np.ndarray:
         st = np.sin(self.theta)
@@ -53,8 +56,11 @@ class ModelParams:
     def __post_init__(self) -> None:
         if self.nuclear_two_l < 0:
             raise ValueError("nuclear_two_l must be non-negative")
+        for name, value in (("x", self.x), ("y", self.y)):
+            if not math.isfinite(value):
+                raise ValueError(f"coupling {name} must be finite, got {value}")
         norm = float(np.linalg.norm(self.axis))
-        if abs(norm - 1.0) > TOL.unit_vector:
+        if not abs(norm - 1.0) <= TOL.unit_vector:  # a NaN component fails this too
             raise ValueError(f"axis must be a unit vector, |a| = {norm}")
 
     @property

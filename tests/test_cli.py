@@ -337,6 +337,26 @@ def test_dynamics_refuses_bad_drive_input(args, message, capsys):
     assert last.startswith("happer: error:" if usage else "error:")
 
 
+@pytest.mark.parametrize("args,message", [
+    (["chern", "--l", "1", "--x", "nan", "--mesh", "50"], "coupling x must be finite, got nan"),
+    (["spectrum", "--l", "1", "--y", "inf", "--x-range", "0.1:1:5"],
+     "coupling y must be finite, got inf"),
+    (["dynamics", "--l", "1", "--x", "nan", "--steps-per-period", "400"],
+     "coupling x must be finite, got nan"),
+    (["chern", "--l", "1", "--x", "0.8", "--y", "0.1", "--axis", "nan,0,1", "--mesh", "50"],
+     "axis must be a unit vector, |a| = nan"),
+    (["chern", "--l", "1", "--x", "0.8", "--phi0", "nan", "--mesh", "50"],
+     "phi must be finite, got nan"),
+], ids=["chern-x-nan", "spectrum-y-inf", "dynamics-x-nan", "chern-axis-nan", "chern-phi0-nan"])
+def test_non_finite_model_input_exits_2(args, message, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before any arithmetic, so without a warning
+        assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("args", [
     ["--l", "1.5", "--x", "0.25", "--y", "0.25", "--axis", "0.6,0,0.8"],
     ["--l", "1", "--x", "0.6666666666666666"],

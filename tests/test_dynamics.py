@@ -278,6 +278,32 @@ def test_real_step_kernel_matches_eigh_unitaries(two_l, log_nu, degenerate, x, y
     assert np.max(np.abs(u @ u.conj().swapaxes(1, 2) - np.eye(p.dim))) < 1e-13
 
 
+def test_ramp_with_a_short_last_chunk_matches_per_step_loop(monkeypatch):
+    p = ModelParams(2, 0.5, 1e-3, FieldDirection(1.0, 0.3))
+    n_steps = 2 * dynamics._CHUNK + 37
+    chunks: list[int] = []
+    real_kernel = dynamics._real_step_unitaries
+
+    def spy(a):
+        chunks.append(len(a))
+        return real_kernel(a)
+    monkeypatch.setattr(dynamics, "_real_step_unitaries", spy)
+    [r] = landau_zener_scan(p, 0.61, 0.72, [2.5e-4], 3, dt_max=2.0, min_steps=n_steps)
+    assert chunks == [dynamics._CHUNK, dynamics._CHUNK, 37]
+    _, ref = per_step_ramp(p, 0.61, 0.72, 2.5e-4, 3, dt_max=2.0, min_steps=n_steps)
+    assert np.max(np.abs(r.populations - ref)) < 1e-10
+
+
+def test_real_step_kernel_leaves_its_input_unchanged():
+    rng = np.random.default_rng(0)
+    p = ModelParams(2, 0.5, 0.05, FieldDirection(1.0, 0.0), (0.6, 0.0, 0.8))
+    a = np.stack([build_hamiltonian(p.with_x(x)).real * dt  # dt up to 3: several doublings
+                  for x, dt in zip(rng.uniform(-2, 2, 12), rng.uniform(0, 3, 12))])
+    kept = a.copy()
+    dynamics._real_step_unitaries(a)
+    assert np.array_equal(a, kept)
+
+
 @pytest.mark.parametrize("p,proto", [
     (ModelParams(2, 1.0, 0.0), DriveProtocol(0.5, 0.01, 2)),  # fast path
     (ModelParams(2, 0.8, 0.1, axis=(1.0, 0.0, 0.0)), DriveProtocol(1.0, 0.01, 1)),  # complex steps
@@ -463,18 +489,25 @@ def test_landau_zener_guards():
         landau_zener_scan(p, 0.8, 1.2, [1e-4], 3)
 
 
-@pytest.mark.parametrize("level,rates,match", [
-    (0, [1e-3], "level must be a label in 1..9, got 0"),
-    (10, [1e-3], "level must be a label in 1..9, got 10"),
-    (3, [1e-3, -1e-3], "positive and finite, got -0.001"),
-    (3, [0.0], "positive and finite, got 0.0"),
-    (3, [np.inf], "positive and finite, got inf"),
-    (3, [np.nan], "positive and finite, got nan"),
+@pytest.mark.parametrize("level,rates,match,steps", [
+    (0, [1e-3], "level must be a label in 1..9, got 0", {}),
+    (10, [1e-3], "level must be a label in 1..9, got 10", {}),
+    (3, [1e-3, -1e-3], "positive and finite, got -0.001", {}),
+    (3, [0.0], "positive and finite, got 0.0", {}),
+    (3, [np.inf], "positive and finite, got inf", {}),
+    (3, [np.nan], "positive and finite, got nan", {}),
+    (3, [1e-3], "dt_max must be positive, got -1", {"dt_max": -1}),
+    (3, [1e-3], "dt_max must be positive, got 0", {"dt_max": 0}),
+    (3, [1e-3], "dt_max must be positive, got nan", {"dt_max": np.nan}),
+    (3, [1e-3], "min_steps must be a whole number of steps, at least 1; got 0",
+     {"min_steps": 0}),
+    (3, [1e-3], "min_steps must be a whole number of steps, at least 1; got 400.5",
+     {"min_steps": 400.5}),
 ])
-def test_landau_zener_rejects_bad_level_and_rates(level, rates, match):
+def test_landau_zener_rejects_bad_level_and_rates(level, rates, match, steps):
     p = ModelParams(2, 0.5, 1e-3, FieldDirection(1.0, 0.3))
     with pytest.raises(ValueError, match=match):
-        landau_zener_scan(p, 0.6, 0.75, rates, level)
+        landau_zener_scan(p, 0.6, 0.75, rates, level, **steps)
 
 
 def test_landau_zener_rate_ordering():

@@ -189,6 +189,24 @@ def test_validation_errors():
         ModelParams(-1, 1.0)
 
 
+@pytest.mark.parametrize("make,message", [
+    (lambda: ModelParams(2, np.nan), "coupling x must be finite, got nan"),
+    (lambda: ModelParams(2, -np.inf), "coupling x must be finite, got -inf"),
+    (lambda: ModelParams(2, 1.0, np.inf), "coupling y must be finite, got inf"),
+    (lambda: ModelParams(2, 1.0, np.nan), "coupling y must be finite, got nan"),
+    (lambda: FieldDirection(0.5, np.nan), "phi must be finite, got nan"),
+    (lambda: FieldDirection(0.5, np.inf), "phi must be finite, got inf"),
+    (lambda: ModelParams(2, 1.0, 0.1, axis=(np.nan, 0.0, 1.0)),
+     "axis must be a unit vector, |a| = nan"),
+    (lambda: ModelParams(2, 1.0, 0.1, axis=(0.0, 0.0, np.inf)),
+     "axis must be a unit vector, |a| = inf"),
+], ids=["x-nan", "x-inf", "y-inf", "y-nan", "phi-nan", "phi-inf", "axis-nan", "axis-inf"])
+def test_non_finite_inputs_are_refused(make, message):
+    with pytest.raises(ValueError) as refused:
+        make()
+    assert str(refused.value) == message
+
+
 def test_zeeman_params_is_pure_precession():
     p = zeeman_params(0.3, 0.4)
     h = build_hamiltonian(p)
