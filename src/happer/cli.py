@@ -27,8 +27,7 @@ from .errors import NormDriftError, SubspaceIsolationError
 from .geometry import (ChernResult, _orbit_phases, chern_number_curvature,
                        chern_number_link_variable, chern_spectrum_link_variable, loop_phase)
 from .mesh import SphereMesh
-from .model import (FieldDirection, ModelParams, _z_covariant, build_hamiltonian,
-                    semimetal_batch)
+from .model import FieldDirection, ModelParams, build_hamiltonian, semimetal_batch
 from .operators import SpinQuantumNumber
 from .spectrum import _levels, _resolve_labels, find_degeneracies, level_positions, track_levels
 from .table import _csv_text
@@ -225,13 +224,9 @@ def cmd_phase(cfg: ScanConfig) -> Table:
                      {"command": "phase", "mesh": cfg.mesh})
     for x in cfg.x_values():
         p = cfg.params(x)
-        labels = range(1, p.dim + 1)
-        if _z_covariant(p.y, p.axis):
-            per_position = _orbit_phases(p, cfg.theta0, mesh, [(k,) for k in range(p.dim)])
-            gammas = per_position[level_positions(p)]
-        else:
-            gammas = [loop_phase(p, lab, cfg.theta0, mesh) for lab in labels]
-        rows += [[float(x), lab, float(gamma)] for lab, gamma in zip(labels, gammas)]
+        per_position = _orbit_phases(p, cfg.theta0, mesh, [(k,) for k in range(p.dim)])
+        rows += [[float(x), lab + 1, float(gamma)]
+                 for lab, gamma in enumerate(per_position[level_positions(p)])]
     return Table(cols, rows, annotations, True, {"command": "phase", "mesh": cfg.mesh})
 
 

@@ -215,10 +215,12 @@ def _propagate_block(p0: ModelParams, protocol: DriveProtocol, initial: np.ndarr
     The columns share every step unitary, or the one eigendecomposition of
     a constant H_rot.
     """
-    if steps_per_period < 100:
-        raise ValueError("steps_per_period must be at least 100")
-    if record_every < 1:
-        raise ValueError("record_every must be at least 1")
+    for name, value, least in (("steps_per_period", steps_per_period, 100),
+                               ("record_every", record_every, 1)):
+        if not isinstance(value, Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value < least:
+            raise ValueError(f"{name} must be at least {least}")
     psi = np.asarray(initial, dtype=complex).T  # one state per row
     if np.max(np.abs(np.linalg.norm(psi, axis=1) - 1.0)) > TOL.unit_vector * 100:
         raise ValueError("initial state must be normalized")

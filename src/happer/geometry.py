@@ -14,34 +14,30 @@ prefactor 1/(4 pi) on the traced curvature integral (the monopole-charge
 count, so a pure-precession band with field-projection k carries -k) and
 ``twopi`` is the standard 1/(2 pi) value, exactly twice the former.
 
-Every model eigensolve on the sphere goes through _eigen_grid.  When H
-is covariant under rotations about z, v(theta, phi) = e^{-i phi J_z}
-v(theta, 0), and only the phi = 0 meridian is solved.  Every link Chern
-number is read from that meridian: a tilted axis is rotated onto z
-together with the mesh (_link_meridian), a caller's h_builder supplies
-H(theta, 0) and its J_z diagonal, and every plaquette of a ring carries
-the same phase (_link_chern).  Only the frames of a tilted axis, which
-expose fields in mesh coordinates, are solved point by point.
+Every axis is the z axis.  With Q a rotation taking z to the axis a and
+D(Q) its spin representation, H(Q n; a) = D H(n; z) D^dag: the model with
+its axis along z is the tilted problem on a mesh whose poles lie along a,
+and it is covariant about z, v(theta, phi) = e^{-i phi J_z} v(theta, 0).
+So every eigensolve on the sphere is one batched solve of that phi = 0
+meridian (_eigen_grid), and tilted fields report angles about the axis.
+Link Chern numbers read it directly (_link_meridian, _link_chern; a
+caller's h_builder supplies H(theta, 0) and its J_z diagonal).
 
-The curvature scheme is factored the same way.  z-covariant frames are
+The curvature scheme is factored the same way.  Frames are
 F(theta, phi) = R(phi) F(theta, 0) D(phi), with R(phi) = e^{-i phi J_z} and
 D a unitary representation of the phi rotations (_meridian_rows), so every
 edge connection and every plaquette curvature of a ring is
-D(phi_n)^dag X D(phi_n) for one d x d matrix X per ring.  Chern numbers,
-loop phases and the curvature CSV read n_phi tr X per ring and D at the
-ring's step dphi alone; the per-point frames, connections and curvatures,
-and D(phi_n) = D(dphi)^n, are built only when read.  Rings that meet at the
+D(phi_n)^dag X D(phi_n) for one d x d matrix X per ring.  Chern numbers
+and the curvature CSV read n_phi tr X per ring and D at the ring's step
+dphi alone; the per-point frames, connections and curvatures, and
+D(phi_n) = D(dphi)^n, are built only when read.  Rings that meet at the
 same (theta, phi count) share one frame row.
 
 Curvature Chern numbers read one Stokes integral, CurvatureField.flux(theta),
 the traced curvature north of latitude theta: chern_number reads flux(pi).
 loop_phase(p, labels, theta0), the phase of the loop at polar angle theta0
-traversed toward increasing phi, is that flux at theta0.  Wherever H is
-z-covariant the loop is an orbit of e^{-i phi J_z} and the flux has the
-closed form 2 pi [tr(P(theta0) J_z) - tr(P(0) J_z)] (_orbit_phases), read
-from one meridian solve with no curvature field; the mesh then sets only
-the latitudes of the isolation gate.  A tilted axis at y != 0 takes
-flux(theta0) on the mesh.
+about z, is read from the same meridian with no curvature field
+(_orbit_phases); the mesh sets only the latitudes of the isolation gate.
 """
 
 from __future__ import annotations
@@ -56,8 +52,7 @@ import numpy as np
 from .degenerate import degenerate_energy, gram_schmidt, raw_degenerate_vectors
 from .errors import MeshResolutionError, SubspaceIsolationError
 from .mesh import SphereMesh
-from .model import (ModelParams, _jz_diagonal, _z_covariant, build_hamiltonian,
-                    hamiltonian_batch)
+from .model import ModelParams, _jz_diagonal, build_hamiltonian, hamiltonian_batch
 from .spectrum import _check_isolated, _half_grid, _resolve_labels
 from .table import _csv_text
 from .tolerances import TOL
@@ -90,36 +85,32 @@ def _check_quantized(result: ChernResult, context: str) -> ChernResult:
     return result
 
 
-def _eigen_grid(p: ModelParams, thetas: np.ndarray,
-                phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs on the thetas x phis grid, shapes (n_t, n_p, d) and (n_t, n_p, d, d).
+def _eigen_grid(p: ModelParams, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs on the phi = 0 meridian with the axis along z, shapes (n, d) and (n, d, d).
 
-    One batched eigh, point by point: _meridian_rows, _orbit_phases and the
-    link scheme call it at phi = 0 only, and _transport one ring at a time.
+    One batched eigh; thetas are angles about the axis (see the module
+    docstring).  At y = 0 the axis does not enter H.
     """
-    th, ph = np.meshgrid(thetas, phis, indexing="ij")
-    return np.linalg.eigh(hamiltonian_batch(p, th, ph))
+    return np.linalg.eigh(hamiltonian_batch(replace(p, axis=(0.0, 0.0, 1.0)), thetas,
+                                            np.zeros_like(thetas)))
 
 
 def _link_meridian(p: ModelParams, mesh: SphereMesh, h_builder: _Covariant | None = None
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eigenpairs (w0, F0) at phi = 0 on the mesh's theta edges, and the J_z diagonal m.
 
-    The model is solved with its axis along z.  With Q a rotation taking
-    z to the axis a and D(Q) its spin representation,
-    H(Q n; a) = D H(n; z) D^dag, so the z-axis meridian is the tilted
-    problem on a mesh whose poles lie along a: link overlaps do not see
-    D, and n -> Q n keeps orientation, so every link Chern number is
-    unchanged and H is covariant under rotations about z.  A caller's
-    h_builder supplies H(theta, 0) and m instead.
+    The model is solved with its axis along z (_eigen_grid): link overlaps
+    do not see D(Q), and n -> Q n keeps orientation, so every link Chern
+    number of a tilted axis is unchanged.  A caller's h_builder supplies
+    H(theta, 0) and m instead.
     """
     edges = mesh.theta_edges()
     if h_builder is not None:
         h0, m = h_builder
         w0, f0 = np.linalg.eigh(h0(edges))
         return w0, f0, np.asarray(m, dtype=float)
-    w0, f0 = _eigen_grid(replace(p, axis=(0.0, 0.0, 1.0)), edges, np.zeros(1))
-    return w0[:, 0], f0[:, 0], _jz_diagonal(p.nuclear_two_l)
+    w0, f0 = _eigen_grid(p, edges)
+    return w0, f0, _jz_diagonal(p.nuclear_two_l)
 
 
 def _link_chern(frames: np.ndarray, m: np.ndarray, phi_max: int) -> np.ndarray:
@@ -224,36 +215,30 @@ def chern_spectrum_link_variable(p: ModelParams, mesh: SphereMesh | None = None,
 
 @dataclass
 class _Row:
-    """Frames F(theta, phi_n) of one mesh row, (n, dim, d_sub) point by point.
+    """Frames F(theta, phi_n) of one mesh row, stored factored.
 
-    A z-covariant row is stored factored, F(theta, phi) = R(phi) F(theta, 0)
-    D(phi) (_meridian_rows): ``factors`` holds F(theta, 0) (dim, d_sub) and,
-    at the row's phi step dphi alone, the diagonal of R(dphi) (dim,) and
-    D(dphi) (d_sub, d_sub), the last two shared by every row of the same
-    phi count.  Both are representations, so R(phi_n) = R(dphi)^n and
-    D(phi_n) = D(dphi)^n; ``rep`` forms D(phi_n) when read, and ``frames``
-    the per-point array on first read.  Rows that are not z-covariant
-    (_transport) hold per-point frames only.
+    F(theta, phi) = R(phi) F(theta, 0) D(phi) (_meridian_rows): ``factors``
+    holds F(theta, 0) (dim, d_sub) and, at the row's phi step dphi alone,
+    the diagonal of R(dphi) (dim,) and D(dphi) (d_sub, d_sub), the last two
+    shared by every row of the same phi count.  Both are representations,
+    so R(phi_n) = R(dphi)^n and D(phi_n) = D(dphi)^n; ``rep`` forms
+    D(phi_n) when read, and ``frames`` the per-point (n, dim, d_sub) array
+    on first read.
     """
 
     theta: float
     phis: np.ndarray
-    points: np.ndarray | None = None
-    factors: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+    factors: tuple[np.ndarray, np.ndarray, np.ndarray]
 
-    @property
+    @cached_property
     def frames(self) -> np.ndarray:
-        if self.points is None:
-            f0, rot, _ = self.factors
-            rot_n = rot ** np.arange(len(self.phis))[:, None]
-            self.points = rot_n[:, :, None] * (f0 @ self.rep)
-        return self.points
+        f0, rot, _ = self.factors
+        rot_n = rot ** np.arange(len(self.phis))[:, None]
+        return rot_n[:, :, None] * (f0 @ self.rep)
 
     @property
-    def rep(self) -> np.ndarray | None:
-        """D(phi_n) = D(dphi)^n of a factored row, by repeated squaring; None for a per-point one."""
-        if self.factors is None:
-            return None
+    def rep(self) -> np.ndarray:
+        """D(phi_n) = D(dphi)^n, by repeated squaring."""
         step = self.factors[2]
         n = len(self.phis)
         rep = np.empty((n, *step.shape), dtype=complex)
@@ -272,8 +257,9 @@ class FrameField:
     Rows run north to south, one per distinct (theta, phi count), so a
     ring's bottom row is the next ring's top row when their phi counts
     match; the first mesh ring (touching theta = 0) is dropped, per-cell
-    rows are exposed through ring_top / ring_bottom.  z-covariant rows are
-    factored (see _Row); their per-point frames are built only when read.
+    rows are exposed through ring_top / ring_bottom.  Rows are factored (see
+    _Row); their per-point frames are built only when read.  theta and phi
+    are angles about the axis.
     """
 
     mesh: SphereMesh
@@ -299,16 +285,10 @@ def _polar(m: np.ndarray) -> np.ndarray:
     return u @ vh
 
 
-def _align_rows(frames: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """Rotate each frame by the polar unitary of its overlap with a reference."""
-    return np.einsum("nda,nab->ndb", frames, _polar(np.einsum("nda,ndb->nab", frames.conj(), ref)))
-
-
-def _raw_frames(p: ModelParams, thetas: np.ndarray, phis: np.ndarray,
-                positions: Sequence[int]) -> np.ndarray:
-    """Grid frames (n_t, n_p, dim, d_sub); raises where they touch the rest of the spectrum."""
-    w, v = _eigen_grid(p, thetas, phis)
-    _check_isolated(w, positions, "smoothed-gauge frames", thetas, phis)
+def _raw_frames(p: ModelParams, thetas: np.ndarray, positions: Sequence[int]) -> np.ndarray:
+    """Meridian frames (n, dim, d_sub); raises where they touch the rest of the spectrum."""
+    w, v = _eigen_grid(p, thetas)
+    _check_isolated(w, positions, "smoothed-gauge frames, angles about the axis", thetas)
     return v[..., list(positions)]
 
 
@@ -324,9 +304,9 @@ def smooth_gauge_states(p: ModelParams, labels: Sequence[int] | int,
     neighbouring frames agree to O(mesh spacing) everywhere (the gauge is
     single valued on the sphere minus the dropped north cap).  Numerical
     frames are seeded at the south pole, on one row per distinct (theta,
-    phi count) of either mesh scheme.  For z-covariant H only the phi = 0
-    meridian is transported and rotated out to every phi (_meridian_rows);
-    otherwise every mesh point is aligned (_transport).
+    phi count) of either mesh scheme.  Only the phi = 0 meridian is
+    transported and rotated out to every phi (_meridian_rows); for a tilted
+    axis theta and phi are angles about the axis.
 
     With ``source="analytic"`` the closed-form degenerate bases seed every
     latitude where they are well conditioned (away from the poles), with
@@ -353,14 +333,10 @@ def smooth_gauge_states(p: ModelParams, labels: Sequence[int] | int,
                 plan.append((theta, phis))
             index[r] = row_of[theta, len(phis)]
 
-    if source == "analytic":
-        rows = _meridian_rows(p, positions, plan, _analytic_frames(p, positions))
-    elif source != "numerical":
+    if source not in ("numerical", "analytic"):
         raise ValueError(f"unknown frame source {source!r}")
-    elif _z_covariant(p.y, p.axis):
-        rows = _meridian_rows(p, positions, plan)
-    else:
-        rows = _transport(p, positions, plan)
+    closed_form = _analytic_frames(p, positions) if source == "analytic" else None
+    rows = _meridian_rows(p, positions, plan, closed_form)
     return FrameField(mesh, labels, p.dim, ring_start, rows, top_index, bottom_index)
 
 
@@ -390,12 +366,13 @@ def _meridian_rows(p: ModelParams, positions: Sequence[int], plan: list[tuple[fl
     U_ref for the raw overlap M_i = F_i^dag F_ref, so one SVD of every raw
     overlap gives every polar factor W_i, with the singular values of the
     latitude-by-latitude transport, and U_i = W_i U_ref is a chain of d x d
-    products back to the seed (U = 1).  For z-covariant H a frame field on
-    a seed latitude theta_s has unitary D(phi) = F(theta_s, 0)^dag
-    R(phi)^dag F(theta_s, phi), R(phi) = e^{-i phi J_z} (F0^dag R^dag F0 at
-    the pole, whose frame spans a J_z-invariant subspace; the same D on
-    every latitude for the covariant closed forms, read from one call at
-    theta_s with one point, dphi, per phi count).  An overlap with a
+    products back to the seed (U = 1).  With the axis along z H is covariant
+    under rotations about z, so a frame field on a seed latitude theta_s has
+    unitary D(phi) = F(theta_s, 0)^dag R(phi)^dag F(theta_s, phi), R(phi) =
+    e^{-i phi J_z} (F0^dag R^dag F0 at the pole, whose frame spans a
+    J_z-invariant subspace; the same D on every latitude for the covariant
+    closed forms, read from one call at theta_s with one point, dphi, per
+    phi count).  An overlap with a
     reference R F(theta', 0) D is M(theta, 0) D, and polar(M D) = polar(M)
     D, so F(theta, phi) = R F(theta, 0) D is the per-point polar transport
     at any phi, with phi-independent singular values.  Rows are returned
@@ -403,17 +380,16 @@ def _meridian_rows(p: ModelParams, positions: Sequence[int], plan: list[tuple[fl
     phi count (_Row).
     """
     thetas = np.unique([theta for theta, _ in plan])[::-1]  # south pole first
-    zeros = np.zeros(1)
     if closed_form is None:
-        frames = _raw_frames(p, thetas, zeros, positions)[:, 0]
+        frames = _raw_frames(p, thetas, positions)
         lo = hi = s = 0  # s: the seed latitude D is read on
     else:
         seeded = (thetas > _ANALYTIC_POLE_MARGIN) & (thetas < np.pi - _ANALYTIC_POLE_MARGIN)
         if not seeded.any():
             raise ValueError("mesh too coarse for analytic frames: no rows away from the poles")
         frames = np.empty((len(thetas), p.dim, len(positions)), dtype=complex)
-        frames[~seeded] = _raw_frames(p, thetas[~seeded], zeros, positions)[:, 0]
-        frames[seeded] = closed_form(thetas[seeded], zeros)
+        frames[~seeded] = _raw_frames(p, thetas[~seeded], positions)
+        frames[seeded] = closed_form(thetas[seeded], np.zeros(1))
         lo, hi = np.flatnonzero(seeded)[[0, -1]]
         s = lo + int(np.argmin(np.abs(thetas[lo:hi + 1] - np.pi / 2)))  # best conditioned
     outward = [(i, i - 1) for i in range(hi + 1, len(thetas))]  # northward
@@ -430,41 +406,22 @@ def _meridian_rows(p: ModelParams, positions: Sequence[int], plan: list[tuple[fl
     rots = np.exp(-1j * np.multiply.outer(dphis, _jz_diagonal(p.nuclear_two_l)))
     steps = frames[s].conj().T @ (rots.conj()[:, :, None] * on_s)
     per_count = dict(zip(counts, zip(rots, steps)))
-    return [_Row(theta, phis, factors=(at[theta], *per_count[len(phis)])) for theta, phis in plan]
+    return [_Row(theta, phis, (at[theta], *per_count[len(phis)])) for theta, phis in plan]
 
 
-def _transport(p: ModelParams, positions: Sequence[int],
-               plan: list[tuple[float, np.ndarray]]) -> list[_Row]:
-    """Per-point transport for H that is not z-covariant, northward from the south pole.
-
-    The pole row shares one frame; every other row is aligned to the row
-    south of it, one SVD per mesh point against that row's nearest-phi
-    frame.
-    """
-    theta, phis = plan[-1]
-    raw = _raw_frames(p, np.array([theta]), phis, positions)[0]
-    rows = [_Row(theta, phis, np.broadcast_to(raw[0], raw.shape).copy())]
-    for theta, phis in plan[-2::-1]:
-        ref = rows[-1]
-        raw = _raw_frames(p, np.array([theta]), phis, positions)[0]
-        nearest = np.rint(phis * len(ref.phis) / (2 * np.pi)).astype(int) % len(ref.phis)
-        rows.append(_Row(theta, phis, _align_rows(raw, ref.frames[nearest])))
-    return rows[::-1]
-
-
-def _per_point(x: np.ndarray, rep: np.ndarray | None) -> np.ndarray:
-    """(n, d, d) per-point matrices of a ring: x itself, or D(phi_n)^dag x D(phi_n) when factored."""
-    return x if rep is None else rep.conj().swapaxes(-1, -2) @ x @ rep
+def _per_point(x: np.ndarray, rep: np.ndarray) -> np.ndarray:
+    """(n, d, d) per-point matrices D(phi_n)^dag x D(phi_n) of a ring's phi = 0 matrix x."""
+    return rep.conj().swapaxes(-1, -2) @ x @ rep
 
 
 @dataclass
 class ConnectionField:
     """Edge-integrated connection matrices per ring (finite-difference form).
 
-    Each ring holds one (m, d, d) array per edge type: per point (m = n_r),
-    or, on factored frames, the phi = 0 matrix X alone (m = 1), every edge
-    of the ring being D(phi_n)^dag X D(phi_n).  a_theta / a_phi_top /
-    a_phi_bottom give (n_r, d, d) per point, built on first access.
+    Each ring holds one (1, d, d) array per edge type, the phi = 0 matrix X,
+    every edge of the ring being D(phi_n)^dag X D(phi_n).  a_theta /
+    a_phi_top / a_phi_bottom give (n_r, d, d) per point, built on first
+    access.
     """
 
     field: FrameField
@@ -492,8 +449,7 @@ def _links(top: np.ndarray, top_east: np.ndarray, bottom: np.ndarray,
            bottom_east: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A = i(<frame|neighbour frame> - 1) on theta-edges and top and bottom phi-edges.
 
-    Batched over the leading axis: the points of one ring, or the rings of
-    a factored field.
+    Batched over the leading axis, the rings of a field.
     """
     eye = np.eye(top.shape[-1])
 
@@ -512,22 +468,16 @@ def _factored_east(rows: list[_Row]) -> tuple[np.ndarray, np.ndarray]:
 def connection_discrete(frames: FrameField) -> ConnectionField:
     """Discrete connection one-form A = i(<frame|neighbour frame> - 1) per edge.
 
-    On factored rows (see _Row) three d x d matrices per ring stand for all
-    its edges, formed for every ring in one batch: A_theta = i(F_t^dag F_b
-    - 1) and A_phi = i(F^dag R(dphi) F D(dphi) - 1) on the top and bottom
-    rows, F = F(theta, 0), the edge at phi_n being D(phi_n)^dag A
-    D(phi_n).  Other rows are formed point by point, one ring at a time.
+    Three d x d matrices per ring stand for all its edges (see _Row),
+    formed for every ring in one batch: A_theta = i(F_t^dag F_b - 1) and
+    A_phi = i(F^dag R(dphi) F D(dphi) - 1) on the top and bottom rows,
+    F = F(theta, 0), the edge at phi_n being D(phi_n)^dag A D(phi_n).
     """
     rings = range(frames.ring_start, frames.mesh.n_theta)
     tops = [frames.ring_top(r) for r in rings]
     bottoms = [frames.ring_bottom(r) for r in rings]
-    if frames.rows[0].factors is None:
-        per_ring = [_links(t.frames, np.roll(t.frames, -1, axis=0),
-                           b.frames, np.roll(b.frames, -1, axis=0)) for t, b in zip(tops, bottoms)]
-        x_theta, x_phi_top, x_phi_bottom = zip(*per_ring)
-    else:  # (1, d, d) per ring
-        x_theta, x_phi_top, x_phi_bottom = (
-            x[:, None] for x in _links(*_factored_east(tops), *_factored_east(bottoms)))
+    x_theta, x_phi_top, x_phi_bottom = (  # (1, d, d) per ring
+        x[:, None] for x in _links(*_factored_east(tops), *_factored_east(bottoms)))
     return ConnectionField(frames, dict(zip(rings, x_theta)), dict(zip(rings, x_phi_top)),
                            dict(zip(rings, x_phi_bottom)))
 
@@ -536,11 +486,11 @@ def connection_discrete(frames: FrameField) -> ConnectionField:
 class CurvatureField:
     """Per-plaquette curvature matrices over the meshed sphere.
 
-    Each ring holds an (m, d, d) array: per point (m = n_r), or one matrix C
-    for a factored ring (m = 1), every cell being D(phi_n)^dag C D(phi_n)
-    with the trace tr C.  A ring's theta, phis and D are those of its top
-    row in ``field``.  Traces are read from those arrays; ``curvature``
-    gives (n_r, d, d) per point, built on first access.
+    Each ring holds one (1, d, d) matrix C, every cell being D(phi_n)^dag C
+    D(phi_n) with the trace tr C.  A ring's theta, phis and D are those of
+    its top row in ``field``; for a tilted axis they are angles about the
+    axis.  Traces are read from C; ``curvature`` gives (n_r, d, d) per
+    point, built on first access.
     """
 
     field: FrameField
@@ -551,7 +501,7 @@ class CurvatureField:
         return {r: _per_point(c, self.field.ring_top(r).rep) for r, c in self.x_curvature.items()}
 
     def flux(self, theta: float) -> float:
-        """Re tr F integrated over the cap north of latitude theta (Stokes sum).
+        """Re tr F integrated over the cap north of latitude theta about the axis (Stokes sum).
 
         Down to the bottom edge of the first kept ring the flux is that
         ring's curvature density times the solid angle north of theta,
@@ -561,18 +511,16 @@ class CurvatureField:
         """
         r0, mesh = self.field.ring_start, self.field.mesh
         rings = range(r0, mesh.n_theta)
-        xs = [self.x_curvature[r] for r in rings]
-        m = np.array([len(x) for x in xs])
         cells = np.array([mesh.ring_phi_count(r) for r in rings])
-        tr = np.concatenate([x.diagonal(0, -2, -1) for x in xs]).real.sum(axis=-1)
-        traces = cells / m * np.add.reduceat(tr, np.cumsum(m) - m)  # Re tr F summed per ring
+        tr = np.concatenate([self.x_curvature[r] for r in rings]).diagonal(0, -2, -1)
+        traces = cells * tr.real.sum(axis=-1)  # Re tr F summed per ring
         density = traces[0] / mesh.ring_solid_angle(r0).sum()
         first = density * 2 * np.pi * (1 - np.cos(min(theta, mesh.theta_edges()[r0 + 1])))
         north = np.clip(theta / np.pi * mesh.n_theta - np.arange(r0 + 1, mesh.n_theta), 0, 1)
         return float(first + north @ traces[1:])
 
     def to_csv(self, path) -> None:
-        """Columns: theta, phi, Re tr F, cell solid angle."""
+        """Columns: theta, phi (angles about the axis), Re tr F, cell solid angle."""
         rows = []
         for r in sorted(self.x_curvature):
             top = self.field.ring_top(r)
@@ -584,7 +532,7 @@ class CurvatureField:
 
 def _plaquettes(a1: np.ndarray, a2t: np.ndarray, a2b: np.ndarray,
                 a1_east: np.ndarray) -> np.ndarray:
-    """F = dA + i[A_theta, A_phi,t], batched over the leading axis (see _links)."""
+    """F = dA + i[A_theta, A_phi,t], batched over the rings (see _links)."""
     comm = a1 @ a2t - a2t @ a1
     return a2b - a2t - a1_east + a1 + 1j * comm
 
@@ -592,20 +540,15 @@ def _plaquettes(a1: np.ndarray, a2t: np.ndarray, a2b: np.ndarray,
 def curvature_discrete(connections: ConnectionField) -> CurvatureField:
     """Per-plaquette curvature F = dA + i[A_theta, A_phi] from the edge connections.
 
-    On factored rings one matrix serves every cell, formed for every ring in
-    one batch: C = A_phi,b - A_phi,t - D(dphi)^dag A_theta D(dphi) + A_theta
+    One matrix serves every cell of a ring, formed for every ring in one
+    batch: C = A_phi,b - A_phi,t - D(dphi)^dag A_theta D(dphi) + A_theta
     + i[A_theta, A_phi,t], the cell at phi_n being D(phi_n)^dag C D(phi_n).
     """
     frames = connections.field
-    a1, a2t, a2b = (list(x.values()) for x in (
+    a1, a2t, a2b = (np.concatenate(list(x.values())) for x in (
         connections.x_theta, connections.x_phi_top, connections.x_phi_bottom))
-    if frames.rows[0].factors is None:
-        curvature = [_plaquettes(t, pt, pb, np.roll(t, -1, axis=0))
-                     for t, pt, pb in zip(a1, a2t, a2b)]
-    else:  # (1, d, d) per ring
-        a1, a2t, a2b = (np.concatenate(a) for a in (a1, a2t, a2b))
-        step = np.stack([frames.ring_top(r).factors[2] for r in connections.x_theta])
-        curvature = _plaquettes(a1, a2t, a2b, step.conj().swapaxes(-1, -2) @ a1 @ step)[:, None]
+    step = np.stack([frames.ring_top(r).factors[2] for r in connections.x_theta])
+    curvature = _plaquettes(a1, a2t, a2b, step.conj().swapaxes(-1, -2) @ a1 @ step)[:, None]
     return CurvatureField(frames, dict(zip(connections.x_theta, curvature)))
 
 
@@ -622,7 +565,7 @@ def chern_number(field: CurvatureField) -> ChernResult:
 
 def curvature_field(p: ModelParams, labels: Sequence[int] | int,
                     mesh: SphereMesh | None = None, source: str = "numerical") -> CurvatureField:
-    """Convenience: smoothed frames -> connection -> curvature in one call."""
+    """Smoothed frames -> connection -> curvature in one call, about the axis for a tilted one."""
     frames = smooth_gauge_states(p, labels, mesh, source=source)
     return curvature_discrete(connection_discrete(frames))
 
@@ -634,25 +577,83 @@ def chern_number_curvature(p: ModelParams, labels: Sequence[int] | int,
     return chern_number(curvature_field(p, labels, mesh, source=source))
 
 
+_PANEL_NODES = 16  # Gauss-Legendre nodes per panel of the integral across the axis circles
+_PANEL_TOL = 1e-10  # a panel is kept once its halves' set phases agree with it to this
+_MAX_LEVELS = 40
+
+
 def _orbit_phases(p: ModelParams, theta0: float, mesh: SphereMesh,
                   sets: Sequence[Sequence[int]]) -> np.ndarray:
-    """Per-position loop phases 2 pi (<J_z>_theta0 - <J_z>_0) of z-covariant H, shape (d,).
+    """Per-position phases of the loop at polar angle theta0 about z, shape (d,).
 
-    The loop at theta0 is the orbit of e^{-i phi J_z}, so the traced
-    curvature north of it is exactly 2 pi [tr(P(theta0) J_z) - tr(P(0)
-    J_z)] (Berry, Proc. R. Soc. A 392, 45 (1984)), P the band set's
-    projector at phi = 0: a set's phase is the sum of its positions', and
-    does not depend on the basis inside a degenerate set.  One batched
-    solve at theta0 and the mesh's ring edges, both poles included; every
-    set in ``sets`` (ascending positions) passes the isolation gate there.
+    The flux through the cap of angle alpha about the axis is Phi(alpha) =
+    2 pi [tr(P(alpha) J_z) - tr(P(0) J_z)] on the axis meridian (Berry,
+    Proc. R. Soc. A 392, 45 (1984)).  The loop's cap holds the fraction
+    f(alpha) = arccos((cos theta0 - cos alpha cos beta) / (sin alpha sin
+    beta)) / pi of the circle at alpha, beta the angle between the axis and
+    z (in [0, pi/2], as (a.S)^2 is even in a; 0 at y = 0), so by parts
+
+        int Phi' f = fpi Phi(pi) + (f0 - fpi) Phi(lo) - int_lo^hi (Phi - Phi(lo)) f',
+
+    f being f0 = [theta0 > beta] below lo = |theta0 - beta| and fpi =
+    [theta0 + beta > pi] above hi = min(theta0 + beta, 2 pi - theta0 - beta)
+    (1/2 at equality).  The integral runs over u, alpha = lo + (hi - lo)
+    sin^2 u, which smooths the square-root kinks of f, with the vanishing
+    factors of f' formed from exact differences; panels of u are halved
+    until every set in ``sets`` (ascending positions) has a phase on the two
+    halves within _PANEL_TOL of the panel's, and passes the isolation gate
+    at every solved angle and at the mesh's ring edges.
     """
-    thetas = np.concatenate(([theta0], mesh.theta_edges()))
-    w, v = (a[:, 0] for a in _eigen_grid(p, thetas, np.zeros(1)))
-    for positions in sets:
-        _check_isolated(w, positions, "loop phase", thetas)
-    ends = v[:2]  # theta0 and the north pole, at the same batch index for every mesh
-    jz = np.einsum("tda,d,tda->ta", ends.conj(), _jz_diagonal(p.nuclear_two_l), ends).real
-    return 2 * np.pi * (jz[0] - jz[1])
+    a = p.axis
+    beta = 0.0 if p.y == 0.0 else float(np.arctan2(np.hypot(a[0], a[1]), abs(a[2])))
+    lo, hi = abs(theta0 - beta), min(theta0 + beta, 2 * np.pi - theta0 - beta)
+    f0, fpi = (np.sign(theta0 - beta) + 1) / 2, (np.sign(theta0 + beta - np.pi) + 1) / 2
+    m = _jz_diagonal(p.nuclear_two_l)
+
+    def jz(thetas: np.ndarray, rows) -> np.ndarray:
+        w, v = _eigen_grid(p, thetas)
+        for positions in sets:
+            _check_isolated(w, positions, "loop phase, angles about the axis", thetas)
+        return np.einsum("tda,d,tda->ta", v[rows].conj(), m, v[rows]).real
+
+    ends = jz(np.concatenate(([lo], mesh.theta_edges())), [0, 1, -1])  # lo, the poles
+    phi_lo, _, phi_pi = 2 * np.pi * (ends - ends[1])
+    phase = fpi * phi_pi + (f0 - fpi) * phi_lo
+    if hi <= lo:
+        return phase
+    x, w = np.polynomial.legendre.leggauss(_PANEL_NODES)
+
+    def integrals(panels: np.ndarray) -> np.ndarray:
+        """(k, d) integrals of -(Phi - Phi(lo)) f' over (k, 2) panels of u."""
+        half = (panels[:, 1] - panels[:, 0]) / 2
+        u = (panels.mean(axis=1)[:, None] + half[:, None] * x).ravel()
+        d_lo, d_hi = (hi - lo) * np.sin(u) ** 2, (hi - lo) * np.cos(u) ** 2
+        alphas = lo + d_lo
+        root_n = 2 * np.sqrt(np.sin(d_lo / 2) * np.sin(lo + d_lo / 2)
+                             * np.sin(d_hi / 2) * np.sin(hi - d_hi / 2))
+        slope = (np.cos(beta) - np.cos(theta0) * np.cos(alphas)) / (np.pi * np.sin(alphas) * root_n)
+        phi = 2 * np.pi * (jz(alphas, slice(None)) - ends[1]) - phi_lo
+        g = (slope * (hi - lo) * np.sin(2 * u))[:, None] * phi
+        return half[:, None] * np.einsum("n,knd->kd", w, g.reshape(len(panels), len(x), -1))
+
+    panels = np.array([[0.0, np.pi / 2]])
+    values = integrals(panels)
+    for _ in range(_MAX_LEVELS):
+        mid = panels.mean(axis=1)
+        halves = np.column_stack([panels[:, 0], mid, mid, panels[:, 1]]).reshape(-1, 2)
+        fine = integrals(halves).reshape(len(panels), 2, -1)
+        change = fine.sum(axis=1) - values
+        done = np.ones(len(panels), dtype=bool)
+        for positions in sets:
+            done &= np.abs(change[:, list(positions)].sum(axis=-1)) <= _PANEL_TOL
+        phase = phase + fine[done].sum(axis=(0, 1))
+        if done.all():
+            return phase
+        panels = halves.reshape(-1, 2, 2)[~done].reshape(-1, 2)
+        values = fine[~done].reshape(len(panels), -1)
+    raise MeshResolutionError(
+        f"loop phase: the integral across the circles about the axis does not converge in "
+        f"{_MAX_LEVELS} halvings")
 
 
 def loop_phase(p: ModelParams, labels: Sequence[int] | int, theta0: float,
@@ -662,19 +663,16 @@ def loop_phase(p: ModelParams, labels: Sequence[int] | int, theta0: float,
     The traced curvature flux through the cap north of the loop, on the
     branch nearest that sum: theta0 = 0 gives 0, theta0 = pi the whole
     sphere, 4 pi times the fourpi Chern number.  The reverse loop's phase
-    is the negative.  Wherever H is z-covariant (y = 0, or the axis along
-    z) the loop is a symmetry orbit and the phase is the closed form of
-    _orbit_phases, -m 2 pi (1 - cos theta0) for a level of n.J = m at
-    y = 0; the mesh then only sets the latitudes of the isolation gate.
-    For a tilted axis at y != 0 it is the Stokes sum CurvatureField.flux
-    on the mesh, by default a uniform one, where the partial curvature sum
-    is markedly more accurate than on an equal-area one.
+    is the negative.  It is read from the meridian about the axis
+    (_orbit_phases): wherever H is covariant about z (y = 0, or the axis
+    along z) the closed form 2 pi [tr(P(theta0) J_z) - tr(P(0) J_z)], -m 2 pi
+    (1 - cos theta0) for a level of n.J = m at y = 0; for a tilted axis a
+    1-D integral of that closed form.  The mesh (uniform by default) sets
+    only the latitudes, about the axis, of the isolation gate.
     """
     if not 0.0 <= theta0 <= np.pi:
         raise ValueError(f"loop latitude theta0 must lie in [0, pi], got {theta0}")
     mesh = mesh or SphereMesh(scheme="uniform")
-    if not _z_covariant(p.y, p.axis):
-        return curvature_field(p, labels, mesh).flux(theta0)
     _, positions = _resolve_labels(p, labels)
     _check_contiguous(positions, "loop phase")
     return float(_orbit_phases(p, theta0, mesh, [positions])[list(positions)].sum())

@@ -188,13 +188,13 @@ def _resolve_labels(p: ModelParams, labels) -> tuple[tuple[int, ...], tuple[int,
 
 
 def _check_isolated(w: np.ndarray, positions: Sequence[int], context: str,
-                    thetas: Sequence[float] = (), phis: Sequence[float] = (0.0,)) -> None:
+                    thetas: Sequence[float] = ()) -> None:
     """Refuse a band set that comes within TOL.subspace_isolation of the rest of the spectrum.
 
     w holds ascending eigenvalues: (d,) at one point, (n_theta, d) on a
-    meridian or (n_theta, n_phi, d) on a grid.  Every boundary between a
-    member position and a non-member one is checked; given the grid's
-    thetas (and phis), the message names the point of smallest gap.
+    phi = 0 meridian or (n_theta, n_phi, d) on a grid.  Every boundary
+    between a member position and a non-member one is checked; given the
+    meridian's thetas, the message names the point of smallest gap.
     """
     member = np.bincount(positions, minlength=w.shape[-1]) > 0
     lower = np.flatnonzero(member[:-1] != member[1:])  # boundaries (b, b + 1)
@@ -206,7 +206,7 @@ def _check_isolated(w: np.ndarray, positions: Sequence[int], context: str,
         b = lower[at[-1]]
         where = ""
         if len(thetas):
-            where = f" at (theta={thetas[at[0]]:.6f}, phi={phis[at[1] if w.ndim == 3 else 0]:.6f})"
+            where = f" at (theta={thetas[at[0]]:.6f}, phi=0.000000)"
         raise SubspaceIsolationError(
             f"{context}: bands at positions {b} and {b + 1} touch{where} (gap {gaps[at]:.2e}), "
             "so the subspace dimension is ambiguous; perturb x or y away from the touching "

@@ -215,6 +215,19 @@ def test_propagate_rejects_record_every_below_one(every):
         propagate(p, proto, initial_eigenstate(p, proto, 0), 400, record_every=every)
 
 
+@pytest.mark.parametrize("steps,every,message", [
+    (150.5, 1, "steps_per_period must be an integer, got 150.5"),
+    (400, 2.5, "record_every must be an integer, got 2.5")])
+def test_propagate_refuses_non_integral_step_counts(steps, every, message):
+    # Both reach range(), where a float would raise a TypeError; numpy integers pass.
+    p = ModelParams(2, 1.0, 0.0)
+    proto = DriveProtocol(0.5, 0.01, 1)
+    psi0 = initial_eigenstate(p, proto, 0)
+    with pytest.raises(ValueError, match=message):
+        propagate(p, proto, psi0, steps, record_every=every)
+    assert len(propagate(p, proto, psi0, np.int64(400), np.int32(200)).times) == 3
+
+
 def test_drive_protocol_rejects_cone_angle_outside_zero_pi():
     with pytest.raises(ValueError, match="theta"):
         DriveProtocol(3.5, 0.01, 1)

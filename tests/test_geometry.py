@@ -14,9 +14,8 @@ from happer.geometry import (ChernResult, chern_number, chern_number_curvature,
                              connection_discrete, curvature_discrete, curvature_field,
                              loop_phase, smooth_gauge_states)
 from happer.mesh import SphereMesh
-from happer.model import (FieldDirection, ModelParams, _jz_diagonal, _z_covariant,
-                          build_hamiltonian, hamiltonian_batch, projected_hamiltonian,
-                          semimetal_batch, zeeman_params)
+from happer.model import (FieldDirection, ModelParams, _jz_diagonal, build_hamiltonian,
+                          hamiltonian_batch, projected_hamiltonian, semimetal_batch, zeeman_params)
 from happer.operators import SpinQuantumNumber
 from happer.spectrum import eigensystem, eigensystem_with_j, level_positions
 from happer.tolerances import TOL
@@ -188,16 +187,15 @@ def test_cluster_lowest_band_jumps_across_crossing():
         assert per_position[positions[0]].rounded == expected
 
 
-def test_constant_frames_give_zero_connection_and_curvature(monkeypatch):
-    # Written in place, so on per-point rows: a factored row's frames are
-    # only a view of its factors, which the connection reads.
-    _general(monkeypatch)
+@pytest.mark.parametrize("scheme", ["uniform", "equal-area"])
+def test_constant_frames_give_zero_connection_and_curvature(scheme):
+    # Every row the south pole's frame, with R(dphi) = 1 and D(dphi) = 1.
     p = ModelParams(0, 0.0, 0.0, FieldDirection(0.0, 0.0))
-    mesh = SphereMesh(12, 24, "uniform")
+    mesh = SphereMesh(12, 24, scheme)
     frames = smooth_gauge_states(p, (1,), mesh)
-    for r in range(frames.ring_start, mesh.n_theta):
-        frames.ring_top(r).frames[:] = frames.rows[-1].frames[:1]
-        frames.ring_bottom(r).frames[:] = frames.rows[-1].frames[:1]
+    constant = (frames.rows[-1].factors[0], np.ones(p.dim), np.eye(1))
+    frames = replace(frames, rows=[geometry._Row(row.theta, row.phis, constant)
+                                   for row in frames.rows])
     conn = connection_discrete(frames)
     assert max(np.max(np.abs(a)) for a in conn.a_theta.values()) < 1e-14
     field = curvature_discrete(conn)
@@ -225,13 +223,16 @@ def test_pole_states_are_phi_independent():
     assert np.max(np.abs(v - v[0])) < 1e-12
 
 
-def test_gauge_invariance_under_smooth_rotation(monkeypatch):
-    _general(monkeypatch)  # the twist is written in place, see above
+def test_gauge_invariance_under_smooth_rotation():
+    # The twist is not a rotation about z, so the twisted frames are per
+    # point, and the per-point oracle reads them.
     rng = np.random.default_rng(31)
     p = ModelParams(2, 2 / 3, 0.0, FieldDirection(0.5, 0.3))
     mesh = SphereMesh(60, 120, "uniform")
     frames = smooth_gauge_states(p, (3, 4, 5), mesh)
     base = chern_number(curvature_discrete(connection_discrete(frames))).fourpi
+    per_point = [row.frames for row in frames.rows]
+    assert abs(_oracle_chern(frames, _oracle_fields(frames, per_point)).fourpi - base) < 1e-12
     gens = []
     for _ in range(3):
         a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
@@ -246,10 +247,9 @@ def test_gauge_invariance_under_smooth_rotation(monkeypatch):
         w, u = np.linalg.eigh(gen)
         return (u * np.exp(1j * w)) @ u.conj().T
 
-    for row in frames.rows:
-        for i, phi in enumerate(row.phis):
-            row.frames[i] = row.frames[i] @ twist(row.theta, phi)
-    rotated = chern_number(curvature_discrete(connection_discrete(frames))).fourpi
+    twisted = [np.array([f @ twist(row.theta, phi) for f, phi in zip(row.frames, row.phis)])
+               for row in frames.rows]
+    rotated = _oracle_chern(frames, _oracle_fields(frames, twisted)).fourpi
     assert abs(rotated - base) < 1e-3
 
 
@@ -290,21 +290,27 @@ FLUX_CASES = {
 
 @pytest.mark.parametrize("p,labels,mesh", FLUX_CASES.values(), ids=FLUX_CASES.keys())
 def test_loop_phase_and_chern_read_one_flux(p, labels, mesh):
-    # Both read CurvatureField.flux: the loop at pi encloses the sphere, the
-    # loop at 0 nothing, and inside the dropped cap the flux is the first
-    # kept ring's density times 2 pi (1 - cos theta0).  loop_phase is the
-    # flux only for the tilted axis at y != 0; elsewhere it is the closed form.
+    # The Chern number reads CurvatureField.flux: the loop at pi encloses the
+    # sphere, the loop at 0 nothing, and inside the dropped cap the flux is
+    # the first kept ring's density times 2 pi (1 - cos theta0).  loop_phase
+    # is the closed form, whose loop at pi is 4 pi times the Chern number.
     field = curvature_field(p, labels, mesh)
     whole = field.flux(np.pi)
-    assert abs(whole - 4 * np.pi * chern_number_curvature(p, labels, mesh).fourpi) < 1e-12
+    chern = chern_number_curvature(p, labels, mesh)
+    assert abs(whole - 4 * np.pi * chern.fourpi) < 1e-12
+    assert abs(loop_phase(p, labels, np.pi, mesh) - 4 * np.pi * chern.rounded) < 1e-12
     assert field.flux(0.0) == 0.0
     cap = np.pi / mesh.n_theta  # the dropped ring's bottom edge
     inside = [field.flux(t * cap) / (1 - np.cos(t * cap)) for t in (0.3, 0.9)]
     assert inside[0] != 0.0
     assert abs(inside[0] - inside[1]) < 1e-12 * abs(inside[0])
-    if not _z_covariant(p.y, p.axis):
-        for theta0 in (0.0, 0.3 * cap, LOOP_THETA, np.pi):
-            assert loop_phase(p, labels, theta0, mesh) == field.flux(theta0)
+    # A tilted axis's field lives on the mesh about the axis: it is the field
+    # of the axis along z, whose loops are symmetry orbits, so its flux is
+    # near the closed form there.
+    axis_frame = replace(p, axis=(0.0, 0.0, 1.0))
+    assert curvature_field(axis_frame, labels, mesh).flux(LOOP_THETA) == field.flux(LOOP_THETA)
+    if p.y != 0.0:
+        assert abs(field.flux(LOOP_THETA) - loop_phase(axis_frame, labels, LOOP_THETA)) < 1e-4
 
 
 def test_cluster_loop_phase_additivity():
@@ -351,6 +357,100 @@ def test_axis_along_z_loop_phase_is_the_fine_mesh_limit():
     for lab in range(1, p.dim + 1):
         flux = curvature_field(p, lab, mesh).flux(LOOP_THETA)
         assert abs(loop_phase(p, lab, LOOP_THETA) - flux) < 1e-3
+
+
+TILTED_P = ModelParams(2, 0.8, 0.1, axis=(1.0, 0.0, 0.0))
+PHASE_MESH = SphereMesh(50, 100, "uniform")
+
+
+def _phases(p: ModelParams, theta0: float) -> np.ndarray:
+    """Loop phases of every position, each converged and gated on its own."""
+    return geometry._orbit_phases(p, theta0, PHASE_MESH, [(k,) for k in range(p.dim)])
+
+
+def _closed_form_phases(p: ModelParams, theta0: float) -> np.ndarray:
+    """2 pi [<J_z>(theta0) - <J_z>(0)] per position, one eigh per latitude at phi = 0."""
+    vectors = [np.linalg.eigh(build_hamiltonian(p.with_field(t, 0.0)))[1] for t in (theta0, 0.0)]
+    jz = [np.einsum("da,d,da->a", v.conj(), _jz_diagonal(p.nuclear_two_l), v).real for v in vectors]
+    return 2 * np.pi * (jz[0] - jz[1])
+
+
+@pytest.mark.parametrize("two_l", [1, 2, 3])
+@pytest.mark.parametrize("y,axis", [(0.1, (0.0, 0.0, 1.0)), (0.1, (0.0, 0.0, -1.0)),
+                                    (0.0, (0.6, 0.0, 0.8)), (0.0, (1.0, 0.0, 0.0))])
+def test_covariant_loop_phases_are_the_closed_form(two_l, y, axis):
+    # The axis along +-z, or y = 0 with any axis: the angle beta between the
+    # axis and z is 0, the interval across the axis circles is empty, and
+    # the phase is the closed form at theta0 itself.
+    p = ModelParams(two_l, 0.8, y, axis=axis)
+    for theta0 in (0.3, LOOP_THETA, 2.0, np.pi):
+        assert np.max(np.abs(_phases(p, theta0) - _closed_form_phases(p, theta0))) < 1e-12
+
+
+def test_tilted_loop_phase_at_the_ends_of_the_range():
+    # theta0 = 0 encloses nothing, theta0 = pi the whole sphere, 4 pi times
+    # the link Chern number; just short of pi the interval across the axis
+    # circles is 5e-6 wide (beta = pi / 2) and the phase stays finite.
+    link = chern_spectrum_link_variable(TILTED_P, PHASE_MESH)
+    fourpi = 4 * np.pi * np.array([r.fourpi for r in link])
+    assert np.all(_phases(TILTED_P, 0.0) == 0.0)
+    assert np.max(np.abs(_phases(TILTED_P, np.pi) - fourpi)) < 1e-9
+    near = _phases(TILTED_P, 3.14159)
+    assert np.all(np.isfinite(near)) and np.max(np.abs(near - fourpi)) < 1e-3
+    for label in range(1, 10):
+        assert loop_phase(TILTED_P, label, 0.0, PHASE_MESH) == 0.0
+        position = level_positions(TILTED_P)[label - 1]
+        assert abs(loop_phase(TILTED_P, label, np.pi, PHASE_MESH) - fourpi[position]) < 1e-9
+    assert abs(loop_phase(TILTED_P, 5, 3.14159, PHASE_MESH) - 25.1327) < 1e-3
+
+
+def test_tilted_loop_phase_is_the_fine_mesh_limit():
+    # Label 5 at pi / 6: the Stokes sum in mesh coordinates on 200 and 400
+    # uniform rings, extrapolated as 1/n^2 (Richardson), gives 1.3417080.
+    assert abs(loop_phase(TILTED_P, 5, LOOP_THETA, PHASE_MESH) - 1.3417080) < 1e-6
+    for n in (8, 32):  # converged in the node count
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(geometry, "_PANEL_NODES", n)
+            assert abs(loop_phase(TILTED_P, 5, LOOP_THETA, PHASE_MESH) - 1.3417081129) < 2e-9
+
+
+def test_nearly_z_axis_loop_phases_are_the_z_axis_ones():
+    # beta = 1e-9: a 2e-9 wide interval across the axis circles.
+    tilted = replace(TILTED_P, axis=(np.sin(1e-9), 0.0, np.cos(1e-9)))
+    along_z = replace(TILTED_P, axis=(0.0, 0.0, 1.0))
+    for theta0 in (0.3, LOOP_THETA, 2.0):
+        assert np.max(np.abs(_phases(tilted, theta0) - _phases(along_z, theta0))) < 1e-8
+
+
+def test_tilted_loop_phase_resolves_a_near_crossing():
+    # Two levels come within 2.4e-3 on the meridian about the axis, so each
+    # one's Phi turns within a few milliradians; the panels halve there.  The
+    # reference is the Stieltjes sum of f against Phi on 20000 meridian steps,
+    # good to about 1e-5.
+    p = ModelParams(3, 0.45, 0.17, axis=(np.sin(2.25), 0.0, np.cos(2.25)))
+    theta0, beta = 1.25, np.pi - 2.25
+    alpha = np.linspace(0, np.pi, 20001)
+    _, v = geometry._eigen_grid(p, alpha)
+    phi = 2 * np.pi * np.einsum("tda,d,tda->ta", v.conj(), _jz_diagonal(3), v).real
+    mid = (alpha[1:] + alpha[:-1]) / 2
+    f = np.arccos(np.clip((np.cos(theta0) - np.cos(mid) * np.cos(beta))
+                          / (np.sin(mid) * np.sin(beta)), -1, 1)) / np.pi
+    assert np.max(np.abs(_phases(p, theta0) - f @ np.diff(phi, axis=0))) < 2e-5
+
+
+@pytest.mark.parametrize("scheme", ["uniform", "equal-area"])
+def test_tilted_curvature_chern_is_the_z_axis_one(scheme):
+    # Frames and curvature of a tilted axis live on the mesh about the axis.
+    # Labels 3 and 4 sit at swapped positions for the two axes (the z-axis
+    # levels cross in the x sweep that numbers them), so they pair by position.
+    mesh = SphereMesh(100, 200, scheme)
+    along_z = replace(TILTED_P, axis=(0.0, 0.0, 1.0))
+    z_label = np.argsort(level_positions(along_z)) + 1  # per position
+    link = chern_spectrum_link_variable(TILTED_P, mesh)
+    for label, position in enumerate(level_positions(TILTED_P), start=1):
+        tilted = chern_number_curvature(TILTED_P, label, mesh)
+        assert tilted.fourpi == chern_number_curvature(along_z, z_label[position], mesh).fourpi
+        assert tilted.rounded == link[position].rounded
 
 
 def test_analytic_frames_match_numerical_loop_phase():
@@ -446,12 +546,12 @@ def test_analytic_source_needs_the_crossing_multiplet_at_y_zero(y, axis, labels)
 
 
 def test_curvature_csv_export(tmp_path):
-    # byte for byte the per-value formatting, for a factored field and a
-    # tilted-axis per-point one
+    # byte for byte the per-value formatting; a tilted axis's field is
+    # factored too, on the mesh about the axis: the z-axis field's table
     tilted = ModelParams(2, 0.8, 0.1, FieldDirection(0.4, 0.2), (0.6, 0.0, 0.8))
-    for p, factored in ((zeeman_params(), True), (tilted, False)):
+    tables = []
+    for p in (zeeman_params(), tilted, replace(tilted, axis=(0.0, 0.0, 1.0))):
         field = curvature_field(p, (1,), SphereMesh(16, 32, "equal-area"))
-        assert (field.field.rows[0].factors is not None) == factored
         rows = []
         for r in sorted(field.x_curvature):
             top = field.field.ring_top(r)
@@ -462,8 +562,10 @@ def test_curvature_csv_export(tmp_path):
         assert len(rows) > 100
         out = tmp_path / "curv.csv"
         field.to_csv(out)
-        assert out.read_text() == ("# schema=1\ntheta,phi,re_tr_curvature,solid_angle\n"
-                                   + csv_rows_per_value(rows))
+        tables.append(out.read_text())
+        assert tables[-1] == ("# schema=1\ntheta,phi,re_tr_curvature,solid_angle\n"
+                              + csv_rows_per_value(rows))
+    assert tables[1] == tables[2]
 
 
 def test_link_gate_refuses_a_mesh_too_coarse_for_the_winding():
@@ -530,10 +632,6 @@ def _assert_matches_oracle(results: list[ChernResult], oracle: list[ChernResult]
 COVARIANT_CASES = [(1, 0.0), (2, 0.0), (3, 0.0), (4, 0.0), (2, 0.001)]
 
 
-def _general(monkeypatch):
-    monkeypatch.setattr(geometry, "_z_covariant", lambda y, axis: False)
-
-
 @pytest.mark.parametrize("two_l,y", COVARIANT_CASES)
 def test_factorised_grid_matches_per_point_solve(two_l, y):
     # The link scheme's premise: the phi = 0 meridian rotated out by
@@ -569,34 +667,91 @@ def test_link_spectrum_memory_does_not_grow_with_the_phi_count():
     assert peak < 20e6
 
 
+# ---------------------------------------------------------------------------
+# per-point frame oracle: every mesh point solved on its own and aligned to
+# the nearest-phi frame of the row south of it, one SVD per point, with
+# per-point links and plaquettes around each ring; the library transports
+# the phi = 0 meridian alone and rotates it out.  The oracle solves in mesh
+# coordinates, which are the library's for y = 0 or the axis along z.
+
+
+def _oracle_transport(p: ModelParams, labels, mesh: SphereMesh):
+    """The library's frame field and, per row, frames solved and aligned point by point.
+
+    Rows are taken south to north: the south pole row shares one frame,
+    every other row is aligned to the row after it in the library's row
+    order, each point against that row's nearest-phi frame.
+    """
+    field = smooth_gauge_states(p, labels, mesh)
+    positions = list(geometry._resolve_labels(p, labels)[1])
+
+    def raw(row):
+        return np.linalg.eigh(hamiltonian_batch(p, np.full_like(row.phis, row.theta),
+                                                row.phis))[1][..., positions]
+
+    pole = raw(field.rows[-1])
+    aligned = [np.broadcast_to(pole[0], pole.shape).copy()]
+    for row, south in zip(field.rows[-2::-1], field.rows[::-1]):
+        nearest = np.rint(row.phis * len(south.phis) / (2 * np.pi)).astype(int) % len(south.phis)
+        frames = raw(row)
+        u, _, vh = np.linalg.svd(frames.conj().swapaxes(-1, -2) @ aligned[-1][nearest])
+        aligned.append(frames @ u @ vh)
+    return field, aligned[::-1]
+
+
+def _oracle_fields(field, frames: list[np.ndarray]) -> list[dict[int, np.ndarray]]:
+    """Per-point a_theta, a_phi_top, a_phi_bottom and curvature of per-row frames, ring by ring."""
+    out: list[dict[int, np.ndarray]] = [{}, {}, {}, {}]
+    for r in range(field.ring_start, field.mesh.n_theta):
+        top, bottom = frames[field.top_index[r]], frames[field.bottom_index[r]]
+        links = geometry._links(top, np.roll(top, -1, axis=0), bottom, np.roll(bottom, -1, axis=0))
+        curvature = geometry._plaquettes(*links, np.roll(links[0], -1, axis=0))
+        for fields, x in zip(out, (*links, curvature)):
+            fields[r] = x
+    return out
+
+
+def _oracle_chern(field, fields: list[dict[int, np.ndarray]]) -> ChernResult:
+    """Chern number of per-point curvature; the first kept ring's density covers the dropped cap."""
+    edges, r0 = field.mesh.theta_edges(), field.ring_start
+    traces = [np.trace(fields[-1][r], axis1=-2, axis2=-1).real.sum() for r in sorted(fields[-1])]
+    cap = (1 - np.cos(edges[r0 + 1])) / (np.cos(edges[r0]) - np.cos(edges[r0 + 1]))
+    half = geometry._half_grid(field.dim, len(field.labels))
+    return ChernResult.from_fourpi((cap * traces[0] + sum(traces[1:])) / (4 * np.pi), half)
+
+
+def _oracle_general(p: ModelParams, labels, mesh: SphereMesh):
+    """The library's frame field and the oracle's per-point fields of transported frames."""
+    field, frames = _oracle_transport(p, labels, mesh)
+    return field, _oracle_fields(field, frames)
+
+
 @pytest.mark.parametrize("two_l,labels", [(2, (3, 4, 5)), (1, (1,))])
-def test_factorised_curvature_chern_matches_per_point_solve(monkeypatch, two_l, labels):
+def test_factorised_curvature_chern_matches_per_point_solve(two_l, labels):
     p = ModelParams(two_l, 2 / (two_l + 1) if len(labels) > 1 else 0.7)
     mesh = SphereMesh(100, 200, "uniform")
     fact = chern_number_curvature(p, labels, mesh)
-    _general(monkeypatch)
-    general = chern_number_curvature(p, labels, mesh)
+    general = _oracle_chern(*_oracle_general(p, labels, mesh))
     assert abs(fact.fourpi - general.fourpi) < 1e-9
     assert fact.rounded == general.rounded
 
 
 @pytest.mark.parametrize("two_l,labels", [(2, (3, 4, 5)), (1, (1,))])
-def test_factorised_curvature_chern_on_equal_area_is_no_further_off(monkeypatch, two_l, labels):
-    # Rotated meridian frames replace the per-point path's nearest-phi
+def test_factorised_curvature_chern_on_equal_area_is_no_further_off(two_l, labels):
+    # Rotated meridian frames replace the per-point oracle's nearest-phi
     # alignment between rings of different phi counts: the gauge moves at
     # mesh-error level and the deviation may only shrink.
     p = ModelParams(two_l, 2 / (two_l + 1) if len(labels) > 1 else 0.7)
     mesh = SphereMesh(100, 200, "equal-area")
     fact = chern_number_curvature(p, labels, mesh)
-    _general(monkeypatch)
-    general = chern_number_curvature(p, labels, mesh)
+    general = _oracle_chern(*_oracle_general(p, labels, mesh))
     assert fact.rounded == general.rounded
     assert fact.deviation <= general.deviation
 
 
 @pytest.mark.parametrize("n", [20, 60])
 @pytest.mark.parametrize("two_l", [1, 2, 3, 4])
-def test_meridian_frames_match_per_point_transport(monkeypatch, two_l, n):
+def test_meridian_frames_match_per_point_transport(two_l, n):
     mesh = SphereMesh(n, 2 * n, "uniform")
     step = 1 if n < 60 else 4  # the per-point reference takes one SVD per mesh point
     cases = [(ModelParams(two_l, 0.8), (label,))
@@ -604,12 +759,9 @@ def test_meridian_frames_match_per_point_transport(monkeypatch, two_l, n):
     if two_l == 2:
         cases.append((ModelParams(2, 2 / 3), (3, 4, 5)))
     for p, labels in cases:
-        fact = smooth_gauge_states(p, labels, mesh)
-        with monkeypatch.context() as m:
-            _general(m)
-            general = smooth_gauge_states(p, labels, mesh)
-        assert [r.theta for r in fact.rows] == [r.theta for r in general.rows]
-        worst = max(np.max(np.abs(a.frames - b.frames)) for a, b in zip(fact.rows, general.rows))
+        fact, general = _oracle_transport(p, labels, mesh)
+        worst = max(np.max(np.abs(row.frames - b))
+                    for row, b in zip(fact.rows, general, strict=True))
         assert worst < 1e-12, (labels, worst)
 
 
@@ -661,14 +813,14 @@ def _spy_polar(monkeypatch) -> list[int]:
 
 @pytest.mark.parametrize("scheme", ["uniform", "equal-area"])
 def test_covariant_frames_align_once_per_latitude(monkeypatch, scheme):
-    # The covariant meridian takes one SVD of its n_theta - 1 raw overlaps;
-    # a tilted axis at y != 0 aligns every point, one SVD per latitude.
+    # The meridian takes one SVD of its n_theta - 1 raw overlaps, for a
+    # tilted axis at y != 0 too, whose meridian has the axis along z.
     sizes = _spy_polar(monkeypatch)
     mesh = SphereMesh(8, 16, scheme)  # 16 phis on every ring of either scheme
-    for y, expected in ((0.0, [mesh.n_theta - 1]), (0.1, [16] * (mesh.n_theta - 1))):
+    for y in (0.0, 0.1):
         sizes.clear()
         smooth_gauge_states(ModelParams(2, 1.3, y, axis=(1.0, 0.0, 0.0)), (1,), mesh)
-        assert sizes == expected
+        assert sizes == [mesh.n_theta - 1]
 
 
 def _fields(frames) -> list[dict[int, np.ndarray]]:
@@ -684,23 +836,18 @@ def _worst(a: list[dict[int, np.ndarray]], b: list[dict[int, np.ndarray]]) -> fl
 @pytest.mark.parametrize("source", ["numerical", "analytic"])
 @pytest.mark.parametrize("scheme", ["uniform", "equal-area"])
 @pytest.mark.parametrize("two_l,labels", [(2, (3, 4, 5)), (4, (5, 6, 7, 8, 9))])
-def test_factored_fields_match_the_per_point_computation(monkeypatch, two_l, labels, scheme,
-                                                         source):
+def test_factored_fields_match_the_per_point_computation(two_l, labels, scheme, source):
     # Factored rows give one matrix per ring and edge type; expanded by
     # D(phi_n), they are the per-point connection and curvature of the same
     # frames, and on a uniform mesh those of per-point transport too.
     p = ModelParams(two_l, 2 / (two_l + 1))
     mesh = SphereMesh(30, 60, scheme)
     fact = smooth_gauge_states(p, labels, mesh, source=source)
-    assert all(row.factors is not None for row in fact.rows)
     fields = _fields(fact)
-    assert all(row.points is None for row in fact.rows)  # expanded without per-point frames
-    per_point = replace(fact, rows=[geometry._Row(row.theta, row.phis, row.frames.copy())
-                                    for row in fact.rows])
-    assert _worst(fields, _fields(per_point)) < 1e-12
+    assert all("frames" not in vars(row) for row in fact.rows)  # expanded without per-point frames
+    assert _worst(fields, _oracle_fields(fact, [row.frames for row in fact.rows])) < 1e-12
     if source == "numerical" and scheme == "uniform":
-        _general(monkeypatch)
-        assert _worst(fields, _fields(smooth_gauge_states(p, labels, mesh))) < 1e-12
+        assert _worst(fields, _oracle_general(p, labels, mesh)[1]) < 1e-12
 
 
 def test_uniform_ring_flux_is_minus_the_first_ring_phi_connection():
@@ -729,7 +876,6 @@ def test_covariant_traces_build_no_per_point_array(monkeypatch, tmp_path, scheme
 
     def frames_spy(row):
         built.append("per-point frames")
-        return row.points
 
     monkeypatch.setattr(geometry, "_per_point", per_point_spy)
     monkeypatch.setattr(geometry._Row, "frames", property(frames_spy))
@@ -747,14 +893,15 @@ def test_covariant_traces_build_no_per_point_array(monkeypatch, tmp_path, scheme
 def test_factored_csv_matches_the_per_point_one(tmp_path):
     p = ModelParams(2, 2 / 3)
     frames = smooth_gauge_states(p, (3, 4, 5), SphereMesh(16, 32, "equal-area"))
-    per_point = replace(frames, rows=[geometry._Row(row.theta, row.phis, row.frames.copy())
-                                      for row in frames.rows])
-    tables = []
-    for field in (frames, per_point):
-        curvature_discrete(connection_discrete(field)).to_csv(tmp_path / "curv.csv")
-        tables.append(np.loadtxt(tmp_path / "curv.csv", delimiter=",", skiprows=2))
-    assert tables[0].shape == tables[1].shape
-    assert np.max(np.abs(tables[0] - tables[1])) < 1e-9
+    curvature = _oracle_fields(frames, [row.frames for row in frames.rows])[-1]
+    per_point = np.concatenate([np.column_stack(np.broadcast_arrays(
+        frames.ring_top(r).theta, frames.ring_top(r).phis,
+        np.trace(curvature[r], axis1=-2, axis2=-1).real, frames.mesh.ring_solid_angle(r)))
+        for r in sorted(curvature)])
+    curvature_discrete(connection_discrete(frames)).to_csv(tmp_path / "curv.csv")
+    table = np.loadtxt(tmp_path / "curv.csv", delimiter=",", skiprows=2)
+    assert table.shape == per_point.shape
+    assert np.max(np.abs(table - per_point)) < 1e-9
 
 
 ANALYTIC_CASES = [(2, (3, 4, 5), 1e-10), (4, (5, 6, 7, 8, 9), 1e-6)]
@@ -810,7 +957,7 @@ def _sequential_meridian(p: ModelParams, labels, mesh: SphereMesh, source: str) 
     """
     positions = geometry._resolve_labels(p, labels)[1]
     thetas = mesh.theta_edges()[1:][::-1]  # south pole first
-    frames = geometry._raw_frames(p, thetas, np.zeros(1), positions)[:, 0]
+    frames = geometry._raw_frames(p, thetas, positions)
     seeded = np.arange(len(thetas)) == 0
     if source == "analytic":
         margin = geometry._ANALYTIC_POLE_MARGIN
@@ -848,11 +995,11 @@ def test_singular_meridian_overlap_is_refused(monkeypatch, source):
     # analytic one ends there).
     real = geometry._raw_frames
 
-    def orthogonal_at(p, thetas, phis, positions):
-        frames = real(p, thetas, phis, positions)  # south pole first
-        f, pole = frames[1, 0], frames[0, 0]
+    def orthogonal_at(p, thetas, positions):
+        frames = real(p, thetas, positions)  # south pole first
+        f, pole = frames[1], frames[0]
         f -= pole @ (pole.conj().T @ f)
-        frames[1, 0] = f / np.linalg.norm(f, axis=0)
+        frames[1] = f / np.linalg.norm(f, axis=0)
         return frames
     monkeypatch.setattr(geometry, "_raw_frames", orthogonal_at)
     p = ModelParams(2, 2 / 3)
@@ -887,14 +1034,12 @@ def _count_matrices(monkeypatch) -> list[int]:
     return counts
 
 
-@pytest.mark.parametrize("y,axis,factorised", [(0.0, (1.0, 0.0, 0.0), True),
-                                               (0.001, (0.0, 0.0, 1.0), True),
-                                               (0.1, (1.0, 0.0, 0.0), False)])
-def test_tilted_axis_takes_the_per_point_path(monkeypatch, y, axis, factorised):
-    # Link Chern numbers are read from the phi = 0 meridian with the axis
-    # along z for every axis, one matrix per ring edge; only a tilted axis's
-    # frames are solved and transported point by point, since they expose
-    # fields in mesh coordinates.
+@pytest.mark.parametrize("y,axis", [(0.0, (1.0, 0.0, 0.0)), (0.001, (0.0, 0.0, 1.0)),
+                                    (0.1, (1.0, 0.0, 0.0))])
+def test_every_axis_solves_one_meridian(monkeypatch, y, axis):
+    # Link Chern numbers and frames are read from the phi = 0 meridian with
+    # the axis along z for every axis: one matrix per ring edge, and per
+    # frame latitude below the dropped north ring.
     counts = _count_matrices(monkeypatch)
     p = ModelParams(2, 1.3, y, axis=axis)
     mesh = SphereMesh(8, 16, "uniform")
@@ -902,7 +1047,7 @@ def test_tilted_axis_takes_the_per_point_path(monkeypatch, y, axis, factorised):
     assert counts == [mesh.n_theta + 1]
     counts.clear()
     smooth_gauge_states(p, (1,), mesh)
-    assert sum(counts) == (8 if factorised else 8 * 16)
+    assert counts == [mesh.n_theta]
 
 
 @st.composite
@@ -1013,8 +1158,9 @@ def test_spectrum_and_eigenvectors_rotate_about_z(two_l, x, y, theta, phi, on_ax
     assert np.max(np.abs(np.linalg.eigvalsh(h_phi) - w0)) < 1e-10
     rotated = np.exp(-1j * phi * _jz_diagonal(two_l))[:, None] * v0
     assert np.max(np.abs(h_phi @ rotated - rotated * w0)) < 1e-10
-    w, v = geometry._eigen_grid(p, np.array([theta]), np.array([phi]))
-    assert np.max(np.abs(h_phi @ v[0, 0] - v[0, 0] * w[0, 0])) < 1e-10
+    w, v = geometry._eigen_grid(p, np.array([theta]))  # the meridian, rotated out to phi
+    v_phi = np.exp(-1j * phi * _jz_diagonal(two_l))[:, None] * v[0]
+    assert np.max(np.abs(h_phi @ v_phi - v_phi * w[0])) < 1e-10
 
 
 @settings(max_examples=60, deadline=None)
