@@ -9,17 +9,16 @@ R(omega t) - omega J_z (Rabi, Ramsey & Schwinger, Rev. Mod. Phys. 26, 167
 (1954)).  For a z-covariant H, H_rot is constant, and one eigendecomposition
 gives the exact state at every record time.  Otherwise H_rot, where only the
 tilted-axis term turns, is stepped like a ramp: by the exponential of the
-midpoint Hamiltonian, formed _CHUNK steps at a time.  A real symmetric batch
-(every ramp, whose H is real and linear in x) takes
-exp(-i A) = cos A - i sin A with A = H dt: A is halved s times until its
-infinity norm is at most 1, cos and sin are Taylor polynomials in A^2 whose
-first omitted terms are below 1/19! < 2^-53, evaluated Paterson-Stockmeyer
-style with all six blocks from one matrix product, and s doublings restore
-the step (Moler & Van Loan, SIAM Rev. 45, 3 (2003)).  A ramp's real stacks
-are read off the line between its end Hamiltonians.  A complex batch takes
-one batched eigh.  Either way every step is unitary to rounding, so norm
-drift is a pure floating-point diagnostic.  Any number of initial states
-share the steps as the columns of one block.
+midpoint Hamiltonian.  In both, the step Hamiltonian is a trigonometric
+polynomial in one angle a: the drive phase omega t, or, at the ramp
+fraction s, the a with s = (1 - cos a)/2, since H is linear in x.  The
+step unitary exp(-i H(a) dt) is then an entire 2 pi-periodic function of
+a, and its Fourier series, fixed by exact eigh solves at a few equispaced
+nodes, gives every step of the run (Trefethen & Weideman, SIAM Rev. 56,
+385 (2014)); see _step_unitaries for the node rule.  The series is unitary
+to about 1e-16 per step rather than to each step's rounding, so norm drift
+also measures the interpolation.  Any number of initial states share the
+steps as the columns of one block.
 """
 
 from __future__ import annotations
@@ -97,98 +96,62 @@ def _expectations(states: np.ndarray, nuclear_two_l: int) -> tuple[np.ndarray, n
     return avg[:, :3], avg[:, 3:]
 
 
-_CHUNK = 256  # midpoint steps per batch of step unitaries; bounds the memory of a long ramp
-
-# cos A = sum_k _COS[k] B^k and sin A = A sum_k _SIN[k] B^k with B = A^2.  For
-# ||A|| <= 1 the omitted tails are below 1.01/20! and 1.01/19!, both under 2^-53.
-_COS = tuple((-1) ** k / math.factorial(2 * k) for k in range(10))
-_SIN = tuple((-1) ** k / math.factorial(2 * k + 1) for k in range(9))
+_CHUNK = 64  # steps whose unitaries are formed at once; bounds the memory of a long run
+_MAX_NODES = 1024  # most nodes the step interpolant solves before it solves each step
+_TAIL = 1e-14  # largest entry of a Fourier coefficient that the step series drops
 
 
-def _horner_blocks(coeffs) -> np.ndarray:
-    """Rows (T_0, T_1, T_2) of coefficients of (I, B, B^2, B^3) with
-    sum_k coeffs[k] B^k = (T_0 B^3 + T_1) B^3 + T_2, for at most 10 coeffs.
+def _step_unitaries(h_at, dt: float, n_steps: int):
+    """U(a) = exp(-i h_at(a) dt) at an array of angles a, for h_at 2 pi-periodic in a.
 
-    Each block is a combination of the stored powers, so the polynomial
-    costs two products beyond them (Paterson & Stockmeyer, SIAM J. Comput.
-    2, 60 (1973)).  The top block also takes B^3 itself.
+    The unitaries at n equispaced nodes, one eigh each, give the Fourier
+    coefficients c_q of U.  n starts at 8 and doubles, keeping the nodes
+    already solved, until every c_q with |q| >= n/4 has entries of at most
+    _TAIL; U(a) is then the series over |q| < n/4, summed in the real basis
+    cos(q a), sin(q a) as one real product with the coefficients viewed as
+    real pairs.  Once n would reach n_steps or pass _MAX_NODES, the
+    returned U solves each angle directly.
     """
-    padded = np.zeros(12)
-    padded[:len(coeffs)] = coeffs
-    blocks = np.zeros((3, 4))
-    blocks[:, :3] = padded[:9].reshape(3, 3)[::-1]
-    blocks[0, 3] = padded[9]
-    return blocks
+    def solve(a):
+        w, v = np.linalg.eigh(h_at(a))
+        return (v * np.exp(-1j * w * dt)[:, None, :]) @ v.conj().swapaxes(1, 2)
+
+    n, u = 8, None
+    while n < n_steps and n <= _MAX_NODES:
+        a = 2 * np.pi * np.arange(n) / n
+        fresh = solve(a if u is None else a[1::2])  # the even nodes are solved already
+        u = fresh if u is None else np.stack([u, fresh], axis=1).reshape(n, *fresh.shape[1:])
+        c = np.fft.fft(u, axis=0) / n  # c_q at index q mod n
+        if np.max(np.abs(c[n // 4:n - n // 4 + 1])) <= _TAIL:
+            q = np.arange(1, n // 4)
+            table = np.concatenate([c[:1], c[q] + c[-q], 1j * (c[q] - c[-q])])
+            table, shape = table.view(float).reshape(len(table), -1), u.shape[1:]
+
+            def series(a):
+                qa = np.multiply.outer(a, q)
+                basis = np.hstack([np.ones((len(a), 1)), np.cos(qa), np.sin(qa)])
+                return (basis @ table).view(complex).reshape(len(a), *shape)
+            return series
+        n *= 2
+    return solve
 
 
-_BLOCKS = np.vstack([_horner_blocks(_COS), _horner_blocks(_SIN)])  # cos rows, then sin rows
-
-
-def _real_step_unitaries(a: np.ndarray) -> np.ndarray:
-    """exp(-i A) = cos A - i sin A for a stack of real symmetric A.
-
-    The infinity norm bounds the 2-norm; A is halved s times until the
-    largest one is at most 1, and s doublings cos 2A = (C - S)(C + S),
-    sin 2A = 2 S C undo the halving.  Every intermediate is written with
-    out= into one block of ten stacks, which takes half the time of
-    allocating each as a new array.
-    """
-    n, d, _ = a.shape
-    real = np.empty((10, n, d, d))  # A, B, B^2, B^3 and the six blocks
-    scaled, powers, blocks = real[0], real[1:4], real[4:]
-    s = max(0, math.frexp(float(np.max(np.sum(np.abs(a, out=scaled), axis=-1))))[1])
-    np.multiply(a, 0.5 ** s, out=scaled)
-    b, b2, b3 = powers
-    np.matmul(scaled, scaled, out=b)
-    np.matmul(b, b, out=b2)
-    np.matmul(b2, b, out=b3)
-    # All six blocks in one product; the identity's coefficients go on the diagonals.
-    np.matmul(_BLOCKS[:, 1:], powers.reshape(3, -1), out=blocks.reshape(6, -1))
-    diagonals = blocks.reshape(6, n, d * d)[..., ::d + 1]
-    diagonals += _BLOCKS[:, :1, None]
-    for top, low in ((0, 1), (1, 2), (3, 4), (4, 5)):  # Horner's rule in B^3; B is free now
-        np.matmul(blocks[top], b3, out=b)
-        blocks[low] += b
-    c, sin = blocks[2], np.matmul(scaled, blocks[5], out=b)
-    spare = (blocks[0], blocks[1], b2, blocks[3])
-    for _ in range(s):
-        diff, total, c_next, sin_next = spare
-        np.subtract(c, sin, out=diff)
-        np.add(c, sin, out=total)
-        np.matmul(sin, c, out=sin_next)
-        sin_next *= 2
-        np.matmul(diff, total, out=c_next)
-        spare = (c, sin, diff, total)
-        c, sin = c_next, sin_next
-    u = np.empty((n, d, d), dtype=complex)
-    u.real = c
-    np.negative(sin, out=u.imag)
-    return u
-
-
-def _midpoint_evolve(psi: np.ndarray, hamiltonians, n_steps: int, dt: float,
-                     rec_idx: list[int]) -> np.ndarray:
-    """States after each step count in rec_idx (all >= 1) of psi_{k+1} = exp(-i H_k dt) psi_k.
+def _midpoint_evolve(psi: np.ndarray, unitaries, n_steps: int, rec_idx: list[int]) -> np.ndarray:
+    """States after each step count in rec_idx (all >= 1) of psi_{k+1} = U_k psi_k.
 
     psi is one state (dim,) or a stack of states (k, dim) that take the
-    same steps.  hamiltonians(mid) returns the H_k at an array of midpoints
-    mid = k + 1/2 (in steps).  They are exponentiated _CHUNK steps at a
-    time, by the cos/sin polynomial when their imaginary parts are exactly
-    zero and by a batched eigh otherwise; the unitaries are applied one by
-    one, in order.  Each state takes its own matrix-vector product, so a
-    state's arithmetic does not depend on the others in the stack.
+    same steps.  unitaries(mid) returns the step unitaries U_k at an array
+    of midpoints mid = k + 1/2 (in steps); it is asked for _CHUNK steps at
+    a time, and the unitaries are applied one by one, in order.  Each state
+    takes its own matrix-vector product, so a state's arithmetic does not
+    depend on the others in the stack.
     """
     slot = {s: i for i, s in enumerate(rec_idx)}
     out = np.empty((len(rec_idx),) + psi.shape, dtype=complex)
     cols = psi[..., None]
     for start in range(0, n_steps, _CHUNK):
-        h = hamiltonians(np.arange(start, min(start + _CHUNK, n_steps)) + 0.5)
-        if h.imag.any():
-            w, v = np.linalg.eigh(h)
-            steps = (v * np.exp(-1j * w * dt)[:, None, :]) @ v.conj().swapaxes(1, 2)
-        else:
-            steps = _real_step_unitaries(h.real * dt)
-        for k, u in enumerate(steps, start + 1):
+        for k, u in enumerate(unitaries(np.arange(start, min(start + _CHUNK, n_steps)) + 0.5),
+                              start + 1):
             cols = u @ cols
             if k in slot:
                 out[slot[k]] = cols[..., 0]
@@ -222,6 +185,8 @@ def _propagate_block(p0: ModelParams, protocol: DriveProtocol, initial: np.ndarr
         if value < least:
             raise ValueError(f"{name} must be at least {least}")
     psi = np.asarray(initial, dtype=complex).T  # one state per row
+    if psi.shape[-1] != p0.dim:
+        raise ValueError(f"initial state must have {p0.dim} components, got {psi.shape[-1]}")
     if np.max(np.abs(np.linalg.norm(psi, axis=1) - 1.0)) > TOL.unit_vector * 100:
         raise ValueError("initial state must be normalized")
     n_steps = steps_per_period * protocol.n_periods
@@ -236,12 +201,13 @@ def _propagate_block(p0: ModelParams, protocol: DriveProtocol, initial: np.ndarr
     axis_term = spin_axis_operator(p0.axis, p0.nuclear_two_l)
     h_phi0 = _hamiltonians(p0, protocol.theta0, 0.0, p0.x, 0.0)  # field and exchange at phi = 0
 
-    def rotating(t):
-        """R(omega t)^dag H(t) R(omega t) - omega J_z; an array of times gives a stack.
+    def rotating(phase):
+        """H_rot = R(phase)^dag H R(phase) - omega J_z at the drive phase omega t; an
+        array of phases gives a stack.
 
-        Only the axis term turns, entry (i, j) by e^{i omega t (m_i - m_j)}.
+        Only the axis term turns, entry (i, j) by e^{i phase (m_i - m_j)}.
         """
-        r_dag = np.exp(1j * omega * np.multiply.outer(t, jz))  # diagonal of R(omega t)^dag
+        r_dag = np.exp(1j * np.multiply.outer(phase, jz))  # diagonal of R(phase)^dag
         turned = r_dag[..., :, None] * axis_term * r_dag.conj()[..., None, :]
         return h_phi0 + p0.y * turned - omega * np.diag(jz)
 
@@ -251,8 +217,9 @@ def _propagate_block(p0: ModelParams, protocol: DriveProtocol, initial: np.ndarr
         coeffs = v.conj().T @ psi[..., None]  # (k, dim, 1)
         chi = (np.exp(-1j * np.multiply.outer(rec_times, w)) * coeffs.swapaxes(1, 2)) @ v.T
     else:
+        steps = _step_unitaries(rotating, dt, n_steps)  # H_rot is 2 pi-periodic in the phase
         chi = np.concatenate([psi[None], _midpoint_evolve(
-            psi, lambda mid: rotating(mid * dt), n_steps, dt, rec_idx[1:])]).swapaxes(0, 1)
+            psi, lambda mid: steps(omega * dt * mid), n_steps, rec_idx[1:])]).swapaxes(0, 1)
     recorded = np.exp(-1j * omega * np.multiply.outer(rec_times, jz)) * chi  # (k, n, dim)
 
     drifts = np.max(np.abs(np.linalg.norm(recorded, axis=-1) - 1.0), axis=-1)
@@ -384,12 +351,10 @@ def landau_zener_scan(p_base: ModelParams, x_start: float, x_end: float,
     the x_end eigenbasis.  Requires y != 0 and a ramp interval that
     actually contains the anti-crossing.
 
-    The ramp runs in the frame that turns the axis a onto z and the field
-    n into the x-z plane, at polar angle angle(n, a) and azimuth 0, where
-    every H is real symmetric and takes a real eigh.  A ramp changes only
-    x, S.L is rotation invariant, and the rotation maps the initial state
-    and the final eigenbasis alike, so the populations are those of the
-    given field and axis.
+    Each rate steps H at the given field and axis, at midpoints on the line
+    between the end Hamiltonians.  Its step unitaries come from one
+    interpolant in the angle a with ramp fraction s = (1 - cos a)/2
+    (_step_unitaries), built from its own dt.
     """
     if p_base.y == 0.0:
         raise ValueError("the ramp scan probes an anti-crossing and needs y != 0")
@@ -404,27 +369,31 @@ def landau_zener_scan(p_base: ModelParams, x_start: float, x_end: float,
     if not (isinstance(min_steps, Integral) and min_steps >= 1):
         raise ValueError(f"min_steps must be a whole number of steps, at least 1; "
                          f"got {min_steps!r}")
+    for name, value in (("x_start", x_start), ("x_end", x_end)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     lo, hi = min(x_start, x_end), max(x_start, x_end)
     x_anti = p_base.crossing_x()
     if not lo < x_anti < hi:
         raise ValueError(f"ramp [{x_start}, {x_end}] does not cross the anti-crossing "
                          f"near x = {x_anti:.4f}")
-    n, a = p_base.field.unit_vector(), np.asarray(p_base.axis)
-    angle = float(np.arctan2(np.linalg.norm(np.cross(n, a)), n @ a))  # accurate near the poles
-    p_base = ModelParams(p_base.nuclear_two_l, p_base.x, p_base.y, FieldDirection(angle, 0.0))
-    h_ends = _hamiltonians(p_base, angle, 0.0, np.array([x_start, x_end]), p_base.y)
+    field = p_base.field
+    h_ends = _hamiltonians(p_base, field.theta, field.phi, np.array([x_start, x_end]), p_base.y)
     psi0 = eigensystem(h_ends[0]).eigenvectors[:, level - 1]
     es1 = eigensystem(h_ends[1])
-    # H is linear in x, and real here: each step's H lies on the line between the ends.
-    h_start = np.ascontiguousarray(h_ends[0].real)
-    h_rise = h_ends[1].real - h_start
+    h_start, h_rise = h_ends[0], h_ends[1] - h_ends[0]
+
+    def h_at(a):
+        """H at the ramp fraction s = (1 - cos a)/2, on the line between the end
+        Hamiltonians, since H is linear in x."""
+        return h_start + np.multiply.outer((1 - np.cos(a)) / 2, h_rise)
     results = []
     for rate in rates:
         duration = abs(x_end - x_start) / rate
         n_steps = max(min_steps, int(np.ceil(duration / dt_max)))
-        dt = duration / n_steps
-        [psi] = _midpoint_evolve(psi0, lambda mid: h_start + np.multiply.outer(
-            mid / n_steps, h_rise), n_steps, dt, [n_steps])
+        steps = _step_unitaries(h_at, duration / n_steps, n_steps)
+        [psi] = _midpoint_evolve(psi0, lambda mid: steps(np.arccos(1 - 2 * mid / n_steps)),
+                                 n_steps, [n_steps])
         populations = np.abs(es1.eigenvectors.conj().T @ psi) ** 2
         stay = float(populations[level - 1])
         results.append(RampResult(float(rate), populations, stay, 1.0 - stay))

@@ -59,6 +59,8 @@ class ModelParams:
         for name, value in (("x", self.x), ("y", self.y)):
             if not math.isfinite(value):
                 raise ValueError(f"coupling {name} must be finite, got {value}")
+        if np.shape(self.axis) != (3,):
+            raise ValueError(f"axis must have three components, got {self.axis!r}")
         norm = float(np.linalg.norm(self.axis))
         if not abs(norm - 1.0) <= TOL.unit_vector:  # a NaN component fails this too
             raise ValueError(f"axis must be a unit vector, |a| = {norm}")

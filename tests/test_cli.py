@@ -364,6 +364,17 @@ def test_non_finite_model_input_exits_2(args, message, capsys):
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("y,axis,shown", [
+    ("0.1", "1,0", "(1.0, 0.0)"), ("0", "1,0", "(1.0, 0.0)"),
+    ("0.1", "1,0,0,0", "(1.0, 0.0, 0.0, 0.0)")], ids=["two", "two-at-y0", "four"])
+def test_axis_without_three_components_exits_2(y, axis, shown, capsys):
+    args = ["chern", "--l", "1", "--x", "0.8", "--y", y, "--axis", axis, "--mesh", "50"]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: axis must have three components, got {shown}\n"
+
+
 @pytest.mark.parametrize("args", [
     ["--l", "1.5", "--x", "0.25", "--y", "0.25", "--axis", "0.6,0,0.8"],
     ["--l", "1", "--x", "0.6666666666666666"],

@@ -113,41 +113,37 @@ def test_landau_zener_scan_matches_per_step_loop():
         assert np.max(np.abs(r.populations - ref)) < 1e-10
 
 
-def _spy_hamiltonians(monkeypatch) -> list[bool]:
-    """Record, per batch of ramp Hamiltonians, whether any entry has an imaginary part."""
-    complex_batches: list[bool] = []
-    real = dynamics._hamiltonians
-
-    def spy(*args):
-        h = real(*args)
-        complex_batches.append(bool(h.imag.any()))
-        return h
-    monkeypatch.setattr(dynamics, "_hamiltonians", spy)
-    return complex_batches
-
-
 @pytest.mark.parametrize("phi", [0.3, 2.0, 4.5])
-def test_z_axis_ramp_runs_real_and_matches_the_lab_frame(monkeypatch, phi):
+def test_z_axis_ramp_matches_the_per_step_loop(phi):
     p = ModelParams(2, 0.5, 1e-3, FieldDirection(1.0, phi))
     rates = [2e-4, 2e-3]
-    refs = [per_step_ramp(p, 0.61, 0.72, rate, 3, dt_max=2.0)[1] for rate in rates]
-    complex_batches = _spy_hamiltonians(monkeypatch)
     res = landau_zener_scan(p, 0.61, 0.72, rates, level=3, dt_max=2.0)
-    assert complex_batches and not any(complex_batches)
-    for r, ref in zip(res, refs):
+    for r, rate in zip(res, rates):
+        _, ref = per_step_ramp(p, 0.61, 0.72, rate, 3, dt_max=2.0)
         assert np.max(np.abs(r.populations - ref)) < 1e-10
 
 
-def test_tilted_axis_ramp_runs_real_and_matches_the_lab_frame(monkeypatch):
-    # S.L is rotation invariant, so a tilted axis ramps in the frame that
-    # turns it onto z, in real arithmetic.
-    complex_batches = _spy_hamiltonians(monkeypatch)
-    for axis in ((0.6, 0.0, 0.8), (0.0, 0.6, -0.8)):
-        p = ModelParams(2, 0.5, 0.05, FieldDirection(1.0, 0.3), axis=axis)
-        _, ref = per_step_ramp(p, 0.5, 0.8, 1e-3, 3)
-        [r] = landau_zener_scan(p, 0.5, 0.8, [1e-3], level=3)
-        assert np.max(np.abs(r.populations - ref)) < 1e-10, axis
-    assert complex_batches and not any(complex_batches)
+@pytest.mark.parametrize("axis", [(0.6, 0.0, 0.8), (0.0, 0.6, -0.8)])
+def test_tilted_axis_ramp_matches_the_per_step_loop(axis):
+    p = ModelParams(2, 0.5, 0.05, FieldDirection(1.0, 0.3), axis=axis)
+    _, ref = per_step_ramp(p, 0.5, 0.8, 1e-3, 3)
+    [r] = landau_zener_scan(p, 0.5, 0.8, [1e-3], level=3)
+    assert np.max(np.abs(r.populations - ref)) < 1e-10
+
+
+def test_ramp_ends_must_be_finite():
+    p = ModelParams(2, 0.5, 1e-3, FieldDirection(1.0, 0.3))
+    with pytest.raises(ValueError, match="x_end must be finite, got inf"):
+        landau_zener_scan(p, 0.61, np.inf, [1e-3], 3)
+    with pytest.raises(ValueError, match="x_start must be finite, got nan"):
+        landau_zener_scan(p, np.nan, 0.72, [1e-3], 3)
+
+
+def test_propagate_refuses_a_state_of_the_wrong_length():
+    p = ModelParams(2, 0.8, 0.1, axis=(1.0, 0.0, 0.0))
+    proto = DriveProtocol(1.0, 0.01, 1)
+    with pytest.raises(ValueError, match="initial state must have 9 components, got 8"):
+        propagate(p, proto, np.full(8, 8 ** -0.5), 400)
 
 
 SPECIAL_FLOATS = [-0.0, np.nan, np.inf, -np.inf, 1e-300, 1e17, 0.1 + 0.2, -1 / 3]
@@ -265,56 +261,141 @@ def test_expectations_match_per_operator_products(two_l):
         assert np.max(np.abs(avg - reference)) < 1e-14
 
 
-def eigh_step_unitaries(a):
-    """exp(-i A) from one batched eigh, the reference for the cos/sin kernel."""
-    w, v = np.linalg.eigh(a)
-    return (v * np.exp(-1j * w)[:, None, :]) @ v.conj().swapaxes(1, 2)
+def eigh_step_unitaries(h, dt):
+    """exp(-i H dt) from one batched eigh, the reference for the step interpolant."""
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(-1j * w * dt)[:, None, :]) @ v.conj().swapaxes(1, 2)
 
 
-@settings(max_examples=60, deadline=None)
-@given(two_l=st.integers(1, 6), log_nu=st.floats(-6.0, np.log10(50.0)),
-       degenerate=st.booleans(), x=st.floats(-2.0, 2.0), y=st.floats(-0.5, 0.5),
-       theta=st.floats(0.0, np.pi), axis_angle=st.floats(0.0, np.pi))
-def test_real_step_kernel_matches_eigh_unitaries(two_l, log_nu, degenerate, x, y, theta,
-                                                  axis_angle):
-    # Field and axis in the x-z plane make H real symmetric.  At y = 0 and
-    # x* = 2/(2L+1) the spectrum holds an exactly (2L+1)-fold level.
-    if degenerate:
-        x, y = 2.0 / (two_l + 1), 0.0
-    p = ModelParams(two_l, x, y, FieldDirection(theta, 0.0),
-                    (np.sin(axis_angle), 0.0, np.cos(axis_angle)))
-    h = np.stack([build_hamiltonian(p), build_hamiltonian(p.with_x(x + 0.1))]).real
-    nu = 10.0 ** log_nu
-    a = h * (nu / np.max(np.sum(np.abs(h), axis=-1)))  # largest infinity norm is nu
-    u = dynamics._real_step_unitaries(a)
-    assert np.max(np.abs(u - eigh_step_unitaries(a))) < 1e-13
-    assert np.max(np.abs(u @ u.conj().swapaxes(1, 2) - np.eye(p.dim))) < 1e-13
+def drive_steps(p, proto, steps_per_period):
+    """(H_rot at the drive phase a, dt, step count, phases of the step midpoints).
+
+    H_rot(a) = R(a)^dag H R(a) - omega J_z with J_z diagonal, so R(a)^dag
+    turns entry (i, j) of the lab-frame H by e^{i a (m_i - m_j)}.
+    """
+    m = np.diag(total_jz(p.nuclear_two_l)).real
+    turn = np.subtract.outer(m, m)
+
+    def h_at(a):
+        h = instantaneous_hamiltonian(p, proto, np.asarray(a) / proto.omega)
+        return h * np.exp(1j * np.multiply.outer(a, turn)) - proto.omega * np.diag(m)
+    n_steps = steps_per_period * proto.n_periods
+    return h_at, proto.period / steps_per_period, n_steps, \
+        2 * np.pi * (np.arange(n_steps) + 0.5) / steps_per_period
+
+
+def ramp_steps(p, x_start, x_end, n_steps, dt):
+    """(H at the ramp angle a, dt, step count, angles of the step midpoints)."""
+    def h_at(a):
+        x = x_start + (x_end - x_start) * (1 - np.cos(a)) / 2
+        return np.stack([build_hamiltonian(p.with_x(xi)) for xi in x])
+    return h_at, dt, n_steps, np.arccos(1 - 2 * (np.arange(n_steps) + 0.5) / n_steps)
+
+
+def counted(h_at):
+    """h_at and a list that gains the number of angles of each call."""
+    asked: list[int] = []
+
+    def h(a):
+        asked.append(len(a))
+        return h_at(a)
+    return h, asked
+
+
+@settings(max_examples=40, deadline=None)
+@given(two_l=st.integers(0, 4), x=st.floats(-1.5, 1.5), y=st.floats(-0.5, 0.5),
+       theta=st.floats(0.0, np.pi), axis_theta=st.floats(0.0, np.pi),
+       axis_phi=st.floats(0.0, 2 * np.pi), log_omega=st.floats(-4.0, -1.0),
+       steps=st.integers(100, 4000), ramp=st.booleans(), ramp_dt=st.floats(0.05, 2.0))
+def test_step_unitaries_match_eigh_unitaries(two_l, x, y, theta, axis_theta, axis_phi,
+                                             log_omega, steps, ramp, ramp_dt):
+    # Drives in the rotating frame and ramps of x across [x, x + 0.5], each
+    # at its own field and axis; 64 steps spread over the run are compared.
+    axis = (np.sin(axis_theta) * np.cos(axis_phi), np.sin(axis_theta) * np.sin(axis_phi),
+            np.cos(axis_theta))
+    p = ModelParams(two_l, x, y, FieldDirection(theta, 1.0), axis)
+    if ramp:
+        h_at, dt, n_steps, angles = ramp_steps(p, x, x + 0.5, 10 * steps, ramp_dt)
+    else:
+        h_at, dt, n_steps, angles = drive_steps(p, DriveProtocol(theta, 10.0 ** log_omega, 1),
+                                                steps)
+    sample = angles[np.linspace(0, n_steps - 1, 64).astype(int)]
+    u = dynamics._step_unitaries(h_at, dt, n_steps)(sample)
+    assert np.max(np.abs(u - eigh_step_unitaries(h_at(sample), dt))) < 1e-12
+
+
+def test_step_interpolant_takes_as_many_nodes_as_it_needs():
+    # dt y |Q| is large here: the series needs at least 128 nodes, and
+    # every step it gives is within 1e-12 of its own eigh.
+    p = ModelParams(3, 0.6, 0.05, FieldDirection(0.7, 0.0), (0.6, 0.0, 0.8))
+    proto = DriveProtocol(0.7, 1e-3, 1)
+    h_at, dt, n_steps, angles = drive_steps(p, proto, 400)
+    h, asked = counted(h_at)
+    steps = dynamics._step_unitaries(h, dt, n_steps)
+    solved = sum(asked)
+    assert 128 <= solved < n_steps
+    u = steps(angles)
+    assert sum(asked) == solved  # no step solved on its own
+    assert np.max(np.abs(u - eigh_step_unitaries(h_at(angles), dt))) < 1e-12
+    psi0 = initial_eigenstate(p, proto, 2)
+    traj = propagate(p, proto, psi0, steps_per_period=400, record_every=50)
+    assert np.max(np.abs(traj.states - per_step_drive(p, proto, psi0, 400, 50))) < 1e-10
+
+
+def test_step_unitaries_fall_back_to_direct_solves():
+    # At 100 steps per period the series would need as many nodes as there
+    # are steps, so each step is solved on its own.
+    p = ModelParams(2, 0.8, 0.1, FieldDirection(1.0, 0.0), (1.0, 0.0, 0.0))
+    proto = DriveProtocol(1.0, 1e-3, 1)
+    h_at, dt, n_steps, angles = drive_steps(p, proto, 100)
+    h, asked = counted(h_at)
+    steps = dynamics._step_unitaries(h, dt, n_steps)
+    asked.clear()
+    u = steps(angles)
+    assert asked == [n_steps]
+    assert np.max(np.abs(u - eigh_step_unitaries(h_at(angles), dt))) < 1e-12
+    psi0 = initial_eigenstate(p, proto, 0)
+    traj = propagate(p, proto, psi0, steps_per_period=100, record_every=10)
+    assert np.max(np.abs(traj.states - per_step_drive(p, proto, psi0, 100, 10))) < 1e-10
+
+
+def test_step_interpolant_holds_at_most_max_nodes():
+    # At omega = 1e-4 and 100 steps per period the series needs 8192 nodes;
+    # past _MAX_NODES the steps of a long drive are solved one by one.
+    p = ModelParams(2, 0.8, 0.1, FieldDirection(1.0, 0.0), (1.0, 0.0, 0.0))
+    h_at, dt, _, angles = drive_steps(p, DriveProtocol(1.0, 1e-4, 1), 100)
+    h, asked = counted(h_at)
+    steps = dynamics._step_unitaries(h, dt, 100 * len(angles))
+    assert sum(asked) == dynamics._MAX_NODES
+    asked.clear()
+    steps(angles[:7])
+    assert asked == [7]
+
+
+def _spy_chunks(monkeypatch) -> list[int]:
+    """Record the number of steps in each chunk of step unitaries asked for."""
+    chunks: list[int] = []
+    real = dynamics._step_unitaries
+
+    def spy(h_at, dt, n_steps):
+        steps = real(h_at, dt, n_steps)
+
+        def counted_steps(a):
+            chunks.append(len(a))
+            return steps(a)
+        return counted_steps
+    monkeypatch.setattr(dynamics, "_step_unitaries", spy)
+    return chunks
 
 
 def test_ramp_with_a_short_last_chunk_matches_per_step_loop(monkeypatch):
     p = ModelParams(2, 0.5, 1e-3, FieldDirection(1.0, 0.3))
-    n_steps = 2 * dynamics._CHUNK + 37
-    chunks: list[int] = []
-    real_kernel = dynamics._real_step_unitaries
-
-    def spy(a):
-        chunks.append(len(a))
-        return real_kernel(a)
-    monkeypatch.setattr(dynamics, "_real_step_unitaries", spy)
+    n_steps = 4 * dynamics._CHUNK + 37  # above the 220 steps that dt_max asks for
+    chunks = _spy_chunks(monkeypatch)
     [r] = landau_zener_scan(p, 0.61, 0.72, [2.5e-4], 3, dt_max=2.0, min_steps=n_steps)
-    assert chunks == [dynamics._CHUNK, dynamics._CHUNK, 37]
+    assert chunks == [dynamics._CHUNK] * 4 + [37]
     _, ref = per_step_ramp(p, 0.61, 0.72, 2.5e-4, 3, dt_max=2.0, min_steps=n_steps)
     assert np.max(np.abs(r.populations - ref)) < 1e-10
-
-
-def test_real_step_kernel_leaves_its_input_unchanged():
-    rng = np.random.default_rng(0)
-    p = ModelParams(2, 0.5, 0.05, FieldDirection(1.0, 0.0), (0.6, 0.0, 0.8))
-    a = np.stack([build_hamiltonian(p.with_x(x)).real * dt  # dt up to 3: several doublings
-                  for x, dt in zip(rng.uniform(-2, 2, 12), rng.uniform(0, 3, 12))])
-    kept = a.copy()
-    dynamics._real_step_unitaries(a)
-    assert np.array_equal(a, kept)
 
 
 @pytest.mark.parametrize("p,proto", [
@@ -360,21 +441,15 @@ def test_fast_path_state_does_not_depend_on_step_count(two_l, x, theta0, omega, 
 
 
 def test_fast_and_generic_paths_agree(monkeypatch):
-    # At y = 0 the stepped path takes the real cos/sin kernel.
+    # At y = 0 the stepped path takes the same steps as a tilted axis would.
     p = ModelParams(2, 0.8, 0.0, FieldDirection(0.4, 0.0))
     proto = DriveProtocol(0.7, 0.02, 1)
     psi0 = initial_eigenstate(p, proto, 3)
     t1 = propagate(p, proto, psi0, steps_per_period=500, record_every=500)
-    real_steps: list[int] = []
-    real_kernel = dynamics._real_step_unitaries
-
-    def spy(a):
-        real_steps.append(len(a))
-        return real_kernel(a)
-    monkeypatch.setattr(dynamics, "_real_step_unitaries", spy)
+    chunks = _spy_chunks(monkeypatch)
     monkeypatch.setattr(dynamics, "_z_covariant", lambda y, axis: False)
     t2 = propagate(p, proto, psi0, steps_per_period=500, record_every=500)
-    assert sum(real_steps) == 500
+    assert sum(chunks) == 500
     assert np.max(np.abs(t1.states[-1] - t2.states[-1])) < 1e-10
 
 

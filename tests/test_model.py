@@ -207,6 +207,15 @@ def test_non_finite_inputs_are_refused(make, message):
     assert str(refused.value) == message
 
 
+@pytest.mark.parametrize("axis", [(1.0, 0.0), (1.0, 0.0, 0.0, 0.0), 1.0, ((1.0, 0.0, 0.0),)])
+@pytest.mark.parametrize("y", [0.0, 0.1])
+def test_axis_without_three_components_is_refused(axis, y):
+    # At y = 0 the axis term is never built, so the shape is checked first.
+    with pytest.raises(ValueError) as refused:
+        ModelParams(1, 0.8, y, axis=axis)
+    assert str(refused.value) == f"axis must have three components, got {axis!r}"
+
+
 def test_zeeman_params_is_pure_precession():
     p = zeeman_params(0.3, 0.4)
     h = build_hamiltonian(p)
