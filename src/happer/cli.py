@@ -15,8 +15,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +75,8 @@ class ScanConfig:
             raise ValueError(f"unknown convention {self.convention!r}")
         if self.fmt not in ("csv", "json"):
             raise ValueError(f"unknown format {self.fmt!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
 
     def params(self, x: float) -> ModelParams:
         return ModelParams(self.two_l, float(x), self.y,
@@ -92,7 +96,7 @@ class ScanConfig:
 @dataclass
 class Table:
     columns: list[str]
-    rows: list[list]
+    rows: list[Sequence]
     annotations: list[str] = field(default_factory=list)
     ok: bool = True
     meta: dict = field(default_factory=dict)
@@ -104,7 +108,7 @@ def write_table(table: Table, out: str | None, fmt: str) -> None:
         text = _csv_text(table.columns, table.rows, notes)
     else:
         payload = {"schema": 1, "meta": table.meta, "columns": table.columns,
-                   "rows": [[v for v in row] for row in table.rows],
+                   "rows": table.rows,
                    "annotations": table.annotations, "ok": table.ok}
         text = json.dumps(payload, indent=1, sort_keys=True) + "\n"
     if out:
@@ -145,13 +149,9 @@ def cmd_spectrum(cfg: ScanConfig) -> Table:
     p0 = cfg.params(xs[0])
     track = track_levels(p0, np.asarray(xs))
     cols = ["x", "label", "energy"]
-    rows = []
-    ok = True
-    for i, x in enumerate(xs):
-        for lab in range(1, p0.dim + 1):
-            rows.append([float(x), lab, float(track.energies[i, lab - 1])])
-        if abs(track.energies[i].sum()) > 1e-8:
-            ok = False
+    rows = list(zip(np.repeat(xs, p0.dim).tolist(), list(range(1, p0.dim + 1)) * len(xs),
+                    track.energies.ravel().tolist()))
+    ok = not np.any(np.abs(track.energies.sum(axis=1)) > 1e-8)
     annotations = []
     for d in find_degeneracies(p0, (xs[0], xs[-1])):
         kind = "crossing" if d.exact else "anti-crossing"
@@ -338,23 +338,30 @@ _COMMON_KEYS = ("format", "out")
 
 
 def _parse_l(text: str) -> int:
-    frac = Fraction(text)
-    two_l = frac * 2
-    if two_l.denominator != 1 or two_l < 0:
+    try:
+        two_l = Fraction(text) * 2
+    except (ValueError, ZeroDivisionError):
+        two_l = None
+    if two_l is None or two_l.denominator != 1 or two_l < 0:
         raise argparse.ArgumentTypeError(f"L must be a non-negative (half-)integer, got {text}")
     return int(two_l)
 
 
 def _parse_range(text: str) -> tuple[float, ...]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("ranges are start:stop:count")
-    start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-    return tuple(float(v) for v in np.linspace(start, stop, count))
+    try:
+        start, stop, count = text.split(":")
+        grid = np.linspace(float(start), float(stop), int(count))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"x-range is start:stop:count (two numbers and a count), got {text!r}") from None
+    return tuple(grid.tolist())
 
 
-def _parse_vector(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split(","))
+def _parse_vector(text: str, form: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{form}, got {text!r}") from None
 
 
 def _read_config_file(path: str) -> dict:
@@ -385,7 +392,8 @@ _OPTIONS = {
     "x": ("x", float, {}),
     "x-range": ("x_grid", _parse_range, {"help": "start:stop:count"}),
     "y": ("y", float, {}),
-    "axis": ("axis", _parse_vector, {"help": "internuclear axis, e.g. 0,0,1"}),
+    "axis": ("axis", partial(_parse_vector, form="axis is ax,ay,az (three numbers)"),
+             {"help": "internuclear axis, e.g. 0,0,1"}),
     "theta0": ("theta0", float, {"help": "field polar angle / loop latitude"}),
     "phi0": ("phi0", float, {}),
     "mesh": ("mesh", int, {"help": "sphere rings (>= 50)"}),
@@ -398,7 +406,7 @@ _OPTIONS = {
     "cluster": ("cluster", _parse_bool,
                 {"help": "treat the degenerate multiplet as one subspace"}),
     "level": ("level", int, {}),
-    "k-grid": ("k_grid", _parse_vector, {}),
+    "k-grid": ("k_grid", partial(_parse_vector, form="k-grid is k1,k2,... (numbers)"), {}),
     "omega-factor": ("omega_factor", float, {}),
     "steps-per-period": ("steps_per_period", int, {}),
     "periods": ("periods", int, {}),
@@ -406,12 +414,15 @@ _OPTIONS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or with ``command`` of that command alone."""
     parser = argparse.ArgumentParser(prog="happer",
                                      description="Spectra and topological numbers of the "
                                                  "driven electron-nuclear spin model")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, keys) in COMMANDS.items():
+        if command not in (None, name):
+            continue
         # no abbreviations: `spectrum --x` must not be read as --x-range
         p = sub.add_parser(name, allow_abbrev=False)
         for key in (*keys, *_COMMON_KEYS):
@@ -433,7 +444,7 @@ def config_from_args(args: argparse.Namespace) -> ScanConfig:
             attr, parse, _ = _OPTIONS[key]
             try:
                 value = parse(raw)
-            except argparse.ArgumentTypeError as exc:
+            except (argparse.ArgumentTypeError, ValueError) as exc:
                 raise ValueError(f"config key {key!r}: {exc}") from exc
             cfg = replace(cfg, **{attr: value})
     overrides = {}
@@ -447,7 +458,9 @@ def config_from_args(args: argparse.Namespace) -> ScanConfig:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a call that names its command first needs only that command's options
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args, unknown = parser.parse_known_args(argv)
     if unknown:  # shown with the command's own usage, which lists the flags it takes
         usage = " ".join(args.command_parser.format_usage().split())

@@ -341,6 +341,9 @@ def _pencil_roots(a: np.ndarray, b: np.ndarray, lo: float, hi: float) -> list[np
     return roots
 
 
+_ROOT_CHUNK = 1024  # pencil roots whose spectra are solved at once; bounds the memory at large L
+
+
 def _exact_crossings(sectors: _Sectors, lo: float, hi: float) -> list[DegeneracyPoint]:
     """Crossings of labelled levels on [lo, hi], as roots of sector-pair pencils.
 
@@ -370,29 +373,42 @@ def _exact_crossings(sectors: _Sectors, lo: float, hi: float) -> list[Degeneracy
     roots = np.concatenate(roots_of).tolist()
     slot_pairs = [(sectors.blocks[g_s][0][j_s], sectors.blocks[g_t][0][j_t])
                   for ((g_s, j_s), (g_t, j_t)), x in zip(pairs, roots_of) for _ in x]
-    e = sectors.levels(roots)[0]
     hits = []  # (root, energy) of each pair of slots that meet at a root
-    for r, (s, t) in enumerate(slot_pairs):
-        for i, j in zip(*np.nonzero(np.abs(e[r, s][:, None] - e[r, t]) < 1e-9)):
-            hits.append((r, (e[r, s[i]] + e[r, t[j]]) / 2))
+    for start in range(0, len(roots), _ROOT_CHUNK):
+        e = sectors.levels(roots[start:start + _ROOT_CHUNK])[0]
+        for r, e_r in enumerate(e, start):
+            s, t = slot_pairs[r]
+            for i, j in zip(*np.nonzero(np.abs(e_r[s][:, None] - e_r[t]) < 1e-9)):
+                hits.append((r, (e_r[s[i]] + e_r[t[j]]) / 2))
     if not hits:
         return []
     r, e_hit = (np.array(column) for column in zip(*hits))
     x_hit = np.asarray(roots)[r]
-    # clusters lie far apart in (x, E), so the first hit near a hit names its
-    # group, and the first hit at the same root names its root
-    same_root = np.abs(x_hit[:, None] - x_hit) < 1e-7
-    same_energy = np.abs(e_hit[:, None] - e_hit) < TOL.subspace_isolation
-    first = np.unique(np.argmax(same_root & same_energy, axis=1))
+    first = _hit_groups(x_hit, e_hit)
     results = []
-    for k in first:
-        w = e[r[k], sectors.slot_of_label]
+    for k, w in zip(first, sectors.levels(x_hit[first])[0][:, sectors.slot_of_label]):
         members = np.flatnonzero(np.abs(w - e_hit[k]) < TOL.degeneracy_gap)
         results.append(DegeneracyPoint(
             x=float(x_hit[k]), labels=tuple(int(lab) + 1 for lab in members),
             energy=float(np.mean(w[members])), multiplicity=len(members), exact=True, gap=0.0))
-    root = x_hit[np.argmax(same_root, axis=1)][first]
-    return [results[i] for i in np.lexsort(([d.energy for d in results], root))]
+    return results
+
+
+def _hit_groups(x_hit: np.ndarray, e_hit: np.ndarray) -> np.ndarray:
+    """The first hit of each group of hits, by root and then by energy.
+
+    Sorted by x, hits less than 1e-7 apart share a root; sorted by energy
+    at one root, hits less than TOL.subspace_isolation apart share a group.
+    Steps chain, so a tangency whose roots scatter over a few 1e-7 stays one
+    group.  Sorting takes O(n log n) time and O(n) memory.
+    """
+    by_x = np.argsort(x_hit, kind="stable")
+    root = np.empty(len(x_hit), dtype=int)
+    root[by_x] = np.cumsum(np.diff(x_hit[by_x], prepend=-np.inf) >= 1e-7)
+    order = np.lexsort((e_hit, root))
+    starts = (np.diff(root[order], prepend=-1) != 0) | \
+        (np.diff(e_hit[order], prepend=-np.inf) >= TOL.subspace_isolation)
+    return np.minimum.reduceat(order, np.flatnonzero(starts))
 
 
 _NEWTON_STEPS = 60  # enough to bisect a grid step down to the tolerance

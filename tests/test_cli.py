@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import happer
+import happer.cli
 from happer.cli import ScanConfig, build_parser, config_from_args, main
 from happer.model import ModelParams
 from happer.spectrum import eigensystem_with_j, level_positions
@@ -233,6 +234,8 @@ def test_json_format(tmp_path):
     assert payload["columns"] == ["x", "label", "energy"]
     assert payload["ok"] is True
     assert len(payload["rows"]) == 7 * 9
+    assert [row[:2] for row in payload["rows"][8:10]] == [[0.4, 9], [0.5, 1]]
+    assert all(type(row[1]) is int for row in payload["rows"])
 
 
 def test_config_file_and_precedence(tmp_path, capsys):
@@ -277,6 +280,8 @@ def test_scanconfig_validation():
         ScanConfig(scheme="magic")
     with pytest.raises(ValueError):
         ScanConfig(x_grid=(1.0, 0.5))
+    with pytest.raises(ValueError, match="seed"):
+        ScanConfig(seed=-1)
 
 
 @pytest.mark.parametrize("l_text, scheme", [("1/2", "link"), ("3/2", "link"),
@@ -461,6 +466,119 @@ def test_an_unknown_flag_is_reported_with_the_command_usage(capsys, command):
         main(["--help"])
     assert helped.value.code == 0
     assert capsys.readouterr().out == build_parser().format_help()
+
+
+def subcommands(parser):
+    return list(next(a for a in parser._actions
+                     if isinstance(a, argparse._SubParsersAction)).choices)
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The subcommands of every parser that main builds."""
+    seen = []
+
+    def spy(command=None):
+        parser = build_parser(command)
+        seen.append(subcommands(parser))
+        return parser
+
+    monkeypatch.setattr(happer.cli, "build_parser", spy)
+    return seen
+
+
+def test_a_command_call_builds_only_that_command(tmp_path, built):
+    assert main(["chern", "--l", "1", "--x", "0.8", "--mesh", "50",
+                 "--out", str(tmp_path / "c.csv")]) == 0
+    assert main(["spectrum", "--l", "1", "--x-range", "0.3:1.0:5",
+                 "--out", str(tmp_path / "s.csv")]) == 0
+    assert built == [["chern"], ["spectrum"]]
+
+
+@pytest.mark.parametrize("args", [[], ["-h"], ["nosuch"], ["--l", "1", "chern"]],
+                         ids=["empty", "help", "unknown", "flag-first"])
+def test_a_call_without_a_leading_command_builds_every_command(built, capsys, args):
+    with pytest.raises(SystemExit):
+        main(args)
+    assert built == [list(COMMAND_FLAGS)]
+
+
+@pytest.mark.parametrize("command", list(COMMAND_FLAGS))
+def test_command_help_is_the_full_parser_help(capsys, command):
+    with pytest.raises(SystemExit) as helped:
+        main([command, "--help"])
+    assert helped.value.code == 0
+    alone = capsys.readouterr()
+    with pytest.raises(SystemExit):
+        build_parser().parse_args([command, "--help"])
+    assert alone == capsys.readouterr()
+    assert alone.out.startswith(f"usage: happer {command} [-h] ")
+
+
+def test_an_unknown_command_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as refused:
+        main(["nosuch"])
+    assert refused.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: happer [-h] {spectrum,chern,phase,dynamics,weyl-compare} ...")
+    assert err.splitlines()[-1] == (
+        "happer: error: argument command: invalid choice: 'nosuch' (choose from 'spectrum', "
+        "'chern', 'phase', 'dynamics', 'weyl-compare')")
+
+
+def test_short_help_is_the_full_parser_help(capsys):
+    with pytest.raises(SystemExit) as helped:
+        main(["-h"])
+    assert helped.value.code == 0
+    assert capsys.readouterr().out == build_parser().format_help()
+
+
+@pytest.mark.parametrize("command,key,value,message", [
+    ("chern", "axis", "a,b,c", "axis is ax,ay,az (three numbers), got 'a,b,c'"),
+    ("weyl-compare", "k-grid", "1,x", "k-grid is k1,k2,... (numbers), got '1,x'"),
+    ("chern", "x-range", "a:b:3",
+     "x-range is start:stop:count (two numbers and a count), got 'a:b:3'"),
+    ("spectrum", "x-range", "0:1",
+     "x-range is start:stop:count (two numbers and a count), got '0:1'"),
+    ("spectrum", "x-range", "0:1:-2",
+     "x-range is start:stop:count (two numbers and a count), got '0:1:-2'"),
+    ("phase", "l", "x", "L must be a non-negative (half-)integer, got x"),
+    ("dynamics", "l", "1/0", "L must be a non-negative (half-)integer, got 1/0"),
+])
+def test_a_value_that_does_not_parse_is_named_by_its_form(tmp_path, capsys, command, key, value,
+                                                          message):
+    with pytest.raises(SystemExit) as refused:
+        main([command, f"--{key}", value])
+    assert refused.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == f"happer {command}: error: argument --{key}: {message}"
+    assert "_parse_" not in err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    assert main([command, "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: config key {key!r}: {message}\n"
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("x", "abc", "could not convert string to float: 'abc'"),
+    ("mesh", "5.5", "invalid literal for int() with base 10: '5.5'"),
+    ("cluster", "maybe", "expected a boolean, got 'maybe'"),
+])
+def test_a_config_value_that_does_not_parse_names_its_key(tmp_path, capsys, key, value, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    assert main(["chern", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: config key {key!r}: {message}\n"
+
+
+def test_a_negative_seed_is_refused_by_name(tmp_path, capsys):
+    args = ["spectrum", "--l", "1", "--x-range", "0.3:1.0:5"]
+    assert main([*args, "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -1\n"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = -1\n")
+    assert main([*args, "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -1\n"
 
 
 @pytest.mark.parametrize("args", [["chern", "--cluster"], ["phase", "--cluster"],

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -398,6 +399,91 @@ def test_crossings_match_a_dense_sign_change_scan(two_l, theta, phi, lo, width):
         labels = {a[pair] + 1, b[pair] + 1}
         assert any(labels <= set(d.labels) and grid[i] - 1e-6 <= d.x <= grid[i + 1] + 1e-6
                    for d in degs), (grid[i], labels)
+
+
+def all_pairs_hit_groups(x_hit, e_hit):
+    """The all-pairs grouping of crossing hits (n x n memory), kept as an oracle.
+
+    Each hit joins the first hit within 1e-7 in x and TOL.subspace_isolation
+    in E; groups come by the x of the first hit at their root, then by E.
+    """
+    same_root = np.abs(x_hit[:, None] - x_hit) < 1e-7
+    same_energy = np.abs(e_hit[:, None] - e_hit) < TOL.subspace_isolation
+    first = np.unique(np.argmax(same_root & same_energy, axis=1))
+    root = x_hit[np.argmax(same_root, axis=1)][first]
+    return first[np.lexsort((e_hit[first], root))]
+
+
+def first_of_each_linked_set(x_hit, e_hit):
+    """The first hit of each set of hits linked by chains of all-pairs neighbours."""
+    near = ((np.abs(x_hit[:, None] - x_hit) < 1e-7)
+            & (np.abs(e_hit[:, None] - e_hit) < TOL.subspace_isolation))
+    first = np.arange(len(x_hit))
+    while True:
+        linked = np.where(near, first, len(first)).min(axis=1)
+        if np.array_equal(linked, first):
+            return set(first.tolist())
+        first = linked
+
+
+def spy_hit_groups(monkeypatch):
+    """Record the (x, E) hits that each _exact_crossings call groups."""
+    seen, groups = [], spectrum._hit_groups
+    monkeypatch.setattr(spectrum, "_hit_groups",
+                        lambda x_hit, e_hit: seen.append((x_hit, e_hit)) or groups(x_hit, e_hit))
+    return seen
+
+
+def split_fields(two_l, rng):
+    """y = 0 at a random field, and y != 0 with the field along a random axis."""
+    yield ModelParams(two_l, 1.0, 0.0, FieldDirection(rng.uniform(0.1, 3.0), rng.uniform(0, 6.0)))
+    for _ in range(2):
+        a = rng.normal(size=3)
+        a /= np.linalg.norm(a)
+        yield ModelParams(two_l, 1.0, rng.uniform(-0.3, 0.3),
+                          FieldDirection(np.arccos(a[2]), np.arctan2(a[1], a[0])), tuple(a))
+
+
+def test_sorted_hit_groups_match_the_all_pairs_rule(monkeypatch):
+    rng = np.random.default_rng(28)
+    seen = spy_hit_groups(monkeypatch)
+    same = 0
+    for two_l in range(1, 13):
+        for p in split_fields(two_l, rng):
+            seen.clear()
+            find_degeneracies(p, (-1.0, 2.0))
+            (x_hit, e_hit), = seen
+            sorted_runs = spectrum._hit_groups(x_hit, e_hit).tolist()
+            all_pairs = all_pairs_hit_groups(x_hit, e_hit).tolist()
+            assert set(sorted_runs) == first_of_each_linked_set(x_hit, e_hit), p
+            if len(sorted_runs) == len(all_pairs):
+                assert sorted_runs == all_pairs, p
+                same += 1
+            else:
+                # the x = 0 tangency's roots can scatter past 1e-7 from 2L = 7 on, and
+                # the all-pairs rule then reports that one crossing two to five times
+                assert set(sorted_runs) < set(all_pairs), p
+                assert all(abs(x_hit[k]) < 1e-6 for k in set(all_pairs) - set(sorted_runs)), p
+    assert same >= 24  # of 36 (32 with OpenBLAS on x86-64)
+
+
+def test_crossing_memory_is_not_quadratic_in_the_hits(monkeypatch):
+    # 2L = 40 has 8,585 hits in (0, 1); the all-pairs rule held n x n float
+    # differences, 590 MB, and `happer spectrum --l 20` peaked near 1.2 GB.
+    # The spectra at all its roots at once took 57 MB; chunked, the peak is 21 MB.
+    seen = spy_hit_groups(monkeypatch)
+    p = ModelParams(40, 0.0, 0.0, FieldDirection(np.pi / 6, 0.0))
+    bound = 32e6
+    tracemalloc.start()
+    try:
+        degs = find_degeneracies(p, (0.0, 1.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    (x_hit, _), = seen
+    assert len(x_hit) ** 2 * 8 > 16 * bound
+    assert peak < bound
+    assert [d.multiplicity for d in degs if abs(d.x) < 1e-6] == [41, 41, 41]
 
 
 def test_infinite_pencil_roots_raise_no_warning():
