@@ -385,8 +385,14 @@ def _exact_crossings(sectors: _Sectors, lo: float, hi: float) -> list[Degeneracy
     r, e_hit = (np.array(column) for column in zip(*hits))
     x_hit = np.asarray(roots)[r]
     first = _hit_groups(x_hit, e_hit)
+    # a group root in the last chunk is read from its spectra, so one chunk
+    # solves every root once; a group root before it is solved again
+    rows = r[first] - start
+    e_first = e[np.maximum(rows, 0)]
+    if rows.min() < 0:
+        e_first[rows < 0] = sectors.levels(x_hit[first[rows < 0]])[0]
     results = []
-    for k, w in zip(first, sectors.levels(x_hit[first])[0][:, sectors.slot_of_label]):
+    for k, w in zip(first, e_first[:, sectors.slot_of_label]):
         members = np.flatnonzero(np.abs(w - e_hit[k]) < TOL.degeneracy_gap)
         results.append(DegeneracyPoint(
             x=float(x_hit[k]), labels=tuple(int(lab) + 1 for lab in members),
@@ -403,11 +409,13 @@ def _hit_groups(x_hit: np.ndarray, e_hit: np.ndarray) -> np.ndarray:
     group.  Sorting takes O(n log n) time and O(n) memory.
     """
     by_x = np.argsort(x_hit, kind="stable")
+    x = x_hit[by_x]
     root = np.empty(len(x_hit), dtype=int)
-    root[by_x] = np.cumsum(np.diff(x_hit[by_x], prepend=-np.inf) >= 1e-7)
+    root[by_x] = np.cumsum(np.concatenate(([True], x[1:] - x[:-1] >= 1e-7)))
     order = np.lexsort((e_hit, root))
-    starts = (np.diff(root[order], prepend=-1) != 0) | \
-        (np.diff(e_hit[order], prepend=-np.inf) >= TOL.subspace_isolation)
+    r, e = root[order], e_hit[order]
+    steps = (r[1:] != r[:-1]) | (e[1:] - e[:-1] >= TOL.subspace_isolation)
+    starts = np.concatenate(([True], steps))
     return np.minimum.reduceat(order, np.flatnonzero(starts))
 
 

@@ -467,6 +467,18 @@ def test_sorted_hit_groups_match_the_all_pairs_rule(monkeypatch):
     assert same >= 24  # of 36 (32 with OpenBLAS on x86-64)
 
 
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+def test_root_chunks_do_not_change_the_crossings(monkeypatch, chunk):
+    # Group roots in the last chunk are read from its spectra, earlier ones
+    # solved again; both must give the crossings of one unchunked solve.
+    rng = np.random.default_rng(chunk)
+    fields = [p for two_l in (3, 6) for p in split_fields(two_l, rng)]
+    whole = [find_degeneracies(p, (-1.0, 2.0)) for p in fields]
+    monkeypatch.setattr(spectrum, "_ROOT_CHUNK", chunk)
+    assert [find_degeneracies(p, (-1.0, 2.0)) for p in fields] == whole
+    assert all(whole)
+
+
 def test_crossing_memory_is_not_quadratic_in_the_hits(monkeypatch):
     # 2L = 40 has 8,585 hits in (0, 1); the all-pairs rule held n x n float
     # differences, 590 MB, and `happer spectrum --l 20` peaked near 1.2 GB.
