@@ -350,11 +350,13 @@ def _parse_l(text: str) -> int:
 def _parse_range(text: str) -> tuple[float, ...]:
     try:
         start, stop, count = text.split(":")
-        grid = np.linspace(float(start), float(stop), int(count))
+        return tuple(np.linspace(float(start), float(stop), int(count)).tolist())
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"x-range is start:stop:count (two numbers and a count), got {text!r}") from None
-    return tuple(grid.tolist())
+    except MemoryError:
+        raise argparse.ArgumentTypeError(
+            f"x-range count {count} does not fit in memory, got {text!r}") from None
 
 
 def _parse_vector(text: str, form: str) -> tuple[float, ...]:

@@ -25,13 +25,13 @@ caller's h_builder supplies H(theta, 0) and its J_z diagonal).
 
 The curvature scheme is factored the same way.  Frames are
 F(theta, phi) = R(phi) F(theta, 0) D(phi), with R(phi) = e^{-i phi J_z} and
-D a unitary representation of the phi rotations (_meridian_rows), so every
+D a unitary representation of the phi rotations (_meridian_frames), so every
 edge connection and every plaquette curvature of a ring is
-D(phi_n)^dag X D(phi_n) for one d x d matrix X per ring.  Chern numbers
-and the curvature CSV read n_phi tr X per ring and D at the ring's step
-dphi alone; the per-point frames, connections and curvatures, and
-D(phi_n) = D(dphi)^n, are built only when read.  Rings that meet at the
-same (theta, phi count) share one frame row.
+D(phi_n)^dag X D(phi_n) for one d x d matrix X per ring.  Fields hold one
+stack of X over the rings; Chern numbers and the curvature CSV read n_phi
+tr X per ring and D at the ring's step dphi alone.  Per-point frames, and
+D(phi_n) = D(dphi)^n (_powers), are built only when FrameField.frames reads
+them.
 
 Curvature Chern numbers read one Stokes integral, CurvatureField.flux(theta),
 the traced curvature north of latitude theta: chern_number reads flux(pi).
@@ -43,7 +43,6 @@ about z, is read from the same meridian with no curvature field
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -213,68 +212,45 @@ def chern_spectrum_link_variable(p: ModelParams, mesh: SphereMesh | None = None,
 # smoothed-gauge connection / curvature pipeline
 
 
-@dataclass
-class _Row:
-    """Frames F(theta, phi_n) of one mesh row, stored factored.
-
-    F(theta, phi) = R(phi) F(theta, 0) D(phi) (_meridian_rows): ``factors``
-    holds F(theta, 0) (dim, d_sub) and, at the row's phi step dphi alone,
-    the diagonal of R(dphi) (dim,) and D(dphi) (d_sub, d_sub), the last two
-    shared by every row of the same phi count.  Both are representations,
-    so R(phi_n) = R(dphi)^n and D(phi_n) = D(dphi)^n; ``rep`` forms
-    D(phi_n) when read, and ``frames`` the per-point (n, dim, d_sub) array
-    on first read.
-    """
-
-    theta: float
-    phis: np.ndarray
-    factors: tuple[np.ndarray, np.ndarray, np.ndarray]
-
-    @cached_property
-    def frames(self) -> np.ndarray:
-        f0, rot, _ = self.factors
-        rot_n = rot ** np.arange(len(self.phis))[:, None]
-        return rot_n[:, :, None] * (f0 @ self.rep)
-
-    @property
-    def rep(self) -> np.ndarray:
-        """D(phi_n) = D(dphi)^n, by repeated squaring."""
-        step = self.factors[2]
-        n = len(self.phis)
-        rep = np.empty((n, *step.shape), dtype=complex)
-        rep[0] = np.eye(len(step))
-        done, power = 1, step  # power = D(dphi)^done
-        while done < n:
-            rep[done:2 * done] = rep[:min(done, n - done)] @ power
-            done, power = 2 * done, power @ power
-        return rep
+def _powers(step: np.ndarray, n: int) -> np.ndarray:
+    """D(phi_k) = D(dphi)^k for k < n, shape (n, d, d), by repeated squaring."""
+    rep = np.empty((n, *step.shape), dtype=complex)
+    rep[0] = np.eye(len(step))
+    done, power = 1, step  # power = D(dphi)^done
+    while done < n:
+        rep[done:2 * done] = rep[:min(done, n - done)] @ power
+        done, power = 2 * done, power @ power
+    return rep
 
 
 @dataclass
 class FrameField:
-    """Smoothly gauged orthonormal frames on the mesh corner rows.
+    """Smoothly gauged orthonormal frames on the kept rings, stored factored.
 
-    Rows run north to south, one per distinct (theta, phi count), so a
-    ring's bottom row is the next ring's top row when their phi counts
-    match; the first mesh ring (touching theta = 0) is dropped, per-cell
-    rows are exposed through ring_top / ring_bottom.  Rows are factored (see
-    _Row); their per-point frames are built only when read.  theta and phi
-    are angles about the axis.
+    F(theta, phi) = R(phi) F(theta, 0) D(phi) (_meridian_frames).
+    ``meridian`` holds F(theta, 0) (n_rings + 1, dim, d_sub) on the ring
+    edges from ring_start to the south pole, so ring r's top and bottom
+    frames are meridian[r - ring_start] and meridian[r - ring_start + 1];
+    ``rot`` (n_rings, dim) the diagonal of R(dphi) and ``step`` (n_rings,
+    d_sub, d_sub) D(dphi), each at the ring's own phi step dphi.  The first
+    mesh ring (touching theta = 0) is dropped.  theta and phi are angles
+    about the axis.
     """
 
     mesh: SphereMesh
     labels: tuple[int, ...]
     dim: int
     ring_start: int
-    rows: list[_Row]
-    top_index: dict[int, int]
-    bottom_index: dict[int, int]
+    meridian: np.ndarray
+    rot: np.ndarray
+    step: np.ndarray
 
-    def ring_top(self, ring: int) -> _Row:
-        return self.rows[self.top_index[ring]]
-
-    def ring_bottom(self, ring: int) -> _Row:
-        return self.rows[self.bottom_index[ring]]
+    def frames(self, ring: int, edge: int) -> np.ndarray:
+        """Per-point frames (n_phi, dim, d_sub) of a ring's top (edge 0) or bottom (edge 1) edge."""
+        k = ring - self.ring_start
+        n = self.mesh.ring_phi_count(ring)
+        rot_n = self.rot[k] ** np.arange(n)[:, None]
+        return rot_n[:, :, None] * (self.meridian[k + edge] @ _powers(self.step[k], n))
 
 
 def _polar(m: np.ndarray) -> np.ndarray:
@@ -303,10 +279,9 @@ def smooth_gauge_states(p: ModelParams, labels: Sequence[int] | int,
     toward a seed by the polar unitary of their overlap matrix, which makes
     neighbouring frames agree to O(mesh spacing) everywhere (the gauge is
     single valued on the sphere minus the dropped north cap).  Numerical
-    frames are seeded at the south pole, on one row per distinct (theta,
-    phi count) of either mesh scheme.  Only the phi = 0 meridian is
-    transported and rotated out to every phi (_meridian_rows); for a tilted
-    axis theta and phi are angles about the axis.
+    frames are seeded at the south pole.  Only the phi = 0 meridian is
+    transported and rotated out to every phi (_meridian_frames); for a
+    tilted axis theta and phi are angles about the axis.
 
     With ``source="analytic"`` the closed-form degenerate bases seed every
     latitude where they are well conditioned (away from the poles), with
@@ -317,27 +292,13 @@ def smooth_gauge_states(p: ModelParams, labels: Sequence[int] | int,
     mesh = mesh or SphereMesh()
     labels, positions = _resolve_labels(p, labels)
     _check_contiguous(positions, "smoothed-gauge frames")
-    edges = mesh.theta_edges()
     ring_start = 1
-
-    # row coordinate plan, north to south, one row per (theta, phi count)
-    plan: list[tuple[float, np.ndarray]] = []
-    row_of: dict[tuple[float, int], int] = {}
-    top_index: dict[int, int] = {}
-    bottom_index: dict[int, int] = {}
-    for r in range(ring_start, mesh.n_theta):
-        phis = mesh.ring_phis(r)
-        for index, theta in ((top_index, float(edges[r])), (bottom_index, float(edges[r + 1]))):
-            if (theta, len(phis)) not in row_of:
-                row_of[theta, len(phis)] = len(plan)
-                plan.append((theta, phis))
-            index[r] = row_of[theta, len(phis)]
-
     if source not in ("numerical", "analytic"):
         raise ValueError(f"unknown frame source {source!r}")
     closed_form = _analytic_frames(p, positions) if source == "analytic" else None
-    rows = _meridian_rows(p, positions, plan, closed_form)
-    return FrameField(mesh, labels, p.dim, ring_start, rows, top_index, bottom_index)
+    counts = [mesh.ring_phi_count(r) for r in range(ring_start, mesh.n_theta)]
+    factors = _meridian_frames(p, positions, mesh.theta_edges()[ring_start:], counts, closed_form)
+    return FrameField(mesh, labels, p.dim, ring_start, *factors)
 
 
 def _analytic_frames(p: ModelParams, positions: Sequence[int]) -> FrameBuilder:
@@ -354,8 +315,9 @@ def _analytic_frames(p: ModelParams, positions: Sequence[int]) -> FrameBuilder:
     return lambda thetas, phis: gram_schmidt(raw_degenerate_vectors(l, thetas, phis))
 
 
-def _meridian_rows(p: ModelParams, positions: Sequence[int], plan: list[tuple[float, np.ndarray]],
-                   closed_form: FrameBuilder | None = None) -> list[_Row]:
+def _meridian_frames(p: ModelParams, positions: Sequence[int], edges: np.ndarray,
+                     counts: Sequence[int], closed_form: FrameBuilder | None = None
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Frames transported along the phi = 0 meridian, rotated out to every phi.
 
     The seed latitudes are the south pole for numerical frames, or every
@@ -375,11 +337,11 @@ def _meridian_rows(p: ModelParams, positions: Sequence[int], plan: list[tuple[fl
     phi count).  An overlap with a
     reference R F(theta', 0) D is M(theta, 0) D, and polar(M D) = polar(M)
     D, so F(theta, phi) = R F(theta, 0) D is the per-point polar transport
-    at any phi, with phi-independent singular values.  Rows are returned
-    factored, (F(theta, 0), R(dphi), D(dphi)) with the last two shared per
-    phi count (_Row).
+    at any phi, with phi-independent singular values.  Returns the factors
+    of FrameField: F(theta, 0) on ``edges`` (north to south), and R(dphi)
+    and D(dphi) per ring of phi count ``counts``, formed once per count.
     """
-    thetas = np.unique([theta for theta, _ in plan])[::-1]  # south pole first
+    thetas = edges[::-1]  # south pole first
     if closed_form is None:
         frames = _raw_frames(p, thetas, positions)
         lo = hi = s = 0  # s: the seed latitude D is read on
@@ -399,50 +361,26 @@ def _meridian_rows(p: ModelParams, positions: Sequence[int], plan: list[tuple[fl
     turns = np.tile(np.eye(len(positions), dtype=complex), (len(thetas), 1, 1))  # seeds: U = 1
     for i, r, w in zip(index, ref, polar):  # every ref is a seed or aligned before i
         turns[i] = w @ turns[r]
-    at = dict(zip(thetas, frames @ turns))
-    counts = list(dict.fromkeys(len(phis) for _, phis in plan))
-    dphis = 2 * np.pi / np.array(counts)
+    distinct, ring_count = np.unique(counts, return_inverse=True)
+    dphis = 2 * np.pi / distinct
     on_s = frames[s] if closed_form is None else closed_form(np.full_like(dphis, thetas[s]), dphis)
     rots = np.exp(-1j * np.multiply.outer(dphis, _jz_diagonal(p.nuclear_two_l)))
     steps = frames[s].conj().T @ (rots.conj()[:, :, None] * on_s)
-    per_count = dict(zip(counts, zip(rots, steps)))
-    return [_Row(theta, phis, (at[theta], *per_count[len(phis)])) for theta, phis in plan]
-
-
-def _per_point(x: np.ndarray, rep: np.ndarray) -> np.ndarray:
-    """(n, d, d) per-point matrices D(phi_n)^dag x D(phi_n) of a ring's phi = 0 matrix x."""
-    return rep.conj().swapaxes(-1, -2) @ x @ rep
+    return (frames @ turns)[::-1], rots[ring_count], steps[ring_count]
 
 
 @dataclass
 class ConnectionField:
-    """Edge-integrated connection matrices per ring (finite-difference form).
+    """Edge-integrated connection matrices, one (n_rings, d, d) stack per edge type.
 
-    Each ring holds one (1, d, d) array per edge type, the phi = 0 matrix X,
-    every edge of the ring being D(phi_n)^dag X D(phi_n).  a_theta /
-    a_phi_top / a_phi_bottom give (n_r, d, d) per point, built on first
-    access.
+    Ring r's matrix X (row r - ring_start) is its edge at phi = 0, every
+    edge of the ring being D(phi_n)^dag X D(phi_n).
     """
 
     field: FrameField
-    x_theta: dict[int, np.ndarray]       # left theta-edges, top corners
-    x_phi_top: dict[int, np.ndarray]     # phi-edges along the top row
-    x_phi_bottom: dict[int, np.ndarray]  # phi-edges along the bottom row
-
-    def _expand(self, x: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
-        return {r: _per_point(a, self.field.ring_top(r).rep) for r, a in x.items()}
-
-    @cached_property
-    def a_theta(self) -> dict[int, np.ndarray]:
-        return self._expand(self.x_theta)
-
-    @cached_property
-    def a_phi_top(self) -> dict[int, np.ndarray]:
-        return self._expand(self.x_phi_top)
-
-    @cached_property
-    def a_phi_bottom(self) -> dict[int, np.ndarray]:
-        return self._expand(self.x_phi_bottom)
+    x_theta: np.ndarray       # left theta-edges, top corners
+    x_phi_top: np.ndarray     # phi-edges along the top edge
+    x_phi_bottom: np.ndarray  # phi-edges along the bottom edge
 
 
 def _links(top: np.ndarray, top_east: np.ndarray, bottom: np.ndarray,
@@ -459,46 +397,32 @@ def _links(top: np.ndarray, top_east: np.ndarray, bottom: np.ndarray,
     return link(top, bottom), link(top, top_east), link(bottom, bottom_east)
 
 
-def _factored_east(rows: list[_Row]) -> tuple[np.ndarray, np.ndarray]:
-    """phi = 0 frames F of factored rows and their neighbours R(dphi) F D(dphi), stacked."""
-    f0, rot, step = (np.stack(factor) for factor in zip(*(row.factors for row in rows)))
-    return f0, rot[:, :, None] * (f0 @ step)
-
-
 def connection_discrete(frames: FrameField) -> ConnectionField:
     """Discrete connection one-form A = i(<frame|neighbour frame> - 1) per edge.
 
-    Three d x d matrices per ring stand for all its edges (see _Row),
+    Three d x d matrices per ring stand for all its edges (see FrameField),
     formed for every ring in one batch: A_theta = i(F_t^dag F_b - 1) and
-    A_phi = i(F^dag R(dphi) F D(dphi) - 1) on the top and bottom rows,
+    A_phi = i(F^dag R(dphi) F D(dphi) - 1) on the top and bottom edges,
     F = F(theta, 0), the edge at phi_n being D(phi_n)^dag A D(phi_n).
     """
-    rings = range(frames.ring_start, frames.mesh.n_theta)
-    tops = [frames.ring_top(r) for r in rings]
-    bottoms = [frames.ring_bottom(r) for r in rings]
-    x_theta, x_phi_top, x_phi_bottom = (  # (1, d, d) per ring
-        x[:, None] for x in _links(*_factored_east(tops), *_factored_east(bottoms)))
-    return ConnectionField(frames, dict(zip(rings, x_theta)), dict(zip(rings, x_phi_top)),
-                           dict(zip(rings, x_phi_bottom)))
+    top, bottom = frames.meridian[:-1], frames.meridian[1:]
+    rot = frames.rot[:, :, None]
+    return ConnectionField(frames, *_links(top, rot * (top @ frames.step),
+                                           bottom, rot * (bottom @ frames.step)))
 
 
 @dataclass
 class CurvatureField:
     """Per-plaquette curvature matrices over the meshed sphere.
 
-    Each ring holds one (1, d, d) matrix C, every cell being D(phi_n)^dag C
-    D(phi_n) with the trace tr C.  A ring's theta, phis and D are those of
-    its top row in ``field``; for a tilted axis they are angles about the
-    axis.  Traces are read from C; ``curvature`` gives (n_r, d, d) per
-    point, built on first access.
+    x_curvature holds one matrix C per kept ring (n_rings, d, d): every cell
+    of the ring is D(phi_n)^dag C D(phi_n), of trace tr C, with D and phi_n
+    those of ``field``; for a tilted axis theta and phi are angles about the
+    axis.
     """
 
     field: FrameField
-    x_curvature: dict[int, np.ndarray]
-
-    @cached_property
-    def curvature(self) -> dict[int, np.ndarray]:
-        return {r: _per_point(c, self.field.ring_top(r).rep) for r, c in self.x_curvature.items()}
+    x_curvature: np.ndarray
 
     def flux(self, theta: float) -> float:
         """Re tr F integrated over the cap north of latitude theta about the axis (Stokes sum).
@@ -510,10 +434,8 @@ class CurvatureField:
         width that lies north of theta.  flux(pi) is the whole sphere.
         """
         r0, mesh = self.field.ring_start, self.field.mesh
-        rings = range(r0, mesh.n_theta)
-        cells = np.array([mesh.ring_phi_count(r) for r in rings])
-        tr = np.concatenate([self.x_curvature[r] for r in rings]).diagonal(0, -2, -1)
-        traces = cells * tr.real.sum(axis=-1)  # Re tr F summed per ring
+        cells = np.array([mesh.ring_phi_count(r) for r in range(r0, mesh.n_theta)])
+        traces = cells * self.x_curvature.diagonal(0, -2, -1).real.sum(axis=-1)  # Re tr F per ring
         density = traces[0] / mesh.ring_solid_angle(r0).sum()
         first = density * 2 * np.pi * (1 - np.cos(min(theta, mesh.theta_edges()[r0 + 1])))
         north = np.clip(theta / np.pi * mesh.n_theta - np.arange(r0 + 1, mesh.n_theta), 0, 1)
@@ -521,12 +443,12 @@ class CurvatureField:
 
     def to_csv(self, path) -> None:
         """Columns: theta, phi (angles about the axis), Re tr F, cell solid angle."""
+        r0, mesh = self.field.ring_start, self.field.mesh
+        traces = np.trace(self.x_curvature, axis1=-2, axis2=-1).real
         rows = []
-        for r in sorted(self.x_curvature):
-            top = self.field.ring_top(r)
-            tr = np.trace(self.x_curvature[r], axis1=-2, axis2=-1).real
+        for r, theta, tr in zip(range(r0, mesh.n_theta), mesh.theta_edges()[r0:-1], traces):
             rows += np.column_stack(np.broadcast_arrays(
-                top.theta, top.phis, tr, self.field.mesh.ring_solid_angle(r))).tolist()
+                theta, mesh.ring_phis(r), tr, mesh.ring_solid_angle(r))).tolist()
         Path(path).write_text(_csv_text(["theta", "phi", "re_tr_curvature", "solid_angle"], rows))
 
 
@@ -544,12 +466,10 @@ def curvature_discrete(connections: ConnectionField) -> CurvatureField:
     batch: C = A_phi,b - A_phi,t - D(dphi)^dag A_theta D(dphi) + A_theta
     + i[A_theta, A_phi,t], the cell at phi_n being D(phi_n)^dag C D(phi_n).
     """
-    frames = connections.field
-    a1, a2t, a2b = (np.concatenate(list(x.values())) for x in (
-        connections.x_theta, connections.x_phi_top, connections.x_phi_bottom))
-    step = np.stack([frames.ring_top(r).factors[2] for r in connections.x_theta])
-    curvature = _plaquettes(a1, a2t, a2b, step.conj().swapaxes(-1, -2) @ a1 @ step)[:, None]
-    return CurvatureField(frames, dict(zip(connections.x_theta, curvature)))
+    step, a1 = connections.field.step, connections.x_theta
+    return CurvatureField(connections.field, _plaquettes(
+        a1, connections.x_phi_top, connections.x_phi_bottom,
+        step.conj().swapaxes(-1, -2) @ a1 @ step))
 
 
 def chern_number(field: CurvatureField) -> ChernResult:

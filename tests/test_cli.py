@@ -559,6 +559,26 @@ def test_a_value_that_does_not_parse_is_named_by_its_form(tmp_path, capsys, comm
     assert capsys.readouterr().err == f"error: config key {key!r}: {message}\n"
 
 
+@pytest.mark.parametrize("command", ["spectrum", "chern", "phase"])
+def test_an_x_range_count_beyond_memory_is_refused_by_name(monkeypatch, tmp_path, capsys,
+                                                           command):
+    # The grid is never allocated: linspace stands in for an allocation that fails.
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+    monkeypatch.setattr(np, "linspace", no_memory)
+    text = "0:1:10000000000"
+    message = f"x-range count 10000000000 does not fit in memory, got {text!r}"
+    with pytest.raises(SystemExit) as refused:
+        main([command, f"--x-range={text}"])
+    assert refused.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == f"happer {command}: error: argument --x-range: {message}"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"x-range = {text}\n")
+    assert main([command, "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: config key 'x-range': {message}\n"
+
+
 @pytest.mark.parametrize("key,value,message", [
     ("x", "abc", "could not convert string to float: 'abc'"),
     ("mesh", "5.5", "invalid literal for int() with base 10: '5.5'"),

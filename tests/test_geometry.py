@@ -189,25 +189,25 @@ def test_cluster_lowest_band_jumps_across_crossing():
 
 @pytest.mark.parametrize("scheme", ["uniform", "equal-area"])
 def test_constant_frames_give_zero_connection_and_curvature(scheme):
-    # Every row the south pole's frame, with R(dphi) = 1 and D(dphi) = 1.
+    # Every edge the south pole's frame, with R(dphi) = 1 and D(dphi) = 1,
+    # so every per-point matrix is its ring's phi = 0 one.
     p = ModelParams(0, 0.0, 0.0, FieldDirection(0.0, 0.0))
     mesh = SphereMesh(12, 24, scheme)
     frames = smooth_gauge_states(p, (1,), mesh)
-    constant = (frames.rows[-1].factors[0], np.ones(p.dim), np.eye(1))
-    frames = replace(frames, rows=[geometry._Row(row.theta, row.phis, constant)
-                                   for row in frames.rows])
+    frames = replace(frames, meridian=np.broadcast_to(frames.meridian[-1], frames.meridian.shape),
+                     rot=np.ones_like(frames.rot), step=np.ones_like(frames.step))
     conn = connection_discrete(frames)
-    assert max(np.max(np.abs(a)) for a in conn.a_theta.values()) < 1e-14
+    assert np.max(np.abs(conn.x_theta)) < 1e-14
     field = curvature_discrete(conn)
-    assert max(np.max(np.abs(f)) for f in field.curvature.values()) < 1e-14
+    assert np.max(np.abs(field.x_curvature)) < 1e-14
 
 
 def test_smooth_gauge_neighbour_overlap():
     p = ModelParams(2, 1.0, 0.0, FieldDirection(0.5, 0.3))
     frames = smooth_gauge_states(p, (5,), SphereMesh(40, 80, "uniform"))
     for r in range(frames.ring_start, 40):
-        top = frames.ring_top(r).frames[:, :, 0]
-        bottom = frames.ring_bottom(r).frames[:, :, 0]
+        top = frames.frames(r, 0)[:, :, 0]
+        bottom = frames.frames(r, 1)[:, :, 0]
         along_theta = np.abs(np.einsum("nd,nd->n", top.conj(), bottom))
         along_phi = np.abs(np.einsum("nd,nd->n", top.conj(), np.roll(top, -1, axis=0)))
         assert np.min(along_theta) > 0.99
@@ -231,8 +231,8 @@ def test_gauge_invariance_under_smooth_rotation():
     mesh = SphereMesh(60, 120, "uniform")
     frames = smooth_gauge_states(p, (3, 4, 5), mesh)
     base = chern_number(curvature_discrete(connection_discrete(frames))).fourpi
-    per_point = [row.frames for row in frames.rows]
-    assert abs(_oracle_chern(frames, _oracle_fields(frames, per_point)).fourpi - base) < 1e-12
+    per_point = _library_frames(frames)
+    assert abs(_oracle_chern(frames, _oracle_fields(per_point)).fourpi - base) < 1e-12
     gens = []
     for _ in range(3):
         a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
@@ -247,9 +247,12 @@ def test_gauge_invariance_under_smooth_rotation():
         w, u = np.linalg.eigh(gen)
         return (u * np.exp(1j * w)) @ u.conj().T
 
-    twisted = [np.array([f @ twist(row.theta, phi) for f, phi in zip(row.frames, row.phis)])
-               for row in frames.rows]
-    rotated = _oracle_chern(frames, _oracle_fields(frames, twisted)).fourpi
+    edges = mesh.theta_edges()
+    twisted = [[np.array([f @ twist(edges[r + edge], phi)
+                          for f, phi in zip(ring, mesh.ring_phis(r), strict=True)])
+                for edge, ring in enumerate(pair)]
+               for r, pair in zip(_rings(frames), per_point, strict=True)]
+    rotated = _oracle_chern(frames, _oracle_fields(twisted)).fourpi
     assert abs(rotated - base) < 1e-3
 
 
@@ -311,6 +314,61 @@ def test_loop_phase_and_chern_read_one_flux(p, labels, mesh):
     assert curvature_field(axis_frame, labels, mesh).flux(LOOP_THETA) == field.flux(LOOP_THETA)
     if p.y != 0.0:
         assert abs(field.flux(LOOP_THETA) - loop_phase(axis_frame, labels, LOOP_THETA)) < 1e-4
+
+
+# flux(pi) and flux(0.7) of the factored curvature scheme as it stood when a
+# ring's frames were stored as shared (theta, phi count) rows; the per-ring
+# stacks must reproduce them to rounding.
+FLUX_PINS = [
+    ("L1-cluster-uniform50", ModelParams(2, 2 / 3), (3, 4, 5),
+     SphereMesh(50, 100, "uniform"), "numerical", 12.314935791441965, 1.4125414423150078),
+    ("L1-cluster-uniform100-analytic", ModelParams(2, 2 / 3), (3, 4, 5),
+     SphereMesh(100, 200, "uniform"), "analytic", 12.526128749070702, 1.489314397787523),
+    ("L1-cluster-equal-area100", ModelParams(2, 2 / 3), (3, 4, 5),
+     SphereMesh(100, 200, "equal-area"), "numerical", 12.337756719230734, 1.3150156852696662),
+    ("L1-cluster-equal-area50-analytic", ModelParams(2, 2 / 3), (3, 4, 5),
+     SphereMesh(50, 100, "equal-area"), "analytic", 12.316730558200842, 1.969628761277569),
+    ("L1-level1-uniform50", ModelParams(2, 1.0), 1,
+     SphereMesh(50, 100, "uniform"), "numerical", 5.790698412707831e-17, 1.7925065523723146e-16),
+    ("L1-level5-equal-area100", ModelParams(2, 1.0), 5,
+     SphereMesh(100, 200, "equal-area"), "numerical", 24.89972434938743, 2.7949161721466655),
+    ("L1-level9-uniform100", ModelParams(2, 0.4), 9,
+     SphereMesh(100, 200, "uniform"), "numerical", -25.066646739982428, -2.939567444130988),
+    ("L1-tilted-level1-uniform50", ModelParams(2, 0.8, 0.1, axis=(0.6, 0.0, 0.8)), 1,
+     SphereMesh(50, 100, "uniform"), "numerical", 3.959313082584699e-06, -0.013109384813736783),
+    ("L1-tilted-level2-equal-area100", ModelParams(2, 0.8, 0.1, axis=(0.6, 0.0, 0.8)), 2,
+     SphereMesh(100, 200, "equal-area"), "numerical", 12.540450184338809, 1.6489850411391807),
+    ("L3/2-level1-uniform50", ModelParams(3, 0.5), 1,
+     SphereMesh(50, 100, "uniform"), "numerical", -6.27905182277296, -0.7403845819693228),
+    ("L3/2-level3-equal-area100", ModelParams(3, 0.5), 3,
+     SphereMesh(100, 200, "equal-area"), "numerical", 18.764467305514206, 2.165833413272854),
+    ("L3/2-tilted-level2-uniform100", ModelParams(3, 0.25, 0.25, axis=(0.6, 0.0, 0.8)), 2,
+     SphereMesh(100, 200, "uniform"), "numerical", 6.281948600867296, 1.490138788202956),
+    ("L3/2-cluster-uniform50", ModelParams(3, 0.5), (4, 5, 6, 7),
+     SphereMesh(50, 100, "uniform"), "numerical", 12.077038217897162, 1.344028987175656),
+    ("L2-cluster-uniform100", ModelParams(4, 0.4), (5, 6, 7, 8, 9),
+     SphereMesh(100, 200, "uniform"), "numerical", 12.354020308216858, 1.4178954566335604),
+    ("L2-cluster-uniform100-analytic", ModelParams(4, 0.4), (5, 6, 7, 8, 9),
+     SphereMesh(100, 200, "uniform"), "analytic", 12.469869405309629, 1.5317117407151573),
+    ("L2-cluster-equal-area50-analytic", ModelParams(4, 0.4), (5, 6, 7, 8, 9),
+     SphereMesh(50, 100, "equal-area"), "analytic", 11.733163062304962, 2.9176988767620675),
+    ("L2-level1-uniform50", ModelParams(4, 0.9), 1,
+     SphereMesh(50, 100, "uniform"), "numerical", -12.533323352673055, -1.473395468677555),
+    ("L2-level7-equal-area100", ModelParams(4, 0.9), 7,
+     SphereMesh(100, 200, "equal-area"), "numerical", -12.582193509988626, -1.5110827951963701),
+    ("L2-tilted-level3-uniform50", ModelParams(4, 0.6, 0.2, axis=(0.6, 0.0, 0.8)), 3,
+     SphereMesh(50, 100, "uniform"), "numerical", 12.533142163064298, 2.1089879799879836),
+    ("zeeman-level1-equal-area50", zeeman_params(), 1,
+     SphereMesh(50, 100, "equal-area"), "numerical", 12.466989032957526, 1.4223939764380218),
+]
+
+
+@pytest.mark.parametrize("p,labels,mesh,source,whole,at_07", [c[1:] for c in FLUX_PINS],
+                         ids=[c[0] for c in FLUX_PINS])
+def test_flux_is_pinned_to_the_row_layout_values(p, labels, mesh, source, whole, at_07):
+    field = curvature_field(p, labels, mesh, source=source)
+    assert abs(field.flux(np.pi) - whole) < 1e-12
+    assert abs(field.flux(0.7) - at_07) < 1e-12
 
 
 def test_cluster_loop_phase_additivity():
@@ -551,14 +609,13 @@ def test_curvature_csv_export(tmp_path):
     tilted = ModelParams(2, 0.8, 0.1, FieldDirection(0.4, 0.2), (0.6, 0.0, 0.8))
     tables = []
     for p in (zeeman_params(), tilted, replace(tilted, axis=(0.0, 0.0, 1.0))):
-        field = curvature_field(p, (1,), SphereMesh(16, 32, "equal-area"))
+        mesh = SphereMesh(16, 32, "equal-area")
+        field = curvature_field(p, (1,), mesh)
         rows = []
-        for r in sorted(field.x_curvature):
-            top = field.field.ring_top(r)
-            tr = np.trace(field.x_curvature[r], axis1=-2, axis2=-1).real
-            omegas = field.field.mesh.ring_solid_angle(r)
-            rows += [[top.theta, phi, t, om] for phi, t, om in
-                     zip(top.phis, np.broadcast_to(tr, top.phis.shape), omegas)]
+        for r, c in zip(_rings(field.field), field.x_curvature, strict=True):
+            tr = np.trace(c).real
+            rows += [[mesh.theta_edges()[r], phi, tr, om] for phi, om in
+                     zip(mesh.ring_phis(r), mesh.ring_solid_angle(r), strict=True)]
         assert len(rows) > 100
         out = tmp_path / "curv.csv"
         field.to_csv(out)
@@ -669,52 +726,76 @@ def test_link_spectrum_memory_does_not_grow_with_the_phi_count():
 
 # ---------------------------------------------------------------------------
 # per-point frame oracle: every mesh point solved on its own and aligned to
-# the nearest-phi frame of the row south of it, one SVD per point, with
+# the nearest-phi frame of the edge south of it, one SVD per point, with
 # per-point links and plaquettes around each ring; the library transports
 # the phi = 0 meridian alone and rotates it out.  The oracle solves in mesh
 # coordinates, which are the library's for y = 0 or the axis along z.
 
 
-def _oracle_transport(p: ModelParams, labels, mesh: SphereMesh):
-    """The library's frame field and, per row, frames solved and aligned point by point.
+def _rings(field) -> range:
+    return range(field.ring_start, field.mesh.n_theta)
 
-    Rows are taken south to north: the south pole row shares one frame,
-    every other row is aligned to the row after it in the library's row
-    order, each point against that row's nearest-phi frame.
+
+def _library_frames(field) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The library's per-point (top, bottom) frames, ring by ring."""
+    return [(field.frames(r, 0), field.frames(r, 1)) for r in _rings(field)]
+
+
+def _expanded(field, x: np.ndarray) -> list[np.ndarray]:
+    """Per-point matrices D(phi_n)^dag X D(phi_n) of a per-ring stack X, ring by ring."""
+    reps = [geometry._powers(step, field.mesh.ring_phi_count(r))
+            for r, step in zip(_rings(field), field.step, strict=True)]
+    return [rep.conj().swapaxes(-1, -2) @ a @ rep for rep, a in zip(reps, x, strict=True)]
+
+
+def _oracle_transport(p: ModelParams, labels, mesh: SphereMesh):
+    """The library's frame field and, per ring, (top, bottom) frames solved point by point.
+
+    Edges are taken south to north, each ring's bottom edge and then its
+    top edge at the ring's phis, an edge the ring south of it already took
+    (the same theta and phi count) taken once: the south pole's edge
+    shares one frame, every other edge is aligned to the edge before it,
+    each point against that edge's nearest-phi frame.
     """
     field = smooth_gauge_states(p, labels, mesh)
     positions = list(geometry._resolve_labels(p, labels)[1])
+    edges = mesh.theta_edges()
 
-    def raw(row):
-        return np.linalg.eigh(hamiltonian_batch(p, np.full_like(row.phis, row.theta),
-                                                row.phis))[1][..., positions]
+    def raw(theta, phis):
+        h = hamiltonian_batch(p, np.full_like(phis, theta), phis)
+        return np.linalg.eigh(h)[1][..., positions]
 
-    pole = raw(field.rows[-1])
-    aligned = [np.broadcast_to(pole[0], pole.shape).copy()]
-    for row, south in zip(field.rows[-2::-1], field.rows[::-1]):
-        nearest = np.rint(row.phis * len(south.phis) / (2 * np.pi)).astype(int) % len(south.phis)
-        frames = raw(row)
-        u, _, vh = np.linalg.svd(frames.conj().swapaxes(-1, -2) @ aligned[-1][nearest])
-        aligned.append(frames @ u @ vh)
-    return field, aligned[::-1]
+    pole = raw(edges[-1], mesh.ring_phis(mesh.n_theta - 1))
+    last = np.broadcast_to(pole[0], pole.shape).copy()
+    aligned = {(edges[-1], len(last)): last}
+    for r in _rings(field)[::-1]:
+        phis = mesh.ring_phis(r)
+        for theta in (edges[r + 1], edges[r]):
+            if (theta, len(phis)) not in aligned:
+                nearest = np.rint(phis * len(last) / (2 * np.pi)).astype(int) % len(last)
+                frames = raw(theta, phis)
+                u, _, vh = np.linalg.svd(frames.conj().swapaxes(-1, -2) @ last[nearest])
+                last = frames @ u @ vh
+                aligned[theta, len(phis)] = last
+    return field, [(aligned[edges[r], mesh.ring_phi_count(r)],
+                    aligned[edges[r + 1], mesh.ring_phi_count(r)]) for r in _rings(field)]
 
 
-def _oracle_fields(field, frames: list[np.ndarray]) -> list[dict[int, np.ndarray]]:
-    """Per-point a_theta, a_phi_top, a_phi_bottom and curvature of per-row frames, ring by ring."""
-    out: list[dict[int, np.ndarray]] = [{}, {}, {}, {}]
-    for r in range(field.ring_start, field.mesh.n_theta):
-        top, bottom = frames[field.top_index[r]], frames[field.bottom_index[r]]
+def _oracle_fields(frames: list[tuple[np.ndarray, np.ndarray]]) -> list[list[np.ndarray]]:
+    """Per-point A_theta, A_phi,top, A_phi,bottom and curvature of per-ring frames, ring by ring."""
+    out: list[list[np.ndarray]] = [[], [], [], []]
+    for top, bottom in frames:
         links = geometry._links(top, np.roll(top, -1, axis=0), bottom, np.roll(bottom, -1, axis=0))
         curvature = geometry._plaquettes(*links, np.roll(links[0], -1, axis=0))
         for fields, x in zip(out, (*links, curvature)):
-            fields[r] = x
+            fields.append(x)
     return out
 
 
-def _oracle_chern(field, fields: list[dict[int, np.ndarray]]) -> ChernResult:
+def _oracle_chern(field, fields: list[list[np.ndarray]]) -> ChernResult:
     """Chern number of per-point curvature; the first kept ring's density covers the dropped cap."""
     edges, r0 = field.mesh.theta_edges(), field.ring_start
-    traces = [np.trace(fields[-1][r], axis1=-2, axis2=-1).real.sum() for r in sorted(fields[-1])]
+    traces = [np.trace(c, axis1=-2, axis2=-1).real.sum() for c in fields[-1]]
     cap = (1 - np.cos(edges[r0 + 1])) / (np.cos(edges[r0]) - np.cos(edges[r0 + 1]))
     half = geometry._half_grid(field.dim, len(field.labels))
     return ChernResult.from_fourpi((cap * traces[0] + sum(traces[1:])) / (4 * np.pi), half)
@@ -723,7 +804,7 @@ def _oracle_chern(field, fields: list[dict[int, np.ndarray]]) -> ChernResult:
 def _oracle_general(p: ModelParams, labels, mesh: SphereMesh):
     """The library's frame field and the oracle's per-point fields of transported frames."""
     field, frames = _oracle_transport(p, labels, mesh)
-    return field, _oracle_fields(field, frames)
+    return field, _oracle_fields(frames)
 
 
 @pytest.mark.parametrize("two_l,labels", [(2, (3, 4, 5)), (1, (1,))])
@@ -760,8 +841,9 @@ def test_meridian_frames_match_per_point_transport(two_l, n):
         cases.append((ModelParams(2, 2 / 3), (3, 4, 5)))
     for p, labels in cases:
         fact, general = _oracle_transport(p, labels, mesh)
-        worst = max(np.max(np.abs(row.frames - b))
-                    for row, b in zip(fact.rows, general, strict=True))
+        worst = max(np.max(np.abs(a - b)) for pair, oracle in
+                    zip(_library_frames(fact), general, strict=True)
+                    for a, b in zip(pair, oracle))
         assert worst < 1e-12, (labels, worst)
 
 
@@ -770,33 +852,31 @@ def test_meridian_frames_are_orthonormal_on_equal_area(two_l, labels):
     p = ModelParams(two_l, 2 / (two_l + 1) if len(labels) > 1 else 0.8)
     frames = smooth_gauge_states(p, labels, SphereMesh(40, 80, "equal-area"))
     eye = np.eye(len(labels))
-    for row in frames.rows:
-        assert row.frames.flags.owndata and row.frames.flags.writeable  # tests write in place
-        gram = np.einsum("nda,ndb->nab", row.frames.conj(), row.frames)
-        assert np.max(np.abs(gram - eye)) < TOL.orthonormality
-
-
-@pytest.mark.parametrize("n", [16, 100])
-def test_frame_rows_are_one_per_theta_and_phi_count(n):
-    # A ring's bottom row is the next ring's top row when their phi counts
-    # match, on an equal-area mesh as on a uniform one.
-    mesh = SphereMesh(n, 2 * n, "equal-area")
-    edges = mesh.theta_edges()
-    keys = {(edges[r + k], mesh.ring_phi_count(r)) for r in range(1, n) for k in (0, 1)}
-    frames = smooth_gauge_states(ModelParams(2, 0.8), (1,), mesh)
-    assert sorted((row.theta, len(row.phis)) for row in frames.rows) == sorted(keys)
+    for pair in _library_frames(frames):
+        for f in pair:
+            assert f.flags.owndata and f.flags.writeable  # tests write in place
+            gram = np.einsum("nda,ndb->nab", f.conj(), f)
+            assert np.max(np.abs(gram - eye)) < TOL.orthonormality
 
 
 @pytest.mark.parametrize("scheme", ["uniform", "equal-area"])
 @pytest.mark.parametrize("p", [ModelParams(2, 0.8), ModelParams(2, 1.3, 0.1, axis=(1.0, 0.0, 0.0))],
                          ids=["covariant", "tilted-axis"])
 def test_ring_rows_are_the_ring_edges_at_the_ring_phis(p, scheme):
+    # Each edge's frames span the level at the edge's theta and the ring's
+    # phis, about the axis: the eigenvectors of the axis-along-z model there.
     mesh = SphereMesh(16, 32, scheme)
     edges = mesh.theta_edges()
     frames = smooth_gauge_states(p, (1,), mesh)
-    for r in range(frames.ring_start, mesh.n_theta):
-        for row, theta in ((frames.ring_top(r), edges[r]), (frames.ring_bottom(r), edges[r + 1])):
-            assert row.theta == theta and np.array_equal(row.phis, mesh.ring_phis(r))
+    position = level_positions(p)[0]
+    for r, pair in zip(_rings(frames), _library_frames(frames), strict=True):
+        phis = mesh.ring_phis(r)
+        for theta, f in zip((edges[r], edges[r + 1]), pair, strict=True):
+            h = hamiltonian_batch(replace(p, axis=(0.0, 0.0, 1.0)), np.full_like(phis, theta), phis)
+            v = np.linalg.eigh(h)[1][..., [position]]
+            assert f.shape == v.shape
+            assert np.max(np.abs(f @ f.conj().swapaxes(-1, -2)
+                                 - v @ v.conj().swapaxes(-1, -2))) < 1e-10
 
 
 def _spy_polar(monkeypatch) -> list[int]:
@@ -823,41 +903,42 @@ def test_covariant_frames_align_once_per_latitude(monkeypatch, scheme):
         assert sizes == [mesh.n_theta - 1]
 
 
-def _fields(frames) -> list[dict[int, np.ndarray]]:
+def _fields(frames) -> list[list[np.ndarray]]:
+    """The library's connection and curvature stacks, expanded per point."""
     conn = connection_discrete(frames)
-    return [conn.a_theta, conn.a_phi_top, conn.a_phi_bottom, curvature_discrete(conn).curvature]
+    stacks = (conn.x_theta, conn.x_phi_top, conn.x_phi_bottom, curvature_discrete(conn).x_curvature)
+    return [_expanded(frames, x) for x in stacks]
 
 
-def _worst(a: list[dict[int, np.ndarray]], b: list[dict[int, np.ndarray]]) -> float:
-    assert all(x.keys() == y.keys() for x, y in zip(a, b, strict=True))
-    return max(np.max(np.abs(x[r] - y[r])) for x, y in zip(a, b) for r in x)
+def _worst(a: list[list[np.ndarray]], b: list[list[np.ndarray]]) -> float:
+    return max(np.max(np.abs(x - y)) for u, v in zip(a, b, strict=True)
+               for x, y in zip(u, v, strict=True))
 
 
 @pytest.mark.parametrize("source", ["numerical", "analytic"])
 @pytest.mark.parametrize("scheme", ["uniform", "equal-area"])
 @pytest.mark.parametrize("two_l,labels", [(2, (3, 4, 5)), (4, (5, 6, 7, 8, 9))])
 def test_factored_fields_match_the_per_point_computation(two_l, labels, scheme, source):
-    # Factored rows give one matrix per ring and edge type; expanded by
+    # Factored frames give one matrix per ring and edge type; expanded by
     # D(phi_n), they are the per-point connection and curvature of the same
     # frames, and on a uniform mesh those of per-point transport too.
     p = ModelParams(two_l, 2 / (two_l + 1))
     mesh = SphereMesh(30, 60, scheme)
     fact = smooth_gauge_states(p, labels, mesh, source=source)
     fields = _fields(fact)
-    assert all("frames" not in vars(row) for row in fact.rows)  # expanded without per-point frames
-    assert _worst(fields, _oracle_fields(fact, [row.frames for row in fact.rows])) < 1e-12
+    assert _worst(fields, _oracle_fields(_library_frames(fact))) < 1e-12
     if source == "numerical" and scheme == "uniform":
         assert _worst(fields, _oracle_general(p, labels, mesh)[1]) < 1e-12
 
 
 def test_uniform_ring_flux_is_minus_the_first_ring_phi_connection():
     # On a uniform mesh the theta-edge and commutator terms cancel around
-    # each ring and the rows are shared, so the phi-edge traces telescope to
+    # each ring and the edges are shared, so the phi-edge traces telescope to
     # the first ring's (the south pole's vanish).  The flux south of the
     # dropped cap is the sum of the ring traces.
     frames = smooth_gauge_states(ModelParams(2, 2 / 3), (3, 4, 5), SphereMesh(40, 80, "uniform"))
     conn = connection_discrete(frames)
-    first = -np.trace(conn.a_phi_top[frames.ring_start], axis1=-2, axis2=-1).real.sum()
+    first = -np.trace(_expanded(frames, conn.x_phi_top)[0], axis1=-2, axis2=-1).real.sum()
     assert abs(first - 12.156343803323004) < 1e-12
     field = curvature_discrete(conn)
     rings = field.flux(np.pi) - field.flux(frames.mesh.theta_edges()[frames.ring_start])
@@ -868,17 +949,18 @@ def test_uniform_ring_flux_is_minus_the_first_ring_phi_connection():
 def test_covariant_traces_build_no_per_point_array(monkeypatch, tmp_path, scheme):
     # Chern numbers, loop phases and the CSV read one d x d matrix per ring.
     built: list[str] = []
-    real_per_point = geometry._per_point
+    real_powers, real_frames = geometry._powers, geometry.FrameField.frames
 
-    def per_point_spy(x, rep):
-        built.append("per-point matrices")
-        return real_per_point(x, rep)
+    def powers_spy(step, n):
+        built.append("D(phi_n)")
+        return real_powers(step, n)
 
-    def frames_spy(row):
+    def frames_spy(field, ring, edge):
         built.append("per-point frames")
+        return real_frames(field, ring, edge)
 
-    monkeypatch.setattr(geometry, "_per_point", per_point_spy)
-    monkeypatch.setattr(geometry._Row, "frames", property(frames_spy))
+    monkeypatch.setattr(geometry, "_powers", powers_spy)
+    monkeypatch.setattr(geometry.FrameField, "frames", frames_spy)
     p = ModelParams(2, 2 / 3)
     mesh = SphereMesh(100, 200, scheme)
     for source in ("numerical", "analytic"):
@@ -886,18 +968,19 @@ def test_covariant_traces_build_no_per_point_array(monkeypatch, tmp_path, scheme
         curvature_field(p, (3, 4, 5), mesh, source=source).flux(LOOP_THETA)
         curvature_field(p, (3, 4, 5), mesh, source=source).to_csv(tmp_path / "curv.csv")
     assert built == []
-    curvature_field(p, (3, 4, 5), mesh).curvature  # the spies do see an expansion
-    assert built == ["per-point matrices"] * (mesh.n_theta - 1)
+    smooth_gauge_states(p, (3, 4, 5), mesh).frames(1, 0)  # the spies do see an expansion
+    assert built == ["per-point frames", "D(phi_n)"]
 
 
 def test_factored_csv_matches_the_per_point_one(tmp_path):
     p = ModelParams(2, 2 / 3)
     frames = smooth_gauge_states(p, (3, 4, 5), SphereMesh(16, 32, "equal-area"))
-    curvature = _oracle_fields(frames, [row.frames for row in frames.rows])[-1]
+    mesh = frames.mesh
+    curvature = _oracle_fields(_library_frames(frames))[-1]
     per_point = np.concatenate([np.column_stack(np.broadcast_arrays(
-        frames.ring_top(r).theta, frames.ring_top(r).phis,
-        np.trace(curvature[r], axis1=-2, axis2=-1).real, frames.mesh.ring_solid_angle(r)))
-        for r in sorted(curvature)])
+        mesh.theta_edges()[r], mesh.ring_phis(r),
+        np.trace(c, axis1=-2, axis2=-1).real, mesh.ring_solid_angle(r)))
+        for r, c in zip(_rings(frames), curvature, strict=True)])
     curvature_discrete(connection_discrete(frames)).to_csv(tmp_path / "curv.csv")
     table = np.loadtxt(tmp_path / "curv.csv", delimiter=",", skiprows=2)
     assert table.shape == per_point.shape
@@ -911,18 +994,22 @@ ANALYTIC_CASES = [(2, (3, 4, 5), 1e-10), (4, (5, 6, 7, 8, 9), 1e-6)]
 @pytest.mark.parametrize("n", [20, 100])
 @pytest.mark.parametrize("two_l,labels,tol", ANALYTIC_CASES)
 def test_analytic_interior_rows_are_the_closed_forms(two_l, labels, tol, n, scheme):
-    # Rotated out from phi = 0, the rows away from the poles stay the closed
-    # forms at their own phi; the L = 2 forms carry csc^6 factors and lose
-    # digits near the pole margin.
+    # Rotated out from phi = 0, the ring edges away from the poles stay the
+    # closed forms at their own phi; the L = 2 forms carry csc^6 factors and
+    # lose digits near the pole margin.
     p = ModelParams(two_l, 2 / (two_l + 1))
-    frames = smooth_gauge_states(p, labels, SphereMesh(n, 2 * n, scheme), source="analytic")
+    mesh = SphereMesh(n, 2 * n, scheme)
+    frames = smooth_gauge_states(p, labels, mesh, source="analytic")
     margin = geometry._ANALYTIC_POLE_MARGIN
-    interior = [row for row in frames.rows if margin < row.theta < np.pi - margin]
+    edges = mesh.theta_edges()
+    interior = [(r, edge) for r in _rings(frames) for edge in (0, 1)
+                if margin < edges[r + edge] < np.pi - margin]
     assert interior
-    for row in interior:
-        closed = gram_schmidt(raw_degenerate_vectors(two_l // 2, np.full_like(row.phis, row.theta),
-                                                     row.phis))
-        assert np.max(np.abs(row.frames - closed)) < tol
+    for r, edge in interior:
+        phis = mesh.ring_phis(r)
+        closed = gram_schmidt(raw_degenerate_vectors(
+            two_l // 2, np.full_like(phis, edges[r + edge]), phis))
+        assert np.max(np.abs(frames.frames(r, edge) - closed)) < tol
 
 
 @pytest.mark.parametrize("scheme", ["uniform", "equal-area"])
@@ -981,9 +1068,10 @@ def test_batched_meridian_matches_latitude_by_latitude_transport(two_l, labels, 
     p = ModelParams(two_l, 2 / (two_l + 1))
     mesh = SphereMesh(n, 2 * n, scheme)
     reference = _sequential_meridian(p, labels, mesh, source)
-    rows = smooth_gauge_states(p, labels, mesh, source=source).rows
-    assert {row.theta for row in rows} == set(reference)
-    worst = max(np.max(np.abs(row.factors[0] - reference[row.theta])) for row in rows)
+    frames = smooth_gauge_states(p, labels, mesh, source=source)
+    kept = mesh.theta_edges()[frames.ring_start:]
+    assert set(kept) == set(reference)
+    worst = np.max(np.abs(frames.meridian - np.array([reference[t] for t in kept])))
     assert worst < 1e-12, worst
 
 
@@ -1011,15 +1099,15 @@ def test_singular_meridian_overlap_is_refused(monkeypatch, source):
 @pytest.mark.parametrize("source", ["numerical", "analytic"])
 @pytest.mark.parametrize("scheme", ["uniform", "equal-area"])
 def test_row_rep_is_the_power_of_its_phi_step(source, scheme, n):
-    # Rows keep D(dphi) alone; D(phi_n) is its n-th power.
-    frames = smooth_gauge_states(ModelParams(2, 2 / 3), (3, 4, 5), SphereMesh(n, 2 * n, scheme),
-                                 source=source)
-    for row in frames.rows:
-        step = row.factors[2]
+    # Rings keep D(dphi) alone; D(phi_k) is its k-th power, by repeated squaring.
+    mesh = SphereMesh(n, 2 * n, scheme)
+    frames = smooth_gauge_states(ModelParams(2, 2 / 3), (3, 4, 5), mesh, source=source)
+    for r, step in zip(_rings(frames), frames.step, strict=True):
         by_hand = [np.eye(3)]
-        for _ in row.phis[1:]:
+        for _ in mesh.ring_phis(r)[1:]:
             by_hand.append(by_hand[-1] @ step)
-        assert np.max(np.abs(row.rep - np.array(by_hand))) < 1e-12
+        powers = geometry._powers(step, mesh.ring_phi_count(r))
+        assert np.max(np.abs(powers - np.array(by_hand))) < 1e-12
 
 
 def _count_matrices(monkeypatch) -> list[int]:
