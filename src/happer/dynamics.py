@@ -76,8 +76,6 @@ class Trajectory:
     l_avg: np.ndarray
     j_avg: np.ndarray
     norm_drift: float
-    params: ModelParams
-    protocol: DriveProtocol
 
     def to_csv(self, path, with_state: bool = False) -> None:
         cols = ["t", "sx", "sy", "sz", "lx", "ly", "lz", "jx", "jy", "jz"]
@@ -159,24 +157,16 @@ def _midpoint_evolve(psi: np.ndarray, unitaries, n_steps: int, rec_idx: list[int
 
 
 def propagate(p0: ModelParams, protocol: DriveProtocol, initial: np.ndarray,
-              steps_per_period: int = 2000, record_every: int = 1) -> Trajectory:
-    """Evolve the state through n_periods of the rotating drive.
+              steps_per_period: int = 2000, record_every: int = 1
+              ) -> Trajectory | list[Trajectory]:
+    """Evolve one state, or each column of a block of states, through n_periods of the drive.
 
-    States are recorded at t = 0, every record_every steps of
-    dt = period / steps_per_period, and at the end.  When H_rot is constant
-    the states are exact and steps_per_period only sets their spacing.
-    """
-    [traj] = _propagate_block(p0, protocol, np.asarray(initial)[:, None], steps_per_period,
-                              record_every)
-    return traj
-
-
-def _propagate_block(p0: ModelParams, protocol: DriveProtocol, initial: np.ndarray,
-                     steps_per_period: int, record_every: int) -> list[Trajectory]:
-    """propagate for each column of the (dim, k) block initial, one Trajectory each.
-
-    The columns share every step unitary, or the one eigendecomposition of
-    a constant H_rot.
+    A (dim,) initial gives one Trajectory; a (dim, k) block gives a list of
+    k, whose columns share every step unitary, or the one eigendecomposition
+    of a constant H_rot.  States are recorded at t = 0, every record_every
+    steps of dt = period / steps_per_period, and at the end.  When H_rot is
+    constant the states are exact and steps_per_period only sets their
+    spacing.
     """
     for name, value, least in (("steps_per_period", steps_per_period, 100),
                                ("record_every", record_every, 1)):
@@ -184,7 +174,11 @@ def _propagate_block(p0: ModelParams, protocol: DriveProtocol, initial: np.ndarr
             raise ValueError(f"{name} must be an integer, got {value!r}")
         if value < least:
             raise ValueError(f"{name} must be at least {least}")
-    psi = np.asarray(initial, dtype=complex).T  # one state per row
+    initial = np.asarray(initial)
+    if initial.ndim not in (1, 2):
+        raise ValueError(f"initial must be a state (dim,) or a block of states (dim, k), "
+                         f"got shape {initial.shape}")
+    psi = np.asarray(initial if initial.ndim == 2 else initial[:, None], dtype=complex).T
     if psi.shape[-1] != p0.dim:
         raise ValueError(f"initial state must have {p0.dim} components, got {psi.shape[-1]}")
     if np.max(np.abs(np.linalg.norm(psi, axis=1) - 1.0)) > TOL.unit_vector * 100:
@@ -229,9 +223,8 @@ def _propagate_block(p0: ModelParams, protocol: DriveProtocol, initial: np.ndarr
     trajs = []
     for states, drift in zip(recorded, drifts):
         s_avg, l_avg = _expectations(states, p0.nuclear_two_l)
-        trajs.append(Trajectory(rec_times, states, s_avg, l_avg, s_avg + l_avg, float(drift),
-                                p0, protocol))
-    return trajs
+        trajs.append(Trajectory(rec_times, states, s_avg, l_avg, s_avg + l_avg, float(drift)))
+    return trajs if initial.ndim == 2 else trajs[0]
 
 
 def instantaneous_hamiltonian(p0: ModelParams, protocol: DriveProtocol, t) -> np.ndarray:
@@ -249,28 +242,27 @@ def initial_eigenstate(p0: ModelParams, protocol: DriveProtocol,
     return es.eigenvectors[:, position].copy()
 
 
-def geometric_phase_diagnostics(traj: Trajectory, p0: ModelParams,
-                                protocol: DriveProtocol) -> tuple[float, float]:
-    """(geometric phase, minimum instantaneous-eigenstate fidelity).
+def geometric_phase_diagnostics(traj: Trajectory | list[Trajectory], p0: ModelParams,
+                                protocol: DriveProtocol
+                                ) -> tuple[float, float] | list[tuple[float, float]]:
+    """(geometric phase, minimum instantaneous-eigenstate fidelity) of a trajectory.
 
-    No fidelity floor is enforced here; see extract_geometric_phase.
+    A list of trajectories recorded at the same times gives a list of
+    pairs, from one eigensolve at 65 evenly spread records.  No fidelity
+    floor is enforced here; see extract_geometric_phase.
     """
-    [result] = _phase_diagnostics([traj], p0, protocol)
-    return result
-
-
-def _phase_diagnostics(trajs: list[Trajectory], p0: ModelParams,
-                       protocol: DriveProtocol) -> list[tuple[float, float]]:
-    """geometric_phase_diagnostics of trajectories recorded at the same times, one eigensolve
-    at 65 evenly spread records."""
+    single = isinstance(traj, Trajectory)
+    trajs = [traj] if single else list(traj)
     times = trajs[0].times
+    if any(not np.array_equal(t.times, times) for t in trajs[1:]):
+        raise ValueError("trajectories must be recorded at the same times")
     idx = np.unique(np.linspace(0, len(times) - 1, 65).astype(int))
     w, v = np.linalg.eigh(instantaneous_hamiltonian(p0, protocol, times[idx]))
     v_dag = v.conj()
     rows = np.arange(len(idx))
     results = []
-    for traj in trajs:
-        overlaps = np.abs(np.einsum("nda,nd->na", v_dag, traj.states[idx])) ** 2
+    for one in trajs:
+        overlaps = np.abs(np.einsum("nda,nd->na", v_dag, one.states[idx])) ** 2
         branch = np.argmax(overlaps, axis=1)
         min_fidelity = min(1.0, float(np.min(overlaps[rows, branch])))
         energies = w[rows, branch]
@@ -278,9 +270,9 @@ def _phase_diagnostics(trajs: list[Trajectory], p0: ModelParams,
             dynamical = float(np.mean(energies)) * float(times[-1])
         else:
             dynamical = float(np.trapezoid(energies, times[idx]))
-        total = float(np.angle(np.vdot(traj.states[0], traj.states[-1])))
+        total = float(np.angle(np.vdot(one.states[0], one.states[-1])))
         results.append((float(np.angle(np.exp(1j * (total + dynamical)))), min_fidelity))
-    return results
+    return results[0] if single else results
 
 
 def extract_geometric_phase(traj: Trajectory, p0: ModelParams, protocol: DriveProtocol) -> float:

@@ -39,7 +39,6 @@ class EigenSystem:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    params: ModelParams | None = None
 
 
 def fix_phases(vectors: np.ndarray) -> np.ndarray:
@@ -50,10 +49,10 @@ def fix_phases(vectors: np.ndarray) -> np.ndarray:
     return vectors * phase.conj()
 
 
-def eigensystem(h: np.ndarray, params: ModelParams | None = None) -> EigenSystem:
+def eigensystem(h: np.ndarray) -> EigenSystem:
     """Full Hermitian eigendecomposition with deterministic phases."""
     w, v = np.linalg.eigh(require_hermitian(np.asarray(h), what="eigensystem input"))
-    return EigenSystem(w, fix_phases(v), params)
+    return EigenSystem(w, fix_phases(v))
 
 
 _X_LABELS = 2.5  # labels are numbered by energy here, beyond every crossing (x* <= 2)
@@ -149,7 +148,7 @@ def _levels(p: ModelParams) -> tuple[EigenSystem, np.ndarray, np.ndarray]:
     e, v, j = sectors.eigh(p.x)
     order = np.argsort(e, kind="stable")
     position_of_slot = np.argsort(order)
-    return EigenSystem(e[order], v[:, order], p), j[order], position_of_slot[sectors.slot_of_label]
+    return EigenSystem(e[order], v[:, order]), j[order], position_of_slot[sectors.slot_of_label]
 
 
 def eigensystem_with_j(p: ModelParams) -> tuple[EigenSystem, np.ndarray]:
@@ -191,10 +190,10 @@ def _check_isolated(w: np.ndarray, positions: Sequence[int], context: str,
                     thetas: Sequence[float] = ()) -> None:
     """Refuse a band set that comes within TOL.subspace_isolation of the rest of the spectrum.
 
-    w holds ascending eigenvalues: (d,) at one point, (n_theta, d) on a
-    phi = 0 meridian or (n_theta, n_phi, d) on a grid.  Every boundary
-    between a member position and a non-member one is checked; given the
-    meridian's thetas, the message names the point of smallest gap.
+    w holds ascending eigenvalues: (d,) at one point or (n, d) on the
+    n thetas of a phi = 0 meridian.  Every boundary between a member
+    position and a non-member one is checked; given the meridian's
+    thetas, the message names the point of smallest gap.
     """
     member = np.bincount(positions, minlength=w.shape[-1]) > 0
     lower = np.flatnonzero(member[:-1] != member[1:])  # boundaries (b, b + 1)
@@ -236,7 +235,6 @@ class LevelTrack:
     labels: np.ndarray
     energies: np.ndarray
     j_values: np.ndarray
-    params: ModelParams
 
 
 def track_levels(p0: ModelParams, x_grid) -> LevelTrack:
@@ -253,7 +251,7 @@ def track_levels(p0: ModelParams, x_grid) -> LevelTrack:
     e, j = sectors.levels(x_grid)
     slots = sectors.slot_of_label
     labels = (np.argsort(slots) + 1)[np.argsort(e, axis=1, kind="stable")]
-    return LevelTrack(x_grid, labels, e[:, slots], j[:, slots], p0)
+    return LevelTrack(x_grid, labels, e[:, slots], j[:, slots])
 
 
 @dataclass(frozen=True)

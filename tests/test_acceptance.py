@@ -136,7 +136,7 @@ def test_criterion_6_analytic_degenerate_states():
                     v = raw[:, k]
                     assert np.linalg.norm(h @ v - e_star * v) / np.linalg.norm(v) < 1e-8
                 q = np.linalg.qr(raw)[0]
-                es = eigensystem(h, p)
+                es = eigensystem(h)
                 idx = np.nonzero(np.abs(es.eigenvalues - e_star) < 1e-9)[0]
                 numeric = es.eigenvectors[:, idx]
                 assert np.linalg.norm(q @ q.conj().T - numeric @ numeric.conj().T) < 1e-8

@@ -70,7 +70,7 @@ def test_gram_schmidt_rejects_dependence():
 def test_orthonormal_span_matches_numerical_eigenspace():
     frame = analytic_degenerate_states(1, 1.0, 0.7)
     p = crossing_params(2, 1.0, 0.7)
-    es = eigensystem(build_hamiltonian(p), p)
+    es = eigensystem(build_hamiltonian(p))
     idx = np.nonzero(np.abs(es.eigenvalues - degenerate_energy(2)) < 1e-9)[0]
     numeric = es.eigenvectors[:, idx]
     p_analytic = frame.orthonormal @ frame.orthonormal.conj().T
@@ -87,7 +87,7 @@ def test_span_equivalence_random_points(l):
         phi = rng.uniform(0, 2 * np.pi)
         frame = analytic_degenerate_states(l, theta, phi)
         p = crossing_params(two_l, theta, phi)
-        es = eigensystem(build_hamiltonian(p), p)
+        es = eigensystem(build_hamiltonian(p))
         idx = np.nonzero(np.abs(es.eigenvalues - degenerate_energy(two_l)) < 1e-9)[0]
         numeric = es.eigenvectors[:, idx]
         diff = (frame.orthonormal @ frame.orthonormal.conj().T

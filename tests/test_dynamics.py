@@ -185,8 +185,7 @@ def test_trajectory_csv_matches_per_value_formatting(tmp_path, with_state):
         return np.stack([rng.permutation(SPECIAL_FLOATS) for _ in range(cols)], axis=1)
     states = values(3).astype(complex)
     states.imag = values(3)
-    traj = Trajectory(np.array(SPECIAL_FLOATS), states, values(3), values(3), values(3), 0.0,
-                      zeeman_params(), DriveProtocol(0.5, 0.1))
+    traj = Trajectory(np.array(SPECIAL_FLOATS), states, values(3), values(3), values(3), 0.0)
     path = tmp_path / "traj.csv"
     traj.to_csv(path, with_state=with_state)
     schema, _, body = path.read_text().split("\n", 2)
@@ -417,16 +416,35 @@ def test_ramp_with_a_short_last_chunk_matches_per_step_loop(monkeypatch):
 ], ids=["fast", "generic-complex"])
 def test_level_block_matches_each_level_propagated_alone(p, proto):
     positions = list(range(p.dim))
-    block = dynamics._propagate_block(p, proto, initial_eigenstate(p, proto, positions), 1200, 7)
+    block = propagate(p, proto, initial_eigenstate(p, proto, positions), 1200, 7)
     for pos, traj in zip(positions, block):
         alone = propagate(p, proto, initial_eigenstate(p, proto, pos), 1200, 7)
         assert np.max(np.abs(traj.states - alone.states)) < 1e-12
         assert np.max(np.abs(traj.j_avg - alone.j_avg)) < 1e-12
         assert abs(traj.norm_drift - alone.norm_drift) < 1e-12
-    together = dynamics._phase_diagnostics(block, p, proto)
+    together = geometric_phase_diagnostics(block, p, proto)
     for traj, (phase, fidelity) in zip(block, together):
         alone_phase, alone_fidelity = geometric_phase_diagnostics(traj, p, proto)
         assert abs(phase - alone_phase) < 1e-12 and abs(fidelity - alone_fidelity) < 1e-12
+
+
+def test_one_column_block_is_the_single_state_drive_and_bad_shapes_are_refused():
+    p = ModelParams(2, 0.8, 0.1, axis=(1.0, 0.0, 0.0))
+    proto = DriveProtocol(1.0, 0.01, 1)
+    psi0 = initial_eigenstate(p, proto, 4)
+    alone = propagate(p, proto, psi0, 400, 7)
+    [traj] = propagate(p, proto, psi0[:, None], 400, 7)
+    for name in ("times", "states", "s_avg", "l_avg", "j_avg"):
+        assert np.array_equal(getattr(traj, name), getattr(alone, name))
+    assert traj.norm_drift == alone.norm_drift
+    assert geometric_phase_diagnostics([traj], p, proto) == [
+        geometric_phase_diagnostics(alone, p, proto)]
+    with pytest.raises(ValueError, match=r"initial must be .* got shape \(9, 1, 1\)"):
+        propagate(p, proto, psi0[:, None, None], 400, 7)
+    shifted = Trajectory(alone.times + 1.0, alone.states, alone.s_avg, alone.l_avg,
+                         alone.j_avg, alone.norm_drift)
+    with pytest.raises(ValueError, match="trajectories must be recorded at the same times"):
+        geometric_phase_diagnostics([alone, shifted], p, proto)
 
 
 @pytest.mark.parametrize("two_l,x", [(0, 0.0), (2, 1.0)])

@@ -557,7 +557,7 @@ LABEL_CALLS = {
     "loop-phase": lambda labels: loop_phase(LABEL_P, labels, LOOP_THETA, LABEL_MESH),
     "frames": lambda labels: smooth_gauge_states(LABEL_P, labels, LABEL_MESH).labels,
     "projection": lambda labels: projected_hamiltonian(
-        LABEL_P, labels, eigensystem(build_hamiltonian(LABEL_P), LABEL_P)),
+        LABEL_P, labels, eigensystem(build_hamiltonian(LABEL_P))),
 }
 
 

@@ -146,14 +146,14 @@ def test_momentum_form_triple_degeneracy_on_shell():
 
 def test_projected_hamiltonian_full_set_is_identity():
     p = ModelParams(2, 0.9, 0.0, FieldDirection(0.4, 1.0))
-    es = eigensystem(build_hamiltonian(p), p)
+    es = eigensystem(build_hamiltonian(p))
     hp = projected_hamiltonian(p, range(1, 10), es)
     assert np.max(np.abs(hp - build_hamiltonian(p))) < 1e-10
 
 
 def test_projected_hamiltonian_keeps_band_energies():
     p = ModelParams(2, 0.5, 0.0, FieldDirection(0.4, 1.0))
-    es = eigensystem(build_hamiltonian(p), p)
+    es = eigensystem(build_hamiltonian(p))
     hp = projected_hamiltonian(p, (3, 4, 5), es)
     w = np.linalg.eigvalsh(hp)
     nonzero = np.sort(w[np.abs(w) > 1e-8])
@@ -165,7 +165,7 @@ def test_projected_hamiltonian_keeps_band_energies():
 
 def test_projected_hamiltonian_rejects_degenerate_cut():
     p = ModelParams(2, 2 / 3, 0.0, FieldDirection(0.4, 1.0))
-    es = eigensystem(build_hamiltonian(p), p)
+    es = eigensystem(build_hamiltonian(p))
     with pytest.raises(SubspaceIsolationError, match="touch"):
         projected_hamiltonian(p, (3, 4), es)
 
@@ -173,7 +173,7 @@ def test_projected_hamiltonian_rejects_degenerate_cut():
 def test_projected_hamiltonian_takes_an_isolated_noncontiguous_set():
     # Contiguity is a Chern-scheme requirement; a projection needs isolation only.
     p = ModelParams(2, 1.0, 0.0, FieldDirection(0.4, 1.0))
-    es = eigensystem(build_hamiltonian(p), p)
+    es = eigensystem(build_hamiltonian(p))
     frame = es.eigenvectors[:, level_positions(p)[[0, 8]]]
     proj = frame @ frame.conj().T
     hp = projected_hamiltonian(p, (9, 1), es)

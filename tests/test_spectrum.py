@@ -25,7 +25,7 @@ def oracle_eigensystem_with_j(p):
     """Energies, eigenvectors and <n_B.J> by position, clusters split along n_B.J."""
     cluster_tol = 1e-7  # levels this close count as one cluster
     h = build_hamiltonian(p)
-    es = eigensystem(h, p)
+    es = eigensystem(h)
     w, v, jmat = es.eigenvalues.copy(), es.eigenvectors.copy(), conserved_j(p)
     start = 0
     while start < len(w):
@@ -112,7 +112,7 @@ def test_eigensystem_invariants_random():
 
 def test_crossing_energy_for_l1():
     p = ModelParams(2, 2 / 3, 0.0, FieldDirection(0.9, 0.2))
-    es = eigensystem(build_hamiltonian(p), p)
+    es = eigensystem(build_hamiltonian(p))
     assert np.sum(np.abs(es.eigenvalues + 1 / 3) < 1e-10) == 3
 
 
@@ -124,7 +124,7 @@ def test_crossing_energy_for_l2_matches_extremal_block():
     oracle = -1.0 + (two_l / 2) * x_star
     assert abs(oracle - degenerate_energy(two_l)) < 1e-15
     p = ModelParams(two_l, x_star, 0.0, FieldDirection(0.7, 1.1))
-    es = eigensystem(build_hamiltonian(p), p)
+    es = eigensystem(build_hamiltonian(p))
     assert np.sum(np.abs(es.eigenvalues - oracle) < 1e-10) == 5
 
 
@@ -260,7 +260,7 @@ def test_track_levels_matches_per_point_eigensystem_at_tilted_axis():
     track = track_levels(p, grid)
     for i, x in enumerate(grid):
         q = p.with_x(float(x))
-        es = eigensystem(build_hamiltonian(q), q)
+        es = eigensystem(build_hamiltonian(q))
         v = es.eigenvectors
         jexp = np.real(np.einsum("in,ij,jn->n", v.conj(), conserved_j(q), v))
         assert np.max(np.abs(track.energies[i] - es.eigenvalues)) < 1e-10
