@@ -17,8 +17,10 @@ a, and its Fourier series, fixed by exact eigh solves at a few equispaced
 nodes, gives every step of the run (Trefethen & Weideman, SIAM Rev. 56,
 385 (2014)); see _step_unitaries for the node rule.  The series is unitary
 to about 1e-16 per step rather than to each step's rounding, so norm drift
-also measures the interpolation.  Any number of initial states share the
-steps as the columns of one block.
+also measures the interpolation.  A ramp's H depends on a only through
+cos a, so its series is a cosine series.  The steps between two records
+are multiplied in pairs before they meet the state, and any number of
+initial states share those products as the columns of one block.
 """
 
 from __future__ import annotations
@@ -106,9 +108,12 @@ def _step_unitaries(h_at, dt: float, n_steps: int):
     coefficients c_q of U.  n starts at 8 and doubles, keeping the nodes
     already solved, until every c_q with |q| >= n/4 has entries of at most
     _TAIL; U(a) is then the series over |q| < n/4, summed in the real basis
-    cos(q a), sin(q a) as one real product with the coefficients viewed as
-    real pairs.  Once n would reach n_steps or pass _MAX_NODES, the
-    returned U solves each angle directly.
+    cos(q a), sin(q a) = cos(q a - pi/2) as one real product with the
+    coefficients viewed as real pairs.  The same rule drops each term whose
+    coefficient has no entry above _TAIL: an h_at even in a, such as a
+    ramp's, has a U even in a and keeps only its cosines.  Once n would
+    reach n_steps or pass _MAX_NODES, the returned U solves each angle
+    directly.
     """
     def solve(a):
         w, v = np.linalg.eigh(h_at(a))
@@ -123,36 +128,64 @@ def _step_unitaries(h_at, dt: float, n_steps: int):
         if np.max(np.abs(c[n // 4:n - n // 4 + 1])) <= _TAIL:
             q = np.arange(1, n // 4)
             table = np.concatenate([c[:1], c[q] + c[-q], 1j * (c[q] - c[-q])])
-            table, shape = table.view(float).reshape(len(table), -1), u.shape[1:]
+            freq = np.concatenate([[0], q, q])
+            shift = np.repeat([0.0, np.pi / 2], [len(q) + 1, len(q)])
+            keep = np.max(np.abs(table), axis=(1, 2)) > _TAIL
+            table, shape = table[keep].reshape(np.sum(keep), -1).view(float), u.shape[1:]
+            freq, shift = freq[keep], shift[keep]
 
             def series(a):
-                qa = np.multiply.outer(a, q)
-                basis = np.hstack([np.ones((len(a), 1)), np.cos(qa), np.sin(qa)])
+                basis = np.cos(np.multiply.outer(a, freq) - shift)
                 return (basis @ table).view(complex).reshape(len(a), *shape)
             return series
         n *= 2
     return solve
 
 
-def _midpoint_evolve(psi: np.ndarray, unitaries, n_steps: int, rec_idx: list[int]) -> np.ndarray:
-    """States after each step count in rec_idx (all >= 1) of psi_{k+1} = U_k psi_k.
+def _ordered_products(u: np.ndarray) -> np.ndarray:
+    """u[:, -1] ... u[:, 1] u[:, 0] for a stack (g, m, dim, dim), multiplied in pairs."""
+    while u.shape[1] > 1:
+        paired = u[:, 1::2] @ u[:, :-1:2]
+        u = np.concatenate([paired, u[:, -1:]], axis=1) if u.shape[1] % 2 else paired
+    return u[:, 0]
+
+
+def _midpoint_evolve(psi: np.ndarray, unitaries, rec_idx: list[int]) -> np.ndarray:
+    """States after each step count in rec_idx (increasing, all >= 1) of psi_{k+1} = U_k psi_k.
 
     psi is one state (dim,) or a stack of states (k, dim) that take the
     same steps.  unitaries(mid) returns the step unitaries U_k at an array
-    of midpoints mid = k + 1/2 (in steps); it is asked for _CHUNK steps at
-    a time, and the unitaries are applied one by one, in order.  Each state
-    takes its own matrix-vector product, so a state's arithmetic does not
+    of midpoints mid = k + 1/2 (in steps); it is asked for at most _CHUNK
+    steps at a time, in order.  The steps between two records are
+    multiplied in pairs, one batched product per level, before they meet
+    the states: a stretch longer than _CHUNK is taken _CHUNK steps at a
+    time, and up to _CHUNK // m consecutive stretches of the same m steps
+    are asked for and multiplied together.  Each state then takes one
+    matrix-vector product per product, so a state's arithmetic does not
     depend on the others in the stack.
     """
-    slot = {s: i for i, s in enumerate(rec_idx)}
     out = np.empty((len(rec_idx),) + psi.shape, dtype=complex)
     cols = psi[..., None]
-    for start in range(0, n_steps, _CHUNK):
-        for k, u in enumerate(unitaries(np.arange(start, min(start + _CHUNK, n_steps)) + 0.5),
-                              start + 1):
-            cols = u @ cols
-            if k in slot:
-                out[slot[k]] = cols[..., 0]
+    ends = [0, *rec_idx]
+    i = 0
+    while i < len(rec_idx):
+        start, stop = ends[i], ends[i + 1]
+        m = stop - start
+        if m > _CHUNK:
+            for lo in range(start, stop, _CHUNK):
+                u = unitaries(np.arange(lo, min(lo + _CHUNK, stop)) + 0.5)
+                cols = _ordered_products(u[None])[0] @ cols
+            out[i] = cols[..., 0]
+            i += 1
+        else:
+            g = 1
+            while g < _CHUNK // m and i + g < len(rec_idx) and ends[i + g + 1] - ends[i + g] == m:
+                g += 1
+            u = unitaries(np.arange(start, start + g * m) + 0.5)
+            for product in _ordered_products(u.reshape(g, m, *u.shape[1:])):
+                cols = product @ cols
+                out[i] = cols[..., 0]
+                i += 1
     return out
 
 
@@ -181,6 +214,8 @@ def propagate(p0: ModelParams, protocol: DriveProtocol, initial: np.ndarray,
     psi = np.asarray(initial if initial.ndim == 2 else initial[:, None], dtype=complex).T
     if psi.shape[-1] != p0.dim:
         raise ValueError(f"initial state must have {p0.dim} components, got {psi.shape[-1]}")
+    if not len(psi):
+        raise ValueError(f"initial must hold at least one state, got shape {initial.shape}")
     if np.max(np.abs(np.linalg.norm(psi, axis=1) - 1.0)) > TOL.unit_vector * 100:
         raise ValueError("initial state must be normalized")
     n_steps = steps_per_period * protocol.n_periods
@@ -213,7 +248,7 @@ def propagate(p0: ModelParams, protocol: DriveProtocol, initial: np.ndarray,
     else:
         steps = _step_unitaries(rotating, dt, n_steps)  # H_rot is 2 pi-periodic in the phase
         chi = np.concatenate([psi[None], _midpoint_evolve(
-            psi, lambda mid: steps(omega * dt * mid), n_steps, rec_idx[1:])]).swapaxes(0, 1)
+            psi, lambda mid: steps(omega * dt * mid), rec_idx[1:])]).swapaxes(0, 1)
     recorded = np.exp(-1j * omega * np.multiply.outer(rec_times, jz)) * chi  # (k, n, dim)
 
     drifts = np.max(np.abs(np.linalg.norm(recorded, axis=-1) - 1.0), axis=-1)
@@ -253,6 +288,8 @@ def geometric_phase_diagnostics(traj: Trajectory | list[Trajectory], p0: ModelPa
     """
     single = isinstance(traj, Trajectory)
     trajs = [traj] if single else list(traj)
+    if not trajs:
+        raise ValueError("geometric_phase_diagnostics needs at least one trajectory, got none")
     times = trajs[0].times
     if any(not np.array_equal(t.times, times) for t in trajs[1:]):
         raise ValueError("trajectories must be recorded at the same times")
@@ -385,7 +422,7 @@ def landau_zener_scan(p_base: ModelParams, x_start: float, x_end: float,
         n_steps = max(min_steps, int(np.ceil(duration / dt_max)))
         steps = _step_unitaries(h_at, duration / n_steps, n_steps)
         [psi] = _midpoint_evolve(psi0, lambda mid: steps(np.arccos(1 - 2 * mid / n_steps)),
-                                 n_steps, [n_steps])
+                                 [n_steps])
         populations = np.abs(es1.eigenvectors.conj().T @ psi) ** 2
         stay = float(populations[level - 1])
         results.append(RampResult(float(rate), populations, stay, 1.0 - stay))

@@ -146,6 +146,18 @@ def test_propagate_refuses_a_state_of_the_wrong_length():
         propagate(p, proto, np.full(8, 8 ** -0.5), 400)
 
 
+def test_propagate_refuses_an_empty_block():
+    p = ModelParams(2, 1.0, 0.0)
+    with pytest.raises(ValueError, match=r"must hold at least one state, got shape \(9, 0\)"):
+        propagate(p, DriveProtocol(0.5, 0.01, 1), np.zeros((9, 0)), 400)
+
+
+def test_geometric_phase_diagnostics_refuses_an_empty_list():
+    p = ModelParams(2, 1.0, 0.0)
+    with pytest.raises(ValueError, match="needs at least one trajectory, got none"):
+        geometric_phase_diagnostics([], p, DriveProtocol(0.5, 0.01, 1))
+
+
 SPECIAL_FLOATS = [-0.0, np.nan, np.inf, -np.inf, 1e-300, 1e17, 0.1 + 0.2, -1 / 3]
 
 
@@ -384,6 +396,27 @@ def test_step_interpolant_holds_at_most_max_nodes():
     assert asked == [7]
 
 
+def test_ramp_series_keeps_only_cosines_and_a_tilted_drive_keeps_sines():
+    # A ramp's H depends on a only through cos a, so its U is even in a and
+    # its sine terms are round-off below _TAIL: with none kept, the series
+    # gives U(-a) and U(a) bit for bit.  A tilted drive turns its axis term
+    # by e^{i a (m_i - m_j)}, which is not even, so it keeps its sines.
+    p = ModelParams(2, 0.5, 0.05, FieldDirection(1.0, 0.3), axis=(0.6, 0.0, 0.8))
+    ramp = ramp_steps(p, 0.5, 0.8, 2000, 1.0)
+    drive = drive_steps(p, DriveProtocol(0.7, 0.02, 1), 800)
+    for (h_at, dt, n_steps, angles), even in ((ramp, True), (drive, False)):
+        h, asked = counted(h_at)
+        steps = dynamics._step_unitaries(h, dt, n_steps)
+        solved = sum(asked)
+        u, mirrored = steps(angles), steps(-angles)
+        assert sum(asked) == solved  # a series, not direct solves
+        assert np.max(np.abs(u - eigh_step_unitaries(h_at(angles), dt))) < 1e-12
+        if even:
+            assert np.array_equal(mirrored, u)
+        else:
+            assert np.max(np.abs(mirrored - u)) > 1e-3
+
+
 def _spy_chunks(monkeypatch) -> list[int]:
     """Record the number of steps in each chunk of step unitaries asked for."""
     chunks: list[int] = []
@@ -408,6 +441,56 @@ def test_ramp_with_a_short_last_chunk_matches_per_step_loop(monkeypatch):
     assert chunks == [dynamics._CHUNK] * 4 + [37]
     _, ref = per_step_ramp(p, 0.61, 0.72, 2.5e-4, 3, dt_max=2.0, min_steps=n_steps)
     assert np.max(np.abs(r.populations - ref)) < 1e-10
+
+
+def random_unitaries(rng, n, dim):
+    """n Haar-like random dim x dim unitaries, from the QR of complex Gaussians."""
+    z = rng.normal(size=(n, dim, dim)) + 1j * rng.normal(size=(n, dim, dim))
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=1, axis2=2)
+    return q * (d / np.abs(d))[:, None]
+
+
+@pytest.mark.parametrize("n_steps,every", [
+    (150, 1),        # a record after every step
+    (4000, 7),       # 9 stretches of 7 steps per chunk; a short stretch of 3 at the end
+    (1000, 1000),    # one final record across 16 chunks, the last of 40 steps
+    (45, 5),         # fewer steps than one chunk
+    (50, 13),        # odd stretches: three of 13 in one chunk, then 11
+    (63, 63),        # one odd stretch, odd at every pairing level
+])
+def test_pairwise_step_products_match_the_step_by_step_loop(n_steps, every):
+    # Each product of unitaries, or of a unitary and a unit state, sums dim
+    # terms of modulus at most one per entry, each with a complex rounding
+    # of at most 2 eps, so it is off by at most 2 dim eps per entry and
+    # 2 dim^2 eps in norm; errors carried forward keep their size under the
+    # unitary steps that follow.  The loop takes n_steps mat-vecs and the
+    # pairs fewer than 2 n_steps products, so the two differ by at most
+    # 3 n_steps 2 dim^2 eps.
+    dim, rng = 9, np.random.default_rng(n_steps + every)
+    u = random_unitaries(rng, n_steps, dim)
+    psi = random_unitaries(rng, 1, dim)[0, :, :3].T  # three orthonormal states
+    asked = []
+
+    def unitaries(mid):
+        asked.append(mid)
+        return u[(mid - 0.5).astype(int)]
+    rec_idx = list(range(every, n_steps + 1, every))
+    if rec_idx[-1] != n_steps:
+        rec_idx.append(n_steps)
+    out = dynamics._midpoint_evolve(psi, unitaries, rec_idx)
+    assert max(len(m) for m in asked) <= dynamics._CHUNK
+    assert np.array_equal(np.concatenate(asked), np.arange(n_steps) + 0.5)
+    ref, cols, recorded = [], psi, set(rec_idx)
+    for k in range(n_steps):
+        cols = np.einsum("ij,nj->ni", u[k], cols)
+        if k + 1 in recorded:
+            ref.append(cols)
+    bound = 3 * n_steps * 2 * dim ** 2 * np.finfo(float).eps
+    assert np.max(np.abs(out - np.array(ref))) < bound
+    for col in range(len(psi)):  # each state's arithmetic is its own
+        assert np.array_equal(dynamics._midpoint_evolve(psi[col], unitaries, rec_idx),
+                              out[:, col])
 
 
 @pytest.mark.parametrize("p,proto", [
