@@ -26,7 +26,7 @@ import numpy as np
 from .dynamics import (DriveProtocol, adiabatic_omega, cone_fit, geometric_phase_diagnostics,
                        initial_eigenstate, propagate)
 from .errors import NormDriftError, SubspaceIsolationError
-from .geometry import (ChernResult, _orbit_phases, chern_number_curvature,
+from .geometry import (ChernResult, _curvature_sets, _orbit_phases, chern_number_curvature,
                        chern_number_link_variable, chern_spectrum_link_variable, loop_phase)
 from .mesh import SphereMesh
 from .model import FieldDirection, ModelParams, build_hamiltonian, semimetal_batch
@@ -191,17 +191,12 @@ def cmd_chern(cfg: ScanConfig) -> Table:
     for x in cfg.x_values():
         p = cfg.params(x)
         _, jexp, positions = _levels(p)
-        if cfg.scheme == "link":
-            per_position = chern_spectrum_link_variable(p, mesh, check=False)
-            results = [per_position[positions[lab - 1]] for lab in range(1, p.dim + 1)]
-        else:
-            results = [chern_number_curvature(p, lab, mesh) for lab in range(1, p.dim + 1)]
-        for lab in range(1, p.dim + 1):
-            res = results[lab - 1]
-            j = float(jexp[positions[lab - 1]])
+        per_position = chern_spectrum_link_variable(p, mesh, check=False) \
+            if cfg.scheme == "link" else _curvature_sets(p, mesh, [(k,) for k in range(p.dim)])
+        for lab, pos in enumerate(positions, start=1):
+            res, j = per_position[pos], float(jexp[pos])
             flagged = res.deviation > TOL.chern_integer
-            if flagged:
-                ok = False
+            ok &= not flagged
             if cfg.y == 0.0 and 2 * res.rounded != -np.rint(2 * j):
                 ok = False
                 annotations.append(f"check-failed: Ch != -J for x={x} label={lab}")

@@ -19,9 +19,10 @@ D(Q) its spin representation, H(Q n; a) = D H(n; z) D^dag: the model with
 its axis along z is the tilted problem on a mesh whose poles lie along a,
 and it is covariant about z, v(theta, phi) = e^{-i phi J_z} v(theta, 0).
 So every eigensolve on the sphere is one batched solve of that phi = 0
-meridian (_eigen_grid), and tilted fields report angles about the axis.
-Link Chern numbers read it directly (_link_meridian, _link_chern; a
-caller's h_builder supplies H(theta, 0) and its J_z diagonal).
+meridian, with the one isolation gate for every band set a call reads
+(_meridian), and tilted fields report angles about the axis.  Link Chern
+numbers read it directly (_link_sets; a caller's h_builder supplies
+H(theta, 0) and its J_z diagonal).
 
 The curvature scheme is factored the same way.  Frames are
 F(theta, phi) = R(phi) F(theta, 0) D(phi), with R(phi) = e^{-i phi J_z} and
@@ -84,32 +85,22 @@ def _check_quantized(result: ChernResult, context: str) -> ChernResult:
     return result
 
 
-def _eigen_grid(p: ModelParams, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs on the phi = 0 meridian with the axis along z, shapes (n, d) and (n, d, d).
+def _meridian(p: ModelParams, thetas: np.ndarray, sets: Sequence[Sequence[int]], context: str,
+              h_builder: _Covariant | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs at phi = 0 on thetas, shapes (n, d) and (n, d, d); every set gated on them.
 
-    One batched eigh; thetas are angles about the axis (see the module
-    docstring).  At y = 0 the axis does not enter H.
+    One batched eigh of the model with its axis along z (thetas are angles
+    about the axis), or of a caller's h_builder, then the isolation gate
+    for each set of ascending positions.  A touching is placed at its
+    theta, or on the whole sphere at y = 0, where no level depends on n.
     """
-    return np.linalg.eigh(hamiltonian_batch(replace(p, axis=(0.0, 0.0, 1.0)), thetas,
-                                            np.zeros_like(thetas)))
-
-
-def _link_meridian(p: ModelParams, mesh: SphereMesh, h_builder: _Covariant | None = None
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenpairs (w0, F0) at phi = 0 on the mesh's theta edges, and the J_z diagonal m.
-
-    The model is solved with its axis along z (_eigen_grid): link overlaps
-    do not see D(Q), and n -> Q n keeps orientation, so every link Chern
-    number of a tilted axis is unchanged.  A caller's h_builder supplies
-    H(theta, 0) and m instead.
-    """
-    edges = mesh.theta_edges()
-    if h_builder is not None:
-        h0, m = h_builder
-        w0, f0 = np.linalg.eigh(h0(edges))
-        return w0, f0, np.asarray(m, dtype=float)
-    w0, f0 = _eigen_grid(p, edges)
-    return w0, f0, _jz_diagonal(p.nuclear_two_l)
+    w, v = np.linalg.eigh(h_builder[0](thetas) if h_builder else hamiltonian_batch(
+        replace(p, axis=(0.0, 0.0, 1.0)), thetas, np.zeros_like(thetas)))
+    everywhere = h_builder is None and p.y == 0.0
+    for positions in sets:
+        _check_isolated(w, positions, context, lambda i: " on the whole sphere" if everywhere
+                        else f" at (theta={thetas[i]:.6f}, phi=0.000000)")
+    return w, v
 
 
 def _link_chern(frames: np.ndarray, m: np.ndarray, phi_max: int) -> np.ndarray:
@@ -150,16 +141,15 @@ def _link_sets(p: ModelParams, mesh: SphereMesh | None, h_builder: _Covariant | 
                sets: Sequence[Sequence[int]] | None, context: str) -> list[ChernResult]:
     """Link Chern numbers of band sets (ascending positions), or of every band when sets is None.
 
-    One meridian solve (_link_meridian), one isolation gate per set on
-    the ring edges, one _link_chern call, and rounding on the grid of the
-    solved Hamiltonian's dimension (_half_grid).
+    One meridian solve and gate on the ring edges (_meridian), one
+    _link_chern call, and rounding on the grid of the solved Hamiltonian's
+    dimension (_half_grid).  Link overlaps do not see D(Q), and n -> Q n
+    keeps orientation, so the axis along z gives a tilted axis's numbers.
     """
     mesh = mesh or SphereMesh()
-    w0, f0, m = _link_meridian(p, mesh, h_builder)
-    sets = [(k,) for k in range(w0.shape[-1])] if sets is None else sets
-    edges = mesh.theta_edges()
-    for positions in sets:
-        _check_isolated(w0, positions, context, edges)
+    m = _jz_diagonal(p.nuclear_two_l) if h_builder is None else np.asarray(h_builder[1], float)
+    sets = [(k,) for k in range(len(m))] if sets is None else sets
+    w0, f0 = _meridian(p, mesh.theta_edges(), sets, context, h_builder)
     values = _link_chern(np.moveaxis(f0[..., np.array(sets)], -2, 1), m, mesh.phi_max)
     half = _half_grid(w0.shape[-1], len(sets[0]))
     return [ChernResult.from_fourpi(float(c), half) for c in values]
@@ -173,7 +163,7 @@ def chern_number_link_variable(p: ModelParams, labels: Sequence[int] | int,
     phases only telescope exactly on aligned rings), read from its
     phi = 0 meridian (_link_chern); the mesh argument supplies the
     resolution.  For a tilted axis the grid's rings are circles about
-    the axis (_link_meridian), on each of which the spectrum is
+    the axis (_link_sets), on each of which the spectrum is
     constant, so the isolation check refuses a band set that touches the
     rest along a mesh ring's circle.
     """
@@ -261,13 +251,6 @@ def _polar(m: np.ndarray) -> np.ndarray:
     return u @ vh
 
 
-def _raw_frames(p: ModelParams, thetas: np.ndarray, positions: Sequence[int]) -> np.ndarray:
-    """Meridian frames (n, dim, d_sub); raises where they touch the rest of the spectrum."""
-    w, v = _eigen_grid(p, thetas)
-    _check_isolated(w, positions, "smoothed-gauge frames, angles about the axis", thetas)
-    return v[..., list(positions)]
-
-
 _ANALYTIC_POLE_MARGIN = 0.1
 
 
@@ -280,8 +263,8 @@ def smooth_gauge_states(p: ModelParams, labels: Sequence[int] | int,
     neighbouring frames agree to O(mesh spacing) everywhere (the gauge is
     single valued on the sphere minus the dropped north cap).  Numerical
     frames are seeded at the south pole.  Only the phi = 0 meridian is
-    transported and rotated out to every phi (_meridian_frames); for a
-    tilted axis theta and phi are angles about the axis.
+    solved and transported (_frame_sets); for a tilted axis theta and phi
+    are angles about the axis.
 
     With ``source="analytic"`` the closed-form degenerate bases seed every
     latitude where they are well conditioned (away from the poles), with
@@ -292,13 +275,38 @@ def smooth_gauge_states(p: ModelParams, labels: Sequence[int] | int,
     mesh = mesh or SphereMesh()
     labels, positions = _resolve_labels(p, labels)
     _check_contiguous(positions, "smoothed-gauge frames")
-    ring_start = 1
     if source not in ("numerical", "analytic"):
         raise ValueError(f"unknown frame source {source!r}")
     closed_form = _analytic_frames(p, positions) if source == "analytic" else None
-    counts = [mesh.ring_phi_count(r) for r in range(ring_start, mesh.n_theta)]
-    factors = _meridian_frames(p, positions, mesh.theta_edges()[ring_start:], counts, closed_form)
-    return FrameField(mesh, labels, p.dim, ring_start, *factors)
+    return replace(_frame_sets(p, mesh, [positions], closed_form)[0], labels=labels)
+
+
+def _frame_sets(p: ModelParams, mesh: SphereMesh, sets: Sequence[Sequence[int]],
+                closed_form: FrameBuilder | None = None) -> list[FrameField]:
+    """Unlabelled frames of band sets (ascending positions), one solve of the kept ring edges.
+
+    Every set is gated on that solve (_meridian) and its columns are
+    transported (_meridian_frames).  A closed form (one set) seeds every
+    latitude at least _ANALYTIC_POLE_MARGIN from the poles, so only the
+    polar rows are solved.
+    """
+    thetas = mesh.theta_edges()[1:][::-1]  # south pole first
+    seeded = ((thetas > _ANALYTIC_POLE_MARGIN) & (thetas < np.pi - _ANALYTIC_POLE_MARGIN)
+              if closed_form else np.arange(len(thetas)) == 0)  # numerical: the south pole
+    if not seeded.any():
+        raise ValueError("mesh too coarse for analytic frames: no rows away from the poles")
+    solved = ~seeded if closed_form else np.ones_like(seeded)
+    _, v = _meridian(p, thetas[solved], sets, "smoothed-gauge frames, angles about the axis")
+    counts = [mesh.ring_phi_count(r) for r in range(1, mesh.n_theta)]
+    fields = []
+    for positions in sets:
+        frames = np.empty((len(thetas), p.dim, len(positions)), dtype=complex)
+        frames[solved] = v[..., list(positions)]
+        if closed_form:
+            frames[seeded] = closed_form(thetas[seeded], np.zeros(1))
+        factors = _meridian_frames(p, thetas, frames, seeded, counts, closed_form)
+        fields.append(FrameField(mesh, (), p.dim, 1, *factors))  # the first ring is dropped
+    return fields
 
 
 def _analytic_frames(p: ModelParams, positions: Sequence[int]) -> FrameBuilder:
@@ -315,14 +323,13 @@ def _analytic_frames(p: ModelParams, positions: Sequence[int]) -> FrameBuilder:
     return lambda thetas, phis: gram_schmidt(raw_degenerate_vectors(l, thetas, phis))
 
 
-def _meridian_frames(p: ModelParams, positions: Sequence[int], edges: np.ndarray,
+def _meridian_frames(p: ModelParams, thetas: np.ndarray, frames: np.ndarray, seeded: np.ndarray,
                      counts: Sequence[int], closed_form: FrameBuilder | None = None
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Frames transported along the phi = 0 meridian, rotated out to every phi.
+    """Raw frames (n, dim, d_sub) on thetas, south pole first, transported and rotated out.
 
-    The seed latitudes are the south pole for numerical frames, or every
-    latitude at least _ANALYTIC_POLE_MARGIN from the poles for a closed
-    form (one batched call); every other latitude is aligned outward from
+    The ``seeded`` latitudes (one run: the south pole, or a closed form's
+    rows) keep their frames; every other latitude is aligned outward from
     the nearest seed latitude.  Aligning latitude i to its aligned
     neighbour F_ref U_ref takes polar(F_i^dag F_ref U_ref) = polar(M_i)
     U_ref for the raw overlap M_i = F_i^dag F_ref, so one SVD of every raw
@@ -334,31 +341,20 @@ def _meridian_frames(p: ModelParams, positions: Sequence[int], edges: np.ndarray
     e^{-i phi J_z} (F0^dag R^dag F0 at the pole, whose frame spans a
     J_z-invariant subspace; the same D on every latitude for the covariant
     closed forms, read from one call at theta_s with one point, dphi, per
-    phi count).  An overlap with a
+    phi count; theta_s is the seed nearest the equator).  An overlap with a
     reference R F(theta', 0) D is M(theta, 0) D, and polar(M D) = polar(M)
     D, so F(theta, phi) = R F(theta, 0) D is the per-point polar transport
     at any phi, with phi-independent singular values.  Returns the factors
-    of FrameField: F(theta, 0) on ``edges`` (north to south), and R(dphi)
-    and D(dphi) per ring of phi count ``counts``, formed once per count.
+    of FrameField: F(theta, 0) north to south, and R(dphi) and D(dphi) per
+    ring of phi count ``counts``, formed once per count.
     """
-    thetas = edges[::-1]  # south pole first
-    if closed_form is None:
-        frames = _raw_frames(p, thetas, positions)
-        lo = hi = s = 0  # s: the seed latitude D is read on
-    else:
-        seeded = (thetas > _ANALYTIC_POLE_MARGIN) & (thetas < np.pi - _ANALYTIC_POLE_MARGIN)
-        if not seeded.any():
-            raise ValueError("mesh too coarse for analytic frames: no rows away from the poles")
-        frames = np.empty((len(thetas), p.dim, len(positions)), dtype=complex)
-        frames[~seeded] = _raw_frames(p, thetas[~seeded], positions)
-        frames[seeded] = closed_form(thetas[seeded], np.zeros(1))
-        lo, hi = np.flatnonzero(seeded)[[0, -1]]
-        s = lo + int(np.argmin(np.abs(thetas[lo:hi + 1] - np.pi / 2)))  # best conditioned
+    lo, hi = np.flatnonzero(seeded)[[0, -1]]
+    s = lo + int(np.argmin(np.abs(thetas[lo:hi + 1] - np.pi / 2)))  # the seed D is read on
     outward = [(i, i - 1) for i in range(hi + 1, len(thetas))]  # northward
     outward += [(i, i + 1) for i in range(lo - 1, -1, -1)]  # southward
     index, ref = np.array(outward).T
     polar = _polar(frames[index].conj().swapaxes(-1, -2) @ frames[ref])
-    turns = np.tile(np.eye(len(positions), dtype=complex), (len(thetas), 1, 1))  # seeds: U = 1
+    turns = np.tile(np.eye(frames.shape[-1], dtype=complex), (len(thetas), 1, 1))  # seeds: U = 1
     for i, r, w in zip(index, ref, polar):  # every ref is a seed or aligned before i
         turns[i] = w @ turns[r]
     distinct, ring_count = np.unique(counts, return_inverse=True)
@@ -497,6 +493,19 @@ def chern_number_curvature(p: ModelParams, labels: Sequence[int] | int,
     return chern_number(curvature_field(p, labels, mesh, source=source))
 
 
+def _curvature_sets(p: ModelParams, mesh: SphereMesh, sets: Sequence[Sequence[int]]
+                    ) -> list[ChernResult]:
+    """Curvature Chern numbers of band sets (ascending positions), the twin of _link_sets.
+
+    One meridian solve and gate for every set (_frame_sets); each flux is
+    rounded as chern_number rounds it, with no quantization gate.
+    """
+    half = _half_grid(p.dim, len(sets[0]))
+    return [ChernResult.from_fourpi(
+        curvature_discrete(connection_discrete(frames)).flux(np.pi) / (4 * np.pi), half)
+        for frames in _frame_sets(p, mesh, sets)]
+
+
 _PANEL_NODES = 16  # Gauss-Legendre nodes per panel of the integral across the axis circles
 _PANEL_TOL = 1e-10  # a panel is kept once its halves' set phases agree with it to this
 _MAX_LEVELS = 40
@@ -531,9 +540,7 @@ def _orbit_phases(p: ModelParams, theta0: float, mesh: SphereMesh,
     m = _jz_diagonal(p.nuclear_two_l)
 
     def jz(thetas: np.ndarray, rows) -> np.ndarray:
-        w, v = _eigen_grid(p, thetas)
-        for positions in sets:
-            _check_isolated(w, positions, "loop phase, angles about the axis", thetas)
+        _, v = _meridian(p, thetas, sets, "loop phase, angles about the axis")
         return np.einsum("tda,d,tda->ta", v[rows].conj(), m, v[rows]).real
 
     ends = jz(np.concatenate(([lo], mesh.theta_edges())), [0, 1, -1])  # lo, the poles

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from numbers import Integral
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -187,13 +187,13 @@ def _resolve_labels(p: ModelParams, labels) -> tuple[tuple[int, ...], tuple[int,
 
 
 def _check_isolated(w: np.ndarray, positions: Sequence[int], context: str,
-                    thetas: Sequence[float] = ()) -> None:
+                    where: Callable[[int], str] | None = None) -> None:
     """Refuse a band set that comes within TOL.subspace_isolation of the rest of the spectrum.
 
-    w holds ascending eigenvalues: (d,) at one point or (n, d) on the
-    n thetas of a phi = 0 meridian.  Every boundary between a member
-    position and a non-member one is checked; given the meridian's
-    thetas, the message names the point of smallest gap.
+    w holds ascending eigenvalues: (d,) at one point or (n, d) on n
+    points.  Every boundary between a member position and a non-member
+    one is checked; given ``where``, the message says where(i) of the
+    point i of smallest gap.
     """
     member = np.bincount(positions, minlength=w.shape[-1]) > 0
     lower = np.flatnonzero(member[:-1] != member[1:])  # boundaries (b, b + 1)
@@ -203,11 +203,9 @@ def _check_isolated(w: np.ndarray, positions: Sequence[int], context: str,
     at = np.unravel_index(np.argmin(gaps), gaps.shape)
     if gaps[at] < TOL.subspace_isolation:
         b = lower[at[-1]]
-        where = ""
-        if len(thetas):
-            where = f" at (theta={thetas[at[0]]:.6f}, phi=0.000000)"
+        place = where(at[0]) if where else ""
         raise SubspaceIsolationError(
-            f"{context}: bands at positions {b} and {b + 1} touch{where} (gap {gaps[at]:.2e}), "
+            f"{context}: bands at positions {b} and {b + 1} touch{place} (gap {gaps[at]:.2e}), "
             "so the subspace dimension is ambiguous; perturb x or y away from the touching "
             "or treat the whole cluster")
 

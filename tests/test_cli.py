@@ -70,6 +70,20 @@ def test_chern_curvature_scheme(tmp_path):
     assert [int(r[4]) for r in rows] == [1, 0, -1]
 
 
+def test_curvature_rows_off_the_grid_are_flagged_not_fatal(tmp_path):
+    # 100 equal-area rings leave labels 9 and 15 of 2L = 4 at x = 0.3 0.063
+    # off the integers.  As in the link scheme, those rows are flagged, the
+    # other rows are printed, and the run exits 1.
+    code, text = run(tmp_path, "curv.csv",
+                     ["chern", "--l", "2", "--x", "0.3", "--mesh", "100",
+                      "--mesh-scheme", "equal-area", "--scheme", "curvature"])
+    assert code == 1
+    rows = [ln.split(",") for ln in text.splitlines() if ln and not ln.startswith(("#", "x,"))]
+    assert len(rows) == 15
+    assert [int(r[1]) for r in rows if r[7] == "1"] == [9, 15]
+    assert all(float(r[5]) <= TOL.chern_integer for r in rows if r[7] == "0")
+
+
 def test_chern_cluster_mode(tmp_path):
     code, text = run(tmp_path, "deg.csv",
                      ["chern", "--l", "1", "--cluster", "--mesh", "60"])
@@ -394,6 +408,18 @@ def test_chern_table_refuses_touching_bands(args, capsys):
     assert captured.err.startswith(
         "error: per-band link Chern, angles about the axis: bands at positions")
     assert "touch" in captured.err and "cluster" in captured.err
+
+
+@pytest.mark.parametrize("args", [
+    ["phase", "--l", "2", "--x-range", "0.1:1.5:15"],
+    ["chern", "--l", "1", "--x", "0.6666666666666666", "--scheme", "curvature", "--mesh", "50"],
+], ids=["phase-L2", "curvature-L1"])
+def test_a_touching_at_y_zero_holds_on_the_whole_sphere(args, capsys):
+    # At y = 0 the spectrum does not depend on the field direction, so the
+    # refusal names no theta.
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "touch on the whole sphere (gap" in err and "theta=" not in err
 
 
 @pytest.mark.parametrize("command", ["chern", "phase"])

@@ -7,6 +7,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import happer.geometry as geometry
+import happer.spectrum as spectrum
+from happer.cli import ScanConfig, cmd_chern
 from happer.degenerate import gram_schmidt, raw_degenerate_vectors
 from happer.errors import MeshResolutionError, SubspaceIsolationError
 from happer.geometry import (ChernResult, chern_number, chern_number_curvature,
@@ -488,7 +490,7 @@ def test_tilted_loop_phase_resolves_a_near_crossing():
     p = ModelParams(3, 0.45, 0.17, axis=(np.sin(2.25), 0.0, np.cos(2.25)))
     theta0, beta = 1.25, np.pi - 2.25
     alpha = np.linspace(0, np.pi, 20001)
-    _, v = geometry._eigen_grid(p, alpha)
+    _, v = geometry._meridian(p, alpha, [], "reference")
     phi = 2 * np.pi * np.einsum("tda,d,tda->ta", v.conj(), _jz_diagonal(3), v).real
     mid = (alpha[1:] + alpha[:-1]) / 2
     f = np.arccos(np.clip((np.cos(theta0) - np.cos(mid) * np.cos(beta))
@@ -695,7 +697,8 @@ def test_factorised_grid_matches_per_point_solve(two_l, y):
     # e^{-i phi J_z} is the per-point grid, band projector by projector.
     p = ModelParams(two_l, 0.9, y)
     mesh = SphereMesh(10, 20, "uniform")
-    w0, f0, m = geometry._link_meridian(p, mesh)
+    w0, f0 = geometry._meridian(p, mesh.theta_edges(), [], "")
+    m = _jz_diagonal(two_l)
     w_g, v_g = _oracle_grid(_model(p), mesh)
     phis = np.arange(mesh.phi_max) * (2 * np.pi / mesh.phi_max)
     v_f = np.exp(-1j * np.multiply.outer(phis, m))[None, :, :, None] * f0[:, None]
@@ -1044,7 +1047,7 @@ def _sequential_meridian(p: ModelParams, labels, mesh: SphereMesh, source: str) 
     """
     positions = geometry._resolve_labels(p, labels)[1]
     thetas = mesh.theta_edges()[1:][::-1]  # south pole first
-    frames = geometry._raw_frames(p, thetas, positions)
+    frames = geometry._meridian(p, thetas, [positions], "reference")[1][..., list(positions)]
     seeded = np.arange(len(thetas)) == 0
     if source == "analytic":
         margin = geometry._ANALYTIC_POLE_MARGIN
@@ -1081,15 +1084,16 @@ def test_singular_meridian_overlap_is_refused(monkeypatch, source):
     # their overlap has no polar factor, whichever of the two the chain
     # aligns to the other (the numerical chain starts at the pole, the
     # analytic one ends there).
-    real = geometry._raw_frames
+    real = geometry._meridian
 
-    def orthogonal_at(p, thetas, positions):
-        frames = real(p, thetas, positions)  # south pole first
-        f, pole = frames[1], frames[0]
+    def orthogonal_at(p, thetas, sets, context):
+        w, v = real(p, thetas, sets, context)  # south pole first
+        cols = list(sets[0])
+        f, pole = v[1][:, cols], v[0][:, cols]
         f -= pole @ (pole.conj().T @ f)
-        frames[1] = f / np.linalg.norm(f, axis=0)
-        return frames
-    monkeypatch.setattr(geometry, "_raw_frames", orthogonal_at)
+        v[1][:, cols] = f / np.linalg.norm(f, axis=0)
+        return w, v
+    monkeypatch.setattr(geometry, "_meridian", orthogonal_at)
     p = ModelParams(2, 2 / 3)
     with pytest.raises(SubspaceIsolationError, match="frame alignment is singular"):
         smooth_gauge_states(p, (3, 4, 5), SphereMesh(40, 80, "uniform"), source=source)
@@ -1127,7 +1131,9 @@ def _count_matrices(monkeypatch) -> list[int]:
 def test_every_axis_solves_one_meridian(monkeypatch, y, axis):
     # Link Chern numbers and frames are read from the phi = 0 meridian with
     # the axis along z for every axis: one matrix per ring edge, and per
-    # frame latitude below the dropped north ring.
+    # frame latitude below the dropped north ring.  The curvature table
+    # solves that meridian once per x for all its labels, and labels its
+    # levels from one _Sectors per x.
     counts = _count_matrices(monkeypatch)
     p = ModelParams(2, 1.3, y, axis=axis)
     mesh = SphereMesh(8, 16, "uniform")
@@ -1136,6 +1142,20 @@ def test_every_axis_solves_one_meridian(monkeypatch, y, axis):
     counts.clear()
     smooth_gauge_states(p, (1,), mesh)
     assert counts == [mesh.n_theta]
+    counts.clear()
+    builds: list[ModelParams] = []
+    real_init = spectrum._Sectors.__init__
+
+    def spy(self, params):
+        builds.append(params)
+        real_init(self, params)
+    monkeypatch.setattr(spectrum._Sectors, "__init__", spy)
+    cfg = ScanConfig(two_l=2, x_grid=(1.2, 1.3), y=y, axis=axis, mesh=50,
+                     mesh_scheme="uniform", scheme="curvature")
+    table = cmd_chern(cfg)
+    assert len(table.rows) == 2 * p.dim
+    assert counts == [cfg.sphere_mesh().n_theta] * 2
+    assert [b.x for b in builds] == [1.2, 1.3]
 
 
 @st.composite
@@ -1246,7 +1266,7 @@ def test_spectrum_and_eigenvectors_rotate_about_z(two_l, x, y, theta, phi, on_ax
     assert np.max(np.abs(np.linalg.eigvalsh(h_phi) - w0)) < 1e-10
     rotated = np.exp(-1j * phi * _jz_diagonal(two_l))[:, None] * v0
     assert np.max(np.abs(h_phi @ rotated - rotated * w0)) < 1e-10
-    w, v = geometry._eigen_grid(p, np.array([theta]))  # the meridian, rotated out to phi
+    w, v = geometry._meridian(p, np.array([theta]), [], "")  # the meridian, rotated out to phi
     v_phi = np.exp(-1j * phi * _jz_diagonal(two_l))[:, None] * v[0]
     assert np.max(np.abs(h_phi @ v_phi - v_phi * w[0])) < 1e-10
 
