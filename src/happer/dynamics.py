@@ -96,7 +96,12 @@ def _expectations(states: np.ndarray, nuclear_two_l: int) -> tuple[np.ndarray, n
     return avg[:, :3], avg[:, 3:]
 
 
-_CHUNK = 64  # steps whose unitaries are formed at once; bounds the memory of a long run
+# A step series of r kept rows forms min(_CHUNK_MAX, max(_CHUNK, _GEMM_SERIAL // (r 2 dim^2)))
+# steps at once: its (steps x r) @ (r x 2 dim^2) product then stays in one OpenBLAS thread
+# unless _CHUNK steps already leave it.  Direct solves form _CHUNK.
+_CHUNK = 64  # steps formed at once by direct solves, and the fewest a step series forms
+_CHUNK_MAX = 256  # most steps a step series forms at once; bounds the memory of a long run
+_GEMM_SERIAL = 10 ** 6  # multiply-adds up to which OpenBLAS (0.3.31) runs a dgemm in one thread
 _MAX_NODES = 1024  # most nodes the step interpolant solves before it solves each step
 _TAIL = 1e-14  # largest entry of a Fourier coefficient that the step series drops
 
@@ -114,6 +119,12 @@ def _step_unitaries(h_at, dt: float, n_steps: int):
     ramp's, has a U even in a and keeps only its cosines.  Once n would
     reach n_steps or pass _MAX_NODES, the returned U solves each angle
     directly.
+
+    Returns (U, chunk), chunk being how many angles to pass U at once.  A
+    series of r kept rows forms s steps with one (s x r) @ (r x 2 dim^2)
+    product, which stays in one OpenBLAS thread up to _GEMM_SERIAL
+    multiply-adds; chunk is the largest s within that, but no fewer than
+    _CHUNK and no more than _CHUNK_MAX.  Direct solves take _CHUNK.
     """
     def solve(a):
         w, v = np.linalg.eigh(h_at(a))
@@ -137,9 +148,9 @@ def _step_unitaries(h_at, dt: float, n_steps: int):
             def series(a):
                 basis = np.cos(np.multiply.outer(a, freq) - shift)
                 return (basis @ table).view(complex).reshape(len(a), *shape)
-            return series
+            return series, min(_CHUNK_MAX, max(_CHUNK, _GEMM_SERIAL // table.size))
         n *= 2
-    return solve
+    return solve, _CHUNK
 
 
 def _ordered_products(u: np.ndarray) -> np.ndarray:
@@ -150,16 +161,17 @@ def _ordered_products(u: np.ndarray) -> np.ndarray:
     return u[:, 0]
 
 
-def _midpoint_evolve(psi: np.ndarray, unitaries, rec_idx: list[int]) -> np.ndarray:
+def _midpoint_evolve(psi: np.ndarray, unitaries, rec_idx: list[int], chunk: int) -> np.ndarray:
     """States after each step count in rec_idx (increasing, all >= 1) of psi_{k+1} = U_k psi_k.
 
     psi is one state (dim,) or a stack of states (k, dim) that take the
     same steps.  unitaries(mid) returns the step unitaries U_k at an array
-    of midpoints mid = k + 1/2 (in steps); it is asked for at most _CHUNK
-    steps at a time, in order.  The steps between two records are
+    of midpoints mid = k + 1/2 (in steps); it is asked for at most chunk
+    steps at a time, in order, chunk being the one _step_unitaries sets
+    from its series' product size.  The steps between two records are
     multiplied in pairs, one batched product per level, before they meet
-    the states: a stretch longer than _CHUNK is taken _CHUNK steps at a
-    time, and up to _CHUNK // m consecutive stretches of the same m steps
+    the states: a stretch longer than chunk is taken chunk steps at a
+    time, and up to chunk // m consecutive stretches of the same m steps
     are asked for and multiplied together.  Each state then takes one
     matrix-vector product per product, so a state's arithmetic does not
     depend on the others in the stack.
@@ -171,15 +183,15 @@ def _midpoint_evolve(psi: np.ndarray, unitaries, rec_idx: list[int]) -> np.ndarr
     while i < len(rec_idx):
         start, stop = ends[i], ends[i + 1]
         m = stop - start
-        if m > _CHUNK:
-            for lo in range(start, stop, _CHUNK):
-                u = unitaries(np.arange(lo, min(lo + _CHUNK, stop)) + 0.5)
+        if m > chunk:
+            for lo in range(start, stop, chunk):
+                u = unitaries(np.arange(lo, min(lo + chunk, stop)) + 0.5)
                 cols = _ordered_products(u[None])[0] @ cols
             out[i] = cols[..., 0]
             i += 1
         else:
             g = 1
-            while g < _CHUNK // m and i + g < len(rec_idx) and ends[i + g + 1] - ends[i + g] == m:
+            while g < chunk // m and i + g < len(rec_idx) and ends[i + g + 1] - ends[i + g] == m:
                 g += 1
             u = unitaries(np.arange(start, start + g * m) + 0.5)
             for product in _ordered_products(u.reshape(g, m, *u.shape[1:])):
@@ -246,9 +258,9 @@ def propagate(p0: ModelParams, protocol: DriveProtocol, initial: np.ndarray,
         coeffs = v.conj().T @ psi[..., None]  # (k, dim, 1)
         chi = (np.exp(-1j * np.multiply.outer(rec_times, w)) * coeffs.swapaxes(1, 2)) @ v.T
     else:
-        steps = _step_unitaries(rotating, dt, n_steps)  # H_rot is 2 pi-periodic in the phase
+        steps, chunk = _step_unitaries(rotating, dt, n_steps)  # H_rot is 2 pi-periodic in the phase
         chi = np.concatenate([psi[None], _midpoint_evolve(
-            psi, lambda mid: steps(omega * dt * mid), rec_idx[1:])]).swapaxes(0, 1)
+            psi, lambda mid: steps(omega * dt * mid), rec_idx[1:], chunk)]).swapaxes(0, 1)
     recorded = np.exp(-1j * omega * np.multiply.outer(rec_times, jz)) * chi  # (k, n, dim)
 
     drifts = np.max(np.abs(np.linalg.norm(recorded, axis=-1) - 1.0), axis=-1)
@@ -331,6 +343,8 @@ def extract_geometric_phase(traj: Trajectory, p0: ModelParams, protocol: DrivePr
 def adiabatic_omega(p0: ModelParams, protocol_theta: float, factor: float = 1e-3) -> float:
     """Drive frequency factor x (minimum spectral gap over 16 azimuths of the field cone)."""
     FieldDirection(protocol_theta, 0.0)  # validates the cone angle
+    if not 0 < factor < math.inf:
+        raise ValueError(f"omega factor must be positive and finite, got {factor!r}")
     phis = np.linspace(0, 2 * np.pi, 16, endpoint=False)
     w = np.linalg.eigvalsh(_hamiltonians(p0, protocol_theta, phis, p0.x, p0.y))
     return factor * float(np.min(np.diff(w, axis=-1)))
@@ -390,6 +404,8 @@ def landau_zener_scan(p_base: ModelParams, x_start: float, x_end: float,
     if not (isinstance(level, Integral) and 1 <= level <= p_base.dim):
         raise ValueError(f"level must be a label in 1..{p_base.dim}, got {level!r}")
     rates = list(rates)  # an iterator is read once, for the checks and the steps
+    if not rates:
+        raise ValueError("landau_zener_scan needs at least one ramp rate in rates, got none")
     for rate in rates:
         if not 0 < rate < math.inf:
             raise ValueError(f"ramp rates must be positive and finite, got {rate!r}")
@@ -420,9 +436,9 @@ def landau_zener_scan(p_base: ModelParams, x_start: float, x_end: float,
     for rate in rates:
         duration = abs(x_end - x_start) / rate
         n_steps = max(min_steps, int(np.ceil(duration / dt_max)))
-        steps = _step_unitaries(h_at, duration / n_steps, n_steps)
+        steps, chunk = _step_unitaries(h_at, duration / n_steps, n_steps)
         [psi] = _midpoint_evolve(psi0, lambda mid: steps(np.arccos(1 - 2 * mid / n_steps)),
-                                 [n_steps])
+                                 [n_steps], chunk)
         populations = np.abs(es1.eigenvectors.conj().T @ psi) ** 2
         stay = float(populations[level - 1])
         results.append(RampResult(float(rate), populations, stay, 1.0 - stay))

@@ -338,12 +338,14 @@ def test_norm_drift_exits_2(monkeypatch, capsys):
 @pytest.mark.parametrize("args,message", [
     (["--level", "10"], "--level must be a label in 1..9, got 10"),
     (["--level", "0"], "--level must be a label in 1..9, got 0"),
-    (["--omega-factor", "0"], "omega must be positive"),
-    (["--omega-factor", "inf"], "omega must be positive and finite, got inf"),
+    (["--omega-factor", "0"], "omega factor must be positive and finite, got 0.0"),
+    (["--omega-factor", "inf"], "omega factor must be positive and finite, got inf"),
+    (["--omega-factor", "-1"], "omega factor must be positive and finite, got -1.0"),
+    (["--omega-factor", "nan"], "omega factor must be positive and finite, got nan"),
     (["--periods", "0"], "at least one period"),
     (["--x-range", "0.7:0.9:3"], "unrecognized arguments: --x-range 0.7:0.9:3"),
-], ids=["level-above-dim", "level-zero", "omega-factor-zero", "omega-factor-inf", "zero-periods",
-        "x-range"])
+], ids=["level-above-dim", "level-zero", "omega-factor-zero", "omega-factor-inf",
+        "omega-factor-negative", "omega-factor-nan", "zero-periods", "x-range"])
 def test_dynamics_refuses_bad_drive_input(args, message, capsys):
     base = ["dynamics", "--l", "1", "--steps-per-period", "400"]
     if "--x-range" not in args:

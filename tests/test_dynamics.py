@@ -343,7 +343,7 @@ def test_step_unitaries_match_eigh_unitaries(two_l, x, y, theta, axis_theta, axi
                                                 steps)
     sample = angles[np.linspace(0, n_steps - 1, 64).astype(int)]
     h = h_at(sample)
-    u = dynamics._step_unitaries(h_at, dt, n_steps)(sample)
+    u = dynamics._step_unitaries(h_at, dt, n_steps)[0](sample)
     rounding = np.finfo(float).eps * dt * np.max(np.abs(np.linalg.eigvalsh(h)))
     assert np.max(np.abs(u - eigh_step_unitaries(h, dt))) < max(1e-12, 10 * rounding)
 
@@ -355,7 +355,7 @@ def test_step_interpolant_takes_as_many_nodes_as_it_needs():
     proto = DriveProtocol(0.7, 1e-3, 1)
     h_at, dt, n_steps, angles = drive_steps(p, proto, 400)
     h, asked = counted(h_at)
-    steps = dynamics._step_unitaries(h, dt, n_steps)
+    steps, _ = dynamics._step_unitaries(h, dt, n_steps)
     solved = sum(asked)
     assert 128 <= solved < n_steps
     u = steps(angles)
@@ -373,7 +373,7 @@ def test_step_unitaries_fall_back_to_direct_solves():
     proto = DriveProtocol(1.0, 1e-3, 1)
     h_at, dt, n_steps, angles = drive_steps(p, proto, 100)
     h, asked = counted(h_at)
-    steps = dynamics._step_unitaries(h, dt, n_steps)
+    steps, _ = dynamics._step_unitaries(h, dt, n_steps)
     asked.clear()
     u = steps(angles)
     assert asked == [n_steps]
@@ -389,7 +389,7 @@ def test_step_interpolant_holds_at_most_max_nodes():
     p = ModelParams(2, 0.8, 0.1, FieldDirection(1.0, 0.0), (1.0, 0.0, 0.0))
     h_at, dt, _, angles = drive_steps(p, DriveProtocol(1.0, 1e-4, 1), 100)
     h, asked = counted(h_at)
-    steps = dynamics._step_unitaries(h, dt, 100 * len(angles))
+    steps, _ = dynamics._step_unitaries(h, dt, 100 * len(angles))
     assert sum(asked) == dynamics._MAX_NODES
     asked.clear()
     steps(angles[:7])
@@ -406,7 +406,7 @@ def test_ramp_series_keeps_only_cosines_and_a_tilted_drive_keeps_sines():
     drive = drive_steps(p, DriveProtocol(0.7, 0.02, 1), 800)
     for (h_at, dt, n_steps, angles), even in ((ramp, True), (drive, False)):
         h, asked = counted(h_at)
-        steps = dynamics._step_unitaries(h, dt, n_steps)
+        steps, _ = dynamics._step_unitaries(h, dt, n_steps)
         solved = sum(asked)
         u, mirrored = steps(angles), steps(-angles)
         assert sum(asked) == solved  # a series, not direct solves
@@ -423,24 +423,44 @@ def _spy_chunks(monkeypatch) -> list[int]:
     real = dynamics._step_unitaries
 
     def spy(h_at, dt, n_steps):
-        steps = real(h_at, dt, n_steps)
+        steps, chunk = real(h_at, dt, n_steps)
 
         def counted_steps(a):
             chunks.append(len(a))
             return steps(a)
-        return counted_steps
+        return counted_steps, chunk
     monkeypatch.setattr(dynamics, "_step_unitaries", spy)
     return chunks
 
 
 def test_ramp_with_a_short_last_chunk_matches_per_step_loop(monkeypatch):
+    # The 2L = 2 ramp's cosine series keeps 7 rows of 2 * 9^2 columns, so
+    # even its largest chunk stays far inside _GEMM_SERIAL.
     p = ModelParams(2, 0.5, 1e-3, FieldDirection(1.0, 0.3))
-    n_steps = 4 * dynamics._CHUNK + 37  # above the 220 steps that dt_max asks for
+    n_steps = 4 * dynamics._CHUNK_MAX + 37  # above the 220 steps that dt_max asks for
     chunks = _spy_chunks(monkeypatch)
     [r] = landau_zener_scan(p, 0.61, 0.72, [2.5e-4], 3, dt_max=2.0, min_steps=n_steps)
-    assert chunks == [dynamics._CHUNK] * 4 + [37]
+    assert chunks == [dynamics._CHUNK_MAX] * 4 + [37]
     _, ref = per_step_ramp(p, 0.61, 0.72, 2.5e-4, 3, dt_max=2.0, min_steps=n_steps)
     assert np.max(np.abs(r.populations - ref)) < 1e-10
+
+
+@pytest.mark.parametrize("case", ["many-rows", "large-dim"])
+def test_a_wide_series_asks_for_no_more_than_the_least_chunk(monkeypatch, case):
+    # At 64 steps the series product of each already passes _GEMM_SERIAL
+    # multiply-adds: the 2L = 4 drive at 1000 steps per period keeps 54
+    # rows of 2 * 15^2 columns, and the 2L = 14 ramps 11 and 7 rows of
+    # 2 * 45^2.  A longer chunk would only make that product larger.
+    chunks = _spy_chunks(monkeypatch)
+    if case == "many-rows":
+        p = ModelParams(4, 0.8, 0.1, axis=(1.0, 0.0, 0.0))
+        proto = DriveProtocol(1.0, adiabatic_omega(p, 1.0), 1)
+        propagate(p, proto, initial_eigenstate(p, proto, 0), 1000, 1000)
+    else:
+        p = ModelParams(14, 0.5, 1e-3, FieldDirection(1.0, 0.3))
+        x = p.crossing_x()
+        landau_zener_scan(p, x - 0.05, x + 0.06, [2.5e-4, 2e-3], 3, dt_max=2.0)
+    assert max(chunks) == dynamics._CHUNK
 
 
 def random_unitaries(rng, n, dim):
@@ -453,8 +473,8 @@ def random_unitaries(rng, n, dim):
 
 @pytest.mark.parametrize("n_steps,every", [
     (150, 1),        # a record after every step
-    (4000, 7),       # 9 stretches of 7 steps per chunk; a short stretch of 3 at the end
-    (1000, 1000),    # one final record across 16 chunks, the last of 40 steps
+    (4000, 7),       # 36 stretches of 7 steps per chunk; a short stretch of 3 at the end
+    (1000, 1000),    # one final record across 4 chunks, the last of 232 steps
     (45, 5),         # fewer steps than one chunk
     (50, 13),        # odd stretches: three of 13 in one chunk, then 11
     (63, 63),        # one odd stretch, odd at every pairing level
@@ -478,8 +498,9 @@ def test_pairwise_step_products_match_the_step_by_step_loop(n_steps, every):
     rec_idx = list(range(every, n_steps + 1, every))
     if rec_idx[-1] != n_steps:
         rec_idx.append(n_steps)
-    out = dynamics._midpoint_evolve(psi, unitaries, rec_idx)
-    assert max(len(m) for m in asked) <= dynamics._CHUNK
+    chunk = dynamics._CHUNK_MAX
+    out = dynamics._midpoint_evolve(psi, unitaries, rec_idx, chunk)
+    assert max(len(m) for m in asked) <= chunk
     assert np.array_equal(np.concatenate(asked), np.arange(n_steps) + 0.5)
     ref, cols, recorded = [], psi, set(rec_idx)
     for k in range(n_steps):
@@ -489,7 +510,7 @@ def test_pairwise_step_products_match_the_step_by_step_loop(n_steps, every):
     bound = 3 * n_steps * 2 * dim ** 2 * np.finfo(float).eps
     assert np.max(np.abs(out - np.array(ref))) < bound
     for col in range(len(psi)):  # each state's arithmetic is its own
-        assert np.array_equal(dynamics._midpoint_evolve(psi[col], unitaries, rec_idx),
+        assert np.array_equal(dynamics._midpoint_evolve(psi[col], unitaries, rec_idx, chunk),
                               out[:, col])
 
 
@@ -705,11 +726,19 @@ def test_landau_zener_guards():
      {"min_steps": 0}),
     (3, [1e-3], "min_steps must be a whole number of steps, at least 1; got 400.5",
      {"min_steps": 400.5}),
+    (3, [], "needs at least one ramp rate in rates, got none", {}),
 ])
 def test_landau_zener_rejects_bad_level_and_rates(level, rates, match, steps):
     p = ModelParams(2, 0.5, 1e-3, FieldDirection(1.0, 0.3))
     with pytest.raises(ValueError, match=match):
         landau_zener_scan(p, 0.6, 0.75, rates, level, **steps)
+
+
+@pytest.mark.parametrize("factor", [0.0, -1.0, np.nan, np.inf])
+def test_adiabatic_omega_refuses_a_factor_that_is_not_positive_and_finite(factor):
+    p = ModelParams(2, 0.8, 0.1)
+    with pytest.raises(ValueError, match=f"omega factor must be positive and finite, got {factor}"):
+        adiabatic_omega(p, 1.0, factor)
 
 
 def test_landau_zener_rate_ordering():
