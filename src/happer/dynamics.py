@@ -120,11 +120,10 @@ def _step_unitaries(h_at, dt: float, n_steps: int):
     reach n_steps or pass _MAX_NODES, the returned U solves each angle
     directly.
 
-    Returns (U, chunk), chunk being how many angles to pass U at once.  A
-    series of r kept rows forms s steps with one (s x r) @ (r x 2 dim^2)
-    product, which stays in one OpenBLAS thread up to _GEMM_SERIAL
-    multiply-adds; chunk is the largest s within that, but no fewer than
-    _CHUNK and no more than _CHUNK_MAX.  Direct solves take _CHUNK.
+    Returns (U, chunk), chunk being how many angles to pass U at once: for
+    a series, the most whose (chunk x rows) @ (rows x 2 dim^2) product
+    stays within _GEMM_SERIAL multiply-adds, clipped to [_CHUNK,
+    _CHUNK_MAX]; for direct solves, _CHUNK.
     """
     def solve(a):
         w, v = np.linalg.eigh(h_at(a))
