@@ -77,6 +77,9 @@ class ScanConfig:
             raise ValueError(f"unknown format {self.fmt!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
+        bad_k = [k for k in self.k_grid or () if not 0 < k < np.inf]
+        if bad_k:
+            raise ValueError(f"k-grid magnitudes must be positive and finite, got {bad_k[0]!r}")
 
     def params(self, x: float) -> ModelParams:
         return ModelParams(self.two_l, float(x), self.y,

@@ -14,8 +14,9 @@ stays well defined inside degenerate clusters, where bare eigenvector
 overlaps are ambiguous.  With sectors, sweeps, the per-point
 eigensystem and label positions solve the blocks (of size 1, 2 or 3)
 directly, and crossings are the roots of one pencil per pair of
-sectors.  Without them labels are positions (adiabatic labelling) and
-crossings are minimum-gap anti-crossings.
+sectors, each confirmed on that pair's two blocks.  Without them labels
+are positions (adiabatic labelling) and crossings are minimum-gap
+anti-crossings.
 """
 
 from __future__ import annotations
@@ -114,8 +115,7 @@ class _Sectors:
             return e, _j_values(self.p, v)
         e = np.empty((len(x), self.p.dim))
         for idx, f, x_op in self.blocks:
-            h = f + x[:, None, None, None] * x_op
-            e[:, idx] = np.linalg.eigvalsh(h) if idx.shape[1] > 1 else h[..., 0].real
+            e[:, idx] = _energies(f + x[:, None, None, None] * x_op)
         return e, np.broadcast_to(self.two_m / 2, e.shape)
 
     def eigh(self, x: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -130,6 +130,11 @@ class _Sectors:
         for idx, f, x_op in self.blocks:
             e[idx], w[idx[:, :, None], idx[:, None, :]] = np.linalg.eigh(f + x * x_op)
         return e, fix_phases(self.u @ w), self.two_m / 2
+
+
+def _energies(h: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of each block of a stack; a 1x1 block is its own energy."""
+    return np.linalg.eigvalsh(h) if h.shape[-1] > 1 else h[..., 0].real
 
 
 def _j_values(p: ModelParams, v: np.ndarray) -> np.ndarray:
@@ -337,9 +342,6 @@ def _pencil_roots(a: np.ndarray, b: np.ndarray, lo: float, hi: float) -> list[np
     return roots
 
 
-_ROOT_CHUNK = 1024  # pencil roots whose spectra are solved at once; bounds the memory at large L
-
-
 def _exact_crossings(sectors: _Sectors, lo: float, hi: float) -> list[DegeneracyPoint]:
     """Crossings of labelled levels on [lo, hi], as roots of sector-pair pencils.
 
@@ -347,10 +349,12 @@ def _exact_crossings(sectors: _Sectors, lo: float, hi: float) -> list[Degeneracy
     is singular, at a finite real eigenvalue x of a pencil of size at most
     9x9 (a two-parameter eigenvalue problem); pencils of one size are solved
     as one stack.  A root counts where a slot of s and a slot of t agree to
-    1e-9; roots are grouped by (x, E), and each group is read at its own
-    root, every slot within TOL.degeneracy_gap of E a member, with gap 0 (the
-    members' spread there is round-off).  Groups come in ascending order of
-    their root, and of energy among the groups that share one.
+    1e-9 on the pair's own two blocks, and the blocks of one size are solved
+    at all their roots as one stack.  Roots are grouped by (x, E), and the
+    full spectrum is solved at each group's root, every slot within
+    TOL.degeneracy_gap of E a member, with gap 0 (the members' spread there
+    is round-off).  Groups come in ascending order of their root, and of
+    energy among the groups that share one.
     """
     sector_list = [(g, j) for g, (idx, _, _) in enumerate(sectors.blocks) for j in range(len(idx))]
     pairs = list(combinations(sector_list, 2))
@@ -366,29 +370,22 @@ def _exact_crossings(sectors: _Sectors, lo: float, hi: float) -> list[Degeneracy
         b = -_kron_difference(x_s[j_s], x_t[j_t])
         for k, x in zip(ks, _pencil_roots(a, b, lo, hi)):
             roots_of[k] = x
-    roots = np.concatenate(roots_of).tolist()
-    slot_pairs = [(sectors.blocks[g_s][0][j_s], sectors.blocks[g_t][0][j_t])
-                  for ((g_s, j_s), (g_t, j_t)), x in zip(pairs, roots_of) for _ in x]
-    hits = []  # (root, energy) of each pair of slots that meet at a root
-    for start in range(0, len(roots), _ROOT_CHUNK):
-        e = sectors.levels(roots[start:start + _ROOT_CHUNK])[0]
-        for r, e_r in enumerate(e, start):
-            s, t = slot_pairs[r]
-            for i, j in zip(*np.nonzero(np.abs(e_r[s][:, None] - e_r[t]) < 1e-9)):
-                hits.append((r, (e_r[s[i]] + e_r[t[j]]) / 2))
-    if not hits:
+    roots = np.concatenate(roots_of)
+    # (block group, index in it) of the sectors s and t of each root's pair,
+    # and their energies there, NaN-padded to the largest block
+    tag = np.repeat(np.array(pairs), [len(x) for x in roots_of], axis=0)
+    e = np.full((len(roots), 2, max(idx.shape[1] for idx, _, _ in sectors.blocks)), np.nan)
+    for g, (idx, f, x_op) in enumerate(sectors.blocks):
+        at, side = np.nonzero(tag[..., 0] == g)
+        block = tag[at, side, 1]
+        e[at, side, :idx.shape[1]] = _energies(f[block] + roots[at, None, None] * x_op[block])
+    r, i, j = np.nonzero(np.abs(e[:, 0, :, None] - e[:, 1, None, :]) < 1e-9)
+    if not r.size:
         return []
-    r, e_hit = (np.array(column) for column in zip(*hits))
-    x_hit = np.asarray(roots)[r]
+    x_hit, e_hit = roots[r], (e[r, 0, i] + e[r, 1, j]) / 2
     first = _hit_groups(x_hit, e_hit)
-    # a group root in the last chunk is read from its spectra, so one chunk
-    # solves every root once; a group root before it is solved again
-    rows = r[first] - start
-    e_first = e[np.maximum(rows, 0)]
-    if rows.min() < 0:
-        e_first[rows < 0] = sectors.levels(x_hit[first[rows < 0]])[0]
     results = []
-    for k, w in zip(first, e_first[:, sectors.slot_of_label]):
+    for k, w in zip(first, sectors.levels(x_hit[first])[0][:, sectors.slot_of_label]):
         members = np.flatnonzero(np.abs(w - e_hit[k]) < TOL.degeneracy_gap)
         results.append(DegeneracyPoint(
             x=float(x_hit[k]), labels=tuple(int(lab) + 1 for lab in members),

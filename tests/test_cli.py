@@ -229,6 +229,20 @@ def test_weyl_compare_skips_the_degeneracy_sphere(tmp_path):
     assert lines[-1].startswith("k_mag,")  # the header alone
 
 
+@pytest.mark.parametrize("value,shown", [("0", "0.0"), ("1,-1.0", "-1.0"), ("1e400", "inf"),
+                                         ("nan", "nan")],
+                         ids=["zero", "negative", "overflow", "nan"])
+def test_weyl_compare_refuses_a_k_magnitude_that_is_not_positive_and_finite(tmp_path, capsys,
+                                                                            value, shown):
+    message = f"error: k-grid magnitudes must be positive and finite, got {shown}\n"
+    assert main(["weyl-compare", "--l", "1", "--k-grid", value, "--mesh", "50"]) == 2
+    assert capsys.readouterr() == ("", message)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"l = 1\nk-grid = {value}\nmesh = 50\n")
+    assert main(["weyl-compare", "--config", str(cfg)]) == 2
+    assert capsys.readouterr() == ("", message)
+
+
 def test_weyl_compare_reference_is_spin_l(tmp_path):
     code, text = run(tmp_path, "weyl2.csv",
                      ["weyl-compare", "--l", "2", "--k-grid", "3.0", "--mesh", "50",
@@ -363,6 +377,18 @@ def test_dynamics_refuses_bad_drive_input(args, message, capsys):
     *usage, last = captured.err.splitlines()  # argparse prints a usage line first
     assert len(usage) <= 1 and message in last
     assert last.startswith("happer: error:" if usage else "error:")
+
+
+@pytest.mark.parametrize("level", [[], ["--level", "1"]], ids=["all-levels", "one-level"])
+def test_dynamics_at_a_crossing_names_the_touching_levels(capsys, level):
+    # y = 0 and x = 2/3, the 2L = 2 crossing: three levels meet on the whole
+    # cone, so no drive frequency is adiabatic, whichever level is followed.
+    assert main(["dynamics", "--l", "1", "--x", "0.6666666666666666",
+                 "--steps-per-period", "400", *level]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: adiabatic drive: levels at positions ")
+    assert "touch on the cone theta0=0.523599" in err and "omega" not in err
 
 
 @pytest.mark.parametrize("args,message", [

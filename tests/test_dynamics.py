@@ -8,7 +8,7 @@ from happer.dynamics import (DriveProtocol, Trajectory, adiabatic_omega, cone_fi
                              extract_geometric_phase, geometric_phase_diagnostics,
                              initial_eigenstate, instantaneous_hamiltonian,
                              landau_zener_scan, propagate)
-from happer.errors import AdiabaticityError
+from happer.errors import AdiabaticityError, SubspaceIsolationError
 from happer.geometry import loop_phase
 from happer.mesh import SphereMesh
 from happer.model import (FieldDirection, ModelParams, _product_operators, build_hamiltonian,
@@ -739,6 +739,13 @@ def test_adiabatic_omega_refuses_a_factor_that_is_not_positive_and_finite(factor
     p = ModelParams(2, 0.8, 0.1)
     with pytest.raises(ValueError, match=f"omega factor must be positive and finite, got {factor}"):
         adiabatic_omega(p, 1.0, factor)
+
+
+def test_adiabatic_omega_refuses_a_cone_where_levels_touch():
+    p = ModelParams(2, 2 / 3, 0.0)  # the 2L = 2 crossing, where three levels meet
+    with pytest.raises(SubspaceIsolationError, match=r"touch on the cone theta0=1 \(gap"):
+        adiabatic_omega(p, 1.0)
+    assert adiabatic_omega(ModelParams(2, 0.8, 0.0), 1.0) > 0
 
 
 def test_landau_zener_rate_ordering():

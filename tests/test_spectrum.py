@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -467,22 +468,43 @@ def test_sorted_hit_groups_match_the_all_pairs_rule(monkeypatch):
     assert same >= 24  # of 36 (32 with OpenBLAS on x86-64)
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 64])
-def test_root_chunks_do_not_change_the_crossings(monkeypatch, chunk):
-    # Group roots in the last chunk are read from its spectra, earlier ones
-    # solved again; both must give the crossings of one unchunked solve.
-    rng = np.random.default_rng(chunk)
-    fields = [p for two_l in (3, 6) for p in split_fields(two_l, rng)]
-    whole = [find_degeneracies(p, (-1.0, 2.0)) for p in fields]
-    monkeypatch.setattr(spectrum, "_ROOT_CHUNK", chunk)
-    assert [find_degeneracies(p, (-1.0, 2.0)) for p in fields] == whole
-    assert all(whole)
+def full_spectrum_hits(sectors, lo, hi):
+    """The (x, E) hits of every pencil root confirmed on the full sectors.levels spectrum."""
+    pairs = list(combinations([(g, j) for g, (idx, _, _) in enumerate(sectors.blocks)
+                               for j in range(len(idx))], 2))
+    x_hit, e_hit = [], []
+    for (g_s, j_s), (g_t, j_t) in pairs:
+        _, f_s, x_s = sectors.blocks[g_s]
+        _, f_t, x_t = sectors.blocks[g_t]
+        a = spectrum._kron_difference(f_s[[j_s]], f_t[[j_t]])
+        b = -spectrum._kron_difference(x_s[[j_s]], x_t[[j_t]])
+        s, t = sectors.blocks[g_s][0][j_s], sectors.blocks[g_t][0][j_t]
+        for x in spectrum._pencil_roots(a, b, lo, hi)[0]:
+            e = sectors.levels([x])[0][0]
+            for i, j in zip(*np.nonzero(np.abs(e[s][:, None] - e[t]) < 1e-9)):
+                x_hit.append(x)
+                e_hit.append((e[s[i]] + e[t[j]]) / 2)
+    return np.array(x_hit), np.array(e_hit)
+
+
+@pytest.mark.parametrize("two_l", [3, 6, 12])
+def test_roots_confirmed_on_their_blocks_match_the_full_spectrum(monkeypatch, two_l):
+    # Each root is confirmed on the two sector blocks of its own pair; the
+    # hits, in pair, root and slot order, are those of the full spectrum.
+    seen = spy_hit_groups(monkeypatch)
+    for p in split_fields(two_l, np.random.default_rng(two_l)):
+        seen.clear()
+        assert find_degeneracies(p, (-1.0, 2.0))
+        (x_hit, e_hit), = seen
+        x_ref, e_ref = full_spectrum_hits(spectrum._Sectors(p), -1.0, 2.0)
+        assert x_hit.tobytes() == x_ref.tobytes() and e_hit.tobytes() == e_ref.tobytes(), p
 
 
 def test_crossing_memory_is_not_quadratic_in_the_hits(monkeypatch):
     # 2L = 40 has 8,585 hits in (0, 1); the all-pairs rule held n x n float
     # differences, 590 MB, and `happer spectrum --l 20` peaked near 1.2 GB.
-    # The spectra at all its roots at once took 57 MB; chunked, the peak is 21 MB.
+    # The spectra at all its roots at once took 57 MB, and 21 MB in chunks of
+    # 1,024 roots; confirmed on each root's own two blocks, the peak is 6.4 MB.
     seen = spy_hit_groups(monkeypatch)
     p = ModelParams(40, 0.0, 0.0, FieldDirection(np.pi / 6, 0.0))
     bound = 32e6
