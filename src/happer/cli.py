@@ -303,7 +303,7 @@ def cmd_weyl_compare(cfg: ScanConfig) -> Table:
         try:  # y = 0 (_cluster_labels), so a touching anywhere is a touching everywhere
             per_position = chern_spectrum_link_variable(p, mesh, check=False)
         except SubspaceIsolationError:
-            annotations.append(f"skipped |k|={k_mag:.10g}: on the degeneracy sphere")
+            annotations.append(f"skipped |k|={k_mag:.12g}: on the degeneracy sphere")
             continue
         _, positions = _resolve_labels(p, labels)
         band_res = [per_position[pos] for pos in positions]

@@ -18,11 +18,15 @@ Every axis is the z axis.  With Q a rotation taking z to the axis a and
 D(Q) its spin representation, H(Q n; a) = D H(n; z) D^dag: the model with
 its axis along z is the tilted problem on a mesh whose poles lie along a,
 and it is covariant about z, v(theta, phi) = e^{-i phi J_z} v(theta, 0).
-So every eigensolve on the sphere is one batched solve of that phi = 0
-meridian, with the one isolation gate for every band set a call reads
-(_meridian), and tilted fields report angles about the axis.  Link Chern
-numbers read it directly (_link_sets; a caller's h_builder supplies
-H(theta, 0) and its J_z diagonal).
+So every sphere quantity reads the eigenpairs of that phi = 0 meridian,
+with the one isolation gate for every band set a call reads (_meridian),
+and tilted fields report angles about the axis.  For y != 0, or a caller's
+h_builder, the meridian is one batched eigh over its latitudes.  At y = 0
+the model is covariant under every rotation of J, so one latitude is
+solved and the others are turned from it about y by closed-form Wigner
+small-d matrices (_turned).  Link Chern numbers read the meridian directly
+(_link_sets; a caller's h_builder supplies H(theta, 0) and its J_z
+diagonal).
 
 The curvature scheme is factored the same way.  Frames are
 F(theta, phi) = R(phi) F(theta, 0) D(phi), with R(phi) = e^{-i phi J_z} and
@@ -30,9 +34,8 @@ D a unitary representation of the phi rotations (_meridian_frames), so every
 edge connection and every plaquette curvature of a ring is
 D(phi_n)^dag X D(phi_n) for one d x d matrix X per ring.  Fields hold one
 stack of X over the rings; Chern numbers and the curvature CSV read n_phi
-tr X per ring and D at the ring's step dphi alone.  Per-point frames, and
-D(phi_n) = D(dphi)^n (_powers), are built only when FrameField.frames reads
-them.
+tr X per ring and D at the ring's step dphi alone.  No per-point frame and
+no D(phi_n) is ever formed.
 
 Curvature Chern numbers read one Stokes integral, CurvatureField.flux(theta),
 the traced curvature north of latitude theta: chern_number reads flux(pi).
@@ -53,6 +56,7 @@ from .degenerate import degenerate_energy, gram_schmidt, raw_degenerate_vectors
 from .errors import MeshResolutionError, SubspaceIsolationError
 from .mesh import SphereMesh
 from .model import ModelParams, _jz_diagonal, build_hamiltonian, hamiltonian_batch
+from .operators import _small_d
 from .spectrum import _check_isolated, _half_grid, _resolve_labels
 from .table import _csv_text
 from .tolerances import TOL
@@ -85,18 +89,45 @@ def _check_quantized(result: ChernResult, context: str) -> ChernResult:
     return result
 
 
+_TURN_MAX_TWO_L = 16  # d^L(beta) of _small_d within 1.4e-14 of e^{-i beta L_y} up to here
+
+
+def _turned(v0: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """e^{-i beta J_y} v0 for each angle beta, shape (n, dim, k), v0 of shape (dim, k).
+
+    e^{-i beta J_y} = d^1(beta) (x) d^L(beta) acts on the (3, 2L + 1)
+    factors of v0's rows, one small-d at a time; the dim x dim matrix is
+    never formed.
+    """
+    (dim, k), n = v0.shape, len(angles)
+    turned = _small_d(dim // 3 - 1, angles)[:, None] @ v0.reshape(3, dim // 3, k)
+    turned = _small_d(2, angles) @ turned.reshape(n, 3, dim // 3 * k)
+    return turned.reshape(n, dim, k)
+
+
 def _meridian(p: ModelParams, thetas: np.ndarray, sets: Sequence[Sequence[int]], context: str,
               h_builder: _Covariant | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs at phi = 0 on thetas, shapes (n, d) and (n, d, d); every set gated on them.
 
-    One batched eigh of the model with its axis along z (thetas are angles
-    about the axis), or of a caller's h_builder, then the isolation gate
-    for each set of ascending positions.  A touching is placed at its
-    theta, or on the whole sphere at y = 0, where no level depends on n.
+    For y != 0, or a caller's h_builder, one batched eigh of the model with
+    its axis along z (thetas are angles about the axis) or of the builder.
+    At y = 0 the model is covariant under every rotation of J, H(theta, 0) =
+    U H(theta_0, 0) U^dag with U = e^{-i(theta - theta_0) J_y}: only
+    theta_0 = thetas[0] is solved, every other row is U v(theta_0) with the
+    closed-form Wigner small-d (_turned), and every row keeps w(theta_0).
+    Above 2L = _TURN_MAX_TWO_L the closed form's alternating sum loses
+    digits (1e-11 at 2L = 40), and every row is solved.  Then the isolation
+    gate runs for each set of ascending positions.  A touching is placed at
+    its theta, or on the whole sphere at y = 0, where no level depends on n.
     """
-    w, v = np.linalg.eigh(h_builder[0](thetas) if h_builder else hamiltonian_batch(
-        replace(p, axis=(0.0, 0.0, 1.0)), thetas, np.zeros_like(thetas)))
     everywhere = h_builder is None and p.y == 0.0
+    if everywhere and p.nuclear_two_l <= _TURN_MAX_TWO_L:
+        w0, v0 = np.linalg.eigh(hamiltonian_batch(p, thetas[:1], np.zeros(1)))
+        w = np.broadcast_to(w0, (len(thetas), p.dim))
+        v = np.concatenate([v0, _turned(v0[0], thetas[1:] - thetas[0])])
+    else:
+        w, v = np.linalg.eigh(h_builder[0](thetas) if h_builder else hamiltonian_batch(
+            replace(p, axis=(0.0, 0.0, 1.0)), thetas, np.zeros_like(thetas)))
     for positions in sets:
         _check_isolated(w, positions, context, lambda i: " on the whole sphere" if everywhere
                         else f" at (theta={thetas[i]:.6f}, phi=0.000000)")
@@ -202,17 +233,6 @@ def chern_spectrum_link_variable(p: ModelParams, mesh: SphereMesh | None = None,
 # smoothed-gauge connection / curvature pipeline
 
 
-def _powers(step: np.ndarray, n: int) -> np.ndarray:
-    """D(phi_k) = D(dphi)^k for k < n, shape (n, d, d), by repeated squaring."""
-    rep = np.empty((n, *step.shape), dtype=complex)
-    rep[0] = np.eye(len(step))
-    done, power = 1, step  # power = D(dphi)^done
-    while done < n:
-        rep[done:2 * done] = rep[:min(done, n - done)] @ power
-        done, power = 2 * done, power @ power
-    return rep
-
-
 @dataclass
 class FrameField:
     """Smoothly gauged orthonormal frames on the kept rings, stored factored.
@@ -234,13 +254,6 @@ class FrameField:
     meridian: np.ndarray
     rot: np.ndarray
     step: np.ndarray
-
-    def frames(self, ring: int, edge: int) -> np.ndarray:
-        """Per-point frames (n_phi, dim, d_sub) of a ring's top (edge 0) or bottom (edge 1) edge."""
-        k = ring - self.ring_start
-        n = self.mesh.ring_phi_count(ring)
-        rot_n = self.rot[k] ** np.arange(n)[:, None]
-        return rot_n[:, :, None] * (self.meridian[k + edge] @ _powers(self.step[k], n))
 
 
 def _polar(m: np.ndarray) -> np.ndarray:

@@ -11,6 +11,8 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from math import factorial, sqrt
 
 import numpy as np
 
@@ -81,6 +83,49 @@ def spin_operators(j: SpinQuantumNumber) -> SpinTriple:
     sx = (s_plus + s_minus) / 2
     sy = (s_plus - s_minus) / 2j
     return SpinTriple(j.two_j, sx, sy, sz)
+
+
+@lru_cache(maxsize=16)
+def _small_d_table(two_j: int) -> np.ndarray:
+    """Coefficients T (2j+1, 2j+1, 2j+1) of d^j(beta) = sum_q T[..., q] c^(2j-q) t^q.
+
+    Wigner's formula (Varshalovich, Moskalev & Khersonskii, Quantum Theory
+    of Angular Momentum, 1988, Sec. 4.3.1) in c = cos(beta/2) and
+    t = sin(beta/2), rows m' and columns m descending, a = j - m', b = j - m:
+
+        d_{m'm} = sum_s (-1)^(b - a + s) sqrt((2j-a)! a! (2j-b)! b!)
+                  / ((2j-b-s)! s! (b-a+s)! (a-s)!) c^(2j-q) t^q,  q = b - a + 2s,
+
+    each coefficient's square a ratio of integers rounded once before its
+    square root.  Read-only.
+    """
+    n = two_j + 1
+    table = np.zeros((n, n, n))
+    for a in range(n):
+        for b in range(n):
+            top = factorial(two_j - a) * factorial(a) * factorial(two_j - b) * factorial(b)
+            for s in range(max(0, a - b), min(two_j - b, a) + 1):
+                den = (factorial(two_j - b - s) * factorial(s)
+                       * factorial(b - a + s) * factorial(a - s))
+                sign = -1 if (b - a + s) % 2 else 1
+                table[a, b, b - a + 2 * s] = sign * sqrt(top / (den * den))  # int / int rounds once
+    table.flags.writeable = False
+    return table
+
+
+def _small_d(two_j: int, beta: np.ndarray) -> np.ndarray:
+    """Wigner small-d matrices d^j(beta) = e^{-i beta J_y}, real, shape beta.shape + (2j+1, 2j+1).
+
+    The closed-form polynomial of _small_d_table in cos(beta/2) and
+    sin(beta/2), in the |j, m> basis, m descending (Condon-Shortley).
+    """
+    table = _small_d_table(two_j)
+    half = np.asarray(beta, dtype=float)[..., None, None] / 2
+    c, s = np.cos(half), np.sin(half)
+    d = np.zeros(half.shape[:-2] + table.shape[:2])
+    for q in range(two_j + 1):
+        d += table[..., q] * (c ** (two_j - q) * s ** q)
+    return d
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -229,6 +229,17 @@ def test_weyl_compare_skips_the_degeneracy_sphere(tmp_path):
     assert lines[-1].startswith("k_mag,")  # the header alone
 
 
+def test_weyl_compare_names_each_skipped_magnitude_as_the_table_prints_it(tmp_path):
+    # Two skipped magnitudes 1e-10 apart are two notes, each with its own
+    # |k| at the table's %.12g.
+    code, text = run(tmp_path, "weyl_close.csv",
+                     ["weyl-compare", "--l", "1", "--k-grid", "1.5,1.4999999999", "--mesh", "50"])
+    assert code == 0
+    skipped = [ln for ln in text.splitlines() if ln.startswith("# skipped")]
+    assert skipped == ["# skipped |k|=1.5: on the degeneracy sphere",
+                       "# skipped |k|=1.4999999999: on the degeneracy sphere"]
+
+
 @pytest.mark.parametrize("value,shown", [("0", "0.0"), ("1,-1.0", "-1.0"), ("1e400", "inf"),
                                          ("nan", "nan")],
                          ids=["zero", "negative", "overflow", "nan"])

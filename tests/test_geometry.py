@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -208,8 +209,8 @@ def test_smooth_gauge_neighbour_overlap():
     p = ModelParams(2, 1.0, 0.0, FieldDirection(0.5, 0.3))
     frames = smooth_gauge_states(p, (5,), SphereMesh(40, 80, "uniform"))
     for r in range(frames.ring_start, 40):
-        top = frames.frames(r, 0)[:, :, 0]
-        bottom = frames.frames(r, 1)[:, :, 0]
+        top = _frames(frames, r, 0)[:, :, 0]
+        bottom = _frames(frames, r, 1)[:, :, 0]
         along_theta = np.abs(np.einsum("nd,nd->n", top.conj(), bottom))
         along_phi = np.abs(np.einsum("nd,nd->n", top.conj(), np.roll(top, -1, axis=0)))
         assert np.min(along_theta) > 0.99
@@ -739,14 +740,37 @@ def _rings(field) -> range:
     return range(field.ring_start, field.mesh.n_theta)
 
 
+def _powers(step: np.ndarray, n: int) -> np.ndarray:
+    """D(phi_k) = D(dphi)^k for k < n, shape (n, d, d), by repeated squaring."""
+    rep = np.empty((n, *step.shape), dtype=complex)
+    rep[0] = np.eye(len(step))
+    done, power = 1, step  # power = D(dphi)^done
+    while done < n:
+        rep[done:2 * done] = rep[:min(done, n - done)] @ power
+        done, power = 2 * done, power @ power
+    return rep
+
+
+def _frames(field, ring: int, edge: int) -> np.ndarray:
+    """Per-point frames (n_phi, dim, d_sub) of a ring's top (edge 0) or bottom (edge 1) edge.
+
+    F(theta, phi_n) = R(dphi)^n F(theta, 0) D(dphi)^n, expanded from the
+    factored field.
+    """
+    k = ring - field.ring_start
+    n = field.mesh.ring_phi_count(ring)
+    rot_n = field.rot[k] ** np.arange(n)[:, None]
+    return rot_n[:, :, None] * (field.meridian[k + edge] @ _powers(field.step[k], n))
+
+
 def _library_frames(field) -> list[tuple[np.ndarray, np.ndarray]]:
     """The library's per-point (top, bottom) frames, ring by ring."""
-    return [(field.frames(r, 0), field.frames(r, 1)) for r in _rings(field)]
+    return [(_frames(field, r, 0), _frames(field, r, 1)) for r in _rings(field)]
 
 
 def _expanded(field, x: np.ndarray) -> list[np.ndarray]:
     """Per-point matrices D(phi_n)^dag X D(phi_n) of a per-ring stack X, ring by ring."""
-    reps = [geometry._powers(step, field.mesh.ring_phi_count(r))
+    reps = [_powers(step, field.mesh.ring_phi_count(r))
             for r, step in zip(_rings(field), field.step, strict=True)]
     return [rep.conj().swapaxes(-1, -2) @ a @ rep for rep, a in zip(reps, x, strict=True)]
 
@@ -951,8 +975,11 @@ def test_uniform_ring_flux_is_minus_the_first_ring_phi_connection():
 @pytest.mark.parametrize("scheme", ["uniform", "equal-area"])
 def test_covariant_traces_build_no_per_point_array(monkeypatch, tmp_path, scheme):
     # Chern numbers, loop phases and the CSV read one d x d matrix per ring.
+    # The per-point expansions are this module's oracle helpers alone.
+    assert not hasattr(geometry, "_powers") and not hasattr(geometry.FrameField, "frames")
     built: list[str] = []
-    real_powers, real_frames = geometry._powers, geometry.FrameField.frames
+    here = sys.modules[__name__]
+    real_powers, real_frames = _powers, _frames
 
     def powers_spy(step, n):
         built.append("D(phi_n)")
@@ -962,8 +989,8 @@ def test_covariant_traces_build_no_per_point_array(monkeypatch, tmp_path, scheme
         built.append("per-point frames")
         return real_frames(field, ring, edge)
 
-    monkeypatch.setattr(geometry, "_powers", powers_spy)
-    monkeypatch.setattr(geometry.FrameField, "frames", frames_spy)
+    monkeypatch.setattr(here, "_powers", powers_spy)
+    monkeypatch.setattr(here, "_frames", frames_spy)
     p = ModelParams(2, 2 / 3)
     mesh = SphereMesh(100, 200, scheme)
     for source in ("numerical", "analytic"):
@@ -971,7 +998,7 @@ def test_covariant_traces_build_no_per_point_array(monkeypatch, tmp_path, scheme
         curvature_field(p, (3, 4, 5), mesh, source=source).flux(LOOP_THETA)
         curvature_field(p, (3, 4, 5), mesh, source=source).to_csv(tmp_path / "curv.csv")
     assert built == []
-    smooth_gauge_states(p, (3, 4, 5), mesh).frames(1, 0)  # the spies do see an expansion
+    _frames(smooth_gauge_states(p, (3, 4, 5), mesh), 1, 0)  # the spies do see an expansion
     assert built == ["per-point frames", "D(phi_n)"]
 
 
@@ -1012,7 +1039,7 @@ def test_analytic_interior_rows_are_the_closed_forms(two_l, labels, tol, n, sche
         phis = mesh.ring_phis(r)
         closed = gram_schmidt(raw_degenerate_vectors(
             two_l // 2, np.full_like(phis, edges[r + edge]), phis))
-        assert np.max(np.abs(frames.frames(r, edge) - closed)) < tol
+        assert np.max(np.abs(_frames(frames, r, edge) - closed)) < tol
 
 
 @pytest.mark.parametrize("scheme", ["uniform", "equal-area"])
@@ -1110,7 +1137,7 @@ def test_row_rep_is_the_power_of_its_phi_step(source, scheme, n):
         by_hand = [np.eye(3)]
         for _ in mesh.ring_phis(r)[1:]:
             by_hand.append(by_hand[-1] @ step)
-        powers = geometry._powers(step, mesh.ring_phi_count(r))
+        powers = _powers(step, mesh.ring_phi_count(r))
         assert np.max(np.abs(powers - np.array(by_hand))) < 1e-12
 
 
@@ -1133,15 +1160,19 @@ def test_every_axis_solves_one_meridian(monkeypatch, y, axis):
     # the axis along z for every axis: one matrix per ring edge, and per
     # frame latitude below the dropped north ring.  The curvature table
     # solves that meridian once per x for all its labels, and labels its
-    # levels from one _Sectors per x.
+    # levels from one _Sectors per x.  At y = 0 the meridian is one matrix:
+    # its other latitudes are turned from it about y.
+    def rows(n: int) -> int:
+        return 1 if y == 0.0 else n
+
     counts = _count_matrices(monkeypatch)
     p = ModelParams(2, 1.3, y, axis=axis)
     mesh = SphereMesh(8, 16, "uniform")
     chern_spectrum_link_variable(p, mesh, check=False)
-    assert counts == [mesh.n_theta + 1]
+    assert counts == [rows(mesh.n_theta + 1)]
     counts.clear()
     smooth_gauge_states(p, (1,), mesh)
-    assert counts == [mesh.n_theta]
+    assert counts == [rows(mesh.n_theta)]
     counts.clear()
     builds: list[ModelParams] = []
     real_init = spectrum._Sectors.__init__
@@ -1154,8 +1185,95 @@ def test_every_axis_solves_one_meridian(monkeypatch, y, axis):
                      mesh_scheme="uniform", scheme="curvature")
     table = cmd_chern(cfg)
     assert len(table.rows) == 2 * p.dim
-    assert counts == [cfg.sphere_mesh().n_theta] * 2
+    assert counts == [rows(cfg.sphere_mesh().n_theta)] * 2
     assert [b.x for b in builds] == [1.2, 1.3]
+
+
+def test_the_turn_stops_where_the_closed_form_loses_digits(monkeypatch):
+    # Above 2L = _TURN_MAX_TWO_L every latitude of a y = 0 meridian is solved.
+    counts = _count_matrices(monkeypatch)
+    mesh = SphereMesh(8, 16, "uniform")
+    for two_l in (geometry._TURN_MAX_TWO_L, geometry._TURN_MAX_TWO_L + 1):
+        counts.clear()
+        geometry._meridian(ModelParams(two_l, 0.5), mesh.theta_edges(), [], "")
+        assert counts == [1 if two_l <= geometry._TURN_MAX_TWO_L else mesh.n_theta + 1]
+
+
+# ---------------------------------------------------------------------------
+# the y = 0 turn: one latitude solved, the others turned about y; each row
+# against its own eigh, and every sphere quantity against a meridian solved
+# row by row
+
+
+def _solved_meridian(p, thetas, sets, context, h_builder=None):
+    """Per-row eigh of H(theta, 0) with the axis along z, ungated: the turn's oracle."""
+    return np.linalg.eigh(hamiltonian_batch(replace(p, axis=(0.0, 0.0, 1.0)), thetas,
+                                            np.zeros_like(thetas)))
+
+
+def _band_sets(w: np.ndarray) -> list[list[int]]:
+    """Positions grouped where neighbouring levels lie within 1e-9: isolated levels and clusters."""
+    cuts = np.flatnonzero(np.diff(w) > 1e-9) + 1
+    return [list(c) for c in np.split(np.arange(len(w)), cuts)]
+
+
+TURN_THETAS = {
+    "south-first": np.linspace(np.pi, 0.0, 25),
+    "north-first": np.linspace(0.0, np.pi, 25),
+    "mid-meridian": np.concatenate(([1.2], np.linspace(0.0, np.pi, 24), [-0.3, 4.0])),
+}
+
+
+@pytest.mark.parametrize("thetas", TURN_THETAS.values(), ids=TURN_THETAS.keys())
+@pytest.mark.parametrize("two_l", range(7))
+def test_turned_rows_are_eigenvectors_of_their_own_row(two_l, thetas):
+    for x in (0.45, 2 / (two_l + 1), 1.3):  # the middle one is the crossing
+        p = ModelParams(two_l, x)
+        w, v = geometry._meridian(p, thetas, [], "")
+        h = hamiltonian_batch(p, thetas, np.zeros_like(thetas))
+        w_row, v_row = np.linalg.eigh(h)
+        assert np.max(np.abs(h @ v - v * w[:, None, :])) < 1e-13
+        gram = v.conj().swapaxes(-1, -2) @ v
+        assert np.max(np.abs(gram - np.eye(p.dim))) < 1e-13
+        assert np.max(np.abs(w - w_row)) < 1e-13
+        sets = _band_sets(w[0])
+        if x == 2 / (two_l + 1) and two_l > 0:
+            assert [len(s) for s in sets].count(two_l + 1) == 1  # the crossing cluster
+        for positions in sets:
+            proj = v[..., positions] @ v[..., positions].conj().swapaxes(-1, -2)
+            proj_row = v_row[..., positions] @ v_row[..., positions].conj().swapaxes(-1, -2)
+            assert np.max(np.abs(proj - proj_row)) < 1e-11, (x, positions)
+
+
+@pytest.mark.parametrize("thetas", TURN_THETAS.values(), ids=TURN_THETAS.keys())
+@pytest.mark.parametrize("two_l", [1, 2, 4])
+def test_the_first_row_is_its_own_eigh_bit_for_bit(two_l, thetas):
+    # The south-pole seed of the frames keeps the gauge of its own solve.
+    p = ModelParams(two_l, 0.8)
+    w, v = geometry._meridian(p, thetas, [], "")
+    w0, v0 = np.linalg.eigh(hamiltonian_batch(p, thetas[:1], np.zeros(1)))
+    assert v[0].tobytes() == v0[0].tobytes()
+    assert all(row.tobytes() == w0[0].tobytes() for row in w)
+
+
+@pytest.mark.parametrize("two_l", [1, 2, 3])
+def test_turned_sphere_quantities_match_a_meridian_solved_row_by_row(monkeypatch, two_l):
+    p, cluster = ModelParams(two_l, 0.8), ModelParams(two_l, 2 / (two_l + 1))
+    members = tuple(range(two_l + 1, 2 * two_l + 2))  # labels of the crossing cluster
+    mesh, equal_area = SphereMesh(50, 100, "uniform"), SphereMesh(40, 80, "equal-area")
+
+    def quantities():
+        links = [r.fourpi for r in chern_spectrum_link_variable(p, mesh, check=False)]
+        fluxes = [curvature_field(q, labels, m).flux(theta)
+                  for q, labels in ((p, (1,)), (p, (p.dim,)), (cluster, members))
+                  for m in (mesh, equal_area) for theta in (LOOP_THETA, np.pi)]
+        phases = [loop_phase(p, label, LOOP_THETA, mesh) for label in range(1, p.dim + 1)]
+        return np.array(links), np.array(fluxes), np.array(phases)
+
+    turned = quantities()
+    monkeypatch.setattr(geometry, "_meridian", _solved_meridian)
+    for a, b in zip(turned, quantities(), strict=True):
+        assert np.max(np.abs(a - b)) < 1e-12
 
 
 @st.composite

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from happer.errors import HermiticityError
-from happer.operators import SpinQuantumNumber, commutator, require_hermitian, spin_operators
+from happer.operators import (SpinQuantumNumber, _small_d, commutator, require_hermitian,
+                              spin_operators)
 
 
 def test_sz_is_diagonal_descending_spin1():
@@ -74,3 +76,15 @@ def test_require_hermitian():
     stack[1, 0, 1] += 1e-9
     with pytest.raises(HermiticityError):
         require_hermitian(stack)
+
+
+@pytest.mark.parametrize("two_j", [*range(9), 16])
+def test_small_d_is_the_exponential_of_j_y(two_j):
+    # 16 is the largest 2L the y = 0 meridian turn takes (geometry._TURN_MAX_TWO_L).
+    betas = np.linspace(-2 * np.pi, 2 * np.pi, 97)
+    sy = spin_operators(SpinQuantumNumber(two_j)).sy
+    reference = np.array([expm(-1j * beta * sy) for beta in betas])
+    d = _small_d(two_j, betas)
+    assert d.dtype == float and d.shape == reference.shape
+    assert np.max(np.abs(d - reference)) < 1e-14
+    assert np.array_equal(_small_d(two_j, 0.0), np.eye(two_j + 1))
