@@ -23,10 +23,10 @@ with the one isolation gate for every band set a call reads (_meridian),
 and tilted fields report angles about the axis.  For y != 0, or a caller's
 h_builder, the meridian is one batched eigh over its latitudes.  At y = 0
 the model is covariant under every rotation of J, so one latitude is
-solved and the others are turned from it about y by closed-form Wigner
-small-d matrices (_turned).  Link Chern numbers read the meridian directly
-(_link_sets; a caller's h_builder supplies H(theta, 0) and its J_z
-diagonal).
+solved and the others are turned from it about y by Wigner small-d
+matrices, built from the eigenvectors of J_y, at every L (_turned).  Link
+Chern numbers read the meridian directly (_link_sets; a caller's h_builder
+supplies H(theta, 0) and its J_z diagonal).
 
 The curvature scheme is factored the same way.  Frames are
 F(theta, phi) = R(phi) F(theta, 0) D(phi), with R(phi) = e^{-i phi J_z} and
@@ -89,9 +89,6 @@ def _check_quantized(result: ChernResult, context: str) -> ChernResult:
     return result
 
 
-_TURN_MAX_TWO_L = 16  # d^L(beta) of _small_d within 1.4e-14 of e^{-i beta L_y} up to here
-
-
 def _turned(v0: np.ndarray, angles: np.ndarray) -> np.ndarray:
     """e^{-i beta J_y} v0 for each angle beta, shape (n, dim, k), v0 of shape (dim, k).
 
@@ -113,15 +110,14 @@ def _meridian(p: ModelParams, thetas: np.ndarray, sets: Sequence[Sequence[int]],
     its axis along z (thetas are angles about the axis) or of the builder.
     At y = 0 the model is covariant under every rotation of J, H(theta, 0) =
     U H(theta_0, 0) U^dag with U = e^{-i(theta - theta_0) J_y}: only
-    theta_0 = thetas[0] is solved, every other row is U v(theta_0) with the
-    closed-form Wigner small-d (_turned), and every row keeps w(theta_0).
-    Above 2L = _TURN_MAX_TWO_L the closed form's alternating sum loses
-    digits (1e-11 at 2L = 40), and every row is solved.  Then the isolation
-    gate runs for each set of ascending positions.  A touching is placed at
-    its theta, or on the whole sphere at y = 0, where no level depends on n.
+    theta_0 = thetas[0] is solved, every other row is U v(theta_0) with
+    Wigner small-d matrices (_turned), and every row keeps w(theta_0).
+    Then the isolation gate runs for each set of ascending positions.  A
+    touching is placed at its theta, or on the whole sphere at y = 0, where
+    no level depends on n.
     """
     everywhere = h_builder is None and p.y == 0.0
-    if everywhere and p.nuclear_two_l <= _TURN_MAX_TWO_L:
+    if everywhere:
         w0, v0 = np.linalg.eigh(hamiltonian_batch(p, thetas[:1], np.zeros(1)))
         w = np.broadcast_to(w0, (len(thetas), p.dim))
         v = np.concatenate([v0, _turned(v0[0], thetas[1:] - thetas[0])])

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial, sqrt
 
 import numpy as np
 
@@ -86,46 +85,27 @@ def spin_operators(j: SpinQuantumNumber) -> SpinTriple:
 
 
 @lru_cache(maxsize=16)
-def _small_d_table(two_j: int) -> np.ndarray:
-    """Coefficients T (2j+1, 2j+1, 2j+1) of d^j(beta) = sum_q T[..., q] c^(2j-q) t^q.
-
-    Wigner's formula (Varshalovich, Moskalev & Khersonskii, Quantum Theory
-    of Angular Momentum, 1988, Sec. 4.3.1) in c = cos(beta/2) and
-    t = sin(beta/2), rows m' and columns m descending, a = j - m', b = j - m:
-
-        d_{m'm} = sum_s (-1)^(b - a + s) sqrt((2j-a)! a! (2j-b)! b!)
-                  / ((2j-b-s)! s! (b-a+s)! (a-s)!) c^(2j-q) t^q,  q = b - a + 2s,
-
-    each coefficient's square a ratio of integers rounded once before its
-    square root.  Read-only.
-    """
-    n = two_j + 1
-    table = np.zeros((n, n, n))
-    for a in range(n):
-        for b in range(n):
-            top = factorial(two_j - a) * factorial(a) * factorial(two_j - b) * factorial(b)
-            for s in range(max(0, a - b), min(two_j - b, a) + 1):
-                den = (factorial(two_j - b - s) * factorial(s)
-                       * factorial(b - a + s) * factorial(a - s))
-                sign = -1 if (b - a + s) % 2 else 1
-                table[a, b, b - a + 2 * s] = sign * sqrt(top / (den * den))  # int / int rounds once
-    table.flags.writeable = False
-    return table
+def _j_y_eigenvectors(two_j: int) -> np.ndarray:
+    """Eigenvectors of J_y as columns, eigenvalues ascending (m = -j..j).  Read-only."""
+    v = np.linalg.eigh(spin_operators(SpinQuantumNumber(two_j)).sy)[1]
+    v.flags.writeable = False
+    return v
 
 
 def _small_d(two_j: int, beta: np.ndarray) -> np.ndarray:
     """Wigner small-d matrices d^j(beta) = e^{-i beta J_y}, real, shape beta.shape + (2j+1, 2j+1).
 
-    The closed-form polynomial of _small_d_table in cos(beta/2) and
-    sin(beta/2), in the |j, m> basis, m descending (Condon-Shortley).
+    The spectral form 1 + V (e^{-i beta m} - 1) V^dag, with V the cached
+    eigenvectors of J_y and m = -j..j their exact eigenvalues, in the
+    |j, m> basis, m descending (Condon-Shortley); its real part, since d is
+    real.  e^{-i beta m} - 1 is written -2i sin(beta m / 2) e^{-i beta m / 2},
+    which is exactly zero at beta = 0, so d(0) is the identity bit for bit.
     """
-    table = _small_d_table(two_j)
-    half = np.asarray(beta, dtype=float)[..., None, None] / 2
-    c, s = np.cos(half), np.sin(half)
-    d = np.zeros(half.shape[:-2] + table.shape[:2])
-    for q in range(two_j + 1):
-        d += table[..., q] * (c ** (two_j - q) * s ** q)
-    return d
+    v, n = _j_y_eigenvectors(two_j), two_j + 1
+    half = np.asarray(beta, dtype=float)[..., None] * (np.arange(n) - two_j / 2) / 2
+    shift = -2j * np.sin(half) * np.exp(-1j * half)
+    turn = (v * shift[..., None, :]).reshape(-1, n) @ v.conj().T  # one GEMM over every angle
+    return np.eye(n) + turn.real.reshape(shift.shape + (n,))
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:

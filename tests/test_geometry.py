@@ -1189,14 +1189,11 @@ def test_every_axis_solves_one_meridian(monkeypatch, y, axis):
     assert [b.x for b in builds] == [1.2, 1.3]
 
 
-def test_the_turn_stops_where_the_closed_form_loses_digits(monkeypatch):
-    # Above 2L = _TURN_MAX_TWO_L every latitude of a y = 0 meridian is solved.
+@pytest.mark.parametrize("two_l", [16, 17, 40])
+def test_a_y0_meridian_builds_one_matrix_at_any_l(monkeypatch, two_l):
     counts = _count_matrices(monkeypatch)
-    mesh = SphereMesh(8, 16, "uniform")
-    for two_l in (geometry._TURN_MAX_TWO_L, geometry._TURN_MAX_TWO_L + 1):
-        counts.clear()
-        geometry._meridian(ModelParams(two_l, 0.5), mesh.theta_edges(), [], "")
-        assert counts == [1 if two_l <= geometry._TURN_MAX_TWO_L else mesh.n_theta + 1]
+    geometry._meridian(ModelParams(two_l, 0.5), SphereMesh(8, 16, "uniform").theta_edges(), [], "")
+    assert counts == [1]
 
 
 # ---------------------------------------------------------------------------
@@ -1224,8 +1221,10 @@ TURN_THETAS = {
 }
 
 
-@pytest.mark.parametrize("thetas", TURN_THETAS.values(), ids=TURN_THETAS.keys())
-@pytest.mark.parametrize("two_l", range(7))
+@pytest.mark.parametrize("two_l,thetas", [  # 2L = 40 on one theta set: each costs about 2 s
+    pytest.param(two_l, thetas, id=f"{two_l}-{name}")
+    for two_l in [*range(7), 17, 40] for name, thetas in TURN_THETAS.items()
+    if two_l < 40 or name == "mid-meridian"])
 def test_turned_rows_are_eigenvectors_of_their_own_row(two_l, thetas):
     for x in (0.45, 2 / (two_l + 1), 1.3):  # the middle one is the crossing
         p = ModelParams(two_l, x)
@@ -1256,7 +1255,7 @@ def test_the_first_row_is_its_own_eigh_bit_for_bit(two_l, thetas):
     assert all(row.tobytes() == w0[0].tobytes() for row in w)
 
 
-@pytest.mark.parametrize("two_l", [1, 2, 3])
+@pytest.mark.parametrize("two_l", [1, 2, 3, 17])
 def test_turned_sphere_quantities_match_a_meridian_solved_row_by_row(monkeypatch, two_l):
     p, cluster = ModelParams(two_l, 0.8), ModelParams(two_l, 2 / (two_l + 1))
     members = tuple(range(two_l + 1, 2 * two_l + 2))  # labels of the crossing cluster

@@ -78,9 +78,8 @@ def test_require_hermitian():
         require_hermitian(stack)
 
 
-@pytest.mark.parametrize("two_j", [*range(9), 16])
+@pytest.mark.parametrize("two_j", [*range(9), 16, 40, 100])
 def test_small_d_is_the_exponential_of_j_y(two_j):
-    # 16 is the largest 2L the y = 0 meridian turn takes (geometry._TURN_MAX_TWO_L).
     betas = np.linspace(-2 * np.pi, 2 * np.pi, 97)
     sy = spin_operators(SpinQuantumNumber(two_j)).sy
     reference = np.array([expm(-1j * beta * sy) for beta in betas])
