@@ -125,17 +125,28 @@ def _chern_columns(res: ChernResult) -> list:
 
 
 def _cluster_labels(cfg: ScanConfig, x_star: float) -> tuple[int, ...]:
+    """Ascending labels of the crossing cluster at coupling x_star > 0, y = 0.
+
+    The cluster is the lowest-energy run of two or more adjacent positions
+    of the spectrum at x_star whose neighbours lie within
+    TOL.subspace_isolation, read from one labelled solve (_levels).
+    """
     if cfg.two_l == 0:
         raise ValueError("L = 0 has no crossing cluster: its three levels (H = n.S at y = 0) "
                          "never cross")
     if cfg.y != 0.0:
         raise ValueError(f"exact clusters exist only at y = 0, got y = {cfg.y}")
-    window = 0.2 * x_star
-    degs = find_degeneracies(cfg.params(x_star), (x_star - window, x_star + window))
-    exact = [d for d in degs if d.exact and abs(d.x - x_star) < 1e-6]
-    if not exact:
+    if x_star <= 0:
+        raise ValueError(f"--cluster needs x > 0, got x = {x_star}")
+    es, _, positions = _levels(cfg.params(x_star))
+    touching = np.diff(es.eigenvalues) < TOL.subspace_isolation  # (b, b + 1) within the gate
+    if not touching.any():
         raise ValueError(f"no exact crossing found near x = {x_star}")
-    return exact[0].labels
+    first = last = int(np.argmax(touching))
+    while last < len(touching) and touching[last]:
+        last += 1
+    members = (positions >= first) & (positions <= last)
+    return tuple(int(lab) + 1 for lab in np.flatnonzero(members))
 
 
 def _cluster(cfg: ScanConfig) -> tuple[ModelParams, tuple[int, ...], str]:

@@ -85,11 +85,16 @@ def spin_operators(j: SpinQuantumNumber) -> SpinTriple:
 
 
 @lru_cache(maxsize=16)
-def _j_y_eigenvectors(two_j: int) -> np.ndarray:
-    """Eigenvectors of J_y as columns, eigenvalues ascending (m = -j..j).  Read-only."""
+def _j_y_eigenvectors(two_j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvectors V of J_y as columns, eigenvalues ascending (m = -j..j), V^dag, and m / 2.
+
+    m / 2 is exact, as m is a half-integer.  All three are read-only.
+    """
     v = np.linalg.eigh(spin_operators(SpinQuantumNumber(two_j)).sy)[1]
-    v.flags.writeable = False
-    return v
+    out = v, v.conj().T.copy(), (np.arange(two_j + 1) - two_j / 2) / 2
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 def _small_d(two_j: int, beta: np.ndarray) -> np.ndarray:
@@ -101,10 +106,11 @@ def _small_d(two_j: int, beta: np.ndarray) -> np.ndarray:
     real.  e^{-i beta m} - 1 is written -2i sin(beta m / 2) e^{-i beta m / 2},
     which is exactly zero at beta = 0, so d(0) is the identity bit for bit.
     """
-    v, n = _j_y_eigenvectors(two_j), two_j + 1
-    half = np.asarray(beta, dtype=float)[..., None] * (np.arange(n) - two_j / 2) / 2
+    v, v_dag, half_m = _j_y_eigenvectors(two_j)
+    n = two_j + 1
+    half = np.asarray(beta, dtype=float)[..., None] * half_m
     shift = -2j * np.sin(half) * np.exp(-1j * half)
-    turn = (v * shift[..., None, :]).reshape(-1, n) @ v.conj().T  # one GEMM over every angle
+    turn = (v * shift[..., None, :]).reshape(-1, n) @ v_dag  # one GEMM over every angle
     return np.eye(n) + turn.real.reshape(shift.shape + (n,))
 
 

@@ -13,7 +13,7 @@ import happer
 import happer.cli
 from happer.cli import ScanConfig, build_parser, config_from_args, main
 from happer.model import ModelParams
-from happer.spectrum import eigensystem_with_j, level_positions
+from happer.spectrum import eigensystem_with_j, find_degeneracies, level_positions
 from happer.tolerances import TOL
 
 
@@ -468,6 +468,59 @@ def test_cluster_is_refused_off_y_zero(command, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: exact clusters exist only at y = 0, got y = 0.1\n"
+
+
+@pytest.mark.parametrize("args", [["chern", "--scheme", "link"], ["chern", "--scheme", "curvature"],
+                                  ["phase"]], ids=["chern-link", "chern-curvature", "phase"])
+@pytest.mark.parametrize("x", ["0", "-0.3", "-0.6666666666666666"])
+def test_cluster_is_refused_at_x_not_above_zero(args, x, capsys):
+    # The crossing sits at x* = 2/(2L+1) > 0; x = 0 is H = n.S, whose three
+    # (2L+1)-fold levels are no crossing cluster.
+    assert main([*args, "--l", "1", "--cluster", "--mesh", "50", "--x", x]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --cluster needs x > 0, got x = {float(x)}\n"
+
+
+@pytest.mark.parametrize("x", ["0.5", "2"])
+def test_cluster_is_refused_away_from_a_crossing(x, capsys):
+    assert main(["chern", "--l", "1", "--cluster", "--mesh", "50", "--x", x]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: no exact crossing found near x = {float(x)}\n"
+
+
+def _searched_cluster_labels(p):
+    """Labels of the first exact crossing within 1e-6 of p.x found over p.x +- 20%, or None.
+
+    The rule the one-spectrum cluster replaced, kept here as its oracle.
+    """
+    window = 0.2 * p.x
+    degs = find_degeneracies(p, (p.x - window, p.x + window))
+    exact = [d for d in degs if d.exact and abs(d.x - p.x) < 1e-6]
+    return exact[0].labels if exact else None
+
+
+@pytest.mark.parametrize("two_l", range(1, 17))
+def test_cluster_labels_match_the_crossing_search(two_l):
+    # The one-spectrum rule against the crossing search it replaces, at the
+    # crossing x* and at every exact crossing in (0, 2).  Besides x*, those
+    # are the three groups of H(0) = n.S, reported a round-off (or, for the
+    # E = 0 tangency, ~1e-8) above 0.  There the search's window 0.2 x is
+    # too narrow to solve a pencil in, and it refuses; the cluster is then
+    # the lowest x = 0 group, the first one the crossing search reports.
+    cfg = ScanConfig(two_l=two_l)
+    p = cfg.params(1.0)
+    degs = find_degeneracies(p, (0.0, 2.0))
+    xs = [p.crossing_x()] + [d.x for d in degs if 0 < d.x < 2]
+    assert any(abs(x - p.crossing_x()) < 1e-12 for x in xs[1:])
+    for x in xs:
+        labels = happer.cli._cluster_labels(cfg, x)
+        searched = _searched_cluster_labels(cfg.params(x))
+        if searched is None:
+            assert x < 1e-6 and degs[0].x < 1e-6
+            searched = degs[0].labels
+        assert labels == searched, x
 
 
 # The options each command takes besides --format, --out and --config.
