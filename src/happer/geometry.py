@@ -56,7 +56,7 @@ from .degenerate import degenerate_energy, gram_schmidt, raw_degenerate_vectors
 from .errors import MeshResolutionError, SubspaceIsolationError
 from .mesh import SphereMesh
 from .model import ModelParams, _jz_diagonal, build_hamiltonian, hamiltonian_batch
-from .operators import _small_d
+from .operators import _turned
 from .spectrum import _check_isolated, _half_grid, _resolve_labels
 from .table import _csv_text
 from .tolerances import TOL
@@ -89,19 +89,6 @@ def _check_quantized(result: ChernResult, context: str) -> ChernResult:
     return result
 
 
-def _turned(v0: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """e^{-i beta J_y} v0 for each angle beta, shape (n, dim, k), v0 of shape (dim, k).
-
-    e^{-i beta J_y} = d^1(beta) (x) d^L(beta) acts on the (3, 2L + 1)
-    factors of v0's rows, one small-d at a time; the dim x dim matrix is
-    never formed.
-    """
-    (dim, k), n = v0.shape, len(angles)
-    turned = _small_d(dim // 3 - 1, angles)[:, None] @ v0.reshape(3, dim // 3, k)
-    turned = _small_d(2, angles) @ turned.reshape(n, 3, dim // 3 * k)
-    return turned.reshape(n, dim, k)
-
-
 def _meridian(p: ModelParams, thetas: np.ndarray, sets: Sequence[Sequence[int]], context: str,
               h_builder: _Covariant | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs at phi = 0 on thetas, shapes (n, d) and (n, d, d); every set gated on them.
@@ -118,9 +105,10 @@ def _meridian(p: ModelParams, thetas: np.ndarray, sets: Sequence[Sequence[int]],
     """
     everywhere = h_builder is None and p.y == 0.0
     if everywhere:
-        w0, v0 = np.linalg.eigh(hamiltonian_batch(p, thetas[:1], np.zeros(1)))
+        v = np.empty((len(thetas), p.dim, p.dim), dtype=complex)
+        w0, v[:1] = np.linalg.eigh(hamiltonian_batch(p, thetas[:1], np.zeros(1)))
         w = np.broadcast_to(w0, (len(thetas), p.dim))
-        v = np.concatenate([v0, _turned(v0[0], thetas[1:] - thetas[0])])
+        _turned(v[0], thetas[1:] - thetas[0], out=v[1:])
     else:
         w, v = np.linalg.eigh(h_builder[0](thetas) if h_builder else hamiltonian_batch(
             replace(p, axis=(0.0, 0.0, 1.0)), thetas, np.zeros_like(thetas)))

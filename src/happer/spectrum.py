@@ -4,24 +4,27 @@ Every labelled quantity reads one object, _Sectors.  It alone decides
 whether n_B.J is conserved: at y = 0, or with the field along +-a,
 H(x) = F + x X is block diagonal in the n_B.J eigenbasis, so every state
 is an (m, rank) slot, the rank-th lowest level of the m-sector.  Ranks
-never change because levels of equal m repel.  Otherwise the whole
-spectrum is one sector and its slots are the ascending positions.
-Labels 1..dim are the slots in stable ascending energy order at
-x = 2.5, beyond every crossing (the last y = 0 crossing sits at
-x* <= 2), for sweeps, crossing annotations and per-point quantities
-alike.  This reproduces maximal-overlap continuation everywhere and
-stays well defined inside degenerate clusters, where bare eigenvector
-overlaps are ambiguous.  With sectors, sweeps, the per-point
-eigensystem and label positions solve the blocks (of size 1, 2 or 3)
-directly, and crossings are the roots of one pencil per pair of
-sectors, each confirmed on that pair's two blocks.  Without them labels
-are positions (adiabatic labelling) and crossings are minimum-gap
-anti-crossings.
+never change because levels of equal m repel.  The sectors are built in
+the field frame, where n_B.J is J_z and each sector is a set of
+product-basis rows, so no eigensolve finds them; eigenvectors are turned
+back to the lab.  Otherwise the whole spectrum is one sector and its
+slots are the ascending positions.  Labels 1..dim are the slots in
+stable ascending energy order at x = 2.5, beyond every crossing (the
+last y = 0 crossing sits at x* <= 2), for sweeps, crossing annotations
+and per-point quantities alike.  This reproduces maximal-overlap
+continuation everywhere and stays well defined inside degenerate
+clusters, where bare eigenvector overlaps are ambiguous.  With sectors,
+sweeps, the per-point eigensystem and label positions solve the blocks
+(of size 1, 2 or 3) directly, and crossings are the roots of every
+sector pair's pencil, solved as one padded stack, each confirmed on
+that pair's two blocks.  Without them labels are positions (adiabatic
+labelling) and crossings are minimum-gap anti-crossings.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import combinations
 from numbers import Integral
 from typing import Callable, Sequence
@@ -29,8 +32,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import SubspaceIsolationError, TrackingError
-from .model import ModelParams, _hamiltonians, _product_operators, conserved_j
-from .operators import require_hermitian
+from .model import ModelParams, _hamiltonians, _jz_diagonal, _product_operators, conserved_j
+from .operators import _turned, require_hermitian
 from .tolerances import TOL
 
 
@@ -60,44 +63,77 @@ _X_LABELS = 2.5  # labels are numbered by energy here, beyond every crossing (x*
 _ALONG_AXIS = 1e-14  # |n_B x a| below which the field lies along the axis
 
 
+def _frame_axis(p: ModelParams) -> tuple[float, float, float]:
+    """The axis a in the field frame, R^-1 a = (e_theta.a, e_phi.a, n_B.a), R(theta, phi) z = n_B."""
+    theta, phi = p.field.theta, p.field.phi
+    frame = np.array([[np.cos(theta) * np.cos(phi), np.cos(theta) * np.sin(phi), -np.sin(theta)],
+                      [-np.sin(phi), np.cos(phi), 0.0], p.field.unit_vector()])
+    return tuple((frame @ np.asarray(p.axis, dtype=float)).tolist())
+
+
+@lru_cache(maxsize=16)
+def _sector_plan(nuclear_two_l: int) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]],
+                                               np.ndarray]:
+    """The J_z sectors of the product basis: 2m of each slot, the sectors by size, the off-block mask.
+
+    J_z is diagonal in the product basis, so a sector is a set of its rows.
+    Slots list the sectors in ascending m.  Each size group holds the slots
+    and the rows of its sectors, both of shape (n_sectors, size).  The mask
+    is True at the (row, column) entries that couple two sectors.  All of
+    them are read-only.
+    """
+    two_m_of_row = np.rint(2 * _jz_diagonal(nuclear_two_l)).astype(int)
+    rows_by_slot = np.argsort(two_m_of_row, kind="stable")
+    two_m = two_m_of_row[rows_by_slot]
+    starts = np.flatnonzero(np.diff(two_m, prepend=two_m[0] - 1))
+    sizes = np.diff(starts, append=len(two_m))
+    groups = []
+    for k in np.unique(sizes):
+        slots = starts[sizes == k][:, None] + np.arange(k)
+        groups.append((slots, rows_by_slot[slots]))
+    off = np.not_equal.outer(two_m_of_row, two_m_of_row)
+    for a in (two_m, off, *(a for group in groups for a in group)):
+        a.flags.writeable = False
+    return two_m, groups, off
+
+
 class _Sectors:
     """The labelled spectrum of H(x) = F + x X at the field, axis and y of p.
 
     When n_B.J commutes with H (y = 0, or n_B along +-a to _ALONG_AXIS), H
-    is block diagonal in the n_B.J eigenbasis: slot s is the column s of
-    that basis, with the m-sectors in ascending order, and inside a sector
-    the k-th slot carries the k-th lowest energy.  Sectors of equal size
-    (1, 2 or 3 for S = 1) are stacked, so energies over a whole x grid
-    cost one batched eigvalsh per block size above 1.  Otherwise the whole
-    spectrum is one sector, solved from the full H, and slot s is the
+    is block diagonal in the n_B.J sectors.  They are built in the field
+    frame, where n_B points along z and n_B.J is J_z: there H is the model
+    at theta = 0, with the axis turned to R^-1 a, and its sectors are sets
+    of product-basis rows (_sector_plan), so no eigensolve finds them.
+    Slot s is the s-th state of the sectors in ascending m, and inside a
+    sector the k-th slot carries the k-th lowest energy.  Sectors of equal
+    size (1, 2 or 3 for S = 1) are stacked, so energies over a whole x grid
+    cost one batched eigvalsh per block size above 1; eigenvectors are
+    turned to the lab by e^{-i phi J_z} e^{-i theta J_y}.  Otherwise the
+    whole spectrum is one sector, solved from the full H, and slot s is the
     ascending position s.  Label k + 1 is slot slot_of_label[k], the
     stable energy order of the slots at _X_LABELS.
     """
 
     def __init__(self, p: ModelParams) -> None:
         self.p = p
-        h0, h1 = require_hermitian(self._full(np.array([0.0, 1.0])), what="swept Hamiltonian")
         self.split = (p.y == 0.0
                       or np.linalg.norm(np.cross(p.field.unit_vector(), p.axis)) < _ALONG_AXIS)
-        if self.split:
-            jw, self.u = np.linalg.eigh(conserved_j(p))
-            self.two_m = np.rint(2 * jw).astype(int)
-            f = self.u.conj().T @ h0 @ self.u
-            x_op = self.u.conj().T @ (h1 - h0) @ self.u
-            off = self.two_m[:, None] != self.two_m[None, :]
-            leak = max(np.max(np.abs(f[off]), initial=0.0), np.max(np.abs(x_op[off]), initial=0.0))
-            if leak > 1e-9:
-                raise TrackingError(f"H is not block diagonal in n_B.J (off-block {leak:.3e})")
-            starts = np.flatnonzero(np.diff(self.two_m, prepend=self.two_m[0] - 1))
-            sizes = np.diff(starts, append=len(self.two_m))
-            self.blocks = []
-            for k in np.unique(sizes):
-                idx = starts[sizes == k][:, None] + np.arange(k)
-                rows, cols = idx[:, :, None], idx[:, None, :]
-                self.blocks.append((idx, f[rows, cols], x_op[rows, cols]))
-            self.slot_of_label = np.argsort(self.levels([_X_LABELS])[0][0], kind="stable")
-        else:  # positions are in ascending energy order at every x
+        if not self.split:  # positions are in ascending energy order at every x
+            require_hermitian(self._full(np.array([0.0, 1.0])), what="swept Hamiltonian")
             self.slot_of_label = np.arange(p.dim)
+            return
+        frame = p if p.y == 0.0 else replace(p, axis=_frame_axis(p))
+        h0, h1 = require_hermitian(_hamiltonians(frame, 0.0, 0.0, np.array([0.0, 1.0]), p.y),
+                                   what="swept Hamiltonian")
+        x_op = h1 - h0
+        self.two_m, groups, off = _sector_plan(p.nuclear_two_l)
+        leak = max(np.max(np.abs(h0[off]), initial=0.0), np.max(np.abs(x_op[off]), initial=0.0))
+        if leak > 1e-9:
+            raise TrackingError(f"H is not block diagonal in n_B.J (off-block {leak:.3e})")
+        self.blocks = [(slots, rows, h0[rows[:, :, None], rows[:, None, :]],
+                        x_op[rows[:, :, None], rows[:, None, :]]) for slots, rows in groups]
+        self.slot_of_label = np.argsort(self.levels([_X_LABELS])[0][0], kind="stable")
 
     def _full(self, x) -> np.ndarray:
         """The full H at coupling x, or at each coupling of an array of them."""
@@ -114,8 +150,8 @@ class _Sectors:
             e, v = np.linalg.eigh(self._full(x))
             return e, _j_values(self.p, v)
         e = np.empty((len(x), self.p.dim))
-        for idx, f, x_op in self.blocks:
-            e[:, idx] = _energies(f + x[:, None, None, None] * x_op)
+        for slots, _, f, x_op in self.blocks:
+            e[:, slots] = _energies(f + x[:, None, None, None] * x_op)
         return e, np.broadcast_to(self.two_m / 2, e.shape)
 
     def eigh(self, x: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -124,12 +160,13 @@ class _Sectors:
             e, v = np.linalg.eigh(self._full(x))
             v = fix_phases(v)
             return e, v, _j_values(self.p, v)
-        dim = self.p.dim
-        e = np.empty(dim)
-        w = np.zeros((dim, dim), dtype=complex)
-        for idx, f, x_op in self.blocks:
-            e[idx], w[idx[:, :, None], idx[:, None, :]] = np.linalg.eigh(f + x * x_op)
-        return e, fix_phases(self.u @ w), self.two_m / 2
+        p = self.p
+        e = np.empty(p.dim)
+        v = np.zeros((p.dim, p.dim), dtype=complex)  # field-frame eigenvectors
+        for slots, rows, f, x_op in self.blocks:
+            e[slots], v[rows[:, :, None], slots[:, None, :]] = np.linalg.eigh(f + x * x_op)
+        turn_z = np.exp(-1j * p.field.phi * _jz_diagonal(p.nuclear_two_l))[:, None]
+        return e, fix_phases(turn_z * _turned(v, np.array([p.field.theta]))[0]), self.two_m / 2
 
 
 def _energies(h: np.ndarray) -> np.ndarray:
@@ -139,7 +176,7 @@ def _energies(h: np.ndarray) -> np.ndarray:
 
 def _j_values(p: ModelParams, v: np.ndarray) -> np.ndarray:
     """<n_B.J> in each eigenvector column of v, or of each basis in a stack of them."""
-    return np.real(np.einsum("...in,ij,...jn->...n", v.conj(), conserved_j(p), v))
+    return (v.conj() * (conserved_j(p) @ v)).sum(-2).real
 
 
 def _levels(p: ModelParams) -> tuple[EigenSystem, np.ndarray, np.ndarray]:
@@ -342,43 +379,59 @@ def _pencil_roots(a: np.ndarray, b: np.ndarray, lo: float, hi: float) -> list[np
     return roots
 
 
-def _exact_crossings(sectors: _Sectors, lo: float, hi: float) -> list[DegeneracyPoint]:
-    """Crossings of labelled levels on [lo, hi], as roots of sector-pair pencils.
+def _pair_pencils(sectors: _Sectors) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarray]:
+    """Every pair of sectors, as (block group, index in it) of s and t, and the stack of their pencils.
 
-    Slots of sectors s and t meet where (F_s + x X_s) (x) I - I (x) (F_t + x X_t)^T
-    is singular, at a finite real eigenvalue x of a pencil of size at most
-    9x9 (a two-parameter eigenvalue problem); pencils of one size are solved
-    as one stack.  A root counts where a slot of s and a slot of t agree to
-    1e-9 on the pair's own two blocks, and the blocks of one size are solved
-    at all their roots as one stack.  Roots are grouped by (x, E), and the
-    full spectrum is solved at each group's root, every slot within
-    TOL.degeneracy_gap of E a member, with gap 0 (the members' spread there
-    is round-off).  Groups come in ascending order of their root, and of
-    energy among the groups that share one.
+    Slots of sectors s and t meet where a - x b = (F_s + x X_s) (x) I - I (x)
+    (F_t + x X_t)^T is singular.  Each pencil is padded to the largest with
+    the identity in a and zero in b, which adds only infinite roots.
     """
-    sector_list = [(g, j) for g, (idx, _, _) in enumerate(sectors.blocks) for j in range(len(idx))]
+    sector_list = [(g, j) for g, (slots, _, _, _) in enumerate(sectors.blocks)
+                   for j in range(len(slots))]
     pairs = list(combinations(sector_list, 2))
     by_sizes: dict[tuple[int, int], list[int]] = {}
     for k, ((g_s, _), (g_t, _)) in enumerate(pairs):
         by_sizes.setdefault((g_s, g_t), []).append(k)
-    roots_of = [np.empty(0)] * len(pairs)
+    size = max(sectors.blocks[g_s][2].shape[-1] * sectors.blocks[g_t][2].shape[-1]
+               for g_s, g_t in by_sizes)
+    a = np.zeros((len(pairs), size, size), dtype=complex)
+    a[:, np.arange(size), np.arange(size)] = 1.0
+    b = np.zeros_like(a)
     for (g_s, g_t), ks in by_sizes.items():
         j_s, j_t = [pairs[k][0][1] for k in ks], [pairs[k][1][1] for k in ks]
-        _, f_s, x_s = sectors.blocks[g_s]
-        _, f_t, x_t = sectors.blocks[g_t]
-        a = _kron_difference(f_s[j_s], f_t[j_t])
-        b = -_kron_difference(x_s[j_s], x_t[j_t])
-        for k, x in zip(ks, _pencil_roots(a, b, lo, hi)):
-            roots_of[k] = x
+        _, _, f_s, x_s = sectors.blocks[g_s]
+        _, _, f_t, x_t = sectors.blocks[g_t]
+        n = f_s.shape[-1] * f_t.shape[-1]
+        a[ks, :n, :n] = _kron_difference(f_s[j_s], f_t[j_t])
+        b[ks, :n, :n] = -_kron_difference(x_s[j_s], x_t[j_t])
+    return pairs, a, b
+
+
+def _exact_crossings(sectors: _Sectors, lo: float, hi: float) -> list[DegeneracyPoint]:
+    """Crossings of labelled levels on [lo, hi], as roots of sector-pair pencils.
+
+    The roots are the finite real eigenvalues x of every sector pair's
+    pencil, of size at most 9x9 (a two-parameter eigenvalue problem),
+    solved as one padded stack (_pair_pencils).  A root counts where a slot
+    of s and a slot of t agree to 1e-9 on the pair's own two blocks, and
+    the blocks of one size are solved at all their roots as one stack.
+    Roots are grouped by (x, E), and the full spectrum is solved at each
+    group's root, every slot within TOL.degeneracy_gap of E a member, with
+    gap 0 (the members' spread there is round-off).  Groups come in
+    ascending order of their root, and of energy among the groups that
+    share one.
+    """
+    pairs, a, b = _pair_pencils(sectors)
+    roots_of = _pencil_roots(a, b, lo, hi)
     roots = np.concatenate(roots_of)
     # (block group, index in it) of the sectors s and t of each root's pair,
     # and their energies there, NaN-padded to the largest block
     tag = np.repeat(np.array(pairs), [len(x) for x in roots_of], axis=0)
-    e = np.full((len(roots), 2, max(idx.shape[1] for idx, _, _ in sectors.blocks)), np.nan)
-    for g, (idx, f, x_op) in enumerate(sectors.blocks):
+    e = np.full((len(roots), 2, max(f.shape[-1] for _, _, f, _ in sectors.blocks)), np.nan)
+    for g, (_, _, f, x_op) in enumerate(sectors.blocks):
         at, side = np.nonzero(tag[..., 0] == g)
         block = tag[at, side, 1]
-        e[at, side, :idx.shape[1]] = _energies(f[block] + roots[at, None, None] * x_op[block])
+        e[at, side, :f.shape[-1]] = _energies(f[block] + roots[at, None, None] * x_op[block])
     r, i, j = np.nonzero(np.abs(e[:, 0, :, None] - e[:, 1, None, :]) < 1e-9)
     if not r.size:
         return []

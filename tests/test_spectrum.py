@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 import happer.spectrum as spectrum
 from happer.degenerate import degenerate_energy
 from happer.errors import HermiticityError, TrackingError
-from happer.model import (FieldDirection, ModelParams, build_hamiltonian, conserved_j,
-                          spin_axis_commutator)
+from happer.model import (FieldDirection, ModelParams, _product_operators, build_hamiltonian,
+                          conserved_j, spin_axis_commutator)
 from happer.spectrum import (eigensystem, eigensystem_with_j, find_degeneracies,
                              level_positions, track_levels)
 from happer.tolerances import TOL
@@ -297,6 +298,83 @@ def test_sectors_refuse_an_axis_term_that_breaks_the_symmetry(monkeypatch):
         spectrum._Sectors(p)
 
 
+def lab_sectors(p):
+    """The split labelled spectrum built in the lab: n_B.J's eigenbasis, H rotated into it.
+
+    Returns 2m by slot, the sector blocks (slots, F, X) by size, and the
+    slot of each label; the field-frame _Sectors must agree with it.
+    """
+    h0, h1 = build_hamiltonian(p.with_x(0.0)), build_hamiltonian(p.with_x(1.0))
+    jw, u = np.linalg.eigh(conserved_j(p))
+    two_m = np.rint(2 * jw).astype(int)
+    f, x_op = u.conj().T @ h0 @ u, u.conj().T @ (h1 - h0) @ u
+    starts = np.flatnonzero(np.diff(two_m, prepend=two_m[0] - 1))
+    sizes = np.diff(starts, append=len(two_m))
+    blocks = []
+    for k in np.unique(sizes):
+        idx = starts[sizes == k][:, None] + np.arange(k)
+        rows, cols = idx[:, :, None], idx[:, None, :]
+        blocks.append((idx, f[rows, cols], x_op[rows, cols]))
+
+    def eigh(x):
+        e, w = np.empty(p.dim), np.zeros((p.dim, p.dim), dtype=complex)
+        for idx, f_k, x_k in blocks:
+            e[idx], w[idx[:, :, None], idx[:, None, :]] = np.linalg.eigh(f_k + x * x_k)
+        return e, spectrum.fix_phases(u @ w)
+
+    return two_m, np.argsort(eigh(spectrum._X_LABELS)[0], kind="stable"), eigh
+
+
+def sector_fields(rng):
+    """y = 0 at both poles and two random fields; y != 0 with the field along +a and along -a."""
+    for theta, phi in [(0.0, 0.0), (np.pi, 0.0), (np.pi, 2.0),
+                       *zip(rng.uniform(0.0, np.pi, 2), rng.uniform(0.0, 2 * np.pi, 2))]:
+        yield 0.0, FieldDirection(theta, phi), (0.0, 0.0, 1.0)
+    a = rng.normal(size=3)
+    a /= np.linalg.norm(a)
+    for n in (a, -a):
+        yield rng.uniform(-0.5, 0.5), FieldDirection(np.arccos(n[2]), np.arctan2(n[1], n[0])), tuple(a)
+
+
+@pytest.mark.parametrize("two_l", [0, 1, 2, 3])
+def test_the_field_frame_hamiltonian_turns_into_the_lab_one(two_l):
+    # H(n_B; a) = U H(z; R^-1 a) U^dag with U = e^{-i phi J_z} e^{-i theta J_y}
+    # and R(theta, phi) z = n_B, for any field, axis and y.
+    _, _, big_s, big_l, _ = _product_operators(two_l)
+    j_y, j_z = big_s[1] + big_l[1], big_s[2] + big_l[2]
+    rng = np.random.default_rng(two_l)
+    for _ in range(4):
+        a = rng.normal(size=3)
+        p = ModelParams(two_l, rng.uniform(-1, 1), rng.uniform(-1, 1),
+                        FieldDirection(rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi)),
+                        tuple(a / np.linalg.norm(a)))
+        frame = ModelParams(two_l, p.x, p.y, FieldDirection(0.0, 0.0), spectrum._frame_axis(p))
+        u = expm(-1j * p.field.phi * j_z) @ expm(-1j * p.field.theta * j_y)
+        lab = u @ build_hamiltonian(frame) @ u.conj().T
+        assert np.max(np.abs(lab - build_hamiltonian(p))) < 1e-12, p
+
+
+@pytest.mark.parametrize("two_l", [*range(9), 17])
+def test_field_frame_sectors_match_the_lab_construction(two_l):
+    rng = np.random.default_rng(two_l)
+    for y, field, axis in sector_fields(rng):
+        p = ModelParams(two_l, 0.5, y, field, axis)
+        sectors = spectrum._Sectors(p)
+        assert sectors.split
+        two_m, slot_of_label, lab_eigh = lab_sectors(p)
+        assert np.array_equal(sectors.two_m, two_m), p
+        assert np.array_equal(sectors.slot_of_label, slot_of_label), p
+        for x in (*rng.uniform(-2.5, 2.5, 3), 0.31, p.crossing_x()):
+            e, v, j = sectors.eigh(x)
+            e_ref, v_ref = lab_eigh(x)
+            assert np.max(np.abs(e - e_ref)) < 1e-12, (p, x)
+            assert np.array_equal(j, two_m / 2)
+            # equal up to one phase per column
+            overlap = np.sum(v_ref.conj() * v, axis=0)
+            assert np.max(np.abs(v - v_ref * (overlap / np.abs(overlap)))) < 1e-12, (p, x)
+            assert np.max(np.abs(sectors.levels([x])[0][0] - e_ref)) < 1e-12, (p, x)
+
+
 @pytest.mark.parametrize("axis,theta,phi", [
     ((0.0, 0.0, 1.0), 0.0, 0.0), ((0.0, 0.0, 1.0), np.pi, 0.0),
     ((0.6, 0.0, 0.8), np.arccos(0.8), 0.0), ((0.6, 0.0, 0.8), np.pi - np.arccos(0.8), np.pi)],
@@ -469,17 +547,12 @@ def test_sorted_hit_groups_match_the_all_pairs_rule(monkeypatch):
 
 
 def full_spectrum_hits(sectors, lo, hi):
-    """The (x, E) hits of every pencil root confirmed on the full sectors.levels spectrum."""
-    pairs = list(combinations([(g, j) for g, (idx, _, _) in enumerate(sectors.blocks)
-                               for j in range(len(idx))], 2))
+    """The (x, E) hits of every root of the padded pencil stack, confirmed on sectors.levels."""
+    pairs, a, b = spectrum._pair_pencils(sectors)
     x_hit, e_hit = [], []
-    for (g_s, j_s), (g_t, j_t) in pairs:
-        _, f_s, x_s = sectors.blocks[g_s]
-        _, f_t, x_t = sectors.blocks[g_t]
-        a = spectrum._kron_difference(f_s[[j_s]], f_t[[j_t]])
-        b = -spectrum._kron_difference(x_s[[j_s]], x_t[[j_t]])
+    for ((g_s, j_s), (g_t, j_t)), roots in zip(pairs, spectrum._pencil_roots(a, b, lo, hi)):
         s, t = sectors.blocks[g_s][0][j_s], sectors.blocks[g_t][0][j_t]
-        for x in spectrum._pencil_roots(a, b, lo, hi)[0]:
+        for x in roots:
             e = sectors.levels([x])[0][0]
             for i, j in zip(*np.nonzero(np.abs(e[s][:, None] - e[t]) < 1e-9)):
                 x_hit.append(x)
@@ -498,6 +571,42 @@ def test_roots_confirmed_on_their_blocks_match_the_full_spectrum(monkeypatch, tw
         (x_hit, e_hit), = seen
         x_ref, e_ref = full_spectrum_hits(spectrum._Sectors(p), -1.0, 2.0)
         assert x_hit.tobytes() == x_ref.tobytes() and e_hit.tobytes() == e_ref.tobytes(), p
+
+
+def roots_by_size_pair(sectors, lo, hi):
+    """Each sector pair's pencil roots from one unpadded stack per pair of block sizes."""
+    pairs = list(combinations([(g, j) for g, (slots, _, _, _) in enumerate(sectors.blocks)
+                               for j in range(len(slots))], 2))
+    by_sizes = {}
+    for k, ((g_s, _), (g_t, _)) in enumerate(pairs):
+        by_sizes.setdefault((g_s, g_t), []).append(k)
+    roots_of = [None] * len(pairs)
+    for (g_s, g_t), ks in by_sizes.items():
+        j_s, j_t = [pairs[k][0][1] for k in ks], [pairs[k][1][1] for k in ks]
+        _, _, f_s, x_s = sectors.blocks[g_s]
+        _, _, f_t, x_t = sectors.blocks[g_t]
+        a = spectrum._kron_difference(f_s[j_s], f_t[j_t])
+        b = -spectrum._kron_difference(x_s[j_s], x_t[j_t])
+        for k, x in zip(ks, spectrum._pencil_roots(a, b, lo, hi)):
+            roots_of[k] = x
+    return roots_of
+
+
+@pytest.mark.parametrize("two_l", range(1, 13))
+def test_padded_pencil_roots_match_one_stack_per_size_pair(two_l):
+    # Padding a pencil with the identity in a and zero in b adds only
+    # infinite roots; its finite roots move by a few ulps.  The x = 0
+    # tangency's roots are accurate to ~1e-8 only, so they are left out.
+    for p in split_fields(two_l, np.random.default_rng(100 + two_l)):
+        sectors = spectrum._Sectors(p)
+        _, a, b = spectrum._pair_pencils(sectors)
+        padded = spectrum._pencil_roots(a, b, -1.0, 2.0)
+        reference = roots_by_size_pair(sectors, -1.0, 2.0)
+        assert len(padded) == len(reference)
+        for x, x_ref in zip(padded, reference):
+            x, x_ref = np.sort(x[np.abs(x) > 1e-6]), np.sort(x_ref[np.abs(x_ref) > 1e-6])
+            assert len(x) == len(x_ref), p
+            assert np.max(np.abs(x - x_ref), initial=0.0) < 1e-12, p
 
 
 def test_crossing_memory_is_not_quadratic_in_the_hits(monkeypatch):
