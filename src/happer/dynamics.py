@@ -32,10 +32,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import AdiabaticityError, NormDriftError, SubspaceIsolationError
+from .errors import AdiabaticityError, NormDriftError
 from .model import (FieldDirection, ModelParams, _hamiltonians, _jz_diagonal,
                     _product_operators, _z_covariant, spin_axis_operator)
-from .spectrum import eigensystem
+from .spectrum import _check_isolated, eigensystem
 from .table import _csv_text
 from .tolerances import TOL
 
@@ -342,22 +342,18 @@ def extract_geometric_phase(traj: Trajectory, p0: ModelParams, protocol: DrivePr
 def adiabatic_omega(p0: ModelParams, protocol_theta: float, factor: float = 1e-3) -> float:
     """Drive frequency factor x (minimum spectral gap over 16 azimuths of the field cone).
 
-    A cone on which two levels come within TOL.subspace_isolation has no
-    adiabatic frequency and is refused with a SubspaceIsolationError.
+    The gap is the isolation gate's return on the cone, every level its own set
+    (_check_isolated): a cone where two levels touch has no adiabatic frequency.
     """
     FieldDirection(protocol_theta, 0.0)  # validates the cone angle
     if not 0 < factor < math.inf:
         raise ValueError(f"omega factor must be positive and finite, got {factor!r}")
     phis = np.linspace(0, 2 * np.pi, 16, endpoint=False)
     w = np.linalg.eigvalsh(_hamiltonians(p0, protocol_theta, phis, p0.x, p0.y))
-    gaps = np.diff(w, axis=-1)
-    i, b = np.unravel_index(np.argmin(gaps), gaps.shape)
-    if gaps[i, b] < TOL.subspace_isolation:
-        raise SubspaceIsolationError(
-            f"adiabatic drive: levels at positions {b} and {b + 1} touch on the cone "
-            f"theta0={protocol_theta:.6g} (gap {gaps[i, b]:.2e}), so no drive frequency is "
-            "adiabatic; move x or y away from the touching or change theta0")
-    return factor * float(gaps[i, b])
+    return factor * _check_isolated(
+        w, [(k,) for k in range(p0.dim)], "adiabatic drive",
+        lambda _: f" on the cone theta0={protocol_theta:.6g}", "so no drive frequency is "
+        "adiabatic; move x or y away from the touching or change theta0")
 
 
 def cone_fit(vectors: np.ndarray) -> tuple[np.ndarray, float, float, float]:

@@ -38,7 +38,9 @@ tr X per ring and D at the ring's step dphi alone.  No per-point frame and
 no D(phi_n) is ever formed.
 
 Curvature Chern numbers read one Stokes integral, CurvatureField.flux(theta),
-the traced curvature north of latitude theta: chern_number reads flux(pi).
+the traced curvature north of latitude theta: chern_number reads flux(pi),
+and refuses a phi step the linearised connection cannot follow
+(_check_phi_steps).
 loop_phase(p, labels, theta0), the phase of the loop at polar angle theta0
 about z, is read from the same meridian with no curvature field
 (_orbit_phases); the mesh sets only the latitudes of the isolation gate.
@@ -99,9 +101,9 @@ def _meridian(p: ModelParams, thetas: np.ndarray, sets: Sequence[Sequence[int]],
     U H(theta_0, 0) U^dag with U = e^{-i(theta - theta_0) J_y}: only
     theta_0 = thetas[0] is solved, every other row is U v(theta_0) with
     Wigner small-d matrices (_turned), and every row keeps w(theta_0).
-    Then the isolation gate runs for each set of ascending positions.  A
-    touching is placed at its theta, or on the whole sphere at y = 0, where
-    no level depends on n.
+    Then one isolation gate checks every set of ascending positions in one
+    pass (_check_isolated).  A touching is placed at its theta, or on the
+    whole sphere at y = 0, where no level depends on n.
     """
     everywhere = h_builder is None and p.y == 0.0
     if everywhere:
@@ -112,9 +114,8 @@ def _meridian(p: ModelParams, thetas: np.ndarray, sets: Sequence[Sequence[int]],
     else:
         w, v = np.linalg.eigh(h_builder[0](thetas) if h_builder else hamiltonian_batch(
             replace(p, axis=(0.0, 0.0, 1.0)), thetas, np.zeros_like(thetas)))
-    for positions in sets:
-        _check_isolated(w, positions, context, lambda i: " on the whole sphere" if everywhere
-                        else f" at (theta={thetas[i]:.6f}, phi=0.000000)")
+    _check_isolated(w, sets, context, lambda i: " on the whole sphere" if everywhere
+                    else f" at (theta={thetas[i]:.6f}, phi=0.000000)")
     return w, v
 
 
@@ -465,15 +466,54 @@ def curvature_discrete(connections: ConnectionField) -> CurvatureField:
         step.conj().swapaxes(-1, -2) @ a1 @ step))
 
 
+def _check_phi_steps(connections: ConnectionField) -> None:
+    """Refuse a connection that cannot follow the phi steps of its frames.
+
+    A_phi = i(M - 1) keeps the linear term of the phi-edge overlap M =
+    F^dag R(dphi) F D(dphi), F = F(theta, 0) (connection_discrete).  The
+    theta-links and the commutator drop out of the trace, so each ring's
+    Re tr C is Im tr M_top - Im tr M_bottom, and Im tr M = sum |l| sin(arg
+    l) over the eigenvalues l of M.  That sum follows the eigenphases only
+    while the sine rises, |arg l| <= pi/2: beyond it a growing phase reads
+    as a shrinking one, so the flux loses a unit of winding and can still
+    land on the grid.  An eigenphase beyond TOL.plaquette_angle, the bound
+    the link scheme puts on its plaquette phases (_link_chern), raises.
+    Every l lies in a Gershgorin disc |l - M_ii| <= sum_{j != i} |M_ij|, and
+    |z| <= |Re z| + |Im z|, so an edge whose widened discs all lie in
+    Re l > 0 keeps every |arg l| < pi/2, and only the other edges are solved.
+    """
+    a = np.concatenate([connections.x_phi_top, connections.x_phi_bottom])  # M = 1 - i A
+    diagonal = np.diagonal(a, 0, -2, -1)
+    radius = np.abs(a.view(float)).sum(axis=-1) - np.abs(diagonal.real) - np.abs(diagonal.imag)
+    far = np.eye(a.shape[-1]) - 1j * a[(1 + diagonal.imag <= radius).any(axis=-1)]
+    largest = float(np.max(np.abs(np.angle(np.linalg.eigvals(far))), initial=0.0))
+    if largest > TOL.plaquette_angle:
+        raise MeshResolutionError(f"phi-edge overlap eigenphase {largest:.3f} exceeds "
+                                  f"{TOL.plaquette_angle:.3f}; refine the mesh")
+
+
+def _bounded_curvature(frames: FrameField) -> CurvatureField:
+    """Curvature of frames whose phi steps their connection follows (_check_phi_steps)."""
+    connections = connection_discrete(frames)
+    _check_phi_steps(connections)
+    return curvature_discrete(connections)
+
+
+def _rounded_flux(field: CurvatureField) -> ChernResult:
+    """field.flux(pi) / (4 pi) on the grid of its frames' band count (_half_grid), ungated."""
+    half = _half_grid(field.field.dim, field.field.meridian.shape[-1])
+    return ChernResult.from_fourpi(field.flux(np.pi) / (4 * np.pi), half)
+
+
 def chern_number(field: CurvatureField) -> ChernResult:
     """Traced curvature flux through the whole sphere, field.flux(pi), 1/(4 pi) normalization.
 
     The dropped north cap enters as in CurvatureField.flux: its solid
-    angle times the curvature density of the nearest ring.
+    angle times the curvature density of the nearest ring.  Frames whose
+    phi steps the connection cannot follow are refused (_check_phi_steps).
     """
-    half = _half_grid(field.field.dim, len(field.field.labels))
-    result = ChernResult.from_fourpi(field.flux(np.pi) / (4 * np.pi), half)
-    return _check_quantized(result, "curvature-integral Chern")
+    _check_phi_steps(connection_discrete(field.field))
+    return _check_quantized(_rounded_flux(field), "curvature-integral Chern")
 
 
 def curvature_field(p: ModelParams, labels: Sequence[int] | int,
@@ -486,8 +526,9 @@ def curvature_field(p: ModelParams, labels: Sequence[int] | int,
 def chern_number_curvature(p: ModelParams, labels: Sequence[int] | int,
                            mesh: SphereMesh | None = None,
                            source: str = "numerical") -> ChernResult:
-    """Chern number via the smoothed-gauge curvature scheme."""
-    return chern_number(curvature_field(p, labels, mesh, source=source))
+    """Chern number via the smoothed-gauge curvature scheme, gated as chern_number gates it."""
+    field = _bounded_curvature(smooth_gauge_states(p, labels, mesh, source=source))
+    return _check_quantized(_rounded_flux(field), "curvature-integral Chern")
 
 
 def _curvature_sets(p: ModelParams, mesh: SphereMesh, sets: Sequence[Sequence[int]]
@@ -495,12 +536,10 @@ def _curvature_sets(p: ModelParams, mesh: SphereMesh, sets: Sequence[Sequence[in
     """Curvature Chern numbers of band sets (ascending positions), the twin of _link_sets.
 
     One meridian solve and gate for every set (_frame_sets); each flux is
-    rounded as chern_number rounds it, with no quantization gate.
+    bounded (_check_phi_steps) and rounded as chern_number rounds it, with
+    no quantization gate.
     """
-    half = _half_grid(p.dim, len(sets[0]))
-    return [ChernResult.from_fourpi(
-        curvature_discrete(connection_discrete(frames)).flux(np.pi) / (4 * np.pi), half)
-        for frames in _frame_sets(p, mesh, sets)]
+    return [_rounded_flux(_bounded_curvature(frames)) for frames in _frame_sets(p, mesh, sets)]
 
 
 _PANEL_NODES = 16  # Gauss-Legendre nodes per panel of the integral across the axis circles

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
@@ -23,8 +24,11 @@ class SphereMesh:
     scheme: str = "equal-area"
 
     def __post_init__(self) -> None:
-        if self.n_theta < 4:
-            raise ValueError("n_theta must be at least 4")
+        for name, count in (("n_theta", self.n_theta), ("n_phi_max", self.n_phi_max)):
+            if name == "n_phi_max" and count is None:
+                continue  # the default, 2 n_theta
+            if not isinstance(count, Integral) or count < 4:
+                raise ValueError(f"{name} must be an integer of at least 4, got {count!r}")
         if self.scheme not in ("uniform", "equal-area"):
             raise ValueError(f"unknown mesh scheme {self.scheme!r}")
 

@@ -230,7 +230,7 @@ def projected_hamiltonian(p: ModelParams, band_labels, reference_eigensystem) ->
     if p.y != 0.0:
         raise ValueError("projection onto labelled levels is defined for y = 0")
     _, positions = _resolve_labels(p, band_labels)
-    _check_isolated(reference_eigensystem.eigenvalues, positions, f"projection at x={p.x}")
+    _check_isolated(reference_eigensystem.eigenvalues, [positions], f"projection at x={p.x}")
     frame = reference_eigensystem.eigenvectors[:, list(positions)]
     proj = frame @ frame.conj().T
     return proj @ build_hamiltonian(p) @ proj

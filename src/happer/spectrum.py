@@ -228,28 +228,33 @@ def _resolve_labels(p: ModelParams, labels) -> tuple[tuple[int, ...], tuple[int,
     return tuple(resolved), tuple(sorted(positions.tolist()))
 
 
-def _check_isolated(w: np.ndarray, positions: Sequence[int], context: str,
-                    where: Callable[[int], str] | None = None) -> None:
-    """Refuse a band set that comes within TOL.subspace_isolation of the rest of the spectrum.
+def _check_isolated(w: np.ndarray, sets: Sequence[Sequence[int]], context: str,
+                    where: Callable[[int], str] | None = None,
+                    advice: str = "so the subspace dimension is ambiguous; perturb x or y away "
+                                  "from the touching or treat the whole cluster") -> float:
+    """Refuse band sets of which one comes within TOL.subspace_isolation of the rest of the spectrum.
 
-    w holds ascending eigenvalues: (d,) at one point or (n, d) on n
-    points.  Every boundary between a member position and a non-member
-    one is checked; given ``where``, the message says where(i) of the
-    point i of smallest gap.
+    w holds ascending eigenvalues, (d,) at one point or (n, d) on n points,
+    and sets the band sets of one solve, each a sequence of positions.  A
+    set is isolated when every boundary between a member position and a
+    non-member one keeps a gap, so one pass over the union of the sets'
+    boundaries raises exactly when some set would alone.  It names the
+    boundary of smallest gap over all sets (and where(i) of its point i)
+    and returns that gap, inf when no set has a boundary.
     """
-    member = np.bincount(positions, minlength=w.shape[-1]) > 0
-    lower = np.flatnonzero(member[:-1] != member[1:])  # boundaries (b, b + 1)
+    member = np.zeros((len(sets), w.shape[-1]), dtype=bool)
+    member[[k for k, s in enumerate(sets) for _ in s], [b for s in sets for b in s]] = True
+    lower = np.flatnonzero((member[:, :-1] != member[:, 1:]).any(axis=0))  # boundaries (b, b + 1)
     if not lower.size:
-        return
+        return np.inf
     gaps = w[..., lower + 1] - w[..., lower]
     at = np.unravel_index(np.argmin(gaps), gaps.shape)
     if gaps[at] < TOL.subspace_isolation:
         b = lower[at[-1]]
         place = where(at[0]) if where else ""
-        raise SubspaceIsolationError(
-            f"{context}: bands at positions {b} and {b + 1} touch{place} (gap {gaps[at]:.2e}), "
-            "so the subspace dimension is ambiguous; perturb x or y away from the touching "
-            "or treat the whole cluster")
+        raise SubspaceIsolationError(f"{context}: bands at positions {b} and {b + 1} "
+                                     f"touch{place} (gap {gaps[at]:.2e}), {advice}")
+    return float(gaps[at])
 
 
 def _half_grid(dim: int, n_levels: int) -> bool:
@@ -285,6 +290,8 @@ def track_levels(p0: ModelParams, x_grid) -> LevelTrack:
     level_positions (and with it the chern, phase and dynamics commands).
     """
     x_grid = np.asarray(x_grid, dtype=float)
+    if not np.all(np.isfinite(x_grid)):  # NaN fails no comparison, so refuse it by name
+        raise ValueError(f"x_grid must be finite, got {x_grid[~np.isfinite(x_grid)][0]}")
     if x_grid.ndim != 1 or len(x_grid) < 2 or np.any(np.diff(x_grid) <= 0):
         raise ValueError("x_grid must be ascending with at least two points")
     sectors = _Sectors(p0)
@@ -321,6 +328,8 @@ def find_degeneracies(p: ModelParams, x_range: tuple[float, float],
     into several minimum-gap points).
     """
     lo, hi = float(x_range[0]), float(x_range[1])
+    if not np.isfinite([lo, hi]).all():
+        raise ValueError(f"x_range must be finite, got ({lo}, {hi})")
     if not hi > lo:
         raise ValueError("x_range must be increasing")
     sectors = _Sectors(p)

@@ -84,6 +84,17 @@ def test_curvature_rows_off_the_grid_are_flagged_not_fatal(tmp_path):
     assert all(float(r[5]) <= TOL.chern_integer for r in rows if r[7] == "0")
 
 
+def test_curvature_table_refuses_a_phi_step_too_large_for_a_band(capsys):
+    # 50 equal-area rings at 2L = 9: labels 19 and 30 read +-4.5, unflagged,
+    # where the link scheme gives +-5.5; their phi steps turn a frame past pi/2
+    assert main(["chern", "--l", "4.5", "--x", "0.3", "--y", "0.01", "--scheme", "curvature",
+                 "--mesh", "50"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: phi-edge overlap eigenphase ")
+    assert err.endswith("; refine the mesh\n")
+
+
 def test_chern_cluster_mode(tmp_path):
     code, text = run(tmp_path, "deg.csv",
                      ["chern", "--l", "1", "--cluster", "--mesh", "60"])
@@ -398,7 +409,7 @@ def test_dynamics_at_a_crossing_names_the_touching_levels(capsys, level):
                  "--steps-per-period", "400", *level]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("error: adiabatic drive: levels at positions ")
+    assert err.startswith("error: adiabatic drive: bands at positions ")
     assert "touch on the cone theta0=0.523599" in err and "omega" not in err
 
 

@@ -11,8 +11,8 @@ from happer.dynamics import (DriveProtocol, Trajectory, adiabatic_omega, cone_fi
 from happer.errors import AdiabaticityError, SubspaceIsolationError
 from happer.geometry import loop_phase
 from happer.mesh import SphereMesh
-from happer.model import (FieldDirection, ModelParams, _product_operators, build_hamiltonian,
-                          conserved_j, zeeman_params)
+from happer.model import (FieldDirection, ModelParams, _hamiltonians, _product_operators,
+                          build_hamiltonian, conserved_j, zeeman_params)
 from happer.operators import SpinQuantumNumber, spin_operators
 from happer.table import _csv_text
 
@@ -746,6 +746,24 @@ def test_adiabatic_omega_refuses_a_cone_where_levels_touch():
     with pytest.raises(SubspaceIsolationError, match=r"touch on the cone theta0=1 \(gap"):
         adiabatic_omega(p, 1.0)
     assert adiabatic_omega(ModelParams(2, 0.8, 0.0), 1.0) > 0
+
+
+@pytest.mark.parametrize("two_l,x,y,theta0,axis", [
+    (0, 0.0, 0.0, 0.7, (0.0, 0.0, 1.0)),
+    (2, 0.8, 0.0, np.pi / 6, (0.0, 0.0, 1.0)),
+    (2, 1.028, 0.1, 1.123, (1.0, 0.0, 0.0)),
+    (3, 0.7, 0.0, 2.0, (0.6, 0.0, 0.8)),
+    (4, 1.3, 0.05, 1.0, (0.0, 0.0, 1.0)),
+    (4, 0.45, 0.2, 0.4, (0.0, 0.6, 0.8)),
+])
+def test_adiabatic_omega_is_the_smallest_adjacent_gap_on_the_cone(two_l, x, y, theta0, axis):
+    # the rule adiabatic_omega kept before it read the isolation gate's return:
+    # factor times the smallest adjacent gap over 16 azimuths of the cone
+    p = ModelParams(two_l, x, y, axis=axis)
+    phis = np.linspace(0, 2 * np.pi, 16, endpoint=False)
+    w = np.linalg.eigvalsh(_hamiltonians(p, theta0, phis, x, y))
+    for factor in (1e-3, 0.03):
+        assert adiabatic_omega(p, theta0, factor) == factor * float(np.min(np.diff(w, axis=-1)))
 
 
 def test_landau_zener_rate_ordering():

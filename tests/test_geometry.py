@@ -71,6 +71,15 @@ def test_mesh_validation():
         SphereMesh(2)
     with pytest.raises(ValueError):
         SphereMesh(10, scheme="random")
+    # counts the mesh cannot use: a float ring count, no phi step, and one
+    # phi-link that is the whole circle
+    with pytest.raises(ValueError, match="n_theta must be an integer of at least 4, got 50.5"):
+        SphereMesh(50.5)
+    with pytest.raises(ValueError, match="n_phi_max must be an integer of at least 4, got 0"):
+        SphereMesh(50, 0)
+    with pytest.raises(ValueError, match="n_phi_max must be an integer of at least 4, got 1"):
+        SphereMesh(50, 1, "uniform")
+    assert SphereMesh(np.int64(4), 4).phi_max == 4
 
 
 def test_chern_result_conventions():
@@ -639,6 +648,42 @@ def test_link_gate_refuses_a_mesh_too_coarse_for_the_winding():
     assert sorted(r.rounded for r in res) == [-2, -1, -1, 0, 0, 0, 1, 1, 2]
 
 
+@pytest.mark.parametrize("p,label,mesh,wrong,right", [
+    (ModelParams(13, 0.3, 0.01, FieldDirection(0.6, 0.2)), 25,
+     SphereMesh(200, 400, "equal-area"), -5.5, -6.5),
+    (ModelParams(9, 0.3, 0.0, FieldDirection(0.6, 0.2)), 19, SphereMesh(50, 100, "equal-area"),
+     4.5, 5.5),
+], ids=["2L=13-200-rings", "2L=9-50-rings"])
+def test_curvature_refuses_a_phi_step_its_connection_cannot_follow(p, label, mesh, wrong, right):
+    # Past an eigenphase of pi/2 the phi-edge overlap's Im tr falls as the
+    # phase grows, so the flux lost a unit of winding and landed on the grid
+    # (on `wrong`, within the quantization gate); the link scheme gives `right`.
+    with pytest.raises(MeshResolutionError, match=r"phi-edge overlap eigenphase \d\.\d+ exceeds "
+                                                  r"1\.571; refine the mesh"):
+        chern_number_curvature(p, label, mesh)
+    frames = smooth_gauge_states(p, label, mesh)
+    flux = curvature_discrete(connection_discrete(frames)).flux(np.pi) / (4 * np.pi)
+    assert abs(flux - wrong) < TOL.chern_integer
+    assert chern_number_link_variable(p, label, SphereMesh(mesh.n_theta, scheme="uniform")).rounded \
+        == right
+
+
+def test_curvature_refuses_four_phis_per_ring_for_every_winding_band():
+    # One phi step of pi/2 turns an m = +-1 or +-2 band by pi/2 or more, and
+    # every label read 0; only the m = 0 bands, with M = 1, are still read.
+    p = ModelParams(2, 0.8, 0.0, FieldDirection(0.7, 0.3))
+    mesh = SphereMesh(50, 4, "uniform")
+    truth = [r.rounded for r in chern_spectrum_link_variable(p, SphereMesh(50, 100, "uniform"))]
+    read = {}
+    for label, position in enumerate(level_positions(p), start=1):
+        try:
+            read[label] = chern_number_curvature(p, label, mesh).rounded
+        except MeshResolutionError as exc:
+            assert "refine the mesh" in str(exc)
+    assert [truth[position] for position in level_positions(p)] == [0, 1, 0, -1, 2, 1, 0, -1, -2]
+    assert read == {1: 0, 3: 0}
+
+
 # ---------------------------------------------------------------------------
 # per-point link oracle: every point of the (n_theta+1) x phi_max link grid
 # solved on its own and its links formed around each ring (Fukui, Hatsugai
@@ -1187,6 +1232,23 @@ def test_every_axis_solves_one_meridian(monkeypatch, y, axis):
     assert len(table.rows) == 2 * p.dim
     assert counts == [rows(cfg.sphere_mesh().n_theta)] * 2
     assert [b.x for b in builds] == [1.2, 1.3]
+    # per-band tables at 2L = 6: one isolation gate per meridian solve, with every band
+    gates, meridians = [], []
+    real_gate, real_meridian = geometry._check_isolated, geometry._meridian
+
+    def gate(w, sets, *args):
+        gates.append(len(sets))
+        return real_gate(w, sets, *args)
+
+    def meridian(*args, **kwargs):
+        meridians.append(1)
+        return real_meridian(*args, **kwargs)
+    monkeypatch.setattr(geometry, "_check_isolated", gate)
+    monkeypatch.setattr(geometry, "_meridian", meridian)
+    q = ModelParams(6, 1.3, y, axis=axis)
+    chern_spectrum_link_variable(q, mesh, check=False)
+    cmd_chern(replace(cfg, two_l=6, x_grid=(1.3,)))
+    assert len(meridians) == 2 and gates == [q.dim] * 2
 
 
 @pytest.mark.parametrize("two_l", [16, 17, 40])
@@ -1359,8 +1421,9 @@ def test_tilted_link_band_pair_matches_per_point_solve(p, first):
     # meridian, whose ring edges lie on such circles, may hit it exactly;
     # the a to -a line sees both.
     try:
-        geometry._check_isolated(w, (first, first + 1), "oracle")
-        geometry._check_isolated(_axis_line_spectrum(p), (first, first + 1), "oracle, a to -a")
+        geometry._check_isolated(w, [(first, first + 1)], "oracle")
+        geometry._check_isolated(_axis_line_spectrum(p), [(first, first + 1)],
+                                  "oracle, a to -a")
         oracle = ChernResult.from_fourpi(_oracle_link_chern(v[..., first:first + 2]))
     except (MeshResolutionError, SubspaceIsolationError):
         assume(False)

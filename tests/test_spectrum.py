@@ -10,7 +10,7 @@ from scipy.linalg import expm
 
 import happer.spectrum as spectrum
 from happer.degenerate import degenerate_energy
-from happer.errors import HermiticityError, TrackingError
+from happer.errors import HermiticityError, SubspaceIsolationError, TrackingError
 from happer.model import (FieldDirection, ModelParams, _product_operators, build_hamiltonian,
                           conserved_j, spin_axis_commutator)
 from happer.spectrum import (eigensystem, eigensystem_with_j, find_degeneracies,
@@ -182,6 +182,66 @@ def test_find_degeneracies_locates_crossing(two_l, mult):
 def test_find_degeneracies_empty_range():
     p = ModelParams(2, 0.5, 0.0, FieldDirection(0.7, 0.3))
     assert find_degeneracies(p, (1.0, 1.5)) == []
+
+
+@pytest.mark.parametrize("y,field", [(0.0, FieldDirection(0.7, 0.3)),
+                                     (0.01, FieldDirection(0.7, 0.3))])
+def test_non_finite_x_windows_are_refused_by_name(y, field):
+    # a NaN passes the ascending check, and an infinite end reaches LAPACK
+    p = ModelParams(2, 0.5, y, field)
+    for window in [(0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0)]:
+        with pytest.raises(ValueError, match=r"x_range must be finite"):
+            find_degeneracies(p, window)
+    for grid in [[0.1, np.nan, 0.5], [0.1, 0.5, np.inf]]:
+        with pytest.raises(ValueError, match=r"x_grid must be finite, got (nan|inf)"):
+            track_levels(p, grid)
+
+
+@st.composite
+def _spectrum_and_sets(draw):
+    """An ascending spectrum, (d,) or (n, d) with d <= 12 and gaps of 1e-7 and 1e-5 injected,
+    and contiguous position sets of it: overlapping runs, the empty list, or a partition."""
+    d, n = draw(st.integers(2, 12)), draw(st.integers(1, 4))
+    gaps = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=n * (d - 1),
+                                  max_size=n * (d - 1)))).reshape(n, d - 1)
+    for row, b, gap in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, d - 2),
+                                               st.sampled_from([1e-7, 1e-5])), max_size=3)):
+        gaps[row, b] = gap
+    w = np.cumsum(np.concatenate([np.full((n, 1), draw(st.floats(-2, 2))), gaps], axis=1), axis=1)
+    if draw(st.booleans()):
+        cuts = sorted(set(draw(st.lists(st.integers(1, d - 1), max_size=d))))
+        sets = [tuple(range(a, b)) for a, b in zip([0, *cuts], [*cuts, d])]
+    else:
+        runs = draw(st.lists(st.tuples(st.integers(0, d - 1), st.integers(0, d)), max_size=5))
+        sets = [tuple(range(a, min(a + k, d))) for a, k in runs]
+    return (w[0] if draw(st.booleans()) else w), sets
+
+
+def _gap_of_one_set(w: np.ndarray, positions) -> float:
+    """The smallest gap at a member / non-member boundary of one set, by hand (inf: none)."""
+    inside = [b in positions for b in range(w.shape[-1])]
+    gaps = [np.min(w[..., b + 1] - w[..., b]) for b in range(w.shape[-1] - 1)
+            if inside[b] != inside[b + 1]]
+    return min(gaps, default=np.inf)
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn=_spectrum_and_sets())
+def test_one_isolation_pass_refuses_exactly_what_one_set_would(drawn):
+    w, sets = drawn
+    alone = []  # each set's gap alone, None where it is refused
+    for positions in sets:
+        try:
+            alone.append(spectrum._check_isolated(w, [positions], "one set"))
+        except SubspaceIsolationError:
+            alone.append(None)
+        expected = _gap_of_one_set(w, positions)
+        assert alone[-1] == (None if expected < TOL.subspace_isolation else expected)
+    if None in alone:
+        with pytest.raises(SubspaceIsolationError, match=r"every set: bands at positions"):
+            spectrum._check_isolated(w, sets, "every set")
+    else:
+        assert spectrum._check_isolated(w, sets, "every set") == min(alone, default=np.inf)
 
 
 def test_axis_term_opens_a_gap():
