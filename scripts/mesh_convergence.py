@@ -53,9 +53,8 @@ def main() -> None:
             for scheme_name, fn in schemes:
                 try:
                     res = fn(params, labels)
-                except MeshResolutionError:
-                    print(f"{n:>6} {case_name:<22} {scheme_name:<29} "
-                          f"{'(fails the quantization gate)':>24}")
+                except MeshResolutionError as refusal:
+                    print(f"{n:>6} {case_name:<22} {scheme_name:<29} ({refusal})")
                     continue
                 print(f"{n:>6} {case_name:<22} {scheme_name:<29} "
                       f"{res.fourpi:>12.6f} {res.deviation:>11.2e}")

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 
@@ -54,8 +55,9 @@ class ModelParams:
     axis: tuple[float, float, float] = (0.0, 0.0, 1.0)
 
     def __post_init__(self) -> None:
-        if self.nuclear_two_l < 0:
-            raise ValueError("nuclear_two_l must be non-negative")
+        if not isinstance(self.nuclear_two_l, Integral) or self.nuclear_two_l < 0:
+            raise ValueError(f"nuclear_two_l must be a non-negative integer, "
+                             f"got {self.nuclear_two_l!r}")
         for name, value in (("x", self.x), ("y", self.y)):
             if not math.isfinite(value):
                 raise ValueError(f"coupling {name} must be finite, got {value}")

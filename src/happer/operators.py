@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 
@@ -26,8 +27,8 @@ class SpinQuantumNumber:
     two_j: int
 
     def __post_init__(self) -> None:
-        if self.two_j < 0:
-            raise ValueError(f"two_j must be non-negative, got {self.two_j}")
+        if not isinstance(self.two_j, Integral) or self.two_j < 0:
+            raise ValueError(f"two_j must be a non-negative integer, got {self.two_j!r}")
 
     @property
     def j(self) -> float:

@@ -1,14 +1,14 @@
 """Eigendecomposition, persistent level labels, and crossing detection.
 
-Every labelled quantity reads one object, _Sectors.  It alone decides
-whether n_B.J is conserved: at y = 0, or with the field along +-a,
-H(x) = F + x X is block diagonal in the n_B.J eigenbasis, so every state
-is an (m, rank) slot, the rank-th lowest level of the m-sector.  Ranks
-never change because levels of equal m repel.  The sectors are built in
-the field frame, where n_B.J is J_z and each sector is a set of
-product-basis rows, so no eigensolve finds them; eigenvectors are turned
-back to the lab.  Otherwise the whole spectrum is one sector and its
-slots are the ascending positions.  Labels 1..dim are the slots in
+Every labelled quantity reads one object, _Sectors, and its pencil
+H(x) = F + x X, built in the field frame where n_B.J is J_z (eigenvectors
+are turned back to the lab).  _Sectors alone decides whether n_B.J is
+conserved: at y = 0, or with the field along +-a, F and X are block
+diagonal in the J_z sectors, sets of product-basis rows that no
+eigensolve finds, so every state is an (m, rank) slot, the rank-th
+lowest level of the m-sector.  Ranks never change because levels of
+equal m repel.  Otherwise the pencil is one sector and its slots are
+the ascending positions.  Labels 1..dim are the slots in
 stable ascending energy order at x = 2.5, beyond every crossing (the
 last y = 0 crossing sits at x* <= 2), for sweeps, crossing annotations
 and per-point quantities alike.  This reproduces maximal-overlap
@@ -18,7 +18,7 @@ sweeps, the per-point eigensystem and label positions solve the blocks
 (of size 1, 2 or 3) directly, and crossings are the roots of every
 sector pair's pencil, solved as one padded stack, each confirmed on
 that pair's two blocks.  Without them labels are positions (adiabatic
-labelling) and crossings are minimum-gap anti-crossings.
+labelling) and crossings are that sector's minimum-gap anti-crossings.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import SubspaceIsolationError, TrackingError
-from .model import ModelParams, _hamiltonians, _jz_diagonal, _product_operators, conserved_j
+from .model import ModelParams, _hamiltonians, _jz_diagonal
 from .operators import _turned, require_hermitian
 from .tolerances import TOL
 
@@ -100,55 +100,53 @@ def _sector_plan(nuclear_two_l: int) -> tuple[np.ndarray, list[tuple[np.ndarray,
 class _Sectors:
     """The labelled spectrum of H(x) = F + x X at the field, axis and y of p.
 
-    When n_B.J commutes with H (y = 0, or n_B along +-a to _ALONG_AXIS), H
-    is block diagonal in the n_B.J sectors.  They are built in the field
-    frame, where n_B points along z and n_B.J is J_z: there H is the model
-    at theta = 0, with the axis turned to R^-1 a, and its sectors are sets
+    F and X are built in the field frame, where n_B points along z and
+    n_B.J is J_z: there H is the model at theta = 0, with the axis turned
+    to R^-1 a.  When n_B.J commutes with H (y = 0, or n_B along +-a to
+    _ALONG_AXIS), H is block diagonal in the J_z sectors, which are sets
     of product-basis rows (_sector_plan), so no eigensolve finds them.
     Slot s is the s-th state of the sectors in ascending m, and inside a
     sector the k-th slot carries the k-th lowest energy.  Sectors of equal
     size (1, 2 or 3 for S = 1) are stacked, so energies over a whole x grid
-    cost one batched eigvalsh per block size above 1; eigenvectors are
-    turned to the lab by e^{-i phi J_z} e^{-i theta J_y}.  Otherwise the
-    whole spectrum is one sector, solved from the full H, and slot s is the
-    ascending position s.  Label k + 1 is slot slot_of_label[k], the
-    stable energy order of the slots at _X_LABELS.
+    cost one batched eigvalsh per block size above 1.  Otherwise the whole
+    pencil is one sector and slot s is the ascending position s.  Either
+    way eigenvectors are turned to the lab by e^{-i phi J_z} e^{-i theta J_y}.
+    Label k + 1 is slot slot_of_label[k], the stable energy order of the
+    slots at _X_LABELS.
     """
 
     def __init__(self, p: ModelParams) -> None:
         self.p = p
         self.split = (p.y == 0.0
                       or np.linalg.norm(np.cross(p.field.unit_vector(), p.axis)) < _ALONG_AXIS)
-        if not self.split:  # positions are in ascending energy order at every x
-            require_hermitian(self._full(np.array([0.0, 1.0])), what="swept Hamiltonian")
-            self.slot_of_label = np.arange(p.dim)
-            return
         frame = p if p.y == 0.0 else replace(p, axis=_frame_axis(p))
         h0, h1 = require_hermitian(_hamiltonians(frame, 0.0, 0.0, np.array([0.0, 1.0]), p.y),
                                    what="swept Hamiltonian")
         x_op = h1 - h0
-        self.two_m, groups, off = _sector_plan(p.nuclear_two_l)
-        leak = max(np.max(np.abs(h0[off]), initial=0.0), np.max(np.abs(x_op[off]), initial=0.0))
-        if leak > 1e-9:
-            raise TrackingError(f"H is not block diagonal in n_B.J (off-block {leak:.3e})")
+        if self.split:
+            self.two_m, groups, off = _sector_plan(p.nuclear_two_l)
+            leak = max(np.max(np.abs(h0[off]), initial=0.0), np.max(np.abs(x_op[off]), initial=0.0))
+            if leak > 1e-9:
+                raise TrackingError(f"H is not block diagonal in n_B.J (off-block {leak:.3e})")
+        else:  # one sector, whose slots are its positions, in ascending energy order at every x
+            every = np.arange(p.dim)[None]
+            groups = [(every, every)]
         self.blocks = [(slots, rows, h0[rows[:, :, None], rows[:, None, :]],
                         x_op[rows[:, :, None], rows[:, None, :]]) for slots, rows in groups]
-        self.slot_of_label = np.argsort(self.levels([_X_LABELS])[0][0], kind="stable")
-
-    def _full(self, x) -> np.ndarray:
-        """The full H at coupling x, or at each coupling of an array of them."""
-        return _hamiltonians(self.p, self.p.field.theta, self.p.field.phi, x, self.p.y)
+        self.slot_of_label = (np.argsort(self.levels([_X_LABELS])[0][0], kind="stable")
+                              if self.split else np.arange(p.dim))
 
     def levels(self, x_grid) -> tuple[np.ndarray, np.ndarray]:
         """Energy and <n_B.J> of every slot at each coupling of x_grid, each (len(x_grid), dim).
 
         <n_B.J> is the slot's m exactly where H splits, and the expectation
-        value in the eigenvectors of H otherwise.
+        value in the one sector's eigenvectors otherwise.
         """
         x = np.asarray(x_grid, dtype=float)
         if not self.split:
-            e, v = np.linalg.eigh(self._full(x))
-            return e, _j_values(self.p, v)
+            (_, _, (f,), (x_op,)), = self.blocks
+            e, v = np.linalg.eigh(f + x[:, None, None] * x_op)
+            return e, _frame_j(self.p.nuclear_two_l, v)
         e = np.empty((len(x), self.p.dim))
         for slots, _, f, x_op in self.blocks:
             e[:, slots] = _energies(f + x[:, None, None, None] * x_op)
@@ -156,17 +154,14 @@ class _Sectors:
 
     def eigh(self, x: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Slot energies, phase-fixed slot eigenvectors (columns) and <n_B.J> of each slot at x."""
-        if not self.split:
-            e, v = np.linalg.eigh(self._full(x))
-            v = fix_phases(v)
-            return e, v, _j_values(self.p, v)
         p = self.p
         e = np.empty(p.dim)
         v = np.zeros((p.dim, p.dim), dtype=complex)  # field-frame eigenvectors
         for slots, rows, f, x_op in self.blocks:
             e[slots], v[rows[:, :, None], slots[:, None, :]] = np.linalg.eigh(f + x * x_op)
+        j = self.two_m / 2 if self.split else _frame_j(p.nuclear_two_l, v)
         turn_z = np.exp(-1j * p.field.phi * _jz_diagonal(p.nuclear_two_l))[:, None]
-        return e, fix_phases(turn_z * _turned(v, np.array([p.field.theta]))[0]), self.two_m / 2
+        return e, fix_phases(turn_z * _turned(v, np.array([p.field.theta]))[0]), j
 
 
 def _energies(h: np.ndarray) -> np.ndarray:
@@ -174,9 +169,9 @@ def _energies(h: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(h) if h.shape[-1] > 1 else h[..., 0].real
 
 
-def _j_values(p: ModelParams, v: np.ndarray) -> np.ndarray:
-    """<n_B.J> in each eigenvector column of v, or of each basis in a stack of them."""
-    return (v.conj() * (conserved_j(p) @ v)).sum(-2).real
+def _frame_j(nuclear_two_l: int, v: np.ndarray) -> np.ndarray:
+    """<n_B.J> = sum_i |v_i|^2 m_i (J_z of the field frame) of each column of v, or of a stack."""
+    return (np.abs(v) ** 2 * _jz_diagonal(nuclear_two_l)[:, None]).sum(-2)
 
 
 def _levels(p: ModelParams) -> tuple[EigenSystem, np.ndarray, np.ndarray]:
@@ -335,7 +330,7 @@ def find_degeneracies(p: ModelParams, x_range: tuple[float, float],
     sectors = _Sectors(p)
     if sectors.split:
         return _exact_crossings(sectors, lo, hi)
-    return _anti_crossings(p, np.linspace(lo, hi, scan_points), max_gap)
+    return _anti_crossings(sectors, np.linspace(lo, hi, scan_points), max_gap)
 
 
 def _kron_difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -489,27 +484,27 @@ def _curvature(w: np.ndarray, xm: np.ndarray, n: np.ndarray) -> np.ndarray:
     return 2 * np.sum(np.abs(xm[rows, :, n]) ** 2 / denom, axis=1)
 
 
-def _gap_minima(p: ModelParams, x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+def _gap_minima(f: np.ndarray, x_op: np.ndarray, x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                 lower: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Minima of the gaps g = E[lower + 1] - E[lower], one per seed x in (lo, hi).
+    """Minima of the gaps g = E[lower + 1] - E[lower] of H = f + x x_op, one per seed x in (lo, hi).
 
-    Safeguarded Newton on g^2, with the step -g g' / (g'^2 + g g''), which
+    f + x x_op is the field-frame pencil of an unsplit _Sectors, its one
+    sector.  Safeguarded Newton on g^2, with the step -g g' / (g'^2 + g g''), which
     is exact where two levels anti-cross alone.  g' is the Hellmann-Feynman
     slope and g'' comes from second-order perturbation theory, both from one
-    batched eigh of every unfinished seed.  The sign of g' shrinks each
-    seed's bracket, and a step that leaves it is a bisection step.  Returns
-    the minima and the ascending eigenvalues there.
+    batched eigh of every unfinished seed, with dH/dx = x_op.  The sign of
+    g' shrinks each seed's bracket, and a step that leaves it is a
+    bisection step.  Returns the minima and the ascending eigenvalues there.
     """
-    exchange = _product_operators(p.nuclear_two_l)[4]  # dH/dx
     x, lo, hi = x.copy(), lo.copy(), hi.copy()
-    e = np.empty((len(x), p.dim))
+    e = np.empty((len(x), f.shape[-1]))
     todo = np.arange(len(x))
     for count in range(1, _NEWTON_STEPS + 1):
         if not todo.size:
             break
-        w, v = np.linalg.eigh(_hamiltonians(p, p.field.theta, p.field.phi, x[todo], p.y))
+        w, v = np.linalg.eigh(f + x[todo, None, None] * x_op)
         e[todo] = w
-        xm = np.swapaxes(v.conj(), -1, -2) @ exchange @ v
+        xm = np.swapaxes(v.conj(), -1, -2) @ x_op @ v
         rows, k = np.arange(len(todo)), lower[todo]
         g = w[rows, k + 1] - w[rows, k]
         slope = xm[rows, k + 1, k + 1].real - xm[rows, k, k].real
@@ -530,23 +525,24 @@ def _gap_minima(p: ModelParams, x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     return x, e
 
 
-def _anti_crossings(p: ModelParams, grid: np.ndarray, max_gap: float) -> list[DegeneracyPoint]:
-    """Adjacent-gap minima of the y != 0 spectrum: grid minima refined by _gap_minima."""
-    energies = np.linalg.eigvalsh(_hamiltonians(p, p.field.theta, p.field.phi, grid, p.y))
+def _anti_crossings(sectors: _Sectors, grid: np.ndarray, max_gap: float) -> list[DegeneracyPoint]:
+    """Adjacent-gap minima of the one sector's pencil f + x X: grid minima refined by _gap_minima.
+
+    Minima less than 1e-4 apart in x, from two seeds or of adjacent gaps, merge into one.
+    """
+    (_, _, (f,), (x_op,)), = sectors.blocks
+    energies = np.linalg.eigvalsh(f + grid[:, None, None] * x_op)
     gaps = np.diff(energies, axis=1)
     interior = (gaps[1:-1] < gaps[:-2]) & (gaps[1:-1] <= gaps[2:])
-    lower, i = np.nonzero(interior.T)
-    i = i + 1
-    x, e = _gap_minima(p, grid[i], grid[i - 1], grid[i + 1], lower)
+    lower, i = np.nonzero(interior.T)  # the minimum of gap lower sits at grid[i + 1]
+    x, e = _gap_minima(f, x_op, grid[i + 1], grid[i], grid[i + 2], lower)
     results: list[DegeneracyPoint] = []
     for pair, x_min, w in zip(lower.tolist(), x.tolist(), e):
         g_min = float(w[pair + 1] - w[pair])
-        seen = any(abs(r.x - x_min) < 1e-6 and pair + 1 in r.labels for r in results)
-        if g_min < max_gap and not seen:
+        if g_min < max_gap:
             results.append(DegeneracyPoint(
                 x=x_min, labels=(pair + 1, pair + 2), energy=float(np.mean(w[pair:pair + 2])),
                 multiplicity=2, exact=False, gap=g_min))
-    # merge anti-crossings that share an x location
     merged: list[DegeneracyPoint] = []
     results.sort(key=lambda r: r.x)
     for r in results:

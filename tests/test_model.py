@@ -207,6 +207,23 @@ def test_non_finite_inputs_are_refused(make, message):
     assert str(refused.value) == message
 
 
+@pytest.mark.parametrize("make,message", [
+    (lambda: ModelParams(1.5, 0.5), "nuclear_two_l must be a non-negative integer, got 1.5"),
+    (lambda: ModelParams(2.0, 0.5), "nuclear_two_l must be a non-negative integer, got 2.0"),
+    (lambda: ModelParams(-1, 0.5), "nuclear_two_l must be a non-negative integer, got -1"),
+    (lambda: SpinQuantumNumber(1.5), "two_j must be a non-negative integer, got 1.5"),
+    (lambda: SpinQuantumNumber(-2), "two_j must be a non-negative integer, got -2"),
+], ids=["two-l-half", "two-l-float", "two-l-negative", "two-j-half", "two-j-negative"])
+def test_spin_quantum_numbers_must_be_integers(make, message):
+    # 2L and 2j count basis states, so a float is refused even when whole;
+    # numpy integers are integers too.
+    with pytest.raises(ValueError) as refused:
+        make()
+    assert str(refused.value) == message
+    assert ModelParams(np.int64(2), 0.5).dim == 9
+    assert SpinQuantumNumber(np.int32(3)).dim == 4
+
+
 @pytest.mark.parametrize("axis", [(1.0, 0.0), (1.0, 0.0, 0.0, 0.0), 1.0, ((1.0, 0.0, 0.0),)])
 @pytest.mark.parametrize("y", [0.0, 0.1])
 def test_axis_without_three_components_is_refused(axis, y):
