@@ -138,8 +138,8 @@ def _cluster_labels(cfg: ScanConfig, x_star: float) -> tuple[int, ...]:
         raise ValueError(f"exact clusters exist only at y = 0, got y = {cfg.y}")
     if x_star <= 0:
         raise ValueError(f"--cluster needs x > 0, got x = {x_star}")
-    es, _, positions = _levels(cfg.params(x_star))
-    touching = np.diff(es.eigenvalues) < TOL.subspace_isolation  # (b, b + 1) within the gate
+    energies, _, positions = _levels(cfg.params(x_star))
+    touching = np.diff(energies) < TOL.subspace_isolation  # (b, b + 1) within the gate
     if not touching.any():
         raise ValueError(f"no exact crossing found near x = {x_star}")
     first = last = int(np.argmax(touching))

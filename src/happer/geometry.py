@@ -42,8 +42,10 @@ the traced curvature north of latitude theta: chern_number reads flux(pi),
 and refuses a phi step the linearised connection cannot follow
 (_check_phi_steps).
 loop_phase(p, labels, theta0), the phase of the loop at polar angle theta0
-about z, is read from the same meridian with no curvature field
-(_orbit_phases); the mesh sets only the latitudes of the isolation gate.
+about z, is read with no curvature field (_orbit_phases): at y = 0 from
+the labelled spectrum alone, -2 pi m (1 - cos theta0) per level, and
+otherwise from the same meridian, whose latitudes the mesh sets for the
+isolation gate.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ from .errors import MeshResolutionError, SubspaceIsolationError
 from .mesh import SphereMesh
 from .model import ModelParams, _jz_diagonal, build_hamiltonian, hamiltonian_batch
 from .operators import _turned
-from .spectrum import _check_isolated, _half_grid, _resolve_labels
+from .spectrum import _check_isolated, _half_grid, _levels, _resolve_labels
 from .table import _csv_text
 from .tolerances import TOL
 
@@ -545,6 +547,7 @@ def _curvature_sets(p: ModelParams, mesh: SphereMesh, sets: Sequence[Sequence[in
 _PANEL_NODES = 16  # Gauss-Legendre nodes per panel of the integral across the axis circles
 _PANEL_TOL = 1e-10  # a panel is kept once its halves' set phases agree with it to this
 _MAX_LEVELS = 40
+_PHASE_CONTEXT = "loop phase, angles about the axis"
 
 
 def _orbit_phases(p: ModelParams, theta0: float, mesh: SphereMesh,
@@ -556,7 +559,7 @@ def _orbit_phases(p: ModelParams, theta0: float, mesh: SphereMesh,
     Proc. R. Soc. A 392, 45 (1984)).  The loop's cap holds the fraction
     f(alpha) = arccos((cos theta0 - cos alpha cos beta) / (sin alpha sin
     beta)) / pi of the circle at alpha, beta the angle between the axis and
-    z (in [0, pi/2], as (a.S)^2 is even in a; 0 at y = 0), so by parts
+    z (in [0, pi/2], as (a.S)^2 is even in a), so by parts
 
         int Phi' f = fpi Phi(pi) + (f0 - fpi) Phi(lo) - int_lo^hi (Phi - Phi(lo)) f',
 
@@ -568,22 +571,31 @@ def _orbit_phases(p: ModelParams, theta0: float, mesh: SphereMesh,
     until every set in ``sets`` (ascending positions) has a phase on the two
     halves within _PANEL_TOL of the panel's, and passes the isolation gate
     at every solved angle and at the mesh's ring edges.
+
+    At y = 0 (beta = 0) no meridian is solved: a level of n.J = m has
+    Phi(theta0) = -2 pi m (1 - cos theta0) exactly, with m read from the
+    one block solve of _levels, whose energies the isolation gate checks
+    on the whole sphere (no level depends on n there).
     """
+    if p.y == 0.0:
+        w, j, _ = _levels(p)
+        _check_isolated(w, sets, _PHASE_CONTEXT, lambda i: " on the whole sphere")
+        return -2 * np.pi * j * (1 - np.cos(theta0)) + 0.0  # + 0.0: no phase reads -0
     a = p.axis
-    beta = 0.0 if p.y == 0.0 else float(np.arctan2(np.hypot(a[0], a[1]), abs(a[2])))
+    beta = float(np.arctan2(np.hypot(a[0], a[1]), abs(a[2])))
     lo, hi = abs(theta0 - beta), min(theta0 + beta, 2 * np.pi - theta0 - beta)
     f0, fpi = (np.sign(theta0 - beta) + 1) / 2, (np.sign(theta0 + beta - np.pi) + 1) / 2
     m = _jz_diagonal(p.nuclear_two_l)
 
     def jz(thetas: np.ndarray, rows) -> np.ndarray:
-        _, v = _meridian(p, thetas, sets, "loop phase, angles about the axis")
+        _, v = _meridian(p, thetas, sets, _PHASE_CONTEXT)
         return np.einsum("tda,d,tda->ta", v[rows].conj(), m, v[rows]).real
 
     ends = jz(np.concatenate(([lo], mesh.theta_edges())), [0, 1, -1])  # lo, the poles
     phi_lo, _, phi_pi = 2 * np.pi * (ends - ends[1])
     phase = fpi * phi_pi + (f0 - fpi) * phi_lo
     if hi <= lo:
-        return phase
+        return phase + 0.0
     x, w = np.polynomial.legendre.leggauss(_PANEL_NODES)
 
     def integrals(panels: np.ndarray) -> np.ndarray:
@@ -611,7 +623,7 @@ def _orbit_phases(p: ModelParams, theta0: float, mesh: SphereMesh,
             done &= np.abs(change[:, list(positions)].sum(axis=-1)) <= _PANEL_TOL
         phase = phase + fine[done].sum(axis=(0, 1))
         if done.all():
-            return phase
+            return phase + 0.0
         panels = halves.reshape(-1, 2, 2)[~done].reshape(-1, 2)
         values = fine[~done].reshape(len(panels), -1)
     raise MeshResolutionError(
@@ -626,12 +638,13 @@ def loop_phase(p: ModelParams, labels: Sequence[int] | int, theta0: float,
     The traced curvature flux through the cap north of the loop, on the
     branch nearest that sum: theta0 = 0 gives 0, theta0 = pi the whole
     sphere, 4 pi times the fourpi Chern number.  The reverse loop's phase
-    is the negative.  It is read from the meridian about the axis
-    (_orbit_phases): wherever H is covariant about z (y = 0, or the axis
-    along z) the closed form 2 pi [tr(P(theta0) J_z) - tr(P(0) J_z)], -m 2 pi
-    (1 - cos theta0) for a level of n.J = m at y = 0; for a tilted axis a
-    1-D integral of that closed form.  The mesh (uniform by default) sets
-    only the latitudes, about the axis, of the isolation gate.
+    is the negative.  At y = 0 it is -m 2 pi (1 - cos theta0) exactly,
+    summed over the set, for levels of n.J = m, read from the labelled
+    spectrum with no meridian (_orbit_phases).  Otherwise it is read from
+    the meridian about the axis: with the axis along z the closed form
+    2 pi [tr(P(theta0) J_z) - tr(P(0) J_z)], for a tilted axis a 1-D
+    integral of that closed form.  The mesh (uniform by default) sets only
+    the latitudes, about the axis, of the y != 0 isolation gate.
     """
     if not 0.0 <= theta0 <= np.pi:
         raise ValueError(f"loop latitude theta0 must lie in [0, pi], got {theta0}")

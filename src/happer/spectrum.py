@@ -1,12 +1,12 @@
 """Eigendecomposition, persistent level labels, and crossing detection.
 
 Every labelled quantity reads one object, _Sectors, and its pencil
-H(x) = F + x X, built in the field frame where n_B.J is J_z (eigenvectors
-are turned back to the lab).  _Sectors alone decides whether n_B.J is
-conserved: at y = 0, or with the field along +-a, F and X are block
-diagonal in the J_z sectors, sets of product-basis rows that no
-eigensolve finds, so every state is an (m, rank) slot, the rank-th
-lowest level of the m-sector.  Ranks never change because levels of
+H(x) = F + x X, built in the field frame where n_B.J is J_z (only
+eigensystem_with_j turns eigenvectors back to the lab).  _Sectors alone
+decides whether n_B.J is conserved: at y = 0, or with the field along
++-a, F and X are block diagonal in the J_z sectors, sets of
+product-basis rows that no eigensolve finds, so every state is an
+(m, rank) slot, the rank-th lowest level of the m-sector.  Ranks never change because levels of
 equal m repel.  Otherwise the pencil is one sector and its slots are
 the ascending positions.  Labels 1..dim are the slots in
 stable ascending energy order at x = 2.5, beyond every crossing (the
@@ -110,7 +110,9 @@ class _Sectors:
     size (1, 2 or 3 for S = 1) are stacked, so energies over a whole x grid
     cost one batched eigvalsh per block size above 1.  Otherwise the whole
     pencil is one sector and slot s is the ascending position s.  Either
-    way eigenvectors are turned to the lab by e^{-i phi J_z} e^{-i theta J_y}.
+    way eigh solves the blocks at one x in the field frame, and turn takes
+    its eigenvectors to the lab by e^{-i phi J_z} e^{-i theta J_y}, which
+    only eigensystem_with_j asks for: a label lookup needs no eigenvector.
     Label k + 1 is slot slot_of_label[k], the stable energy order of the
     slots at _X_LABELS.
     """
@@ -153,15 +155,26 @@ class _Sectors:
         return e, np.broadcast_to(self.two_m / 2, e.shape)
 
     def eigh(self, x: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Slot energies, phase-fixed slot eigenvectors (columns) and <n_B.J> of each slot at x."""
-        p = self.p
-        e = np.empty(p.dim)
-        v = np.zeros((p.dim, p.dim), dtype=complex)  # field-frame eigenvectors
+        """Slot energies, field-frame slot eigenvectors (columns) and <n_B.J> of each slot at x.
+
+        A 1x1 sector is its own energy and eigenvector, read off as levels
+        reads it; larger blocks are solved by eigh.  Only turn() takes the
+        eigenvectors to the lab, and fixes their phases there.
+        """
+        e = np.empty(self.p.dim)
+        v = np.zeros((self.p.dim, self.p.dim), dtype=complex)
         for slots, rows, f, x_op in self.blocks:
-            e[slots], v[rows[:, :, None], slots[:, None, :]] = np.linalg.eigh(f + x * x_op)
-        j = self.two_m / 2 if self.split else _frame_j(p.nuclear_two_l, v)
-        turn_z = np.exp(-1j * p.field.phi * _jz_diagonal(p.nuclear_two_l))[:, None]
-        return e, fix_phases(turn_z * _turned(v, np.array([p.field.theta]))[0]), j
+            if f.shape[-1] == 1:
+                e[slots], v[rows, slots] = _energies(f + x * x_op), 1.0
+            else:
+                e[slots], v[rows[:, :, None], slots[:, None, :]] = np.linalg.eigh(f + x * x_op)
+        return e, v, self.two_m / 2 if self.split else _frame_j(self.p.nuclear_two_l, v)
+
+    def turn(self, v: np.ndarray) -> np.ndarray:
+        """Field-frame eigenvectors v (columns) in the lab, e^{-i phi J_z} e^{-i theta J_y} v."""
+        field = self.p.field
+        turn_z = np.exp(-1j * field.phi * _jz_diagonal(self.p.nuclear_two_l))[:, None]
+        return fix_phases(turn_z * _turned(v, np.array([field.theta]))[0])
 
 
 def _energies(h: np.ndarray) -> np.ndarray:
@@ -174,28 +187,31 @@ def _frame_j(nuclear_two_l: int, v: np.ndarray) -> np.ndarray:
     return (np.abs(v) ** 2 * _jz_diagonal(nuclear_two_l)[:, None]).sum(-2)
 
 
-def _levels(p: ModelParams) -> tuple[EigenSystem, np.ndarray, np.ndarray]:
-    """Ascending eigensystem of H(p), <n_B.J> by position, and the position of each label.
+def _levels(p: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ascending energies of H(p), <n_B.J> by position, and the position of each label.
 
-    Positions are the slots of _Sectors(p) in stable ascending energy order
-    at p.x, so the eigensystem and the label positions agree inside exact
-    clusters too.
+    One block solve of _Sectors(p) at p.x, with no eigenvector turned to
+    the lab.  Positions are its slots in stable ascending energy order, so
+    energies and label positions agree inside exact clusters too, and are
+    those of eigensystem_with_j(p) bit for bit.
     """
     sectors = _Sectors(p)
-    e, v, j = sectors.eigh(p.x)
+    e, _, j = sectors.eigh(p.x)
     order = np.argsort(e, kind="stable")
-    position_of_slot = np.argsort(order)
-    return EigenSystem(e[order], v[:, order]), j[order], position_of_slot[sectors.slot_of_label]
+    return e[order], j[order], np.argsort(order)[sectors.slot_of_label]
 
 
 def eigensystem_with_j(p: ModelParams) -> tuple[EigenSystem, np.ndarray]:
     """Ascending eigensystem of H(p) and <n_B.J> of each position.
 
     j is each level's m exactly where n_B.J is conserved, inside exact
-    clusters too; positions agree with level_positions(p).
+    clusters too; positions agree with level_positions(p).  The one label
+    lookup that turns its eigenvectors to the lab.
     """
-    es, jexp, _ = _levels(p)
-    return es, jexp
+    sectors = _Sectors(p)
+    e, v, j = sectors.eigh(p.x)
+    order = np.argsort(e, kind="stable")
+    return EigenSystem(e[order], sectors.turn(v)[:, order]), j[order]
 
 
 def level_positions(p: ModelParams) -> np.ndarray:

@@ -771,3 +771,55 @@ print("exit codes", codes)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "exit codes [0, 0, 0]"
     assert "# crossing: x=" in done.stdout and "# anti-crossing: x=" in done.stdout
+
+
+def test_label_lookups_turn_no_eigenvector_to_the_lab(monkeypatch, capsys):
+    # level_positions, the chern tables (per band and --cluster) and the
+    # drive read labels from the field-frame block solve alone; only
+    # eigensystem_with_j turns its eigenvectors to the lab.
+    turns = []
+    real = happer.spectrum._turned
+
+    def spy(*args, **kwargs):
+        turns.append(1)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(happer.spectrum, "_turned", spy)
+    for y, axis in ((0.0, "0,0,1"), (0.1, "1,0,0")):
+        p = ModelParams(2, 0.8, y, axis=tuple(map(float, axis.split(","))))
+        level_positions(p)
+        for scheme in ("link", "curvature"):
+            assert main(["chern", "--l", "1", "--x", "0.8", "--y", str(y), "--axis", axis,
+                         "--scheme", scheme, "--mesh", "50", "--mesh-scheme", "uniform"]) == 0
+        assert main(["dynamics", "--l", "1", "--x", "0.8", "--y", str(y), "--axis", axis,
+                     "--level", "1", "--steps-per-period", "400"]) == 0
+    for scheme in ("link", "curvature"):
+        assert main(["chern", "--l", "1", "--cluster", "--scheme", scheme, "--mesh", "50",
+                     "--mesh-scheme", "uniform"]) == 0
+    capsys.readouterr()
+    assert turns == []
+    es, _ = eigensystem_with_j(p)
+    assert turns == [1]
+    v, h = es.eigenvectors, happer.model.build_hamiltonian(p)
+    assert np.max(np.abs(h @ v - v * es.eigenvalues)) < TOL.eigen_residual
+    assert np.max(np.abs(v.conj().T @ v - np.eye(p.dim))) < TOL.orthonormality
+
+
+@pytest.mark.parametrize("args", [
+    ["--l", "1", "--x", "1.0"],
+    ["--l", "2", "--x-range", "0.3:1.2:4", "--theta0", "2.0"],
+    ["--l", "3/2", "--x", "1.5", "--theta0", "0"],
+    ["--l", "1", "--x", "0.8", "--y", "0.1", "--axis", "1,0,0", "--theta0", "0"],
+    ["--l", "1", "--cluster", "--theta0", "0"],
+], ids=["L1", "L2-scan", "L3/2-pole", "tilted-pole", "cluster-pole"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_no_phase_is_written_as_minus_zero(args, fmt, capsys):
+    assert main(["phase", *args, "--mesh", "50", "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    if fmt == "csv":
+        gammas = [row.rsplit(",", 1)[1] for row in out.splitlines()[1:]
+                  if not row.startswith("#")][1:]
+    else:
+        gammas = [json.dumps(row[-1]) for row in json.loads(out)["rows"]]
+    assert gammas and not [g for g in gammas if float(g) == 0.0 and g.startswith("-")]
+    if "--theta0" in args and args[args.index("--theta0") + 1] == "0":
+        assert set(gammas) == {"0" if fmt == "csv" else "0.0"}

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import happer.geometry as geometry
 import happer.spectrum as spectrum
-from happer.cli import ScanConfig, cmd_chern
+from happer.cli import ScanConfig, cmd_chern, cmd_phase
 from happer.degenerate import gram_schmidt, raw_degenerate_vectors
 from happer.errors import MeshResolutionError, SubspaceIsolationError
 from happer.geometry import (ChernResult, chern_number, chern_number_curvature,
@@ -1464,3 +1464,49 @@ def test_level_chern_is_minus_j_and_bands_sum_to_zero(two_l, x, theta, phi):
         assert abs(r.rounded + j) < 1e-9
         assert r.deviation < 1e-9
     assert abs(sum(r.fourpi for r in link)) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# y = 0 loop phases: -2 pi m (1 - cos theta0) exactly, m read from the
+# labelled spectrum, with no meridian solved
+
+
+def _counted_meridians(monkeypatch) -> list[int]:
+    calls: list[int] = []
+    real = geometry._meridian
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(geometry, "_meridian", spy)
+    return calls
+
+
+@pytest.mark.parametrize("two_l", range(1, 7))
+def test_y0_loop_phases_are_exact_and_solve_no_meridian(monkeypatch, two_l):
+    calls = _counted_meridians(monkeypatch)
+    p = ModelParams(two_l, 0.8, 0.0, FieldDirection(1.1, 2.3))
+    cluster = p.with_x(p.crossing_x())
+    members = tuple(range(two_l + 1, 2 * two_l + 2))  # labels of the crossing cluster
+    _, j = eigensystem_with_j(p)
+    _, j_cluster = eigensystem_with_j(cluster)
+    member_positions = sorted(level_positions(cluster)[np.array(members) - 1])
+    for theta0 in (0.0, 0.3, LOOP_THETA, 2.0, np.pi):
+        for label, position in enumerate(level_positions(p), start=1):
+            phase = loop_phase(p, label, theta0)
+            assert phase == -2 * np.pi * j[position] * (1 - np.cos(theta0)) + 0.0, (label, theta0)
+            assert phase != 0.0 or not np.signbit(phase), (label, theta0)  # no -0
+        values = -2 * np.pi * j_cluster[member_positions] * (1 - np.cos(theta0)) + 0.0
+        phase = loop_phase(cluster, members, theta0)
+        assert phase == values.sum()
+        assert abs(phase - 2 * np.pi * (1 - np.cos(theta0))) < 1e-12
+        # the phase table reads the same values, per label and for the cluster
+        table = cmd_phase(ScanConfig(two_l=two_l, x=p.x, theta0=theta0, mesh=50))
+        assert [row[2] for row in table.rows] == [loop_phase(p, label, theta0)
+                                                  for label in range(1, p.dim + 1)]
+        table = cmd_phase(ScanConfig(two_l=two_l, theta0=theta0, mesh=50, cluster=True))
+        assert table.rows == [[cluster.x, f"deg({'+'.join(map(str, members))})", phase]]
+    assert calls == []
+    # the tilted phase at y != 0 does read a meridian
+    loop_phase(TILTED_P, 1, LOOP_THETA)
+    assert calls

@@ -442,6 +442,7 @@ def test_field_frame_sectors_match_the_lab_construction(two_l):
         assert np.array_equal(sectors.slot_of_label, slot_of_label), p
         for x in (*rng.uniform(-2.5, 2.5, 3), 0.31, p.crossing_x()):
             e, v, j = sectors.eigh(x)
+            v = sectors.turn(v)  # the block solve is in the field frame
             e_ref, v_ref, j_ref = lab_eigh(x)
             assert np.max(np.abs(e - e_ref)) < 1e-12, (p, x)
             # m exactly where n_B.J splits H, <n_B.J> to rounding otherwise
@@ -808,3 +809,31 @@ def test_labels_are_stable_through_x_zero(two_l, lo, hi, n, theta, phi):
         sector = np.flatnonzero(m == m_value)
         order = np.argsort(track.energies[:, sector], axis=1)
         assert np.all(order == order[-1])
+
+
+# ---------------------------------------------------------------------------
+# label lookups stop at the field-frame block solve: the energies, j and
+# positions of _levels are those of eigensystem_with_j, which alone turns
+# its eigenvectors to the lab
+
+
+def label_lookup_fields(two_l, rng):
+    """y = 0, y != 0 with the field along the axis (n_B.J conserved), and a tilted y != 0."""
+    yield ModelParams(two_l, 0.5, 0.0, FieldDirection(*rng.uniform(0.0, np.pi, 2)))
+    yield ModelParams(two_l, 0.5, 0.05, FieldDirection(np.arccos(0.8), np.pi / 2), (0.0, 0.6, 0.8))
+    yield ModelParams(two_l, 0.5, 0.1, FieldDirection(*rng.uniform(0.0, np.pi, 2)), (1.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("two_l", range(7))
+def test_label_lookups_are_the_eigensystem_bit_for_bit(two_l):
+    rng = np.random.default_rng(two_l)
+    x_star = 2 / (two_l + 1)
+    for p0, split in zip(label_lookup_fields(two_l, rng), (True, True, False)):
+        assert spectrum._Sectors(p0).split == split, p0
+        for x in (0.0, x_star, -x_star, *rng.uniform(-2.5, 2.5, 3)):
+            p = p0.with_x(float(x))
+            energies, j, positions = spectrum._levels(p)
+            es, jexp = eigensystem_with_j(p)
+            assert np.array_equal(energies, es.eigenvalues), p
+            assert np.array_equal(j, jexp), p
+            assert np.array_equal(positions, level_positions(p)), p
