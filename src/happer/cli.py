@@ -26,8 +26,9 @@ import numpy as np
 from .dynamics import (DriveProtocol, adiabatic_omega, cone_fit, geometric_phase_diagnostics,
                        initial_eigenstate, propagate)
 from .errors import NormDriftError, SubspaceIsolationError
-from .geometry import (ChernResult, _curvature_sets, _orbit_phases, chern_number_curvature,
-                       chern_number_link_variable, chern_spectrum_link_variable, loop_phase)
+from .geometry import (ChernResult, _curvature_sets, _link_sets, _orbit_phases,
+                       chern_number_curvature, chern_number_link_variable,
+                       chern_spectrum_link_variable, loop_phase)
 from .mesh import SphereMesh
 from .model import FieldDirection, ModelParams, build_hamiltonian, semimetal_batch
 from .operators import SpinQuantumNumber
@@ -138,7 +139,7 @@ def _cluster_labels(cfg: ScanConfig, x_star: float) -> tuple[int, ...]:
         raise ValueError(f"exact clusters exist only at y = 0, got y = {cfg.y}")
     if x_star <= 0:
         raise ValueError(f"--cluster needs x > 0, got x = {x_star}")
-    energies, _, positions = _levels(cfg.params(x_star))
+    energies, _, positions, _ = _levels(cfg.params(x_star))
     touching = np.diff(energies) < TOL.subspace_isolation  # (b, b + 1) within the gate
     if not touching.any():
         raise ValueError(f"no exact crossing found near x = {x_star}")
@@ -151,6 +152,8 @@ def _cluster_labels(cfg: ScanConfig, x_star: float) -> tuple[int, ...]:
 
 def _cluster(cfg: ScanConfig) -> tuple[ModelParams, tuple[int, ...], str]:
     """Params at --x (default: the crossing), the cluster there, and its deg(a+b+c) tag."""
+    if cfg.x_grid is not None:
+        raise ValueError("--cluster takes one coupling (--x), not --x-range")
     p = cfg.params(cfg.x if cfg.x is not None else cfg.params(1.0).crossing_x())
     labels = _cluster_labels(cfg, p.x)
     return p, labels, "deg(" + "+".join(map(str, labels)) + ")"
@@ -204,9 +207,9 @@ def cmd_chern(cfg: ScanConfig) -> Table:
         return Table(cols, rows, annotations, ok, meta)
     for x in cfg.x_values():
         p = cfg.params(x)
-        _, jexp, positions = _levels(p)
-        per_position = chern_spectrum_link_variable(p, mesh, check=False) \
-            if cfg.scheme == "link" else _curvature_sets(p, mesh, [(k,) for k in range(p.dim)])
+        _, jexp, positions, _ = levels = _levels(p)
+        per_position = _link_sets(p, mesh, None, None, levels) if cfg.scheme == "link" \
+            else _curvature_sets(p, mesh, [(k,) for k in range(p.dim)], levels)
         for lab, pos in enumerate(positions, start=1):
             res, j = per_position[pos], float(jexp[pos])
             flagged = res.deviation > TOL.chern_integer
@@ -231,9 +234,10 @@ def cmd_phase(cfg: ScanConfig) -> Table:
                      {"command": "phase", "mesh": cfg.mesh})
     for x in cfg.x_values():
         p = cfg.params(x)
-        per_position = _orbit_phases(p, cfg.theta0, mesh, [(k,) for k in range(p.dim)])
+        levels = _levels(p)
+        per_position = _orbit_phases(p, cfg.theta0, mesh, [(k,) for k in range(p.dim)], levels)
         rows += [[float(x), lab + 1, float(gamma)]
-                 for lab, gamma in enumerate(per_position[level_positions(p)])]
+                 for lab, gamma in enumerate(per_position[levels[2]])]
     return Table(cols, rows, annotations, True, {"command": "phase", "mesh": cfg.mesh})
 
 
@@ -311,12 +315,13 @@ def cmd_weyl_compare(cfg: ScanConfig) -> Table:
     for k_mag in cfg.k_grid:
         x_eff = 1.0 / k_mag
         p = cfg.params(x_eff)
+        levels = _levels(p)
         try:  # y = 0 (_cluster_labels), so a touching anywhere is a touching everywhere
-            per_position = chern_spectrum_link_variable(p, mesh, check=False)
+            per_position = _link_sets(p, mesh, None, None, levels)
         except SubspaceIsolationError:
             annotations.append(f"skipped |k|={k_mag:.12g}: on the degeneracy sphere")
             continue
-        _, positions = _resolve_labels(p, labels)
+        _, positions = _resolve_labels(levels, labels)
         band_res = [per_position[pos] for pos in positions]
         if any(r.deviation > TOL.chern_integer for r in band_res):
             ok = False

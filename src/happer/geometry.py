@@ -22,11 +22,11 @@ So every sphere quantity reads the eigenpairs of that phi = 0 meridian,
 with the one isolation gate for every band set a call reads (_meridian),
 and tilted fields report angles about the axis.  For y != 0, or a caller's
 h_builder, the meridian is one batched eigh over its latitudes.  At y = 0
-the model is covariant under every rotation of J, so one latitude is
-solved and the others are turned from it about y by Wigner small-d
-matrices, built from the eigenvectors of J_y, at every L (_turned).  Link
-Chern numbers read the meridian directly (_link_sets; a caller's h_builder
-supplies H(theta, 0) and its J_z diagonal).
+the model is covariant under every rotation of J, so the meridian is the
+one labelled solve of a call (spectrum._levels, the field along z) turned
+about y by Wigner small-d matrices (_turned), with no lab Hamiltonian.
+Link Chern numbers read the meridian directly (_link_sets; a caller's
+h_builder supplies H(theta, 0) and its J_z diagonal).
 
 The curvature scheme is factored the same way.  Frames are
 F(theta, phi) = R(phi) F(theta, 0) D(phi), with R(phi) = e^{-i phi J_z} and
@@ -59,7 +59,7 @@ import numpy as np
 from .degenerate import degenerate_energy, gram_schmidt, raw_degenerate_vectors
 from .errors import MeshResolutionError, SubspaceIsolationError
 from .mesh import SphereMesh
-from .model import ModelParams, _jz_diagonal, build_hamiltonian, hamiltonian_batch
+from .model import ModelParams, _jz_diagonal, hamiltonian_batch
 from .operators import _turned
 from .spectrum import _check_isolated, _half_grid, _levels, _resolve_labels
 from .table import _csv_text
@@ -94,25 +94,25 @@ def _check_quantized(result: ChernResult, context: str) -> ChernResult:
 
 
 def _meridian(p: ModelParams, thetas: np.ndarray, sets: Sequence[Sequence[int]], context: str,
-              h_builder: _Covariant | None = None) -> tuple[np.ndarray, np.ndarray]:
+              h_builder: _Covariant | None = None, levels: tuple | None = None
+              ) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs at phi = 0 on thetas, shapes (n, d) and (n, d, d); every set gated on them.
 
     For y != 0, or a caller's h_builder, one batched eigh of the model with
     its axis along z (thetas are angles about the axis) or of the builder.
-    At y = 0 the model is covariant under every rotation of J, H(theta, 0) =
-    U H(theta_0, 0) U^dag with U = e^{-i(theta - theta_0) J_y}: only
-    theta_0 = thetas[0] is solved, every other row is U v(theta_0) with
-    Wigner small-d matrices (_turned), and every row keeps w(theta_0).
-    Then one isolation gate checks every set of ascending positions in one
-    pass (_check_isolated).  A touching is placed at its theta, or on the
-    whole sphere at y = 0, where no level depends on n.
+    At y = 0, H(theta, 0) = U H(z) U^dag with U = e^{-i theta J_y}: every
+    row keeps the energies of levels = _levels(p) (solved when None) and
+    turns its vectors from +z by Wigner small-d (_turned); a row at -z, the
+    frames' seed, is exactly the solve's reversed and signed (-1)^(1+L+m).
+    One isolation gate checks every set of ascending positions in one pass
+    (_check_isolated), naming a touching's theta, or at y = 0 the whole sphere.
     """
     everywhere = h_builder is None and p.y == 0.0
     if everywhere:
-        v = np.empty((len(thetas), p.dim, p.dim), dtype=complex)
-        w0, v[:1] = np.linalg.eigh(hamiltonian_batch(p, thetas[:1], np.zeros(1)))
-        w = np.broadcast_to(w0, (len(thetas), p.dim))
-        _turned(v[0], thetas[1:] - thetas[0], out=v[1:])
+        w0, _, _, v0 = _levels(p) if levels is None else levels
+        flip = (-1.0) ** np.rint(1 + p.nuclear_two_l / 2 + _jz_diagonal(p.nuclear_two_l))
+        w, v = np.broadcast_to(w0, (len(thetas), p.dim)), _turned(v0, thetas)
+        v[thetas == np.pi] = flip[:, None] * v0[::-1]  # e^{-i pi J_y} v0, exactly
     else:
         w, v = np.linalg.eigh(h_builder[0](thetas) if h_builder else hamiltonian_batch(
             replace(p, axis=(0.0, 0.0, 1.0)), thetas, np.zeros_like(thetas)))
@@ -156,7 +156,8 @@ def _check_contiguous(positions: tuple[int, ...], context: str) -> None:
 
 
 def _link_sets(p: ModelParams, mesh: SphereMesh | None, h_builder: _Covariant | None,
-               sets: Sequence[Sequence[int]] | None, context: str) -> list[ChernResult]:
+               sets: Sequence[Sequence[int]] | None, levels: tuple | None = None,
+               context: str = "per-band link Chern, angles about the axis") -> list[ChernResult]:
     """Link Chern numbers of band sets (ascending positions), or of every band when sets is None.
 
     One meridian solve and gate on the ring edges (_meridian), one
@@ -167,7 +168,7 @@ def _link_sets(p: ModelParams, mesh: SphereMesh | None, h_builder: _Covariant | 
     mesh = mesh or SphereMesh()
     m = _jz_diagonal(p.nuclear_two_l) if h_builder is None else np.asarray(h_builder[1], float)
     sets = [(k,) for k in range(len(m))] if sets is None else sets
-    w0, f0 = _meridian(p, mesh.theta_edges(), sets, context, h_builder)
+    w0, f0 = _meridian(p, mesh.theta_edges(), sets, context, h_builder, levels)
     values = _link_chern(np.moveaxis(f0[..., np.array(sets)], -2, 1), m, mesh.phi_max)
     half = _half_grid(w0.shape[-1], len(sets[0]))
     return [ChernResult.from_fourpi(float(c), half) for c in values]
@@ -185,9 +186,11 @@ def chern_number_link_variable(p: ModelParams, labels: Sequence[int] | int,
     constant, so the isolation check refuses a band set that touches the
     rest along a mesh ring's circle.
     """
-    _, positions = _resolve_labels(p, labels)
+    levels = _levels(p)
+    _, positions = _resolve_labels(levels, labels)
     _check_contiguous(positions, "link-variable Chern")
-    result = _link_sets(p, mesh, None, [positions], "link-variable Chern, angles about the axis")[0]
+    result = _link_sets(p, mesh, None, [positions], levels,
+                        "link-variable Chern, angles about the axis")[0]
     return _check_quantized(result, "link-variable Chern")
 
 
@@ -209,7 +212,7 @@ def chern_spectrum_link_variable(p: ModelParams, mesh: SphereMesh | None = None,
     have no Chern number of their own and are refused, whatever ``check``
     says; ``check`` gates only the quantization.
     """
-    results = _link_sets(p, mesh, h_builder, None, "per-band link Chern, angles about the axis")
+    results = _link_sets(p, mesh, h_builder, None)
     if check:
         for i, r in enumerate(results):
             _check_quantized(r, f"band {i}")
@@ -273,16 +276,17 @@ def smooth_gauge_states(p: ModelParams, labels: Sequence[int] | int,
     coupling with y = 0, L in {1, 2}.
     """
     mesh = mesh or SphereMesh()
-    labels, positions = _resolve_labels(p, labels)
+    levels = _levels(p)
+    labels, positions = _resolve_labels(levels, labels)
     _check_contiguous(positions, "smoothed-gauge frames")
     if source not in ("numerical", "analytic"):
         raise ValueError(f"unknown frame source {source!r}")
-    closed_form = _analytic_frames(p, positions) if source == "analytic" else None
-    return replace(_frame_sets(p, mesh, [positions], closed_form)[0], labels=labels)
+    closed_form = _analytic_frames(p, positions, levels[0]) if source == "analytic" else None
+    return replace(_frame_sets(p, mesh, [positions], closed_form, levels)[0], labels=labels)
 
 
 def _frame_sets(p: ModelParams, mesh: SphereMesh, sets: Sequence[Sequence[int]],
-                closed_form: FrameBuilder | None = None) -> list[FrameField]:
+                closed_form: FrameBuilder | None, levels: tuple) -> list[FrameField]:
     """Unlabelled frames of band sets (ascending positions), one solve of the kept ring edges.
 
     Every set is gated on that solve (_meridian) and its columns are
@@ -296,7 +300,8 @@ def _frame_sets(p: ModelParams, mesh: SphereMesh, sets: Sequence[Sequence[int]],
     if not seeded.any():
         raise ValueError("mesh too coarse for analytic frames: no rows away from the poles")
     solved = ~seeded if closed_form else np.ones_like(seeded)
-    _, v = _meridian(p, thetas[solved], sets, "smoothed-gauge frames, angles about the axis")
+    _, v = _meridian(p, thetas[solved], sets, "smoothed-gauge frames, angles about the axis",
+                     levels=levels)
     counts = [mesh.ring_phi_count(r) for r in range(1, mesh.n_theta)]
     fields = []
     for positions in sets:
@@ -309,14 +314,14 @@ def _frame_sets(p: ModelParams, mesh: SphereMesh, sets: Sequence[Sequence[int]],
     return fields
 
 
-def _analytic_frames(p: ModelParams, positions: Sequence[int]) -> FrameBuilder:
-    """Closed-form orthonormal frames of the crossing multiplet, batched over (thetas, phis)."""
+def _analytic_frames(p: ModelParams, positions: Sequence[int], w: np.ndarray) -> FrameBuilder:
+    """Closed-form orthonormal frames of the crossing multiplet (energies w) over (thetas, phis)."""
     l = {2: 1, 4: 2}.get(p.nuclear_two_l)
     if l is None:
         raise ValueError("analytic frames exist for L in {1, 2} only")
     if abs(p.x - p.crossing_x()) > 1e-9 or p.y != 0.0:
         raise ValueError(f"analytic frames are defined at the crossing x = {p.crossing_x()}, y = 0")
-    energies = np.linalg.eigvalsh(build_hamiltonian(p))[list(positions)]
+    energies = w[list(positions)]
     if (len(positions) != p.nuclear_two_l + 1 or np.max(np.abs(
             energies - degenerate_energy(p.nuclear_two_l))) > TOL.subspace_isolation):
         raise ValueError("analytic frames cover exactly the crossing multiplet")
@@ -533,15 +538,15 @@ def chern_number_curvature(p: ModelParams, labels: Sequence[int] | int,
     return _check_quantized(_rounded_flux(field), "curvature-integral Chern")
 
 
-def _curvature_sets(p: ModelParams, mesh: SphereMesh, sets: Sequence[Sequence[int]]
-                    ) -> list[ChernResult]:
+def _curvature_sets(p: ModelParams, mesh: SphereMesh, sets: Sequence[Sequence[int]],
+                    levels: tuple) -> list[ChernResult]:
     """Curvature Chern numbers of band sets (ascending positions), the twin of _link_sets.
 
     One meridian solve and gate for every set (_frame_sets); each flux is
     bounded (_check_phi_steps) and rounded as chern_number rounds it, with
     no quantization gate.
     """
-    return [_rounded_flux(_bounded_curvature(frames)) for frames in _frame_sets(p, mesh, sets)]
+    return [_rounded_flux(_bounded_curvature(f)) for f in _frame_sets(p, mesh, sets, None, levels)]
 
 
 _PANEL_NODES = 16  # Gauss-Legendre nodes per panel of the integral across the axis circles
@@ -551,7 +556,7 @@ _PHASE_CONTEXT = "loop phase, angles about the axis"
 
 
 def _orbit_phases(p: ModelParams, theta0: float, mesh: SphereMesh,
-                  sets: Sequence[Sequence[int]]) -> np.ndarray:
+                  sets: Sequence[Sequence[int]], levels: tuple | None = None) -> np.ndarray:
     """Per-position phases of the loop at polar angle theta0 about z, shape (d,).
 
     The flux through the cap of angle alpha about the axis is Phi(alpha) =
@@ -574,11 +579,11 @@ def _orbit_phases(p: ModelParams, theta0: float, mesh: SphereMesh,
 
     At y = 0 (beta = 0) no meridian is solved: a level of n.J = m has
     Phi(theta0) = -2 pi m (1 - cos theta0) exactly, with m read from the
-    one block solve of _levels, whose energies the isolation gate checks
-    on the whole sphere (no level depends on n there).
+    one block solve levels = _levels(p) (solved when None), whose energies
+    the isolation gate checks on the whole sphere (no level depends on n).
     """
     if p.y == 0.0:
-        w, j, _ = _levels(p)
+        w, j, _, _ = _levels(p) if levels is None else levels
         _check_isolated(w, sets, _PHASE_CONTEXT, lambda i: " on the whole sphere")
         return -2 * np.pi * j * (1 - np.cos(theta0)) + 0.0  # + 0.0: no phase reads -0
     a = p.axis
@@ -649,6 +654,7 @@ def loop_phase(p: ModelParams, labels: Sequence[int] | int, theta0: float,
     if not 0.0 <= theta0 <= np.pi:
         raise ValueError(f"loop latitude theta0 must lie in [0, pi], got {theta0}")
     mesh = mesh or SphereMesh(scheme="uniform")
-    _, positions = _resolve_labels(p, labels)
+    levels = _levels(p)
+    _, positions = _resolve_labels(levels, labels)
     _check_contiguous(positions, "loop phase")
-    return float(_orbit_phases(p, theta0, mesh, [positions])[list(positions)].sum())
+    return float(_orbit_phases(p, theta0, mesh, [positions], levels)[list(positions)].sum())

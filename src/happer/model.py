@@ -227,11 +227,11 @@ def projected_hamiltonian(p: ModelParams, band_labels, reference_eigensystem) ->
     defined, and refuses label sets whose eigenspaces are not separated
     from the rest of the spectrum (SubspaceIsolationError).
     """
-    from .spectrum import _check_isolated, _resolve_labels  # local import to avoid a cycle
+    from .spectrum import _check_isolated, _levels, _resolve_labels  # local: avoids a cycle
 
     if p.y != 0.0:
         raise ValueError("projection onto labelled levels is defined for y = 0")
-    _, positions = _resolve_labels(p, band_labels)
+    _, positions = _resolve_labels(_levels(p), band_labels)
     _check_isolated(reference_eigensystem.eigenvalues, [positions], f"projection at x={p.x}")
     frame = reference_eigensystem.eigenvectors[:, list(positions)]
     proj = frame @ frame.conj().T

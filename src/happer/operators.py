@@ -115,22 +115,17 @@ def _small_d(two_j: int, beta: np.ndarray) -> np.ndarray:
     return np.eye(n) + turn.real.reshape(shift.shape + (n,))
 
 
-def _turned(v0: np.ndarray, angles: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _turned(v0: np.ndarray, angles: np.ndarray) -> np.ndarray:
     """e^{-i beta J_y} v0 for each angle beta, shape (n, dim, k), v0 of shape (dim, k).
 
     v0's rows are in the product basis of a spin 1 and a spin L, dim =
     3 (2L + 1).  e^{-i beta J_y} = d^1(beta) (x) d^L(beta) acts on the
     (3, 2L + 1) factors of v0's rows, one small-d at a time; the dim x dim
-    matrix is never formed.  The result is written into out when given,
-    which must be C-contiguous.
+    matrix is never formed.
     """
     (dim, k), n = v0.shape, len(angles)
     turned = _small_d(dim // 3 - 1, angles)[:, None] @ v0.reshape(3, dim // 3, k)
-    if out is None:
-        out = np.empty((n, dim, k), dtype=turned.dtype)
-    np.matmul(_small_d(2, angles), turned.reshape(n, 3, dim // 3 * k),
-              out=out.reshape(n, 3, dim // 3 * k, copy=False))
-    return out
+    return (_small_d(2, angles) @ turned.reshape(n, 3, dim // 3 * k)).reshape(n, dim, k)
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:

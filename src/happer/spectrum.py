@@ -110,9 +110,8 @@ class _Sectors:
     size (1, 2 or 3 for S = 1) are stacked, so energies over a whole x grid
     cost one batched eigvalsh per block size above 1.  Otherwise the whole
     pencil is one sector and slot s is the ascending position s.  Either
-    way eigh solves the blocks at one x in the field frame, and turn takes
-    its eigenvectors to the lab by e^{-i phi J_z} e^{-i theta J_y}, which
-    only eigensystem_with_j asks for: a label lookup needs no eigenvector.
+    way eigh solves the blocks at one x in the field frame; only
+    eigensystem_with_j turns its eigenvectors to the lab.
     Label k + 1 is slot slot_of_label[k], the stable energy order of the
     slots at _X_LABELS.
     """
@@ -158,8 +157,7 @@ class _Sectors:
         """Slot energies, field-frame slot eigenvectors (columns) and <n_B.J> of each slot at x.
 
         A 1x1 sector is its own energy and eigenvector, read off as levels
-        reads it; larger blocks are solved by eigh.  Only turn() takes the
-        eigenvectors to the lab, and fixes their phases there.
+        reads it; larger blocks are solved by eigh.
         """
         e = np.empty(self.p.dim)
         v = np.zeros((self.p.dim, self.p.dim), dtype=complex)
@@ -169,12 +167,6 @@ class _Sectors:
             else:
                 e[slots], v[rows[:, :, None], slots[:, None, :]] = np.linalg.eigh(f + x * x_op)
         return e, v, self.two_m / 2 if self.split else _frame_j(self.p.nuclear_two_l, v)
-
-    def turn(self, v: np.ndarray) -> np.ndarray:
-        """Field-frame eigenvectors v (columns) in the lab, e^{-i phi J_z} e^{-i theta J_y} v."""
-        field = self.p.field
-        turn_z = np.exp(-1j * field.phi * _jz_diagonal(self.p.nuclear_two_l))[:, None]
-        return fix_phases(turn_z * _turned(v, np.array([field.theta]))[0])
 
 
 def _energies(h: np.ndarray) -> np.ndarray:
@@ -187,31 +179,29 @@ def _frame_j(nuclear_two_l: int, v: np.ndarray) -> np.ndarray:
     return (np.abs(v) ** 2 * _jz_diagonal(nuclear_two_l)[:, None]).sum(-2)
 
 
-def _levels(p: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Ascending energies of H(p), <n_B.J> by position, and the position of each label.
+def _levels(p: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Ascending energies of H(p), <n_B.J>, the position of each label, and the eigenvectors.
 
-    One block solve of _Sectors(p) at p.x, with no eigenvector turned to
-    the lab.  Positions are its slots in stable ascending energy order, so
-    energies and label positions agree inside exact clusters too, and are
-    those of eigensystem_with_j(p) bit for bit.
+    One block solve of _Sectors(p) at p.x, eigenvectors (columns) in the
+    field frame.  Positions are its slots in stable ascending energy order,
+    so energies and label positions agree inside exact clusters too.
     """
     sectors = _Sectors(p)
-    e, _, j = sectors.eigh(p.x)
+    e, v, j = sectors.eigh(p.x)
     order = np.argsort(e, kind="stable")
-    return e[order], j[order], np.argsort(order)[sectors.slot_of_label]
+    return e[order], j[order], np.argsort(order)[sectors.slot_of_label], v[:, order]
 
 
 def eigensystem_with_j(p: ModelParams) -> tuple[EigenSystem, np.ndarray]:
     """Ascending eigensystem of H(p) and <n_B.J> of each position.
 
     j is each level's m exactly where n_B.J is conserved, inside exact
-    clusters too; positions agree with level_positions(p).  The one label
-    lookup that turns its eigenvectors to the lab.
+    clusters too; positions agree with level_positions(p).  The solve of
+    _levels, its eigenvectors turned to the lab by e^{-i phi J_z} e^{-i theta J_y}.
     """
-    sectors = _Sectors(p)
-    e, v, j = sectors.eigh(p.x)
-    order = np.argsort(e, kind="stable")
-    return EigenSystem(e[order], sectors.turn(v)[:, order]), j[order]
+    e, j, _, v = _levels(p)
+    turn_z = np.exp(-1j * p.field.phi * _jz_diagonal(p.nuclear_two_l))[:, None]
+    return EigenSystem(e, fix_phases(turn_z * _turned(v, np.array([p.field.theta]))[0])), j
 
 
 def level_positions(p: ModelParams) -> np.ndarray:
@@ -223,19 +213,20 @@ def level_positions(p: ModelParams) -> np.ndarray:
     return _levels(p)[2]
 
 
-def _resolve_labels(p: ModelParams, labels) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Ascending labels and ascending positions (see level_positions) of a band set at p.
+def _resolve_labels(levels: tuple, labels) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Ascending labels and ascending positions of a band set in the solve levels = _levels(p).
 
     labels is one label or a sequence of them, each an int or a numpy
     integer; labels outside 1..dim, repeated labels and non-integers are
     refused with a ValueError.
     """
+    dim = len(levels[0])
     items = [labels] if np.ndim(labels) == 0 else list(labels)
     resolved = sorted(int(lab) for lab in items if isinstance(lab, Integral))
     if not resolved or len(resolved) != len(items) or len(set(resolved)) != len(resolved) \
-            or resolved[0] < 1 or resolved[-1] > p.dim:
-        raise ValueError(f"labels must be distinct integers in 1..{p.dim}, got {labels!r}")
-    positions = level_positions(p)[np.array(resolved) - 1]
+            or resolved[0] < 1 or resolved[-1] > dim:
+        raise ValueError(f"labels must be distinct integers in 1..{dim}, got {labels!r}")
+    positions = levels[2][np.array(resolved) - 1]
     return tuple(resolved), tuple(sorted(positions.tolist()))
 
 
@@ -437,8 +428,9 @@ def _exact_crossings(sectors: _Sectors, lo: float, hi: float) -> list[Degeneracy
     the blocks of one size are solved at all their roots as one stack.
     Roots are grouped by (x, E), and the full spectrum is solved at each
     group's root, every slot within TOL.degeneracy_gap of E a member, with
-    gap 0 (the members' spread there is round-off).  Groups come in
-    ascending order of their root, and of energy among the groups that
+    gap 0; members spread by TOL.degeneracy_gap or more mark a crossing
+    just outside the window, clipped onto it, and are dropped.  Groups come
+    in ascending order of their root, and of energy among the groups that
     share one.
     """
     pairs, a, b = _pair_pencils(sectors)
@@ -460,9 +452,10 @@ def _exact_crossings(sectors: _Sectors, lo: float, hi: float) -> list[Degeneracy
     results = []
     for k, w in zip(first, sectors.levels(x_hit[first])[0][:, sectors.slot_of_label]):
         members = np.flatnonzero(np.abs(w - e_hit[k]) < TOL.degeneracy_gap)
-        results.append(DegeneracyPoint(
-            x=float(x_hit[k]), labels=tuple(int(lab) + 1 for lab in members),
-            energy=float(np.mean(w[members])), multiplicity=len(members), exact=True, gap=0.0))
+        if np.ptp(w[members]) < TOL.degeneracy_gap:
+            results.append(DegeneracyPoint(
+                x=float(x_hit[k]), labels=tuple(int(lab) + 1 for lab in members),
+                energy=float(np.mean(w[members])), multiplicity=len(members), exact=True, gap=0.0))
     return results
 
 

@@ -481,6 +481,15 @@ def test_cluster_is_refused_off_y_zero(command, capsys):
     assert captured.err == "error: exact clusters exist only at y = 0, got y = 0.1\n"
 
 
+@pytest.mark.parametrize("command", ["chern", "phase"])
+def test_cluster_is_refused_with_an_x_range(command, capsys):
+    # A cluster is read at one coupling, so a range is refused, not dropped.
+    assert main([command, "--l", "1", "--cluster", "--x-range", "0.3:0.9:3", "--mesh", "50"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --cluster takes one coupling (--x), not --x-range\n"
+
+
 @pytest.mark.parametrize("args", [["chern", "--scheme", "link"], ["chern", "--scheme", "curvature"],
                                   ["phase"]], ids=["chern-link", "chern-curvature", "phase"])
 @pytest.mark.parametrize("x", ["0", "-0.3", "-0.6666666666666666"])

@@ -8,8 +8,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import happer.geometry as geometry
+import happer.model as model
 import happer.spectrum as spectrum
-from happer.cli import ScanConfig, cmd_chern, cmd_phase
+from happer.cli import ScanConfig, cmd_chern, cmd_phase, cmd_weyl_compare
 from happer.degenerate import gram_schmidt, raw_degenerate_vectors
 from happer.errors import MeshResolutionError, SubspaceIsolationError
 from happer.geometry import (ChernResult, chern_number, chern_number_curvature,
@@ -826,11 +827,12 @@ def _oracle_transport(p: ModelParams, labels, mesh: SphereMesh):
     Edges are taken south to north, each ring's bottom edge and then its
     top edge at the ring's phis, an edge the ring south of it already took
     (the same theta and phi count) taken once: the south pole's edge
-    shares one frame, every other edge is aligned to the edge before it,
-    each point against that edge's nearest-phi frame.
+    shares one frame, in the library's gauge there, and every other edge
+    is aligned to the edge before it, each point against that edge's
+    nearest-phi frame.
     """
     field = smooth_gauge_states(p, labels, mesh)
-    positions = list(geometry._resolve_labels(p, labels)[1])
+    positions = list(geometry._resolve_labels(spectrum._levels(p), labels)[1])
     edges = mesh.theta_edges()
 
     def raw(theta, phis):
@@ -838,7 +840,8 @@ def _oracle_transport(p: ModelParams, labels, mesh: SphereMesh):
         return np.linalg.eigh(h)[1][..., positions]
 
     pole = raw(edges[-1], mesh.ring_phis(mesh.n_theta - 1))
-    last = np.broadcast_to(pole[0], pole.shape).copy()
+    u, _, vh = np.linalg.svd(pole[0].conj().T @ field.meridian[-1])
+    last = np.broadcast_to(pole[0] @ u @ vh, pole.shape).copy()
     aligned = {(edges[-1], len(last)): last}
     for r in _rings(field)[::-1]:
         phis = mesh.ring_phis(r)
@@ -1117,7 +1120,7 @@ def _sequential_meridian(p: ModelParams, labels, mesh: SphereMesh, source: str) 
     south pole, or the closed forms away from the poles), then one SVD per
     latitude outward from the seeds.
     """
-    positions = geometry._resolve_labels(p, labels)[1]
+    positions = geometry._resolve_labels(spectrum._levels(p), labels)[1]
     thetas = mesh.theta_edges()[1:][::-1]  # south pole first
     frames = geometry._meridian(p, thetas, [positions], "reference")[1][..., list(positions)]
     seeded = np.arange(len(thetas)) == 0
@@ -1158,8 +1161,8 @@ def test_singular_meridian_overlap_is_refused(monkeypatch, source):
     # analytic one ends there).
     real = geometry._meridian
 
-    def orthogonal_at(p, thetas, sets, context):
-        w, v = real(p, thetas, sets, context)  # south pole first
+    def orthogonal_at(p, thetas, sets, context, levels=None):
+        w, v = real(p, thetas, sets, context, levels=levels)  # south pole first
         cols = list(sets[0])
         f, pole = v[1][:, cols], v[0][:, cols]
         f -= pole @ (pole.conj().T @ f)
@@ -1205,19 +1208,19 @@ def test_every_axis_solves_one_meridian(monkeypatch, y, axis):
     # the axis along z for every axis: one matrix per ring edge, and per
     # frame latitude below the dropped north ring.  The curvature table
     # solves that meridian once per x for all its labels, and labels its
-    # levels from one _Sectors per x.  At y = 0 the meridian is one matrix:
-    # its other latitudes are turned from it about y.
-    def rows(n: int) -> int:
-        return 1 if y == 0.0 else n
+    # levels from one _Sectors per x.  At y = 0 no lab matrix is built: the
+    # meridian is that labelled solve, turned about y.
+    def rows(n: int) -> list[int]:
+        return [] if y == 0.0 else [n]
 
     counts = _count_matrices(monkeypatch)
     p = ModelParams(2, 1.3, y, axis=axis)
     mesh = SphereMesh(8, 16, "uniform")
     chern_spectrum_link_variable(p, mesh, check=False)
-    assert counts == [rows(mesh.n_theta + 1)]
+    assert counts == rows(mesh.n_theta + 1)
     counts.clear()
     smooth_gauge_states(p, (1,), mesh)
-    assert counts == [rows(mesh.n_theta)]
+    assert counts == rows(mesh.n_theta)
     counts.clear()
     builds: list[ModelParams] = []
     real_init = spectrum._Sectors.__init__
@@ -1230,7 +1233,7 @@ def test_every_axis_solves_one_meridian(monkeypatch, y, axis):
                      mesh_scheme="uniform", scheme="curvature")
     table = cmd_chern(cfg)
     assert len(table.rows) == 2 * p.dim
-    assert counts == [rows(cfg.sphere_mesh().n_theta)] * 2
+    assert counts == rows(cfg.sphere_mesh().n_theta) * 2
     assert [b.x for b in builds] == [1.2, 1.3]
     # per-band tables at 2L = 6: one isolation gate per meridian solve, with every band
     gates, meridians = [], []
@@ -1253,9 +1256,64 @@ def test_every_axis_solves_one_meridian(monkeypatch, y, axis):
 
 @pytest.mark.parametrize("two_l", [16, 17, 40])
 def test_a_y0_meridian_builds_one_matrix_at_any_l(monkeypatch, two_l):
+    # At any L a y = 0 meridian turns the labelled solve and builds no lab matrix.
     counts = _count_matrices(monkeypatch)
     geometry._meridian(ModelParams(two_l, 0.5), SphereMesh(8, 16, "uniform").theta_edges(), [], "")
-    assert counts == [1]
+    assert counts == []
+
+
+def _counted_solves(monkeypatch) -> dict[str, int]:
+    """_Sectors builds, and lab Hamiltonians built by any happer module's name for them."""
+    counts = {"sectors": 0, "lab": 0}
+    real_init = spectrum._Sectors.__init__
+
+    def init(self, params):
+        counts["sectors"] += 1
+        real_init(self, params)
+    monkeypatch.setattr(spectrum._Sectors, "__init__", init)
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "happer"]
+    for name in ("hamiltonian_batch", "build_hamiltonian"):
+        real = getattr(model, name)
+
+        def lab(*args, real=real):
+            counts["lab"] += 1
+            return real(*args)
+        for module in modules:
+            if vars(module).get(name) is real:
+                monkeypatch.setattr(module, name, lab)
+    return counts
+
+
+Y0_P, Y0_MESH = ModelParams(2, 0.8), SphereMesh(20, 40, "uniform")
+Y0_SOLVES = {  # at y = 0, 2L = 2: each call and its _Sectors builds, one per call and x
+    "loop_phase": (lambda: loop_phase(Y0_P, 1, LOOP_THETA, Y0_MESH), 1),
+    "chern_number_link_variable": (lambda: chern_number_link_variable(Y0_P, 1, Y0_MESH), 1),
+    "smooth_gauge_states": (lambda: smooth_gauge_states(Y0_P, 1, Y0_MESH), 1),
+    "smooth_gauge_states-analytic": (lambda: smooth_gauge_states(
+        Y0_P.with_x(2 / 3), (3, 4, 5), Y0_MESH, source="analytic"), 1),
+    "cmd_phase": (lambda: cmd_phase(ScanConfig(x_grid=(0.8, 1.2), mesh=50)), 2),
+    "cmd_chern-link": (lambda: cmd_chern(ScanConfig(
+        x_grid=(0.8, 1.2), mesh=50, mesh_scheme="uniform")), 2),
+    "cmd_chern-curvature": (lambda: cmd_chern(ScanConfig(
+        x_grid=(0.8, 1.2), mesh=50, mesh_scheme="uniform", scheme="curvature")), 2),
+    "cmd_weyl_compare": (lambda: cmd_weyl_compare(ScanConfig(
+        k_grid=(1.0, 2.0), mesh=50, mesh_scheme="uniform")), 1 + 2),  # + its cluster's solve
+    # --cluster: the _cluster_labels solve, plus one
+    "cmd_phase-cluster": (lambda: cmd_phase(ScanConfig(cluster=True, mesh=50)), 2),
+    "cmd_chern-cluster-link": (lambda: cmd_chern(ScanConfig(cluster=True, mesh=50)), 2),
+    "cmd_chern-cluster-curvature": (lambda: cmd_chern(ScanConfig(
+        cluster=True, mesh=80, mesh_scheme="uniform", scheme="curvature")), 2),
+}
+
+
+@pytest.mark.parametrize("name", Y0_SOLVES)
+def test_a_y0_point_is_one_labelled_solve_and_no_lab_matrix(monkeypatch, name):
+    # The labels, the meridian and the gate of a y = 0 point all read one
+    # _levels solve, turned about y; no lab Hamiltonian is built.
+    call, builds = Y0_SOLVES[name]
+    counts = _counted_solves(monkeypatch)
+    call()
+    assert counts == {"sectors": builds, "lab": 0}
 
 
 # ---------------------------------------------------------------------------
@@ -1264,7 +1322,7 @@ def test_a_y0_meridian_builds_one_matrix_at_any_l(monkeypatch, two_l):
 # row by row
 
 
-def _solved_meridian(p, thetas, sets, context, h_builder=None):
+def _solved_meridian(p, thetas, sets, context, h_builder=None, levels=None):
     """Per-row eigh of H(theta, 0) with the axis along z, ungated: the turn's oracle."""
     return np.linalg.eigh(hamiltonian_batch(replace(p, axis=(0.0, 0.0, 1.0)), thetas,
                                             np.zeros_like(thetas)))
@@ -1309,12 +1367,18 @@ def test_turned_rows_are_eigenvectors_of_their_own_row(two_l, thetas):
 @pytest.mark.parametrize("thetas", TURN_THETAS.values(), ids=TURN_THETAS.keys())
 @pytest.mark.parametrize("two_l", [1, 2, 4])
 def test_the_first_row_is_its_own_eigh_bit_for_bit(two_l, thetas):
-    # The south-pole seed of the frames keeps the gauge of its own solve.
+    # The south-pole seed of the frames keeps the gauge of its own solve, the
+    # labelled block eigh: every row keeps its energies, the north pole's row
+    # is its columns, and the south pole's their signed reversal, exactly.
     p = ModelParams(two_l, 0.8)
     w, v = geometry._meridian(p, thetas, [], "")
-    w0, v0 = np.linalg.eigh(hamiltonian_batch(p, thetas[:1], np.zeros(1)))
-    assert v[0].tobytes() == v0[0].tobytes()
-    assert all(row.tobytes() == w0[0].tobytes() for row in w)
+    w0, _, _, v0 = spectrum._levels(p)
+    assert all(row.tobytes() == w0.tobytes() for row in w)
+    (north,), (south,) = v[thetas == 0.0], v[thetas == np.pi]
+    assert np.array_equal(north, v0)
+    assert np.array_equal(np.abs(south), np.abs(v0[::-1]))
+    h = hamiltonian_batch(p, np.array([np.pi]), np.zeros(1))[0]
+    assert np.max(np.abs(h @ south - south * w0)) < 1e-13
 
 
 @pytest.mark.parametrize("two_l", [1, 2, 3, 17])

@@ -5,9 +5,13 @@ followed by the table the CLI printed.  Exit codes, integers and strings
 must match exactly; every float, including those inside ``#`` annotation
 lines, must agree to ``FLOAT_TOL`` absolute.
 
-Rewrite the goldens (only when a change of output is intended) with
+Rewrite a golden only when a change of its output is intended, naming it
+(one or more of the ``RUNS`` keys):
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py phase_levels
+
+Only the named files are written, so the others keep their recorded
+digits; an unknown name, or no name, writes nothing and exits 2.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import contextlib
 import io
 import math
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -98,8 +103,32 @@ def test_cli_output_matches_golden(name):
     assert not problems, "\n".join(problems[:10])
 
 
-if __name__ == "__main__":
+def rerecord(names: list[str]) -> int:
+    """Rewrite the goldens of the named runs; exit code 2, writing nothing, on no or unknown names."""
+    unknown = [name for name in names if name not in RUNS]
+    if not names or unknown:
+        print(f"name the goldens to rewrite, from: {' '.join(sorted(RUNS))}"
+              + (f" (unknown: {' '.join(unknown)})" if unknown else ""), file=sys.stderr)
+        return 2
     GOLDEN_DIR.mkdir(exist_ok=True)
-    for name, args in RUNS.items():
-        (GOLDEN_DIR / f"{name}.txt").write_text(render(args))
+    for name in names:
+        (GOLDEN_DIR / f"{name}.txt").write_text(render(RUNS[name]))
         print(f"wrote {name}")
+    return 0
+
+
+def test_rerecord_writes_only_the_named_goldens(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(sys.modules[__name__], "GOLDEN_DIR", tmp_path)
+    assert rerecord([]) == 2
+    assert rerecord(["phase_levels", "nosuch"]) == 2
+    assert list(tmp_path.iterdir()) == []
+    assert "unknown: nosuch" in capsys.readouterr().err
+    assert rerecord(["phase_levels"]) == 0
+    assert [f.name for f in tmp_path.iterdir()] == ["phase_levels.txt"]
+    recorded = (tmp_path / "phase_levels.txt").read_text()
+    assert not mismatches((Path(__file__).parent / "golden" / "phase_levels.txt").read_text(),
+                          recorded)
+
+
+if __name__ == "__main__":
+    sys.exit(rerecord(sys.argv[1:]))

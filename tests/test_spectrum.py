@@ -433,16 +433,19 @@ def test_the_field_frame_hamiltonian_turns_into_the_lab_one(two_l):
 @pytest.mark.parametrize("two_l", [*range(9), 17])
 def test_field_frame_sectors_match_the_lab_construction(two_l):
     rng = np.random.default_rng(two_l)
+    _, _, big_s, big_l, _ = _product_operators(two_l)
+    j_y, j_z = big_s[1] + big_l[1], big_s[2] + big_l[2]
     for y, field, axis in sector_fields(rng):
         p = ModelParams(two_l, 0.5, y, field, axis)
         sectors = spectrum._Sectors(p)
+        u = expm(-1j * field.phi * j_z) @ expm(-1j * field.theta * j_y)  # field frame -> lab
         two_m, slot_of_label, lab_eigh = lab_sectors(p)
         assert sectors.split == (two_m is not None), p
         assert not sectors.split or np.array_equal(sectors.two_m, two_m), p
         assert np.array_equal(sectors.slot_of_label, slot_of_label), p
         for x in (*rng.uniform(-2.5, 2.5, 3), 0.31, p.crossing_x()):
             e, v, j = sectors.eigh(x)
-            v = sectors.turn(v)  # the block solve is in the field frame
+            v = u @ v  # the block solve is in the field frame
             e_ref, v_ref, j_ref = lab_eigh(x)
             assert np.max(np.abs(e - e_ref)) < 1e-12, (p, x)
             # m exactly where n_B.J splits H, <n_B.J> to rounding otherwise
@@ -540,6 +543,7 @@ def test_a_crossing_at_the_window_end_is_reported(two_l, end, below):
 @settings(max_examples=100, deadline=None)
 @given(two_l=st.integers(1, 4), theta=st.floats(0, np.pi), phi=st.floats(0, 2 * np.pi),
        lo=st.floats(-2.0, 1.9), width=st.floats(0.05, 4.0))
+@example(two_l=3, theta=0.0, phi=0.0, lo=3.3664556714358904e-10, width=1.0)  # x = 0 just outside
 def test_crossings_match_a_dense_sign_change_scan(two_l, theta, phi, lo, width):
     p = ModelParams(two_l, 0.5, 0.0, FieldDirection(theta, phi))
     hi = min(lo + width, 2.0)
@@ -832,7 +836,7 @@ def test_label_lookups_are_the_eigensystem_bit_for_bit(two_l):
         assert spectrum._Sectors(p0).split == split, p0
         for x in (0.0, x_star, -x_star, *rng.uniform(-2.5, 2.5, 3)):
             p = p0.with_x(float(x))
-            energies, j, positions = spectrum._levels(p)
+            energies, j, positions, _ = spectrum._levels(p)
             es, jexp = eigensystem_with_j(p)
             assert np.array_equal(energies, es.eigenvalues), p
             assert np.array_equal(j, jexp), p
