@@ -125,37 +125,32 @@ def _chern_columns(res: ChernResult) -> list:
     return [res.fourpi, res.twopi, res.rounded, res.deviation]
 
 
-def _cluster_labels(cfg: ScanConfig, x_star: float) -> tuple[int, ...]:
-    """Ascending labels of the crossing cluster at coupling x_star > 0, y = 0.
+def _cluster(cfg: ScanConfig) -> tuple[ModelParams, tuple[int, ...], str]:
+    """Params at --x (default: the crossing), the cluster there, and its deg(a+b+c) tag.
 
     The cluster is the lowest-energy run of two or more adjacent positions
-    of the spectrum at x_star whose neighbours lie within
+    of the spectrum at x > 0, y = 0, whose neighbours lie within
     TOL.subspace_isolation, read from one labelled solve (_levels).
     """
-    if cfg.two_l == 0:
+    if cfg.x_grid is not None:
+        raise ValueError("--cluster takes one coupling (--x), not --x-range")
+    p = cfg.params(cfg.x if cfg.x is not None else cfg.params(1.0).crossing_x())
+    if p.nuclear_two_l == 0:
         raise ValueError("L = 0 has no crossing cluster: its three levels (H = n.S at y = 0) "
                          "never cross")
-    if cfg.y != 0.0:
-        raise ValueError(f"exact clusters exist only at y = 0, got y = {cfg.y}")
-    if x_star <= 0:
-        raise ValueError(f"--cluster needs x > 0, got x = {x_star}")
-    energies, _, positions, _ = _levels(cfg.params(x_star))
+    if p.y != 0.0:
+        raise ValueError(f"exact clusters exist only at y = 0, got y = {p.y}")
+    if p.x <= 0:
+        raise ValueError(f"--cluster needs x > 0, got x = {p.x}")
+    energies, _, positions, _ = _levels(p)
     touching = np.diff(energies) < TOL.subspace_isolation  # (b, b + 1) within the gate
     if not touching.any():
-        raise ValueError(f"no exact crossing found near x = {x_star}")
+        raise ValueError(f"no exact crossing found near x = {p.x}")
     first = last = int(np.argmax(touching))
     while last < len(touching) and touching[last]:
         last += 1
     members = (positions >= first) & (positions <= last)
-    return tuple(int(lab) + 1 for lab in np.flatnonzero(members))
-
-
-def _cluster(cfg: ScanConfig) -> tuple[ModelParams, tuple[int, ...], str]:
-    """Params at --x (default: the crossing), the cluster there, and its deg(a+b+c) tag."""
-    if cfg.x_grid is not None:
-        raise ValueError("--cluster takes one coupling (--x), not --x-range")
-    p = cfg.params(cfg.x if cfg.x is not None else cfg.params(1.0).crossing_x())
-    labels = _cluster_labels(cfg, p.x)
+    labels = tuple(int(lab) + 1 for lab in np.flatnonzero(members))
     return p, labels, "deg(" + "+".join(map(str, labels)) + ")"
 
 
@@ -175,7 +170,7 @@ def cmd_spectrum(cfg: ScanConfig) -> Table:
         annotations.append(
             f"{kind}: x={d.x:.10g} labels={','.join(map(str, d.labels))} "
             f"multiplicity={d.multiplicity} energy={d.energy:.10g} gap={d.gap:.3g}")
-    if cfg.y == 0.0:
+    if p0.y == 0.0:
         # spectrum must not depend on the field direction
         rng = np.random.default_rng(cfg.seed)
         th, ph = rng.uniform(0.1, np.pi - 0.1), rng.uniform(0, 2 * np.pi)
@@ -214,7 +209,7 @@ def cmd_chern(cfg: ScanConfig) -> Table:
             res, j = per_position[pos], float(jexp[pos])
             flagged = res.deviation > TOL.chern_integer
             ok &= not flagged
-            if cfg.y == 0.0 and 2 * res.rounded != -np.rint(2 * j):
+            if p.y == 0.0 and 2 * res.rounded != -np.rint(2 * j):
                 ok = False
                 annotations.append(f"check-failed: Ch != -J for x={x} label={lab}")
             rows.append([float(x), lab, *_chern_columns(res), j, int(flagged)])
@@ -311,12 +306,12 @@ def cmd_weyl_compare(cfg: ScanConfig) -> Table:
         ok = False
         annotations.append("check-failed: semimetal band sum is not 0")
 
-    labels = _cluster_labels(cfg, cfg.params(1.0).crossing_x())
+    _, labels, _ = _cluster(cfg)
     for k_mag in cfg.k_grid:
         x_eff = 1.0 / k_mag
         p = cfg.params(x_eff)
         levels = _levels(p)
-        try:  # y = 0 (_cluster_labels), so a touching anywhere is a touching everywhere
+        try:  # y = 0 (_cluster), so a touching anywhere is a touching everywhere
             per_position = _link_sets(p, mesh, None, None, levels)
         except SubspaceIsolationError:
             annotations.append(f"skipped |k|={k_mag:.12g}: on the degeneracy sphere")

@@ -24,6 +24,7 @@ from .tolerances import TOL
 
 ELECTRON_TWO_J = 2  # triplet dimer, S = 1
 _NEGLIGIBLE = 1e-100  # |coefficient| below which a term of H is dropped
+_ALONG_AXIS = 1e-14  # |u x v| below which two unit vectors lie along one line
 
 
 @dataclass(frozen=True)
@@ -46,7 +47,10 @@ class FieldDirection:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Full configuration: nuclear spin 2L, couplings x and y, field, axis."""
+    """Full configuration: nuclear spin 2L, couplings x and y, field, axis.
+
+    A |y| < _NEGLIGIBLE (1e-100) moves no eigenvalue and is stored as 0.0.
+    """
 
     nuclear_two_l: int
     x: float
@@ -61,6 +65,8 @@ class ModelParams:
         for name, value in (("x", self.x), ("y", self.y)):
             if not math.isfinite(value):
                 raise ValueError(f"coupling {name} must be finite, got {value}")
+        if abs(self.y) < _NEGLIGIBLE:
+            object.__setattr__(self, "y", 0.0)
         if np.shape(self.axis) != (3,):
             raise ValueError(f"axis must have three components, got {self.axis!r}")
         norm = float(np.linalg.norm(self.axis))
@@ -106,9 +112,9 @@ def _z_covariant(y: float, axis: tuple[float, float, float]) -> bool:
     """Whether H(theta, phi) = e^{-i phi J_z} H(theta, 0) e^{i phi J_z} holds.
 
     True when the axis term vanishes (y = 0) or is itself invariant under
-    rotations about z (axis along z).
+    rotations about z (|a x z| < _ALONG_AXIS).
     """
-    return y == 0.0 or abs(axis[0]) + abs(axis[1]) < 1e-15
+    return y == 0.0 or math.hypot(axis[0], axis[1]) < _ALONG_AXIS
 
 
 def spin_axis_operator(axis: tuple[float, float, float], nuclear_two_l: int) -> np.ndarray:
@@ -146,15 +152,14 @@ def _hamiltonians(p: ModelParams, theta, phi, x, y) -> np.ndarray:
 
     Each term is formed at the shape of its own arguments and the sum
     broadcasts, so a ramp of x at a fixed field builds the field term
-    once.  At scalar arguments it is build_hamiltonian.
+    once.  At scalar arguments it is build_hamiltonian.  Below _NEGLIGIBLE a
+    coefficient moves no eigenvalue, yet LAPACK's eigenvalue-only solver can
+    miss a level by 1e-7 (2L = 3, x = 0, y = theta = 9.2e-160), so it is
+    zeroed: y by ModelParams, sin theta and x, which can be arrays, here.
     """
     _, _, big_s, _, exchange = _product_operators(p.nuclear_two_l)
     theta, phi, x, y = (np.asarray(a, dtype=float)[..., None, None] for a in (theta, phi, x, y))
-    # A coefficient below _NEGLIGIBLE moves no eigenvalue of H in double
-    # precision, but LAPACK's eigenvalue-only solver squares it into the
-    # subnormal range and then misses a level by up to 1e-7 (2L = 3,
-    # x = 0, y = theta = 9.2e-160); it is taken as exactly zero.
-    st, x, y = (np.where(np.abs(a) < _NEGLIGIBLE, 0.0, a) for a in (np.sin(theta), x, y))
+    st, x = (np.where(np.abs(a) < _NEGLIGIBLE, 0.0, a) for a in (np.sin(theta), x))
     h = (st * np.cos(phi)) * big_s[0] + (st * np.sin(phi)) * big_s[1] \
         + np.cos(theta) * big_s[2] + x * exchange
     if np.any(y != 0.0):

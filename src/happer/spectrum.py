@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import SubspaceIsolationError, TrackingError
-from .model import ModelParams, _hamiltonians, _jz_diagonal
+from .model import _ALONG_AXIS, ModelParams, _hamiltonians, _jz_diagonal
 from .operators import _turned, require_hermitian
 from .tolerances import TOL
 
@@ -60,7 +60,6 @@ def eigensystem(h: np.ndarray) -> EigenSystem:
 
 
 _X_LABELS = 2.5  # labels are numbered by energy here, beyond every crossing (x* <= 2)
-_ALONG_AXIS = 1e-14  # |n_B x a| below which the field lies along the axis
 
 
 def _frame_axis(p: ModelParams) -> tuple[float, float, float]:
@@ -422,13 +421,13 @@ def _exact_crossings(sectors: _Sectors, lo: float, hi: float) -> list[Degeneracy
     """Crossings of labelled levels on [lo, hi], as roots of sector-pair pencils.
 
     The roots are the finite real eigenvalues x of every sector pair's
-    pencil, of size at most 9x9 (a two-parameter eigenvalue problem),
-    solved as one padded stack (_pair_pencils).  A root counts where a slot
-    of s and a slot of t agree to 1e-9 on the pair's own two blocks, and
-    the blocks of one size are solved at all their roots as one stack.
-    Roots are grouped by (x, E), and the full spectrum is solved at each
-    group's root, every slot within TOL.degeneracy_gap of E a member, with
-    gap 0; members spread by TOL.degeneracy_gap or more mark a crossing
+    pencil, of size at most 9x9 (a two-parameter eigenvalue problem), solved
+    as one padded stack (_pair_pencils).  A root counts where a slot of s
+    and a slot of t agree to TOL.degeneracy_gap on the pair's own two
+    blocks, and the blocks of one size are solved at all their roots as one
+    stack.  Roots are grouped by (x, E), and the full spectrum is solved at
+    each group's root, every slot within TOL.degeneracy_gap of E a member,
+    with gap 0; members spread by TOL.degeneracy_gap or more mark a crossing
     just outside the window, clipped onto it, and are dropped.  Groups come
     in ascending order of their root, and of energy among the groups that
     share one.
@@ -444,7 +443,7 @@ def _exact_crossings(sectors: _Sectors, lo: float, hi: float) -> list[Degeneracy
         at, side = np.nonzero(tag[..., 0] == g)
         block = tag[at, side, 1]
         e[at, side, :f.shape[-1]] = _energies(f[block] + roots[at, None, None] * x_op[block])
-    r, i, j = np.nonzero(np.abs(e[:, 0, :, None] - e[:, 1, None, :]) < 1e-9)
+    r, i, j = np.nonzero(np.abs(e[:, 0, :, None] - e[:, 1, None, :]) < TOL.degeneracy_gap)
     if not r.size:
         return []
     x_hit, e_hit = roots[r], (e[r, 0, i] + e[r, 1, j]) / 2

@@ -535,12 +535,39 @@ def test_cluster_labels_match_the_crossing_search(two_l):
     xs = [p.crossing_x()] + [d.x for d in degs if 0 < d.x < 2]
     assert any(abs(x - p.crossing_x()) < 1e-12 for x in xs[1:])
     for x in xs:
-        labels = happer.cli._cluster_labels(cfg, x)
+        _, labels, _ = happer.cli._cluster(ScanConfig(two_l=two_l, x=x))
         searched = _searched_cluster_labels(cfg.params(x))
         if searched is None:
             assert x < 1e-6 and degs[0].x < 1e-6
             searched = degs[0].labels
         assert labels == searched, x
+
+
+@pytest.mark.parametrize("args", [
+    ["spectrum", "--l", "1", "--theta0", "1.0", "--x-range", "0.1:1.5:29"],
+    ["chern", "--l", "1", "--x", "0.5", "--theta0", "1.0", "--mesh", "50"],
+    ["chern", "--l", "1", "--x", "0.5", "--theta0", "1.0", "--mesh", "100", "--scheme",
+     "curvature"],
+    ["chern", "--l", "1", "--cluster", "--mesh", "50"],
+    ["phase", "--l", "1", "--x", "0.5", "--mesh", "50"],
+    ["dynamics", "--l", "1", "--x", "0.8", "--steps-per-period", "400"],
+    ["dynamics", "--l", "1", "--x", "0.8", "--axis", "1,0,0", "--theta0", "1.0",
+     "--steps-per-period", "400"],
+], ids=["spectrum", "chern-link", "chern-curvature", "chern-cluster", "phase", "dynamics",
+        "dynamics-tilted-axis"])
+def test_a_negligible_axis_term_is_y_zero(args, capsys):
+    # |y| < 1e-100 builds the y = 0 Hamiltonian bit for bit, so every
+    # command takes the y = 0 path: exact crossings, Ch = -J, the exact
+    # cluster, closed-form phases and the unstepped drive.  Only the
+    # y= meta line echoes the input.
+    outputs = []
+    for y in ("0", "1e-200"):
+        code = main([*args, "--y", y])
+        captured = capsys.readouterr()
+        lines = [ln for ln in captured.out.splitlines() if not ln.startswith("# y=")]
+        outputs.append((code, lines, captured.err))
+    assert outputs[0][0] == 0
+    assert outputs[1] == outputs[0]
 
 
 # The options each command takes besides --format, --out and --config.

@@ -1298,7 +1298,7 @@ Y0_SOLVES = {  # at y = 0, 2L = 2: each call and its _Sectors builds, one per ca
         x_grid=(0.8, 1.2), mesh=50, mesh_scheme="uniform", scheme="curvature")), 2),
     "cmd_weyl_compare": (lambda: cmd_weyl_compare(ScanConfig(
         k_grid=(1.0, 2.0), mesh=50, mesh_scheme="uniform")), 1 + 2),  # + its cluster's solve
-    # --cluster: the _cluster_labels solve, plus one
+    # --cluster: the _cluster solve, plus one
     "cmd_phase-cluster": (lambda: cmd_phase(ScanConfig(cluster=True, mesh=50)), 2),
     "cmd_chern-cluster-link": (lambda: cmd_chern(ScanConfig(cluster=True, mesh=50)), 2),
     "cmd_chern-cluster-curvature": (lambda: cmd_chern(ScanConfig(

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -231,6 +233,16 @@ def test_axis_without_three_components_is_refused(axis, y):
     with pytest.raises(ValueError) as refused:
         ModelParams(1, 0.8, y, axis=axis)
     assert str(refused.value) == f"axis must have three components, got {axis!r}"
+
+
+def test_a_negligible_axis_coupling_is_stored_as_zero():
+    # Below 1e-100 the axis term moves no eigenvalue, so the model is the
+    # y = 0 model; 1e-99 is kept as given.
+    assert ModelParams(2, 0.5, 1e-200).y == 0.0
+    assert ModelParams(2, 0.5, -1e-200).y == 0.0
+    assert ModelParams(2, 0.5, 1e-99).y == 1e-99
+    p = ModelParams(2, 0.5, 1e-200, FieldDirection(1.0, 0.3), (1.0, 0.0, 0.0))
+    assert np.array_equal(build_hamiltonian(p), build_hamiltonian(replace(p, y=0.0)))
 
 
 def test_zeeman_params_is_pure_precession():

@@ -254,6 +254,18 @@ def test_axis_term_opens_a_gap():
         assert abs(d.x - 2 / 3) < 0.05
 
 
+def test_a_negligible_axis_term_leaves_the_crossing_exact():
+    # |y| < 1e-100 is y = 0, so a tilted field keeps the one exact
+    # threefold crossing at x* = 2/3 that y = 0 gives.
+    p = ModelParams(2, 0.5, 1e-200, FieldDirection(1.0, 0.3))
+    degs = find_degeneracies(p, (0.1, 1.5))
+    assert degs == find_degeneracies(ModelParams(2, 0.5, 0.0, FieldDirection(1.0, 0.3)),
+                                     (0.1, 1.5))
+    (d,) = degs
+    assert d.exact and d.gap == 0 and d.multiplicity == 3
+    assert abs(d.x - 2 / 3) < 1e-12
+
+
 def test_level_positions_identity_at_large_x():
     p = ModelParams(2, 2.5, 0.0, FieldDirection(0.4, 0.2))
     assert list(level_positions(p)) == list(range(9))
